@@ -234,9 +234,9 @@ PpdController::resolveCrossRead(uint32_t ReaderPid,
     return Result;
   }
 
-  EdgeRef RaceWitness;
-  std::vector<EdgeRef> Producers =
-      PG.writersBefore(ReaderEdge, SharedIdx, &RaceWitness);
+  ParallelDynamicGraph::WriterCursor Producers =
+      PG.writersBefore(ReaderEdge, SharedIdx);
+  EdgeRef RaceWitness = Producers.raceWitness();
 
   if (RaceWitness.valid()) {
     DynNode N;
@@ -256,7 +256,8 @@ PpdController::resolveCrossRead(uint32_t ReaderPid,
   // writers latest-first and take the first that traces to an event
   // actually covering the element; if none did, the element still holds
   // its initial value.
-  for (EdgeRef Producer : Producers) {
+  for (EdgeRef Producer = Producers.next(); Producer.valid();
+       Producer = Producers.next()) {
     bool TraceOk = false;
     DynNodeId Writer =
         materializeWriter(Producer, Read.Var, Read.Index, TraceOk);
@@ -418,10 +419,15 @@ void PpdController::spliceSyncEdges(uint32_t Pid, uint32_t IntervalIdx) {
                      ? recordEnd(Pid)
                      : Interval.PostlogRecord;
 
-  for (uint32_t NodeIdx = 0; NodeIdx != PG.nodes(Pid).size(); ++NodeIdx) {
-    const SyncNode &N = PG.nodes(Pid)[NodeIdx];
-    if (N.RecordIdx < Interval.PrelogRecord || N.RecordIdx > End)
-      continue;
+  // The interval's sync nodes are a contiguous run (RecordIdx ascends).
+  const std::vector<SyncNode> &ProcNodes = PG.nodes(Pid);
+  auto First = std::lower_bound(
+      ProcNodes.begin(), ProcNodes.end(), Interval.PrelogRecord,
+      [](const SyncNode &N, uint32_t R) { return N.RecordIdx < R; });
+  for (uint32_t NodeIdx = uint32_t(First - ProcNodes.begin());
+       NodeIdx != ProcNodes.size() && ProcNodes[NodeIdx].RecordIdx <= End;
+       ++NodeIdx) {
+    const SyncNode &N = ProcNodes[NodeIdx];
     // Edge into this node (partner → here).
     SyncNodeRef Partner = PG.partnerOf({Pid, NodeIdx});
     if (Partner.valid()) {
@@ -433,20 +439,14 @@ void PpdController::spliceSyncEdges(uint32_t Pid, uint32_t IntervalIdx) {
         Graph.addEdge({DynEdgeKind::Sync, From, To, InvalidId, -1});
     }
     // Edges out of this node: partners in other processes pointing here.
-    for (uint32_t OtherPid = 0; OtherPid != PG.numProcs(); ++OtherPid) {
-      if (OtherPid == Pid)
+    for (SyncNodeRef Dependent : PG.dependentsOf({Pid, NodeIdx})) {
+      if (Dependent.Pid == Pid)
         continue;
-      for (uint32_t OtherIdx = 0; OtherIdx != PG.nodes(OtherPid).size();
-           ++OtherIdx) {
-        SyncNodeRef OtherPartner = PG.partnerOf({OtherPid, OtherIdx});
-        if (!(OtherPartner == SyncNodeRef{Pid, NodeIdx}))
-          continue;
-        const SyncNode &ON = PG.nodes(OtherPid)[OtherIdx];
-        DynNodeId From = eventNodeNear(Pid, N.RecordIdx, N.Stmt);
-        DynNodeId To = eventNodeNear(OtherPid, ON.RecordIdx, ON.Stmt);
-        if (From != InvalidId && To != InvalidId)
-          Graph.addEdge({DynEdgeKind::Sync, From, To, InvalidId, -1});
-      }
+      const SyncNode &ON = PG.node(Dependent);
+      DynNodeId From = eventNodeNear(Pid, N.RecordIdx, N.Stmt);
+      DynNodeId To = eventNodeNear(Dependent.Pid, ON.RecordIdx, ON.Stmt);
+      if (From != InvalidId && To != InvalidId)
+        Graph.addEdge({DynEdgeKind::Sync, From, To, InvalidId, -1});
     }
   }
 }

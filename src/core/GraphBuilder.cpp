@@ -217,6 +217,29 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
     return ParamNodes;
   };
 
+  // A call's events follow the event of the statement containing it, so
+  // that statement's reads were resolved against the writers from before
+  // the call — wrong for a read evaluated after the call returns. For
+  // each global the callee may write (MOD) that the statement reads, also
+  // link the writer the call left behind.
+  auto RelinkReadsAfterCall = [&](uint32_t Callee) {
+    const Scope &S = Scopes.back();
+    if (!S.LastStmtEvent)
+      return;
+    for (const TraceAccess &R : S.LastStmtEvent->Reads) {
+      if (!Prog.ModRef.Mod[Callee].contains(R.Var))
+        continue;
+      DynNodeId Writer = lookupWriter(GlobalWriters, R.Var, R.Index);
+      if (Writer == InvalidId || Writer == S.LastStmtNode)
+        continue;
+      bool Linked = false;
+      for (const DynEdge &In : Graph.inEdges(S.LastStmtNode))
+        Linked |= In.From == Writer && In.Var == R.Var;
+      if (!Linked)
+        Graph.addEdge({DynEdgeKind::Data, Writer, S.LastStmtNode, R.Var, -1});
+    }
+  };
+
   for (const TraceEvent &E : Events.Events) {
     switch (E.Kind) {
     case TraceEventKind::Stmt: {
@@ -255,6 +278,7 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
       if (E.IsPredicate)
         Scopes.back().LastPredicate[E.Stmt] = Node;
       Scopes.back().LastStmtNode = Node;
+      Scopes.back().LastStmtEvent = &E;
       Out.LastNode = Node;
       break;
     }
@@ -306,6 +330,7 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
       if (Scopes.back().LastStmtNode != InvalidId)
         Graph.addEdge({DynEdgeKind::Data, SGId, Scopes.back().LastStmtNode,
                        InvalidId, -1});
+      RelinkReadsAfterCall(E.Callee);
       break;
     }
 
@@ -335,6 +360,7 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
       // unexpanded node, inviting the user to expand it.
       for (unsigned G : Prog.ModRef.Mod[E.Callee].toVector())
         recordWrite(GlobalWriters, VarId(G), -1, SGId);
+      RelinkReadsAfterCall(E.Callee);
       if (PrevNode != InvalidId)
         Graph.addEdge({DynEdgeKind::Flow, PrevNode, SGId, InvalidId, -1});
       PrevNode = SGId;

@@ -80,6 +80,7 @@ private:
     std::map<WriterKey, DynNodeId> LocalWriters;
     std::map<StmtId, DynNodeId> LastPredicate;
     DynNodeId LastStmtNode = InvalidId;
+    const TraceEvent *LastStmtEvent = nullptr; ///< LastStmtNode's event.
   };
 
   /// Most recent writer of (var, index), honoring whole-array writes.

@@ -433,9 +433,11 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
         return ProgramDbStatus::Corrupt;
       // Seq numbers a sync event, and every sync event is a record, so
       // TotalRecords bounds any honest value (the BySeq table finalize()
-      // allocates is MaxSeq+1 entries — this check also caps it).
+      // allocates is MaxSeq+1 entries — this check also caps it). Node
+      // records ascend, which the graph's binary searches rely on.
       if (Kind > uint8_t(SyncKind::Stopped) || N.RecordIdx >= NumRecords ||
-          N.Seq > TotalRecords)
+          N.Seq > TotalRecords ||
+          (I != 0 && N.RecordIdx <= GNodes[Pid][I - 1].RecordIdx))
         return ProgramDbStatus::Corrupt;
       Seqs.push_back(N.Seq);
     }

@@ -148,6 +148,7 @@ void ParallelDynamicGraph::finalize() {
     N.Clock[Ref.Pid] = Ref.Index + 1;
   }
   FinalizeWatermark = BySeq.size();
+  buildIndexes();
 }
 
 void ParallelDynamicGraph::finalizeTail() {
@@ -203,6 +204,51 @@ void ParallelDynamicGraph::finalizeTail() {
     N.Clock[Ref.Pid] = Ref.Index + 1;
   }
   FinalizeWatermark = BySeq.size();
+  buildIndexes();
+}
+
+void ParallelDynamicGraph::buildIndexes() {
+  // Both indexes are two-pass CSR builds: count per key, prefix-sum into
+  // offsets, then fill walking nodes/edges in (pid, index) order — which
+  // is what leaves every bucket in (pid, index) order.
+  DependentsAt.assign(BySeq.size() + 1, 0);
+  for (const std::vector<SyncNode> &ProcNodes : Nodes)
+    for (const SyncNode &N : ProcNodes)
+      if (N.PartnerSeq < BySeq.size())
+        ++DependentsAt[N.PartnerSeq + 1];
+  for (size_t S = 1; S < DependentsAt.size(); ++S)
+    DependentsAt[S] += DependentsAt[S - 1];
+  Dependents.resize(DependentsAt.back());
+  {
+    std::vector<uint32_t> Fill(DependentsAt.begin(), DependentsAt.end() - 1);
+    for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
+      for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
+        uint64_t Partner = Nodes[Pid][Idx].PartnerSeq;
+        if (Partner < BySeq.size())
+          Dependents[Fill[Partner]++] = {Pid, Idx};
+      }
+  }
+
+  // Writer index, keyed SharedIdx * P + pid so one variable's processes
+  // are adjacent. Sized by the largest id actually written, so a WRITE_SET
+  // bit past NumShared is still indexed.
+  const size_t P = Nodes.size();
+  WritersAt.assign(size_t(NumShared) * P + 1, 0);
+  for (uint32_t Pid = 0; Pid != P; ++Pid)
+    for (const InternalEdge &E : Edges[Pid])
+      E.Writes.forEach([&](unsigned S) {
+        if ((size_t(S) + 1) * P + 1 > WritersAt.size())
+          WritersAt.resize((size_t(S) + 1) * P + 1, 0);
+        ++WritersAt[S * P + Pid + 1];
+      });
+  for (size_t K = 1; K < WritersAt.size(); ++K)
+    WritersAt[K] += WritersAt[K - 1];
+  WriterEnds.resize(WritersAt.back());
+  std::vector<uint32_t> Fill(WritersAt.begin(), WritersAt.end() - 1);
+  for (uint32_t Pid = 0; Pid != P; ++Pid)
+    for (const InternalEdge &E : Edges[Pid])
+      E.Writes.forEach(
+          [&](unsigned S) { WriterEnds[Fill[S * P + Pid]++] = E.EndNode; });
 }
 
 std::vector<EdgeRef> ParallelDynamicGraph::allEdges() const {
@@ -243,88 +289,89 @@ bool ParallelDynamicGraph::simultaneous(EdgeRef A, EdgeRef B) const {
   return !edgeHappensBefore(A, B) && !edgeHappensBefore(B, A);
 }
 
+std::span<const SyncNodeRef>
+ParallelDynamicGraph::dependentsOf(SyncNodeRef Ref) const {
+  uint64_t Seq = node(Ref).Seq;
+  if (Seq >= BySeq.size() || !(BySeq[Seq] == Ref))
+    return {};
+  return {Dependents.data() + DependentsAt[Seq],
+          Dependents.data() + DependentsAt[Seq + 1]};
+}
+
 EdgeRef ParallelDynamicGraph::edgeContaining(uint32_t Pid,
                                              uint32_t RecordIdx) const {
+  // Node RecordIdx values ascend, so the first node at or past the record
+  // ends the edge containing it.
   const std::vector<SyncNode> &ProcNodes = Nodes[Pid];
-  for (uint32_t I = 1; I < ProcNodes.size(); ++I)
-    if (RecordIdx > ProcNodes[I - 1].RecordIdx &&
-        RecordIdx <= ProcNodes[I].RecordIdx)
-      return {Pid, I};
+  auto It = std::lower_bound(
+      ProcNodes.begin(), ProcNodes.end(), RecordIdx,
+      [](const SyncNode &N, uint32_t R) { return N.RecordIdx < R; });
+  uint32_t I = uint32_t(It - ProcNodes.begin());
+  if (I == 0)
+    return EdgeRef();
   // Past the last sync node: the process stopped mid-edge. Treat the open
   // tail as an edge ending at a virtual node after the last one — callers
   // that only need ordering can use the last node conservatively. We
   // return the edge ending at the last node if the position is beyond it.
-  if (!ProcNodes.empty() && RecordIdx > ProcNodes.back().RecordIdx &&
-      ProcNodes.size() >= 2)
-    return {Pid, uint32_t(ProcNodes.size() - 1)};
-  return EdgeRef();
+  if (I == ProcNodes.size())
+    return ProcNodes.size() >= 2 ? EdgeRef{Pid, I - 1} : EdgeRef();
+  return {Pid, I};
 }
 
-EdgeRef ParallelDynamicGraph::lastWriterBefore(EdgeRef Reader,
-                                               uint32_t SharedIdx,
-                                               EdgeRef *RaceWitness) const {
-  if (RaceWitness)
-    *RaceWitness = EdgeRef();
-  EdgeRef Best;
-  for (uint32_t Pid = 0; Pid != Edges.size(); ++Pid) {
-    for (uint32_t I = 0; I != Edges[Pid].size(); ++I) {
-      const InternalEdge &E = Edges[Pid][I];
-      if (!E.Writes.contains(SharedIdx))
-        continue;
-      EdgeRef Ref{Pid, I + 1};
-      if (Ref == Reader)
-        continue;
-      if (Pid == Reader.Pid) {
-        // Same process: ordered by position.
-        if (Ref.EndNode > Reader.EndNode)
-          continue;
-      } else if (simultaneous(Ref, Reader)) {
-        if (RaceWitness)
-          *RaceWitness = Ref;
-        continue;
-      } else if (!edgeHappensBefore(Ref, Reader)) {
-        continue; // strictly after the reader
-      }
-      if (!Best.valid() || edgeHappensBefore(Best, Ref))
-        Best = Ref;
+ParallelDynamicGraph::WriterCursor
+ParallelDynamicGraph::writersBefore(EdgeRef Reader, uint32_t SharedIdx) const {
+  WriterCursor Cursor;
+  Cursor.Graph = this;
+  const size_t P = Nodes.size();
+  if ((size_t(SharedIdx) + 1) * P + 1 > WritersAt.size())
+    return Cursor; // no edge writes the variable
+  const SyncNode &ReaderStart = Nodes[Reader.Pid][Reader.EndNode - 1];
+  for (uint32_t Pid = 0; Pid != P; ++Pid) {
+    const size_t Key = SharedIdx * P + Pid;
+    const uint32_t *Begin = WriterEnds.data() + WritersAt[Key];
+    const uint32_t *End = WriterEnds.data() + WritersAt[Key + 1];
+    const uint32_t *Before;
+    if (Pid == Reader.Pid) {
+      // Program order: every earlier edge of the reader's process.
+      Before = std::lower_bound(Begin, End, Reader.EndNode);
+    } else {
+      // Vector clocks are monotone along a process, so its writers split
+      // into a prefix ordered before the reader (W → R iff start(R)'s
+      // clock covers end(W)), a run simultaneous with it, and a suffix
+      // ordered after it (R → W iff start(W)'s clock covers end(R)).
+      Before = std::lower_bound(Begin, End, ReaderStart.Clock[Pid]);
+      const std::vector<SyncNode> &ProcNodes = Nodes[Pid];
+      const uint32_t *After =
+          std::partition_point(Before, End, [&](uint32_t EndNode) {
+            return ProcNodes[EndNode - 1].Clock[Reader.Pid] <= Reader.EndNode;
+          });
+      // Later processes overwrite: the witness is the largest (pid, end).
+      if (After != Before)
+        Cursor.Witness = {Pid, After[-1]};
     }
+    if (Before != Begin)
+      Cursor.Runs.push_back({Pid, Begin, uint32_t(Before - Begin)});
   }
-  return Best;
+  return Cursor;
 }
 
-std::vector<EdgeRef>
-ParallelDynamicGraph::writersBefore(EdgeRef Reader, uint32_t SharedIdx,
-                                    EdgeRef *RaceWitness) const {
-  if (RaceWitness)
-    *RaceWitness = EdgeRef();
-  std::vector<EdgeRef> Writers;
-  for (uint32_t Pid = 0; Pid != Edges.size(); ++Pid) {
-    for (uint32_t I = 0; I != Edges[Pid].size(); ++I) {
-      const InternalEdge &E = Edges[Pid][I];
-      if (!E.Writes.contains(SharedIdx))
-        continue;
-      EdgeRef Ref{Pid, I + 1};
-      if (Ref == Reader)
-        continue;
-      if (Pid == Reader.Pid) {
-        if (Ref.EndNode > Reader.EndNode)
-          continue;
-      } else if (simultaneous(Ref, Reader)) {
-        if (RaceWitness)
-          *RaceWitness = Ref;
-        continue;
-      } else if (!edgeHappensBefore(Ref, Reader)) {
-        continue;
-      }
-      Writers.push_back(Ref);
+EdgeRef ParallelDynamicGraph::WriterCursor::next() {
+  // Merge the per-process runs by end-node Seq, latest first.
+  Run *Best = nullptr;
+  uint64_t BestSeq = 0;
+  for (Run &R : Runs) {
+    if (R.Left == 0)
+      continue;
+    uint64_t Seq = Graph->Nodes[R.Pid][R.Ends[R.Left - 1]].Seq;
+    if (!Best || Seq > BestSeq) {
+      Best = &R;
+      BestSeq = Seq;
     }
   }
-  std::sort(Writers.begin(), Writers.end(),
-            [this](EdgeRef A, EdgeRef B) {
-              return Nodes[A.Pid][A.EndNode].Seq >
-                     Nodes[B.Pid][B.EndNode].Seq;
-            });
-  return Writers;
+  if (!Best)
+    return EdgeRef();
+  --Best->Left;
+  return {Best->Pid, Best->Ends[Best->Left]};
 }
 
 std::string ParallelDynamicGraph::dot(const Program &P) const {

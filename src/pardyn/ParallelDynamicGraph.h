@@ -27,6 +27,7 @@
 #include "log/ExecutionLog.h"
 #include "support/VarSet.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,11 @@ public:
   /// Synchronization-edge source of \p Ref (the partner node), if any.
   SyncNodeRef partnerOf(SyncNodeRef Ref) const;
 
+  /// Synchronization-edge targets of \p Ref: every node whose partner is
+  /// \p Ref, in (pid, index) order — the inverse of partnerOf, read off
+  /// the reverse-partner index.
+  std::span<const SyncNodeRef> dependentsOf(SyncNodeRef Ref) const;
+
   /// Happens-before over nodes (Lamport ordering; reflexive-false).
   bool happensBefore(SyncNodeRef A, SyncNodeRef B) const;
 
@@ -152,32 +158,54 @@ public:
   /// The internal edge of process \p Pid whose record span contains log
   /// record \p RecordIdx; invalid if the position precedes the first sync
   /// node (cannot happen: ProcStart is record 0) or the process has no
-  /// edge there yet.
+  /// edge there yet. Past the last sync node (a process stopped mid-edge)
+  /// it answers the edge ending at the last node.
   EdgeRef edgeContaining(uint32_t Pid, uint32_t RecordIdx) const;
 
-  /// The latest internal edge (in the happens-before order) that writes
-  /// shared variable \p SharedIdx and happens-before \p Reader. Sets
-  /// \p RaceWitness when a writing edge *simultaneous* with Reader exists
-  /// (the §6.3 situation where "we cannot tell which happened first").
-  /// Skips Reader itself and other edges of Reader's process that don't
-  /// precede it.
-  EdgeRef lastWriterBefore(EdgeRef Reader, uint32_t SharedIdx,
-                           EdgeRef *RaceWitness = nullptr) const;
+  /// The internal edges that write one shared variable and happen-before
+  /// one reader edge, enumerated latest first (descending end-node Seq —
+  /// a linear extension of happens-before). WRITE_SETs are
+  /// variable-granular, so a caller attributing an array-element read may
+  /// need to fall back past the latest writer to an earlier one that
+  /// wrote the element in question; the cursor pays only for the writers
+  /// it hands out. Valid while the graph is not extended.
+  class WriterCursor {
+  public:
+    /// The next-latest writer; invalid once every writer was returned.
+    EdgeRef next();
+    /// A writing edge *simultaneous* with the reader (the §6.3 situation
+    /// where "we cannot tell which happened first"): the one with the
+    /// largest (pid, end node). Invalid when every writer is ordered.
+    EdgeRef raceWitness() const { return Witness; }
 
-  /// Every internal edge that writes \p SharedIdx and happens-before
-  /// \p Reader, latest first (descending end-node Seq — a linear
-  /// extension of happens-before). WRITE_SETs are variable-granular, so
-  /// for array variables a caller attributing an element read may need to
-  /// fall back past the latest writer to an earlier one that wrote the
-  /// element in question. RaceWitness as in lastWriterBefore.
-  std::vector<EdgeRef> writersBefore(EdgeRef Reader, uint32_t SharedIdx,
-                                     EdgeRef *RaceWitness = nullptr) const;
+  private:
+    friend class ParallelDynamicGraph;
+    /// One process's writers that precede the reader: Ends[0, Left) are
+    /// still pending, ascending, so Ends[Left - 1] is the latest.
+    struct Run {
+      uint32_t Pid;
+      const uint32_t *Ends;
+      uint32_t Left;
+    };
+    const ParallelDynamicGraph *Graph = nullptr;
+    std::vector<Run> Runs;
+    EdgeRef Witness;
+  };
+
+  /// The writers of shared variable \p SharedIdx that happen-before
+  /// \p Reader (Reader itself and its process's later edges excluded),
+  /// plus the race witness. O(P log W) to open over the writer index.
+  WriterCursor writersBefore(EdgeRef Reader, uint32_t SharedIdx) const;
 
   /// Graphviz rendering in the style of Fig 6.1: one column per process,
   /// synchronization edges across.
   std::string dot(const Program &P) const;
 
 private:
+  /// Rebuilds the derived query indexes below from Nodes/Edges/BySeq; run
+  /// at the end of finalize() and finalizeTail(). Never persisted.
+  void buildIndexes();
+
   std::vector<std::vector<SyncNode>> Nodes;     ///< per pid.
   std::vector<std::vector<InternalEdge>> Edges; ///< per pid; edge i ends
                                                 ///< at node i+1.
@@ -187,6 +215,16 @@ private:
   /// First BySeq slot not yet clock-finalized; finalizeTail() resumes
   /// here. Every batch finalize() leaves it at BySeq.size().
   uint64_t FinalizeWatermark = 0;
+
+  /// Reverse-partner index (CSR keyed by Seq): the dependents of the node
+  /// with sequence number s are Dependents[DependentsAt[s], DependentsAt[s
+  /// + 1]), in (pid, index) order.
+  std::vector<uint32_t> DependentsAt;
+  std::vector<SyncNodeRef> Dependents;
+  /// Per-shared-variable writer index (CSR keyed by SharedIdx * P + pid):
+  /// the ascending end nodes of that process's edges writing the variable.
+  std::vector<uint32_t> WritersAt;
+  std::vector<uint32_t> WriterEnds;
 };
 
 } // namespace ppd

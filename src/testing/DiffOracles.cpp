@@ -31,6 +31,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <unistd.h>
@@ -1154,6 +1156,61 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
         }
       }
     }
+
+    // flowback/sync: synchronization edges against the log's own
+    // Seq/PartnerSeq records, not the parallel dynamic graph. A sync
+    // record is anchored at the last event of its enclosing traced
+    // interval that ran the record's statement at or before it. Every
+    // Sync edge must join the anchors of one (partner, dependent) pair,
+    // and every pair with both anchors traced must be joined.
+    std::map<uint64_t, std::pair<uint32_t, uint32_t>> SyncAt; // pid, record
+    for (uint32_t P = 0; P != L.Procs.size(); ++P)
+      for (uint32_t I = 0; I != L.Procs[P].Records.size(); ++I)
+        if (L.Procs[P].Records[I].Kind == LogRecordKind::SyncEvent)
+          SyncAt[L.Procs[P].Records[I].Seq] = {P, I};
+    auto Anchor = [&](std::pair<uint32_t, uint32_t> At) -> DynNodeId {
+      const LogInterval *IV = Controller.logIndex().enclosing(At.first,
+                                                              At.second);
+      const ReplayResult *Replay =
+          IV ? Controller.replayOf(At.first, IV->Index) : nullptr;
+      if (!Replay)
+        return InvalidId;
+      StmtId Stmt = L.Procs[At.first].Records[At.second].Stmt;
+      DynNodeId Best = InvalidId;
+      for (const TraceEvent &E : Replay->Events.Events)
+        if (E.Stmt == Stmt && E.LogCursor <= At.second)
+          Best = Graph.nodeOfEvent(At.first, IV->Index, E.Index);
+      return Best;
+    };
+    std::set<std::pair<DynNodeId, DynNodeId>> Pairs, Edges;
+    for (const auto &[Seq, At] : SyncAt) {
+      uint64_t Partner = L.Procs[At.first].Records[At.second].PartnerSeq;
+      if (Partner == NoPartner)
+        continue;
+      auto It = SyncAt.find(Partner);
+      if (It == SyncAt.end())
+        return Fail("flowback/sync", "seq " + std::to_string(Seq) +
+                                         " names a missing partner");
+      DynNodeId From = Anchor(It->second), To = Anchor(At);
+      if (From != InvalidId && To != InvalidId)
+        Pairs.insert({From, To});
+    }
+    for (const DynEdge &E : Graph.edges()) {
+      if (E.Kind != DynEdgeKind::Sync)
+        continue;
+      if (!Pairs.count({E.From, E.To}))
+        return Fail("flowback/sync",
+                    "sync edge n" + std::to_string(E.From) + " -> n" +
+                        std::to_string(E.To) +
+                        " joins no partner pair of the log");
+      Edges.insert({E.From, E.To});
+    }
+    for (const auto &[From, To] : Pairs)
+      if (!Edges.count({From, To}))
+        return Fail("flowback/sync",
+                    "partner pair n" + std::to_string(From) + " -> n" +
+                        std::to_string(To) +
+                        " has both ends traced but no sync edge");
   }
 
   return Report;

@@ -34,7 +34,10 @@
 ///   flowback/*  every read in every traced interval must have a data
 ///               in-edge, and edges from singular writers must carry the
 ///               value actually read (semantic truth, not a re-run of the
-///               builder's own algorithm).
+///               builder's own algorithm); flowback/sync checks every
+///               Sync edge against partner pairs read straight off the
+///               log's Seq/PartnerSeq records, and that every pair with
+///               both ends traced got its edge.
 ///   deadlock/*  a Deadlock outcome must produce a coherent wait-for
 ///               report over exactly the blocked processes.
 ///   server/*    a scripted DebugSession vs the same script through

@@ -39,10 +39,16 @@
 #include "testing/Fuzzer.h"
 #include "vm/Machine.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <type_traits>
 
 #include <unistd.h>
 #include <fstream>
@@ -246,11 +252,32 @@ options:
 )");
 }
 
+/// Upper bound for the worker-thread flags: far past any useful pool, far
+/// short of what would exhaust the process creating it.
+constexpr uint64_t MaxThreads = 1024;
+
+/// Parses a decimal value in [0, Max] into \p Out. strtoull on its own
+/// reads "abc" as 0, wraps "-1" to 2^64-1 and saturates on overflow, so
+/// every numeric flag goes through here: anything but plain digits in
+/// range is rejected.
+template <typename T> bool parseUnsigned(const char *V, uint64_t Max, T &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*V)))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long N = std::strtoull(V, &End, 10);
+  if (*End != '\0' || errno == ERANGE || N > Max)
+    return false;
+  Out = T(N);
+  return true;
+}
+
 /// Parses "N", "Nk", "Nm", "Ng" (binary multiples) into bytes.
 bool parseByteSize(const char *V, size_t &Out) {
   char *End = nullptr;
+  errno = 0;
   unsigned long long N = std::strtoull(V, &End, 10);
-  if (End == V)
+  if (!std::isdigit(static_cast<unsigned char>(*V)) || errno == ERANGE)
     return false;
   size_t Mult = 1;
   switch (*End) {
@@ -259,7 +286,7 @@ bool parseByteSize(const char *V, size_t &Out) {
   case 'g': case 'G': Mult = size_t(1) << 30; ++End; break;
   default: break;
   }
-  if (*End != '\0')
+  if (*End != '\0' || N > SIZE_MAX / Mult)
     return false;
   Out = size_t(N) * Mult;
   return true;
@@ -302,16 +329,26 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       return Argv[++I];
     };
+    // A numeric flag's value: digits only, at most Max and what Out holds.
+    auto Number = [&](auto &Out, uint64_t Max = UINT64_MAX) {
+      const char *V = Next();
+      if (!V)
+        return false;
+      using T = std::remove_reference_t<decltype(Out)>;
+      Max = std::min<uint64_t>(Max, std::numeric_limits<T>::max());
+      if (parseUnsigned(V, Max, Out))
+        return true;
+      std::fprintf(stderr,
+                   "error: bad %s '%s' (expected an integer in 0..%llu)\n",
+                   Arg.c_str(), V, static_cast<unsigned long long>(Max));
+      return false;
+    };
     if (Arg == "--seed") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.Seed))
         return false;
-      Opts.Seed = std::strtoull(V, nullptr, 10);
     } else if (Arg == "--quantum") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.Quantum))
         return false;
-      Opts.Quantum = uint32_t(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--input") {
       const char *V = Next();
       if (!V)
@@ -356,66 +393,48 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
     } else if (Arg == "--idle-timeout-ms") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.IdleTimeoutMs))
         return false;
-      Opts.IdleTimeoutMs = std::strtoull(V, nullptr, 10);
     } else if (Arg == "--spill-sync") {
       Opts.SpillSync = true;
     } else if (Arg == "--bots") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.NumBots))
         return false;
-      Opts.NumBots = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--queries") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.BotQueries))
         return false;
-      Opts.BotQueries = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--bot-command") {
       const char *V = Next();
       if (!V)
         return false;
       Opts.BotCommand = V;
     } else if (Arg == "--bot-program") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.BotProgram))
         return false;
-      Opts.BotProgram = uint32_t(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--shared-session") {
       Opts.BotShared = true;
     } else if (Arg == "--no-hold") {
       Opts.BotNoHold = true;
     } else if (Arg == "--think-ms") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.BotThinkMs))
         return false;
-      Opts.BotThinkMs = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--program") {
       const char *V = Next();
       if (!V)
         return false;
       Opts.ExtraPrograms.push_back(V);
     } else if (Arg == "--server-threads") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.ServerThreads, MaxThreads))
         return false;
-      Opts.ServerThreads = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--queue-limit") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.QueueLimit))
         return false;
-      Opts.QueueLimit = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--timeout-ms") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.TimeoutMs))
         return false;
-      Opts.TimeoutMs = std::strtoull(V, nullptr, 10);
     } else if (Arg == "--max-sessions") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.MaxSessions))
         return false;
-      Opts.MaxSessions = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--metrics-dump") {
       Opts.MetricsDump = true;
     } else if (Arg == "--stream") {
@@ -424,15 +443,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.StreamAddr = V;
     } else if (Arg == "--stream-program") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.StreamProgram))
         return false;
-      Opts.StreamProgram = uint32_t(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--section-records") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.SectionRecords))
         return false;
-      Opts.SectionRecords = uint32_t(std::strtoul(V, nullptr, 10));
       if (Opts.SectionRecords == 0) {
         std::fprintf(stderr, "error: --section-records must be positive\n");
         return false;
@@ -453,10 +468,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
     } else if (Arg == "--credit-window") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.CreditWindow))
         return false;
-      Opts.CreditWindow = unsigned(std::strtoul(V, nullptr, 10));
       if (Opts.CreditWindow == 0) {
         std::fprintf(stderr, "error: --credit-window must be positive\n");
         return false;
@@ -507,19 +520,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--dump-db") {
       Opts.DumpDatabase = true;
     } else if (Arg == "--break") {
-      const char *V = Next();
-      if (!V)
+      uint32_t Line = 0;
+      if (!Number(Line))
         return false;
-      Opts.BreakLines.push_back(uint32_t(std::strtoul(V, nullptr, 10)));
+      Opts.BreakLines.push_back(Line);
     } else if (Arg == "--leaf-inheritance") {
       Opts.LeafInheritance = true;
     } else if (Arg == "--loop-blocks") {
       Opts.LoopBlocks = true;
     } else if (Arg == "--replay-threads") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.ReplayThreads, MaxThreads))
         return false;
-      Opts.ReplayThreads = unsigned(std::strtoul(V, nullptr, 10));
     } else if (Arg == "--prefetch") {
       Opts.Prefetch = true;
     } else if (Arg == "--replay-engine") {
@@ -528,10 +539,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.ReplayEngine = V;
     } else if (Arg == "--runs") {
-      const char *V = Next();
-      if (!V)
+      if (!Number(Opts.FuzzRuns))
         return false;
-      Opts.FuzzRuns = std::strtoull(V, nullptr, 10);
     } else if (Arg == "--minimize") {
       Opts.Minimize = true;
     } else if (Arg == "--repro-out") {

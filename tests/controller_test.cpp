@@ -361,6 +361,128 @@ TEST(ControllerTest, DebuggingFromSavedLogFile) {
   std::remove(Path.c_str());
 }
 
+// A statement that calls a function writing a global and then reads that
+// global sees the callee's value; the read must be able to flow back to
+// the call, not only to the write before it.
+TEST(ControllerTest, ReadAfterCallInSameStatementLinksTheCall) {
+  auto R = runProgram(R"(
+int g;
+func bump() { g = 9; return 1; }
+func main() {
+  g = -3;
+  int y = bump() + g;
+  print(y);
+}
+)");
+  ASSERT_EQ(R.PrintedValues, (std::vector<int64_t>{10}));
+  PpdController C(*R.Prog, std::move(R.Log));
+  DynNodeId Print = C.startAtLastEvent(0);
+  ASSERT_NE(Print, InvalidId);
+  DynNodeId Y = dataSource(C, Print, "y");
+  ASSERT_NE(Y, InvalidId);
+  bool FromCall = false;
+  for (const DynEdge &E : C.dependencesOf(Y))
+    if (E.Kind == DynEdgeKind::Data && E.Var != InvalidId &&
+        C.program().Symbols->var(E.Var).Name == "g")
+      FromCall |= C.graph().node(E.From).Kind == DynNodeKind::SubGraph;
+  EXPECT_TRUE(FromCall);
+}
+
+/// Sixteen workers in lock-step rounds under one semaphore, feeding one
+/// channel; main reads the lock-protected totals (cross-process reads)
+/// and one variable worker 3 writes after its last synchronization (a
+/// simultaneous writer: a RACE label).
+std::string lockStepProgram() {
+  std::string S = R"(
+shared int total;
+shared int last;
+shared int racy;
+sem lock = 1;
+sem done;
+chan ch;
+func step(int x, int r) {
+  int y = (x * 7 + r) % 101;
+  P(lock);
+  total = total + y;
+  last = y;
+  V(lock);
+  send(ch, y % 13);
+  return y;
+}
+func worker(int w) {
+  int r = 0;
+  int x = w;
+  for (r = 0; r < 3; r = r + 1) x = step(x, r);
+  V(done);
+  if (w == 3) racy = racy + w;
+}
+func main() {
+)";
+  for (int W = 0; W != 16; ++W)
+    S += "  spawn worker(" + std::to_string(W) + ");\n";
+  S += R"(  int i = 0;
+  int s = 0;
+  for (i = 0; i < 48; i = i + 1) s = s + recv(ch);
+  for (i = 0; i < 16; i = i + 1) P(done);
+  P(lock);
+  int t = total;
+  int l = last;
+  V(lock);
+  print(s + t + l + racy);
+}
+)";
+  return S;
+}
+
+uint64_t fnv1a(const std::string &Bytes) {
+  uint64_t Hash = 1469598103934665603ull;
+  for (unsigned char B : Bytes) {
+    Hash ^= B;
+    Hash *= 1099511628211ull;
+  }
+  return Hash;
+}
+
+// Golden fixture: the dynamic graph a fixed flowback walk builds over the
+// lock-step program, rendered to DOT and hashed. It pins, byte for byte,
+// which sync edges, cross-process data edges and race labels the
+// controller splices and in what order — so a faster way of finding
+// partners or writers cannot silently reorder or drop anything. Re-pin
+// only for a deliberate change to graph construction.
+TEST(ControllerTest, GoldenLockStepWalkGraph) {
+  auto R = runProgram(lockStepProgram());
+  PpdController C(*R.Prog, std::move(R.Log));
+  DynNodeId Root = C.startAtLastEvent(0);
+  ASSERT_NE(Root, InvalidId);
+
+  // Breadth-first flowback from the final print, 80 steps.
+  std::vector<DynNodeId> Queue = {Root};
+  std::vector<bool> Seen(C.graph().numNodes(), false);
+  for (size_t Head = 0; Head != Queue.size() && Head != 80; ++Head)
+    for (const DynEdge &E : C.dependencesOf(Queue[Head])) {
+      if (E.From >= Seen.size())
+        Seen.resize(C.graph().numNodes(), false);
+      if (!Seen[E.From]) {
+        Seen[E.From] = true;
+        Queue.push_back(E.From);
+      }
+    }
+  C.resolveAllCrossReads();
+
+  std::string Dot = C.graph().dot(*R.Prog->Ast);
+  unsigned Sync = 0, Cross = 0;
+  for (const DynEdge &E : C.graph().edges()) {
+    Sync += E.Kind == DynEdgeKind::Sync;
+    Cross += E.Kind == DynEdgeKind::CrossData;
+  }
+  EXPECT_GT(Sync, 0u);
+  EXPECT_GT(Cross, 0u);
+  EXPECT_NE(Dot.find("RACE on racy (p4)"), std::string::npos);
+  uint64_t Hash = fnv1a(Dot);
+  EXPECT_EQ(Hash, 0x402c320c00fd04b5ull)
+      << "golden graph drifted; actual 0x" << std::hex << Hash;
+}
+
 // Property: flowing back from the final print of a sequential compute
 // chain reaches the initial constant through the expected number of hops.
 class FlowbackDepthTest : public ::testing::TestWithParam<int> {};

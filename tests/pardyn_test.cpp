@@ -7,10 +7,18 @@
 
 #include "TestUtil.h"
 
+#include "log/PageStore.h"
+#include "log/ProgramDb.h"
 #include "pardyn/ParallelDynamicGraph.h"
 #include "pardyn/RaceDetector.h"
+#include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 using namespace ppd;
 using namespace ppd::test;
@@ -181,6 +189,257 @@ func main() {
   // main's V(a) is node 2 (ProcStart, Spawn, V); child's P(a) is node 1.
   EXPECT_TRUE(G.happensBefore({0, 2}, {1, 1}));
   EXPECT_FALSE(G.happensBefore({1, 1}, {0, 2}));
+}
+
+//===----------------------------------------------------------------------===//
+// Query indexes vs brute-force scans
+//===----------------------------------------------------------------------===//
+
+// The reverse-partner index, the writer index behind writersBefore, and
+// edgeContaining's binary search must answer exactly what a scan of every
+// node or edge answers. The scans live here only.
+
+std::string str(SyncNodeRef R) {
+  return "(" + std::to_string(R.Pid) + "," + std::to_string(R.Index) + ")";
+}
+
+std::string str(EdgeRef R) {
+  return R.valid() ? "(" + std::to_string(R.Pid) + "," +
+                         std::to_string(R.EndNode) + ")"
+                   : "none";
+}
+
+template <typename T> std::string str(const std::vector<T> &V) {
+  std::string Out;
+  for (const T &X : V)
+    Out += str(X);
+  return Out.empty() ? "none" : Out;
+}
+
+/// Every node whose partner is \p Ref.
+std::vector<SyncNodeRef> dependentsByScan(const ParallelDynamicGraph &G,
+                                          SyncNodeRef Ref) {
+  std::vector<SyncNodeRef> Out;
+  for (uint32_t Pid = 0; Pid != G.numProcs(); ++Pid)
+    for (uint32_t I = 0; I != G.nodes(Pid).size(); ++I)
+      if (G.partnerOf({Pid, I}) == Ref)
+        Out.push_back({Pid, I});
+  return Out;
+}
+
+/// The edge of \p Pid whose record span holds \p RecordIdx, by a walk.
+EdgeRef edgeContainingByScan(const ParallelDynamicGraph &G, uint32_t Pid,
+                             uint32_t RecordIdx) {
+  const std::vector<SyncNode> &Nodes = G.nodes(Pid);
+  for (uint32_t I = 1; I < Nodes.size(); ++I)
+    if (RecordIdx > Nodes[I - 1].RecordIdx && RecordIdx <= Nodes[I].RecordIdx)
+      return {Pid, I};
+  if (Nodes.size() >= 2 && RecordIdx > Nodes.back().RecordIdx)
+    return {Pid, uint32_t(Nodes.size() - 1)};
+  return EdgeRef();
+}
+
+/// Writers of \p SharedIdx ordered before \p Reader, latest first, and the
+/// simultaneous writer with the largest (pid, end node) as \p Witness —
+/// every edge classified by the pairwise Def 6.1 queries.
+std::vector<EdgeRef> writersByScan(const ParallelDynamicGraph &G,
+                                   EdgeRef Reader, uint32_t SharedIdx,
+                                   EdgeRef &Witness) {
+  Witness = EdgeRef();
+  std::vector<EdgeRef> Out;
+  for (EdgeRef E : G.allEdges()) {
+    if (!G.edge(E).Writes.contains(SharedIdx) || E == Reader)
+      continue;
+    if (E.Pid == Reader.Pid ? E.EndNode < Reader.EndNode
+                            : G.edgeHappensBefore(E, Reader))
+      Out.push_back(E);
+    else if (G.simultaneous(E, Reader))
+      Witness = E;
+  }
+  std::sort(Out.begin(), Out.end(), [&](EdgeRef A, EdgeRef B) {
+    return G.nodes(A.Pid)[A.EndNode].Seq > G.nodes(B.Pid)[B.EndNode].Seq;
+  });
+  return Out;
+}
+
+/// The first disagreement between an index-backed query of \p G and its
+/// scan, or "" when there is none. Every node, every record position
+/// (and a few past the end), every (reader edge, variable) pair.
+std::string indexMismatch(const ParallelDynamicGraph &G, unsigned NumShared) {
+  for (uint32_t Pid = 0; Pid != G.numProcs(); ++Pid) {
+    const std::vector<SyncNode> &Nodes = G.nodes(Pid);
+    for (uint32_t I = 0; I != Nodes.size(); ++I) {
+      std::span<const SyncNodeRef> Got = G.dependentsOf({Pid, I});
+      std::vector<SyncNodeRef> Want = dependentsByScan(G, {Pid, I});
+      if (!std::equal(Got.begin(), Got.end(), Want.begin(), Want.end()))
+        return "dependentsOf" + str(SyncNodeRef{Pid, I}) + ": " +
+               str(std::vector<SyncNodeRef>(Got.begin(), Got.end())) +
+               " vs scan " + str(Want);
+    }
+    uint32_t Past = Nodes.empty() ? 2 : Nodes.back().RecordIdx + 3;
+    for (uint32_t R = 0; R != Past; ++R)
+      if (!(G.edgeContaining(Pid, R) == edgeContainingByScan(G, Pid, R)))
+        return "edgeContaining(" + std::to_string(Pid) + "," +
+               std::to_string(R) + "): " + str(G.edgeContaining(Pid, R)) +
+               " vs scan " + str(edgeContainingByScan(G, Pid, R));
+  }
+  for (EdgeRef Reader : G.allEdges())
+    for (uint32_t S = 0; S <= NumShared; ++S) {
+      EdgeRef Witness;
+      std::vector<EdgeRef> Want = writersByScan(G, Reader, S, Witness);
+      ParallelDynamicGraph::WriterCursor Cursor = G.writersBefore(Reader, S);
+      std::vector<EdgeRef> Got;
+      for (EdgeRef W = Cursor.next(); W.valid(); W = Cursor.next())
+        Got.push_back(W);
+      std::string Where = "writersBefore(" + str(Reader) + ", v" +
+                          std::to_string(S) + ")";
+      if (Got != Want)
+        return Where + ": " + str(Got) + " vs scan " + str(Want);
+      if (!(Cursor.raceWitness() == Witness))
+        return Where + " witness: " + str(Cursor.raceWitness()) +
+               " vs scan " + str(Witness);
+    }
+  return "";
+}
+
+/// Rebuilds \p Log's graph the way live attach does: a consistent cut at
+/// every \p Stride-th sequence number, each applied with appendProcess +
+/// finalizeTail and checked against the scans before the next.
+ParallelDynamicGraph streamedGraph(const ExecutionLog &Log,
+                                   unsigned NumShared, uint64_t Stride,
+                                   const std::string &Label) {
+  ParallelDynamicGraph G(NumShared, 0);
+  std::vector<ProcessLog> Accum(Log.Procs.size());
+  std::vector<uint32_t> Next(Log.Procs.size(), 0);
+  uint64_t MaxSeq = 0;
+  for (const ProcessLog &PL : Log.Procs)
+    for (size_t I = 0; I != PL.Records.size(); ++I)
+      if (PL.Records[I].Kind == LogRecordKind::SyncEvent)
+        MaxSeq = std::max(MaxSeq, PL.Records[I].Seq);
+  for (uint64_t Cut = Stride;; Cut += Stride) {
+    const bool Last = Cut > MaxSeq;
+    for (uint32_t Pid = 0; Pid != Log.Procs.size(); ++Pid) {
+      const RecordSeq &Records = Log.Procs[Pid].Records;
+      const uint32_t From = Next[Pid];
+      // Everything before the process's first sync record at or past
+      // the cut: partners log before dependents, so the cut is closed.
+      while (Next[Pid] < Records.size() &&
+             (Last || Records[Next[Pid]].Kind != LogRecordKind::SyncEvent ||
+              Records[Next[Pid]].Seq < Cut))
+        Accum[Pid].Records.push_back(Records[Next[Pid]++]);
+      G.appendProcess(Pid, Accum[Pid], From);
+    }
+    G.finalizeTail();
+    EXPECT_EQ(indexMismatch(G, NumShared), "")
+        << Label << " after the cut at seq " << Cut;
+    if (Last)
+      return G;
+  }
+}
+
+std::string readExample(const std::string &Name) {
+  std::ifstream In(std::string(PPD_EXAMPLES_DIR) + "/" + Name);
+  EXPECT_TRUE(In.good()) << "cannot open example " << Name;
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+/// Batch, streamed, and `.ppdb`-adopted builds of one run's graph must
+/// all answer every indexed query like the scans.
+void expectIndexesMatchScans(const Ran &R, const std::string &Label) {
+  ASSERT_TRUE(R.Prog != nullptr) << Label;
+  const unsigned NumShared = R.Prog->Symbols->NumSharedVars;
+  ParallelDynamicGraph Batch(R.Log, NumShared);
+  EXPECT_EQ(indexMismatch(Batch, NumShared), "") << Label << " (batch)";
+  for (uint64_t Stride : {1u, 5u})
+    streamedGraph(R.Log, NumShared, Stride,
+                  Label + " (streamed, stride " + std::to_string(Stride) +
+                      ")");
+
+  // ctest runs each test in its own process, concurrently: one file per
+  // test.
+  std::string Path =
+      ::testing::TempDir() + "/ppd_pardyn_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".log";
+  ASSERT_TRUE(R.Log.save(Path)) << Label;
+  std::string Error;
+  auto Store = PageStore::open(Path, &Error);
+  ASSERT_TRUE(Store != nullptr) << Label << ": " << Error;
+  std::string DbPath = programDbPathFor(Path);
+  ASSERT_TRUE(writeProgramDb(DbPath, *R.Prog, *Store, LogIndex(*Store)))
+      << Label;
+  std::shared_ptr<const LogIndex> Index;
+  std::shared_ptr<const ParallelDynamicGraph> Adopted;
+  ASSERT_EQ(int(readProgramDb(DbPath, *R.Prog, *Store, Index, &Adopted)),
+            int(ProgramDbStatus::Ok))
+      << Label;
+  EXPECT_EQ(indexMismatch(*Adopted, NumShared), "") << Label << " (.ppdb)";
+  std::remove(Path.c_str());
+  std::remove(DbPath.c_str());
+}
+
+TEST(GraphIndexTest, ExamplesCorpusMatchesScans) {
+  for (const char *Name : {"bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
+                           "deadlock.ppl", "fig41.ppl"})
+    for (uint64_t Seed : {1u, 4u}) {
+      Ran R = runProgram(readExample(Name), Seed, {}, {},
+                         /*ExpectCompleted=*/false);
+      expectIndexesMatchScans(R, std::string(Name) + " seed " +
+                                     std::to_string(Seed));
+    }
+}
+
+TEST(GraphIndexTest, GeneratedSyncAndRacyProgramsMatchScans) {
+  using namespace ppd::testing;
+  for (GenProfile Profile : {GenProfile::SyncHeavy, GenProfile::Racy})
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      GenOptions Options;
+      Options.Profile = Profile;
+      GenProgram Gen = generateProgram(Seed, Options);
+      MachineOptions MOpts;
+      MOpts.Quantum = Gen.Quantum;
+      Ran R = runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
+                         /*ExpectCompleted=*/false);
+      expectIndexesMatchScans(R, std::string(genProfileName(Profile)) +
+                                     " seed " + std::to_string(Seed));
+    }
+}
+
+// A read between two writers of the same process, simultaneous writers in
+// two other processes: the cursor must skip the later same-process writer
+// and name the higher-pid simultaneous writer as the witness.
+TEST(GraphIndexTest, WitnessIsLargestSimultaneousWriter) {
+  auto R = runProgram(R"(
+shared int sv;
+sem go;
+chan done;
+func w(int x) { sv = x; send(done, 1); }
+func main() {
+  sv = 1;
+  V(go);
+  spawn w(2);
+  spawn w(3);
+  int y = sv;
+  P(go);
+  sv = 4;
+  int a = recv(done);
+  int b = recv(done);
+}
+)");
+  auto G = graphOf(R);
+  uint32_t Sv = R.Prog->Symbols->var(varNamed(*R.Prog->Symbols, "sv"))
+                    .SharedIndex;
+  // main's edges: ProcStart→V, V→spawn, spawn→spawn, spawn→P (reads sv),
+  // P→recv (writes sv), ...
+  EdgeRef Reader{0, 4};
+  ASSERT_TRUE(G.edge(Reader).Reads.contains(Sv));
+  ParallelDynamicGraph::WriterCursor Cursor = G.writersBefore(Reader, Sv);
+  EXPECT_EQ(str(Cursor.raceWitness()), "(2,1)");
+  EXPECT_EQ(str(Cursor.next()), "(0,1)");
+  EXPECT_FALSE(Cursor.next().valid());
+  EXPECT_EQ(indexMismatch(G, R.Prog->Symbols->NumSharedVars), "");
 }
 
 //===----------------------------------------------------------------------===//
