@@ -154,7 +154,7 @@ func main() {
 )";
 }
 
-/// One format's save+load cost for a given log (experiment E2's
+/// The save+load cost of a given log (experiment E2's
 /// methodology columns: on-disk volume, wall time, and throughput).
 struct SaveLoadStats {
   size_t FileBytes = 0;
@@ -164,20 +164,19 @@ struct SaveLoadStats {
   double LoadMBps = 0;
 };
 
-/// Times \p Reps save+load round trips of \p Log in \p Format and keeps
-/// the fastest of each (minimum-of-reps filters scheduler and page-cache
-/// noise out of millisecond-scale operations). \p Pool, if given,
-/// parallelizes the v2 section decode (v1 ignores it).
-inline SaveLoadStats measureSaveLoad(const ExecutionLog &Log, LogFormat Format,
+/// Times \p Reps save+load round trips of \p Log and keeps the fastest
+/// of each (minimum-of-reps filters scheduler and page-cache noise out of
+/// millisecond-scale operations). \p Pool, if given, parallelizes the
+/// per-process section encode and decode.
+inline SaveLoadStats measureSaveLoad(const ExecutionLog &Log,
                                      ThreadPool *Pool = nullptr,
                                      unsigned Reps = 15) {
-  std::string Path = "/tmp/ppd_bench_saveload_v" +
-                     std::to_string(unsigned(Format)) + ".bin";
+  std::string Path = "/tmp/ppd_bench_saveload.bin";
   using Clock = std::chrono::steady_clock;
   double SaveSeconds = 1e30, LoadSeconds = 1e30;
   for (unsigned I = 0; I != Reps; ++I) {
     auto T0 = Clock::now();
-    bool Saved = Log.save(Path, Format, Pool);
+    bool Saved = Log.save(Path, LogFormat::V2, Pool);
     auto T1 = Clock::now();
     ExecutionLog Loaded;
     bool LoadedOk = Saved && ExecutionLog::load(Path, Loaded, Pool);

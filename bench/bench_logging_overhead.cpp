@@ -106,15 +106,11 @@ void overheadBench(benchmark::State &State, const std::string &Source,
     State.counters["EmitEventsPerSec"] =
         double(Records) * double(State.iterations()) / LogSeconds;
 
-  // On-disk formats, measured on the last run's log: file volume and
-  // save+load throughput, v1 vs v2.
-  SaveLoadStats V1 = measureSaveLoad(FinalLog, LogFormat::V1);
-  SaveLoadStats V2 = measureSaveLoad(FinalLog, LogFormat::V2);
-  State.counters["FileBytesV1"] = double(V1.FileBytes);
+  // The on-disk log, measured on the last run's log: file volume and
+  // save+load throughput.
+  SaveLoadStats V2 = measureSaveLoad(FinalLog);
   State.counters["FileBytesV2"] = double(V2.FileBytes);
-  State.counters["SaveMBpsV1"] = V1.SaveMBps;
   State.counters["SaveMBpsV2"] = V2.SaveMBps;
-  State.counters["LoadMBpsV1"] = V1.LoadMBps;
   State.counters["LoadMBpsV2"] = V2.LoadMBps;
 }
 

@@ -70,25 +70,19 @@ void runMode(benchmark::State &State, const std::string &Source,
   if (Mode != RunMode::Logging)
     return;
   // E2's save/load methodology columns: on-disk volume and throughput of
-  // both log formats, with v2's per-process sections decoded in parallel
-  // when the workload actually has multiple processes.
-  SaveLoadStats V1 = measureSaveLoad(FinalLog, LogFormat::V1);
+  // the log, with per-process sections decoded in parallel when the
+  // workload actually has multiple processes.
   // Size the pool to the machine: workers beyond the physical cores (or on
   // a single-core host, any workers at all) only add scheduling overhead
   // to millisecond-scale operations.
   unsigned Cores = ThreadPool::defaultConcurrency();
   ThreadPool Pool(Cores > 1 ? std::min(4u, Cores) : 0);
-  SaveLoadStats V2 = measureSaveLoad(
-      FinalLog, LogFormat::V2, FinalLog.Procs.size() > 1 ? &Pool : nullptr);
-  State.counters["FileBytesV1"] = double(V1.FileBytes);
+  SaveLoadStats V2 =
+      measureSaveLoad(FinalLog, FinalLog.Procs.size() > 1 ? &Pool : nullptr);
   State.counters["FileBytesV2"] = double(V2.FileBytes);
-  State.counters["SaveMsV1"] = V1.SaveMs;
   State.counters["SaveMsV2"] = V2.SaveMs;
-  State.counters["LoadMsV1"] = V1.LoadMs;
   State.counters["LoadMsV2"] = V2.LoadMs;
-  State.counters["SaveMBpsV1"] = V1.SaveMBps;
   State.counters["SaveMBpsV2"] = V2.SaveMBps;
-  State.counters["LoadMBpsV1"] = V1.LoadMBps;
   State.counters["LoadMBpsV2"] = V2.LoadMBps;
 }
 

@@ -13,10 +13,7 @@
 //     high N vs the single-connection baseline.
 //   * `transport_fd_churn/N`   — N connect/round-trip/disconnect cycles
 //     against the epoll server; FdDelta is the process fd-count change
-//     across the run (flat = no leak, the satellite-1 regression).
-//   * `transport_threaded_churn/N` — the same churn against the legacy
-//     thread-per-connection transport (unix only), for comparison at
-//     small N; each cycle pays a thread spawn + join.
+//     across the run (flat = no leak).
 //
 // All servers run in-process with inline request execution (ServerThreads
 // = 0): the transport is the variable, the scheduler is not.
@@ -202,66 +199,11 @@ void transport_fd_churn(benchmark::State &State) {
   State.counters["FdDelta"] = Delta;
 }
 
-/// The legacy transport under the same churn, for the comparison column:
-/// thread spawn + join per connection, unix only.
-void transport_threaded_churn(benchmark::State &State) {
-  unsigned Cycles = unsigned(State.range(0));
-  DebugServerOptions SOpts;
-  SOpts.Registry.MaxSessions = 1u << 20;
-  DebugServer Server(SOpts);
-  auto Prog = mustCompile(transportWorkload());
-  MachineOptions MOpts;
-  MOpts.Seed = 11;
-  Machine M(*Prog, MOpts);
-  M.run();
-  Server.addProgram(std::move(Prog), M.takeLog());
-  std::string Path = "/tmp/ppd-bench-threaded-" +
-                     std::to_string(::getpid()) + ".sock";
-  int ListenFd = listenUnix(Path);
-  if (ListenFd < 0)
-    std::abort();
-  std::thread Loop([&] { runUnixServer(Server, ListenFd, Path); });
-
-  size_t Before = openFdCount();
-  for (auto _ : State) {
-    for (unsigned I = 0; I != Cycles; ++I) {
-      ClientConnection Conn;
-      if (!Conn.connect(Path)) {
-        State.SkipWithError("connect failed");
-        break;
-      }
-      Request Stats;
-      Stats.Type = MsgType::Stats;
-      Response Resp;
-      Conn.roundTrip(Stats, Resp);
-    }
-  }
-  for (int W = 0; W != 200 && openFdCount() > Before; ++W)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  double Delta = double(openFdCount()) - double(Before);
-  {
-    ClientConnection Conn;
-    if (Conn.connect(Path)) {
-      Request Shut;
-      Shut.Type = MsgType::Shutdown;
-      Response Ack;
-      Conn.roundTrip(Shut, Ack);
-    }
-  }
-  Loop.join();
-  ::unlink(Path.c_str());
-  State.SetItemsProcessed(int64_t(State.iterations()) * Cycles);
-  State.counters["Cycles"] = double(Cycles);
-  State.counters["FdDelta"] = Delta;
-}
-
 } // namespace
 
 BENCHMARK(transport_warm_p99)->Arg(1)->Arg(64)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(transport_fd_churn)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(transport_threaded_churn)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

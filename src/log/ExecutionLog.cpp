@@ -2,17 +2,11 @@
 //
 // Part of PPD. See ExecutionLog.h, LogRecord.h, and LogIO.h.
 //
-// Two on-disk formats share the "PPDL" magic:
-//
-//   v1 — the original fixed-width field stream, kept readable and
-//        writable for migration;
-//   v2 — the compact fast path: LEB128 varints, zigzag for signed values,
-//        per-process Seq delta coding, PartnerSeq coded as a distance
-//        from Seq, and one length-prefixed section per process so the
-//        loader can decode sections in parallel. v2 serializes exactly
-//        the fields each record kind carries (the same field sets
-//        byteSize() accounts), where v1 writes every field of every
-//        record.
+// The on-disk format ("PPDL" magic, version 2): LEB128 varints, zigzag
+// for signed values, per-process Seq delta coding, PartnerSeq coded as a
+// distance from Seq, and one length-prefixed section per process so the
+// loader can decode sections in parallel. Each record serializes exactly
+// the fields its kind carries (the same field sets byteSize() accounts).
 //
 // Loads decode into a scratch log and commit to the caller's output only
 // after full validation: a truncated or corrupt file can never leave
@@ -28,7 +22,6 @@
 #include "support/ThreadPool.h"
 
 #include <atomic>
-#include <cstdio>
 #include <thread>
 
 using namespace ppd;
@@ -105,217 +98,6 @@ size_t ExecutionLog::byteSize() const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-constexpr uint32_t Magic = v2::FileMagic; // "PPDL"
-
-//===----------------------------------------------------------------------===//
-// v1: fixed-width field stream over stdio (legacy migration format)
-//===----------------------------------------------------------------------===//
-//
-// Deliberately the pre-v2 implementation, one fread/fwrite per field. v1
-// exists so old log files stay readable (and writable, for downgrades);
-// an untouched code path is the strongest compatibility guarantee, so all
-// fast-path work went into v2 instead. The E2 benchmark's V1 columns
-// measure exactly this code — the subsystem as it stood before the fast
-// path.
-
-/// Per-field fwrite sink; latches failure.
-class StdioWriter {
-public:
-  explicit StdioWriter(FILE *File) : File(File) {}
-  bool ok() const { return !Failed; }
-
-  void u8(uint8_t V) { raw(&V, 1); }
-  void u32(uint32_t V) { raw(&V, 4); }
-  void u64(uint64_t V) { raw(&V, 8); }
-  void i64(int64_t V) { raw(&V, 8); }
-
-private:
-  void raw(const void *Data, size_t Size) {
-    if (!Failed && std::fwrite(Data, 1, Size, File) != Size)
-      Failed = true;
-  }
-  FILE *File;
-  bool Failed = false;
-};
-
-/// Per-field fread source; latches failure. Tracks the bytes left in the
-/// file so corrupt counts can be rejected before any over-sized reserve.
-class StdioReader {
-public:
-  StdioReader(FILE *File, size_t FileBytes)
-      : File(File), Remaining(FileBytes) {}
-  bool ok() const { return !Failed; }
-
-  uint8_t u8() {
-    uint8_t V = 0;
-    raw(&V, 1);
-    return V;
-  }
-  uint32_t u32() {
-    uint32_t V = 0;
-    raw(&V, 4);
-    return V;
-  }
-  uint64_t u64() {
-    uint64_t V = 0;
-    raw(&V, 8);
-    return V;
-  }
-  int64_t i64() {
-    int64_t V = 0;
-    raw(&V, 8);
-    return V;
-  }
-
-  /// Guards container pre-reservation against corrupt counts: a count can
-  /// never exceed the bytes that remain to encode it.
-  bool plausibleCount(uint64_t N) {
-    if (N <= Remaining && N <= (uint64_t(1) << 28))
-      return true;
-    Failed = true;
-    return false;
-  }
-
-  /// True iff the stream has no trailing bytes.
-  bool atEof() { return std::fgetc(File) == EOF; }
-
-private:
-  void raw(void *Data, size_t Size) {
-    if (Failed)
-      return;
-    if (Size > Remaining || std::fread(Data, 1, Size, File) != Size) {
-      Failed = true;
-      return;
-    }
-    Remaining -= Size;
-  }
-  FILE *File;
-  size_t Remaining;
-  bool Failed = false;
-};
-
-void writeRecordV1(StdioWriter &W, const LogRecord &R) {
-  W.u8(uint8_t(R.Kind));
-  W.u32(R.Id);
-  W.u32(R.Flags);
-  W.i64(R.Value);
-  W.u64(R.Seq);
-  W.u64(R.PartnerSeq);
-  W.u8(uint8_t(R.Sync));
-  W.u32(R.Stmt);
-  W.u32(uint32_t(R.Vars.size()));
-  for (const VarValue &V : R.Vars) {
-    W.u32(V.Var);
-    W.u32(uint32_t(V.Values.size()));
-    for (int64_t Value : V.Values)
-      W.i64(Value);
-  }
-  W.u32(uint32_t(R.ReadSet.size()));
-  for (uint32_t S : R.ReadSet)
-    W.u32(S);
-  W.u32(uint32_t(R.WriteSet.size()));
-  for (uint32_t S : R.WriteSet)
-    W.u32(S);
-}
-
-bool readRecordV1(StdioReader &R, LogRecord &Out) {
-  Out.Kind = LogRecordKind(R.u8());
-  Out.Id = R.u32();
-  Out.Flags = R.u32();
-  Out.Value = R.i64();
-  Out.Seq = R.u64();
-  Out.PartnerSeq = R.u64();
-  Out.Sync = SyncKind(R.u8());
-  Out.Stmt = R.u32();
-  uint32_t NumVars = R.u32();
-  if (!R.plausibleCount(NumVars))
-    return false;
-  Out.Vars.resize(NumVars);
-  for (VarValue &V : Out.Vars) {
-    V.Var = R.u32();
-    uint32_t NumValues = R.u32();
-    if (!R.plausibleCount(NumValues))
-      return false;
-    V.Values.resize(NumValues);
-    for (int64_t &Value : V.Values)
-      Value = R.i64();
-  }
-  uint32_t NumRead = R.u32();
-  if (!R.plausibleCount(NumRead))
-    return false;
-  Out.ReadSet.resize(NumRead);
-  for (uint32_t &S : Out.ReadSet)
-    S = R.u32();
-  uint32_t NumWrite = R.u32();
-  if (!R.plausibleCount(NumWrite))
-    return false;
-  Out.WriteSet.resize(NumWrite);
-  for (uint32_t &S : Out.WriteSet)
-    S = R.u32();
-  return R.ok();
-}
-
-void saveV1(StdioWriter &W, const ExecutionLog &Log) {
-  W.u32(uint32_t(Log.Procs.size()));
-  for (const ProcessLog &P : Log.Procs) {
-    W.u32(P.Pid);
-    W.u32(P.RootFunc);
-    W.u32(uint32_t(P.Args.size()));
-    for (int64_t A : P.Args)
-      W.i64(A);
-    W.u32(uint32_t(P.Records.size()));
-    for (const LogRecord &R : P.Records)
-      writeRecordV1(W, R);
-  }
-  W.u32(uint32_t(Log.Output.size()));
-  for (const OutputRecord &O : Log.Output) {
-    W.u32(O.Pid);
-    W.i64(O.Value);
-    W.u32(O.Stmt);
-  }
-}
-
-bool loadV1(StdioReader &R, ExecutionLog &Out) {
-  uint32_t NumProcs = R.u32();
-  if (!R.plausibleCount(NumProcs))
-    return false;
-  Out.Procs.resize(NumProcs);
-  for (ProcessLog &P : Out.Procs) {
-    P.Pid = R.u32();
-    P.RootFunc = R.u32();
-    uint32_t NumArgs = R.u32();
-    if (!R.plausibleCount(NumArgs))
-      return false;
-    P.Args.resize(NumArgs);
-    for (int64_t &A : P.Args)
-      A = R.i64();
-    uint32_t NumRecords = R.u32();
-    if (!R.plausibleCount(NumRecords))
-      return false;
-    P.Records.reserve(NumRecords);
-    for (uint32_t I = 0; I != NumRecords; ++I) {
-      if (!readRecordV1(R, P.Records.emplace_back()))
-        return false;
-      if (P.Records.back().Kind == LogRecordKind::Prelog)
-        ++P.PrelogCount;
-    }
-  }
-  uint32_t NumOutput = R.u32();
-  if (!R.plausibleCount(NumOutput))
-    return false;
-  Out.Output.resize(NumOutput);
-  for (OutputRecord &O : Out.Output) {
-    O.Pid = R.u32();
-    O.Value = R.i64();
-    O.Stmt = R.u32();
-  }
-  return R.ok() && R.atEof();
-}
-
-//===----------------------------------------------------------------------===//
-// v2: compact varint encoding, per-process sections
-//===----------------------------------------------------------------------===//
 
 /// Runs Fn(0), ..., Fn(N-1), fanning the calls out across \p Pool when one
 /// is available. The waiting thread steals queued tasks, so a pool shared
@@ -727,19 +509,8 @@ bool loadV2(ByteReader &R, ExecutionLog &Out, ThreadPool *Pool) {
 
 bool ExecutionLog::save(const std::string &Path, LogFormat Format,
                         ThreadPool *Pool) const {
-  if (Format == LogFormat::V1) {
-    // Legacy path: stream straight to the file, one fwrite per field.
-    FileHandle File(Path, "wb");
-    if (!File)
-      return false;
-    StdioWriter W(File.get());
-    W.u32(Magic);
-    W.u32(uint32_t(Format));
-    saveV1(W, *this);
-    return W.ok() && File.close();
-  }
   LogWriter W;
-  W.u32(Magic);
+  W.u32(v2::FileMagic);
   W.u32(uint32_t(Format));
   saveV2(W, *this, Pool);
   return W.writeFile(Path);
@@ -747,177 +518,22 @@ bool ExecutionLog::save(const std::string &Path, LogFormat Format,
 
 bool ExecutionLog::load(const std::string &Path, ExecutionLog &Out,
                         ThreadPool *Pool) {
-  FileHandle File(Path, "rb");
-  if (!File)
+  // Slurp the file and decode in memory, so the per-process sections can
+  // fan out across a pool.
+  std::vector<uint8_t> Bytes;
+  if (!readFileBytes(Path, Bytes))
     return false;
-  if (std::fseek(File.get(), 0, SEEK_END) != 0)
-    return false;
-  long FileSize = std::ftell(File.get());
-  if (FileSize < 0 || std::fseek(File.get(), 0, SEEK_SET) != 0)
-    return false;
-
-  StdioReader R(File.get(), size_t(FileSize));
-  if (R.u32() != Magic)
-    return false;
-  uint32_t Version = R.u32();
-  if (!R.ok())
+  ByteReader R(Bytes.data(), Bytes.size());
+  if (R.u32() != v2::FileMagic || R.u32() != uint32_t(LogFormat::V2) ||
+      !R.ok())
     return false;
 
   // Decode into scratch; commit only a fully validated log.
   ExecutionLog Scratch;
-  bool Ok = false;
-  if (Version == uint32_t(LogFormat::V1)) {
-    // Legacy path: decode field by field from the stream.
-    Ok = loadV1(R, Scratch);
-  } else if (Version == uint32_t(LogFormat::V2)) {
-    // Fast path: slurp the payload and decode in memory, so the
-    // per-process sections can fan out across a pool.
-    std::vector<uint8_t> Bytes(size_t(FileSize) - 8);
-    if (!Bytes.empty() &&
-        std::fread(Bytes.data(), 1, Bytes.size(), File.get()) != Bytes.size())
-      return false;
-    ByteReader BR(Bytes.data(), Bytes.size());
-    Ok = loadV2(BR, Scratch, Pool);
-  }
-  if (!Ok)
+  if (!loadV2(R, Scratch, Pool))
     return false;
   Out = std::move(Scratch);
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// compactLogFile — streaming v1 → v2 migration
-//===----------------------------------------------------------------------===//
-
-CompactResult ppd::compactLogFile(const std::string &Path,
-                                  std::string &Message) {
-  FileHandle In(Path, "rb");
-  if (!In) {
-    Message = "cannot open '" + Path + "'";
-    return CompactResult::Error;
-  }
-  if (std::fseek(In.get(), 0, SEEK_END) != 0) {
-    Message = "cannot seek '" + Path + "'";
-    return CompactResult::Error;
-  }
-  long FileSize = std::ftell(In.get());
-  if (FileSize < 0 || std::fseek(In.get(), 0, SEEK_SET) != 0) {
-    Message = "cannot seek '" + Path + "'";
-    return CompactResult::Error;
-  }
-
-  StdioReader R(In.get(), size_t(FileSize));
-  if (R.u32() != Magic || !R.ok()) {
-    Message = "'" + Path + "' is not a PPD log (bad magic)";
-    return CompactResult::Error;
-  }
-  uint32_t Version = R.u32();
-  if (Version == uint32_t(LogFormat::V2)) {
-    Message = "'" + Path + "' is already v2";
-    return CompactResult::AlreadyV2;
-  }
-  if (Version != uint32_t(LogFormat::V1)) {
-    Message = "'" + Path + "' has unknown format version " +
-              std::to_string(Version);
-    return CompactResult::Error;
-  }
-
-  // v1 is a sequential per-process stream with record counts up front, so
-  // the conversion streams one section at a time: decode a v1 record,
-  // re-encode it v2, flush the section. Peak memory is one section's
-  // records plus its encoded bytes — never the whole log.
-  std::string TmpPath = Path + ".compact.tmp";
-  FileHandle Out(TmpPath, "wb");
-  if (!Out) {
-    Message = "cannot create '" + TmpPath + "'";
-    return CompactResult::Error;
-  }
-
-  auto Fail = [&](const std::string &Why) {
-    Out.close();
-    std::remove(TmpPath.c_str());
-    Message = Why;
-    return CompactResult::Error;
-  };
-  size_t Written = 0;
-  auto Flush = [&](const LogWriter &W) {
-    Written += W.size();
-    return W.size() == 0 ||
-           std::fwrite(W.data(), 1, W.size(), Out.get()) == W.size();
-  };
-
-  LogWriter Head;
-  Head.u32(Magic);
-  Head.u32(uint32_t(LogFormat::V2));
-  uint32_t NumProcs = R.u32();
-  if (!R.plausibleCount(NumProcs))
-    return Fail("'" + Path + "' is corrupt (bad process count)");
-  Head.varint(NumProcs);
-  if (!Flush(Head))
-    return Fail("write failed on '" + TmpPath + "'");
-
-  LogWriter Section;
-  for (uint32_t ProcIdx = 0; ProcIdx != NumProcs; ++ProcIdx) {
-    Section.clear();
-    Section.varint(R.u32()); // Pid
-    Section.varint(R.u32()); // RootFunc
-    uint32_t NumArgs = R.u32();
-    if (!R.plausibleCount(NumArgs))
-      return Fail("'" + Path + "' is corrupt (bad arg count)");
-    Section.varint(NumArgs);
-    for (uint32_t I = 0; I != NumArgs; ++I)
-      Section.svarint(R.i64());
-    uint32_t NumRecords = R.u32();
-    if (!R.plausibleCount(NumRecords))
-      return Fail("'" + Path + "' is corrupt (bad record count)");
-    // The section header carries the record and prelog counts before the
-    // record stream, so encode the records into a scratch writer first.
-    LogWriter Body;
-    Body.reserve(16 * size_t(NumRecords));
-    uint64_t Prelogs = 0, PrevSeq = 0;
-    LogRecord Rec;
-    for (uint32_t I = 0; I != NumRecords; ++I) {
-      Rec = LogRecord();
-      if (!readRecordV1(R, Rec))
-        return Fail("'" + Path + "' is corrupt (truncated record)");
-      if (Rec.Kind == LogRecordKind::Prelog)
-        ++Prelogs;
-      v2::writeRecord(Body, Rec, PrevSeq);
-    }
-    Section.varint(NumRecords);
-    Section.varint(Prelogs);
-    // Section length prefix = header bytes + record bytes.
-    LogWriter Len;
-    Len.varint(Section.size() + Body.size());
-    if (!Flush(Len) || !Flush(Section) || !Flush(Body))
-      return Fail("write failed on '" + TmpPath + "'");
-  }
-
-  LogWriter Trailer;
-  uint32_t NumOutput = R.u32();
-  if (!R.plausibleCount(NumOutput))
-    return Fail("'" + Path + "' is corrupt (bad output count)");
-  Trailer.varint(NumOutput);
-  for (uint32_t I = 0; I != NumOutput; ++I) {
-    Trailer.varint(R.u32());                // Pid
-    Trailer.svarint(R.i64());               // Value
-    Trailer.varint(v2::stmtCode(R.u32())); // Stmt
-  }
-  if (!R.ok() || !R.atEof())
-    return Fail("'" + Path + "' is corrupt (trailing bytes)");
-  if (!Flush(Trailer) || !Out.close())
-    return Fail("write failed on '" + TmpPath + "'");
-
-  // In-place: replace the v1 file only after the v2 bytes are fully
-  // flushed, so an interrupted compact leaves the original untouched.
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    std::remove(TmpPath.c_str());
-    Message = "cannot replace '" + Path + "'";
-    return CompactResult::Error;
-  }
-  Message = "converted '" + Path + "' to v2: " + std::to_string(FileSize) +
-            " -> " + std::to_string(Written) + " bytes";
-  return CompactResult::Converted;
 }
 
 //===----------------------------------------------------------------------===//

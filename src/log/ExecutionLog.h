@@ -32,11 +32,11 @@ namespace ppd {
 class PageStore;
 class ThreadPool;
 
-/// On-disk format versions. V1 is the original fixed-width stream; V2 is
-/// the compact encoding (varints, delta-coded sequence numbers,
-/// length-prefixed per-process sections that decode in parallel). See
-/// DESIGN.md §6 "Log file format v2" for the layout.
-enum class LogFormat : uint32_t { V1 = 1, V2 = 2 };
+/// The on-disk format version written after the "PPDL" magic: the compact
+/// encoding (varints, delta-coded sequence numbers, length-prefixed
+/// per-process sections that decode in parallel). See DESIGN.md §7 for the
+/// layout. Any other version is rejected on open.
+enum class LogFormat : uint32_t { V2 = 2 };
 
 /// One observable output line: `print(e)` by process Pid.
 struct OutputRecord {
@@ -62,35 +62,21 @@ public:
   /// Total approximate log volume in bytes (experiment E2).
   size_t byteSize() const;
 
-  /// Serializes to a binary file (compact v2 by default; v1 kept for
-  /// migration). With \p Pool, v2 process sections are serialized in
-  /// parallel; the bytes written are identical to a serial save. Returns
-  /// false on I/O errors.
+  /// Serializes to a binary file. With \p Pool, process sections are
+  /// serialized in parallel; the bytes written are identical to a serial
+  /// save. The bytes go to `Path + ".tmp"`, which is then renamed over
+  /// \p Path, so a reader that has the old file open (a paged store's
+  /// mapping) keeps its inode. Returns false on I/O errors.
   bool save(const std::string &Path, LogFormat Format = LogFormat::V2,
             ThreadPool *Pool = nullptr) const;
 
-  /// Reads either format back, auto-detected from the header. On any I/O
-  /// or format error (including truncation at every byte offset) returns
-  /// false and leaves \p Out untouched. With \p Pool, v2 process sections
-  /// are decoded in parallel; the result is bit-identical to a serial
-  /// load.
+  /// Reads a log back. On any I/O or format error (including truncation
+  /// at every byte offset, or a version other than V2) returns false and
+  /// leaves \p Out untouched. With \p Pool, process sections are decoded
+  /// in parallel; the result is bit-identical to a serial load.
   static bool load(const std::string &Path, ExecutionLog &Out,
                    ThreadPool *Pool = nullptr);
 };
-
-/// Outcome of a `ppd compact` in-place migration.
-enum class CompactResult {
-  Converted, ///< file was v1 and is now v2.
-  AlreadyV2, ///< nothing to do.
-  Error,     ///< open/decode/write failure; original file left untouched.
-};
-
-/// Rewrites a v1 log file as v2 in place, streaming one process section at
-/// a time (peak memory is one section, never the whole log). The original
-/// file is replaced only after the converted bytes are fully flushed; on
-/// any error it is left untouched. \p Message carries the human-readable
-/// reason for AlreadyV2/Error outcomes.
-CompactResult compactLogFile(const std::string &Path, std::string &Message);
 
 /// One dynamic log interval I_i (the execution of one e-block).
 struct LogInterval {

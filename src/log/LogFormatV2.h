@@ -13,12 +13,10 @@
 ///   * PageStore — the paged storage layer, which decodes one process
 ///     section at a time on buffer-pool fault-in and *skims* sections
 ///     (record kinds and interval structure only, no body
-///     materialization) for index-only opens;
-///   * compactLogFile — the streaming v1→v2 migration, which re-encodes
-///     one section at a time.
+///     materialization) for index-only opens.
 ///
 /// Everything here is an internal interface of src/log: the layout is
-/// documented in DESIGN.md §6 and changes only with a format-version
+/// documented in DESIGN.md §7 and changes only with a format-version
 /// bump.
 ///
 //===----------------------------------------------------------------------===//
@@ -35,8 +33,7 @@
 namespace ppd {
 namespace v2 {
 
-/// "PPDL" — shared by every format version; the u32 after it selects the
-/// version (LogFormat).
+/// "PPDL"; the u32 after it is the format version (LogFormat).
 inline constexpr uint32_t FileMagic = 0x5050444cu;
 
 /// StmtId's InvalidId (~0u) maps to 0 so the common "no statement" case

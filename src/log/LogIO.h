@@ -10,14 +10,13 @@
 ///   * FileHandle — RAII ownership of a C stdio stream, so no early return
 ///     in the load/save paths can leak a FILE*;
 ///   * LogWriter — an in-memory byte buffer with fixed-width, LEB128
-///     varint, and zigzag emitters; serialization batches into it and hits
-///     the file with one fwrite instead of one call per field;
+///     varint, and zigzag emitters; serialization batches into it and
+///     publishes the file with one fwrite and a rename;
 ///   * ByteReader — bounds-checked decoding over an in-memory span, with
 ///     the same three codecs. Sub-spans let the v2 loader hand each
 ///     process section to a different thread.
 ///
-/// Multi-byte fixed-width values use the host's (little-endian) layout,
-/// matching the v1 files written by fwrite-of-struct-fields.
+/// Multi-byte fixed-width values use the host's (little-endian) layout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +70,7 @@ inline int64_t zigzagDecode(uint64_t V) {
 /// Buffered serialization sink. A raw tail-pointer buffer rather than a
 /// std::vector of bytes: the save path emits hundreds of thousands of
 /// one-byte varint pieces, and a single capacity check per field (not per
-/// byte) is what keeps compact-format saves faster than v1's fixed-width
-/// stream.
+/// byte) is what keeps varint-heavy saves fast.
 class LogWriter {
 public:
   LogWriter() = default;
@@ -100,7 +98,6 @@ public:
   }
   void u32(uint32_t V) { fixed(&V, 4); }
   void u64(uint64_t V) { fixed(&V, 8); }
-  void i64(int64_t V) { fixed(&V, 8); }
 
   /// LEB128. One capacity check covers the worst-case 10 bytes.
   void varint(uint64_t V) {
@@ -137,17 +134,24 @@ public:
 
   size_t size() const { return size_t(Cur - Begin); }
   const uint8_t *data() const { return Begin; }
-  void clear() { Cur = Begin; }
 
-  /// One open + one fwrite + one close.
+  /// Publishes the buffer as \p Path: one open + one fwrite + one close
+  /// of `Path + ".tmp"`, then a rename over \p Path. A reader that has the
+  /// old file open or mapped keeps the old inode instead of watching it
+  /// truncate underneath it, and no reader ever sees a half-written file.
+  /// On failure the temp file is removed and \p Path is left untouched.
   bool writeFile(const std::string &Path) const {
-    FileHandle File(Path, "wb");
+    std::string TmpPath = Path + ".tmp";
+    FileHandle File(TmpPath, "wb");
     if (!File)
       return false;
-    if (size() != 0 &&
-        std::fwrite(Begin, 1, size(), File.get()) != size())
-      return false;
-    return File.close();
+    bool Ok = (size() == 0 ||
+               std::fwrite(Begin, 1, size(), File.get()) == size()) &&
+              File.close() &&
+              std::rename(TmpPath.c_str(), Path.c_str()) == 0;
+    if (!Ok)
+      std::remove(TmpPath.c_str());
+    return Ok;
   }
 
 private:
@@ -211,12 +215,6 @@ public:
     fixed(&V, 8);
     return V;
   }
-  int64_t i64() {
-    int64_t V = 0;
-    fixed(&V, 8);
-    return V;
-  }
-
   uint64_t varint() {
     // Fast path: the overwhelmingly common one-byte encoding.
     if (!Failed && Cur != End && *Cur < 0x80) [[likely]]

@@ -113,12 +113,6 @@ std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
     return nullptr;
   }
   uint32_t Version = R.u32();
-  if (Version == uint32_t(LogFormat::V1)) {
-    setError(Error, "'" + Path +
-                        "' is a v1 log; run `ppd compact " + Path +
-                        "` to migrate it to the paged v2 format");
-    return nullptr;
-  }
   if (Version != uint32_t(LogFormat::V2)) {
     setError(Error, "'" + Path + "' has unknown format version " +
                         std::to_string(Version));

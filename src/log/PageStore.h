@@ -57,8 +57,8 @@ public:
 
   /// Maps \p Path and validates the header, section extents, section
   /// headers, and output trailer (record bodies are not decoded). Returns
-  /// null on failure with a human-readable reason in \p Error; a v1 file
-  /// is a failure that names `ppd compact` as the fix.
+  /// null on failure with a human-readable reason in \p Error (an unknown
+  /// format version is named in it).
   static std::shared_ptr<const PageStore> open(const std::string &Path,
                                                std::string *Error = nullptr);
 

@@ -239,14 +239,7 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
   }
 
   // Atomic publish: a reader never sees a half-written sidecar.
-  std::string TmpPath = Path + ".tmp";
-  if (!W.writeFile(TmpPath))
-    return false;
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    std::remove(TmpPath.c_str());
-    return false;
-  }
-  return true;
+  return W.writeFile(Path);
 }
 
 ProgramDbStatus

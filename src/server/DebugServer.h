@@ -92,7 +92,7 @@ public:
   bool shuttingDown() const;
 
   /// Invoked (once) from the thread that processes a Shutdown request;
-  /// the socket transport uses it to break its accept loop.
+  /// the epoll transport uses it to stop its event loop.
   void onShutdown(std::function<void()> Hook);
 
   /// Installs the streaming-ingest dispatcher (the src/stream layer,

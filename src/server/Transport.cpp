@@ -202,8 +202,8 @@ void EpollTransport::readFrom(uint64_t Id) {
     if (It3 == Conns.end())
       return;
     if (It3->second->Frames.malformed()) {
-      // Same contract as the threaded transport: answer once, then drop
-      // the stream — a framed connection cannot re-synchronize.
+      // Impossible length prefix: answer once, then drop the stream — a
+      // framed connection cannot re-synchronize.
       Server.metrics().countMalformed();
       Response Resp;
       Resp.Type = RespType::Error;
@@ -316,8 +316,7 @@ int EpollTransport::run() {
   }
   LoopThread = std::this_thread::get_id();
   // The shutdown hook runs on whichever thread processes the Shutdown
-  // request; stop() is the thread-safe loop-exit signal (the epoll
-  // analogue of half-closing the threaded listener).
+  // request; stop() is the thread-safe loop-exit signal.
   Server.onShutdown([this] { Loop.stop(); });
 
   for (int ListenFd : {Opts.UnixListenFd, Opts.TcpListenFd}) {
@@ -335,8 +334,8 @@ int EpollTransport::run() {
 
   Loop.run();
 
-  // Same sequencing as the threaded shutdown: every admitted request is
-  // answered before any connection is torn down.
+  // Every admitted request is answered before any connection is torn
+  // down.
   Server.drain();
   Loop.runPosted();
   flushAllBlocking();

@@ -6,17 +6,16 @@
 ///
 /// \file
 /// The readiness-based server transport (DESIGN.md §14): one
-/// EventDispatcher thread owns every listening and connection fd, each
-/// connection is a small state machine (FrameReader reassembly on the
-/// read side, a bounded byte queue drained on EPOLLOUT on the write
-/// side), and requests flow through the same DebugServer::submitFrame
-/// path as the threaded transport — responses are byte-identical by
-/// construction, which is what makes `--transport threaded` a usable
-/// differential oracle.
+/// EventDispatcher thread owns every listening and connection fd, and
+/// each connection is a small state machine (FrameReader reassembly on
+/// the read side, a bounded byte queue drained on EPOLLOUT on the write
+/// side). Requests flow through DebugServer::submitFrame, so a response
+/// is byte-identical to what DebugServer::handleFrame returns for the
+/// same frame in process.
 ///
-/// Lifecycle rules the threaded loop never had:
+/// Connection lifecycle:
 ///   * EOF/error reaps the connection immediately (fd closed, state
-///     freed) instead of parking it until shutdown;
+///     freed);
 ///   * a peer that stops reading while responses accumulate past
 ///     MaxWriteQueueBytes is disconnected (typed metric), never buffered
 ///     without bound and never allowed to block the loop;
@@ -57,7 +56,7 @@ struct EpollServerOptions {
 
 /// Serves \p Server over epoll until a Shutdown request stops the
 /// dispatcher. At least one listener must be given. Returns 0 on a clean
-/// shutdown, 1 otherwise — same contract as runUnixServer.
+/// shutdown, 1 otherwise.
 int runEpollServer(DebugServer &Server, const EpollServerOptions &Options);
 
 } // namespace ppd

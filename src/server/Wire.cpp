@@ -6,15 +6,10 @@
 
 #include "server/Wire.h"
 
-#include "server/DebugServer.h"
-
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -298,143 +293,4 @@ bool ClientConnection::roundTrip(Request Req, Response &Resp) {
     return false;
   }
   return true;
-}
-
-namespace {
-
-/// Per-connection server state: a write mutex so responses completed on
-/// different scheduler workers never interleave bytes, and a Done flag
-/// plus in-flight count so the accept loop can reap the connection once
-/// the reader has exited and every pending response has been written.
-struct Connection {
-  int Fd = -1;
-  std::mutex WriteMutex; ///< also guards Fd against close-vs-write races.
-  std::thread Reader;
-  std::atomic<bool> Done{false};
-  std::atomic<uint64_t> InFlight{0};
-};
-
-void serveConnection(DebugServer &Server, Connection &Conn) {
-  FrameReader Frames;
-  uint8_t Buf[1 << 16];
-  for (;;) {
-    ssize_t N = ::read(Conn.Fd, Buf, sizeof(Buf));
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0)
-      return;
-    Frames.feed(Buf, size_t(N));
-    std::vector<uint8_t> Payload;
-    while (Frames.next(Payload)) {
-      Conn.InFlight.fetch_add(1, std::memory_order_acq_rel);
-      Server.submitFrame(std::move(Payload),
-                         [&Server, &Conn](std::vector<uint8_t> Frame) {
-                           {
-                             std::lock_guard<std::mutex> Lock(Conn.WriteMutex);
-                             // A dead peer is not an error worth more than
-                             // dropping the bytes; the reader will see EOF.
-                             if (Conn.Fd >= 0)
-                               writeAll(Conn.Fd, Frame.data(), Frame.size());
-                           }
-                           Conn.InFlight.fetch_sub(1,
-                                                   std::memory_order_acq_rel);
-                         });
-      Payload.clear();
-    }
-    if (Frames.malformed()) {
-      // Impossible length prefix: answer once, then drop the stream —
-      // there is no way to re-synchronize a framed connection.
-      Server.metrics().countMalformed();
-      Response Resp;
-      Resp.Type = RespType::Error;
-      Resp.Code = ErrCode::BadFrame;
-      Resp.Text = "oversized or corrupt frame length";
-      LogWriter W;
-      encodeResponse(Resp, W);
-      std::lock_guard<std::mutex> Lock(Conn.WriteMutex);
-      if (Conn.Fd >= 0)
-        writeAll(Conn.Fd, W.data(), W.size());
-      return;
-    }
-  }
-}
-
-} // namespace
-
-int ppd::runUnixServer(DebugServer &Server, int ListenFd,
-                       const std::string &Path) {
-  // The shutdown hook runs on whichever worker processes the Shutdown
-  // request: half-closing the listening socket makes accept() below
-  // return with an error, which is the loop's exit signal.
-  Server.onShutdown([ListenFd] { ::shutdown(ListenFd, SHUT_RDWR); });
-
-  std::mutex ConnsMutex;
-  std::vector<std::unique_ptr<Connection>> Conns;
-
-  // Joins and frees every connection whose reader has exited (its fd is
-  // already closed — see below) and whose last response has been
-  // written. Called before each accept so a disconnected client costs
-  // one reap, not an fd and a zombie thread parked until shutdown.
-  auto Reap = [&ConnsMutex, &Conns] {
-    std::lock_guard<std::mutex> Lock(ConnsMutex);
-    size_t Keep = 0;
-    for (size_t I = 0; I != Conns.size(); ++I) {
-      Connection &C = *Conns[I];
-      if (C.Done.load(std::memory_order_acquire) &&
-          C.InFlight.load(std::memory_order_acquire) == 0) {
-        C.Reader.join();
-        continue;
-      }
-      Conns[Keep++] = std::move(Conns[I]);
-    }
-    Conns.resize(Keep);
-  };
-
-  for (;;) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    Reap();
-    auto Conn = std::make_unique<Connection>();
-    Conn->Fd = Fd;
-    Connection *C = Conn.get();
-    C->Reader = std::thread([&Server, C] {
-      serveConnection(Server, *C);
-      // Close under the write mutex: a response completing on a worker
-      // checks Fd under the same lock, so the fd can neither be written
-      // after close nor closed mid-write (and never aliases a freshly
-      // accepted connection's fd).
-      {
-        std::lock_guard<std::mutex> Lock(C->WriteMutex);
-        ::close(C->Fd);
-        C->Fd = -1;
-      }
-      C->Done.store(true, std::memory_order_release);
-    });
-    std::lock_guard<std::mutex> Lock(ConnsMutex);
-    Conns.push_back(std::move(Conn));
-  }
-
-  // Every request admitted before shutdown gets its response written
-  // before any connection is torn down.
-  Server.drain();
-
-  {
-    std::lock_guard<std::mutex> Lock(ConnsMutex);
-    for (auto &Conn : Conns) {
-      std::lock_guard<std::mutex> FdLock(Conn->WriteMutex);
-      if (Conn->Fd >= 0)
-        ::shutdown(Conn->Fd, SHUT_RDWR);
-    }
-  }
-  for (auto &Conn : Conns) {
-    if (Conn->Reader.joinable())
-      Conn->Reader.join();
-  }
-  ::close(ListenFd);
-  ::unlink(Path.c_str());
-  return Server.shuttingDown() ? 0 : 1;
 }

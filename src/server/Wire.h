@@ -6,23 +6,15 @@
 ///
 /// \file
 /// The byte-moving layer under the debug server: AF_UNIX and TCP stream
-/// sockets, frame send/receive, the legacy thread-per-connection accept
-/// loop (kept as the `--transport threaded` differential oracle; the
-/// default epoll transport lives in Transport.h), and the client-side
-/// connection the `ppd client` tool uses. Everything protocol-shaped
-/// lives in Protocol.h; everything session-shaped lives in DebugServer.h
-/// — this file only ships frames.
+/// sockets, frame send/receive, and the client-side connection the
+/// `ppd client` tool uses. The server's event loop lives in Transport.h;
+/// everything protocol-shaped lives in Protocol.h; everything
+/// session-shaped lives in DebugServer.h — this file only ships frames.
 ///
 /// Addresses: helpers that take an *endpoint* accept either a unix
 /// socket path or `tcp:HOST:PORT`, so every client-side caller (ppd
 /// client, stream ingest, bots) reaches TCP servers with no code of its
 /// own.
-///
-/// Shutdown path (threaded transport): a Shutdown request trips the
-/// server's shutdown hook, which half-closes the listening socket to
-/// break accept(); the loop then drains in-flight requests (every
-/// accepted request is answered), unblocks the connection readers, joins
-/// them, and removes the socket path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +28,6 @@
 #include <vector>
 
 namespace ppd {
-
-class DebugServer;
 
 /// Creates, binds, and listens on an AF_UNIX stream socket at \p Path.
 /// A stale socket file (no listener behind it) is cleaned up; a *live*
@@ -104,15 +94,6 @@ private:
   int Fd = -1;
   uint64_t NextRequestId = 1;
 };
-
-/// Serves \p Server on the already-listening \p ListenFd until a
-/// Shutdown request (or accept failure). Owns the accept loop, the
-/// per-connection reader threads, and the drain-then-disconnect shutdown
-/// sequence. Disconnected clients are reaped (fd closed as the reader
-/// exits; thread joined on a later accept) rather than parked until
-/// shutdown. Returns 0 on a clean shutdown.
-int runUnixServer(DebugServer &Server, int ListenFd,
-                  const std::string &Path);
 
 } // namespace ppd
 

@@ -490,17 +490,15 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   Report.Outcome = int(Ref.Result.Outcome);
   Report.Steps = Ref.Result.Steps;
 
-  //===--- log/*: v1/v2 save → load → re-save round trips ----------------===//
-  for (LogFormat Fmt : {LogFormat::V1, LogFormat::V2}) {
-    const char *FmtName = Fmt == LogFormat::V1 ? "v1" : "v2";
+  //===--- log/*: save → load → re-save round trip -----------------------===//
+  {
     std::string Path = Config.TempDir + "/ppd_fuzz_" +
                        std::to_string(uint64_t(::getpid())) + "_" +
-                       std::to_string(TempCounter.fetch_add(1)) + "." +
-                       FmtName + ".ppdlog";
+                       std::to_string(TempCounter.fetch_add(1)) + ".ppdlog";
     std::string Err, ErrOracle;
     std::vector<uint8_t> First, Second;
     ExecutionLog Loaded;
-    if (!L.save(Path, Fmt)) {
+    if (!L.save(Path)) {
       ErrOracle = "save";
       Err = "save failed";
     } else if (!readFileBytes(Path, First)) {
@@ -512,7 +510,7 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
     } else if (auto D = cmpLogs(L, Loaded); !D.empty()) {
       ErrOracle = "load";
       Err = D;
-    } else if (!Loaded.save(Path, Fmt) || !readFileBytes(Path, Second)) {
+    } else if (!Loaded.save(Path) || !readFileBytes(Path, Second)) {
       ErrOracle = "resave";
       Err = "re-save failed";
     } else if (First != Second) {
@@ -544,7 +542,7 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
     }
     std::remove(Path.c_str());
     if (!Err.empty())
-      return Fail(std::string("log/") + FmtName + "-" + ErrOracle, Err);
+      return Fail("log/" + ErrOracle, Err);
   }
 
   //===--- race/*: two algorithms and an independent recheck -------------===//

@@ -22,7 +22,7 @@
 ///               single-process programs (the emulation chunk shifts
 ///               preemption points, so multi-process interleavings may
 ///               legitimately differ).
-///   log/*       v1 and v2 save → load → re-save: loaded records equal
+///   log/*       save → load → re-save: loaded records equal
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
 ///   replay/*    serial decoded vs serial legacy replay per interval, vs

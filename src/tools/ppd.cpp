@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <type_traits>
@@ -80,17 +79,14 @@ struct CliOptions {
   unsigned ReplayThreads = 0;
   bool Prefetch = false;
   std::string ReplayEngine = "jit";
-  LogFormat SaveFormat = LogFormat::V2;
 
   // paged log tier (debug/serve)
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
-  bool WholeLog = false;
   bool NoPpdb = false;
 
   // serve / client / bots
   std::string SocketPath;
   std::string TcpAddr;              ///< --tcp HOST:PORT
-  std::string Transport = "epoll";  ///< --transport epoll | threaded
   uint64_t IdleTimeoutMs = 0;       ///< --idle-timeout-ms (serve)
   std::vector<std::string> ExtraPrograms; ///< --program (serve)
   std::vector<std::string> LogPaths;      ///< --log occurrences (serve)
@@ -135,8 +131,7 @@ commands:
   serve     debugging phase as a daemon: concurrent sessions over a unix
             socket and/or TCP (ppd serve file.ppl --socket PATH
             [--tcp HOST:PORT]); the epoll dispatcher serves both
-            listeners from one thread (--transport threaded keeps the
-            legacy thread-per-connection loop as a differential oracle)
+            listeners from one thread
   client    scriptable client for a running server (ppd client --socket
             PATH | --tcp HOST:PORT; commands from stdin: open/query/step/
             races/stats/close/tail/frontier/shutdown/quit; `tail ID CMD`
@@ -149,9 +144,6 @@ commands:
   fuzz      differential fuzzing: random PPL programs through every
             redundant pipeline pair (ppd fuzz --runs N --seed S; takes no
             file argument)
-  compact   convert a v1 log to the compact v2 format in place
-            (ppd compact file.log; the file argument is the log, not a
-            .ppl program)
 
 options:
   --seed N              scheduler seed (default 1); one seed = one
@@ -162,10 +154,9 @@ options:
   --break LINE          halt the machine when any process reaches a
                         statement on this source line (repeatable)
   --save-log PATH       (run) write the execution log to PATH
-  --log-format V        (run) on-disk format: v2 (compact, default) | v1
-  --log PATH            (debug) load the log instead of re-running; either
-                        format is detected, and --replay-threads workers
-                        decode v2 process sections in parallel
+  --log PATH            (debug/serve) open the saved log instead of
+                        re-running; process sections are paged in on
+                        demand
   --mode M              (run) plain | logging | fulltrace
   --race-strategy A     (races) vectorized (default) | indexed | naive;
                         all three report identical races (--algorithm is
@@ -182,8 +173,6 @@ options:
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for paged
                         logs (default 256m; the PPD_POOL_BUDGET env var
                         overrides the default, the flag overrides both)
-  --whole-log           (debug/serve) decode --log files whole up front
-                        instead of paging sections in on demand
   --no-ppdb             (run/debug/serve) neither read nor write the
                         .ppdb program-database sidecar
   --dump-ir             (compile) disassemble both artifacts
@@ -216,10 +205,7 @@ options:
   --tcp HOST:PORT       (serve) also listen on TCP (port 0 = ephemeral;
                         the bound port is printed); (client/bots/run
                         --stream) connect over TCP instead of --socket
-  --transport T         (serve) epoll (default) | threaded; threaded is
-                        the legacy unix-only loop kept as the byte-level
-                        differential oracle
-  --idle-timeout-ms N   (serve, epoll) disconnect clients with no traffic
+  --idle-timeout-ms N   (serve) disconnect clients with no traffic
                         for N ms (default 0 = never)
   --program FILE        (serve) serve another program too (repeatable);
                         the Nth --log pairs with the Nth program
@@ -269,6 +255,21 @@ template <typename T> bool parseUnsigned(const char *V, uint64_t Max, T &Out) {
   if (*End != '\0' || errno == ERANGE || N > Max)
     return false;
   Out = T(N);
+  return true;
+}
+
+/// The signed sibling of parseUnsigned: an optional sign, then digits
+/// only, in int64 range.
+bool parseSigned(const char *V, int64_t &Out) {
+  const char *Digits = *V == '-' || *V == '+' ? V + 1 : V;
+  if (!std::isdigit(static_cast<unsigned char>(*Digits)))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(V, &End, 10);
+  if (*End != '\0' || errno == ERANGE)
+    return false;
+  Out = N;
   return true;
 }
 
@@ -356,8 +357,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       std::vector<int64_t> Stream;
       std::stringstream Ss(V);
       std::string Item;
-      while (std::getline(Ss, Item, ','))
-        Stream.push_back(std::strtoll(Item.c_str(), nullptr, 10));
+      while (std::getline(Ss, Item, ',')) {
+        if (!parseSigned(Item.c_str(), Stream.emplace_back())) {
+          std::fprintf(stderr,
+                       "error: bad --input item '%s' (expected a 64-bit "
+                       "signed integer)\n",
+                       Item.c_str());
+          return false;
+        }
+      }
       Opts.Inputs.push_back(std::move(Stream));
     } else if (Arg == "--save-log" || Arg == "--log") {
       const char *V = Next();
@@ -380,16 +388,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       uint16_t Port = 0;
       if (!splitHostPort(Opts.TcpAddr, Host, Port)) {
         std::fprintf(stderr, "error: bad --tcp '%s' (want HOST:PORT)\n", V);
-        return false;
-      }
-    } else if (Arg == "--transport") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.Transport = V;
-      if (Opts.Transport != "epoll" && Opts.Transport != "threaded") {
-        std::fprintf(stderr,
-                     "error: unknown transport %s (epoll | threaded)\n", V);
         return false;
       }
     } else if (Arg == "--idle-timeout-ms") {
@@ -484,22 +482,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-    } else if (Arg == "--whole-log") {
-      Opts.WholeLog = true;
     } else if (Arg == "--no-ppdb") {
       Opts.NoPpdb = true;
-    } else if (Arg == "--log-format") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (std::strcmp(V, "v1") == 0) {
-        Opts.SaveFormat = LogFormat::V1;
-      } else if (std::strcmp(V, "v2") == 0) {
-        Opts.SaveFormat = LogFormat::V2;
-      } else {
-        std::fprintf(stderr, "error: unknown log format %s\n", V);
-        return false;
-      }
     } else if (Arg == "--mode") {
       const char *V = Next();
       if (!V)
@@ -784,15 +768,15 @@ int cmdRun(const CliOptions &Opts) {
     std::unique_ptr<ThreadPool> SavePool;
     if (Opts.ReplayThreads > 0)
       SavePool = std::make_unique<ThreadPool>(Opts.ReplayThreads);
-    if (!M.log().save(Opts.LogPath, Opts.SaveFormat, SavePool.get())) {
+    if (!M.log().save(Opts.LogPath, LogFormat::V2, SavePool.get())) {
       std::fprintf(stderr, "error: cannot write log to %s\n",
                    Opts.LogPath.c_str());
       return 1;
     }
     std::printf("-- log written to %s\n", Opts.LogPath.c_str());
-    // Drop the `.ppdb` sidecar next to a v2 log so the first debug open
+    // Drop the `.ppdb` sidecar next to the log so the first debug open
     // is already warm (skims here, where the run just paid far more).
-    if (Opts.SaveFormat == LogFormat::V2 && !Opts.NoPpdb) {
+    if (!Opts.NoPpdb) {
       std::string Error;
       auto Store = PageStore::open(Opts.LogPath, &Error);
       if (Store) {
@@ -861,51 +845,33 @@ int cmdDebug(const CliOptions &Opts) {
   COpts.Service.Prefetch = Opts.Prefetch;
   COpts.Service.Engine = Engine;
 
-  // A --log file opens paged by default: mmap the store, adopt (or
-  // rebuild) the .ppdb sidecar, and let queries fault sections in through
-  // the pool. --whole-log restores the old eager decode; files the store
-  // rejects (v1 logs) fall back to it with a note.
+  // A --log file opens paged: mmap the store, adopt (or rebuild) the
+  // .ppdb sidecar, and let queries fault sections in through the pool.
   std::unique_ptr<PpdController> Controller;
-  if (!Opts.LogPath.empty() && !Opts.WholeLog) {
+  if (!Opts.LogPath.empty()) {
     std::string Error;
     std::shared_ptr<const LogIndex> Index;
     std::shared_ptr<const ParallelDynamicGraph> Graph;
     auto Store =
         openPagedStore(Opts, *Prog, Opts.LogPath, Index, Graph, Error);
-    if (Store) {
-      size_t Budget = effectivePoolBudget(Opts);
-      auto Pool = std::make_shared<BufferPool>(Budget);
-      std::printf("paged log: %u process(es), %zu bytes on disk, pool "
-                  "budget %zu bytes\n",
-                  Store->numProcs(), Store->fileBytes(), Budget);
-      COpts.AdoptedGraph = std::move(Graph);
-      Controller = std::make_unique<PpdController>(
-          *Prog, PagedLog{std::move(Store), std::move(Pool)},
-          std::move(Index), COpts);
-    } else {
-      std::fprintf(stderr, "note: %s; loading whole\n", Error.c_str());
+    if (!Store) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      return 1;
     }
-  }
-  if (!Controller) {
-    ExecutionLog Log;
-    if (!Opts.LogPath.empty()) {
-      std::unique_ptr<ThreadPool> LoadPool;
-      if (Opts.ReplayThreads > 0)
-        LoadPool = std::make_unique<ThreadPool>(Opts.ReplayThreads);
-      if (!ExecutionLog::load(Opts.LogPath, Log, LoadPool.get())) {
-        std::fprintf(stderr, "error: cannot load log %s\n",
-                     Opts.LogPath.c_str());
-        return 1;
-      }
-      std::printf("loaded log: %zu process(es)\n", Log.Procs.size());
-    } else {
-      Machine M(*Prog, machineOptions(Opts, *Prog));
-      RunResult Result = M.run();
-      reportRun(*Prog, M, Result);
-      Log = M.takeLog();
-    }
-    Controller =
-        std::make_unique<PpdController>(*Prog, std::move(Log), COpts);
+    size_t Budget = effectivePoolBudget(Opts);
+    auto Pool = std::make_shared<BufferPool>(Budget);
+    std::printf("paged log: %u process(es), %zu bytes on disk, pool "
+                "budget %zu bytes\n",
+                Store->numProcs(), Store->fileBytes(), Budget);
+    COpts.AdoptedGraph = std::move(Graph);
+    Controller = std::make_unique<PpdController>(
+        *Prog, PagedLog{std::move(Store), std::move(Pool)}, std::move(Index),
+        COpts);
+  } else {
+    Machine M(*Prog, machineOptions(Opts, *Prog));
+    RunResult Result = M.run();
+    reportRun(*Prog, M, Result);
+    Controller = std::make_unique<PpdController>(*Prog, M.takeLog(), COpts);
   }
   DebugSession Session(*Prog, *Controller);
   std::printf("PPD debugging phase. Type 'help' for commands.\n");
@@ -923,42 +889,11 @@ int cmdDebug(const CliOptions &Opts) {
 // The debug server and its scriptable client
 //===----------------------------------------------------------------------===//
 
-/// Compiles \p File and produces its execution log: loaded from
-/// \p LogPath when given, generated by running the machine otherwise.
-std::unique_ptr<CompiledProgram> prepareProgram(const CliOptions &Opts,
-                                                const std::string &File,
-                                                const std::string &LogPath,
-                                                ExecutionLog &Log) {
-  CliOptions FileOpts = Opts;
-  FileOpts.File = File;
-  auto Prog = compileFile(FileOpts);
-  if (!Prog)
-    return nullptr;
-  if (!LogPath.empty()) {
-    if (!ExecutionLog::load(LogPath, Log)) {
-      std::fprintf(stderr, "error: cannot load log %s\n", LogPath.c_str());
-      return nullptr;
-    }
-  } else {
-    Machine M(*Prog, machineOptions(FileOpts, *Prog));
-    M.run();
-    Log = M.takeLog();
-  }
-  return Prog;
-}
-
 int cmdServe(const CliOptions &Opts) {
   if (Opts.SocketPath.empty() && Opts.TcpAddr.empty()) {
     std::fprintf(stderr,
                  "error: serve needs --socket PATH and/or --tcp "
                  "HOST:PORT\n");
-    return 64;
-  }
-  if (Opts.Transport == "threaded" &&
-      (!Opts.TcpAddr.empty() || Opts.IdleTimeoutMs != 0)) {
-    std::fprintf(stderr,
-                 "error: --transport threaded is the unix-only legacy "
-                 "oracle; --tcp and --idle-timeout-ms need epoll\n");
     return 64;
   }
   ReplayEngineKind Engine;
@@ -979,40 +914,33 @@ int cmdServe(const CliOptions &Opts) {
   Files.insert(Files.end(), Opts.ExtraPrograms.begin(),
                Opts.ExtraPrograms.end());
   for (size_t I = 0; I != Files.size(); ++I) {
-    std::string LogPath =
-        I < Opts.LogPaths.size() ? Opts.LogPaths[I] : std::string();
-    // --log files serve paged (every session of the program faults
-    // sections through the registry's shared pool); generated logs and
-    // --whole-log stay on the eager path.
-    bool Paged = false;
+    CliOptions FileOpts = Opts;
+    FileOpts.File = Files[I];
+    auto Prog = compileFile(FileOpts);
+    if (!Prog)
+      return 1;
+    // --log files serve paged: every session of the program faults
+    // sections through the registry's shared pool. A program without a
+    // --log runs here and its log is served from memory.
+    bool Paged = I < Opts.LogPaths.size();
     uint32_t Index = 0;
-    if (!LogPath.empty() && !Opts.WholeLog) {
-      CliOptions FileOpts = Opts;
-      FileOpts.File = Files[I];
-      auto Prog = compileFile(FileOpts);
-      if (!Prog)
-        return 1;
+    if (Paged) {
       std::string Error;
       std::shared_ptr<const LogIndex> PagedIndex;
       std::shared_ptr<const ParallelDynamicGraph> PagedGraph;
-      auto Store = openPagedStore(Opts, *Prog, LogPath, PagedIndex,
+      auto Store = openPagedStore(Opts, *Prog, Opts.LogPaths[I], PagedIndex,
                                   PagedGraph, Error);
-      if (Store) {
-        Index = Server.addProgram(std::move(Prog),
-                                  PagedLog{std::move(Store), nullptr},
-                                  std::move(PagedIndex),
-                                  std::move(PagedGraph));
-        Paged = true;
-      } else {
-        std::fprintf(stderr, "note: %s; loading whole\n", Error.c_str());
-      }
-    }
-    if (!Paged) {
-      ExecutionLog Log;
-      auto Prog = prepareProgram(Opts, Files[I], LogPath, Log);
-      if (!Prog)
+      if (!Store) {
+        std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 1;
-      Index = Server.addProgram(std::move(Prog), std::move(Log));
+      }
+      Index = Server.addProgram(std::move(Prog),
+                                PagedLog{std::move(Store), nullptr},
+                                std::move(PagedIndex), std::move(PagedGraph));
+    } else {
+      Machine M(*Prog, machineOptions(FileOpts, *Prog));
+      M.run();
+      Index = Server.addProgram(std::move(Prog), M.takeLog());
     }
     std::printf("program %u: %s%s\n", Index, Files[I].c_str(),
                 Paged ? " (paged)" : "");
@@ -1040,45 +968,34 @@ int cmdServe(const CliOptions &Opts) {
       [&Ingest](const Request &Req) { return Ingest.dispatch(Req); });
 
   raiseFdLimit();
-  int Rc;
-  if (Opts.Transport == "threaded") {
-    int ListenFd = listenUnix(Opts.SocketPath);
-    if (ListenFd < 0)
+  EpollServerOptions EOpts;
+  if (!Opts.SocketPath.empty()) {
+    EOpts.UnixListenFd = listenUnix(Opts.SocketPath);
+    if (EOpts.UnixListenFd < 0)
       return 1;
+    EOpts.UnixPath = Opts.SocketPath;
     std::printf("ppd server listening on %s\n", Opts.SocketPath.c_str());
-    std::fflush(stdout);
-    Rc = runUnixServer(Server, ListenFd, Opts.SocketPath);
-  } else {
-    EpollServerOptions EOpts;
-    if (!Opts.SocketPath.empty()) {
-      EOpts.UnixListenFd = listenUnix(Opts.SocketPath);
-      if (EOpts.UnixListenFd < 0)
-        return 1;
-      EOpts.UnixPath = Opts.SocketPath;
-      std::printf("ppd server listening on %s\n", Opts.SocketPath.c_str());
-    }
-    if (!Opts.TcpAddr.empty()) {
-      uint16_t BoundPort = 0;
-      EOpts.TcpListenFd = listenTcp(Opts.TcpAddr, &BoundPort);
-      if (EOpts.TcpListenFd < 0) {
-        if (EOpts.UnixListenFd >= 0) {
-          ::close(EOpts.UnixListenFd);
-          ::unlink(Opts.SocketPath.c_str());
-        }
-        return 1;
-      }
-      std::string Host;
-      uint16_t Port = 0;
-      splitHostPort(Opts.TcpAddr, Host, Port);
-      // E2e drivers and scripts parse this line for the ephemeral port.
-      std::printf("ppd server listening on tcp %s port %u\n",
-                  Host.empty() ? "0.0.0.0" : Host.c_str(),
-                  unsigned(BoundPort));
-    }
-    std::fflush(stdout);
-    EOpts.IdleTimeoutMs = Opts.IdleTimeoutMs;
-    Rc = runEpollServer(Server, EOpts);
   }
+  if (!Opts.TcpAddr.empty()) {
+    uint16_t BoundPort = 0;
+    EOpts.TcpListenFd = listenTcp(Opts.TcpAddr, &BoundPort);
+    if (EOpts.TcpListenFd < 0) {
+      if (EOpts.UnixListenFd >= 0) {
+        ::close(EOpts.UnixListenFd);
+        ::unlink(Opts.SocketPath.c_str());
+      }
+      return 1;
+    }
+    std::string Host;
+    uint16_t Port = 0;
+    splitHostPort(Opts.TcpAddr, Host, Port);
+    // E2e drivers and scripts parse this line for the ephemeral port.
+    std::printf("ppd server listening on tcp %s port %u\n",
+                Host.empty() ? "0.0.0.0" : Host.c_str(), unsigned(BoundPort));
+  }
+  std::fflush(stdout);
+  EOpts.IdleTimeoutMs = Opts.IdleTimeoutMs;
+  int Rc = runEpollServer(Server, EOpts);
   if (Opts.MetricsDump)
     std::printf("%s", Server.metricsReport().c_str());
   return Rc;
@@ -1269,23 +1186,6 @@ int cmdClient(const CliOptions &Opts) {
   return 0;
 }
 
-int cmdCompact(const CliOptions &Opts) {
-  // The positional argument is the log file here, not a .ppl program.
-  std::string Message;
-  switch (compactLogFile(Opts.File, Message)) {
-  case CompactResult::Converted:
-    std::printf("-- %s\n", Message.c_str());
-    return 0;
-  case CompactResult::AlreadyV2:
-    std::printf("-- %s\n", Message.c_str());
-    return 0;
-  case CompactResult::Error:
-    std::fprintf(stderr, "error: %s\n", Message.c_str());
-    return 1;
-  }
-  return 1;
-}
-
 int cmdFuzz(const CliOptions &Opts) {
   testing::FuzzOptions FOpts;
   FOpts.Runs = Opts.FuzzRuns;
@@ -1336,8 +1236,6 @@ int main(int Argc, char **Argv) {
     return cmdBots(Opts);
   if (Opts.Command == "fuzz")
     return cmdFuzz(Opts);
-  if (Opts.Command == "compact")
-    return cmdCompact(Opts);
   // One error path for every unrecognized command: name it, show usage,
   // and exit with a code distinct from argument-parse failures (64).
   std::fprintf(stderr, "error: unknown command '%s'\n",

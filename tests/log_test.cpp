@@ -348,30 +348,16 @@ func main() {
 TEST(LogTest, RoundTripPropertyBothFormats) {
   for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
     ExecutionLog Log = randomCanonicalLog(Seed, 1 + uint32_t(Seed % 4));
-    std::string V1Path = ::testing::TempDir() + "/ppd_log_prop_v1.bin";
-    std::string V2Path = ::testing::TempDir() + "/ppd_log_prop_v2.bin";
-    ASSERT_TRUE(Log.save(V1Path, LogFormat::V1));
-    ASSERT_TRUE(Log.save(V2Path, LogFormat::V2));
+    std::string Path = ::testing::TempDir() + "/ppd_log_prop.bin";
+    ASSERT_TRUE(Log.save(Path));
 
-    ExecutionLog FromV1, FromV2;
-    ASSERT_TRUE(ExecutionLog::load(V1Path, FromV1));
-    ASSERT_TRUE(ExecutionLog::load(V2Path, FromV2));
-    expectLogsEqual(Log, FromV1);
-    expectLogsEqual(Log, FromV2);
-
-    // v1 -> v2 migration: re-saving a v1 log in the compact format must
-    // preserve the log's content and hence its byteSize accounting (E2's
-    // currency is unchanged by the on-disk encoding).
-    std::string MigratedPath = ::testing::TempDir() + "/ppd_log_prop_mig.bin";
-    ASSERT_TRUE(FromV1.save(MigratedPath, LogFormat::V2));
-    ExecutionLog Migrated;
-    ASSERT_TRUE(ExecutionLog::load(MigratedPath, Migrated));
-    expectLogsEqual(Log, Migrated);
-    EXPECT_EQ(Migrated.byteSize(), Log.byteSize());
-
-    std::remove(V1Path.c_str());
-    std::remove(V2Path.c_str());
-    std::remove(MigratedPath.c_str());
+    ExecutionLog Loaded;
+    ASSERT_TRUE(ExecutionLog::load(Path, Loaded));
+    expectLogsEqual(Log, Loaded);
+    // The on-disk encoding does not change the log's byteSize accounting
+    // (E2's currency).
+    EXPECT_EQ(Loaded.byteSize(), Log.byteSize());
+    std::remove(Path.c_str());
   }
 }
 
@@ -381,62 +367,30 @@ chan c;
 func child(int k) { send(c, k * 3); }
 func main() { spawn child(7); print(recv(c)); }
 )");
-  for (LogFormat Format : {LogFormat::V1, LogFormat::V2}) {
-    std::string Path = ::testing::TempDir() + "/ppd_log_trunc.bin";
-    ASSERT_TRUE(R.Log.save(Path, Format));
-    std::vector<uint8_t> Bytes;
-    ASSERT_TRUE(readFileBytes(Path, Bytes));
-    ASSERT_FALSE(Bytes.empty());
-    // Keep the exhaustive every-byte-offset sweep cheap.
-    ASSERT_LT(Bytes.size(), 64u * 1024u);
+  std::string Path = ::testing::TempDir() + "/ppd_log_trunc.bin";
+  ASSERT_TRUE(R.Log.save(Path));
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(readFileBytes(Path, Bytes));
+  ASSERT_FALSE(Bytes.empty());
+  // Keep the exhaustive every-byte-offset sweep cheap.
+  ASSERT_LT(Bytes.size(), 64u * 1024u);
 
-    // A sentinel the failed loads must leave untouched.
-    ExecutionLog Sentinel;
-    Sentinel.Procs.resize(1);
-    Sentinel.Procs[0].RootFunc = 7777;
+  // A sentinel the failed loads must leave untouched.
+  ExecutionLog Sentinel;
+  Sentinel.Procs.resize(1);
+  Sentinel.Procs[0].RootFunc = 7777;
 
-    for (size_t Len = 0; Len != Bytes.size(); ++Len) {
-      LogWriter Prefix;
-      for (size_t I = 0; I != Len; ++I)
-        Prefix.u8(Bytes[I]);
-      ASSERT_TRUE(Prefix.writeFile(Path));
-      EXPECT_FALSE(ExecutionLog::load(Path, Sentinel))
-          << "prefix of " << Len << " bytes loaded";
-      ASSERT_EQ(Sentinel.Procs.size(), 1u);
-      EXPECT_EQ(Sentinel.Procs[0].RootFunc, 7777u);
-    }
-    std::remove(Path.c_str());
+  for (size_t Len = 0; Len != Bytes.size(); ++Len) {
+    LogWriter Prefix;
+    for (size_t I = 0; I != Len; ++I)
+      Prefix.u8(Bytes[I]);
+    ASSERT_TRUE(Prefix.writeFile(Path));
+    EXPECT_FALSE(ExecutionLog::load(Path, Sentinel))
+        << "prefix of " << Len << " bytes loaded";
+    ASSERT_EQ(Sentinel.Procs.size(), 1u);
+    EXPECT_EQ(Sentinel.Procs[0].RootFunc, 7777u);
   }
-}
-
-TEST(LogTest, V2FilesAreSmallerThanV1) {
-  auto R = runProgram(R"(
-shared int sv;
-sem m = 1;
-chan done;
-func w(int id) {
-  int i = 0;
-  for (i = 0; i < 20; i = i + 1) { P(m); sv = sv + id; V(m); }
-  send(done, id);
-}
-func main() {
-  spawn w(1);
-  spawn w(2);
-  int a = recv(done);
-  int b = recv(done);
-  print(sv + a + b);
-}
-)");
-  std::string V1Path = ::testing::TempDir() + "/ppd_log_size_v1.bin";
-  std::string V2Path = ::testing::TempDir() + "/ppd_log_size_v2.bin";
-  ASSERT_TRUE(R.Log.save(V1Path, LogFormat::V1));
-  ASSERT_TRUE(R.Log.save(V2Path, LogFormat::V2));
-  std::vector<uint8_t> V1Bytes, V2Bytes;
-  ASSERT_TRUE(readFileBytes(V1Path, V1Bytes));
-  ASSERT_TRUE(readFileBytes(V2Path, V2Bytes));
-  EXPECT_LT(V2Bytes.size(), V1Bytes.size());
-  std::remove(V1Path.c_str());
-  std::remove(V2Path.c_str());
+  std::remove(Path.c_str());
 }
 
 TEST(LogTest, ParallelLoadAndIndexMatchSerial) {

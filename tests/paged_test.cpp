@@ -11,8 +11,8 @@
 // contract of the pool directly (pinned frames never evicted, single
 // decode under concurrent faults), validates the skim-built index against
 // the decoded one, round-trips the `.ppdb` sidecar through staleness and
-// every-byte truncation, and checks `ppd compact`'s streaming v1→v2
-// migration produces byte-identical files to a direct v2 save.
+// every-byte truncation, and checks that a store opens only the current
+// format version.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,7 @@
 #include "pardyn/ParallelDynamicGraph.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -182,9 +183,9 @@ TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
       auto Store = saveAndOpen(R.Log, Path);
       ASSERT_TRUE(Store != nullptr);
 
-      ExecutionLog WholeLog;
-      ASSERT_TRUE(ExecutionLog::load(Path, WholeLog)) << Label;
-      PpdController Whole(*R.Prog, std::move(WholeLog));
+      ExecutionLog Loaded;
+      ASSERT_TRUE(ExecutionLog::load(Path, Loaded)) << Label;
+      PpdController Whole(*R.Prog, std::move(Loaded));
       DebugSession WholeSession(*R.Prog, Whole);
 
       auto Pool = std::make_shared<BufferPool>(size_t(8) << 10);
@@ -327,9 +328,9 @@ TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
 
   PpdControllerOptions COpts;
   COpts.Service.Threads = 4;
-  ExecutionLog WholeLog;
-  ASSERT_TRUE(ExecutionLog::load(Path, WholeLog));
-  PpdController Whole(*R.Prog, std::move(WholeLog), COpts);
+  ExecutionLog Loaded;
+  ASSERT_TRUE(ExecutionLog::load(Path, Loaded));
+  PpdController Whole(*R.Prog, std::move(Loaded), COpts);
   DebugSession WholeSession(*R.Prog, Whole);
 
   auto Pool = std::make_shared<BufferPool>(/*BudgetBytes=*/1);
@@ -488,65 +489,48 @@ TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// PageStore validation and compact migration
+// PageStore validation
 //===----------------------------------------------------------------------===//
 
-// A store must reject a truncated v2 file at every byte offset (open
-// validates section extents and the output trailer), and name the
-// compact migration when pointed at a v1 file.
+// A store must reject a truncated file at every byte offset (open
+// validates section extents and the output trailer), and a file whose
+// header carries any version but the current one — with a reason that
+// names the version. The whole-file loader rejects the same headers.
 TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
   Ran R = runProgram(readCorpusFile("fig41.ppl"), 1);
   ASSERT_TRUE(R.Prog != nullptr);
 
-  std::string V1Path = tempPath("store_v1.log");
-  ASSERT_TRUE(R.Log.save(V1Path, LogFormat::V1));
-  std::string Error;
-  EXPECT_TRUE(PageStore::open(V1Path, &Error) == nullptr);
-  EXPECT_NE(Error.find("ppd compact"), std::string::npos) << Error;
+  std::string Path = tempPath("store_v2.log");
+  ASSERT_TRUE(R.Log.save(Path));
+  std::vector<uint8_t> Bytes = readFileRaw(Path);
+  ASSERT_GE(Bytes.size(), size_t(8));
 
-  std::string V2Path = tempPath("store_v2.log");
-  ASSERT_TRUE(R.Log.save(V2Path));
-  std::vector<uint8_t> Bytes = readFileRaw(V2Path);
+  // Magic, then the u32 version word: patch it, keep every other byte.
+  std::string VersionPath = tempPath("store_version.log");
+  for (uint32_t Version : {1u, 3u}) {
+    std::vector<uint8_t> Patched = Bytes;
+    std::memcpy(Patched.data() + 4, &Version, 4);
+    writeFileRaw(VersionPath, Patched.data(), Patched.size());
+    std::string Error;
+    EXPECT_TRUE(PageStore::open(VersionPath, &Error) == nullptr) << Version;
+    EXPECT_NE(Error.find("version " + std::to_string(Version)),
+              std::string::npos)
+        << Error;
+    ExecutionLog Loaded;
+    EXPECT_FALSE(ExecutionLog::load(VersionPath, Loaded)) << Version;
+  }
+
   std::string CutPath = tempPath("store_cut.log");
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     writeFileRaw(CutPath, Bytes.data(), Len);
+    std::string Error;
     EXPECT_TRUE(PageStore::open(CutPath, &Error) == nullptr)
         << "length " << Len;
   }
 
-  std::remove(V1Path.c_str());
-  std::remove(V2Path.c_str());
+  std::remove(Path.c_str());
+  std::remove(VersionPath.c_str());
   std::remove(CutPath.c_str());
-}
-
-// The streaming v1→v2 migration must produce the exact bytes a direct v2
-// save produces, and the result must open as a paged store.
-TEST(PagedTest, CompactProducesByteIdenticalV2) {
-  for (const char *Name : Corpus) {
-    Ran R = runProgram(readCorpusFile(Name), 5, {}, {},
-                       /*ExpectCompleted=*/false);
-    ASSERT_TRUE(R.Prog != nullptr);
-    std::string V1Path = tempPath(std::string("compact_") + Name + ".v1");
-    std::string V2Path = tempPath(std::string("compact_") + Name + ".v2");
-    ASSERT_TRUE(R.Log.save(V1Path, LogFormat::V1));
-    ASSERT_TRUE(R.Log.save(V2Path, LogFormat::V2));
-
-    std::string Message;
-    EXPECT_EQ(int(compactLogFile(V1Path, Message)),
-              int(CompactResult::Converted))
-        << Message;
-    EXPECT_EQ(readFileRaw(V1Path), readFileRaw(V2Path)) << Name;
-
-    // Idempotent: a second compact reports AlreadyV2 and changes nothing.
-    EXPECT_EQ(int(compactLogFile(V1Path, Message)),
-              int(CompactResult::AlreadyV2));
-    EXPECT_EQ(readFileRaw(V1Path), readFileRaw(V2Path)) << Name;
-
-    std::string Error;
-    EXPECT_TRUE(PageStore::open(V1Path, &Error) != nullptr) << Error;
-    std::remove(V1Path.c_str());
-    std::remove(V2Path.c_str());
-  }
 }
 
 } // namespace

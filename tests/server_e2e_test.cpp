@@ -6,7 +6,8 @@
 // socket with the same ClientConnection the `ppd client` tool uses, and
 // checks the full lifecycle: scripted session, pipelined queries all
 // answered before a shutdown on the same connection takes effect, and a
-// zero exit status after the graceful drain.
+// zero exit status after the graceful drain. A paged server must also
+// survive its log being re-saved underneath it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fcntl.h>
 #include <fstream>
 #include <string>
 #include <sys/wait.h>
@@ -40,12 +42,44 @@ func main() {
 }
 )";
 
-/// The transport flag the serve child runs with. PPD_E2E_TRANSPORT=
-/// threaded re-runs this whole suite over the legacy thread-per-
-/// connection loop (a CI leg), anything else uses the epoll default.
-const char *transportUnderTest() {
-  const char *Env = ::getenv("PPD_E2E_TRANSPORT");
-  return (Env && std::string(Env) == "threaded") ? "threaded" : "epoll";
+/// A fresh per-test path prefix under /tmp.
+std::string tempBase() {
+  return "/tmp/ppd-e2e-" + std::to_string(::getpid()) + "-" +
+         std::to_string(::rand());
+}
+
+bool writeFile(const std::string &Path, const char *Text) {
+  std::ofstream Out(Path);
+  Out << Text;
+  return bool(Out);
+}
+
+/// Replaces the calling (child) process with `ppd Args...`.
+[[noreturn]] void execTool(const std::vector<std::string> &Args) {
+  std::vector<char *> Argv{const_cast<char *>("ppd")};
+  for (const std::string &A : Args)
+    Argv.push_back(const_cast<char *>(A.c_str()));
+  Argv.push_back(nullptr);
+  ::execv(PPD_TOOL_PATH, Argv.data());
+  _exit(127);
+}
+
+/// Runs `ppd Args...` to completion with stdout discarded. Returns its
+/// exit status, or -1 if it did not exit normally.
+int runTool(const std::vector<std::string> &Args) {
+  pid_t Pid = ::fork();
+  if (Pid < 0)
+    return -1;
+  if (Pid == 0) {
+    int Null = ::open("/dev/null", O_WRONLY);
+    if (Null >= 0)
+      ::dup2(Null, 1);
+    execTool(Args);
+  }
+  int Status = 0;
+  if (::waitpid(Pid, &Status, 0) != Pid)
+    return -1;
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
 /// Runs one `ppd serve` child; kills it on destruction if still alive.
@@ -56,17 +90,24 @@ struct ServerProcess {
   int StdoutFd = -1; ///< read end of the child's stdout (TCP mode).
   uint16_t TcpPort = 0;
 
-  bool start(bool WithTcp = false) {
-    std::string Base = "/tmp/ppd-e2e-" + std::to_string(::getpid()) + "-" +
-                       std::to_string(::rand());
+  /// Serves \p Source (written to a temp file) with \p Extra appended to
+  /// the command line.
+  bool start(bool WithTcp = false, const char *Source = E2eSource,
+             const std::vector<std::string> &Extra = {}) {
+    std::string Base = tempBase();
     SocketPath = Base + ".sock";
     ProgramPath = Base + ".ppl";
-    {
-      std::ofstream Out(ProgramPath);
-      if (!Out)
-        return false;
-      Out << E2eSource;
+    if (!writeFile(ProgramPath, Source))
+      return false;
+    // Inline request execution: frames on one connection are answered
+    // strictly in order, which the pipelining assertions rely on.
+    std::vector<std::string> Args = {"serve", ProgramPath, "--socket",
+                                     SocketPath, "--server-threads", "0"};
+    if (WithTcp) {
+      Args.push_back("--tcp");
+      Args.push_back("127.0.0.1:0");
     }
+    Args.insert(Args.end(), Extra.begin(), Extra.end());
     int Pipe[2] = {-1, -1};
     if (WithTcp && ::pipe(Pipe) != 0)
       return false;
@@ -79,17 +120,7 @@ struct ServerProcess {
         ::close(Pipe[0]);
         ::close(Pipe[1]);
       }
-      // Inline request execution: frames on one connection are answered
-      // strictly in order, which the pipelining assertions rely on.
-      if (WithTcp)
-        ::execl(PPD_TOOL_PATH, "ppd", "serve", ProgramPath.c_str(),
-                "--socket", SocketPath.c_str(), "--tcp", "127.0.0.1:0",
-                "--server-threads", "0", (char *)nullptr);
-      else
-        ::execl(PPD_TOOL_PATH, "ppd", "serve", ProgramPath.c_str(),
-                "--socket", SocketPath.c_str(), "--server-threads", "0",
-                "--transport", transportUnderTest(), (char *)nullptr);
-      _exit(127);
+      execTool(Args);
     }
     if (WithTcp) {
       ::close(Pipe[1]);
@@ -170,6 +201,37 @@ std::vector<uint8_t> payloadOf(const Request &Req) {
   LogWriter W;
   encodeRequest(Req, W);
   return std::vector<uint8_t>(W.data() + 4, W.data() + W.size());
+}
+
+/// Opens a session on program 0 and runs \p Commands in it. Returns the
+/// answers, or an empty vector after a transport failure or a
+/// non-Result response.
+std::vector<std::string>
+querySession(ClientConnection &Conn, const std::vector<std::string> &Commands) {
+  Request Req;
+  Response Resp;
+  Req.Type = MsgType::OpenSession;
+  if (!Conn.roundTrip(Req, Resp) || Resp.Type != RespType::SessionOpened)
+    return {};
+  uint64_t Session = Resp.SessionId;
+  std::vector<std::string> Answers;
+  for (const std::string &Cmd : Commands) {
+    Req = Request();
+    Req.Type = MsgType::Query;
+    Req.SessionId = Session;
+    Req.Command = Cmd;
+    if (!Conn.roundTrip(Req, Resp) || Resp.Type != RespType::Result)
+      return {};
+    Answers.push_back(Resp.Text);
+  }
+  return Answers;
+}
+
+bool requestShutdown(ClientConnection &Conn) {
+  Request Shut;
+  Shut.Type = MsgType::Shutdown;
+  Response Ack;
+  return Conn.roundTrip(Shut, Ack) && Ack.Type == RespType::ShutdownAck;
 }
 
 TEST(ServerE2eTest, ScriptedSessionPipelinedDrainAndCleanExit) {
@@ -337,6 +399,79 @@ TEST(ServerE2eTest, TcpListenerServesAndDrainsCleanly) {
   EXPECT_EQ(int(Resp.Type), int(RespType::ShutdownAck));
   Conn.disconnect();
   EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
+}
+
+// Four workers with a logged call per loop iteration: the last worker's
+// log section sits far past the end of any log the small program writes.
+const char *BigSource = R"(
+shared int acc;
+sem m = 1;
+chan done;
+func step(int x) { return x * 3 + 1; }
+func worker(int base) {
+  int i = 0;
+  int local = 0;
+  for (i = 0; i < 1000; i = i + 1) local = local + step(base + i);
+  P(m);
+  acc = acc + local;
+  V(m);
+  send(done, local);
+}
+func main() {
+  spawn worker(1);
+  spawn worker(2);
+  spawn worker(3);
+  spawn worker(4);
+  int s = 0;
+  int k = 0;
+  for (k = 0; k < 4; k = k + 1) s = s + recv(done);
+  print(s + acc);
+}
+)";
+
+TEST(ServerE2eTest, ResavingAServedLogKeepsAnswersAndExitsCleanly) {
+  // `ppd run --save-log` over the log a paged server has open must not
+  // pull the file out from under the server's mapping: the save replaces
+  // the file by rename, and the server keeps answering from the log it
+  // opened.
+  std::string Base = tempBase();
+  std::string BigPath = Base + "-big.ppl";
+  std::string SmallPath = Base + "-small.ppl";
+  std::string LogPath = Base + ".log";
+  ASSERT_TRUE(writeFile(BigPath, BigSource));
+  ASSERT_TRUE(writeFile(SmallPath, E2eSource));
+  ASSERT_EQ(runTool({"run", BigPath, "--save-log", LogPath}), 0);
+
+  const std::vector<std::string> Script = {"where 4", "back", "where 1",
+                                           "races"};
+  std::vector<std::string> Before;
+  {
+    ServerProcess Server;
+    ASSERT_TRUE(Server.start(false, BigSource, {"--log", LogPath}));
+    ClientConnection Conn;
+    ASSERT_TRUE(Server.connectWithRetry(Conn));
+    Before = querySession(Conn, Script);
+    ASSERT_EQ(Before.size(), Script.size());
+    ASSERT_TRUE(requestShutdown(Conn));
+    Conn.disconnect();
+    EXPECT_EQ(Server.waitExit(), 0);
+  }
+
+  ServerProcess Server;
+  ASSERT_TRUE(Server.start(false, BigSource, {"--log", LogPath}));
+  ClientConnection Conn;
+  ASSERT_TRUE(Server.connectWithRetry(Conn));
+  // A shorter log saved over the served one.
+  ASSERT_EQ(runTool({"run", SmallPath, "--save-log", LogPath}), 0);
+
+  EXPECT_EQ(querySession(Conn, Script), Before);
+  EXPECT_TRUE(requestShutdown(Conn));
+  Conn.disconnect();
+  EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
+
+  for (const std::string &Path :
+       {BigPath, SmallPath, LogPath, LogPath + ".ppdb"})
+    ::unlink(Path.c_str());
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 //===- tests/transport_test.cpp - epoll transport + TCP + lifetimes -------===//
 //
 // Part of PPD test suite: the readiness-based server transport
-// (DESIGN.md §14). The epoll dispatcher is checked against the legacy
-// threaded transport as a byte-level differential oracle, TCP against
-// the unix listener the same way, and the connection-lifetime fixes are
-// pinned down directly: fd counts flat across connect/disconnect churn
-// (both transports), idle-timeout reaping, slow-reader disconnection at
+// (DESIGN.md §14). The epoll dispatcher's responses are checked byte for
+// byte against the in-process DebugServer::handleFrame, TCP against the
+// unix listener the same way, and the connection-lifetime fixes are
+// pinned down directly: fd counts flat across connect/disconnect churn,
+// idle-timeout reaping, slow-reader disconnection at
 // the write-queue bound (typed metric, bounded memory), malformed and
 // truncated frames over TCP, stream ingest over TCP, client desync
 // disconnects, and listenUnix refusing a live server's socket while
@@ -84,8 +84,8 @@ size_t openFdCount() {
   return N - 1; // the opendir fd
 }
 
-/// Polls until the fd count drops back to \p Baseline (reaping can be
-/// asynchronous on both transports). False on timeout.
+/// Polls until the fd count drops back to \p Baseline (reaping is
+/// asynchronous). False on timeout.
 bool awaitFdBaseline(size_t Baseline, int TimeoutMs = 5000) {
   for (int Waited = 0; Waited < TimeoutMs; Waited += 10) {
     if (openFdCount() <= Baseline)
@@ -101,6 +101,12 @@ std::vector<uint8_t> payloadOf(const Request &Req) {
   return std::vector<uint8_t>(W.data() + 4, W.data() + W.size());
 }
 
+/// Adds the compiled-and-run workload as program 0 of \p Server.
+void addWorkload(DebugServer &Server) {
+  Ran R = runProgram(WorkloadSource);
+  Server.addProgram(std::move(R.Prog), std::move(R.Log));
+}
+
 /// An in-process server on the epoll transport, listening on a unix
 /// socket and/or TCP, with the dispatcher loop on a background thread.
 struct EpollServer {
@@ -112,10 +118,7 @@ struct EpollServer {
 
   explicit EpollServer(DebugServerOptions SOpts = {}) : Server(SOpts) {}
 
-  void addWorkload() {
-    Ran R = runProgram(WorkloadSource);
-    Server.addProgram(std::move(R.Prog), std::move(R.Log));
-  }
+  void addWorkload() { ::addWorkload(Server); }
 
   void start(bool WithUnix, bool WithTcp, EpollServerOptions TOpts = {}) {
     if (WithUnix) {
@@ -151,47 +154,6 @@ struct EpollServer {
   }
 
   ~EpollServer() {
-    shutdown();
-    if (!UnixPath.empty())
-      ::unlink(UnixPath.c_str());
-  }
-};
-
-/// The legacy threaded transport, same shape: in-process DebugServer
-/// plus runUnixServer on a background thread.
-struct ThreadedServer {
-  DebugServer Server;
-  std::string UnixPath;
-  std::thread Loop;
-  int ExitCode = -1;
-
-  void addWorkload() {
-    Ran R = runProgram(WorkloadSource);
-    Server.addProgram(std::move(R.Prog), std::move(R.Log));
-  }
-
-  void start() {
-    UnixPath = tempName("thr") + ".sock";
-    int Fd = listenUnix(UnixPath);
-    ASSERT_GE(Fd, 0);
-    Loop = std::thread(
-        [this, Fd] { ExitCode = runUnixServer(Server, Fd, UnixPath); });
-  }
-
-  void shutdown() {
-    if (!Loop.joinable())
-      return;
-    ClientConnection Conn;
-    if (Conn.connect(UnixPath)) {
-      Request Shut;
-      Shut.Type = MsgType::Shutdown;
-      Response Ack;
-      Conn.roundTrip(Shut, Ack);
-    }
-    Loop.join();
-  }
-
-  ~ThreadedServer() {
     shutdown();
     if (!UnixPath.empty())
       ::unlink(UnixPath.c_str());
@@ -271,6 +233,21 @@ std::vector<std::vector<uint8_t>> replayScript(const std::string &Address) {
   return Out;
 }
 
+/// The same script through \p Server's synchronous handleFrame, with no
+/// socket in between: the reference every transport must match.
+std::vector<std::vector<uint8_t>> replayInProcess(DebugServer &Server) {
+  std::vector<std::vector<uint8_t>> Out;
+  uint64_t NextId = 1;
+  for (Request Req : differentialScript()) {
+    Req.RequestId = NextId++;
+    std::vector<uint8_t> P = payloadOf(Req);
+    std::vector<uint8_t> Frame = Server.handleFrame(P.data(), P.size());
+    EXPECT_GE(Frame.size(), size_t(4));
+    Out.emplace_back(Frame.begin() + 4, Frame.end()); // strip the prefix
+  }
+  return Out;
+}
+
 /// Byte-compares two response sequences; Stats responses (index \p
 /// StatsAt) compare by decoded type only, their text embeds timings.
 void expectSameResponses(const std::vector<std::vector<uint8_t>> &A,
@@ -292,29 +269,25 @@ void expectSameResponses(const std::vector<std::vector<uint8_t>> &A,
 }
 
 //===----------------------------------------------------------------------===//
-// Differentials: epoll vs threaded, TCP vs unix
+// Differentials: epoll vs in-process handleFrame, TCP vs unix
 //===----------------------------------------------------------------------===//
 
-TEST(TransportDiffTest, EpollResponsesByteIdenticalToThreaded) {
+TEST(TransportDiffTest, EpollResponsesByteIdenticalToHandleFrame) {
   // Two servers over two deterministic compiles+runs of the same source:
   // their programs and logs are identical, so every non-Stats response
-  // must match byte for byte across transports.
+  // the epoll transport sends must match, byte for byte, what the
+  // in-process handleFrame returns for the same request.
   EpollServer Epoll;
   Epoll.addWorkload();
   Epoll.start(/*WithUnix=*/true, /*WithTcp=*/false);
-  ThreadedServer Threaded;
-  Threaded.addWorkload();
-  Threaded.start();
+  DebugServer InProcess;
+  addWorkload(InProcess);
 
-  std::vector<std::vector<uint8_t>> FromEpoll = replayScript(Epoll.UnixPath);
-  std::vector<std::vector<uint8_t>> FromThreaded =
-      replayScript(Threaded.UnixPath);
-  expectSameResponses(FromEpoll, FromThreaded);
+  expectSameResponses(replayScript(Epoll.UnixPath),
+                      replayInProcess(InProcess));
 
   Epoll.shutdown();
-  Threaded.shutdown();
   EXPECT_EQ(Epoll.ExitCode, 0);
-  EXPECT_EQ(Threaded.ExitCode, 0);
 }
 
 TEST(TransportDiffTest, TcpResponsesByteIdenticalToUnix) {
@@ -380,8 +353,8 @@ TEST(TransportRobustnessTest, GarbageFrameOverTcpGetsBadFrameThenClose) {
   EXPECT_EQ(int(R.Code), int(ErrCode::BadFrame));
   EXPECT_GE(S.Server.metrics().malformedFrames(), 1u);
   // The framing itself was valid, so the connection stays synced — the
-  // same connection serves a well-formed request next (matching the
-  // threaded transport; only unsyncable framing closes, see below).
+  // same connection serves a well-formed request next (only unsyncable
+  // framing closes, see below).
   Request Open;
   Open.Type = MsgType::OpenSession;
   Open.RequestId = 2;
@@ -497,40 +470,6 @@ TEST(ConnLifetimeTest, FdCountFlatAcrossChurnEpoll) {
       << Baseline << " after " << Cycles << " connect/disconnect cycles";
   EXPECT_GE(S.Server.metrics().connsAccepted(), uint64_t(Cycles));
   EXPECT_GE(S.Server.metrics().connsClosed(), uint64_t(Cycles));
-}
-
-TEST(ConnLifetimeTest, FdCountFlatAcrossChurnThreaded) {
-  // The regression the tentpole fixed: the old accept loop parked every
-  // Connection until shutdown, leaking one fd and one thread per
-  // disconnected client.
-  ThreadedServer S;
-  S.addWorkload();
-  S.start();
-
-  {
-    ClientConnection Warm;
-    ASSERT_TRUE(Warm.connect(S.UnixPath));
-    Request Open;
-    Open.Type = MsgType::OpenSession;
-    Response Resp;
-    ASSERT_TRUE(Warm.roundTrip(Open, Resp));
-  }
-  ASSERT_TRUE(awaitFdBaseline(openFdCount()));
-  size_t Baseline = openFdCount();
-
-  constexpr int Cycles = 200;
-  for (int I = 0; I != Cycles; ++I) {
-    ClientConnection Conn;
-    ASSERT_TRUE(Conn.connect(S.UnixPath)) << "cycle " << I;
-    Request Stats;
-    Stats.Type = MsgType::Stats;
-    Response Resp;
-    ASSERT_TRUE(Conn.roundTrip(Stats, Resp));
-  }
-
-  EXPECT_TRUE(awaitFdBaseline(Baseline))
-      << "fd count " << openFdCount() << " never returned to baseline "
-      << Baseline << " after " << Cycles << " connect/disconnect cycles";
 }
 
 TEST(ConnLifetimeTest, IdleConnectionsAreReaped) {
