@@ -11,7 +11,7 @@
 //   * `coldopen_whole`       — the pre-paging path: decode every record
 //     of every process into memory, build the interval index from the
 //     decoded records, then answer one query.
-//   * `coldopen_pooled`      — PageStore::open (mmap + header walk),
+//   * `coldopen_pooled`      — PageStore::open (pread header walk),
 //     skim-build the index from encoded bytes, then answer the query by
 //     faulting in only the one section it touches.
 //   * `coldopen_pooled_ppdb` — the same, but a warm `.ppdb` sidecar

@@ -114,6 +114,13 @@ public:
     return Funcs[Index];
   }
 
+  /// True when a process header read back from bytes — a log section or
+  /// a streamed cut — names one of this program's functions as its root
+  /// and passes it as many arguments as it takes.
+  bool isRootCall(uint32_t Func, size_t NumArgs) const {
+    return Func < Funcs.size() && NumArgs == Funcs[Func].NumParams;
+  }
+
   const EBlockInfo &eblock(uint32_t Id) const {
     assert(Id < EBlocks.size() && "e-block id out of range");
     return EBlocks[Id];

@@ -68,6 +68,17 @@ PpdController::PpdController(const CompiledProgram &Prog, PagedLog PagedIn,
       Service(Prog, this->Log, Index, withPaged(Options.Service, Paged)),
       Builder(Prog, Graph), ParGraph(std::move(Options.AdoptedGraph)) {
   assert(Paged && "paged controller needs both a store and a pool");
+  for (uint32_t Pid = 0; Pid != Paged.Store->numProcs(); ++Pid) {
+    const PageStore::SectionMeta &M = Paged.Store->section(Pid);
+    if (!Prog.isRootCall(M.RootFunc, M.Args.size()))
+      Paged.Store->markCorrupt("section " + std::to_string(Pid) +
+                               " has no root call of this program");
+  }
+}
+
+std::string PpdController::logFailure() const {
+  return Paged && Paged.Store->failed() ? Paged.Store->failure()
+                                        : std::string();
 }
 
 void PpdController::syncServiceStats() {
@@ -330,6 +341,14 @@ uint32_t PpdController::recordEnd(uint32_t Pid) const {
   return uint32_t(Log.Procs[Pid].Records.size());
 }
 
+bool PpdController::stmtsInRange(const ParallelDynamicGraph &PG) const {
+  for (uint32_t Pid = 0; Pid != PG.numProcs(); ++Pid)
+    for (const SyncNode &N : PG.nodes(Pid))
+      if (N.Stmt != InvalidId && N.Stmt >= Prog.Ast->numStmts())
+        return false;
+  return true;
+}
+
 const ParallelDynamicGraph &PpdController::parallelGraph() {
   if (ParGraph)
     return *ParGraph;
@@ -338,14 +357,24 @@ const ParallelDynamicGraph &PpdController::parallelGraph() {
     // the largest single section (plus whatever else the pool caches),
     // never the whole log. The result is identical to the whole-log
     // constructor's.
+    const uint32_t NumProcs = Paged.Store->numProcs();
     auto PG = std::make_unique<ParallelDynamicGraph>(
-        Prog.Symbols->NumSharedVars, uint32_t(Paged.Store->numProcs()));
-    for (uint32_t Pid = 0; Pid != Paged.Store->numProcs(); ++Pid) {
+        Prog.Symbols->NumSharedVars, NumProcs);
+    bool Ok = true;
+    for (uint32_t Pid = 0; Ok && Pid != NumProcs; ++Pid) {
       BufferPool::Pin Pin = Paged.Pool->pin(*Paged.Store, Pid);
-      if (Pin)
+      if ((Ok = bool(Pin)))
         PG->addProcess(Pid, Pin.log());
     }
-    PG->finalize();
+    if (Ok && !(Ok = PG->finalize() && stmtsInRange(*PG)))
+      Paged.Store->markCorrupt("sync records are inconsistent");
+    if (!Ok) {
+      // logFailure() now replaces every answer; an empty graph keeps the
+      // session's internals well defined until the caller reports it.
+      PG = std::make_unique<ParallelDynamicGraph>(
+          Prog.Symbols->NumSharedVars, NumProcs);
+      (void)PG->finalize(); // nothing to check in an empty graph
+    }
     ParGraph = std::move(PG);
   } else {
     ParGraph = std::make_unique<ParallelDynamicGraph>(
@@ -484,6 +513,8 @@ RestoredState PpdController::restoreGlobals(uint32_t Pid,
   // the time postlog(i) is made." (Globals; unit logs refresh shared
   // values read from other processes.) In paged mode the walk pins the
   // process's section for its duration; the facade log has no records.
+  // A failed pin or a record naming a variable the program does not have
+  // leaves the store failed; the caller reports logFailure().
   BufferPool::Pin Pin;
   const RecordSeq *Records = &Log.Procs[Pid].Records;
   if (Paged) {
@@ -497,6 +528,13 @@ RestoredState PpdController::restoreGlobals(uint32_t Pid,
     if (R.Kind != LogRecordKind::Postlog && R.Kind != LogRecordKind::UnitLog)
       continue;
     for (const VarValue &V : R.Vars) {
+      if (!Prog.Symbols->fits(V.Var, V.Values.size())) {
+        if (Paged)
+          Paged.Store->markCorrupt("section " + std::to_string(Pid) +
+                                   ": a postlog's variables do not fit "
+                                   "the program");
+        return State;
+      }
       const VarInfo &Info = Prog.Symbols->var(V.Var);
       if (Info.Kind == VarKind::SharedGlobal)
         std::copy(V.Values.begin(), V.Values.end(),

@@ -113,6 +113,12 @@ public:
   /// Paged mode's store/pool pair; falsy for whole-load sessions.
   const PagedLog &paged() const { return Paged; }
   const LogIndex &logIndex() const { return Index; }
+
+  /// Why the paged log can no longer be trusted — it changed since open,
+  /// or a section is corrupt — or empty while it can (always, for a
+  /// whole-load session). Sticky: once set, every answer the controller
+  /// computed may be partial, and callers report this instead.
+  std::string logFailure() const;
   DynamicGraph &graph() { return Graph; }
   const DynamicGraph &graph() const { return Graph; }
   const ControllerStats &stats() const { return Stats; }
@@ -169,7 +175,9 @@ public:
   /// callee fragment's entry node.
   DynNodeId expandCall(DynNodeId SubGraphNode);
 
-  /// The parallel dynamic graph (§6.1), built on first use.
+  /// The parallel dynamic graph (§6.1), built on first use. If a section
+  /// cannot be read or its sync records are inconsistent, the graph is
+  /// empty and logFailure() says why.
   const ParallelDynamicGraph &parallelGraph();
 
   /// Race detection over the parallel dynamic graph (Defs 6.1–6.4). The
@@ -201,6 +209,8 @@ private:
   /// Comes from the section header in paged mode (the facade log has no
   /// records) and from the loaded records otherwise.
   uint32_t recordEnd(uint32_t Pid) const;
+  /// Every sync node's statement is one of the program's.
+  bool stmtsInRange(const ParallelDynamicGraph &PG) const;
 
   CrossReadResolution resolveCrossRead(uint32_t ReaderPid,
                                        const UnresolvedRead &Read);

@@ -176,6 +176,16 @@ std::string DebugSession::cmdStats() {
 }
 
 std::string DebugSession::execute(const std::string &Line) {
+  // Checked before the command runs and again after it: the command
+  // itself may be what finds the log changed or corrupt.
+  std::string Out;
+  if (Controller.logFailure().empty())
+    Out = dispatch(Line);
+  std::string Failure = Controller.logFailure();
+  return Failure.empty() ? Out : "error: " + Failure + "\n";
+}
+
+std::string DebugSession::dispatch(const std::string &Line) {
   std::stringstream Args(Line);
   std::string Cmd;
   Args >> Cmd;

@@ -43,13 +43,16 @@ public:
       : Prog(Prog), Controller(Controller) {}
 
   /// Executes one command line; returns the printable response (never
-  /// empty — unknown commands yield a hint).
+  /// empty — unknown commands yield a hint). Once the controller's paged
+  /// log has failed, every response is "error: <reason>" instead: the
+  /// answer may have been computed from partial data.
   std::string execute(const std::string &Line);
 
   /// The currently focused node, or InvalidId.
   DynNodeId current() const { return Current; }
 
 private:
+  std::string dispatch(const std::string &Line);
   std::string showNode(DynNodeId Id);
   std::string cmdWhere(std::istream &Args);
   std::string cmdNode(std::istream &Args);

@@ -114,7 +114,27 @@ private:
     return nullptr;
   }
 
+  /// A record read back from disk may name a variable the program does
+  /// not have, or carry more values than it has slots. Then the log is
+  /// corrupt and the replay fails — what-if replays too — instead of
+  /// writing out of bounds.
+  bool varsFit(const LogRecord &R) {
+    for (const VarValue &V : R.Vars)
+      if (!Prog.Symbols->fits(V.Var, V.Values.size())) {
+        badRecord("log record's variables do not fit the program");
+        return false;
+      }
+    return true;
+  }
+  void badRecord(const char *Message) {
+    Result.Error = Message;
+    Result.BadRecord = true;
+    finish(false);
+  }
+
   void restoreVars(const LogRecord &R) {
+    if (!varsFit(R))
+      return;
     for (const VarValue &V : R.Vars)
       writeVarWhole(V.Var, V.Values);
   }
@@ -147,6 +167,8 @@ private:
   /// Applies the global (shared + per-process) values of a skipped
   /// interval's postlog.
   void applyPostlogGlobals(const LogRecord &R) {
+    if (!varsFit(R))
+      return;
     for (const VarValue &V : R.Vars) {
       const VarInfo &Info = Prog.Symbols->var(V.Var);
       if (!Info.isGlobal())
@@ -299,6 +321,8 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
         // A directly nested interval completed: its effects on globals
         // become visible to the caller.
         applyPostlogGlobals(R);
+        if (Done)
+          return;
         if (R.Flags & PostlogExitsFunction) {
           RetVal = R.Value;
           SawExit = true;
@@ -422,6 +446,8 @@ Replayer::StepOutcome Replayer::doPostlog(uint32_t EBlockId, uint32_t Flags) {
   // unit logs at every synchronization-unit entry (§5.5).
   if (!WhatIf) {
     if (const LogRecord *R = consume(LogRecordKind::Postlog)) {
+      if (!varsFit(*R))
+        return StepOutcome::Stop;
       for (const VarValue &V : R->Vars) {
         const VarInfo &Info = Prog.Symbols->var(V.Var);
         if (Info.isShared())
@@ -1279,6 +1305,11 @@ uint64_t Replayer::runJit(uint64_t &NativeEntries) {
 
 ReplayResult Replayer::run() {
   WhatIf = !Options.Overrides.empty();
+  if (Interval.EBlock >= Prog.EBlocks.size() ||
+      Interval.PrelogRecord >= Records.size()) {
+    badRecord("log interval does not match the program or its section");
+    return Result;
+  }
 
   const EBlockInfo &EBlock = Prog.eblock(Interval.EBlock);
   RootFunc = EBlock.Func;

@@ -91,6 +91,9 @@ struct ReplayResult {
   TraceBuffer Events;
   /// False only on internal divergence (a PPD bug or corrupted log).
   bool Ok = false;
+  /// The interval or one of its records names an e-block or variable the
+  /// program does not have: the log is corrupt. Ok is false.
+  bool BadRecord = false;
   /// The log ended inside the interval (execution stopped there).
   bool Partial = false;
   /// Replay re-hit the original failure; Failure names it. The last event

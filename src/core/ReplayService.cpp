@@ -142,17 +142,21 @@ ParallelReplayer::replayMiss(const ReplayKey &Key,
     // Paged mode: fault the section in and pin it for exactly the span of
     // the interval re-execution; the pin releases before the result is
     // published, so cached hits hold no pool memory.
-    BufferPool::Pin Pin =
-        Options.Paged.Pool->pin(*Options.Paged.Store, Key.Pid);
+    // A failed pin or a record the program cannot have leaves the store
+    // failed; the controller's caller reports its failure().
+    const PageStore &Store = *Options.Paged.Store;
+    BufferPool::Pin Pin = Options.Paged.Pool->pin(Store, Key.Pid);
     if (!Pin) {
       ReplayResult Failed;
-      Failed.Ok = false;
-      Failed.Error = "section decode failed (corrupt log bytes)";
+      Failed.Error = Store.failure();
       Result = std::make_shared<const ReplayResult>(std::move(Failed));
     } else {
       Result = std::make_shared<const ReplayResult>(
           Engine.replay(Pin.log(), Key.Pid,
                         Index.intervals(Key.Pid)[Key.Interval], ROpts));
+      if (Result->BadRecord)
+        Store.markCorrupt("section " + std::to_string(Key.Pid) + ": " +
+                          Result->Error);
     }
   } else {
     Result = std::make_shared<const ReplayResult>(Engine.replay(

@@ -51,7 +51,12 @@ struct BufferPool::Shard {
   LruList Lru; ///< front = hottest.
   std::unordered_map<uint64_t, LruList::iterator> Map;
   std::unordered_set<uint64_t> Loading; ///< single-flight decode keys.
-  size_t Bytes = 0;
+  /// Resident bytes. Written under M; read without it where a last pin
+  /// drops, so a shard within its share never takes the lock. The growth
+  /// in pin(), the pin-count reads in evictCold() and the last-pin
+  /// decrement and load in unpinned() are seq_cst: either the eviction
+  /// pass sees the pin gone, or the unpinning thread sees the growth.
+  std::atomic<size_t> Bytes{0};
 };
 
 BufferPool::BufferPool(size_t BudgetBytes, unsigned NumShards)
@@ -81,6 +86,8 @@ BufferPool::Shard &BufferPool::shardFor(uint64_t Key) {
 }
 
 BufferPool::Pin BufferPool::pin(const PageStore &Store, uint32_t Pid) {
+  if (Store.failed())
+    return Pin();
   uint64_t Key = keyOf(Store, Pid);
   Shard &S = shardFor(Key);
 
@@ -94,7 +101,7 @@ BufferPool::Pin BufferPool::pin(const PageStore &Store, uint32_t Pid) {
       std::shared_ptr<Frame> F = It->second->second;
       F->Pins.fetch_add(1, std::memory_order_acquire);
       Hits.fetch_add(1, std::memory_order_relaxed);
-      return Pin(std::move(F));
+      return Pin(std::move(F), this);
     }
     if (!S.Loading.contains(Key))
       break;
@@ -115,9 +122,10 @@ BufferPool::Pin BufferPool::pin(const PageStore &Store, uint32_t Pid) {
   S.DecodeDone.notify_all();
   Misses.fetch_add(1, std::memory_order_relaxed);
   if (!Ok)
-    return Pin(); // corrupt section; never admitted, so retried next pin.
+    return Pin(); // never admitted; the store now reports failure().
 
   F->Pins.store(1, std::memory_order_relaxed);
+  F->Home = &S;
   S.Lru.emplace_front(Key, F);
   S.Map[Key] = S.Lru.begin();
   S.Bytes += F->Bytes;
@@ -128,26 +136,35 @@ BufferPool::Pin BufferPool::pin(const PageStore &Store, uint32_t Pid) {
   while (Now > P && !Peak.compare_exchange_weak(P, Now))
     ;
   evictCold(S);
-  return Pin(std::move(F));
+  return Pin(std::move(F), this);
 }
 
 /// Drops unpinned frames from the cold end until the shard is within its
-/// slice of the budget (or only pinned/single frames remain). Caller
-/// holds the shard lock. Pinned frames are skipped, which is exactly the
-/// "budget + O(pinned)" residency bound: the overshoot is at most what
-/// replay currently holds pinned.
+/// share of the budget, or only pinned frames remain. Caller holds the
+/// shard lock. Pinned frames are skipped, so residency is at most budget
+/// plus pinned bytes; unpinned() reruns the pass as pins drop, so with
+/// no pins it is at most the budget.
 void BufferPool::evictCold(Shard &S) {
+  size_t Bytes = S.Bytes.load(std::memory_order_relaxed);
   auto It = S.Lru.end();
-  while (S.Bytes > ShardBudget && S.Lru.size() > 1 && It != S.Lru.begin()) {
+  while (Bytes > ShardBudget && It != S.Lru.begin()) {
     --It;
-    if (It->second->Pins.load(std::memory_order_acquire) > 0)
+    if (It->second->Pins.load() > 0)
       continue;
-    S.Bytes -= It->second->Bytes;
+    Bytes -= It->second->Bytes;
     Resident.fetch_sub(It->second->Bytes, std::memory_order_relaxed);
     Evictions.fetch_add(1, std::memory_order_relaxed);
     S.Map.erase(It->first);
     It = S.Lru.erase(It);
   }
+  S.Bytes.store(Bytes, std::memory_order_relaxed);
+}
+
+void BufferPool::unpinned(Shard &S) {
+  if (S.Bytes.load() <= ShardBudget)
+    return;
+  std::lock_guard<std::mutex> Lock(S.M);
+  evictCold(S);
 }
 
 void BufferPool::dropStore(const PageStore &Store) {
@@ -161,7 +178,7 @@ void BufferPool::dropStore(const PageStore &Store) {
         ++It;
         continue;
       }
-      S.Bytes -= It->second->Bytes;
+      S.Bytes.fetch_sub(It->second->Bytes, std::memory_order_relaxed);
       Resident.fetch_sub(It->second->Bytes, std::memory_order_relaxed);
       S.Map.erase(It->first);
       It = S.Lru.erase(It);
@@ -180,7 +197,7 @@ BufferPoolStats BufferPool::stats() const {
   for (const auto &ShardPtr : Shards) {
     Shard &S = *ShardPtr;
     std::lock_guard<std::mutex> Lock(S.M);
-    Out.BytesResident += S.Bytes;
+    Out.BytesResident += S.Bytes.load(std::memory_order_relaxed);
     Out.Entries += S.Lru.size();
     for (const auto &[Key, F] : S.Lru)
       if (F->Pins.load(std::memory_order_relaxed) > 0)

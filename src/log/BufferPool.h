@@ -9,7 +9,8 @@
 /// memory half of the paged log tier (DESIGN.md §12). One pool is shared
 /// by every session of a server (and by the single session of `ppd
 /// debug`), so resident decoded-log memory is bounded by the budget plus
-/// whatever is pinned, no matter how many programs are hosted.
+/// whatever is pinned, no matter how many programs are hosted — and by
+/// the budget alone once every pin has dropped.
 ///
 /// The design follows the classic database buffer-pool split (InnoDB's
 /// handler/buffer-pool seam is the idiom reference): the PageStore knows
@@ -51,10 +52,13 @@ struct BufferPoolStats {
 };
 
 class BufferPool {
+  struct Shard;
+
 public:
   /// \p BudgetBytes bounds resident decoded sections (pinned frames can
   /// exceed it — correctness needs the pinned section regardless of
-  /// budget). Shard count is rounded to a power of two.
+  /// budget). Each shard keeps to an equal share of it. Shard count is
+  /// rounded to a power of two.
   explicit BufferPool(size_t BudgetBytes, unsigned NumShards = 8);
   ~BufferPool();
 
@@ -68,18 +72,25 @@ public:
     ProcessLog Log;
     size_t Bytes = 0; ///< in-memory footprint (records + spilled vectors).
     std::atomic<uint32_t> Pins{0};
+    Shard *Home = nullptr; ///< the shard whose LRU holds this frame.
   };
 
   /// RAII pin on one decoded section. While alive, the frame cannot be
-  /// evicted and log() is stable. A default/failed Pin is falsy.
+  /// evicted and log() is stable. A default/failed Pin is falsy. A Pin
+  /// must not outlive its pool: releasing the last pin on a frame may run
+  /// the frame's shard's eviction pass.
   class Pin {
   public:
     Pin() = default;
-    Pin(Pin &&Other) noexcept : F(std::move(Other.F)) { Other.F = nullptr; }
+    Pin(Pin &&Other) noexcept
+        : F(std::move(Other.F)), Pool(Other.Pool) {
+      Other.F = nullptr;
+    }
     Pin &operator=(Pin &&Other) noexcept {
       if (this != &Other) {
         release();
         F = std::move(Other.F);
+        Pool = Other.Pool;
         Other.F = nullptr;
       }
       return *this;
@@ -93,20 +104,24 @@ public:
 
   private:
     friend class BufferPool;
-    explicit Pin(std::shared_ptr<Frame> F) : F(std::move(F)) {}
+    Pin(std::shared_ptr<Frame> F, BufferPool *Pool)
+        : F(std::move(F)), Pool(Pool) {}
     void release() {
       if (F) {
-        F->Pins.fetch_sub(1, std::memory_order_release);
+        if (F->Pins.fetch_sub(1) == 1)
+          Pool->unpinned(*F->Home);
         F = nullptr;
       }
     }
     std::shared_ptr<Frame> F;
+    BufferPool *Pool = nullptr;
   };
 
   /// Faults in process \p Pid of \p Store: resident → LRU-front + pin
   /// (hit); absent → decode, admit, pin (miss), evicting cold unpinned
-  /// frames if over budget. Returns a falsy Pin iff the section fails to
-  /// decode (corrupt bytes under an already-validated header).
+  /// frames if over budget. Returns a falsy Pin once \p Store has failed
+  /// — this section or an earlier read could not be decoded, or the file
+  /// changed since open (PageStore::failure() says which).
   Pin pin(const PageStore &Store, uint32_t Pid);
 
   /// Drops every unpinned frame belonging to \p Store (session teardown
@@ -117,11 +132,11 @@ public:
   size_t budget() const { return Budget; }
 
 private:
-  struct Shard;
-
   uint64_t keyOf(const PageStore &Store, uint32_t Pid) const;
   Shard &shardFor(uint64_t Key);
   void evictCold(Shard &S);
+  /// A frame of \p S lost its last pin: evict if \p S is over its share.
+  void unpinned(Shard &S);
 
   size_t Budget;
   size_t ShardBudget;

@@ -267,7 +267,8 @@ bool ppd::v2::readRecord(ByteReader &R, LogRecord &Out, uint64_t &PrevSeq) {
   return R.ok();
 }
 
-bool ppd::v2::readSectionHeader(ByteReader &R, SectionHeader &Out) {
+bool ppd::v2::readSectionHeader(ByteReader &R, SectionHeader &Out,
+                                uint64_t Extent) {
   Out.Pid = uint32_t(R.varint());
   Out.RootFunc = uint32_t(R.varint());
   uint64_t NumArgs = R.varint();
@@ -276,18 +277,18 @@ bool ppd::v2::readSectionHeader(ByteReader &R, SectionHeader &Out) {
   Out.Args.resize(NumArgs);
   for (int64_t &A : Out.Args)
     A = R.svarint();
+  // Every record costs at least one byte of the section.
+  auto Plausible = [&](uint64_t N) {
+    return N <= Extent && N <= (uint64_t(1) << 28);
+  };
   Out.NumRecords = R.varint();
-  if (!R.plausibleCount(Out.NumRecords))
-    return false;
   Out.PrelogCount = R.varint();
-  if (!R.plausibleCount(Out.PrelogCount))
-    return false;
-  return R.ok();
+  return R.ok() && Plausible(Out.NumRecords) && Plausible(Out.PrelogCount);
 }
 
 bool ppd::v2::decodeSection(ByteReader R, ProcessLog &P) {
   SectionHeader Header;
-  if (!readSectionHeader(R, Header))
+  if (!readSectionHeader(R, Header, R.remaining()))
     return false;
   P.Pid = Header.Pid;
   P.RootFunc = Header.RootFunc;
@@ -309,7 +310,7 @@ bool ppd::v2::decodeSection(ByteReader R, ProcessLog &P) {
 bool ppd::v2::skimSection(ByteReader R, std::vector<LogInterval> &Intervals,
                           std::vector<uint32_t> &Open) {
   SectionHeader Header;
-  if (!readSectionHeader(R, Header))
+  if (!readSectionHeader(R, Header, R.remaining()))
     return false;
   Intervals.reserve(Header.PrelogCount);
   std::vector<uint32_t> Stack; // interval indices

@@ -56,7 +56,10 @@ struct SectionHeader {
 };
 
 /// Reads a section header, leaving \p R positioned at the first record.
-bool readSectionHeader(ByteReader &R, SectionHeader &Out);
+/// Record and prelog counts are checked against \p Extent, the section's
+/// whole byte length: \p R may cover only the section's first bytes (a
+/// store's open-time header read).
+bool readSectionHeader(ByteReader &R, SectionHeader &Out, uint64_t Extent);
 
 /// Decodes one whole v2 process section into \p P. Thread-safe: touches
 /// only its own section's bytes and its own ProcessLog. Validates the

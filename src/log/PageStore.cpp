@@ -1,4 +1,4 @@
-//===- log/PageStore.cpp - mmap-backed paged view of a v2 log -------------===//
+//===- log/PageStore.cpp - pread-backed paged view of a v2 log ------------===//
 //
 // Part of PPD, a reproduction of Miller & Choi (PLDI 1988).
 //
@@ -9,23 +9,23 @@
 #include "log/LogFormatV2.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
-#include <cassert>
-#include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
+#include <algorithm>
+#include <cerrno>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
+#include <thread>
 #include <unistd.h>
-#define PPD_HAVE_MMAP 1
-#endif
 
 using namespace ppd;
 
 namespace {
 
 std::atomic<uint64_t> NextStoreId{1};
+
+/// One open-time header read: a section's length prefix plus its header
+/// fits unless the root call has very many arguments, in which case the
+/// read grows to the section's whole extent.
+constexpr size_t HeaderWindow = 256;
 
 /// Same shape as the loader's helper: fan Fn across the pool when one is
 /// available, degrade to a serial loop otherwise.
@@ -47,18 +47,15 @@ void parallelFor(ThreadPool *Pool, size_t N, const FnT &Fn) {
       std::this_thread::yield();
 }
 
-void setError(std::string *Error, std::string Why) {
-  if (Error)
-    *Error = std::move(Why);
+int64_t mtimeNs(const struct stat &St) {
+  return int64_t(St.st_mtim.tv_sec) * 1000000000 + St.st_mtim.tv_nsec;
 }
 
 } // namespace
 
 PageStore::~PageStore() {
-#ifdef PPD_HAVE_MMAP
-  if (MapBase)
-    ::munmap(MapBase, FileBytes);
-#endif
+  if (Fd >= 0)
+    ::close(Fd);
 }
 
 std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
@@ -68,105 +65,153 @@ std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
   struct Openable : PageStore {};
   auto Store = std::make_shared<Openable>();
   Store->Path = Path;
-
-  // Map the file; fall back to a heap read where mmap is unavailable
-  // (or fails — e.g. a pseudo file system). Either way Data/FileBytes
-  // describe the same bytes.
-#ifdef PPD_HAVE_MMAP
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    setError(Error, "cannot open '" + Path + "'");
+  auto Fail = [&](std::string Why) -> std::shared_ptr<const PageStore> {
+    if (Error)
+      *Error = std::move(Why);
     return nullptr;
-  }
+  };
+
+  Store->Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Store->Fd < 0)
+    return Fail("cannot open '" + Path + "'");
   struct stat St;
-  if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
-    ::close(Fd);
-    setError(Error, "cannot stat '" + Path + "'");
-    return nullptr;
-  }
+  if (::fstat(Store->Fd, &St) != 0 || St.st_size < 0)
+    return Fail("cannot stat '" + Path + "'");
   Store->FileBytes = size_t(St.st_size);
-  if (Store->FileBytes != 0) {
-    void *Map = ::mmap(nullptr, Store->FileBytes, PROT_READ, MAP_PRIVATE, Fd,
-                       0);
-    if (Map != MAP_FAILED) {
-      Store->MapBase = Map;
-      Store->Data = static_cast<const uint8_t *>(Map);
-    }
-  }
-  ::close(Fd);
-#endif
-  if (!Store->Data) {
-    if (!readFileBytes(Path, Store->Fallback)) {
-      setError(Error, "cannot read '" + Path + "'");
-      return nullptr;
-    }
-    Store->Data = Store->Fallback.data();
-    Store->FileBytes = Store->Fallback.size();
-  }
+  Store->MtimeNs = mtimeNs(St);
+  const size_t FileBytes = Store->FileBytes;
 
-  // Walk the header structure: magic/version, section extents, section
-  // headers, output trailer. Record bodies are not decoded — open() cost
-  // is proportional to process count, not log size.
-  ByteReader R(Store->Data, Store->FileBytes);
-  if (R.u32() != v2::FileMagic || !R.ok()) {
-    setError(Error, "'" + Path + "' is not a PPD log (bad magic)");
-    return nullptr;
-  }
+  // Walk the header structure with bounded reads: magic/version and the
+  // process count, each section's length prefix and header, the output
+  // trailer. Record bodies are not read — open() cost is proportional to
+  // process count, not log size.
+  std::vector<uint8_t> Buf;
+  if (!Store->readAt(0, std::min(FileBytes, HeaderWindow), Buf))
+    return Fail(Store->failure());
+  ByteReader R(Buf.data(), Buf.size());
+  if (R.u32() != v2::FileMagic || !R.ok())
+    return Fail("'" + Path + "' is not a PPD log (bad magic)");
   uint32_t Version = R.u32();
-  if (Version != uint32_t(LogFormat::V2)) {
-    setError(Error, "'" + Path + "' has unknown format version " +
-                        std::to_string(Version));
-    return nullptr;
-  }
-
+  if (Version != uint32_t(LogFormat::V2))
+    return Fail("'" + Path + "' has unknown format version " +
+                std::to_string(Version));
   uint64_t NumProcs = R.varint();
-  if (!R.plausibleCount(NumProcs)) {
-    setError(Error, "'" + Path + "' is corrupt (bad process count)");
-    return nullptr;
-  }
-  Store->Sections.resize(NumProcs);
+  if (!R.ok() || NumProcs > FileBytes)
+    return Fail("'" + Path + "' is corrupt (bad process count)");
+
+  size_t Offset = Buf.size() - R.remaining();
   for (uint64_t I = 0; I != NumProcs; ++I) {
-    uint64_t Len = R.varint();
-    if (!R.ok() || Len > R.remaining()) {
-      setError(Error, "'" + Path + "' is corrupt (bad section extent)");
-      return nullptr;
-    }
-    SectionMeta &M = Store->Sections[I];
-    M.Offset = Store->FileBytes - R.remaining();
+    if (!Store->readAt(Offset, std::min(FileBytes - Offset, HeaderWindow),
+                       Buf))
+      return Fail(Store->failure());
+    ByteReader Window(Buf.data(), Buf.size());
+    uint64_t Len = Window.varint();
+    size_t Start = Offset + (Buf.size() - Window.remaining());
+    if (!Window.ok() || Len > FileBytes - Start)
+      return Fail("'" + Path + "' is corrupt (bad section extent)");
+    SectionMeta &M = Store->Sections.emplace_back();
+    M.Offset = Start;
     M.EncodedBytes = Len;
-    ByteReader Section = R.sub(size_t(Len));
+    bool Whole = Len <= Window.remaining();
+    ByteReader Head = Window.sub(size_t(Whole ? Len : Window.remaining()));
     v2::SectionHeader Header;
-    if (!v2::readSectionHeader(Section, Header)) {
-      setError(Error, "'" + Path + "' is corrupt (bad section header)");
-      return nullptr;
+    if (!v2::readSectionHeader(Head, Header, Len)) {
+      // Either corrupt, or a header longer than the window: then read
+      // the whole extent and parse again.
+      if (!Whole && !Store->readAt(Start, size_t(Len), Buf))
+        return Fail(Store->failure());
+      Head = ByteReader(Buf.data(), Buf.size());
+      if (Whole || !v2::readSectionHeader(Head, Header, Len))
+        return Fail("'" + Path + "' is corrupt (bad section header)");
     }
     M.Pid = Header.Pid;
     M.RootFunc = Header.RootFunc;
     M.Args = std::move(Header.Args);
     M.NumRecords = Header.NumRecords;
     M.PrelogCount = Header.PrelogCount;
+    Offset = Start + size_t(Len);
   }
-  if (!v2::readOutput(R, Store->Output) || !R.atEnd()) {
-    setError(Error, "'" + Path + "' is corrupt (bad output trailer)");
-    return nullptr;
-  }
+
+  if (!Store->readAt(Offset, FileBytes - Offset, Buf))
+    return Fail(Store->failure());
+  R = ByteReader(Buf.data(), Buf.size());
+  if (!v2::readOutput(R, Store->Output) || !R.atEnd())
+    return Fail("'" + Path + "' is corrupt (bad output trailer)");
 
   Store->StoreId = NextStoreId.fetch_add(1, std::memory_order_relaxed);
   return Store;
 }
 
+bool PageStore::readAt(size_t Offset, size_t Len,
+                       std::vector<uint8_t> &Buf) const {
+  Buf.resize(Len);
+  size_t Got = 0;
+  while (Got != Len) {
+    ssize_t N = ::pread(Fd, Buf.data() + Got, Len - Got, off_t(Offset + Got));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Got += size_t(N);
+  }
+  // Checked after the read, so it covers the bytes just read: a file cut
+  // or rewritten in place (rather than replaced by rename) no longer has
+  // the size and mtime open() validated its extents against.
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || size_t(St.st_size) != FileBytes ||
+      mtimeNs(St) != MtimeNs) {
+    fail("'" + Path + "' changed since it was opened");
+    return false;
+  }
+  if (Got != Len) {
+    fail("cannot read '" + Path + "'");
+    return false;
+  }
+  return true;
+}
+
+bool PageStore::readSection(uint32_t Pid, std::vector<uint8_t> &Buf) const {
+  if (Pid >= Sections.size() || failed())
+    return false;
+  const SectionMeta &M = Sections[Pid];
+  return readAt(M.Offset, size_t(M.EncodedBytes), Buf);
+}
+
 bool PageStore::decodeSection(uint32_t Pid, ProcessLog &P) const {
-  assert(Pid < Sections.size() && "pid out of range");
-  return v2::decodeSection(
-      ByteReader(sectionData(Pid), size_t(Sections[Pid].EncodedBytes)), P);
+  std::vector<uint8_t> Buf;
+  if (!readSection(Pid, Buf))
+    return false;
+  if (v2::decodeSection(ByteReader(Buf.data(), Buf.size()), P))
+    return true;
+  markCorrupt("section " + std::to_string(Pid) + " does not decode");
+  return false;
 }
 
 bool PageStore::skimIndex(uint32_t Pid, std::vector<LogInterval> &Intervals,
                           std::vector<uint32_t> &Open) const {
-  assert(Pid < Sections.size() && "pid out of range");
-  return v2::skimSection(
-      ByteReader(sectionData(Pid), size_t(Sections[Pid].EncodedBytes)),
-      Intervals, Open);
+  std::vector<uint8_t> Buf;
+  if (!readSection(Pid, Buf))
+    return false;
+  if (v2::skimSection(ByteReader(Buf.data(), Buf.size()), Intervals, Open))
+    return true;
+  markCorrupt("section " + std::to_string(Pid) + " does not decode");
+  return false;
+}
+
+std::string PageStore::failure() const {
+  std::lock_guard<std::mutex> Lock(FailureMutex);
+  return Failure;
+}
+
+void PageStore::markCorrupt(const std::string &What) const {
+  fail("'" + Path + "' is corrupt (" + What + ")");
+}
+
+void PageStore::fail(const std::string &Why) const {
+  std::lock_guard<std::mutex> Lock(FailureMutex);
+  if (Failure.empty())
+    Failure = Why;
+  Failed.store(true, std::memory_order_release);
 }
 
 ExecutionLog PageStore::facadeLog() const {
@@ -191,11 +236,12 @@ LogIndex::LogIndex(const PageStore &Store, ThreadPool *Pool) {
   Intervals.resize(NumProcs);
   OpenIntervals.resize(NumProcs);
   parallelFor(Pool, NumProcs, [&](size_t Pid) {
-    bool Ok = Store.skimIndex(uint32_t(Pid), Intervals[Pid],
-                              OpenIntervals[Pid]);
-    // open() validated extents and headers; a skim can only fail on
-    // corrupt record bytes, which decode would also reject.
-    assert(Ok && "skim failed on a validated store");
-    (void)Ok;
+    // A failed skim marks the store failed, and every consumer of this
+    // index checks the store before answering; the failed process's
+    // tables are left empty rather than half-built.
+    if (!Store.skimIndex(uint32_t(Pid), Intervals[Pid], OpenIntervals[Pid])) {
+      Intervals[Pid].clear();
+      OpenIntervals[Pid].clear();
+    }
   });
 }

@@ -1,28 +1,36 @@
-//===- log/PageStore.h - mmap-backed paged view of a v2 log -----*- C++ -*-===//
+//===- log/PageStore.h - pread-backed paged view of a v2 log ----*- C++ -*-===//
 //
 // Part of PPD, a reproduction of Miller & Choi (PLDI 1988).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// PageStore is a read-only, mmap-backed view of a v2 log file that
-/// exposes each process section as an independently decodable extent —
-/// the storage half of the paged log tier (DESIGN.md §12). Opening a
-/// store costs one mmap plus a header walk (section length prefixes and
-/// section headers only); record bodies stay on disk until a BufferPool
-/// faults a section in, and the kernel pages the mapped bytes in and out
-/// underneath.
+/// PageStore is a read-only view of a v2 log file that exposes each
+/// process section as an independently decodable extent — the storage
+/// half of the paged log tier (DESIGN.md §12). Opening a store walks the
+/// headers with small bounded preads (section length prefixes, section
+/// headers, the output trailer); record bodies stay on disk until a
+/// BufferPool faults a section in, which preads that one extent into a
+/// short-lived buffer and decodes it.
 ///
 /// The v2 format was built for exactly this slicing: the file is
 /// magic/version, a process count, then length-prefixed self-contained
 /// sections, then the output trailer. Every section decodes (or skims)
 /// from its own byte range with no shared state, so fault-in is
-/// trivially parallel and a skim-built LogIndex never touches record
-/// bodies at all.
+/// trivially parallel and a skim-built LogIndex never materializes
+/// record bodies.
 ///
-/// PageStores are immutable after open() and shared by shared_ptr: one
-/// store serves every session debugging that log, keyed into the shared
-/// BufferPool by its process-unique id().
+/// The store holds the descriptor it opened, so a log replaced by rename
+/// keeps serving the inode that was validated. A log truncated or
+/// rewritten in place is caught instead: every read checks that the size
+/// and mtime recorded at open still hold. A failed read, skim or decode
+/// marks the store failed, and the flag is sticky — every consumer that
+/// would otherwise answer from partial data reports failure() instead.
+///
+/// PageStores are shared by shared_ptr: one store serves every session
+/// debugging that log, keyed into the shared BufferPool by its
+/// process-unique id(). Apart from the sticky failure record they are
+/// immutable after open().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +39,10 @@
 
 #include "log/ExecutionLog.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,7 +65,7 @@ public:
     size_t Offset = 0;         ///< section start within the file.
   };
 
-  /// Maps \p Path and validates the header, section extents, section
+  /// Opens \p Path and validates the header, section extents, section
   /// headers, and output trailer (record bodies are not decoded). Returns
   /// null on failure with a human-readable reason in \p Error (an unknown
   /// format version is named in it).
@@ -78,14 +88,31 @@ public:
   uint64_t id() const { return StoreId; }
 
   /// Decodes process \p Pid's full section into \p P (the buffer pool's
-  /// fault-in path). Thread-safe; touches only that section's bytes.
-  /// False if the record stream is corrupt.
+  /// fault-in path). Thread-safe; reads only that section's bytes. False
+  /// — with the store marked failed — if the file changed since open or
+  /// the record stream is corrupt.
   bool decodeSection(uint32_t Pid, ProcessLog &P) const;
 
   /// Builds process \p Pid's interval tree straight from the encoded
-  /// bytes (v2::skimSection): record bodies are never materialized.
+  /// bytes (v2::skimSection): record bodies are never materialized. Fails
+  /// like decodeSection.
   bool skimIndex(uint32_t Pid, std::vector<LogInterval> &Intervals,
                  std::vector<uint32_t> &Open) const;
+
+  /// True once any read, skim or decode failed, or a consumer reported
+  /// the decoded records corrupt (markCorrupt()). Sticky: a failed store
+  /// never reads again.
+  bool failed() const { return Failed.load(std::memory_order_acquire); }
+
+  /// Why the store failed — says whether the file changed since open or
+  /// a section is corrupt. Empty while the store is healthy.
+  std::string failure() const;
+
+  /// Marks the store failed as corrupt, \p What saying how (the first
+  /// failure's reason wins). For consumers that find decoded values
+  /// wrong in ways the format alone cannot catch: sync sequence numbers
+  /// that do not form one order, ids the program does not have.
+  void markCorrupt(const std::string &What) const;
 
   /// An ExecutionLog with every per-process header (pid, root function,
   /// args, prelog count) and the output trailer filled in, but empty
@@ -98,23 +125,26 @@ public:
 private:
   PageStore() = default;
 
-  /// The encoded byte range of one section (header + records).
-  const uint8_t *sectionData(uint32_t Pid) const {
-    return Data + Sections[Pid].Offset;
-  }
+  /// Reads section \p Pid's whole extent (header + records) into \p Buf.
+  bool readSection(uint32_t Pid, std::vector<uint8_t> &Buf) const;
+  /// Reads \p Len bytes at \p Offset into \p Buf, then checks that the
+  /// file still has the size and mtime recorded at open. On failure,
+  /// marks the store failed and returns false.
+  bool readAt(size_t Offset, size_t Len, std::vector<uint8_t> &Buf) const;
+  void fail(const std::string &Why) const;
 
   std::string Path;
   uint64_t StoreId = 0;
-
-  // The file's bytes: an mmap when available, else a heap copy. Data/
-  // FileBytes always describe the usable span.
-  const uint8_t *Data = nullptr;
+  int Fd = -1;
   size_t FileBytes = 0;
-  void *MapBase = nullptr; ///< non-null iff mmap'd (munmap target).
-  std::vector<uint8_t> Fallback;
+  int64_t MtimeNs = 0; ///< st_mtim at open, in nanoseconds.
 
   std::vector<SectionMeta> Sections;
   std::vector<OutputRecord> Output;
+
+  mutable std::atomic<bool> Failed{false};
+  mutable std::mutex FailureMutex;
+  mutable std::string Failure; ///< guarded by FailureMutex.
 };
 
 /// A paged log: the immutable store plus the pool that faults its

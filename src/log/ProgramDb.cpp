@@ -7,11 +7,11 @@
 #include "log/ProgramDb.h"
 
 #include "compiler/CompiledProgram.h"
+#include "lang/Ast.h"
 #include "log/LogIO.h"
 #include "log/PageStore.h"
 #include "pardyn/ParallelDynamicGraph.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace ppd;
@@ -218,9 +218,16 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
         return false;
       Built->addProcess(Pid, PL);
     }
-    Built->finalize();
+    if (!Built->finalize()) {
+      Store.markCorrupt("sync records are inconsistent");
+      return false;
+    }
     Graph = Built.get();
   }
+  // A failed store's index may be missing sections (LogIndex leaves a
+  // failed skim's tables empty); never persist it.
+  if (Store.failed())
+    return false;
   for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
     const std::vector<SyncNode> &Ns = Graph->nodes(Pid);
     W.varint(Ns.size());
@@ -393,19 +400,14 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       if (Idx >= Intervals[Pid].size())
         return ProgramDbStatus::Corrupt;
   }
-  // The persisted parallel dynamic graph. Bounds are enforced here —
-  // kind range, record index inside the section, shared ids inside the
-  // program's shared segment, partner seqs resolvable and strictly
-  // earlier in the global order — so finalize() can never index out of
-  // range on hostile bytes (its clock pass walks nodes in seq order and
-  // dereferences partners unconditionally).
+  // The persisted parallel dynamic graph. Row bounds are enforced here,
+  // in the decode loop — kind range, statement ids inside the program,
+  // record index inside the section and ascending, shared ids inside the
+  // program's shared segment; finalize() checks the sequence numbers
+  // (distinct, dense, partners earlier) in the passes it makes anyway.
   uint32_t NumShared = Prog.Symbols->NumSharedVars;
-  uint64_t TotalRecords = 0;
-  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-    TotalRecords += Store.section(Pid).NumRecords;
   std::vector<std::vector<SyncNode>> GNodes(Store.numProcs());
   std::vector<std::vector<InternalEdge>> GEdges(Store.numProcs());
-  std::vector<uint64_t> Seqs;
   for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
     uint64_t NumRecords = Store.section(Pid).NumRecords;
     uint64_t NumNodes = R.varint();
@@ -424,15 +426,11 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       N.RecordIdx = uint32_t(R.varint());
       if (!R.ok())
         return ProgramDbStatus::Corrupt;
-      // Seq numbers a sync event, and every sync event is a record, so
-      // TotalRecords bounds any honest value (the BySeq table finalize()
-      // allocates is MaxSeq+1 entries — this check also caps it). Node
-      // records ascend, which the graph's binary searches rely on.
+      // Node records ascend, which the graph's binary searches rely on.
       if (Kind > uint8_t(SyncKind::Stopped) || N.RecordIdx >= NumRecords ||
-          N.Seq > TotalRecords ||
+          (N.Stmt != InvalidId && N.Stmt >= Prog.Ast->numStmts()) ||
           (I != 0 && N.RecordIdx <= GNodes[Pid][I - 1].RecordIdx))
         return ProgramDbStatus::Corrupt;
-      Seqs.push_back(N.Seq);
     }
     if (NumNodes != 0)
       GEdges[Pid].resize(NumNodes - 1);
@@ -458,27 +456,17 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       }
     }
   }
-  std::sort(Seqs.begin(), Seqs.end());
-  if (std::adjacent_find(Seqs.begin(), Seqs.end()) != Seqs.end())
-    return ProgramDbStatus::Corrupt;
-  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-    for (const SyncNode &N : GNodes[Pid])
-      if (N.PartnerSeq != NoPartner &&
-          (N.PartnerSeq >= N.Seq ||
-           !std::binary_search(Seqs.begin(), Seqs.end(), N.PartnerSeq)))
-        return ProgramDbStatus::Corrupt;
-
   if (!R.ok() || !R.atEnd())
     return ProgramDbStatus::Corrupt;
 
-  if (GraphOut) {
-    auto PG = std::make_shared<ParallelDynamicGraph>(NumShared,
-                                                     Store.numProcs());
-    for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-      PG->adoptProcess(Pid, std::move(GNodes[Pid]), std::move(GEdges[Pid]));
-    PG->finalize();
+  auto PG = std::make_shared<ParallelDynamicGraph>(NumShared,
+                                                   Store.numProcs());
+  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
+    PG->adoptProcess(Pid, std::move(GNodes[Pid]), std::move(GEdges[Pid]));
+  if (!PG->finalize())
+    return ProgramDbStatus::Corrupt;
+  if (GraphOut)
     *GraphOut = std::move(PG);
-  }
   IndexOut = std::make_shared<const LogIndex>(std::move(Intervals),
                                               std::move(Open));
   return ProgramDbStatus::Ok;

@@ -27,41 +27,18 @@ ParallelDynamicGraph::ParallelDynamicGraph(const ExecutionLog &Log,
     : ParallelDynamicGraph(NumSharedVars, uint32_t(Log.Procs.size())) {
   for (uint32_t Pid = 0; Pid != Log.Procs.size(); ++Pid)
     addProcess(Pid, Log.Procs[Pid]);
-  finalize();
+  // A log recorded by a run is well formed by construction; logs from
+  // files that may be corrupt take the paged path, whose callers check
+  // finalize().
+  bool Ok = finalize();
+  assert(Ok && "inconsistent sync records in an in-memory log");
+  (void)Ok;
 }
 
 void ParallelDynamicGraph::addProcess(uint32_t Pid, const ProcessLog &PL) {
   assert(Pid < Nodes.size() && "pid out of range");
   assert(Nodes[Pid].empty() && "process added twice");
-  // Collect the process's sync nodes and internal edges.
-  for (uint32_t Idx = 0; Idx != PL.Records.size(); ++Idx) {
-    const LogRecord &R = PL.Records[Idx];
-    if (R.Kind != LogRecordKind::SyncEvent)
-      continue;
-    SyncNode N;
-    N.Kind = R.Sync;
-    N.Object = R.Id;
-    N.Seq = R.Seq;
-    N.PartnerSeq = R.PartnerSeq;
-    N.Stmt = R.Stmt;
-    N.RecordIdx = Idx;
-
-    if (!Nodes[Pid].empty()) {
-      InternalEdge E;
-      E.Pid = Pid;
-      E.EndNode = uint32_t(Nodes[Pid].size());
-      // Pre-size to the shared segment so the insert loops never
-      // reallocate (ids are SharedIndex values, bounded by NumShared).
-      E.Reads.reserveFor(NumShared);
-      E.Writes.reserveFor(NumShared);
-      for (uint32_t S : R.ReadSet)
-        E.Reads.insert(S);
-      for (uint32_t S : R.WriteSet)
-        E.Writes.insert(S);
-      Edges[Pid].push_back(std::move(E));
-    }
-    Nodes[Pid].push_back(std::move(N));
-  }
+  appendProcess(Pid, PL, 0);
 }
 
 void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
@@ -71,6 +48,10 @@ void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
     Nodes.emplace_back();
     Edges.emplace_back();
   }
+  // Collect the process's sync nodes and internal edges. Shared ids past
+  // the program's shared segment cannot come from a real run; they mark
+  // the graph malformed (finalize() reports it) instead of sizing sets
+  // and indexes by hostile values.
   for (uint32_t Idx = FromRecord; Idx < PL.Records.size(); ++Idx) {
     const LogRecord &R = PL.Records[Idx];
     if (R.Kind != LogRecordKind::SyncEvent)
@@ -87,12 +68,20 @@ void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
       InternalEdge E;
       E.Pid = Pid;
       E.EndNode = uint32_t(Nodes[Pid].size());
+      // Pre-size to the shared segment so the insert loops never
+      // reallocate.
       E.Reads.reserveFor(NumShared);
       E.Writes.reserveFor(NumShared);
       for (uint32_t S : R.ReadSet)
-        E.Reads.insert(S);
+        if (S < NumShared)
+          E.Reads.insert(S);
+        else
+          Malformed = true;
       for (uint32_t S : R.WriteSet)
-        E.Writes.insert(S);
+        if (S < NumShared)
+          E.Writes.insert(S);
+        else
+          Malformed = true;
       Edges[Pid].push_back(std::move(E));
     }
     Nodes[Pid].push_back(std::move(N));
@@ -111,93 +100,75 @@ void ParallelDynamicGraph::adoptProcess(uint32_t Pid,
   Edges[Pid] = std::move(ProcEdges);
 }
 
-void ParallelDynamicGraph::finalize() {
-  // Seq lookup table.
-  uint64_t MaxSeq = 0;
-  for (const std::vector<SyncNode> &ProcNodes : Nodes)
-    for (const SyncNode &N : ProcNodes)
-      MaxSeq = std::max(MaxSeq, N.Seq);
-  BySeq.assign(size_t(MaxSeq) + 1, SyncNodeRef());
-  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
-    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx)
-      BySeq[Nodes[Pid][Idx].Seq] = {Pid, Idx};
-
-  // Vector clocks, processed in global seq order — a topological order of
-  // the graph, since every synchronization edge goes from a lower to a
-  // higher sequence number.
-  std::vector<SyncNodeRef> Order;
-  for (const SyncNodeRef &Ref : BySeq)
-    if (Ref.valid())
-      Order.push_back(Ref);
-
-  for (const SyncNodeRef &Ref : Order) {
-    SyncNode &N = Nodes[Ref.Pid][Ref.Index];
-    N.Clock.assign(Nodes.size(), 0);
-    if (Ref.Index > 0) {
-      const SyncNode &Prev = Nodes[Ref.Pid][Ref.Index - 1];
-      N.Clock = Prev.Clock;
-    }
-    if (N.PartnerSeq != NoPartner) {
-      assert(N.PartnerSeq < BySeq.size() && BySeq[N.PartnerSeq].valid() &&
-             "dangling partner sequence");
-      const SyncNode &Partner = node(BySeq[N.PartnerSeq]);
-      assert(!Partner.Clock.empty() && "partner processed after dependent");
-      for (size_t I = 0; I != N.Clock.size(); ++I)
-        N.Clock[I] = std::max(N.Clock[I], Partner.Clock[I]);
-    }
-    N.Clock[Ref.Pid] = Ref.Index + 1;
-  }
-  FinalizeWatermark = BySeq.size();
-  buildIndexes();
+bool ParallelDynamicGraph::finalize() {
+  // A batch build is one tail round over a graph with nothing finalized:
+  // every node's clock is still empty.
+  BySeq.clear();
+  FinalizeWatermark = 0;
+  return finalizeTail();
 }
 
-void ParallelDynamicGraph::finalizeTail() {
+bool ParallelDynamicGraph::finalizeTail() {
+  if (Malformed)
+    return false;
   // Zero-extend already-finalized clocks when streaming grew the process
   // count: component p stays 0 for old nodes because none of a
   // later-arriving process's nodes can happen-before a node sealed in an
-  // earlier cut.
+  // earlier cut. Count the appended nodes (empty clock) on the way.
+  uint64_t NumNew = 0;
+  uint64_t MaxSeq = 0;
   for (std::vector<SyncNode> &ProcNodes : Nodes)
-    for (SyncNode &N : ProcNodes)
-      if (!N.Clock.empty() && N.Clock.size() < Nodes.size())
-        N.Clock.resize(Nodes.size(), 0);
-
-  // Extend the seq lookup and register the appended nodes (empty clock =
-  // not yet finalized). Their seqs all land at or past the watermark —
-  // the ingest session rejects anything else before it applies.
-  uint64_t MaxSeq = BySeq.empty() ? 0 : uint64_t(BySeq.size()) - 1;
-  for (const std::vector<SyncNode> &ProcNodes : Nodes)
-    for (const SyncNode &N : ProcNodes)
+    for (SyncNode &N : ProcNodes) {
+      if (!N.Clock.empty()) {
+        if (N.Clock.size() < Nodes.size())
+          N.Clock.resize(Nodes.size(), 0);
+        continue;
+      }
+      ++NumNew;
       MaxSeq = std::max(MaxSeq, N.Seq);
-  if (BySeq.size() < size_t(MaxSeq) + 1)
-    BySeq.resize(size_t(MaxSeq) + 1);
-  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
-    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx)
-      if (Nodes[Pid][Idx].Clock.empty())
-        BySeq[Nodes[Pid][Idx].Seq] = {Pid, Idx};
+    }
+  if (NumNew == 0) {
+    buildIndexes();
+    return true;
+  }
 
-  // Same clock step as finalize(), resumed at the watermark: processing
-  // in global seq order is still a topological order, and every
-  // predecessor (previous node of the process, partner) is either below
-  // the watermark — finalized in an earlier round, zero-extended above —
-  // or earlier in this walk.
+  // The appended seqs must fill the window [watermark, watermark +
+  // appended) exactly — distinct, none below the watermark, none past it —
+  // which also bounds the seq table by the sync-record count. Registering
+  // them is the distinctness check.
+  if (MaxSeq < FinalizeWatermark || MaxSeq - FinalizeWatermark >= NumNew)
+    return false;
+  BySeq.resize(size_t(MaxSeq) + 1);
+  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
+    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
+      const SyncNode &N = Nodes[Pid][Idx];
+      if (!N.Clock.empty())
+        continue;
+      if (N.Seq < FinalizeWatermark || BySeq[N.Seq].valid())
+        return false;
+      BySeq[N.Seq] = {Pid, Idx};
+    }
+
+  // Vector clocks, processed in global seq order — a topological order of
+  // the graph, since every synchronization edge goes from a lower to a
+  // higher sequence number (checked here: a partner must precede its
+  // dependent). Every predecessor (previous node of the process, partner)
+  // is either below the watermark — finalized in an earlier round,
+  // zero-extended above — or earlier in this walk.
   for (uint64_t S = FinalizeWatermark; S < BySeq.size(); ++S) {
     const SyncNodeRef Ref = BySeq[S];
-    if (!Ref.valid())
-      continue;
     SyncNode &N = Nodes[Ref.Pid][Ref.Index];
-    if (!N.Clock.empty())
-      continue; // registered before this round's watermark
+    if (N.PartnerSeq != NoPartner && N.PartnerSeq >= N.Seq)
+      return false;
+    if (Ref.Index > 0 && Nodes[Ref.Pid][Ref.Index - 1].Clock.empty())
+      return false; // program order disagrees with the global order
     N.Clock.assign(Nodes.size(), 0);
     if (Ref.Index > 0) {
       const SyncNode &Prev = Nodes[Ref.Pid][Ref.Index - 1];
-      N.Clock = Prev.Clock;
-      N.Clock.resize(Nodes.size(), 0);
+      std::copy(Prev.Clock.begin(), Prev.Clock.end(), N.Clock.begin());
     }
     if (N.PartnerSeq != NoPartner) {
-      assert(N.PartnerSeq < BySeq.size() && BySeq[N.PartnerSeq].valid() &&
-             "dangling partner sequence");
       const SyncNode &Partner = node(BySeq[N.PartnerSeq]);
-      assert(!Partner.Clock.empty() && "partner processed after dependent");
       for (size_t I = 0; I != Partner.Clock.size(); ++I)
         N.Clock[I] = std::max(N.Clock[I], Partner.Clock[I]);
     }
@@ -205,6 +176,7 @@ void ParallelDynamicGraph::finalizeTail() {
   }
   FinalizeWatermark = BySeq.size();
   buildIndexes();
+  return true;
 }
 
 void ParallelDynamicGraph::buildIndexes() {

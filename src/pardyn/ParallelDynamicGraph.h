@@ -89,9 +89,17 @@ public:
   /// buffer pool and never holds the whole log): construct with the
   /// process count, addProcess() each section in any order, finalize()
   /// once. The finished graph is identical to the whole-log constructor's.
+  ///
+  /// finalize() is also where records read back from disk are checked
+  /// before any clock is computed over them, in the passes it makes
+  /// anyway: sequence numbers distinct and filling [0, sync-record
+  /// count), every partner earlier in that order than its dependent,
+  /// program order agreeing with it, and every READ/WRITE id inside the
+  /// shared segment. False means the records are inconsistent and the
+  /// graph is unusable.
   ParallelDynamicGraph(unsigned NumSharedVars, uint32_t NumProcs);
   void addProcess(uint32_t Pid, const ProcessLog &PL);
-  void finalize();
+  [[nodiscard]] bool finalize();
 
   /// Deserialization path (the `.ppdb` sidecar persists the graph so a
   /// warm open never scans record streams): install one process's
@@ -106,20 +114,15 @@ public:
   /// records in \p PL starting at record \p FromRecord, then
   /// finalizeTail() closes the clocks of everything appended since the
   /// last finalize. \p Pid == numProcs() grows the graph by one process.
-  /// Valid whenever every appended node's Seq exceeds every
-  /// already-finalized Seq and partners of appended nodes are either
-  /// already finalized or appended in the same round (the consistent-cut
-  /// invariant the ingest session enforces); the finished graph is then
-  /// identical to a batch build over the same records.
+  /// finalizeTail() checks what finalize() checks, over the appended
+  /// nodes: their Seqs fill the window [old seq count, old seq count +
+  /// appended) and every partner is already finalized or appended earlier
+  /// in the order (the consistent-cut invariant). The finished graph is
+  /// then identical to a batch build over the same records; false leaves
+  /// it unusable.
   void appendProcess(uint32_t Pid, const ProcessLog &PL,
                      uint32_t FromRecord);
-  void finalizeTail();
-
-  /// True when a finalized node with global sequence number \p Seq
-  /// exists — the ingest session's partner-validation primitive.
-  bool hasSeq(uint64_t Seq) const {
-    return Seq < BySeq.size() && BySeq[Seq].valid();
-  }
+  [[nodiscard]] bool finalizeTail();
 
   unsigned numProcs() const { return unsigned(Nodes.size()); }
   const std::vector<SyncNode> &nodes(uint32_t Pid) const {
@@ -213,8 +216,10 @@ private:
   std::vector<SyncNodeRef> BySeq;
   unsigned NumShared;
   /// First BySeq slot not yet clock-finalized; finalizeTail() resumes
-  /// here. Every batch finalize() leaves it at BySeq.size().
+  /// here. Every successful finalize leaves it at BySeq.size().
   uint64_t FinalizeWatermark = 0;
+  /// A record carried a READ/WRITE id outside the shared segment.
+  bool Malformed = false;
 
   /// Reverse-partner index (CSR keyed by Seq): the dependents of the node
   /// with sequence number s are Dependents[DependentsAt[s], DependentsAt[s

@@ -89,6 +89,13 @@ public:
 
   unsigned numVars() const { return unsigned(Vars.size()); }
 
+  /// True when \p Id names a variable with at least \p NumValues slots:
+  /// the check values captured in a log read back from disk must pass
+  /// before they are written into restored state.
+  bool fits(VarId Id, size_t NumValues) const {
+    return Id < Vars.size() && NumValues <= Vars[Id].slotCount();
+  }
+
   const FrameInfo &frame(const FuncDecl &F) const {
     assert(F.Index < Frames.size() && "function has no frame info");
     return Frames[F.Index];

@@ -88,13 +88,16 @@ Response DebugServer::dispatch(const Request &Req) {
       Cmd = Req.Direction == 0 ? "back" : "fwd";
     else
       Cmd = "races";
-    std::string Text;
+    std::string Text, Failure;
     {
       // One command at a time per session: DebugSession is stateful
       // (focused node), so whole commands are the interleaving unit.
       std::lock_guard<std::mutex> Lock(S->Mutex);
       Text = S->Debug->execute(Cmd);
+      Failure = S->Controller->logFailure();
     }
+    if (!Failure.empty())
+      return Fail(ErrCode::LogUnreadable, std::move(Failure));
     Resp.Type = RespType::Result;
     Resp.Text = std::move(Text);
     return Resp;

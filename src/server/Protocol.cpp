@@ -236,7 +236,7 @@ bool ppd::decodeResponse(const uint8_t *Data, size_t Size, Response &Out) {
   case RespType::Error: {
     uint32_t Code = R.u32();
     if (!R.ok() || Code < uint32_t(ErrCode::BadFrame) ||
-        Code > uint32_t(ErrCode::StreamProtocol))
+        Code > uint32_t(ErrCode::LogUnreadable))
       return false;
     Out.Code = ErrCode(Code);
     if (!readString32(R, Out.Text))

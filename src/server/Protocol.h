@@ -93,6 +93,7 @@ enum class ErrCode : uint32_t {
   ShuttingDown = 8, ///< server is draining
   NoSuchStream = 9, ///< stream id unknown or already ended
   StreamProtocol = 10, ///< ingest invariant violated; stream is dead
+  LogUnreadable = 11,  ///< the paged log changed since open or is corrupt
 };
 
 /// A decoded client request. Fields not used by a given Type stay at

@@ -11,7 +11,6 @@
 #include "log/ProgramDb.h"
 
 #include <cstdio>
-#include <set>
 #include <sstream>
 
 using namespace ppd;
@@ -285,14 +284,13 @@ std::string IngestRegistry::applyCut(IngestStream &S) {
   std::vector<std::pair<uint32_t, uint32_t>> ExpectedFirst; // pid, next rec
   uint32_t NextPid = uint32_t(S.Accum.Procs.size());
   uint64_t NumSyncInCut = 0;
-  std::set<uint64_t> NewSeqs;
 
   for (size_t I = 0; I != NumFrames; ++I) {
     const Request &F = S.Staged[I];
     ProcessLog &Frag = Frags[I];
     if (!decodeSectionBlob(F.Blob, Frag))
       return "undecodable section blob";
-    if (Frag.RootFunc >= S.Prog->Funcs.size())
+    if (!S.Prog->isRootCall(Frag.RootFunc, Frag.Args.size()))
       return "root function out of range";
 
     uint32_t *Next = nullptr;
@@ -326,31 +324,19 @@ std::string IngestRegistry::applyCut(IngestStream &S) {
         ++NumSyncInCut;
   }
 
-  // Sequence numbers: every new sync Seq must be fresh (>= the floor),
-  // distinct, and inside the window the cut's own sync-record count
-  // allows — the bound that keeps a hostile Seq from ballooning the
-  // graph's seq table.
+  // Sequence numbers: every new sync Seq must be fresh (>= the floor)
+  // and inside the window the cut's own sync-record count allows — the
+  // bound that keeps a hostile Seq from ballooning the graph's seq table
+  // before anything is applied. Distinctness and partner closure (the
+  // consistent-cut invariant) are the graph's own checks, run by
+  // finalizeTail() below exactly as for a log read from disk.
   uint64_t SeqCeiling = S.NextSeqFloor + NumSyncInCut;
   for (size_t I = 0; I != NumFrames; ++I)
     for (size_t R = 0; R != Frags[I].Records.size(); ++R) {
       const LogRecord &Rec = Frags[I].Records[R];
-      if (Rec.Kind != LogRecordKind::SyncEvent)
-        continue;
-      if (Rec.Seq < S.NextSeqFloor || Rec.Seq >= SeqCeiling)
+      if (Rec.Kind == LogRecordKind::SyncEvent &&
+          (Rec.Seq < S.NextSeqFloor || Rec.Seq >= SeqCeiling))
         return "sync sequence number outside the cut's window";
-      if (!NewSeqs.insert(Rec.Seq).second)
-        return "duplicate sync sequence number";
-    }
-
-  // Partner closure (the consistent-cut invariant): every partner is
-  // either already applied or part of this same cut.
-  for (size_t I = 0; I != NumFrames; ++I)
-    for (size_t R = 0; R != Frags[I].Records.size(); ++R) {
-      const LogRecord &Rec = Frags[I].Records[R];
-      if (Rec.Kind != LogRecordKind::SyncEvent || Rec.PartnerSeq == NoPartner)
-        continue;
-      if (!S.Graph.hasSeq(Rec.PartnerSeq) && !NewSeqs.count(Rec.PartnerSeq))
-        return "synchronization partner outside the cut";
     }
 
   // Pass 2 — apply. Per-pid FromRecord is the pre-cut record count
@@ -384,9 +370,10 @@ std::string IngestRegistry::applyCut(IngestStream &S) {
       return "malformed interval structure";
     S.Graph.appendProcess(E.first, S.Accum.Procs[E.first], E.second);
   }
-  S.Graph.finalizeTail();
-  if (!NewSeqs.empty())
-    S.NextSeqFloor = *NewSeqs.rbegin() + 1;
+  if (!S.Graph.finalizeTail())
+    return "sync records are inconsistent (duplicate sequence numbers or "
+           "a partner outside the cut)";
+  S.NextSeqFloor = SeqCeiling;
   return {};
 }
 

@@ -689,7 +689,8 @@ void reportRun(const CompiledProgram &Prog, const Machine &M,
 /// graph, anything else skims a fresh index from the store and
 /// (re)writes the sidecar (leaving \p Graph null — the controller
 /// rebuilds it lazily if a query needs it). Returns null on open
-/// failure with the reason in \p Error.
+/// failure — including a section the index skim cannot read — with the
+/// reason in \p Error.
 std::shared_ptr<const PageStore>
 openPagedStore(const CliOptions &Opts, const CompiledProgram &Prog,
                const std::string &LogPath,
@@ -708,6 +709,10 @@ openPagedStore(const CliOptions &Opts, const CompiledProgram &Prog,
     return Store;
   }
   Index = std::make_shared<const LogIndex>(*Store);
+  if (Store->failed()) {
+    Error = Store->failure();
+    return nullptr;
+  }
   if (writeProgramDb(DbPath, Prog, *Store, *Index))
     std::printf("program database: %s rebuilt (was %s)\n", DbPath.c_str(),
                 programDbStatusName(Status));
@@ -845,7 +850,7 @@ int cmdDebug(const CliOptions &Opts) {
   COpts.Service.Prefetch = Opts.Prefetch;
   COpts.Service.Engine = Engine;
 
-  // A --log file opens paged: mmap the store, adopt (or rebuild) the
+  // A --log file opens paged: open the store, adopt (or rebuild) the
   // .ppdb sidecar, and let queries fault sections in through the pool.
   std::unique_ptr<PpdController> Controller;
   if (!Opts.LogPath.empty()) {
@@ -867,6 +872,10 @@ int cmdDebug(const CliOptions &Opts) {
     Controller = std::make_unique<PpdController>(
         *Prog, PagedLog{std::move(Store), std::move(Pool)}, std::move(Index),
         COpts);
+    if (std::string Failure = Controller->logFailure(); !Failure.empty()) {
+      std::fprintf(stderr, "error: %s\n", Failure.c_str());
+      return 1;
+    }
   } else {
     Machine M(*Prog, machineOptions(Opts, *Prog));
     RunResult Result = M.run();

@@ -1,4 +1,4 @@
-//===- vm/Dispatch.h - Threaded / switch dispatch machinery -----*- C++ -*-===//
+//===- vm/Dispatch.h - Token-threaded dispatch machinery --------*- C++ -*-===//
 //
 // Part of PPD, a reproduction of Miller & Choi (PLDI 1988).
 //
@@ -8,10 +8,9 @@
 /// Dispatch macros for the decoded interpreters (vm/Machine.cpp's
 /// execution engine and core/Replay.cpp's emulation engine). Both engines
 /// write each handler exactly once; these macros expand the body into
-/// either classic Bell-style token-threaded dispatch (computed goto, GCC
-/// and Clang) or a plain switch — selected by the PPD_COMPUTED_GOTO
-/// feature macro, which the build exports as a CMake option so the
-/// portable fallback stays continuously tested.
+/// classic Bell-style token-threaded dispatch (computed goto). The build
+/// already requires GCC or Clang on Linux (the epoll server), so there is
+/// one dispatch strategy and no portable fallback.
 ///
 /// Usage inside an interpreter loop:
 ///
@@ -27,11 +26,11 @@
 ///   }
 ///
 /// Handlers must leave via `continue` (next instruction) or a `goto` out
-/// of the loop — never by falling through, and never via `break` (which
-/// would only leave the switch in fallback mode). PPD_OP labels stack, so
-/// several opcodes can share one handler body. The dispatch-table order is
-/// the DOp order, both generated from PPD_DECODED_OPCODES (OpcodeTable.h),
-/// so a missing handler is a compile error in both modes.
+/// of the loop — never by falling through into the next handler. PPD_OP
+/// labels stack, so several opcodes can share one handler body. The
+/// dispatch-table order is the DOp order, both generated from
+/// PPD_DECODED_OPCODES (OpcodeTable.h), so a missing handler is a compile
+/// error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,17 +39,9 @@
 
 #include "bytecode/Decoded.h"
 
-#ifndef PPD_COMPUTED_GOTO
-#define PPD_COMPUTED_GOTO 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "PPD's interpreters need computed goto (GCC or Clang)"
 #endif
-
-#if PPD_COMPUTED_GOTO && (defined(__GNUC__) || defined(__clang__))
-#define PPD_USE_COMPUTED_GOTO 1
-#else
-#define PPD_USE_COMPUTED_GOTO 0
-#endif
-
-#if PPD_USE_COMPUTED_GOTO
 
 #define PPD_DISPATCH_TABLE_ENTRY(Name) &&PpdOp_##Name,
 #define PPD_DISPATCH_TABLE()                                                 \
@@ -59,14 +50,5 @@
 #define PPD_DISPATCH(OpValue) goto *DispatchTable[size_t(OpValue)];
 #define PPD_OP(Name) PpdOp_##Name:
 #define PPD_END_DISPATCH() ((void)0)
-
-#else
-
-#define PPD_DISPATCH_TABLE() ((void)0)
-#define PPD_DISPATCH(OpValue) switch (OpValue)
-#define PPD_OP(Name) case ppd::DOp::Name:
-#define PPD_END_DISPATCH() ((void)0)
-
-#endif
 
 #endif // PPD_VM_DISPATCH_H

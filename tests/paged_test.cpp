@@ -11,8 +11,9 @@
 // contract of the pool directly (pinned frames never evicted, single
 // decode under concurrent faults), validates the skim-built index against
 // the decoded one, round-trips the `.ppdb` sidecar through staleness and
-// every-byte truncation, and checks that a store opens only the current
-// format version.
+// every-byte truncation, checks that a store opens only the current
+// format version, and that a log cut, rewritten or corrupted under a
+// store gives a typed error — never a signal.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,12 +26,16 @@
 #include "log/ProgramDb.h"
 #include "pardyn/ParallelDynamicGraph.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace ppd;
@@ -275,11 +280,13 @@ TEST(PagedTest, EvictionUnderPressureNeverDropsPinnedFrames) {
   ASSERT_TRUE(Again);
   EXPECT_EQ(Pool.stats().Hits, S.Hits + 1);
 
-  // After every pin drops, eviction pressure may reclaim everything but
-  // the per-shard LRU survivor.
+  // Once every pin drops, the pool is back within its budget: releasing
+  // the last pin on an over-budget shard runs its eviction pass.
   P0 = BufferPool::Pin();
   Again = BufferPool::Pin();
-  EXPECT_EQ(Pool.stats().BytesPinned, uint64_t(0));
+  BufferPoolStats Final = Pool.stats();
+  EXPECT_EQ(Final.BytesPinned, uint64_t(0));
+  EXPECT_LE(Final.BytesResident, Final.Budget);
   std::remove(Path.c_str());
 }
 
@@ -313,6 +320,38 @@ TEST(PagedTest, ConcurrentPinsDecodeEachSectionOnce) {
   EXPECT_EQ(S.Insertions, uint64_t(Store->numProcs()));
   EXPECT_EQ(S.Evictions, uint64_t(0));
   EXPECT_EQ(S.Hits + S.Misses, uint64_t(8 * 64));
+  std::remove(Path.c_str());
+}
+
+// Concurrent pins on a one-byte, two-shard pool: every unpin races other
+// threads' insertions into the same shard, yet once all pins drop the
+// pool is within budget again (an unpin and an insertion never both skip
+// the eviction pass). Run under TSan in CI.
+TEST(PagedTest, ConcurrentPinsUnderPressureEndWithinBudget) {
+  Ran R = runProgram(FourProcSource, 5);
+  ASSERT_TRUE(R.Prog != nullptr);
+  std::string Path = tempPath("concurrent_pressure.log");
+  auto Store = saveAndOpen(R.Log, Path);
+  ASSERT_TRUE(Store != nullptr);
+
+  BufferPool Pool(/*BudgetBytes=*/1, /*NumShards=*/2);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 8; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != 64; ++I) {
+        uint32_t Pid = (T + I) % Store->numProcs();
+        BufferPool::Pin P = Pool.pin(*Store, Pid);
+        ASSERT_TRUE(P);
+        EXPECT_EQ(P.log().Records.size(),
+                  Store->section(Pid).NumRecords);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  BufferPoolStats S = Pool.stats();
+  EXPECT_EQ(S.BytesPinned, uint64_t(0));
+  EXPECT_LE(S.BytesResident, S.Budget);
+  EXPECT_GT(S.Evictions, uint64_t(0));
   std::remove(Path.c_str());
 }
 
@@ -495,10 +534,14 @@ TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
 // A store must reject a truncated file at every byte offset (open
 // validates section extents and the output trailer), and a file whose
 // header carries any version but the current one — with a reason that
-// names the version. The whole-file loader rejects the same headers.
+// names the version. The whole-file loader rejects the same headers. A
+// file cut in place *after* open, to any length, or rewritten in place
+// in a section not yet faulted, fails the store with a reason that says
+// the file changed — never a signal, never the new bytes.
 TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
-  Ran R = runProgram(readCorpusFile("fig41.ppl"), 1);
+  Ran R = runProgram(readCorpusFile("bank_race.ppl"), 1);
   ASSERT_TRUE(R.Prog != nullptr);
+  ASSERT_GE(R.Log.Procs.size(), size_t(2));
 
   std::string Path = tempPath("store_v2.log");
   ASSERT_TRUE(R.Log.save(Path));
@@ -521,16 +564,223 @@ TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
   }
 
   std::string CutPath = tempPath("store_cut.log");
+  auto ExpectChanged = [](const PageStore &Store, const std::string &Label) {
+    EXPECT_TRUE(Store.failed()) << Label;
+    EXPECT_NE(Store.failure().find("changed since it was opened"),
+              std::string::npos)
+        << Label << ": " << Store.failure();
+  };
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     writeFileRaw(CutPath, Bytes.data(), Len);
     std::string Error;
     EXPECT_TRUE(PageStore::open(CutPath, &Error) == nullptr)
         << "length " << Len;
+
+    // The same cut, made in place after a successful open.
+    writeFileRaw(CutPath, Bytes.data(), Bytes.size());
+    auto Store = PageStore::open(CutPath, &Error);
+    ASSERT_TRUE(Store != nullptr) << Error;
+    ASSERT_EQ(::truncate(CutPath.c_str(), off_t(Len)), 0);
+    BufferPool Pool(size_t(1) << 20);
+    EXPECT_FALSE(Pool.pin(*Store, 0)) << "length " << Len;
+    std::vector<LogInterval> Intervals;
+    std::vector<uint32_t> Open;
+    EXPECT_FALSE(Store->skimIndex(1, Intervals, Open)) << "length " << Len;
+    ExpectChanged(*Store, "cut to " + std::to_string(Len));
   }
+
+  // One byte rewritten in place inside a section no pin has faulted yet.
+  // mtime has the file system's timestamp granularity (a clock tick on
+  // many kernels), so the rewrite waits out the tick the save landed in.
+  writeFileRaw(CutPath, Bytes.data(), Bytes.size());
+  std::string Error;
+  auto Store = PageStore::open(CutPath, &Error);
+  ASSERT_TRUE(Store != nullptr) << Error;
+  BufferPool Pool(size_t(1) << 20);
+  EXPECT_TRUE(Pool.pin(*Store, 0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const PageStore::SectionMeta &M = Store->section(1);
+  uint8_t Flipped = Bytes[M.Offset + M.EncodedBytes - 1] ^ 0x01;
+  int Fd = ::open(CutPath.c_str(), O_WRONLY);
+  ASSERT_GE(Fd, 0);
+  ASSERT_EQ(::pwrite(Fd, &Flipped, 1, off_t(M.Offset + M.EncodedBytes - 1)),
+            ssize_t(1));
+  ::close(Fd);
+  EXPECT_FALSE(Pool.pin(*Store, 1));
+  ExpectChanged(*Store, "one byte rewritten");
+  EXPECT_FALSE(Pool.pin(*Store, 0)) << "a failed store stays failed";
 
   std::remove(Path.c_str());
   std::remove(VersionPath.c_str());
   std::remove(CutPath.c_str());
+}
+
+// Every byte of a small multi-process log flipped (xor 0x01 and 0xff),
+// debugged the way `ppd debug --log` does — with and without a `.ppdb`
+// written from the intact log. No flip may raise a signal: the store
+// refuses to open, or every command answers, or — once a section fails
+// to read or its records prove inconsistent — answers "error: <reason>"
+// from then on.
+TEST(PagedTest, EveryByteCorruptionAnswersOrGivesTypedError) {
+  Ran R = runProgram(readCorpusFile("bank_race.ppl"), 1);
+  ASSERT_TRUE(R.Prog != nullptr);
+  std::string Path = tempPath("flip_intact.log");
+  auto Intact = saveAndOpen(R.Log, Path);
+  ASSERT_TRUE(Intact != nullptr);
+  std::string DbPath = programDbPathFor(Path);
+  ASSERT_TRUE(writeProgramDb(DbPath, *R.Prog, *Intact, LogIndex(*Intact)));
+  std::vector<uint8_t> Bytes = readFileRaw(Path);
+
+  const char *Script[] = {"where 0", "races", "restore 0 1"};
+  std::string FlipPath = tempPath("flip.log");
+  unsigned Opened = 0, Failed = 0;
+  for (bool WithDb : {false, true})
+    for (size_t Offset = 0; Offset != Bytes.size(); ++Offset)
+      for (uint8_t Mask : {uint8_t(0x01), uint8_t(0xff)}) {
+        std::string Label = std::string(WithDb ? "with" : "without") +
+                            " .ppdb, byte " + std::to_string(Offset) +
+                            " ^ " + std::to_string(Mask);
+        std::vector<uint8_t> Flipped = Bytes;
+        Flipped[Offset] ^= Mask;
+        writeFileRaw(FlipPath, Flipped.data(), Flipped.size());
+        std::string Error;
+        auto Store = PageStore::open(FlipPath, &Error);
+        if (!Store) {
+          EXPECT_FALSE(Error.empty()) << Label;
+          continue;
+        }
+        ++Opened;
+        std::shared_ptr<const LogIndex> Index;
+        PpdControllerOptions COpts;
+        if (!WithDb || readProgramDb(DbPath, *R.Prog, *Store, Index,
+                                     &COpts.AdoptedGraph) !=
+                           ProgramDbStatus::Ok)
+          Index = std::make_shared<const LogIndex>(*Store);
+        auto Pool = std::make_shared<BufferPool>(size_t(8) << 10);
+        PpdController C(*R.Prog, PagedLog{Store, Pool}, Index, COpts);
+        DebugSession Session(*R.Prog, C);
+        bool SawError = false;
+        for (const char *Cmd : Script) {
+          std::string Answer = Session.execute(Cmd);
+          std::string Failure = C.logFailure();
+          if (Failure.empty()) {
+            EXPECT_FALSE(SawError) << Label << ": failure is sticky";
+            EXPECT_EQ(Answer.rfind("error:", 0), std::string::npos)
+                << Label << " '" << Cmd << "': " << Answer;
+            continue;
+          }
+          SawError = true;
+          EXPECT_EQ(Answer, "error: " + Failure + "\n") << Label;
+          EXPECT_NE(Failure.find("is corrupt"), std::string::npos)
+              << Label << ": " << Failure;
+        }
+        Failed += SawError;
+      }
+  // Both outcomes occur: flips inside record bodies that decode cleanly
+  // still answer, and the sweep is not vacuous.
+  EXPECT_GT(Opened, 0u);
+  EXPECT_GT(Failed, 0u);
+  EXPECT_LT(Failed, Opened);
+
+  std::remove(Path.c_str());
+  std::remove(DbPath.c_str());
+  std::remove(FlipPath.c_str());
+}
+
+// Values that decode cleanly but that no run of this program could have
+// logged. Each must fail the store as corrupt on the command that first
+// reads it — never index a program table or the seq table out of range.
+TEST(PagedTest, OutOfRangeDecodedValuesGiveTypedError) {
+  Ran R = runProgram(readCorpusFile("bank_race.ppl"), 1);
+  ASSERT_TRUE(R.Prog != nullptr);
+  const uint32_t NumVars = R.Prog->Symbols->numVars();
+  const uint32_t NumShared = R.Prog->Symbols->NumSharedVars;
+  const uint32_t NumStmts = R.Prog->Ast->numStmts();
+  auto EachRecord = [](ExecutionLog &L, LogRecordKind Kind,
+                       const std::function<void(LogRecord &)> &Fn) {
+    for (ProcessLog &P : L.Procs)
+      for (LogRecord &Rec : P.Records)
+        if (Rec.Kind == Kind)
+          Fn(Rec);
+  };
+  auto LastSync = [](ExecutionLog &L) -> LogRecord & {
+    LogRecord *Last = nullptr;
+    for (ProcessLog &P : L.Procs)
+      for (LogRecord &Rec : P.Records)
+        if (Rec.Kind == LogRecordKind::SyncEvent &&
+            (!Last || Rec.Seq > Last->Seq))
+          Last = &Rec;
+    return *Last;
+  };
+  struct Case {
+    const char *Name;
+    const char *Cmd;
+    std::function<void(ExecutionLog &)> Mangle;
+  };
+  const Case Cases[] = {
+      {"duplicate seq", "races",
+       [&](ExecutionLog &L) { LastSync(L).Seq = 0; }},
+      {"seq past the sync-record count", "races",
+       [&](ExecutionLog &L) { LastSync(L).Seq = uint64_t(1) << 40; }},
+      {"partner after its dependent", "races",
+       [&](ExecutionLog &L) {
+         LogRecord &Last = LastSync(L);
+         EachRecord(L, LogRecordKind::SyncEvent, [&](LogRecord &Rec) {
+           if (Rec.Seq == 1)
+             Rec.PartnerSeq = Last.Seq;
+         });
+       }},
+      {"shared id past the shared segment", "races",
+       [&](ExecutionLog &L) {
+         LastSync(L).WriteSet.push_back(NumShared + 5);
+       }},
+      {"statement id past the program", "races",
+       [&](ExecutionLog &L) { LastSync(L).Stmt = NumStmts + 7; }},
+      {"prelog variable past the program", "where 0",
+       [&](ExecutionLog &L) {
+         EachRecord(L, LogRecordKind::Prelog, [&](LogRecord &Rec) {
+           Rec.Vars.push_back({NumVars + 3, {1}});
+         });
+       }},
+      {"prelog variable with too many values", "where 0",
+       [&](ExecutionLog &L) {
+         EachRecord(L, LogRecordKind::Prelog, [&](LogRecord &Rec) {
+           for (VarValue &V : Rec.Vars)
+             for (int K = 0; K != 64; ++K)
+               V.Values.push_back(7);
+         });
+       }},
+      {"postlog variable past the program", "restore 1 0",
+       [&](ExecutionLog &L) {
+         EachRecord(L, LogRecordKind::Postlog, [&](LogRecord &Rec) {
+           Rec.Vars.push_back({NumVars + 3, {1}});
+         });
+       }},
+      {"e-block past the program", "where 0",
+       [&](ExecutionLog &L) {
+         for (LogRecordKind Kind :
+              {LogRecordKind::Prelog, LogRecordKind::Postlog})
+           EachRecord(L, Kind, [](LogRecord &Rec) { Rec.Id += 1000; });
+       }},
+      {"root function past the program", "where 0",
+       [&](ExecutionLog &L) { L.Procs.back().RootFunc = 999; }},
+  };
+  std::string Path = tempPath("out_of_range.log");
+  for (const Case &C : Cases) {
+    ExecutionLog Log = R.Log;
+    C.Mangle(Log);
+    auto Store = saveAndOpen(Log, Path);
+    ASSERT_TRUE(Store != nullptr) << C.Name;
+    auto Pool = std::make_shared<BufferPool>(size_t(1) << 20);
+    PpdController Paged(*R.Prog, PagedLog{Store, Pool});
+    DebugSession Session(*R.Prog, Paged);
+    std::string Answer = Session.execute(C.Cmd);
+    EXPECT_EQ(Answer.rfind("error: ", 0), size_t(0))
+        << C.Name << ": " << Answer;
+    EXPECT_NE(Paged.logFailure().find("is corrupt"), std::string::npos)
+        << C.Name << ": " << Paged.logFailure();
+  }
+  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -329,7 +329,7 @@ ParallelDynamicGraph streamedGraph(const ExecutionLog &Log,
         Accum[Pid].Records.push_back(Records[Next[Pid]++]);
       G.appendProcess(Pid, Accum[Pid], From);
     }
-    G.finalizeTail();
+    EXPECT_TRUE(G.finalizeTail()) << Label << " cut at seq " << Cut;
     EXPECT_EQ(indexMismatch(G, NumShared), "")
         << Label << " after the cut at seq " << Cut;
     if (Last)

@@ -7,7 +7,8 @@
 // checks the full lifecycle: scripted session, pipelined queries all
 // answered before a shutdown on the same connection takes effect, and a
 // zero exit status after the graceful drain. A paged server must also
-// survive its log being re-saved underneath it.
+// survive its log being re-saved underneath it, and answer a typed error
+// — not die — when the log is cut in place.
 //
 //===----------------------------------------------------------------------===//
 
@@ -225,6 +226,26 @@ querySession(ClientConnection &Conn, const std::vector<std::string> &Commands) {
     Answers.push_back(Resp.Text);
   }
   return Answers;
+}
+
+/// Opens a session on program \p Program and runs one command in it.
+/// Returns the command's response (a default Response after a transport
+/// failure or a refused open).
+Response queryProgram(ClientConnection &Conn, uint32_t Program,
+                      const std::string &Command) {
+  Request Req;
+  Response Resp;
+  Req.Type = MsgType::OpenSession;
+  Req.ProgramIndex = Program;
+  if (!Conn.roundTrip(Req, Resp) || Resp.Type != RespType::SessionOpened)
+    return Response();
+  Req = Request();
+  Req.Type = MsgType::Query;
+  Req.SessionId = Resp.SessionId;
+  Req.Command = Command;
+  if (!Conn.roundTrip(Req, Resp))
+    return Response();
+  return Resp;
 }
 
 bool requestShutdown(ClientConnection &Conn) {
@@ -465,6 +486,48 @@ TEST(ServerE2eTest, ResavingAServedLogKeepsAnswersAndExitsCleanly) {
   ASSERT_EQ(runTool({"run", SmallPath, "--save-log", LogPath}), 0);
 
   EXPECT_EQ(querySession(Conn, Script), Before);
+  EXPECT_TRUE(requestShutdown(Conn));
+  Conn.disconnect();
+  EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
+
+  for (const std::string &Path :
+       {BigPath, SmallPath, LogPath, LogPath + ".ppdb"})
+    ::unlink(Path.c_str());
+}
+
+TEST(ServerE2eTest, LogTruncatedUnderServerAnswersLogUnreadable) {
+  // `: > t.log` under a paged server: the next section fault finds the
+  // file changed since open and answers a typed LogUnreadable error —
+  // the server neither dies nor answers from a partial graph. Another
+  // program on the same server keeps answering, and shutdown exits 0.
+  std::string Base = tempBase();
+  std::string BigPath = Base + "-big.ppl";
+  std::string SmallPath = Base + "-small.ppl";
+  std::string LogPath = Base + ".log";
+  ASSERT_TRUE(writeFile(BigPath, BigSource));
+  ASSERT_TRUE(writeFile(SmallPath, E2eSource));
+  ASSERT_EQ(runTool({"run", BigPath, "--save-log", LogPath}), 0);
+
+  ServerProcess Server;
+  ASSERT_TRUE(Server.start(false, BigSource,
+                           {"--log", LogPath, "--program", SmallPath}));
+  ClientConnection Conn;
+  ASSERT_TRUE(Server.connectWithRetry(Conn));
+  ASSERT_EQ(::truncate(LogPath.c_str(), 0), 0);
+
+  for (const char *Cmd : {"where 0", "races"}) {
+    Response Resp = queryProgram(Conn, 0, Cmd);
+    EXPECT_EQ(int(Resp.Type), int(RespType::Error)) << Cmd;
+    EXPECT_EQ(int(Resp.Code), int(ErrCode::LogUnreadable)) << Cmd;
+    EXPECT_NE(Resp.Text.find("changed since it was opened"),
+              std::string::npos)
+        << Resp.Text;
+  }
+  Response Other = queryProgram(Conn, 1, "where 0");
+  EXPECT_EQ(int(Other.Type), int(RespType::Result));
+  EXPECT_NE(Other.Text.find("print(total)"), std::string::npos)
+      << Other.Text;
+
   EXPECT_TRUE(requestShutdown(Conn));
   Conn.disconnect();
   EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
