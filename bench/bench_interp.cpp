@@ -4,13 +4,9 @@
 //
 // Dispatch-bound microbenchmarks for the execution engine itself, the cost
 // center under every experiment row (E1 emit rate, E2 tracing-vs-logging,
-// E8b flowback replay). Each workload is run back to back on the decoded
-// fast path (pre-decoded stream + threaded dispatch + mode-specialized
-// loop) and on the legacy one-instruction switch engine, in the same
-// benchmark iteration so CPU-frequency drift cancels. Counters report
-// million instructions per second for both engines and the resulting
-// speedup; the two runs' step counts and outputs are asserted identical,
-// so the benchmark doubles as a coarse differential check.
+// E8b flowback replay). Each workload runs on the VM's threaded
+// interpreter over the pre-decoded stream (mode-specialized loop); the
+// counter reports million instructions per second.
 //
 // Workloads:
 //  * arith     — tight arithmetic/branch loop: pure dispatch, the fusion
@@ -19,7 +15,7 @@
 //                process slot arena's best case;
 //  * array     — array sweep: indexed loads/stores with bounds checks.
 //
-// The replay_* rows measure the replay tiers (legacy / decoded / JIT):
+// The replay_* rows measure the replay tiers (decoded / JIT):
 // replay_compute_* on compute-heavy e-blocks (dispatch-bound, the JIT's
 // target shape), replay_interval_* on the E8b manyIntervalWorkload
 // (trace-event-bound, shared with bench_flowback). Each iteration is one
@@ -76,64 +72,38 @@ func main() {
 )";
 }
 
-/// Runs \p Source in \p Mode on both engines inside one timing loop and
-/// reports Minstr/sec each plus the speedup. A large quantum keeps the
-/// scheduler out of the measurement (the workloads are single-process, so
-/// the interleaving is unaffected).
+/// Runs \p Source in \p Mode and reports Minstr/sec. A large quantum
+/// keeps the scheduler out of the measurement (the workloads are
+/// single-process, so the interleaving is unaffected).
 void interpBench(benchmark::State &State, const std::string &Source,
                  RunMode Mode) {
   auto Prog = mustCompile(Source);
 
-  MachineOptions Decoded;
-  Decoded.Mode = Mode;
-  Decoded.Seed = 11;
-  Decoded.Quantum = 1024;
-  Decoded.UseDecoded = true;
-  MachineOptions Legacy = Decoded;
-  Legacy.UseDecoded = false;
+  MachineOptions MOpts;
+  MOpts.Mode = Mode;
+  MOpts.Seed = 11;
+  MOpts.Quantum = 1024;
 
-  auto RunOnce = [&](const MachineOptions &MOpts,
-                     std::vector<int64_t> *Outputs) {
+  using Clock = std::chrono::steady_clock;
+  double Seconds = 0;
+  uint64_t Steps = 0;
+  for (auto _ : State) {
+    auto T0 = Clock::now();
     Machine M(*Prog, MOpts);
     RunResult Result = M.run();
+    auto T1 = Clock::now();
     if (Result.Outcome != RunResult::Status::Completed) {
       std::fprintf(stderr, "benchmark workload did not complete\n");
       std::abort();
     }
-    if (Outputs) {
-      Outputs->clear();
-      for (const OutputRecord &R : M.output())
-        Outputs->push_back(R.Value);
-    }
-    return Result.Steps;
-  };
-
-  using Clock = std::chrono::steady_clock;
-  double DecodedSeconds = 0, LegacySeconds = 0;
-  uint64_t Steps = 0;
-  std::vector<int64_t> DecodedOut, LegacyOut;
-  for (auto _ : State) {
-    auto T0 = Clock::now();
-    Steps = RunOnce(Decoded, &DecodedOut);
-    auto T1 = Clock::now();
-    uint64_t LegacySteps = RunOnce(Legacy, &LegacyOut);
-    auto T2 = Clock::now();
-    if (Steps != LegacySteps || DecodedOut != LegacyOut) {
-      std::fprintf(stderr, "decoded/legacy engines diverged\n");
-      std::abort();
-    }
-    DecodedSeconds += std::chrono::duration<double>(T1 - T0).count();
-    LegacySeconds += std::chrono::duration<double>(T2 - T1).count();
-    State.SetIterationTime(std::chrono::duration<double>(T2 - T0).count());
+    Steps = Result.Steps;
+    Seconds += std::chrono::duration<double>(T1 - T0).count();
+    State.SetIterationTime(std::chrono::duration<double>(T1 - T0).count());
   }
 
   double Iters = double(State.iterations());
-  double DecodedRate = 1e-6 * double(Steps) * Iters / DecodedSeconds;
-  double LegacyRate = 1e-6 * double(Steps) * Iters / LegacySeconds;
-  State.counters["MinstrPerSecDecoded"] = benchmark::Counter(DecodedRate);
-  State.counters["MinstrPerSecLegacy"] = benchmark::Counter(LegacyRate);
-  State.counters["SpeedupVsLegacy"] =
-      benchmark::Counter(DecodedRate / LegacyRate);
+  State.counters["MinstrPerSecDecoded"] =
+      benchmark::Counter(1e-6 * double(Steps) * Iters / Seconds);
   State.counters["VmSteps"] = double(Steps);
 }
 
@@ -220,11 +190,6 @@ void replayBench(benchmark::State &State, ReplayEngineKind Kind,
 // arithmetic per statement — dispatch-bound, the JIT's target shape); the
 // interval_* rows replay the E8b manyIntervalWorkload (short statements —
 // trace-event-bound, the JIT's worst case, shared with bench_flowback).
-void replay_compute_legacy(benchmark::State &State) {
-  replayBench(State, ReplayEngineKind::Legacy,
-              computeHeavyUnitWorkload(unsigned(State.range(0)),
-                                       unsigned(State.range(1))));
-}
 void replay_compute_decoded(benchmark::State &State) {
   replayBench(State, ReplayEngineKind::Decoded,
               computeHeavyUnitWorkload(unsigned(State.range(0)),
@@ -234,11 +199,6 @@ void replay_compute_jit(benchmark::State &State) {
   replayBench(State, ReplayEngineKind::Jit,
               computeHeavyUnitWorkload(unsigned(State.range(0)),
                                        unsigned(State.range(1))));
-}
-void replay_interval_legacy(benchmark::State &State) {
-  replayBench(State, ReplayEngineKind::Legacy,
-              manyIntervalWorkload(unsigned(State.range(0)),
-                                   unsigned(State.range(1))));
 }
 void replay_interval_decoded(benchmark::State &State) {
   replayBench(State, ReplayEngineKind::Decoded,
@@ -288,10 +248,8 @@ BENCHMARK(array_fulltrace)->Arg(100)->UseManualTime();
 // (units, inner loop iterations): compute rows are 32 e-blocks of ~2.2k
 // mostly-arithmetic instructions each; interval rows are the E8b shape
 // (60 short-statement iterations per unit), shared with bench_flowback.
-BENCHMARK(replay_compute_legacy)->Args({32, 40});
 BENCHMARK(replay_compute_decoded)->Args({32, 40});
 BENCHMARK(replay_compute_jit)->Args({32, 40});
-BENCHMARK(replay_interval_legacy)->Args({32, 60});
 BENCHMARK(replay_interval_decoded)->Args({32, 60});
 BENCHMARK(replay_interval_jit)->Args({32, 60});
 BENCHMARK(replay_jit_cold)->Args({32, 40});

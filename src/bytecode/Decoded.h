@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The decoded-execution fast path shared by the VM (vm/Machine.cpp) and
-/// the emulation-package replay engine (core/Replay.cpp). A DecodedChunk
-/// is produced once per function during the preparatory phase: the decoder
-/// flattens a Chunk into an array of DecodedInstr with the statement id
-/// inlined (no side-table lookup per step) and rewrites common adjacent
-/// pairs into superinstructions:
+/// The instruction stream both interpreters run: the VM's
+/// (vm/Machine.cpp) and the emulation-package replay engine's
+/// (core/Replay.cpp), which the JIT tier (vm/Jit.cpp) compiles from. A
+/// DecodedChunk is produced once per function during the preparatory
+/// phase: the decoder flattens a Chunk into an array of DecodedInstr with
+/// the statement id inlined (no side-table lookup per step) and rewrites
+/// common adjacent pairs into superinstructions:
 ///
 ///   * Cmp{Eq,Ne,Lt,Le,Gt,Ge} + JumpIf{False,True}  ->  JumpIfCmp
 ///   * PushConst + StoreLocal                        ->  StoreLocalImm
@@ -19,16 +20,17 @@
 /// pc i — which buys three invariants at once:
 ///
 ///   * jump targets need no remapping: a decoded index *is* a pc, so
-///     EBlockInfo::EmuEntryPc and Process::Pc keep their meaning on both
-///     the legacy and the decoded path;
+///     EBlockInfo::EmuEntryPc and Process::Pc keep the chunk's meaning;
 ///   * a jump that lands on the *second* instruction of a fused pair
 ///     executes it from its own (still fully decoded) slot;
-///   * a superinstruction remains splittable: when the scheduler's
-///     quantum or the global step budget has only one step left, the
-///     interpreter executes just the first half (the compare / the push)
-///     and leaves the pc on the second slot, so preemption points — and
-///     therefore interleavings, sync sequence numbers, and the log bytes —
-///     are bit-identical to the legacy one-instruction-at-a-time engine.
+///   * a superinstruction remains splittable: a fused pair still costs
+///     two steps, and when the scheduler's quantum, the global step
+///     budget, or the replay's instruction limit has only one step left,
+///     the interpreter executes just the first half (the compare / the
+///     push) and leaves the pc on the second slot. Preemption points —
+///     and therefore interleavings, sync sequence numbers, and the log
+///     bytes — are those of the unfused instruction stream, and the JIT
+///     can step exactly one base instruction through the interpreter.
 ///
 /// Fusion requires both instructions to carry the same statement id (the
 /// breakpoint check fires on statement transitions, which must not be

@@ -121,6 +121,10 @@ public:
     return Func < Funcs.size() && NumArgs == Funcs[Func].NumParams;
   }
 
+  /// True when a statement id read back from bytes — a sync record, a
+  /// Stop marker, a `.ppdb` row — names one of this program's statements.
+  bool isStmt(StmtId Id) const { return Id < Ast->numStmts(); }
+
   const EBlockInfo &eblock(uint32_t Id) const {
     assert(Id < EBlocks.size() && "e-block id out of range");
     return EBlocks[Id];

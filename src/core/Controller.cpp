@@ -344,7 +344,7 @@ uint32_t PpdController::recordEnd(uint32_t Pid) const {
 bool PpdController::stmtsInRange(const ParallelDynamicGraph &PG) const {
   for (uint32_t Pid = 0; Pid != PG.numProcs(); ++Pid)
     for (const SyncNode &N : PG.nodes(Pid))
-      if (N.Stmt != InvalidId && N.Stmt >= Prog.Ast->numStmts())
+      if (N.Stmt != InvalidId && !Prog.isStmt(N.Stmt))
         return false;
   return true;
 }

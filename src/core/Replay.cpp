@@ -2,21 +2,21 @@
 //
 // Part of PPD. See Replay.h.
 //
-// Three replay tiers live here, mirroring vm/Machine.cpp: the JIT runner
-// (runJit) drives natively compiled e-block code with interpreter
-// side-exits; the decoded fast path (runDecoded) is a token-threaded loop
-// over the emulation package's pre-decoded stream; the legacy engine
-// (step) remains as the portable reference. Every record-cursor
-// operation — the sync no-ops, prelog/postlog/unit-log handling, trace
-// event construction, nested-call skipping — is a helper shared verbatim
-// by all engines, so the paths cannot drift. The JIT additionally routes
-// its side-exit instructions through step() and its trace events through
-// the same helpers, which is what makes it bit-identical by construction.
+// Two replay tiers live here: the interpreter (runDecoded), a
+// token-threaded loop over the emulation package's pre-decoded stream, and
+// the JIT runner (runJit), which drives natively compiled e-block code and
+// sends every side exit through the interpreter one instruction at a time.
+// Every record-cursor operation — the sync no-ops, prelog/postlog/unit-log
+// handling, trace event construction, nested-call skipping — is a helper
+// both tiers share, so the JIT is bit-identical to the interpreter by
+// construction and the interpreter answers to the §5.5 theorem oracle
+// (a FullTrace run, testing/DiffOracles.cpp).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Replay.h"
 
+#include "sema/ProgramDatabase.h"
 #include "support/Arith.h"
 #include "vm/Dispatch.h"
 #include "vm/InterpCore.h"
@@ -75,10 +75,57 @@ private:
   }
 
   /// True when the cursor sits at the end of what actually executed: the
-  /// log is exhausted or a Stop marker (machine freeze) is next.
+  /// log is exhausted, or a Stop marker (machine freeze) or the terminal
+  /// Stopped sync node flushed after a failure is next.
   bool atExecutionEnd() const {
-    return Cursor >= Records.size() ||
-           Records[Cursor].Kind == LogRecordKind::Stop;
+    if (Cursor >= Records.size())
+      return true;
+    const LogRecord &R = Records[Cursor];
+    return R.Kind == LogRecordKind::Stop ||
+           (R.Kind == LogRecordKind::SyncEvent && R.Sync == SyncKind::Stopped);
+  }
+
+  /// The Stop marker at the cursor; null when there is none or the
+  /// replay is a what-if (which runs on past the logged execution).
+  const LogRecord *stopMarker() const {
+    if (WhatIf || Cursor >= Records.size() ||
+        Records[Cursor].Kind != LogRecordKind::Stop)
+      return nullptr;
+    return &Records[Cursor];
+  }
+
+  /// A Stop marker at the cursor means the machine froze this process in
+  /// the record-free tail, in or before the marker's statement. True (and
+  /// the replay finished as Partial) when the tail reaches that point:
+  /// statement \p Next is the marker's (breakpoints fire before the
+  /// statement executes, so its event must not be fabricated), or the tail
+  /// began inside the marker's statement and moves on. A marker without a
+  /// statement stops at once.
+  bool reachedStop(StmtId Next) {
+    const LogRecord *Marker = stopMarker();
+    if (!Marker || (Marker->Stmt != InvalidId && Marker->Stmt != Next &&
+                    Marker->Stmt != LastStmt))
+      return false;
+    Result.Partial = true;
+    finish(true);
+    return true;
+  }
+
+  /// True when the machine froze the process after \p Callee logged its
+  /// exit but before it returned: a Stop marker follows the exit postlog
+  /// and names no statement or one of the callee's own. (A recursive
+  /// caller's own statements read the same way; replay then stops early,
+  /// which shortens the trace but never invents one.)
+  bool stoppedBeforeReturn(uint32_t Callee) const {
+    const LogRecord *Marker = stopMarker();
+    if (!Marker)
+      return false;
+    StmtId At = Marker->Stmt;
+    if (At == InvalidId)
+      return true;
+    const FuncDecl *Owner =
+        Prog.isStmt(At) ? Prog.Database->owningFunc(At) : nullptr;
+    return Owner && Owner->Index == Callee;
   }
 
   /// Consumes the next record if it has the expected shape; returns null
@@ -228,10 +275,10 @@ private:
 
   void skipNestedCall(uint32_t Callee, StmtId Stmt);
 
-  // Cold operations shared verbatim by the legacy switch engine and the
-  // decoded handlers. They operate on the member state (Stack, Pc,
-  // Cursor, Frames); the decoded loop syncs its Ip with Pc around the two
-  // that transfer control (doCall, doRet).
+  // Cold operations, shared by the interpreter and the JIT's statement
+  // hooks. They operate on the member state (Stack, Pc, Cursor, Frames);
+  // the interpreter syncs its Ip with Pc around the two that transfer
+  // control (doCall, doRet).
   StepOutcome doSemP();
   StepOutcome doSemV();
   StepOutcome doSend();
@@ -242,13 +289,15 @@ private:
   StepOutcome doPostlog(uint32_t EBlockId, uint32_t Flags);
   StepOutcome doUnitLog(uint32_t UnitId);
   StepOutcome doTraceStmt(StmtId Stmt);
-  void doTraceCallBegin(uint32_t Callee, StmtId Stmt);
+  StepOutcome doTraceCallBegin(uint32_t Callee, StmtId Stmt);
   void doTraceCallEnd(uint32_t Callee);
   StepOutcome doCall(uint32_t Callee, uint32_t Argc, StmtId Stmt);
   StepOutcome doRet();
 
-  StepOutcome step();
-  void runDecoded();
+  /// Interprets from Pc until the replay stops or \p Limit instructions
+  /// have run. A fused pair counts as two instructions and splits at the
+  /// limit, so the JIT can step exactly one base instruction.
+  void runDecoded(uint64_t Limit = UINT64_MAX);
   /// The JIT runner: native execution with interpreter side-exits.
   /// Returns the number of Interp bailouts taken; \p NativeEntries counts
   /// how many times native code was actually entered.
@@ -273,6 +322,8 @@ private:
   std::vector<int64_t> Priv;
   uint32_t Pc = 0;
   uint32_t Cursor = 0;
+  /// Statement of the most recent Stmt event.
+  StmtId LastStmt = InvalidId;
   uint32_t RootFunc = 0;
   JitProgram *Jit = nullptr;
   /// Native code records accesses here (three stores + bump per access);
@@ -331,7 +382,7 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
       }
     }
   }
-  if (!SawExit) {
+  if (!SawExit || stoppedBeforeReturn(Callee)) {
     // The callee never returned: execution stopped inside it. The caller
     // cannot continue either.
     Result.Partial = true;
@@ -356,7 +407,7 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cold operations shared by both engines
+// Cold operations
 //===----------------------------------------------------------------------===//
 
 Replayer::StepOutcome Replayer::doSemP() {
@@ -481,19 +532,10 @@ Replayer::StepOutcome Replayer::doUnitLog(uint32_t UnitId) {
 }
 
 Replayer::StepOutcome Replayer::doTraceStmt(StmtId Stmt) {
-  // A Stop marker at the cursor means the machine froze with this
-  // process somewhere in the record-free tail. Stop the replay when the
-  // marker's statement comes up (breakpoints fire before the statement
-  // executes, so its event must not be fabricated); a marker without a
-  // statement stops immediately.
-  if (!WhatIf && Cursor < Records.size() &&
-      Records[Cursor].Kind == LogRecordKind::Stop &&
-      (Records[Cursor].Stmt == InvalidId || Records[Cursor].Stmt == Stmt)) {
-    Result.Partial = true;
-    finish(true);
+  if (reachedStop(Stmt))
     return StepOutcome::Stop;
-  }
   applyOverrides();
+  LastStmt = Stmt;
   TraceEvent &E = Result.Events.emplace();
   E.Pid = Pid;
   E.Stmt = Stmt;
@@ -502,10 +544,15 @@ Replayer::StepOutcome Replayer::doTraceStmt(StmtId Stmt) {
   return StepOutcome::Continue;
 }
 
-void Replayer::doTraceCallBegin(uint32_t Callee, StmtId Stmt) {
+Replayer::StepOutcome Replayer::doTraceCallBegin(uint32_t Callee,
+                                                 StmtId Stmt) {
   // Logged callees become CallSkipped events at the Call instruction.
   if (Prog.func(Callee).Logged)
-    return;
+    return StepOutcome::Continue;
+  // An inlined call is record-free: it must not begin past the point
+  // where the machine froze the process.
+  if (reachedStop(InvalidId))
+    return StepOutcome::Stop;
   TraceEvent E;
   E.Kind = TraceEventKind::CallBegin;
   E.Pid = Pid;
@@ -515,6 +562,7 @@ void Replayer::doTraceCallBegin(uint32_t Callee, StmtId Stmt) {
   E.Args.assign(Stack.end() - Argc, Stack.end());
   E.LogCursor = Cursor;
   Result.Events.append(std::move(E));
+  return StepOutcome::Continue;
 }
 
 void Replayer::doTraceCallEnd(uint32_t Callee) {
@@ -574,266 +622,10 @@ Replayer::StepOutcome Replayer::doRet() {
 }
 
 //===----------------------------------------------------------------------===//
-// The legacy switch engine
+// The interpreter
 //===----------------------------------------------------------------------===//
 
-Replayer::StepOutcome Replayer::step() {
-  const Chunk &Code = chunk();
-  assert(Pc < Code.size() && "replay pc out of range");
-  const Instr I = Code.at(Pc);
-  StmtId Stmt = Code.stmtAt(Pc);
-  ++Pc;
-
-  auto Push = [&](int64_t V) { Stack.push_back(V); };
-  auto Pop = [&]() {
-    assert(!Stack.empty() && "operand stack underflow in replay");
-    int64_t V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
-
-  bool IsShared = false;
-  switch (I.Opcode) {
-  case Op::PushConst:
-    Push(I.Imm);
-    return StepOutcome::Continue;
-  case Op::Pop:
-    Pop();
-    return StepOutcome::Continue;
-  case Op::ToBool:
-    Stack.back() = Stack.back() != 0;
-    return StepOutcome::Continue;
-
-  case Op::LoadLocal: {
-    int64_t V = topSlots()[I.A];
-    Push(V);
-    traceRead(VarId(I.B), V, -1);
-    return StepOutcome::Continue;
-  }
-  case Op::StoreLocal: {
-    int64_t V = Pop();
-    topSlots()[I.A] = V;
-    traceWrite(VarId(I.B), V, -1);
-    return StepOutcome::Continue;
-  }
-  case Op::LoadLocalElem: {
-    int64_t Idx = Pop();
-    if (Idx < 0 || Idx >= I.Imm) {
-      failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-      return StepOutcome::Stop;
-    }
-    int64_t V = topSlots()[I.A + Idx];
-    Push(V);
-    traceRead(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-  case Op::StoreLocalElem: {
-    int64_t V = Pop();
-    int64_t Idx = Pop();
-    if (Idx < 0 || Idx >= I.Imm) {
-      failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-      return StepOutcome::Stop;
-    }
-    topSlots()[I.A + Idx] = V;
-    traceWrite(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-  case Op::ZeroLocal:
-    std::fill_n(topSlots() + I.A, I.Imm, 0);
-    traceWrite(VarId(I.B), 0, -1);
-    return StepOutcome::Continue;
-
-  case Op::LoadShared:
-  case Op::LoadSharedElem:
-    IsShared = true;
-    [[fallthrough]];
-  case Op::LoadPriv:
-  case Op::LoadPrivElem: {
-    std::vector<int64_t> &Mem = IsShared ? Shared : Priv;
-    int64_t Idx = -1;
-    uint32_t Offset = uint32_t(I.A);
-    if (I.Opcode == Op::LoadSharedElem || I.Opcode == Op::LoadPrivElem) {
-      Idx = Pop();
-      if (Idx < 0 || Idx >= I.Imm) {
-        failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-        return StepOutcome::Stop;
-      }
-      Offset += uint32_t(Idx);
-    }
-    int64_t V = Mem[Offset];
-    Push(V);
-    traceRead(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-  case Op::StoreShared:
-  case Op::StoreSharedElem:
-    IsShared = true;
-    [[fallthrough]];
-  case Op::StorePriv:
-  case Op::StorePrivElem: {
-    std::vector<int64_t> &Mem = IsShared ? Shared : Priv;
-    int64_t V = Pop();
-    int64_t Idx = -1;
-    uint32_t Offset = uint32_t(I.A);
-    if (I.Opcode == Op::StoreSharedElem || I.Opcode == Op::StorePrivElem) {
-      Idx = Pop();
-      if (Idx < 0 || Idx >= I.Imm) {
-        failHere(RuntimeErrorKind::IndexOutOfBounds, Stmt);
-        return StepOutcome::Stop;
-      }
-      Offset += uint32_t(Idx);
-    }
-    Mem[Offset] = V;
-    traceWrite(VarId(I.B), V, Idx);
-    return StepOutcome::Continue;
-  }
-
-  case Op::Add: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapAdd(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Sub: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapSub(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Mul: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapMul(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Div: {
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      failHere(RuntimeErrorKind::DivideByZero, Stmt);
-      return StepOutcome::Stop;
-    }
-    Push(wrapDiv(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Mod: {
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      failHere(RuntimeErrorKind::ModuloByZero, Stmt);
-      return StepOutcome::Stop;
-    }
-    Push(wrapMod(A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::Neg:
-    Stack.back() = wrapNeg(Stack.back());
-    return StepOutcome::Continue;
-  case Op::Not:
-    Stack.back() = Stack.back() == 0;
-    return StepOutcome::Continue;
-  case Op::CmpEq: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Eq, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpNe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Ne, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpLt: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Lt, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpLe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Le, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpGt: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Gt, A, B));
-    return StepOutcome::Continue;
-  }
-  case Op::CmpGe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Ge, A, B));
-    return StepOutcome::Continue;
-  }
-
-  case Op::Jump:
-    Pc = uint32_t(I.A);
-    return StepOutcome::Continue;
-  case Op::JumpIfFalse:
-  case Op::JumpIfTrue: {
-    int64_t Cond = Pop();
-    if (TraceEvent *E = openEvent()) {
-      E->IsPredicate = true;
-      E->BranchTaken = Cond != 0;
-    }
-    bool Taken = I.Opcode == Op::JumpIfFalse ? Cond == 0 : Cond != 0;
-    if (Taken)
-      Pc = uint32_t(I.A);
-    return StepOutcome::Continue;
-  }
-
-  case Op::Call:
-    return doCall(uint32_t(I.A), uint32_t(I.B), Stmt);
-  case Op::Ret:
-    return doRet();
-  case Op::CallBuiltin: {
-    if (!applyBuiltin(Builtin(I.A), Stack)) {
-      failHere(RuntimeErrorKind::NegativeSqrt, Stmt);
-      return StepOutcome::Stop;
-    }
-    return StepOutcome::Continue;
-  }
-
-  case Op::SemP:
-    return doSemP();
-  case Op::SemV:
-    return doSemV();
-  case Op::SendCh:
-    return doSend();
-  case Op::RecvCh:
-    return doRecv();
-  case Op::SpawnProc:
-    return doSpawn(uint32_t(I.B));
-
-  case Op::PrintVal: {
-    int64_t Value = Pop();
-    Result.Output.push_back({Pid, Value, Stmt});
-    return StepOutcome::Continue;
-  }
-  case Op::InputVal:
-    return doInput();
-
-  case Op::Prelog:
-    return doPrelog(uint32_t(I.A));
-  case Op::Postlog:
-    return doPostlog(uint32_t(I.A), uint32_t(I.B));
-  case Op::UnitLog:
-    return doUnitLog(uint32_t(I.A));
-
-  case Op::TraceStmt:
-    return doTraceStmt(StmtId(I.A));
-  case Op::TraceCallBegin:
-    doTraceCallBegin(uint32_t(I.A), StmtId(I.B));
-    return StepOutcome::Continue;
-  case Op::TraceCallEnd:
-    doTraceCallEnd(uint32_t(I.A));
-    return StepOutcome::Continue;
-
-  case Op::Halt:
-    finish(true);
-    return StepOutcome::Stop;
-  }
-  assert(false && "unknown opcode in replay");
-  return StepOutcome::Stop;
-}
-
-//===----------------------------------------------------------------------===//
-// The decoded fast path
-//===----------------------------------------------------------------------===//
-
-void Replayer::runDecoded() {
+void Replayer::runDecoded(uint64_t Limit) {
   PPD_DISPATCH_TABLE();
 
   // Hot state lives in locals and is synced back to the members on every
@@ -855,14 +647,25 @@ void Replayer::runDecoded() {
     return V;
   };
 
+  // One compare per instruction covers both the replay budget and the
+  // caller's limit: Stop is whichever comes first.
+  const uint64_t Start = Result.Instructions;
+  const uint64_t Stop =
+      Limit < Options.MaxInstructions - std::min(Start, Options.MaxInstructions)
+          ? Start + Limit
+          : Options.MaxInstructions;
   for (;;) {
-    // Per-instruction prologue: exact legacy accounting — the budget
-    // check charges the instruction even when it fails.
-    if (Result.Instructions++ >= Options.MaxInstructions) {
+    // Per-instruction prologue. Running out of budget charges the
+    // instruction that could not run; reaching the limit does not.
+    if (Result.Instructions >= Stop) {
+      if (Result.Instructions - Start == Limit)
+        goto Exit;
+      ++Result.Instructions;
       Result.Error = "replay instruction budget exceeded";
-      Result.Ok = false;
+      finish(false);
       goto Exit;
     }
+    ++Result.Instructions;
     const DecodedInstr &I = Base[Ip];
     ++Ip;
 
@@ -1061,13 +864,12 @@ void Replayer::runDecoded() {
       }
       PPD_OP(JumpIfCmp) {
         // Fused Cmp + JumpIf. The compare is this instruction; the branch
-        // is the next one and only executes if the budget still has room —
-        // otherwise the compare result is pushed and the pc stays on the
-        // branch's own (still fully decoded) slot, so the legacy engine's
-        // instruction accounting is preserved exactly.
+        // is the next one and only executes if neither the budget nor the
+        // limit stops first — otherwise the compare result is pushed and
+        // the pc stays on the branch's own (still fully decoded) slot.
         int64_t B = Pop(), A = Pop();
         int64_t Cond = evalCmp(CmpKind(I.Sub >> 1), A, B);
-        if (Result.Instructions < Options.MaxInstructions) {
+        if (Result.Instructions < Stop) {
           ++Result.Instructions;
           if (TraceEvent *E = openEvent()) {
             E->IsPredicate = true;
@@ -1082,7 +884,7 @@ void Replayer::runDecoded() {
       }
       PPD_OP(StoreLocalImm) {
         // Fused PushConst + StoreLocal, split the same way.
-        if (Result.Instructions < Options.MaxInstructions) {
+        if (Result.Instructions < Stop) {
           ++Result.Instructions;
           ++Ip; // skip the second half's slot
           Slots[I.A] = I.Imm;
@@ -1178,7 +980,8 @@ void Replayer::runDecoded() {
         continue;
       }
       PPD_OP(TraceCallBegin) {
-        doTraceCallBegin(uint32_t(I.A), StmtId(I.B));
+        if (doTraceCallBegin(uint32_t(I.A), StmtId(I.B)) == StepOutcome::Stop)
+          goto Exit;
         continue;
       }
       PPD_OP(TraceCallEnd) {
@@ -1209,9 +1012,9 @@ Exit:
 // matching runDecoded's loop header instruction for instruction) and
 // side-exits for everything that touches the log cursor or the frame
 // stack; those slots — and any pc whose stack depth the compiler could
-// not prove — execute through the legacy step(), which shares every cold
-// helper with the decoded engine. Instruction accounting, events, output,
-// and final state are therefore bit-identical across all three tiers.
+// not prove — execute through runDecoded with a limit of one instruction.
+// Instruction accounting, events, output, and final state are therefore
+// bit-identical to the interpreter's.
 uint64_t Replayer::runJit(uint64_t &NativeEntries) {
   JitContext Ctx;
   Ctx.Shared = Shared.data();
@@ -1290,15 +1093,8 @@ uint64_t Replayer::runJit(uint64_t &NativeEntries) {
       ++Bailouts;
     }
     // One interpreter step: a side-exit instruction, a function whose
-    // compile failed, or a pc without a proven depth. Charge first,
-    // exactly like runDecoded's prologue and run()'s legacy loop.
-    if (Result.Instructions++ >= Options.MaxInstructions) {
-      Result.Error = "replay instruction budget exceeded";
-      Result.Ok = false;
-      break;
-    }
-    if (step() == StepOutcome::Stop)
-      break;
+    // compile failed, or a pc without a proven depth.
+    runDecoded(1);
   }
   return Bailouts;
 }
@@ -1327,22 +1123,12 @@ ReplayResult Replayer::run() {
   Pc = EBlock.EmuEntryPc;
   Cursor = Interval.PrelogRecord;
 
-  // Tier selection. The decoded and JIT paths need usable decoded
-  // emulation streams for every function (hand-assembled CompiledPrograms
-  // may lack them). The JIT tier additionally needs a live JitProgram
-  // (compiled in, x86-64 host) and a warm e-block — cold intervals replay
-  // decoded and only cache-driven re-executions pay the compile, which
-  // then amortizes across the session.
-  ReplayEngineKind Engine = Options.Engine;
-  for (const CompiledFunction &F : Prog.Funcs)
-    if (F.EmuDecoded.size() != F.Emu.size())
-      Engine = ReplayEngineKind::Legacy;
-  if (Engine == ReplayEngineKind::Jit &&
-      (!Jit || !Jit->shouldTier(Interval.EBlock)))
-    Engine = ReplayEngineKind::Decoded;
-
-  switch (Engine) {
-  case ReplayEngineKind::Jit: {
+  // Tier selection. The JIT tier needs a live JitProgram (compiled in,
+  // x86-64 host) and a warm e-block — cold intervals replay decoded and
+  // only cache-driven re-executions pay the compile, which then amortizes
+  // across the session.
+  if (Options.Engine == ReplayEngineKind::Jit && Jit &&
+      Jit->shouldTier(Interval.EBlock)) {
     auto T0 = std::chrono::steady_clock::now();
     uint64_t NativeEntries = 0;
     uint64_t Bailouts = runJit(NativeEntries);
@@ -1351,22 +1137,8 @@ ReplayResult Replayer::run() {
                      std::chrono::steady_clock::now() - T0)
                      .count()),
         Bailouts, NativeEntries != 0);
-    break;
-  }
-  case ReplayEngineKind::Decoded:
+  } else {
     runDecoded();
-    break;
-  case ReplayEngineKind::Legacy:
-    while (!Done) {
-      if (Result.Instructions++ >= Options.MaxInstructions) {
-        Result.Error = "replay instruction budget exceeded";
-        Result.Ok = false;
-        break;
-      }
-      if (step() == StepOutcome::Stop)
-        break;
-    }
-    break;
   }
 
   Result.Shared = std::move(Shared);
@@ -1384,8 +1156,6 @@ bool ppd::parseReplayEngine(const std::string &Name,
     Kind = ReplayEngineKind::Jit;
   else if (Name == "decoded")
     Kind = ReplayEngineKind::Decoded;
-  else if (Name == "legacy")
-    Kind = ReplayEngineKind::Legacy;
   else
     return false;
   return true;
@@ -1397,8 +1167,6 @@ const char *ppd::replayEngineName(ReplayEngineKind Kind) {
     return "jit";
   case ReplayEngineKind::Decoded:
     return "decoded";
-  case ReplayEngineKind::Legacy:
-    return "legacy";
   }
   return "?";
 }

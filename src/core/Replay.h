@@ -50,14 +50,14 @@ namespace ppd {
 class JitProgram;
 
 /// The replay tier. Jit compiles hot e-blocks to native code with the
-/// decoded engine underneath (warm-up replays, side-exits, unsupported
-/// hosts all run decoded); Decoded is the pre-decoded threaded
-/// interpreter; Legacy is the one-instruction switch reference. All three
-/// produce bit-identical results — tests/jit_test.cpp, interp_test.cpp,
-/// and the fuzz oracle matrix assert it.
-enum class ReplayEngineKind : uint8_t { Jit, Decoded, Legacy };
+/// interpreter underneath (warm-up replays, side-exits, unsupported hosts
+/// all run decoded); Decoded is the pre-decoded threaded interpreter. Both
+/// produce bit-identical results — tests/jit_test.cpp and the fuzz oracle
+/// matrix assert it — and the interpreter is held to the §5.5 theorem
+/// (spec/trace in testing/DiffOracles.h).
+enum class ReplayEngineKind : uint8_t { Jit, Decoded };
 
-/// Maps "jit" / "decoded" / "legacy" to the kind; false on anything else.
+/// Maps "jit" / "decoded" to the kind; false on anything else.
 bool parseReplayEngine(const std::string &Name, ReplayEngineKind &Kind);
 const char *replayEngineName(ReplayEngineKind Kind);
 

@@ -10,7 +10,12 @@
 ///
 ///   USED(i)    = variables that may be read by E_i before being written —
 ///                the prelog contents. Computed as upward-exposed reads by
-///                a backward fixpoint restricted to the region.
+///                a backward fixpoint restricted to the region. The
+///                postlog counts as a read at every region exit: it
+///                captures each DEFINED variable there, and replay checks
+///                the non-shared ones against it, so a variable that only
+///                some paths write is exposed along the paths that skip
+///                the write.
 ///   DEFINED(i) = variables that may be written by E_i — the postlog
 ///                contents. A simple union over the region.
 ///
@@ -85,9 +90,18 @@ computeUsedDefined(const Program &P, const SymbolTable &Symbols, const Cfg &G,
     }
   }
 
+  // What the postlog reads when control leaves the region. Postlog
+  // verification skips shared variables (another process may legitimately
+  // write them before the capture), so they need no entry value.
+  Set AtExit;
+  for (unsigned V : Result.Defined.toVector())
+    if (!Symbols.var(VarId(V)).isShared())
+      AtExit.insert(V);
+
   // Backward fixpoint for upward-exposed reads:
-  //   Exposed(n) = Reads(n) ∪ (∪_{s∈succ(n)∩region} Exposed(s)) −
-  //                StrongKills(n)
+  //   Exposed(n) = Reads(n) ∪ (Out(n) − StrongKills(n))
+  //   Out(n)     = ∪_{s∈succ(n)∩region} Exposed(s), plus AtExit when n
+  //                has a successor outside the region or none at all
   // Note reads of n happen before n's own writes, so Reads(n) is added
   // after subtracting kills.
   std::vector<Set> Exposed(G.size());
@@ -101,9 +115,12 @@ computeUsedDefined(const Program &P, const SymbolTable &Symbols, const Cfg &G,
       if (!InRegion[Node])
         continue;
       Set NewExposed;
-      for (const CfgSucc &Succ : G.node(Node).Succs)
-        if (InRegion[Succ.Node])
-          NewExposed.unionWith(Exposed[Succ.Node]);
+      const auto &Succs = G.node(Node).Succs;
+      if (Succs.empty())
+        NewExposed.unionWith(AtExit);
+      for (const CfgSucc &Succ : Succs)
+        NewExposed.unionWith(InRegion[Succ.Node] ? Exposed[Succ.Node]
+                                                 : AtExit);
       NewExposed.subtract(StrongKills[Node]);
       NewExposed.unionWith(Reads[Node]);
       if (!(NewExposed == Exposed[Node])) {

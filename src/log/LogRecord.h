@@ -63,9 +63,9 @@ enum class SyncKind : uint8_t {
   ChanRecv,        ///< message received (PartnerSeq = the send; Value =
                    ///< message payload)
   SpawnChild,      ///< spawn executed (Value = child pid)
-  Stopped,         ///< machine froze with this process mid-edge (blocked
-                   ///< at a deadlock, or preempted when another process
-                   ///< failed / a breakpoint hit): flushes the trailing
+  Stopped,         ///< machine froze with this process mid-edge (failed,
+                   ///< blocked at a deadlock, or preempted when another
+                   ///< process failed / a breakpoint hit): flushes the trailing
                    ///< READ/WRITE sets accumulated since the last sync
                    ///< node so races in the unterminated final segment
                    ///< stay visible to §6.4 detection.

@@ -428,7 +428,7 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
         return ProgramDbStatus::Corrupt;
       // Node records ascend, which the graph's binary searches rely on.
       if (Kind > uint8_t(SyncKind::Stopped) || N.RecordIdx >= NumRecords ||
-          (N.Stmt != InvalidId && N.Stmt >= Prog.Ast->numStmts()) ||
+          (N.Stmt != InvalidId && !Prog.isStmt(N.Stmt)) ||
           (I != 0 && N.RecordIdx <= GNodes[Pid][I - 1].RecordIdx))
         return ProgramDbStatus::Corrupt;
     }

@@ -319,9 +319,15 @@ std::string IngestRegistry::applyCut(IngestStream &S) {
       return "section does not continue the process's record stream";
     *Next += uint32_t(Frag.Records.size());
 
-    for (size_t R = 0; R != Frag.Records.size(); ++R)
-      if (Frag.Records[R].Kind == LogRecordKind::SyncEvent)
-        ++NumSyncInCut;
+    for (const LogRecord &Rec : Frag.Records) {
+      if (Rec.Kind != LogRecordKind::SyncEvent)
+        continue;
+      // Sync nodes name their statement to the debugger; the paged
+      // controller and the .ppdb reader apply the same check.
+      if (Rec.Stmt != InvalidId && !S.Prog->isStmt(Rec.Stmt))
+        return "sync record names a statement the program does not have";
+      ++NumSyncInCut;
+    }
   }
 
   // Sequence numbers: every new sync Seq must be fresh (>= the floor)

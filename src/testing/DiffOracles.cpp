@@ -53,6 +53,9 @@ struct Observed {
   std::vector<TraceBuffer> Traces;
   std::vector<std::vector<int64_t>> Privates;
   std::vector<uint8_t> Statuses;
+  /// Per process, the trace event open in its innermost frame when the
+  /// machine stopped (FullTrace runs; InvalidId otherwise).
+  std::vector<uint32_t> OpenEvents;
   ExecutionLog Log;
 };
 
@@ -66,6 +69,8 @@ Observed runOnce(const CompiledProgram &Prog, const MachineOptions &Opts) {
   for (const Process &P : M.processes()) {
     Obs.Privates.push_back(P.PrivateGlobals);
     Obs.Statuses.push_back(uint8_t(P.Status));
+    Obs.OpenEvents.push_back(P.Frames.empty() ? InvalidId
+                                              : P.Frames.back().OpenEvent);
   }
   Obs.Log = M.takeLog();
   return Obs;
@@ -159,25 +164,6 @@ std::string cmpRunPair(const Observed &A, const Observed &B,
     if (auto D = cmpI64Vec("private globals", A.Privates[P], B.Privates[P]);
         !D.empty())
       return "pid " + std::to_string(P) + ": " + D;
-  return {};
-}
-
-std::string cmpTraces(const std::vector<TraceBuffer> &A,
-                      const std::vector<TraceBuffer> &B) {
-  if (A.size() != B.size())
-    return "trace count " + std::to_string(A.size()) + " vs " +
-           std::to_string(B.size());
-  for (size_t P = 0; P != A.size(); ++P) {
-    const auto &EA = A[P].Events, &EB = B[P].Events;
-    if (EA.size() != EB.size())
-      return "pid " + std::to_string(P) + " event count " +
-             std::to_string(EA.size()) + " vs " + std::to_string(EB.size());
-    for (size_t I = 0; I != EA.size(); ++I)
-      if (!(EA[I] == EB[I]))
-        return "pid " + std::to_string(P) + " event " + std::to_string(I) +
-               " differs (stmt s" + std::to_string(EA[I].Stmt) + " vs s" +
-               std::to_string(EB[I].Stmt) + ")";
-  }
   return {};
 }
 
@@ -428,11 +414,219 @@ bool recheckRaces(const ExecutionLog &Log, unsigned NumShared,
   return true;
 }
 
+//===----------------------------------------------------------------------===//
+// §5.5 splice: a process's interval replays, joined in log order, are the
+// trace full tracing records.
+//===----------------------------------------------------------------------===//
+
+/// One event of a spliced trace. Wild marks the CallBegin of a nested
+/// logged call that never returned: its interval's e-block names the
+/// callee, but replay never reached a call site to supply the statement
+/// or the arguments.
+struct SplicedEvent {
+  TraceEvent Event;
+  bool Wild = false;
+};
+
+/// Expands one process's replays into the trace a FullTrace run records.
+/// Replay shows a nested logged call as one CallSkipped event; the splice
+/// puts CallBegin, the nested call's own intervals (recursively), and
+/// CallEnd in its place.
+class TraceSplicer {
+public:
+  /// \p Replays holds each interval's replay, by interval index.
+  TraceSplicer(const CompiledProgram &Prog, uint32_t Pid,
+               const std::vector<LogInterval> &Ivs,
+               const std::vector<const ReplayResult *> &Replays)
+      : Prog(Prog), Pid(Pid), Ivs(Ivs), Replays(Replays),
+        Children(Ivs.size()) {
+    for (const LogInterval &IV : Ivs)
+      (IV.Parent == InvalidId ? Roots : Children[IV.Parent])
+          .push_back(IV.Index);
+  }
+
+  /// The process's whole trace; "" or the reason it cannot be spliced.
+  std::string splice(std::vector<SplicedEvent> &Result) {
+    Out = &Result;
+    spliceCall(Roots, 0);
+    return Err;
+  }
+
+private:
+  /// Splices one invocation: sibling intervals from Sibs[K] through the
+  /// one that exits the function (or the last one that ran). Returns the
+  /// position after it.
+  size_t spliceCall(const std::vector<uint32_t> &Sibs, size_t K) {
+    while (K < Sibs.size() && Err.empty()) {
+      const LogInterval &IV = Ivs[Sibs[K++]];
+      spliceInterval(IV);
+      if (IV.ExitsFunction || IV.PostlogRecord == InvalidId)
+        break;
+    }
+    return K;
+  }
+
+  void spliceInterval(const LogInterval &IV) {
+    const ReplayResult *R = Replays[IV.Index];
+    const std::vector<uint32_t> &Kids = Children[IV.Index];
+    size_t K = 0;
+    for (const TraceEvent &E : R->Events.Events) {
+      if (E.Kind != TraceEventKind::CallSkipped) {
+        Out->push_back({E});
+        continue;
+      }
+      if (K == Kids.size() || Ivs[Kids[K]].PrelogRecord != E.LogCursor) {
+        Err = "interval " + std::to_string(IV.Index) +
+              ": skipped call at record " + std::to_string(E.LogCursor) +
+              " has no nested interval there";
+        return;
+      }
+      TraceEvent Begin;
+      Begin.Kind = TraceEventKind::CallBegin;
+      Begin.Pid = Pid;
+      Begin.Stmt = E.Stmt;
+      Begin.Callee = E.Callee;
+      Begin.Args = E.Args;
+      Out->push_back({std::move(Begin)});
+      K = spliceCall(Kids, K);
+      if (!Err.empty())
+        return;
+      TraceEvent End;
+      End.Kind = TraceEventKind::CallEnd;
+      End.Pid = Pid;
+      End.Callee = E.Callee;
+      End.Value = E.Value;
+      Out->push_back({std::move(End)});
+    }
+    if (K == Kids.size())
+      return;
+    // The process stopped inside a nested logged call, so the replay
+    // ended without a CallSkipped for it.
+    if (!R->Partial) {
+      Err = "interval " + std::to_string(IV.Index) + " completed without "
+            "reaching nested interval " + std::to_string(Kids[K]);
+      return;
+    }
+    TraceEvent Begin;
+    Begin.Kind = TraceEventKind::CallBegin;
+    Begin.Pid = Pid;
+    Begin.Callee = Prog.eblock(Ivs[Kids[K]].EBlock).Func;
+    Out->push_back({std::move(Begin), /*Wild=*/true});
+    spliceCall(Kids, K);
+  }
+
+  const CompiledProgram &Prog;
+  uint32_t Pid;
+  const std::vector<LogInterval> &Ivs;
+  const std::vector<const ReplayResult *> &Replays;
+  std::vector<std::vector<uint32_t>> Children;
+  std::vector<uint32_t> Roots;
+  std::vector<SplicedEvent> *Out = nullptr;
+  std::string Err;
+};
+
+/// True when \p A is a prefix of \p B.
+template <typename Vec> bool isPrefix(const Vec &A, const Vec &B) {
+  return A.size() <= B.size() && std::equal(A.begin(), A.end(), B.begin());
+}
+
+/// Compares a FullTrace event with a spliced one on everything the
+/// program did — kind, statement, accesses and their values, predicate
+/// outcome, callee, arguments, return value — but not on the event
+/// number or the log cursor, which only replay assigns. \p Cut: the
+/// machine froze its process inside this statement, which replay, knowing
+/// only the statement, may have finished; the full trace's accesses then
+/// need only be a prefix of the replayed ones.
+std::string cmpSplicedEvent(const TraceEvent &Got, const SplicedEvent &Want,
+                            bool Cut) {
+  const TraceEvent &W = Want.Event;
+  if (Got.Kind != W.Kind)
+    return "kind " + std::to_string(int(Got.Kind)) + " vs " +
+           std::to_string(int(W.Kind));
+  if (Got.Pid != W.Pid)
+    return "pid";
+  if (!Want.Wild && Got.Stmt != W.Stmt)
+    return "stmt s" + std::to_string(Got.Stmt) + " vs s" +
+           std::to_string(W.Stmt);
+  if (Got.Callee != W.Callee)
+    return "callee";
+  if (Got.Value != W.Value)
+    return "value " + std::to_string(Got.Value) + " vs " +
+           std::to_string(W.Value);
+  if (!Want.Wild && !(Got.Args == W.Args))
+    return "args";
+  if (Cut ? !isPrefix(Got.Reads, W.Reads) : !(Got.Reads == W.Reads))
+    return "reads";
+  if (Cut ? !isPrefix(Got.Writes, W.Writes) : !(Got.Writes == W.Writes))
+    return "writes";
+  // A cut statement may have stopped between the jumps of a
+  // short-circuit condition, each of which overwrites the outcome.
+  if (Cut ? Got.IsPredicate && !W.IsPredicate
+          : Got.IsPredicate != W.IsPredicate ||
+                Got.BranchTaken != W.BranchTaken)
+    return "predicate outcome";
+  return {};
+}
+
+/// The §5.5 theorem for one execution instance: each process's FullTrace
+/// trace equals its intervals' replay traces spliced in log order. For a
+/// process the machine froze (deadlock, step limit, another process's
+/// failure) the log ends in a record-free tail that replay follows only
+/// up to the statement the process stopped in, so its splice need only
+/// be a prefix, and that statement's event may run past the machine's.
+std::string
+cmpSplicedTraces(const CompiledProgram &Prog, const LogIndex &Index,
+                 const std::vector<std::vector<const ReplayResult *>> &Replays,
+                 const Observed &Full) {
+  for (uint32_t P = 0; P != Index.numProcs(); ++P) {
+    TraceSplicer Splicer(Prog, P, Index.intervals(P), Replays[P]);
+    std::vector<SplicedEvent> Want;
+    if (auto D = Splicer.splice(Want); !D.empty())
+      return "pid " + std::to_string(P) + ": " + D;
+    const std::vector<TraceEvent> &Got = Full.Traces[P].Events;
+    auto Status = ProcStatus(Full.Statuses[P]);
+    bool Frozen = Status != ProcStatus::Done && Status != ProcStatus::Failed;
+    if (Frozen ? Got.size() < Want.size() : Got.size() != Want.size())
+      return "pid " + std::to_string(P) + ": full trace has " +
+             std::to_string(Got.size()) + " events, splice " +
+             std::to_string(Want.size());
+    for (size_t I = 0; I != Want.size(); ++I)
+      if (auto D = cmpSplicedEvent(Got[I], Want[I],
+                                   Frozen && I == Full.OpenEvents[P]);
+          !D.empty())
+        return "pid " + std::to_string(P) + " event " + std::to_string(I) +
+               " (s" + std::to_string(Got[I].Stmt) + "): " + D + " differs";
+  }
+  return {};
+}
+
 std::atomic<uint64_t> TempCounter{0};
 
 } // namespace
 
 namespace ppd::testing {
+
+std::string checkReplayTheorem(const CompiledProgram &Prog,
+                               MachineOptions Opts) {
+  Opts.Mode = RunMode::Logging;
+  Observed Logged = runOnce(Prog, Opts);
+  Opts.Mode = RunMode::FullTrace;
+  Observed Full = runOnce(Prog, Opts);
+  LogIndex Index(Logged.Log);
+  ReplayEngine Engine(Prog);
+  ReplayOptions Decoded;
+  Decoded.Engine = ReplayEngineKind::Decoded;
+  std::vector<ReplayResult> Results;
+  std::vector<std::vector<const ReplayResult *>> Replays(Index.numProcs());
+  for (uint32_t P = 0; P != Index.numProcs(); ++P)
+    for (const LogInterval &IV : Index.intervals(P))
+      Results.push_back(Engine.replay(Logged.Log, P, IV, Decoded));
+  const ReplayResult *Next = Results.data();
+  for (uint32_t P = 0; P != Index.numProcs(); ++P)
+    for (size_t I = 0; I != Index.intervals(P).size(); ++I)
+      Replays[P].push_back(Next++);
+  return cmpSplicedTraces(Prog, Index, Replays, Full);
+}
 
 DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
                            uint32_t Quantum, const DiffConfig &Config) {
@@ -451,41 +645,26 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
 
   const MachineOptions Base = baseOptions(SchedSeed, Quantum, Config);
 
-  //===--- engine/*: decoded vs legacy interpreter, per mode -------------===//
+  //===--- mode/*: instrumentation must not perturb execution ------------===//
+  // Trace instructions cost no quantum, so all three modes preempt at the
+  // same points: identical interleavings, step counts, and everything the
+  // program computes, for every program.
   const RunMode Modes[3] = {RunMode::Plain, RunMode::Logging,
                             RunMode::FullTrace};
-  const char *ModeNames[3] = {"plain", "logging", "fulltrace"};
-  Observed Runs[3][2]; // [mode][0 = decoded, 1 = legacy]
-  for (int M = 0; M != 3; ++M)
-    for (int E = 0; E != 2; ++E) {
-      MachineOptions Opts = Base;
-      Opts.Mode = Modes[M];
-      Opts.UseDecoded = E == 0;
-      Runs[M][E] = runOnce(*Prog, Opts);
-    }
+  Observed Runs[3];
   for (int M = 0; M != 3; ++M) {
-    if (auto D = cmpRunPair(Runs[M][0], Runs[M][1], /*CompareSteps=*/true);
-        !D.empty())
-      return Fail(std::string("engine/") + ModeNames[M], D);
-    if (auto D = cmpLogs(Runs[M][0].Log, Runs[M][1].Log); !D.empty())
-      return Fail(std::string("engine/") + ModeNames[M] + "-log", D);
+    MachineOptions Opts = Base;
+    Opts.Mode = Modes[M];
+    Runs[M] = runOnce(*Prog, Opts);
   }
-  if (auto D = cmpTraces(Runs[2][0].Traces, Runs[2][1].Traces); !D.empty())
-    return Fail("engine/fulltrace-traces", D);
-
-  //===--- mode/*: instrumentation must not perturb execution ------------===//
-  // Plain and Logging share the object chunk: identical interleavings,
-  // identical everything. FullTrace runs the emulation chunk, which shifts
-  // preemption points — strict comparison only for single-process runs.
-  if (auto D = cmpRunPair(Runs[0][0], Runs[1][0], /*CompareSteps=*/true);
+  if (auto D = cmpRunPair(Runs[0], Runs[1], /*CompareSteps=*/true);
       !D.empty())
     return Fail("mode/plain-vs-logging", D);
-  const Observed &Ref = Runs[1][0]; // the decoded Logging run.
+  const Observed &Ref = Runs[1]; // the Logging run.
+  const Observed &Full = Runs[2];
   const ExecutionLog &L = Ref.Log;
-  if (L.Procs.size() == 1)
-    if (auto D = cmpRunPair(Ref, Runs[2][0], /*CompareSteps=*/false);
-        !D.empty())
-      return Fail("mode/logging-vs-fulltrace", D);
+  if (auto D = cmpRunPair(Ref, Full, /*CompareSteps=*/true); !D.empty())
+    return Fail("mode/logging-vs-fulltrace", D);
 
   Report.Outcome = int(Ref.Result.Outcome);
   Report.Steps = Ref.Result.Steps;
@@ -617,17 +796,11 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   Reference.reserve(Refs.size());
   for (const auto &[P, IVIdx] : Refs) {
     const LogInterval &IV = Index.intervals(P)[IVIdx];
-    ReplayOptions Dec, Leg, Jit;
+    ReplayOptions Dec, Jit;
     Dec.Engine = ReplayEngineKind::Decoded;
-    Leg.Engine = ReplayEngineKind::Legacy;
     Jit.Engine = ReplayEngineKind::Jit;
     ReplayResult RD = Engine.replay(L, P, IV, Dec);
-    ReplayResult RL = Engine.replay(L, P, IV, Leg);
     ReplayResult RJ = JitEngine.replay(L, P, IV, Jit);
-    if (auto D = cmpReplay(RD, RL); !D.empty())
-      return Fail("replay/engines", "pid " + std::to_string(P) +
-                                        " interval " + std::to_string(IVIdx) +
-                                        ": " + D);
     if (auto D = cmpReplay(RD, RJ); !D.empty())
       return Fail("replay/jit", "pid " + std::to_string(P) + " interval " +
                                     std::to_string(IVIdx) + ": " + D);
@@ -645,6 +818,17 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
                         (RD.Error.empty() ? "" : " error=" + RD.Error));
     }
     Reference.push_back(std::move(RD));
+  }
+
+  //===--- spec/trace: the §5.5 theorem against a FullTrace run ----------===//
+  // Refs lists every interval of every process in order, unless the
+  // bound above cut it short.
+  if (Report.RaceFree && Refs.size() == Report.Intervals) {
+    std::vector<std::vector<const ReplayResult *>> Replays(L.Procs.size());
+    for (size_t I = 0; I != Refs.size(); ++I)
+      Replays[Refs[I].first].push_back(&Reference[I]);
+    if (auto D = cmpSplicedTraces(*Prog, Index, Replays, Full); !D.empty())
+      return Fail("spec/trace", D);
   }
 
   {

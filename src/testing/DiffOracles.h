@@ -6,27 +6,31 @@
 ///
 /// \file
 /// The oracle half of the fuzzing harness: run one PPL program through
-/// every redundant pipeline pair the repository maintains and demand they
-/// agree. PPD is unusually rich in internal redundancy — two interpreters
-/// per run mode, two log formats, three replay paths, two race-detection
-/// algorithms, a direct and a framed debugging interface — and every such
-/// pair is a free differential oracle: no hand-written expected outputs,
-/// just "these two must match".
+/// every pipeline the repository maintains and demand each one agree with
+/// the paper's semantics or with its twin. The strongest legs check a
+/// theorem of the paper against an independent run; the rest pit a fast
+/// tier against a simpler one (JIT vs interpreter replay, paged vs whole
+/// loading, three race detectors, direct vs framed debugging).
 ///
 /// The oracle matrix (see DESIGN.md §9):
 ///
-///   engine/*    decoded vs legacy interpreter, per run mode: outcome,
-///               steps, error, shared memory, output, logs, traces.
-///   mode/*      Plain vs Logging (always comparable: instrumentation
-///               must not perturb execution), Logging vs FullTrace for
-///               single-process programs (the emulation chunk shifts
-///               preemption points, so multi-process interleavings may
-///               legitimately differ).
+///   mode/*      Plain vs Logging vs FullTrace, for every program:
+///               instrumentation must not perturb execution, and trace
+///               instructions cost no quantum, so all three interleave
+///               identically — outcome, steps, error, shared memory,
+///               output, process state.
+///   spec/trace  §5.5 on race-free instances: each process's FullTrace
+///               trace equals its intervals' replay traces spliced in log
+///               order (a nested logged call's CallSkipped expands to its
+///               own intervals). Events compare on kind, statement,
+///               accesses with values, predicate outcome, callee, args
+///               and return value. A process the machine froze need only
+///               match a prefix, its last statement cut where it stopped.
 ///   log/*       save → load → re-save: loaded records equal
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
-///   replay/*    serial decoded vs serial legacy replay per interval, vs
-///               the memoized ParallelReplayer (serial, parallel getMany,
+///   replay/*    JIT vs interpreter replay per interval, vs the
+///               memoized ParallelReplayer (serial, parallel getMany,
 ///               and cache re-read); on race-free instances, closed
 ///               intervals must verify their postlogs exactly.
 ///   race/*      NaiveAllPairs vs VarIndexed vs an independent
@@ -59,6 +63,8 @@
 #ifndef PPD_TESTING_DIFFORACLES_H
 #define PPD_TESTING_DIFFORACLES_H
 
+#include "vm/Machine.h"
+
 #include <cstdint>
 #include <string>
 
@@ -66,7 +72,7 @@ namespace ppd::testing {
 
 struct DiffConfig {
   /// Step budget per machine run; generated programs terminate well under
-  /// this, so hitting it is itself reported by the engine oracle.
+  /// this, so hitting it shows in the harness stats.
   uint64_t MaxSteps = 2'000'000;
   /// Worker threads for the parallel-replay comparison.
   unsigned ReplayThreads = 2;
@@ -90,11 +96,11 @@ struct DiffConfig {
 /// The verdict of one differential run.
 struct DiffReport {
   bool Divergent = false;
-  /// Stable oracle name ("engine/logging", "log/v2-resave", ...): the
+  /// Stable oracle name ("mode/plain-vs-logging", "spec/trace", ...): the
   /// minimizer preserves it so shrinking cannot wander to a different bug.
   std::string Oracle;
   std::string Detail;
-  /// Reference-run facts (the decoded Logging run), for harness stats.
+  /// Reference-run facts (the Logging run), for harness stats.
   int Outcome = 0; ///< RunResult::Status as int.
   bool RaceFree = true;
   unsigned Races = 0;
@@ -108,6 +114,15 @@ struct DiffReport {
 /// produce one — so it is a generator bug, and still a finding).
 DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
                            uint32_t Quantum, const DiffConfig &Config = {});
+
+/// The spec/trace leg on its own: runs \p Prog under Logging and FullTrace
+/// with \p Opts (its Mode is ignored), replays every logged interval on the
+/// interpreter, and demands each process's full trace equal its replays
+/// spliced in log order (a prefix, for a process the machine froze).
+/// Returns "" or the first difference. The theorem holds on race-free
+/// instances only; checking race freedom is the caller's job.
+std::string checkReplayTheorem(const CompiledProgram &Prog,
+                               MachineOptions Opts);
 
 } // namespace ppd::testing
 

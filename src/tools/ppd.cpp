@@ -141,9 +141,9 @@ commands:
             --queries Q; takes no file argument): N concurrent scripted
             sessions — connect, open, Q serial queries, hold until the
             fleet finishes, close — with client-side p50/p99 per query
-  fuzz      differential fuzzing: random PPL programs through every
-            redundant pipeline pair (ppd fuzz --runs N --seed S; takes no
-            file argument)
+  fuzz      differential fuzzing: random PPL programs checked against
+            the paper's replay theorem and every redundant pipeline pair
+            (ppd fuzz --runs N --seed S; takes no file argument)
 
 options:
   --seed N              scheduler seed (default 1); one seed = one
@@ -167,9 +167,9 @@ options:
                         (default 0 = serial)
   --prefetch            (debug) warm neighboring intervals in the
                         background after each query
-  --replay-engine E     (debug/serve) jit (default) | decoded | legacy;
-                        all three regenerate bit-identical traces; jit
-                        degrades to decoded where unavailable
+  --replay-engine E     (debug/serve) jit (default) | decoded; both
+                        regenerate bit-identical traces; jit degrades
+                        to decoded where unavailable
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for paged
                         logs (default 256m; the PPD_POOL_BUDGET env var
                         overrides the default, the flag overrides both)
@@ -608,8 +608,8 @@ int cmdCompile(const CliOptions &Opts) {
 bool resolveReplayEngine(const CliOptions &Opts, ReplayEngineKind &Kind) {
   if (parseReplayEngine(Opts.ReplayEngine, Kind))
     return true;
-  std::fprintf(stderr, "error: unknown replay engine '%s' (expected jit, "
-                       "decoded, or legacy)\n",
+  std::fprintf(stderr, "error: unknown replay engine '%s' (expected jit "
+                       "or decoded)\n",
                Opts.ReplayEngine.c_str());
   return false;
 }
@@ -619,10 +619,6 @@ MachineOptions machineOptions(const CliOptions &Opts,
   MachineOptions MOpts;
   MOpts.Seed = Opts.Seed;
   MOpts.Quantum = Opts.Quantum;
-  // The legacy replay tier pairs with the legacy run-phase interpreter,
-  // so `--replay-engine legacy` exercises the reference path end to end.
-  if (Opts.ReplayEngine == "legacy")
-    MOpts.UseDecoded = false;
   MOpts.ProcessInputs = Opts.Inputs;
   if (Opts.Mode == "plain")
     MOpts.Mode = RunMode::Plain;

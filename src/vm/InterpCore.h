@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The side-effect-free evaluation kernels shared by every interpreter in
-/// the system: the VM's legacy switch engine, its decoded fast path, and
-/// the replay engine's emulation interpreter (legacy and decoded). The
-/// paper's correctness story requires the execution phase and the
-/// debugging phase to compute bit-identical values; routing comparisons,
-/// builtins, and integer sqrt through one set of inline kernels makes
-/// divergence structurally impossible (arithmetic already flows through
-/// support/Arith.h for the same reason).
+/// The side-effect-free evaluation kernels shared by both interpreters in
+/// the system: the VM's (execution phase) and the replay engine's
+/// emulation interpreter (debugging phase). The paper's correctness story
+/// requires the two phases to compute bit-identical values; routing
+/// comparisons, builtins, and integer sqrt through one set of inline
+/// kernels makes divergence structurally impossible (arithmetic already
+/// flows through support/Arith.h for the same reason).
 ///
 //===----------------------------------------------------------------------===//
 

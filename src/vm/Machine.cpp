@@ -2,14 +2,13 @@
 //
 // Part of PPD. See Machine.h.
 //
-// Two interpreters live here. The decoded fast path (runSlice) is a
-// mode-specialized, token-threaded engine over the pre-decoded instruction
-// stream; the legacy engine (step) executes the raw Chunk one instruction
-// at a time. They share every cold operation (the do* helpers) and every
-// pure kernel (vm/InterpCore.h), and the fast path counts steps, checks
-// breakpoints, and splits superinstructions so that schedules, sync
-// sequence numbers, and log bytes are bit-identical between the two —
-// tests/interp_test.cpp holds them to that.
+// The interpreter (runSlice) is a mode-specialized, token-threaded engine
+// over the pre-decoded instruction stream. It charges one step per base
+// instruction: a fused pair is two steps and splits at the slice budget,
+// and the emulation package's trace instructions are free. Plain, Logging
+// and FullTrace runs of one seed therefore preempt at the same points and
+// interleave identically, which is what lets a FullTrace run serve as the
+// §5.5 reference for replay (testing/DiffOracles.cpp, spec/trace).
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,14 +55,6 @@ std::string RuntimeError::str() const {
 
 Machine::Machine(const CompiledProgram &Prog, MachineOptions Options)
     : Prog(Prog), Options(std::move(Options)), SchedRng(this->Options.Seed) {
-  // The fast path needs a decoded stream mirroring every chunk slot for
-  // slot; hand-assembled CompiledPrograms may not carry one.
-  DecodedOk = this->Options.UseDecoded;
-  for (const CompiledFunction &F : Prog.Funcs)
-    if (F.ObjectDecoded.size() != F.Object.size() ||
-        F.EmuDecoded.size() != F.Emu.size())
-      DecodedOk = false;
-
   BreakSet.insert(this->Options.Breakpoints.begin(),
                   this->Options.Breakpoints.end());
   // Shared memory with initial values.
@@ -227,8 +218,6 @@ void Machine::emitSync(Process &P, SyncKind Kind, uint32_t Object,
 //===----------------------------------------------------------------------===//
 
 TraceEvent *Machine::openEventOf(Process &P) {
-  if (!tracing())
-    return nullptr;
   uint32_t Idx = P.Frames.back().OpenEvent;
   if (Idx == InvalidId)
     return nullptr;
@@ -247,7 +236,7 @@ void Machine::traceWrite(Process &P, VarId Var, int64_t Value,
 }
 
 //===----------------------------------------------------------------------===//
-// Cold operations shared by both interpreters
+// Cold operations
 //===----------------------------------------------------------------------===//
 
 bool Machine::doSemP(Process &P, uint32_t Sem, StmtId Stmt) {
@@ -424,337 +413,7 @@ void Machine::doUnitLog(Process &P, uint32_t Unit) {
 }
 
 //===----------------------------------------------------------------------===//
-// The legacy interpreter
-//===----------------------------------------------------------------------===//
-
-bool Machine::step(Process &P) {
-  const Chunk &Code = chunkOf(P);
-  assert(P.Pc < Code.size() && "pc out of range");
-  const Instr I = Code.at(P.Pc);
-  StmtId Stmt = Code.stmtAt(P.Pc);
-
-  // Breakpoints fire on the transition into a new statement, before any of
-  // its instructions execute — the "user intervention" halt that begins a
-  // debugging session (§3.2.2).
-  if (Stmt != P.CurrentStmt) {
-    P.CurrentStmt = Stmt;
-    if (Stmt != InvalidId && !BreakSet.empty() && BreakSet.count(Stmt)) {
-      BreakHit = true;
-      BreakPid = P.Pid;
-      BreakStmt = Stmt;
-      return false;
-    }
-  }
-  ++P.Pc;
-
-  auto Push = [&](int64_t V) { P.Stack.push_back(V); };
-  auto Pop = [&]() {
-    assert(!P.Stack.empty() && "operand stack underflow");
-    int64_t V = P.Stack.back();
-    P.Stack.pop_back();
-    return V;
-  };
-
-  bool IsShared = false;
-  switch (I.Opcode) {
-  case Op::PushConst:
-    Push(I.Imm);
-    return true;
-  case Op::Pop:
-    Pop();
-    return true;
-  case Op::ToBool:
-    P.Stack.back() = P.Stack.back() != 0;
-    return true;
-
-  case Op::LoadLocal: {
-    int64_t V = P.topSlots()[I.A];
-    Push(V);
-    traceRead(P, VarId(I.B), V, -1);
-    return true;
-  }
-  case Op::StoreLocal: {
-    int64_t V = Pop();
-    P.topSlots()[I.A] = V;
-    traceWrite(P, VarId(I.B), V, -1);
-    return true;
-  }
-  case Op::LoadLocalElem: {
-    int64_t Idx = Pop();
-    if (Idx < 0 || Idx >= I.Imm) {
-      fail(P, RuntimeErrorKind::IndexOutOfBounds, Stmt);
-      return false;
-    }
-    int64_t V = P.topSlots()[I.A + Idx];
-    Push(V);
-    traceRead(P, VarId(I.B), V, Idx);
-    return true;
-  }
-  case Op::StoreLocalElem: {
-    int64_t V = Pop();
-    int64_t Idx = Pop();
-    if (Idx < 0 || Idx >= I.Imm) {
-      fail(P, RuntimeErrorKind::IndexOutOfBounds, Stmt);
-      return false;
-    }
-    P.topSlots()[I.A + Idx] = V;
-    traceWrite(P, VarId(I.B), V, Idx);
-    return true;
-  }
-  case Op::ZeroLocal: {
-    std::fill_n(P.topSlots() + I.A, I.Imm, 0);
-    traceWrite(P, VarId(I.B), 0, -1);
-    return true;
-  }
-
-  case Op::LoadShared:
-  case Op::LoadSharedElem:
-    IsShared = true;
-    [[fallthrough]];
-  case Op::LoadPriv:
-  case Op::LoadPrivElem: {
-    std::vector<int64_t> &Mem = IsShared ? Shared : P.PrivateGlobals;
-    int64_t Idx = -1;
-    uint32_t Offset = uint32_t(I.A);
-    if (I.Opcode == Op::LoadSharedElem || I.Opcode == Op::LoadPrivElem) {
-      Idx = Pop();
-      if (Idx < 0 || Idx >= I.Imm) {
-        fail(P, RuntimeErrorKind::IndexOutOfBounds, Stmt);
-        return false;
-      }
-      Offset += uint32_t(Idx);
-    }
-    int64_t V = Mem[Offset];
-    Push(V);
-    traceRead(P, VarId(I.B), V, Idx);
-    if (IsShared && logging())
-      P.EdgeReads.insert(Prog.Symbols->var(VarId(I.B)).SharedIndex);
-    return true;
-  }
-
-  case Op::StoreShared:
-  case Op::StoreSharedElem:
-    IsShared = true;
-    [[fallthrough]];
-  case Op::StorePriv:
-  case Op::StorePrivElem: {
-    std::vector<int64_t> &Mem = IsShared ? Shared : P.PrivateGlobals;
-    int64_t V = Pop();
-    int64_t Idx = -1;
-    uint32_t Offset = uint32_t(I.A);
-    if (I.Opcode == Op::StoreSharedElem || I.Opcode == Op::StorePrivElem) {
-      Idx = Pop();
-      if (Idx < 0 || Idx >= I.Imm) {
-        fail(P, RuntimeErrorKind::IndexOutOfBounds, Stmt);
-        return false;
-      }
-      Offset += uint32_t(Idx);
-    }
-    Mem[Offset] = V;
-    traceWrite(P, VarId(I.B), V, Idx);
-    if (IsShared && logging())
-      P.EdgeWrites.insert(Prog.Symbols->var(VarId(I.B)).SharedIndex);
-    return true;
-  }
-
-  case Op::Add: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapAdd(A, B));
-    return true;
-  }
-  case Op::Sub: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapSub(A, B));
-    return true;
-  }
-  case Op::Mul: {
-    int64_t B = Pop(), A = Pop();
-    Push(wrapMul(A, B));
-    return true;
-  }
-  case Op::Div: {
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      fail(P, RuntimeErrorKind::DivideByZero, Stmt);
-      return false;
-    }
-    Push(wrapDiv(A, B));
-    return true;
-  }
-  case Op::Mod: {
-    int64_t B = Pop(), A = Pop();
-    if (B == 0) {
-      fail(P, RuntimeErrorKind::ModuloByZero, Stmt);
-      return false;
-    }
-    Push(wrapMod(A, B));
-    return true;
-  }
-  case Op::Neg:
-    P.Stack.back() = wrapNeg(P.Stack.back());
-    return true;
-  case Op::Not:
-    P.Stack.back() = P.Stack.back() == 0;
-    return true;
-  case Op::CmpEq: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Eq, A, B));
-    return true;
-  }
-  case Op::CmpNe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Ne, A, B));
-    return true;
-  }
-  case Op::CmpLt: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Lt, A, B));
-    return true;
-  }
-  case Op::CmpLe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Le, A, B));
-    return true;
-  }
-  case Op::CmpGt: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Gt, A, B));
-    return true;
-  }
-  case Op::CmpGe: {
-    int64_t B = Pop(), A = Pop();
-    Push(evalCmp(CmpKind::Ge, A, B));
-    return true;
-  }
-
-  case Op::Jump:
-    P.Pc = uint32_t(I.A);
-    return true;
-  case Op::JumpIfFalse:
-  case Op::JumpIfTrue: {
-    int64_t Cond = Pop();
-    if (TraceEvent *E = openEventOf(P)) {
-      E->IsPredicate = true;
-      E->BranchTaken = Cond != 0;
-    }
-    bool Taken = I.Opcode == Op::JumpIfFalse ? Cond == 0 : Cond != 0;
-    if (Taken)
-      P.Pc = uint32_t(I.A);
-    return true;
-  }
-
-  case Op::Call: {
-    if (P.Frames.size() >= 4096) {
-      fail(P, RuntimeErrorKind::StackOverflow, Stmt);
-      return false;
-    }
-    std::vector<int64_t> Args = popArgs(P, uint32_t(I.B));
-    pushFrame(P, uint32_t(I.A), std::move(Args), P.Pc);
-    return true;
-  }
-  case Op::Ret: {
-    int64_t Result = Pop();
-    Frame Top = P.Frames.back();
-    P.Frames.pop_back();
-    P.SlotArena.resize(Top.SlotBase);
-    P.Stack.resize(Top.StackBase);
-    if (P.Frames.empty()) {
-      if (logging()) {
-        uint64_t Seq;
-        emitSync(P, SyncKind::ProcEnd, 0, Stmt, Seq);
-      }
-      P.Status = ProcStatus::Done;
-      return false;
-    }
-    Push(Result);
-    P.Pc = Top.ReturnPc;
-    return true;
-  }
-  case Op::CallBuiltin:
-    if (!applyBuiltin(Builtin(I.A), P.Stack)) {
-      fail(P, RuntimeErrorKind::NegativeSqrt, Stmt);
-      return false;
-    }
-    return true;
-
-  case Op::SemP:
-    return doSemP(P, uint32_t(I.A), Stmt);
-  case Op::SemV:
-    doSemV(P, uint32_t(I.A), Stmt);
-    return true;
-
-  case Op::SendCh:
-    return doSend(P, uint32_t(I.A), Pop(), Stmt);
-  case Op::RecvCh:
-    return doRecv(P, uint32_t(I.A), Stmt);
-
-  case Op::SpawnProc:
-    doSpawn(P, uint32_t(I.A), uint32_t(I.B), Stmt);
-    return true;
-
-  case Op::PrintVal: {
-    int64_t Value = Pop();
-    Log.Output.push_back({P.Pid, Value, Stmt});
-    return true;
-  }
-  case Op::InputVal:
-    return doInput(P, Stmt);
-
-  case Op::Prelog:
-    doPrelog(P, uint32_t(I.A));
-    return true;
-  case Op::Postlog:
-    doPostlog(P, uint32_t(I.A), uint32_t(I.B));
-    return true;
-  case Op::UnitLog:
-    doUnitLog(P, uint32_t(I.A));
-    return true;
-
-  case Op::TraceStmt: {
-    if (tracing()) {
-      TraceEvent &E = Traces[P.Pid].emplace();
-      E.Pid = P.Pid;
-      E.Stmt = StmtId(I.A);
-      P.Frames.back().OpenEvent = E.Index;
-    }
-    return true;
-  }
-  case Op::TraceCallBegin: {
-    if (tracing()) {
-      TraceEvent E;
-      E.Kind = TraceEventKind::CallBegin;
-      E.Pid = P.Pid;
-      E.Stmt = StmtId(I.B);
-      E.Callee = uint32_t(I.A);
-      uint32_t Argc = Prog.func(uint32_t(I.A)).NumParams;
-      assert(P.Stack.size() >= Argc && "call arguments missing");
-      E.Args.assign(P.Stack.end() - Argc, P.Stack.end());
-      Traces[P.Pid].append(std::move(E));
-    }
-    return true;
-  }
-  case Op::TraceCallEnd: {
-    if (tracing()) {
-      TraceEvent E;
-      E.Kind = TraceEventKind::CallEnd;
-      E.Pid = P.Pid;
-      E.Callee = uint32_t(I.A);
-      E.Value = P.Stack.back();
-      Traces[P.Pid].append(std::move(E));
-    }
-    return true;
-  }
-
-  case Op::Halt:
-    P.Status = ProcStatus::Done;
-    return false;
-  }
-  assert(false && "unknown opcode");
-  return false;
-}
-
-//===----------------------------------------------------------------------===//
-// The decoded fast path
+// The interpreter
 //===----------------------------------------------------------------------===//
 
 template <RunMode Mode>
@@ -787,9 +446,9 @@ uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
   };
 
   for (;;) {
-    // Per-step prologue: exact legacy accounting. Budget already folds in
-    // both the quantum and the global step limit; a step is consumed even
-    // when it blocks, fails, or stops at a breakpoint.
+    // Per-step prologue. Budget already folds in both the quantum and the
+    // global step limit; a step is consumed even when it blocks, fails, or
+    // stops at a breakpoint.
     if (Used == Budget)
       break;
     ++Used;
@@ -800,7 +459,7 @@ uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
         BreakHit = true;
         BreakPid = P.Pid;
         BreakStmt = I.Stmt;
-        goto Exit; // pc not advanced, like the legacy engine.
+        goto Exit; // pc not advanced: the statement has not begun.
       }
     }
     ++Ip;
@@ -1025,8 +684,8 @@ uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
         // Fused Cmp + JumpIf. The compare is this step; the branch is the
         // next one and only executes if the budget still has room —
         // otherwise the compare result is pushed and the pc stays on the
-        // branch's own (still fully decoded) slot, so preemption points
-        // match the legacy engine exactly.
+        // branch's own (still fully decoded) slot, so preemption points do
+        // not depend on fusion.
         int64_t B = Pop(), A = Pop();
         int64_t Cond = evalCmp(CmpKind(I.Sub >> 1), A, B);
         if (Used != Budget) {
@@ -1162,8 +821,12 @@ uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
         continue;
       }
 
+      // The trace instructions exist only in the emulation package, which
+      // only FullTrace runs. They refund their step: a FullTrace run then
+      // preempts exactly where Plain and Logging runs of the same seed do.
       PPD_OP(TraceStmt) {
         if constexpr (DoTrace) {
+          --Used;
           TraceEvent &E = Traces[P.Pid].emplace();
           E.Pid = P.Pid;
           E.Stmt = StmtId(I.A);
@@ -1173,6 +836,7 @@ uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
       }
       PPD_OP(TraceCallBegin) {
         if constexpr (DoTrace) {
+          --Used;
           TraceEvent E;
           E.Kind = TraceEventKind::CallBegin;
           E.Pid = P.Pid;
@@ -1187,6 +851,7 @@ uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
       }
       PPD_OP(TraceCallEnd) {
         if constexpr (DoTrace) {
+          --Used;
           TraceEvent E;
           E.Kind = TraceEventKind::CallEnd;
           E.Pid = P.Pid;
@@ -1226,19 +891,27 @@ RunResult Machine::run() {
     Result.Steps = Steps;
     if (logging())
       for (Process &P : Procs) {
+        if (P.Status == ProcStatus::Done)
+          continue;
         // The failed process gets no marker: its log already ends at the
         // failure, which replay re-derives (the flowback root).
-        if (P.Status == ProcStatus::Done || P.Status == ProcStatus::Failed)
-          continue;
-        LogRecord &R = Log.Procs[P.Pid].Records.emplace_back();
-        R.Kind = LogRecordKind::Stop;
-        // Which statement the process was in/about to enter: lets replay
-        // stop at the right occurrence, not merely at the right record.
-        R.Stmt = P.CurrentStmt;
+        if (P.Status != ProcStatus::Failed) {
+          LogRecord &R = Log.Procs[P.Pid].Records.emplace_back();
+          R.Kind = LogRecordKind::Stop;
+          // Which statement the process was in or about to enter: lets
+          // replay stop at the right occurrence, not merely at the right
+          // record. A preempted process may sit on the first instruction
+          // of its next statement; that statement, not the finished one,
+          // is where replay must stop.
+          R.Stmt = P.Status == ProcStatus::Runnable
+                       ? chunkOf(P).stmtAt(P.Pc)
+                       : P.CurrentStmt;
+        }
         // Shared accesses since the last sync node would otherwise vanish
         // with the process: flush them as a terminal sync node so §6.4
-        // race detection sees the unterminated final edge. Placed after
-        // the Stop marker, replay halts before ever reaching it.
+        // race detection sees the unterminated final edge. It is the last
+        // record, after the Stop marker or the failure, so replay halts
+        // before ever reaching it.
         if (!P.EdgeReads.empty() || !P.EdgeWrites.empty()) {
           uint64_t Seq;
           emitSync(P, SyncKind::Stopped, 0, P.CurrentStmt, Seq, NoPartner);
@@ -1288,37 +961,23 @@ RunResult Machine::run() {
     }
 
     uint32_t Pid = Runnable[SchedRng.nextBelow(Runnable.size())];
-
-    if (DecodedOk) {
-      if (Steps >= Options.MaxSteps)
-        return Freeze(RunResult::Status::StepLimit);
-      // One bound for the whole slice: the quantum and the global step
-      // budget collapse into a single per-slice budget, checked once per
-      // step inside the threaded loop.
-      uint32_t Budget = uint32_t(
-          std::min<uint64_t>(Options.Quantum, Options.MaxSteps - Steps));
-      uint32_t Used = 0;
-      switch (Options.Mode) {
-      case RunMode::Plain:
-        Used = runSlice<RunMode::Plain>(Procs[Pid], Budget);
-        break;
-      case RunMode::Logging:
-        Used = runSlice<RunMode::Logging>(Procs[Pid], Budget);
-        break;
-      case RunMode::FullTrace:
-        Used = runSlice<RunMode::FullTrace>(Procs[Pid], Budget);
-        break;
-      }
-      Steps += Used;
-      continue;
-    }
-
-    for (uint32_t Slice = 0; Slice != Options.Quantum; ++Slice) {
-      if (Steps >= Options.MaxSteps)
-        return Freeze(RunResult::Status::StepLimit);
-      ++Steps;
-      if (!step(Procs[Pid]))
-        break;
+    if (Steps >= Options.MaxSteps)
+      return Freeze(RunResult::Status::StepLimit);
+    // One bound for the whole slice: the quantum and the global step
+    // budget collapse into a single per-slice budget, checked once per
+    // step inside the threaded loop.
+    uint32_t Budget = uint32_t(
+        std::min<uint64_t>(Options.Quantum, Options.MaxSteps - Steps));
+    switch (Options.Mode) {
+    case RunMode::Plain:
+      Steps += runSlice<RunMode::Plain>(Procs[Pid], Budget);
+      break;
+    case RunMode::Logging:
+      Steps += runSlice<RunMode::Logging>(Procs[Pid], Budget);
+      break;
+    case RunMode::FullTrace:
+      Steps += runSlice<RunMode::FullTrace>(Procs[Pid], Budget);
+      break;
     }
   }
 }

@@ -25,6 +25,10 @@
 ///  * FullTrace  — the Balzer-style strawman of experiment E2: run the
 ///                 emulation package for every process and record a
 ///                 TraceEvent per statement, alongside the normal log.
+///                 Trace instructions cost no quantum, so a FullTrace run
+///                 interleaves exactly like the Plain and Logging runs of
+///                 the same seed: its traces are the §5.5 reference that
+///                 replayed intervals must reproduce.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,10 +144,6 @@ struct MachineOptions {
   /// Statements that halt the whole machine when any process reaches them
   /// — the paper's "user intervention" entry into the debugging phase.
   std::vector<StmtId> Breakpoints;
-  /// Run on the pre-decoded fast path (threaded dispatch over
-  /// DecodedChunk). Off = the legacy one-instruction switch interpreter;
-  /// both produce bit-identical logs, which tests/interp_test.cpp asserts.
-  bool UseDecoded = true;
 };
 
 struct DeadlockInfo {
@@ -220,19 +220,15 @@ private:
 
   uint32_t spawnProcess(uint32_t Func, std::vector<int64_t> Args,
                         uint64_t ParentSpawnSeq);
-  /// Executes one instruction of process \p P (legacy engine). Returns
-  /// false when the process can no longer run (blocked, done, failed).
-  bool step(Process &P);
-  /// Decoded fast path: runs up to \p Budget instructions of \p P with the
-  /// mode-specialized threaded interpreter; returns the number of steps
-  /// consumed (each counted exactly as the legacy engine counts them).
+  /// Runs up to \p Budget steps of \p P with the mode-specialized threaded
+  /// interpreter over the decoded stream; returns the steps consumed. A
+  /// step is one base instruction (a fused pair is two); the emulation
+  /// package's trace instructions cost none.
   template <RunMode Mode> uint32_t runSlice(Process &P, uint32_t Budget);
   void fail(Process &P, RuntimeErrorKind Kind, StmtId Stmt);
 
-  // Cold operations shared verbatim by the legacy switch engine and the
-  // decoded handlers, so the two paths cannot drift. The bool-returning
-  // ones yield false when the process stops running here (blocked or
-  // failed).
+  // Cold operations, kept out of the hot loop. The bool-returning ones
+  // yield false when the process stops running here (blocked or failed).
   bool doSemP(Process &P, uint32_t Sem, StmtId Stmt);
   void doSemV(Process &P, uint32_t Sem, StmtId Stmt);
   bool doSend(Process &P, uint32_t Chan, int64_t Value, StmtId Stmt);
@@ -264,10 +260,6 @@ private:
   const CompiledProgram &Prog;
   MachineOptions Options;
   Rng SchedRng;
-  /// True when every function carries usable decoded streams and the
-  /// options ask for the fast path (hand-assembled CompiledPrograms may
-  /// lack them; the machine then falls back to the legacy engine).
-  bool DecodedOk = false;
   std::set<StmtId> BreakSet;
   bool BreakHit = false;
   uint32_t BreakPid = InvalidId;

@@ -286,6 +286,40 @@ TYPED_TEST(UsedDefinedTest, ReadAfterUnconditionalWriteNotExposed) {
   EXPECT_TRUE(Summary.Defined.contains(varNamed(*C.Symbols, "sv")));
 }
 
+TYPED_TEST(UsedDefinedTest, PartiallyWrittenVariableIsExposedToThePostlog) {
+  // The postlog reads p0 at the exit on both paths; on the path that
+  // skips the write it sees the entry value, so the prelog must carry it.
+  // A shared variable is exempt: postlog verification skips shared values.
+  auto C = check("shared int sv;\n"
+                 "int p0;\n"
+                 "func f(int a) { if (a == a) { } else { p0 = a; sv = a; }\n"
+                 "  return a; }\n"
+                 "func main() { print(f(1)); }\n");
+  CallGraph CG(*C.Prog);
+  auto MR = computeModRef<TypeParam>(*C.Prog, *C.Symbols, CG);
+  Cfg G(*C.Prog, *C.Prog->Funcs[0]);
+  auto Summary = wholeFunc<TypeParam>(C, G, MR);
+  VarId P0 = varNamed(*C.Symbols, "p0"), Sv = varNamed(*C.Symbols, "sv");
+  EXPECT_TRUE(Summary.Defined.contains(P0));
+  EXPECT_TRUE(Summary.Used.contains(P0));
+  EXPECT_TRUE(Summary.Defined.contains(Sv));
+  EXPECT_FALSE(Summary.Used.contains(Sv));
+}
+
+TYPED_TEST(UsedDefinedTest, LoggedCalleeModOnOnePathIsExposed) {
+  // A logged callee's MOD lands in DEFINED; when only one path calls it,
+  // the other path leaves the entry value for the postlog to read.
+  auto C = check("int p0;\n"
+                 "func callee() { p0 = 3; return 0; }\n"
+                 "func f(int a) { if (a) { int x = callee(); } return a; }\n"
+                 "func main() { print(f(1)); }\n");
+  CallGraph CG(*C.Prog);
+  auto MR = computeModRef<TypeParam>(*C.Prog, *C.Symbols, CG);
+  Cfg G(*C.Prog, *C.Prog->Funcs[1]);
+  auto Summary = wholeFunc<TypeParam>(C, G, MR, /*CalleesLogged=*/true);
+  EXPECT_TRUE(Summary.Used.contains(varNamed(*C.Symbols, "p0")));
+}
+
 TYPED_TEST(UsedDefinedTest, LoopReadIsExposed) {
   auto C = check("func f(int n) { int s = 0; int i = 0;\n"
                  "  while (i < n) { s = s + i; i = i + 1; } return s; }\n"

@@ -3,8 +3,9 @@
 // Part of PPD test suite. Exercises the `ppd fuzz` machinery from
 // src/testing/: the grammar-directed program generator (deterministic,
 // always compilable), the differential oracle driver (a bounded smoke
-// sweep that must stay divergence-free), and the delta-debugging
-// minimizer (drives an injected predicate to a small repro).
+// sweep that must stay divergence-free, plus minimized past findings),
+// and the delta-debugging minimizer (drives an injected predicate to a
+// small repro).
 //
 //===----------------------------------------------------------------------===//
 
@@ -120,6 +121,135 @@ TEST(MinimizerTest, MinimumIsOneWhenAnythingMatches) {
   for (uint32_t Unit : Program.removableUnits())
     AllRemoved[Unit] = true;
   EXPECT_EQ(Min.Source, Program.render(&AllRemoved));
+}
+
+/// Minimized `spec/trace` findings, each run with its seed's machine
+/// parameters: a process the machine froze must not replay past where it
+/// stopped — not into the statement after a preemption (seed 26), not
+/// out of a callee that logged its exit but never returned (440), not on
+/// through a cut statement into the rest of its function (1904).
+TEST(FuzzRegressionTest, FrozenProcessesReplayOnlyWhatRan) {
+  struct Case {
+    uint64_t Seed;
+    const char *Source;
+  };
+  const Case Cases[] = {
+      {26, R"(shared int g0;
+shared int g1;
+shared int g2;
+shared int ga[4];
+int p0;
+sem join;
+func worker0(int a) {
+  a = (-(9 % g0));
+  V(join);
+}
+func worker1(int a) {
+  V(join);
+}
+func main() {
+  spawn worker0(2);
+  spawn worker1(0);
+  int t14 = g2;
+  P(join);
+  P(join);
+  print(g0);
+  print((g1 + g2));
+  print(p0);
+  print((((ga[0] + ga[1]) + ga[2]) + ga[3]));
+}
+)"},
+      {440, R"(shared int g0;
+shared int g1;
+shared int g2;
+shared int ga[4];
+int p0;
+func helper0(int a, int b) {
+  if ((a - abs(p0)) < (((5 * a) > (-ga[abs(b) % 4])) + abs(ga[abs(b) % 4]))) {
+  }
+  int t1 = b;
+  return (a + b);
+}
+sem s0 = 1;
+sem join;
+func worker0(int a) {
+  print((ga[abs(ga[abs(p0) % 4]) % 4] / (abs(g2) % 7 + 1)));
+  P(s0);
+  V(s0);
+  V(join);
+}
+func worker1(int a) {
+  P(s0);
+  int w8 = 0;
+  while (w8 < 4) {
+    int t9 = ((ga[abs(ga[abs(ga[20]) % 4]) % 4] > g0) + 20);
+    w8 = w8 + 1;
+  }
+  V(s0);
+  V(join);
+}
+func main() {
+  spawn worker0(5);
+  spawn worker1(5);
+  if (((13 * 12) >= helper0(g0, ga[abs(ga[abs(g1) % 4]) % 4])) && ((p0 + g2) <= ((ga[p0] != g1) + g0))) {
+  } else {
+    ga[abs((20 + p0)) % 4] = 12;
+  }
+  P(join);
+  P(join);
+  print(g0);
+  print((g1 + g2));
+  print(p0);
+  print((((ga[0] + ga[1]) + ga[2]) + ga[3]));
+}
+)"},
+      {1904, R"(shared int g0;
+shared int g1;
+shared int g2;
+shared int ga[4];
+int p0;
+sem join;
+func worker0(int a) {
+  V(join);
+}
+func worker1(int a) {
+  V(join);
+}
+func worker2(int a) {
+  int t12 = g2;
+  if ((input() == ((ga[abs(g0) % 4] < p0) + g0)) || (t12 == (ga[abs(g2) % 4] * 19))) {
+  }
+  V(join);
+}
+func main() {
+  spawn worker0(0);
+  spawn worker1(0);
+  spawn worker2(0);
+  if ((g2 % (abs(g2) % 7 + 1)) < (19 / ga[abs(p0) % 4])) {
+  }
+  P(join);
+  P(join);
+  P(join);
+  print(g0);
+  print((g1 + g2));
+  print(p0);
+  print((((ga[0] + ga[1]) + ga[2]) + ga[3]));
+}
+)"},
+  };
+  DiffConfig Config;
+  Config.CheckServer = false;
+  Config.CheckFlowback = false;
+  Config.CheckPaged = false;
+  Config.CheckStream = false;
+  for (const Case &C : Cases) {
+    GenProgram Program = generateProgram(C.Seed);
+    DiffReport Report =
+        runDifferential(C.Source, Program.SchedSeed, Program.Quantum, Config);
+    EXPECT_TRUE(Report.RaceFree) << "seed " << C.Seed;
+    EXPECT_FALSE(Report.Divergent)
+        << "seed " << C.Seed << ": " << Report.Oracle << ": " << Report.Detail;
+  }
 }
 
 /// The PR-gate differential smoke: a bounded sweep that must be

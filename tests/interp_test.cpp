@@ -1,25 +1,27 @@
-//===- tests/interp_test.cpp - Decoded vs legacy engine differentials -----===//
+//===- tests/interp_test.cpp - One interpreter, held to the theorems -----===//
 //
 // Part of PPD test suite.
 //
-// The execution-engine fast path (pre-decoded stream + threaded dispatch +
-// mode specialization, vm/Machine.cpp runSlice and core/Replay.cpp
-// runDecoded) must be observationally identical to the legacy
-// one-instruction switch interpreters: same step counts, same preemption
-// points, same log records down to the byte, same traces, same failures.
-// This suite drives both engines across the examples/ corpus, many seeds,
-// every run mode, and awkward quanta (quantum 1 splits every fused
-// superinstruction at a budget boundary), and asserts full agreement. A
-// golden hash fixture pins the v2 log bytes of one execution instance so
-// regressions in either engine — or in the log encoder — surface even if
-// both engines drift together.
+// The VM's threaded interpreter (vm/Machine.cpp runSlice) and the replay
+// interpreter (core/Replay.cpp runDecoded), across the examples/ corpus,
+// many seeds, every run mode, and awkward quanta (quantum 1 splits every
+// fused superinstruction at a budget boundary):
+//
+//   * the three run modes preempt at the same points, so they agree on
+//     outcome, steps, shared memory and output — racy programs included;
+//   * pinned v2 log hashes per quantum catch any drift in scheduling,
+//     instrumentation or the log encoder;
+//   * every process's FullTrace trace equals its intervals' replays
+//     spliced in log order (§5.5, the spec/trace fuzz leg).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "core/Replay.h"
 #include "log/LogIO.h"
+#include "pardyn/ParallelDynamicGraph.h"
+#include "pardyn/RaceDetector.h"
+#include "testing/DiffOracles.h"
 
 #include <cstdio>
 #include <fstream>
@@ -59,7 +61,6 @@ struct Observed {
   RunResult Result;
   std::vector<int64_t> Shared;
   std::vector<OutputRecord> Output;
-  std::vector<TraceBuffer> Traces;
   ExecutionLog Log;
 };
 
@@ -68,7 +69,6 @@ Observed runOnce(const CompiledProgram &Prog, const MachineOptions &MOpts) {
   Observed Out;
   Out.Result = M.run();
   Out.Shared = M.sharedMemory();
-  Out.Traces = M.traces();
   Out.Log = M.takeLog();
   Out.Output = Out.Log.Output;
   return Out;
@@ -85,24 +85,19 @@ void expectSameOutput(const std::vector<OutputRecord> &A,
   }
 }
 
-/// Decoded and legacy must agree on *everything*, including step counts
-/// and traces — they interleave identically because preemption points are
-/// preserved across fusion.
-void expectEnginesAgree(const Observed &D, const Observed &L,
-                        const std::string &Label) {
-  EXPECT_EQ(int(D.Result.Outcome), int(L.Result.Outcome)) << Label;
-  EXPECT_EQ(D.Result.Steps, L.Result.Steps) << Label;
-  EXPECT_EQ(int(D.Result.Error.Kind), int(L.Result.Error.Kind)) << Label;
-  EXPECT_EQ(D.Result.Error.Pid, L.Result.Error.Pid) << Label;
-  EXPECT_EQ(D.Result.Error.Stmt, L.Result.Error.Stmt) << Label;
-  EXPECT_EQ(D.Result.BreakPid, L.Result.BreakPid) << Label;
-  EXPECT_EQ(D.Result.BreakStmt, L.Result.BreakStmt) << Label;
-  EXPECT_EQ(D.Shared, L.Shared) << Label;
-  expectSameOutput(D.Output, L.Output, Label);
-  ASSERT_EQ(D.Traces.size(), L.Traces.size()) << Label;
-  for (size_t P = 0; P != D.Traces.size(); ++P)
-    EXPECT_TRUE(D.Traces[P].Events == L.Traces[P].Events)
-        << Label << " trace of pid " << P;
+/// Two runs of one seed in different modes must agree on everything the
+/// program did, step counts included.
+void expectRunsAgree(const Observed &A, const Observed &B,
+                     const std::string &Label) {
+  EXPECT_EQ(int(A.Result.Outcome), int(B.Result.Outcome)) << Label;
+  EXPECT_EQ(A.Result.Steps, B.Result.Steps) << Label;
+  EXPECT_EQ(int(A.Result.Error.Kind), int(B.Result.Error.Kind)) << Label;
+  EXPECT_EQ(A.Result.Error.Pid, B.Result.Error.Pid) << Label;
+  EXPECT_EQ(A.Result.Error.Stmt, B.Result.Error.Stmt) << Label;
+  EXPECT_EQ(A.Result.BreakPid, B.Result.BreakPid) << Label;
+  EXPECT_EQ(A.Result.BreakStmt, B.Result.BreakStmt) << Label;
+  EXPECT_EQ(A.Shared, B.Shared) << Label;
+  expectSameOutput(A.Output, B.Output, Label);
 }
 
 std::vector<uint8_t> v2Bytes(const ExecutionLog &Log, const char *Tag) {
@@ -123,12 +118,10 @@ uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
   return Hash;
 }
 
-// The ISSUE acceptance differential: across seeds and the whole corpus,
-// the fast path and the legacy engine agree in every mode, and the three
-// modes agree with each other on the externally visible outcome (shared
-// memory, outputs, failure). Mode-dependent fields (logs, traces) are
-// compared engine-vs-engine above, not mode-vs-mode.
-TEST(InterpTest, EnginesAgreeAcrossSeedsAndModes) {
+// Trace instructions cost no quantum, so Plain, Logging and FullTrace
+// runs of one seed interleave identically: same outcome, step count,
+// shared memory and output, for the racy program too.
+TEST(InterpTest, RunModesAgreeAcrossSeeds) {
   const RunMode Modes[] = {RunMode::Plain, RunMode::Logging,
                            RunMode::FullTrace};
   for (const char *Name : Corpus) {
@@ -137,78 +130,71 @@ TEST(InterpTest, EnginesAgreeAcrossSeedsAndModes) {
     for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
       Observed PerMode[3];
       for (int M = 0; M != 3; ++M) {
-        MachineOptions Decoded;
-        Decoded.Seed = Seed;
-        Decoded.Mode = Modes[M];
-        Decoded.UseDecoded = true;
-        MachineOptions Legacy = Decoded;
-        Legacy.UseDecoded = false;
-        std::string Label = std::string(Name) + " seed " +
-                            std::to_string(Seed) + " mode " +
-                            std::to_string(M);
-        Observed D = runOnce(*Prog, Decoded);
-        Observed L = runOnce(*Prog, Legacy);
-        expectEnginesAgree(D, L, Label);
-        PerMode[M] = std::move(D);
+        MachineOptions MOpts;
+        MOpts.Seed = Seed;
+        MOpts.Mode = Modes[M];
+        PerMode[M] = runOnce(*Prog, MOpts);
       }
-      // Cross-mode: instrumentation must not change what the program
-      // computes. Plain and Logging run the same object chunk, so the
-      // interleaving matches exactly. FullTrace runs the emulation chunk,
-      // whose extra trace instructions shift preemption boundaries — the
-      // probe effect — so for the racy program only the outcome kind is
-      // comparable, not the (race-dependent) final state.
-      bool Racy = std::string(Name) == "bank_race.ppl";
-      for (int M = 1; M != 3; ++M) {
-        std::string Label = std::string(Name) + " seed " +
-                            std::to_string(Seed) + " mode 0 vs " +
-                            std::to_string(M);
-        EXPECT_EQ(int(PerMode[0].Result.Outcome),
-                  int(PerMode[M].Result.Outcome))
-            << Label;
-        EXPECT_EQ(int(PerMode[0].Result.Error.Kind),
-                  int(PerMode[M].Result.Error.Kind))
-            << Label;
-        if (M == 2 && Racy)
-          continue;
-        EXPECT_EQ(PerMode[0].Shared, PerMode[M].Shared) << Label;
-        expectSameOutput(PerMode[0].Output, PerMode[M].Output, Label);
-      }
+      for (int M = 1; M != 3; ++M)
+        expectRunsAgree(PerMode[0], PerMode[M],
+                        std::string(Name) + " seed " + std::to_string(Seed) +
+                            " mode 0 vs " + std::to_string(M));
     }
   }
 }
 
 // Quantum 1 forces a preemption check between the two halves of every
 // fused superinstruction; 2 and 3 land the boundary on every possible
-// phase. The v2 log must still be bit-identical to the legacy engine's.
+// phase. The v2 log bytes of each instance are pinned: they were recorded
+// while the one-instruction switch interpreter still existed and agreed
+// with the decoded one byte for byte, so the split at the budget keeps
+// the schedule the unfused instruction stream defines.
 TEST(InterpTest, V2LogBytesBitIdenticalAcrossQuanta) {
-  const uint32_t Quanta[] = {1, 2, 3, 8};
-  for (const char *Name : Corpus) {
-    auto Prog = compileOk(readCorpusFile(Name));
+  struct Pin {
+    const char *Name;
+    uint32_t Quantum;
+    uint64_t Hash;
+  };
+  const Pin Pins[] = {
+      {"bank_race.ppl", 1, 0x1c05a99df60ad380ull},
+      {"bank_race.ppl", 2, 0xe33faab36711a99cull},
+      {"bank_race.ppl", 3, 0xe302a5a40ee12f9aull},
+      {"bank_race.ppl", 8, 0x6ed138c0a83dfd27ull},
+      {"bounded_buffer.ppl", 1, 0xca725b6940e9cf3full},
+      {"bounded_buffer.ppl", 2, 0x4ee136b59f0b417bull},
+      {"bounded_buffer.ppl", 3, 0x99a81f011333eb13ull},
+      {"bounded_buffer.ppl", 8, 0xf9e7d43ab4f16a73ull},
+      {"crash.ppl", 1, 0xfad750f004238fe4ull},
+      {"crash.ppl", 2, 0xfad750f004238fe4ull},
+      {"crash.ppl", 3, 0xfad750f004238fe4ull},
+      {"crash.ppl", 8, 0xfad750f004238fe4ull},
+      {"deadlock.ppl", 1, 0xdf78637e09158d2cull},
+      {"deadlock.ppl", 2, 0xdf78637e09158d2cull},
+      {"deadlock.ppl", 3, 0xdf78637e09158d2cull},
+      {"deadlock.ppl", 8, 0xdf78637e09158d2cull},
+      {"fig41.ppl", 1, 0x12f43fe88da540ecull},
+      {"fig41.ppl", 2, 0x12f43fe88da540ecull},
+      {"fig41.ppl", 3, 0x12f43fe88da540ecull},
+      {"fig41.ppl", 8, 0x12f43fe88da540ecull},
+  };
+  for (const Pin &P : Pins) {
+    auto Prog = compileOk(readCorpusFile(P.Name));
     ASSERT_TRUE(Prog);
-    for (uint32_t Quantum : Quanta) {
-      MachineOptions Decoded;
-      Decoded.Seed = 7;
-      Decoded.Mode = RunMode::Logging;
-      Decoded.Quantum = Quantum;
-      Decoded.UseDecoded = true;
-      MachineOptions Legacy = Decoded;
-      Legacy.UseDecoded = false;
-      Observed D = runOnce(*Prog, Decoded);
-      Observed L = runOnce(*Prog, Legacy);
-      std::string Label =
-          std::string(Name) + " quantum " + std::to_string(Quantum);
-      expectEnginesAgree(D, L, Label);
-      EXPECT_EQ(v2Bytes(D.Log, "decoded"), v2Bytes(L.Log, "legacy"))
-          << Label;
-    }
+    MachineOptions MOpts;
+    MOpts.Seed = 7;
+    MOpts.Mode = RunMode::Logging;
+    MOpts.Quantum = P.Quantum;
+    uint64_t Hash = fnv1a(v2Bytes(runOnce(*Prog, MOpts).Log, "quanta"));
+    EXPECT_EQ(Hash, P.Hash) << P.Name << " quantum " << P.Quantum
+                            << ": v2 log drifted; actual 0x" << std::hex
+                            << Hash;
   }
 }
 
 // Golden fixture: the v2 log bytes of one pinned execution instance,
-// hashed. Catches silent lockstep drift of both engines (the differential
-// above can't) and any accidental change to the log encoding. If a
-// *deliberate* format or instrumentation change lands, re-pin the constant
-// from the test's failure message.
+// hashed. Catches any accidental change to scheduling, instrumentation or
+// the log encoding. If a *deliberate* format or instrumentation change
+// lands, re-pin the constant from the test's failure message.
 TEST(InterpTest, GoldenV2LogFixture) {
   auto Prog = compileOk(readCorpusFile("bounded_buffer.ppl"));
   ASSERT_TRUE(Prog);
@@ -216,73 +202,46 @@ TEST(InterpTest, GoldenV2LogFixture) {
   MOpts.Seed = 3;
   MOpts.Mode = RunMode::Logging;
   MOpts.Quantum = 3;
-  for (bool UseDecoded : {true, false}) {
-    MOpts.UseDecoded = UseDecoded;
-    Observed O = runOnce(*Prog, MOpts);
-    EXPECT_EQ(int(O.Result.Outcome), int(RunResult::Status::Completed));
-    uint64_t Hash = fnv1a(v2Bytes(O.Log, "golden"));
-    EXPECT_EQ(Hash, 0x398f02cd27ee92a9ull)
-        << "golden v2 log drifted (decoded=" << UseDecoded << "); actual 0x"
-        << std::hex << Hash;
-  }
+  Observed O = runOnce(*Prog, MOpts);
+  EXPECT_EQ(int(O.Result.Outcome), int(RunResult::Status::Completed));
+  uint64_t Hash = fnv1a(v2Bytes(O.Log, "golden"));
+  EXPECT_EQ(Hash, 0x398f02cd27ee92a9ull)
+      << "golden v2 log drifted; actual 0x" << std::hex << Hash;
 }
 
-// The emulation package: every interval of every process, replayed on both
-// engines, must produce identical traces and final state — including open
-// (postlog-less) intervals and the failing interval of crash.ppl.
-TEST(InterpTest, ReplayEnginesAgreeOnEveryInterval) {
+// §5.5 on the corpus: on every race-free instance, each process's
+// FullTrace trace equals its intervals' replays spliced in log order —
+// completed, failed (crash.ppl) and deadlocked processes alike.
+TEST(InterpTest, ReplayTracesSpliceToFullTrace) {
   for (const char *Name : Corpus) {
-    if (std::string(Name) == "deadlock.ppl")
-      continue; // no completed run to index (outcome is Deadlock)
-    std::string Source = readCorpusFile(Name);
-    bool Fails = std::string(Name) == "crash.ppl";
-    Ran R = runProgram(Source, 5, {}, {}, /*ExpectCompleted=*/!Fails);
-    ASSERT_TRUE(R.Prog);
-    LogIndex Index(R.Log);
-    ReplayEngine Engine(*R.Prog);
-    unsigned Replayed = 0, FailuresHit = 0;
-    for (uint32_t Pid = 0; Pid != R.Log.Procs.size(); ++Pid) {
-      for (const LogInterval &Interval : Index.intervals(Pid)) {
-        ReplayOptions Decoded;
-        Decoded.Engine = ReplayEngineKind::Decoded;
-        ReplayOptions Legacy;
-        Legacy.Engine = ReplayEngineKind::Legacy;
-        ReplayResult D = Engine.replay(R.Log, Pid, Interval, Decoded);
-        ReplayResult L = Engine.replay(R.Log, Pid, Interval, Legacy);
-        std::string Label = std::string(Name) + " pid " +
-                            std::to_string(Pid) + " interval " +
-                            std::to_string(Interval.Index);
-        EXPECT_EQ(D.Ok, L.Ok) << Label;
-        EXPECT_EQ(D.Partial, L.Partial) << Label;
-        EXPECT_EQ(D.FailureHit, L.FailureHit) << Label;
-        EXPECT_EQ(int(D.Failure.Kind), int(L.Failure.Kind)) << Label;
-        EXPECT_EQ(D.Failure.Stmt, L.Failure.Stmt) << Label;
-        EXPECT_EQ(D.Diverged, L.Diverged) << Label;
-        EXPECT_EQ(D.Error, L.Error) << Label;
-        EXPECT_EQ(D.PostlogMismatches.size(), L.PostlogMismatches.size())
-            << Label;
-        EXPECT_EQ(D.Instructions, L.Instructions) << Label;
-        EXPECT_EQ(D.Shared, L.Shared) << Label;
-        EXPECT_EQ(D.PrivateGlobals, L.PrivateGlobals) << Label;
-        EXPECT_EQ(D.RootSlots, L.RootSlots) << Label;
-        EXPECT_EQ(D.HasReturn, L.HasReturn) << Label;
-        EXPECT_EQ(D.ReturnValue, L.ReturnValue) << Label;
-        EXPECT_TRUE(D.Events.Events == L.Events.Events) << Label;
-        FailuresHit += D.FailureHit;
-        ++Replayed;
+    auto Prog = compileOk(readCorpusFile(Name));
+    ASSERT_TRUE(Prog);
+    unsigned Checked = 0;
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      for (uint32_t Quantum : {1u, 3u, 8u}) {
+        MachineOptions MOpts;
+        MOpts.Seed = Seed;
+        MOpts.Quantum = Quantum;
+        ExecutionLog Log = runOnce(*Prog, MOpts).Log;
+        ParallelDynamicGraph Graph(Log, Prog->Symbols->NumSharedVars);
+        RaceDetector Detector(Graph, *Prog->Symbols);
+        if (!Detector.detect(RaceAlgorithm::NaiveAllPairs).Races.empty())
+          continue;
+        EXPECT_EQ(ppd::testing::checkReplayTheorem(*Prog, MOpts), "")
+            << Name << " seed " << Seed << " quantum " << Quantum;
+        ++Checked;
       }
     }
-    EXPECT_GT(Replayed, 0u) << Name;
-    if (Fails) {
-      EXPECT_GT(FailuresHit, 0u) << "crash.ppl replay must re-hit the "
-                                    "divide by zero on both engines";
+    if (std::string(Name) != "bank_race.ppl") {
+      EXPECT_GT(Checked, 0u) << Name << " never ran race-free";
     }
   }
 }
 
-// Breakpoints must fire on the same statement transition in both engines
-// even at quantum 1, where the decoded loop re-enters mid-way through
-// fused superinstructions.
+// Breakpoints fire on the statement transition before the statement
+// executes, at the same step in every mode — even at quantum 1, where the
+// loop re-enters mid-way through fused superinstructions and FullTrace
+// meets the transition at a free trace instruction.
 TEST(InterpTest, BreakpointAgreesAtQuantumOne) {
   auto Prog = compileOk("shared int g;\n"
                         "func main() {\n"
@@ -293,19 +252,20 @@ TEST(InterpTest, BreakpointAgreesAtQuantumOne) {
                         "}\n");
   ASSERT_TRUE(Prog);
   StmtId Break = stmtAtLine(*Prog->Ast, 6);
-  MachineOptions Decoded;
-  Decoded.Quantum = 1;
-  Decoded.Breakpoints = {Break};
-  Decoded.UseDecoded = true;
-  MachineOptions Legacy = Decoded;
-  Legacy.UseDecoded = false;
-  Observed D = runOnce(*Prog, Decoded);
-  Observed L = runOnce(*Prog, Legacy);
-  ASSERT_EQ(int(D.Result.Outcome), int(RunResult::Status::Breakpoint));
-  EXPECT_EQ(D.Result.BreakStmt, Break);
-  expectEnginesAgree(D, L, "breakpoint at quantum 1");
+  MachineOptions MOpts;
+  MOpts.Quantum = 1;
+  MOpts.Breakpoints = {Break};
+  Observed Logged = runOnce(*Prog, MOpts);
+  ASSERT_EQ(int(Logged.Result.Outcome), int(RunResult::Status::Breakpoint));
+  EXPECT_EQ(Logged.Result.BreakStmt, Break);
   // The breakpoint halted *before* line 6 executed.
-  EXPECT_EQ(D.Shared[0], 45);
+  EXPECT_EQ(Logged.Shared[0], 45);
+  for (RunMode Mode : {RunMode::Plain, RunMode::FullTrace}) {
+    MOpts.Mode = Mode;
+    expectRunsAgree(Logged, runOnce(*Prog, MOpts),
+                    "breakpoint at quantum 1, mode " +
+                        std::to_string(int(Mode)));
+  }
 }
 
 } // namespace

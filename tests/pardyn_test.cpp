@@ -7,6 +7,7 @@
 
 #include "TestUtil.h"
 
+#include "core/DebugSession.h"
 #include "log/PageStore.h"
 #include "log/ProgramDb.h"
 #include "pardyn/ParallelDynamicGraph.h"
@@ -517,6 +518,67 @@ func main() {
   auto Result = Detector.detect(RaceAlgorithm::VarIndexed);
   ASSERT_FALSE(Result.raceFree());
   EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::ReadWrite));
+}
+
+// The failing process's accesses since its last sync node reach race
+// detection as a terminal Stopped node, like every frozen process's. The
+// worker reads ga and then fails on ga[20]; main's unsynchronized write of
+// ga races with that read. Replay never reaches the extra node, so the
+// flowback root and its local dependences are what they were without it.
+TEST(RaceTest, FailedProcessFinalEdgeIsRaceChecked) {
+  const char *Source = R"(
+shared int ga[4];
+sem join;
+func worker(int a) {
+  int w = 0;
+  while (w < 20) {
+    w = w + 1;
+  }
+  a = ga[1] + ga[a];
+  V(join);
+}
+func main() {
+  spawn worker(20);
+  ga[1] = 5;
+  P(join);
+}
+)";
+  for (uint64_t Seed : {1, 2, 3}) {
+    auto R = runProgram(Source, Seed, {}, {}, /*ExpectCompleted=*/false);
+    ASSERT_EQ(int(R.Result.Outcome), int(RunResult::Status::Failed));
+    ASSERT_EQ(R.Result.Error.Pid, 1u);
+    const RecordSeq &Failed = R.Log.Procs[1].Records;
+    ASSERT_FALSE(Failed.empty());
+    EXPECT_EQ(int(Failed.back().Sync), int(SyncKind::Stopped));
+
+    auto G = graphOf(R);
+    RaceDetector Detector(G, *R.Prog->Symbols);
+    auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+    ASSERT_EQ(Result.Races.size(), 1u) << "seed " << Seed;
+    EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::ReadWrite));
+    EXPECT_EQ(R.Prog->Symbols->var(Result.Races[0].Var).Name, "ga");
+    EXPECT_EQ(Result.Races[0].Second.Pid, 1u);
+
+    // Flowback over the log as it was before the failed process got its
+    // terminal node: the same root and local dependences. Only the read
+    // of ga's cross-process source changes — from the initial value,
+    // which the read did not see, to the race with main's write.
+    ExecutionLog Trimmed = R.Log;
+    RecordSeq Kept;
+    for (size_t I = 0; I + 1 < Failed.size(); ++I)
+      Kept.push_back(Failed[I]);
+    Trimmed.Procs[1].Records = std::move(Kept);
+    PpdController WithNode(*R.Prog, R.Log);
+    PpdController WithoutNode(*R.Prog, std::move(Trimmed));
+    DebugSession A(*R.Prog, WithNode), B(*R.Prog, WithoutNode);
+    std::string Now = A.execute("where 1"), Before = B.execute("where 1");
+    size_t Cross = Now.find("<- cross");
+    ASSERT_NE(Cross, std::string::npos) << Now;
+    EXPECT_EQ(Now.substr(0, Cross), Before.substr(0, Cross));
+    EXPECT_NE(Now.find("a = ga[1] + ga[a]"), std::string::npos) << Now;
+    EXPECT_NE(Now.find("RACE on ga (p0)", Cross), std::string::npos) << Now;
+    EXPECT_NE(Before.find("initial ga", Cross), std::string::npos) << Before;
+  }
 }
 
 TEST(RaceTest, OrderedAccessesAreNotRaces) {

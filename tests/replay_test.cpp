@@ -46,6 +46,28 @@ void expectAllIntervalsReplayFaithfully(const Ran &R) {
   EXPECT_GT(Replayed, 0u);
 }
 
+// A variable only some paths write is still captured by the postlog on
+// every path, so the prelog must carry its entry value: replay of the
+// path that skips the write then verifies the caller's 5, not a zero.
+TEST(ReplayTest, PartiallyWrittenGlobalVerifiesOnTheSkippingPath) {
+  auto R = runProgram(R"(
+int p0;
+func helper(int a) {
+  if (a == a) {
+  } else {
+    p0 = a;
+  }
+  return a;
+}
+func main() {
+  p0 = 5;
+  int x = helper(7);
+  print(p0 + x);
+}
+)");
+  expectAllIntervalsReplayFaithfully(R);
+}
+
 TEST(ReplayTest, SequentialProgramReplaysFaithfully) {
   auto R = runProgram(R"(
 func main() {

@@ -389,6 +389,69 @@ TEST(StreamIngestTest, MalformedCutsKillTheStreamTyped) {
   }
 }
 
+// A sync record naming a statement the program does not have fails the
+// whole cut with a typed error before anything applies: the frontier
+// keeps the previous cut's records and version.
+TEST(StreamIngestTest, OutOfRangeSyncStmtRejectsTheCutUnapplied) {
+  IngestFixture F(PipelineSource);
+  Response Hello = F.hello();
+  ASSERT_EQ(int(Hello.Type), int(RespType::Ack));
+  stream::SealerOptions SOpts;
+  SOpts.ProgramIndex = F.ProgramIndex;
+  SOpts.ProgramHash = F.Hash;
+  SOpts.SectionRecords = 1;
+  stream::StreamSealer Sealer(SOpts);
+  Sealer.setStreamId(Hello.StreamId);
+
+  // One good cut as soon as the workers exist, the rest after the run.
+  Machine M(*F.Prog, MachineOptions{});
+  bool Shipped = false;
+  M.onRound([&](Machine &Mach) {
+    if (Shipped || Mach.log().Procs.size() < 3)
+      return;
+    Shipped = true;
+    for (const Request &Frame : Sealer.sealRound(Mach.log(), /*Force=*/true))
+      EXPECT_EQ(int(F.Ingest.dispatch(Frame).Type), int(RespType::Ack));
+  });
+  M.run();
+  ASSERT_TRUE(Shipped);
+  ASSERT_EQ(F.Ingest.frontierVersion(Hello.StreamId), 1u);
+  ExecutionLog Before;
+  ASSERT_TRUE(F.Ingest.frontierLog(Hello.StreamId, Before));
+
+  std::vector<Request> Rest = Sealer.sealRound(M.log(), /*Force=*/true);
+  bool Mangled = false;
+  for (Request &Frame : Rest) {
+    ProcessLog Section;
+    ASSERT_TRUE(stream::decodeSectionBlob(Frame.Blob, Section));
+    for (LogRecord &Rec : Section.Records)
+      if (!Mangled && Rec.Kind == LogRecordKind::SyncEvent &&
+          Rec.Stmt != InvalidId) {
+        Rec.Stmt = StmtId(F.Prog->Ast->numStmts() + 7);
+        Mangled = true;
+        Frame.Blob.clear();
+        stream::encodeSectionBlob(Section, 0,
+                                  uint32_t(Section.Records.size()),
+                                  Frame.Blob);
+      }
+  }
+  ASSERT_TRUE(Mangled) << "the second cut carries sync records";
+  Response Last;
+  for (const Request &Frame : Rest)
+    Last = F.Ingest.dispatch(Frame);
+  EXPECT_EQ(int(Last.Type), int(RespType::Error));
+  EXPECT_EQ(int(Last.Code), int(ErrCode::StreamProtocol));
+  EXPECT_NE(Last.Text.find("statement"), std::string::npos) << Last.Text;
+
+  EXPECT_EQ(F.Ingest.frontierVersion(Hello.StreamId), 1u);
+  ExecutionLog After;
+  ASSERT_TRUE(F.Ingest.frontierLog(Hello.StreamId, After));
+  ASSERT_EQ(After.Procs.size(), Before.Procs.size());
+  for (size_t P = 0; P != Before.Procs.size(); ++P)
+    EXPECT_EQ(After.Procs[P].Records.size(), Before.Procs[P].Records.size())
+        << "pid " << P;
+}
+
 TEST(StreamIngestTest, InterleavedCutsAreRejected) {
   IngestFixture F(PipelineSource);
   Response Hello = F.hello();
