@@ -12,23 +12,20 @@
 //    the cost of detecting these conflicts."
 //
 // `naive_*` is the all-pairs algorithm; `indexed_*` buckets edges by the
-// shared variables they touch first; `vectorized_*` is the hardware-speed
-// tier (SIMD kernels + batched happens-before closure + optional sharded
-// sweep). All must report identical races (asserted by tests); the
-// PairsExamined counter shows the pruning, Pairs/s the throughput gap, and
-// ClosureBuildMs the vectorized tier's up-front cost.
+// shared variables they touch first; `interval_*` is the clock-window
+// merge over per-variable writer/reader lists. All must report identical
+// races (asserted by tests); the PairsExamined counter shows the pruning
+// (for interval: windows opened), Pairs/s the throughput gap, and
+// ClosureBuildMs the interval merge's up-front cost (its reader index).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchPrograms.h"
 
 #include "pardyn/RaceDetector.h"
-#include "support/ThreadPool.h"
 #include "vm/Machine.h"
 
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 using namespace ppd;
 using namespace ppd::bench;
@@ -123,7 +120,7 @@ Prepared prepare(unsigned Workers, unsigned Rounds, bool Protected) {
 }
 
 void detectOn(benchmark::State &State, const Prepared &P,
-              RaceAlgorithm Algorithm, ThreadPool *Pool = nullptr) {
+              RaceAlgorithm Algorithm) {
   RaceDetector Detector(*P.Graph, *P.Prog->Symbols);
 
   uint64_t Pairs = 0;
@@ -133,7 +130,7 @@ void detectOn(benchmark::State &State, const Prepared &P,
   for (uint32_t Pid = 0; Pid != P.Graph->numProcs(); ++Pid)
     Edges += P.Graph->edges(Pid).size();
   for (auto _ : State) {
-    auto Result = Detector.detect(Algorithm, Pool);
+    auto Result = Detector.detect(Algorithm);
     benchmark::DoNotOptimize(Result.Races.size());
     Pairs = Result.PairsExamined;
     Races = Result.Races.size();
@@ -147,7 +144,7 @@ void detectOn(benchmark::State &State, const Prepared &P,
   // algorithms count different candidate universes (see RaceDetector.h).
   State.counters["Pairs/s"] = benchmark::Counter(
       double(Pairs), benchmark::Counter::kIsIterationInvariantRate);
-  if (Algorithm == RaceAlgorithm::Vectorized)
+  if (Algorithm == RaceAlgorithm::Interval)
     State.counters["ClosureBuildMs"] = double(ClosureNs) / 1e6;
 }
 
@@ -181,30 +178,20 @@ void indexed_sparse(benchmark::State &State) {
       sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
   detectOn(State, P, RaceAlgorithm::VarIndexed);
 }
-void vectorized_racy(benchmark::State &State) {
+void interval_racy(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    false);
-  detectOn(State, P, RaceAlgorithm::Vectorized);
+  detectOn(State, P, RaceAlgorithm::Interval);
 }
-void vectorized_racefree(benchmark::State &State) {
+void interval_racefree(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    true);
-  detectOn(State, P, RaceAlgorithm::Vectorized);
+  detectOn(State, P, RaceAlgorithm::Interval);
 }
-void vectorized_sparse(benchmark::State &State) {
+void interval_sparse(benchmark::State &State) {
   auto P = prepareSource(
       sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::Vectorized);
-}
-/// The sharded sweep on a pool sized to the host (the deployed shape:
-/// detectRaces rides the replay service's pool).
-void vectorized_pooled_racy(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   false);
-  unsigned Workers = std::max(1u, std::thread::hardware_concurrency());
-  ThreadPool Pool(Workers);
-  State.counters["PoolWorkers"] = double(Workers);
-  detectOn(State, P, RaceAlgorithm::Vectorized, &Pool);
+  detectOn(State, P, RaceAlgorithm::Interval);
 }
 
 } // namespace
@@ -214,13 +201,12 @@ void vectorized_pooled_racy(benchmark::State &State) {
 
 BENCHMARK(naive_racy) RACE_ARGS;
 BENCHMARK(indexed_racy) RACE_ARGS;
-BENCHMARK(vectorized_racy) RACE_ARGS;
-BENCHMARK(vectorized_pooled_racy) RACE_ARGS;
+BENCHMARK(interval_racy) RACE_ARGS;
 BENCHMARK(naive_racefree) RACE_ARGS;
 BENCHMARK(indexed_racefree) RACE_ARGS;
-BENCHMARK(vectorized_racefree) RACE_ARGS;
+BENCHMARK(interval_racefree) RACE_ARGS;
 BENCHMARK(naive_sparse) RACE_ARGS;
 BENCHMARK(indexed_sparse) RACE_ARGS;
-BENCHMARK(vectorized_sparse) RACE_ARGS;
+BENCHMARK(interval_sparse) RACE_ARGS;
 
 BENCHMARK_MAIN();

@@ -10,10 +10,7 @@
 // Two layers are measured:
 //  * micro: union / intersects / popcount on synthetic variable sets of
 //    varying universe size and density — intersects() is the inner loop of
-//    race detection (Def 6.3). FixedVarSet rows measure the vectorized
-//    tier's flat-arena representation (contiguous fixed-width words, SIMD
-//    kernels) against the two growable representations on the same
-//    workloads;
+//    race detection (Def 6.3);
 //  * macro: the real MOD/REF interprocedural fixpoint (the paper's cited
 //    semantic analysis) over a generated program, with each representation.
 //
@@ -23,7 +20,6 @@
 #include "lang/Parser.h"
 #include "sema/CallGraph.h"
 #include "sema/Sema.h"
-#include "support/FixedVarSet.h"
 #include "support/Rng.h"
 #include "support/VarSet.h"
 
@@ -71,48 +67,8 @@ template <VariableSet Set> void intersectsAllPairs(benchmark::State &State) {
   State.SetItemsProcessed(int64_t(State.iterations()) * 64 * 63 / 2);
 }
 
-/// The same populations as makeSets, laid out as arena rows.
-VarSetArena makeArena(unsigned Count, unsigned Universe, unsigned Density) {
-  Rng R(1234);
-  VarSetArena Arena(Count, Universe);
-  for (unsigned S = 0; S != Count; ++S)
-    for (unsigned I = 0; I != Density; ++I)
-      Arena.row(S).insert(unsigned(R.nextBelow(Universe)));
-  return Arena;
-}
-
-void unionChainFixed(benchmark::State &State) {
-  unsigned Universe = unsigned(State.range(0));
-  unsigned Density = unsigned(State.range(1));
-  auto Arena = makeArena(64, Universe, Density);
-  VarSetArena AccArena(1, Universe);
-  for (auto _ : State) {
-    FixedVarSet Acc = AccArena.row(0);
-    Acc.clear();
-    for (unsigned S = 0; S != 64; ++S)
-      Acc.unionWith(Arena.row(S));
-    benchmark::DoNotOptimize(Acc.size());
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()) * 64);
-}
-
-void intersectsAllPairsFixed(benchmark::State &State) {
-  unsigned Universe = unsigned(State.range(0));
-  unsigned Density = unsigned(State.range(1));
-  auto Arena = makeArena(64, Universe, Density);
-  for (auto _ : State) {
-    unsigned Conflicts = 0;
-    for (unsigned I = 0; I != 64; ++I)
-      for (unsigned J = I + 1; J != 64; ++J)
-        Conflicts += Arena.row(I).intersects(Arena.row(J));
-    benchmark::DoNotOptimize(Conflicts);
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()) * 64 * 63 / 2);
-}
-
-/// |A| over every set — the PairsExamined accounting loop of the
-/// vectorized sweep. BitVarSet counts per-word scalar popcount over its
-/// (trimmed) words; FixedVarSet routes through the simd kernel.
+/// |A| over every set. BitVarSet counts per-word scalar popcount over its
+/// (trimmed) words.
 template <VariableSet Set> void popcountAll(benchmark::State &State) {
   unsigned Universe = unsigned(State.range(0));
   unsigned Density = unsigned(State.range(1));
@@ -121,19 +77,6 @@ template <VariableSet Set> void popcountAll(benchmark::State &State) {
     unsigned Total = 0;
     for (const Set &S : Sets)
       Total += S.size();
-    benchmark::DoNotOptimize(Total);
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()) * 64);
-}
-
-void popcountAllFixed(benchmark::State &State) {
-  unsigned Universe = unsigned(State.range(0));
-  unsigned Density = unsigned(State.range(1));
-  auto Arena = makeArena(64, Universe, Density);
-  for (auto _ : State) {
-    unsigned Total = 0;
-    for (unsigned S = 0; S != 64; ++S)
-      Total += Arena.row(S).size();
     benchmark::DoNotOptimize(Total);
   }
   State.SetItemsProcessed(int64_t(State.iterations()) * 64);
@@ -199,13 +142,10 @@ template <VariableSet Set> void modRefFixpoint(benchmark::State &State) {
 
 BENCHMARK(unionChain<BitVarSet>) SET_ARGS;
 BENCHMARK(unionChain<ListVarSet>) SET_ARGS;
-BENCHMARK(unionChainFixed) SET_ARGS;
 BENCHMARK(intersectsAllPairs<BitVarSet>) SET_ARGS;
 BENCHMARK(intersectsAllPairs<ListVarSet>) SET_ARGS;
-BENCHMARK(intersectsAllPairsFixed) SET_ARGS;
 BENCHMARK(popcountAll<BitVarSet>) SET_ARGS;
 BENCHMARK(popcountAll<ListVarSet>) SET_ARGS;
-BENCHMARK(popcountAllFixed) SET_ARGS;
 
 BENCHMARK(modRefFixpoint<BitVarSet>)->Args({20, 50})->Args({100, 200});
 BENCHMARK(modRefFixpoint<ListVarSet>)->Args({20, 50})->Args({100, 200});

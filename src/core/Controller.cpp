@@ -385,10 +385,7 @@ const ParallelDynamicGraph &PpdController::parallelGraph() {
 
 RaceDetectionResult PpdController::detectRaces(RaceAlgorithm Algorithm) {
   RaceDetector Detector(parallelGraph(), *Prog.Symbols);
-  // The vectorized sweep shards across the replay service's pool (serial
-  // sessions have a worker-less pool and run it inline); results are
-  // byte-identical at any worker count.
-  return Detector.detect(Algorithm, Service.pool());
+  return Detector.detect(Algorithm);
 }
 
 DynNodeId PpdController::expandCall(DynNodeId SubGraphNode) {

@@ -181,12 +181,12 @@ public:
   const ParallelDynamicGraph &parallelGraph();
 
   /// Race detection over the parallel dynamic graph (Defs 6.1–6.4). The
-  /// default is the vectorized tier — the debugger `races` command and the
+  /// default is the interval merge — the debugger `races` command and the
   /// server's race query ride on it; the legacy algorithms stay available
   /// as differential oracles and for the CLI --race-strategy flag. All
-  /// three produce byte-identical race lists.
+  /// three produce identical race lists.
   RaceDetectionResult detectRaces(
-      RaceAlgorithm Algorithm = RaceAlgorithm::Vectorized);
+      RaceAlgorithm Algorithm = RaceAlgorithm::Interval);
 
   /// §5.7 what-if: replays an interval with value overrides. Memoized
   /// like faithful replays — the override list's fingerprint is part of

@@ -169,11 +169,6 @@ public:
   ReplayServiceStats stats() const;
   const ReplayServiceOptions &options() const { return Options; }
 
-  /// The worker pool replays fan out on (owned or shared). Other
-  /// shardable work in a session — the vectorized race sweep — reuses it
-  /// rather than spinning up a second pool.
-  ThreadPool *pool() { return Pool; }
-
   /// Stable hash of an override list; 0 iff the list is empty, so the
   /// faithful replay owns fingerprint 0.
   static uint64_t fingerprint(const std::vector<ReplayOverride> &Overrides);

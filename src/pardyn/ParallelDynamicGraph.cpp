@@ -290,36 +290,71 @@ EdgeRef ParallelDynamicGraph::edgeContaining(uint32_t Pid,
   return {Pid, I};
 }
 
+namespace {
+
+/// std::partition_point over [First, Last) that probes 1, 2, 4, ...
+/// entries past First before it bisects: O(log d) for a point d entries
+/// in, so forward-only searches from the previous answer sum to linear.
+template <typename Pred>
+const uint32_t *gallop(const uint32_t *First, const uint32_t *Last,
+                       Pred Before) {
+  size_t Step = 1;
+  while (Step <= size_t(Last - First) && Before(First[Step - 1])) {
+    First += Step;
+    Step *= 2;
+  }
+  return std::partition_point(
+      First, First + std::min(Step, size_t(Last - First)), Before);
+}
+
+} // namespace
+
+std::span<const uint32_t>
+ParallelDynamicGraph::writerEnds(uint32_t SharedIdx, uint32_t Pid) const {
+  const size_t Key = size_t(SharedIdx) * Nodes.size() + Pid;
+  if (Key + 1 >= WritersAt.size())
+    return {}; // no edge writes the variable
+  return {WriterEnds.data() + WritersAt[Key],
+          WriterEnds.data() + WritersAt[Key + 1]};
+}
+
+ParallelDynamicGraph::Window
+ParallelDynamicGraph::simultaneousWindow(EdgeRef Edge, uint32_t Pid,
+                                         Window From,
+                                         const uint32_t *End) const {
+  // (Pid, k) → Edge iff start(Edge)'s clock covers node k.
+  const uint32_t Covered = Nodes[Edge.Pid][Edge.EndNode - 1].Clock[Pid];
+  const uint32_t *Lo =
+      gallop(From.Lo, End, [&](uint32_t K) { return K < Covered; });
+  // Edge → (Pid, k) iff start(k)'s clock covers Edge's end node. Nothing
+  // before Lo is ordered after Edge, so the search may start at Lo.
+  const std::vector<SyncNode> &ProcNodes = Nodes[Pid];
+  const uint32_t *Hi = gallop(std::max(Lo, From.Hi), End, [&](uint32_t K) {
+    return ProcNodes[K - 1].Clock[Edge.Pid] <= Edge.EndNode;
+  });
+  return {Lo, Hi};
+}
+
 ParallelDynamicGraph::WriterCursor
 ParallelDynamicGraph::writersBefore(EdgeRef Reader, uint32_t SharedIdx) const {
   WriterCursor Cursor;
   Cursor.Graph = this;
-  const size_t P = Nodes.size();
-  if ((size_t(SharedIdx) + 1) * P + 1 > WritersAt.size())
-    return Cursor; // no edge writes the variable
-  const SyncNode &ReaderStart = Nodes[Reader.Pid][Reader.EndNode - 1];
-  for (uint32_t Pid = 0; Pid != P; ++Pid) {
-    const size_t Key = SharedIdx * P + Pid;
-    const uint32_t *Begin = WriterEnds.data() + WritersAt[Key];
-    const uint32_t *End = WriterEnds.data() + WritersAt[Key + 1];
+  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid) {
+    std::span<const uint32_t> Ends = writerEnds(SharedIdx, Pid);
+    if (Ends.empty())
+      continue;
+    const uint32_t *Begin = Ends.data();
+    const uint32_t *End = Begin + Ends.size();
     const uint32_t *Before;
     if (Pid == Reader.Pid) {
       // Program order: every earlier edge of the reader's process.
       Before = std::lower_bound(Begin, End, Reader.EndNode);
     } else {
-      // Vector clocks are monotone along a process, so its writers split
-      // into a prefix ordered before the reader (W → R iff start(R)'s
-      // clock covers end(W)), a run simultaneous with it, and a suffix
-      // ordered after it (R → W iff start(W)'s clock covers end(R)).
-      Before = std::lower_bound(Begin, End, ReaderStart.Clock[Pid]);
-      const std::vector<SyncNode> &ProcNodes = Nodes[Pid];
-      const uint32_t *After =
-          std::partition_point(Before, End, [&](uint32_t EndNode) {
-            return ProcNodes[EndNode - 1].Clock[Reader.Pid] <= Reader.EndNode;
-          });
+      Window W = simultaneousWindow(Reader, Pid, {Begin, Begin}, End);
+      Before = W.Lo;
       // Later processes overwrite: the witness is the largest (pid, end).
-      if (After != Before)
-        Cursor.Witness = {Pid, After[-1]};
+      if (W.Hi != W.Lo)
+        Cursor.Witness = {Pid, W.Hi[-1]};
     }
     if (Before != Begin)
       Cursor.Runs.push_back({Pid, Begin, uint32_t(Before - Begin)});

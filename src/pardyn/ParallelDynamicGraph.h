@@ -200,6 +200,29 @@ public:
   /// plus the race witness. O(P log W) to open over the writer index.
   WriterCursor writersBefore(EdgeRef Reader, uint32_t SharedIdx) const;
 
+  /// The ascending end nodes of process \p Pid's edges whose WRITE_SET
+  /// holds shared variable \p SharedIdx — one bucket of the writer index.
+  std::span<const uint32_t> writerEnds(uint32_t SharedIdx,
+                                       uint32_t Pid) const;
+
+  /// A run [Lo, Hi) of ascending end nodes of one process's edges.
+  struct Window {
+    const uint32_t *Lo;
+    const uint32_t *Hi;
+  };
+
+  /// Def 6.1 as a window. The ascending end nodes [From.Lo, End) of
+  /// process \p Pid's edges (Pid != Edge.Pid) split into a prefix ordered
+  /// before \p Edge, the window of edges simultaneous with it, and a
+  /// suffix ordered after it — vector clocks are monotone along a
+  /// process. Both window ends only move forward as \p Edge advances
+  /// along its own process, so a walk over that process's edges in
+  /// ascending order passes each answer back as \p From, and the
+  /// galloping searches cost it linear time over the whole walk. A fresh
+  /// search passes {Begin, Begin}.
+  Window simultaneousWindow(EdgeRef Edge, uint32_t Pid, Window From,
+                            const uint32_t *End) const;
+
   /// Graphviz rendering in the style of Fig 6.1: one column per process,
   /// synchronization edges across.
   std::string dot(const Program &P) const;

@@ -7,15 +7,10 @@
 #include "pardyn/RaceDetector.h"
 
 #include "lang/AstPrinter.h"
-#include "pardyn/EdgeClosure.h"
-#include "support/FixedVarSet.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <cstring>
+#include <chrono>
 #include <map>
-#include <mutex>
 #include <unordered_set>
 
 using namespace ppd;
@@ -26,8 +21,8 @@ const char *ppd::raceAlgorithmName(RaceAlgorithm Algorithm) {
     return "naive";
   case RaceAlgorithm::VarIndexed:
     return "indexed";
-  case RaceAlgorithm::Vectorized:
-    return "vectorized";
+  case RaceAlgorithm::Interval:
+    return "interval";
   }
   return "unknown";
 }
@@ -37,8 +32,8 @@ bool ppd::parseRaceAlgorithm(const std::string &Name, RaceAlgorithm &Out) {
     Out = RaceAlgorithm::NaiveAllPairs;
   else if (Name == "indexed")
     Out = RaceAlgorithm::VarIndexed;
-  else if (Name == "vectorized")
-    Out = RaceAlgorithm::Vectorized;
+  else if (Name == "interval")
+    Out = RaceAlgorithm::Interval;
   else
     return false;
   return true;
@@ -122,10 +117,9 @@ void RaceDetector::canonicalize(RaceDetectionResult &Result) {
                      Result.Races.end());
 }
 
-RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm,
-                                         ThreadPool *Pool) const {
-  if (Algorithm == RaceAlgorithm::Vectorized)
-    return detectVectorized(Pool);
+RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm) const {
+  if (Algorithm == RaceAlgorithm::Interval)
+    return detectInterval();
 
   RaceDetectionResult Result;
   std::vector<EdgeRef> All = Graph.allEdges();
@@ -190,163 +184,118 @@ RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm,
 }
 
 //===----------------------------------------------------------------------===//
-// Vectorized tier: batched closure + inverted index + SIMD sweep.
+// Interval: a clock-window merge over per-variable writer/reader lists.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// One shard of the per-variable sweep; shards own their scratch and race
-/// output so workers never share mutable state.
-struct SweepShard {
-  std::vector<Race> Races;
-  uint64_t Pairs = 0;
-};
-
-} // namespace
-
-RaceDetectionResult RaceDetector::detectVectorized(ThreadPool *Pool) const {
+RaceDetectionResult RaceDetector::detectInterval() const {
   RaceDetectionResult Result;
+  auto Start = std::chrono::steady_clock::now();
+  const uint32_t P = Graph.numProcs();
   const uint32_t NumShared = uint32_t(SharedToVar.size());
 
-  // Layer 2: the batched happens-before closure — simultaneity becomes a
-  // bit test (or two compares on row-less giant traces).
-  EdgeClosure Closure(Graph);
-  Result.ClosureBuildNs = Closure.buildNanos();
-  const uint32_t E = Closure.numEdges();
-  if (E == 0 || NumShared == 0)
-    return Result;
-
-  // Layer 1: all per-edge READ/WRITE sets in one flat, universe-width
-  // arena (row 2g = reads of edge g, row 2g+1 = writes), memcpy'd from
-  // the graph's BitVarSets — the sweep below never touches a
-  // grow-on-demand set again.
-  VarSetArena Sets(E * 2, NumShared);
-  const uint32_t SetWords = Sets.wordsPerRow();
-  // Inverted index: shared var → writer edges / reader-only edges, in
-  // ascending global-id order (the construction below guarantees it).
-  std::vector<std::vector<uint32_t>> WritersOf(NumShared);
-  std::vector<std::vector<uint32_t>> ReadersOf(NumShared);
-  for (uint32_t Gid = 0; Gid != E; ++Gid) {
-    const InternalEdge &Edge = Graph.edge(Closure.edgeOf(Gid));
-    FixedVarSet R = Sets.row(2 * Gid);
-    FixedVarSet W = Sets.row(2 * Gid + 1);
-    if (size_t N = std::min<size_t>(Edge.Reads.numWords(), SetWords))
-      std::memcpy(R.words(), Edge.Reads.wordsData(), N * sizeof(uint64_t));
-    if (size_t N = std::min<size_t>(Edge.Writes.numWords(), SetWords))
-      std::memcpy(W.words(), Edge.Writes.wordsData(), N * sizeof(uint64_t));
-    W.forEach([&](unsigned S) { WritersOf[S].push_back(Gid); });
-    // Readers that also write S classify as write/write there; keeping
-    // them out of the reader list is what makes the sweep emit each
-    // conflict exactly once with the same kind the legacy classifier
-    // picks.
-    R.forEach([&](unsigned S) {
-      if (!W.contains(S))
-        ReadersOf[S].push_back(Gid);
+  // Reader-only index, a CSR keyed SharedIdx * P + pid like the graph's
+  // writer index: the ascending end nodes of the edges that read a
+  // variable without writing it. An edge doing both classifies as
+  // write/write there, so keeping it off this list gives every conflict
+  // exactly one kind — the one classifyPair picks.
+  auto ForEachReadOnly = [&](const InternalEdge &E, auto &&Fn) {
+    E.Reads.forEach([&](unsigned S) {
+      if (S < NumShared && !E.Writes.contains(S))
+        Fn(size_t(S) * P + E.Pid);
     });
+  };
+  std::vector<uint32_t> ReadersAt(size_t(NumShared) * P + 1, 0);
+  for (uint32_t Pid = 0; Pid != P; ++Pid)
+    for (const InternalEdge &E : Graph.edges(Pid))
+      ForEachReadOnly(E, [&](size_t Key) { ++ReadersAt[Key + 1]; });
+  for (size_t K = 1; K < ReadersAt.size(); ++K)
+    ReadersAt[K] += ReadersAt[K - 1];
+  std::vector<uint32_t> ReaderEnds(ReadersAt.back());
+  {
+    std::vector<uint32_t> Fill(ReadersAt.begin(), ReadersAt.end() - 1);
+    for (uint32_t Pid = 0; Pid != P; ++Pid)
+      for (const InternalEdge &E : Graph.edges(Pid))
+        ForEachReadOnly(
+            E, [&](size_t Key) { ReaderEnds[Fill[Key]++] = E.EndNode; });
   }
+  Result.ClosureBuildNs =
+      uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - Start)
+                   .count());
 
-  // Layer 3: the sweep, shardable by variable. Each shard enumerates
-  // candidate pairs for its variables via row ∧ mask (rows present) or a
-  // bounds-tested pairwise loop (giant traces).
-  auto sweepVar = [&](uint32_t S, SweepShard &Out, FixedVarSet Mask,
-                      FixedVarSet Cand) {
-    const std::vector<uint32_t> &Ws = WritersOf[S];
-    if (Ws.empty())
-      return;
-    const std::vector<uint32_t> &Rs = ReadersOf[S];
-    Out.Pairs += uint64_t(Ws.size()) * (Ws.size() - 1) / 2 +
-                 uint64_t(Ws.size()) * Rs.size();
-    if (!Closure.hasRows()) {
-      for (size_t I = 0; I != Ws.size(); ++I)
-        for (size_t J = I + 1; J != Ws.size(); ++J)
-          if (Closure.simultaneous(Ws[I], Ws[J]))
-            Out.Races.push_back(makeRace(Closure.edgeOf(Ws[I]),
-                                         Closure.edgeOf(Ws[J]), S,
-                                         RaceKind::WriteWrite));
-      for (uint32_t W : Ws)
-        for (uint32_t R : Rs)
-          if (Closure.simultaneous(W, R))
-            Out.Races.push_back(makeRace(Closure.edgeOf(W),
-                                         Closure.edgeOf(R), S,
-                                         RaceKind::ReadWrite));
-      return;
+  // Per variable, every racing pair is enumerated once, from its
+  // lower-pid edge First = (Q, e): Q ascending, e ascending (a merge of
+  // Q's writer and reader lists), then each later process's partners in
+  // ascending end order. That is the canonical order, so the list needs
+  // no sort. For each later process the partners simultaneous with First
+  // are one window of its writer list (and, when First writes, of its
+  // reader list); the windows only move forward as e ascends.
+  using Window = ParallelDynamicGraph::Window;
+  struct Lists {
+    std::span<const uint32_t> Writers, Readers;
+    Window InWriters, InReaders;
+  };
+  std::vector<Lists> Of(P);
+  std::vector<uint32_t> Active; // processes touching the variable.
+  for (uint32_t S = 0; S != NumShared; ++S) {
+    Active.clear();
+    bool AnyWriter = false;
+    for (uint32_t Pid = 0; Pid != P; ++Pid) {
+      Lists &L = Of[Pid];
+      L.Writers = Graph.writerEnds(S, Pid);
+      const size_t Key = size_t(S) * P + Pid;
+      L.Readers = {ReaderEnds.data() + ReadersAt[Key],
+                   ReaderEnds.data() + ReadersAt[Key + 1]};
+      AnyWriter |= !L.Writers.empty();
+      if (!L.Writers.empty() || !L.Readers.empty())
+        Active.push_back(Pid);
     }
-    // Write/write: partners above the current writer only, so each
-    // unordered pair surfaces exactly once.
-    if (Ws.size() > 1) {
-      Mask.clear();
-      for (uint32_t G : Ws)
-        Mask.insert(G);
-      for (size_t I = 0; I + 1 != Ws.size(); ++I) {
-        uint32_t A = Ws[I];
-        Cand.assignIntersection(Closure.simultaneousRow(A), Mask);
-        Cand.forEachFrom(A + 1, [&](unsigned B) {
-          Out.Races.push_back(makeRace(Closure.edgeOf(A),
-                                       Closure.edgeOf(B), S,
-                                       RaceKind::WriteWrite));
-        });
+    if (!AnyWriter)
+      continue;
+
+    auto Emit = [&](EdgeRef First, EdgeRef Second, RaceKind Kind) {
+      Result.Races.push_back(Race{S, SharedToVar[S], First, Second, Kind});
+    };
+    for (size_t QI = 0; QI != Active.size(); ++QI) {
+      const uint32_t Q = Active[QI];
+      for (size_t PI = QI + 1; PI != Active.size(); ++PI) {
+        Lists &L = Of[Active[PI]];
+        L.InWriters = {L.Writers.data(), L.Writers.data()};
+        L.InReaders = {L.Readers.data(), L.Readers.data()};
+      }
+      std::span<const uint32_t> Ws = Of[Q].Writers, Rs = Of[Q].Readers;
+      size_t I = 0, J = 0;
+      while (I != Ws.size() || J != Rs.size()) {
+        const bool Writes =
+            J == Rs.size() || (I != Ws.size() && Ws[I] < Rs[J]);
+        const EdgeRef First{Q, Writes ? Ws[I++] : Rs[J++]};
+        for (size_t PI = QI + 1; PI != Active.size(); ++PI) {
+          const uint32_t Pid = Active[PI];
+          Lists &L = Of[Pid];
+          if (!L.Writers.empty()) {
+            ++Result.PairsExamined;
+            L.InWriters = Graph.simultaneousWindow(
+                First, Pid, L.InWriters, L.Writers.data() + L.Writers.size());
+          }
+          Window W = L.InWriters, R{nullptr, nullptr};
+          if (Writes && !L.Readers.empty()) {
+            ++Result.PairsExamined;
+            L.InReaders = R = Graph.simultaneousWindow(
+                First, Pid, L.InReaders, L.Readers.data() + L.Readers.size());
+          }
+          // An edge is a writer or a reader-only of S, never both, so the
+          // two windows interleave without ties.
+          while (W.Lo != W.Hi || R.Lo != R.Hi) {
+            if (R.Lo == R.Hi || (W.Lo != W.Hi && *W.Lo < *R.Lo))
+              Emit(First, {Pid, *W.Lo++},
+                   Writes ? RaceKind::WriteWrite : RaceKind::ReadWrite);
+            else
+              Emit(First, {Pid, *R.Lo++}, RaceKind::ReadWrite);
+          }
+        }
       }
     }
-    // Read/write: reader side never writes S, so (writer, reader) pairs
-    // are unique without ordering tricks.
-    if (!Rs.empty()) {
-      Mask.clear();
-      for (uint32_t G : Rs)
-        Mask.insert(G);
-      for (uint32_t A : Ws) {
-        Cand.assignIntersection(Closure.simultaneousRow(A), Mask);
-        Cand.forEach([&](unsigned B) {
-          Out.Races.push_back(makeRace(Closure.edgeOf(A),
-                                       Closure.edgeOf(B), S,
-                                       RaceKind::ReadWrite));
-        });
-      }
-    }
-  };
-
-  auto sweepShard = [&](uint32_t First, uint32_t Stride, SweepShard &Out) {
-    // Per-worker scratch: a candidate row and a mask row over the edge
-    // universe, reused across this shard's variables.
-    VarSetArena Scratch(2, E);
-    for (uint32_t S = First; S < NumShared; S += Stride)
-      sweepVar(S, Out, Scratch.row(0), Scratch.row(1));
-  };
-
-  unsigned Workers = Pool ? Pool->numThreads() : 0;
-  uint32_t NumShards =
-      Workers ? std::min(NumShared, uint32_t(Workers) * 4) : 1;
-  std::vector<SweepShard> Shards(NumShards);
-  if (NumShards == 1) {
-    sweepShard(0, 1, Shards[0]);
-  } else {
-    // Fan the shards out and help drain the pool; the merge below runs in
-    // shard order, and canonicalize() makes the final list independent of
-    // scheduling anyway.
-    struct WaitState {
-      std::mutex Mutex;
-      std::condition_variable Cv;
-      uint32_t Remaining;
-    } Wait;
-    Wait.Remaining = NumShards;
-    for (uint32_t I = 0; I != NumShards; ++I)
-      Pool->submit([&, I] {
-        sweepShard(I, NumShards, Shards[I]);
-        std::lock_guard<std::mutex> Lock(Wait.Mutex);
-        if (--Wait.Remaining == 0)
-          Wait.Cv.notify_all();
-      });
-    while (Pool->runOneTask())
-      ;
-    std::unique_lock<std::mutex> Lock(Wait.Mutex);
-    Wait.Cv.wait(Lock, [&] { return Wait.Remaining == 0; });
   }
-
-  for (SweepShard &Shard : Shards) {
-    Result.PairsExamined += Shard.Pairs;
-    Result.Races.insert(Result.Races.end(), Shard.Races.begin(),
-                        Shard.Races.end());
-  }
-  canonicalize(Result);
   return Result;
 }
 

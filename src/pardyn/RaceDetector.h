@@ -21,20 +21,22 @@
 ///   * VarIndexed    — index edges by the shared variables they touch and
 ///     only compare pairs that conflict on some variable, pruning the
 ///     happens-before checks to candidate pairs;
-///   * Vectorized    — the hardware-speed tier: per-edge simultaneity
-///     bitset rows from the batched happens-before closure
-///     (EdgeClosure.h), an inverted shared-var → writer/reader-edge
-///     index, and SIMD word kernels (support/Simd.h) enumerating
-///     conflicting partners by row ∧ mask, optionally sharded across a
-///     work-stealing ThreadPool with per-shard scratch and a
-///     deterministic merge.
+///   * Interval      — a clock-window merge. Per shared variable and
+///     process, the writer edges (the graph's writer index) and the
+///     reader-only edges (an index built per detect call) are ascending
+///     end-node lists. Vector clocks are monotone along a process, so the
+///     partners simultaneous with one edge form one contiguous window of
+///     another process's list, and both window ends only move forward as
+///     the edge advances (ParallelDynamicGraph::simultaneousWindow). One
+///     forward pass per (variable, process, process) enumerates exactly
+///     the racing pairs, already in canonical order — no E×E structure,
+///     no per-pair hash, no sort.
 ///
-/// All return the same race list byte-for-byte (asserted by the tests and
-/// the fuzzer's oracle matrix); bench_race_detection measures the gaps
-/// (experiment E5). PairsExamined is a per-algorithm cost counter: naive
-/// counts every cross-process pair, VarIndexed its deduplicated candidate
-/// pairs, Vectorized the candidate (pair, variable) combinations its
-/// masks enumerate.
+/// All return the same race list element-for-element (asserted by the
+/// tests and the fuzzer's oracle matrix); bench_race_detection measures
+/// the gaps (experiment E5). PairsExamined is a per-algorithm cost
+/// counter: naive counts every cross-process pair, VarIndexed its
+/// deduplicated candidate pairs, Interval the windows it opens.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,40 +67,38 @@ struct Race {
   }
 };
 
-enum class RaceAlgorithm { NaiveAllPairs, VarIndexed, Vectorized };
+enum class RaceAlgorithm { NaiveAllPairs, VarIndexed, Interval };
 
 const char *raceAlgorithmName(RaceAlgorithm Algorithm);
-/// Parses "naive" | "indexed" | "vectorized" (the CLI --race-strategy
+/// Parses "naive" | "indexed" | "interval" (the CLI --race-strategy
 /// values). Returns false on anything else, leaving \p Out untouched.
 bool parseRaceAlgorithm(const std::string &Name, RaceAlgorithm &Out);
 
 struct RaceDetectionResult {
   std::vector<Race> Races;
   /// Candidate combinations whose ordering was actually tested — the cost
-  /// driver §7 worries about. Per-algorithm semantics (see file comment).
+  /// driver §7 worries about. Per-algorithm semantics (see file comment):
+  /// for Interval, the number of windows opened (perfbench reports it as
+  /// pardyn.pairs_examined).
   uint64_t PairsExamined = 0;
-  /// Vectorized only: wall time spent building the happens-before
-  /// closure rows (the E5 "closure build" column).
+  /// Interval only: wall time spent building the per-call reader index —
+  /// the algorithm's whole up-front cost, since the writer index comes
+  /// with the graph (perfbench's pardyn.closure_ms; pardyn.sweep_ms is
+  /// the rest of the detect call).
   uint64_t ClosureBuildNs = 0;
 
   bool raceFree() const { return Races.empty(); } // Def 6.4
 };
 
-class ThreadPool;
-
 class RaceDetector {
 public:
   RaceDetector(const ParallelDynamicGraph &Graph, const SymbolTable &Symbols);
 
-  /// Runs one detection pass. \p Pool is only consulted by Vectorized:
-  /// with workers, the per-variable sweep is sharded across them (the
-  /// merge is deterministic — results are byte-identical at any worker
-  /// count); null or worker-less pools run the sweep on the calling
-  /// thread. Not safe to call concurrently on one detector instance: the
-  /// legacy algorithms classify pairs through member scratch sets (which
-  /// is what keeps them allocation-free per pair).
-  RaceDetectionResult detect(RaceAlgorithm Algorithm,
-                             ThreadPool *Pool = nullptr) const;
+  /// Runs one detection pass. Interval keeps no state between calls and
+  /// may run on several threads at once; the legacy algorithms classify
+  /// pairs through member scratch sets (which is what keeps them
+  /// allocation-free per pair), so they must not.
+  RaceDetectionResult detect(RaceAlgorithm Algorithm) const;
 
   /// Human-readable description naming the variable and both edges.
   std::string describe(const Race &R, const Program &P) const;
@@ -113,7 +113,7 @@ private:
   void classifyPair(EdgeRef A, EdgeRef B, std::vector<Race> &Out) const;
   Race makeRace(EdgeRef A, EdgeRef B, uint32_t SharedIdx,
                 RaceKind Kind) const;
-  RaceDetectionResult detectVectorized(ThreadPool *Pool) const;
+  RaceDetectionResult detectInterval() const;
   static void canonicalize(RaceDetectionResult &Result);
 
   const ParallelDynamicGraph &Graph;

@@ -1,4 +1,4 @@
-//===- support/Simd.cpp - Vectorized word-span set kernels ----------------===//
+//===- support/Simd.cpp - Host vector-unit level --------------------------===//
 //
 // Part of PPD. See Simd.h.
 //
@@ -6,282 +6,8 @@
 
 #include "support/Simd.h"
 
-#include <atomic>
-#include <bit>
-
-#if !defined(PPD_SIMD)
-#define PPD_SIMD 1
-#endif
-
-#if PPD_SIMD && defined(__x86_64__) && defined(__GNUC__)
-#define PPD_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define PPD_SIMD_X86 0
-#endif
-
-#if PPD_SIMD && defined(__aarch64__)
-#define PPD_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define PPD_SIMD_NEON 0
-#endif
-
 using namespace ppd;
 using namespace ppd::simd;
-
-namespace {
-
-//===----------------------------------------------------------------------===//
-// Portable kernels: unrolled uint64 loops. These are also the reference
-// semantics the vector bodies must match (race_simd_test pins dispatch
-// here and re-runs the differential).
-//===----------------------------------------------------------------------===//
-
-bool intersectsPortable(const uint64_t *A, const uint64_t *B, size_t Words) {
-  size_t I = 0;
-  // Four-way OR-reduction per step trades a slightly later exit for fewer
-  // branches on the (common) disjoint prefix.
-  for (; I + 4 <= Words; I += 4) {
-    uint64_t Any = (A[I] & B[I]) | (A[I + 1] & B[I + 1]) |
-                   (A[I + 2] & B[I + 2]) | (A[I + 3] & B[I + 3]);
-    if (Any)
-      return true;
-  }
-  for (; I != Words; ++I)
-    if (A[I] & B[I])
-      return true;
-  return false;
-}
-
-void intersectIntoPortable(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                           size_t Words) {
-  for (size_t I = 0; I != Words; ++I)
-    Dst[I] = A[I] & B[I];
-}
-
-void orIntoPortable(uint64_t *Dst, const uint64_t *Src, size_t Words) {
-  for (size_t I = 0; I != Words; ++I)
-    Dst[I] |= Src[I];
-}
-
-uint64_t popcountPortable(const uint64_t *A, size_t Words) {
-  uint64_t N = 0;
-  size_t I = 0;
-  for (; I + 4 <= Words; I += 4)
-    N += uint64_t(std::popcount(A[I])) + std::popcount(A[I + 1]) +
-         std::popcount(A[I + 2]) + std::popcount(A[I + 3]);
-  for (; I != Words; ++I)
-    N += std::popcount(A[I]);
-  return N;
-}
-
-constexpr Ops PortableOps = {intersectsPortable, intersectIntoPortable,
-                             orIntoPortable, popcountPortable};
-
-#if PPD_SIMD_X86
-
-//===----------------------------------------------------------------------===//
-// SSE2 (baseline on x86-64): 128-bit lanes, two words per vector.
-//===----------------------------------------------------------------------===//
-
-__attribute__((target("sse2"))) bool
-intersectsSse2(const uint64_t *A, const uint64_t *B, size_t Words) {
-  size_t I = 0;
-  for (; I + 4 <= Words; I += 4) {
-    __m128i V0 = _mm_and_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + I)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + I)));
-    __m128i V1 = _mm_and_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + I + 2)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + I + 2)));
-    __m128i Any = _mm_or_si128(V0, V1);
-    // SSE2 has no ptest; compare against zero and inspect the mask.
-    __m128i Zero = _mm_cmpeq_epi32(Any, _mm_setzero_si128());
-    if (_mm_movemask_epi8(Zero) != 0xFFFF)
-      return true;
-  }
-  for (; I != Words; ++I)
-    if (A[I] & B[I])
-      return true;
-  return false;
-}
-
-__attribute__((target("sse2"))) void
-intersectIntoSse2(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                  size_t Words) {
-  size_t I = 0;
-  for (; I + 2 <= Words; I += 2) {
-    __m128i V = _mm_and_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + I)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + I)));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Dst + I), V);
-  }
-  for (; I != Words; ++I)
-    Dst[I] = A[I] & B[I];
-}
-
-__attribute__((target("sse2"))) void orIntoSse2(uint64_t *Dst,
-                                                const uint64_t *Src,
-                                                size_t Words) {
-  size_t I = 0;
-  for (; I + 2 <= Words; I += 2) {
-    __m128i V = _mm_or_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Dst + I)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Src + I)));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(Dst + I), V);
-  }
-  for (; I != Words; ++I)
-    Dst[I] |= Src[I];
-}
-
-constexpr Ops Sse2Ops = {intersectsSse2, intersectIntoSse2, orIntoSse2,
-                         popcountPortable};
-
-//===----------------------------------------------------------------------===//
-// AVX2: 256-bit lanes, four words per vector, vptest for the early exit.
-//===----------------------------------------------------------------------===//
-
-__attribute__((target("avx2"))) bool
-intersectsAvx2(const uint64_t *A, const uint64_t *B, size_t Words) {
-  size_t I = 0;
-  for (; I + 8 <= Words; I += 8) {
-    __m256i V0 = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I)));
-    __m256i V1 = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I + 4)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I + 4)));
-    if (!_mm256_testz_si256(_mm256_or_si256(V0, V1),
-                            _mm256_or_si256(V0, V1)))
-      return true;
-  }
-  for (; I + 4 <= Words; I += 4) {
-    __m256i A4 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
-    __m256i B4 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
-    if (!_mm256_testz_si256(A4, B4)) // vptest computes A & B == 0 directly
-      return true;
-  }
-  for (; I != Words; ++I)
-    if (A[I] & B[I])
-      return true;
-  return false;
-}
-
-__attribute__((target("avx2"))) void
-intersectIntoAvx2(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                  size_t Words) {
-  size_t I = 0;
-  for (; I + 4 <= Words; I += 4) {
-    __m256i V = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I), V);
-  }
-  for (; I != Words; ++I)
-    Dst[I] = A[I] & B[I];
-}
-
-__attribute__((target("avx2"))) void orIntoAvx2(uint64_t *Dst,
-                                                const uint64_t *Src,
-                                                size_t Words) {
-  size_t I = 0;
-  for (; I + 4 <= Words; I += 4) {
-    __m256i V = _mm256_or_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Dst + I)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Src + I)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Dst + I), V);
-  }
-  for (; I != Words; ++I)
-    Dst[I] |= Src[I];
-}
-
-constexpr Ops Avx2Ops = {intersectsAvx2, intersectIntoAvx2, orIntoAvx2,
-                         popcountPortable};
-
-#endif // PPD_SIMD_X86
-
-#if PPD_SIMD_NEON
-
-//===----------------------------------------------------------------------===//
-// NEON (aarch64 baseline): 128-bit lanes.
-//===----------------------------------------------------------------------===//
-
-bool intersectsNeon(const uint64_t *A, const uint64_t *B, size_t Words) {
-  size_t I = 0;
-  for (; I + 4 <= Words; I += 4) {
-    uint64x2_t V0 = vandq_u64(vld1q_u64(A + I), vld1q_u64(B + I));
-    uint64x2_t V1 = vandq_u64(vld1q_u64(A + I + 2), vld1q_u64(B + I + 2));
-    uint64x2_t Any = vorrq_u64(V0, V1);
-    if (vgetq_lane_u64(Any, 0) | vgetq_lane_u64(Any, 1))
-      return true;
-  }
-  for (; I != Words; ++I)
-    if (A[I] & B[I])
-      return true;
-  return false;
-}
-
-void intersectIntoNeon(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                       size_t Words) {
-  size_t I = 0;
-  for (; I + 2 <= Words; I += 2)
-    vst1q_u64(Dst + I, vandq_u64(vld1q_u64(A + I), vld1q_u64(B + I)));
-  for (; I != Words; ++I)
-    Dst[I] = A[I] & B[I];
-}
-
-void orIntoNeon(uint64_t *Dst, const uint64_t *Src, size_t Words) {
-  size_t I = 0;
-  for (; I + 2 <= Words; I += 2)
-    vst1q_u64(Dst + I, vorrq_u64(vld1q_u64(Dst + I), vld1q_u64(Src + I)));
-  for (; I != Words; ++I)
-    Dst[I] |= Src[I];
-}
-
-constexpr Ops NeonOps = {intersectsNeon, intersectIntoNeon, orIntoNeon,
-                         popcountPortable};
-
-#endif // PPD_SIMD_NEON
-
-Level detectHost() {
-#if PPD_SIMD_X86
-  if (__builtin_cpu_supports("avx2"))
-    return Level::AVX2;
-  return Level::SSE2; // baseline on x86-64
-#elif PPD_SIMD_NEON
-  return Level::NEON;
-#else
-  return Level::Portable;
-#endif
-}
-
-const Ops &opsFor(Level L) {
-  switch (L) {
-#if PPD_SIMD_X86
-  case Level::AVX2:
-    return Avx2Ops;
-  case Level::SSE2:
-    return Sse2Ops;
-#endif
-#if PPD_SIMD_NEON
-  case Level::NEON:
-    return NeonOps;
-#endif
-  default:
-    return PortableOps;
-  }
-}
-
-// The forced level, or a sentinel meaning "use the detected level".
-// Atomic so tests that pin the portable path race-free against kernels
-// running on pool workers (TSan leg).
-constexpr uint8_t NoForce = 0xFF;
-std::atomic<uint8_t> ForcedLevel{NoForce};
-
-} // namespace
 
 const char *simd::levelName(Level L) {
   switch (L) {
@@ -297,26 +23,17 @@ const char *simd::levelName(Level L) {
   return "unknown";
 }
 
-Level simd::detectedLevel() {
-  static const Level Host = detectHost();
+Level simd::activeLevel() {
+  static const Level Host = [] {
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (__builtin_cpu_supports("avx2"))
+      return Level::AVX2;
+    return Level::SSE2; // baseline on x86-64
+#elif defined(__aarch64__)
+    return Level::NEON;
+#else
+    return Level::Portable;
+#endif
+  }();
   return Host;
 }
-
-Level simd::activeLevel() {
-  uint8_t Forced = ForcedLevel.load(std::memory_order_acquire);
-  return Forced == NoForce ? detectedLevel() : Level(Forced);
-}
-
-void simd::forceLevel(Level L) {
-  // Never force a level the host cannot run (the vector body would fault)
-  // or one this build does not contain: clamp to Portable, which every
-  // build links.
-  Level Host = detectedLevel();
-  bool Runnable = L == Level::Portable || L == Host ||
-                  (Host == Level::AVX2 && L == Level::SSE2);
-  if (!Runnable)
-    L = Level::Portable;
-  ForcedLevel.store(uint8_t(L), std::memory_order_release);
-}
-
-const Ops &simd::ops() { return opsFor(activeLevel()); }

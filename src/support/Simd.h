@@ -1,41 +1,20 @@
-//===- support/Simd.h - Vectorized word-span set kernels --------*- C++ -*-===//
+//===- support/Simd.h - Host vector-unit level ------------------*- C++ -*-===//
 //
 // Part of PPD, a reproduction of Miller & Choi (PLDI 1988).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Width-agnostic SIMD kernels over spans of uint64 set words — the inner
-/// loops of the vectorized race-detection tier (§6.3/§6.4 set math and the
-/// batched happens-before closure). Four operations cover everything the
-/// sweep needs:
-///
-///   * intersectsNonEmpty — fused "A ∩ B ≠ ∅" with early exit, the Def 6.3
-///     conflict pretest;
-///   * intersectInto      — A ∩ B materialized into caller scratch
-///     (candidate enumeration: closure row AND accessor mask);
-///   * orInto             — A |= B (closure construction, mask building);
-///   * popcountWords      — |A| over a span (PairsExamined accounting).
-///
-/// Implementations exist for AVX2 and SSE2 (x86-64, compiled via function
-/// target attributes so the rest of the TU stays baseline), NEON (aarch64),
-/// and a portable unrolled uint64 loop. The widest level the host supports
-/// is chosen once at startup; `forceLevel(Level::Portable)` pins the
-/// dispatch for differential tests of the fallback path, and the CMake
-/// option PPD_SIMD=OFF removes the vector bodies entirely so the portable
-/// loop is all that links (the CI fallback leg).
-///
-/// All pointers must be naturally aligned for uint64 (the arena allocator
-/// in FixedVarSet.h guarantees this); no wider alignment is required — the
-/// vector loops use unaligned loads, which cost nothing on the targeted
-/// microarchitectures.
+/// The widest vector instruction set the host supports, detected once at
+/// startup. Nothing in PPD dispatches on it; it is part of the host
+/// fingerprint benchmark reports carry, so numbers from different
+/// machines are not compared blindly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PPD_SUPPORT_SIMD_H
 #define PPD_SUPPORT_SIMD_H
 
-#include <cstddef>
 #include <cstdint>
 
 namespace ppd::simd {
@@ -44,46 +23,9 @@ enum class Level : uint8_t { Portable, SSE2, AVX2, NEON };
 
 const char *levelName(Level L);
 
-/// The level the dispatcher selected (host-detected, or forced).
+/// The host's level: AVX2 or SSE2 on x86-64, NEON on aarch64, Portable
+/// elsewhere.
 Level activeLevel();
-
-/// Detected host capability, ignoring any forceLevel override.
-Level detectedLevel();
-
-/// Pins dispatch to \p L (tests use Portable to exercise the fallback on
-/// SIMD-capable hosts). Levels above detectedLevel() are clamped. Not
-/// intended for concurrent use with in-flight kernels; tests call it
-/// between detections.
-void forceLevel(Level L);
-
-/// The kernel bundle for one dispatch level. Callers normally use the free
-/// functions below, which route through the active level.
-struct Ops {
-  bool (*IntersectsNonEmpty)(const uint64_t *A, const uint64_t *B,
-                             size_t Words);
-  void (*IntersectInto)(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                        size_t Words);
-  void (*OrInto)(uint64_t *Dst, const uint64_t *Src, size_t Words);
-  uint64_t (*PopcountWords)(const uint64_t *A, size_t Words);
-};
-
-/// The bundle for the active level.
-const Ops &ops();
-
-inline bool intersectsNonEmpty(const uint64_t *A, const uint64_t *B,
-                               size_t Words) {
-  return ops().IntersectsNonEmpty(A, B, Words);
-}
-inline void intersectInto(uint64_t *Dst, const uint64_t *A, const uint64_t *B,
-                          size_t Words) {
-  ops().IntersectInto(Dst, A, B, Words);
-}
-inline void orInto(uint64_t *Dst, const uint64_t *Src, size_t Words) {
-  ops().OrInto(Dst, Src, Words);
-}
-inline uint64_t popcountWords(const uint64_t *A, size_t Words) {
-  return ops().PopcountWords(A, Words);
-}
 
 } // namespace ppd::simd
 

@@ -205,11 +205,9 @@ public:
     return Out;
   }
 
-  /// Raw word storage (64 ids per word, LSB first). Lets the vectorized
-  /// race tier memcpy a set into its flat arena rows; trim() guarantees
-  /// no trailing zero words after shrinking ops, so numWords() is also a
-  /// sound upper bound for word-wise hashing.
-  const uint64_t *wordsData() const { return Words.data(); }
+  /// Words of storage (64 ids per word). trim() guarantees no trailing
+  /// zero words after shrinking ops, so this is a sound upper bound for
+  /// word-wise hashing.
   size_t numWords() const { return Words.size(); }
 
   friend bool operator==(const BitVarSet &A, const BitVarSet &B) {

@@ -730,22 +730,22 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   RaceDetector Detector(PDG, *Prog->Symbols);
   RaceDetectionResult Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
   RaceDetectionResult Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-  RaceDetectionResult Vec = Detector.detect(RaceAlgorithm::Vectorized);
+  RaceDetectionResult Merged = Detector.detect(RaceAlgorithm::Interval);
   if (Naive.Races.size() != Indexed.Races.size())
     return Fail("race/algorithms",
                 "NaiveAllPairs found " + std::to_string(Naive.Races.size()) +
                     ", VarIndexed " + std::to_string(Indexed.Races.size()));
-  if (Naive.Races.size() != Vec.Races.size())
+  if (Naive.Races.size() != Merged.Races.size())
     return Fail("race/algorithms",
                 "NaiveAllPairs found " + std::to_string(Naive.Races.size()) +
-                    ", Vectorized " + std::to_string(Vec.Races.size()));
+                    ", Interval " + std::to_string(Merged.Races.size()));
   for (size_t I = 0; I != Naive.Races.size(); ++I) {
     if (!(Naive.Races[I] == Indexed.Races[I]))
       return Fail("race/algorithms",
                   "race " + std::to_string(I) + " differs between algorithms");
-    if (!(Naive.Races[I] == Vec.Races[I]))
+    if (!(Naive.Races[I] == Merged.Races[I]))
       return Fail("race/algorithms", "race " + std::to_string(I) +
-                                         " differs from the vectorized tier");
+                                         " differs from the interval merge");
   }
   {
     std::vector<RaceTuple> Rechecked, Detected;

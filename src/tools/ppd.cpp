@@ -68,7 +68,7 @@ struct CliOptions {
   std::vector<std::vector<int64_t>> Inputs;
   std::string LogPath;
   std::string Mode = "logging";
-  std::string Algorithm = "vectorized";
+  RaceAlgorithm Algorithm = RaceAlgorithm::Interval;
   bool DumpDisassembly = false;
   bool DumpPdg = false;
   bool DumpSimplified = false;
@@ -158,7 +158,7 @@ options:
                         re-running; process sections are paged in on
                         demand
   --mode M              (run) plain | logging | fulltrace
-  --race-strategy A     (races) vectorized (default) | indexed | naive;
+  --race-strategy A     (races) interval (default) | indexed | naive;
                         all three report identical races (--algorithm is
                         a synonym)
   --leaf-inheritance    partitioner: unlog small call-graph leaves
@@ -494,7 +494,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      Opts.Algorithm = V;
+      if (!parseRaceAlgorithm(V, Opts.Algorithm)) {
+        std::fprintf(stderr, "error: unknown race strategy '%s' (expected "
+                             "interval, indexed, or naive)\n",
+                     V);
+        return false;
+      }
     } else if (Arg == "--dump-ir") {
       Opts.DumpDisassembly = true;
     } else if (Arg == "--dump-pdg") {
@@ -806,14 +811,7 @@ int cmdRaces(const CliOptions &Opts) {
   reportRun(*Prog, M, Result);
 
   PpdController Controller(*Prog, M.takeLog());
-  RaceAlgorithm Algorithm = RaceAlgorithm::Vectorized;
-  if (!parseRaceAlgorithm(Opts.Algorithm, Algorithm)) {
-    std::fprintf(stderr, "error: unknown race strategy '%s' (expected "
-                         "naive, indexed, or vectorized)\n",
-                 Opts.Algorithm.c_str());
-    return 64;
-  }
-  auto Races = Controller.detectRaces(Algorithm);
+  auto Races = Controller.detectRaces(Opts.Algorithm);
   if (Races.raceFree()) {
     std::printf("-- execution instance is race-free (Def 6.4); %llu edge "
                 "pair(s) examined\n",

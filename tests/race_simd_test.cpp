@@ -1,34 +1,29 @@
-//===- tests/race_simd_test.cpp - Vectorized race tier differentials ------===//
+//===- tests/race_simd_test.cpp - Race detector differentials -------------===//
 //
 // Part of PPD test suite.
 //
-// The vectorized race-detection tier (SIMD set kernels + batched
-// happens-before closure + sharded sweep) must produce byte-identical race
-// lists to NaiveAllPairs and VarIndexed on every input: the examples/
-// corpus, a fuzz sweep of generated programs, every SIMD dispatch level
-// the host can run (including the forced portable fallback), any worker
-// count, and the rowless closure fallback for oversized traces. This suite
-// asserts all of that, plus the closure's simultaneity answers against the
-// vector-clock oracle and the SIMD kernels against their portable
-// reference.
+// The interval race detector (a clock-window merge over per-variable
+// writer/reader lists) must produce element-for-element the race lists of
+// NaiveAllPairs and VarIndexed on every input: the examples/ corpus, a
+// fuzz sweep of generated programs, and a 16-worker lock-step trace with
+// thousands of internal edges. The window it is built on must agree with
+// the vector-clock simultaneity oracle on every cross-process edge pair.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "pardyn/EdgeClosure.h"
 #include "pardyn/ParallelDynamicGraph.h"
 #include "pardyn/RaceDetector.h"
-#include "support/Simd.h"
-#include "support/ThreadPool.h"
 #include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <random>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace ppd;
@@ -38,11 +33,9 @@ using ppd::testing::generateProgram;
 
 namespace {
 
-/// Restores the host-detected dispatch level when a test that forced one
-/// exits (including via an assertion failure).
-struct ScopedSimdLevel {
-  explicit ScopedSimdLevel(simd::Level L) { simd::forceLevel(L); }
-  ~ScopedSimdLevel() { simd::forceLevel(simd::detectedLevel()); }
+const char *const Corpus[] = {
+    "bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
+    "deadlock.ppl",  "fig41.ppl",
 };
 
 std::string readCorpusFile(const std::string &Name) {
@@ -51,6 +44,15 @@ std::string readCorpusFile(const std::string &Name) {
   std::ostringstream Out;
   Out << In.rdbuf();
   return Out.str();
+}
+
+/// Runs a generated program with its derived schedule seed and quantum.
+Ran runGenerated(uint64_t Seed) {
+  GenProgram Gen = generateProgram(Seed);
+  MachineOptions MOpts;
+  MOpts.Quantum = Gen.Quantum;
+  return runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
+                    /*ExpectCompleted=*/false);
 }
 
 std::string describeRace(const Race &R) {
@@ -65,130 +67,128 @@ std::string describeRace(const Race &R) {
 /// element-for-element; returns the (canonical) race list.
 std::vector<Race> expectAgreement(const ExecutionLog &Log,
                                   const SymbolTable &Symbols,
-                                  const std::string &Label,
-                                  ThreadPool *Pool = nullptr) {
+                                  const std::string &Label) {
   ParallelDynamicGraph Graph(Log, Symbols.NumSharedVars);
   RaceDetector Detector(Graph, Symbols);
   RaceDetectionResult Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
   RaceDetectionResult Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-  RaceDetectionResult Vec =
-      Detector.detect(RaceAlgorithm::Vectorized, Pool);
+  RaceDetectionResult Merged = Detector.detect(RaceAlgorithm::Interval);
   EXPECT_EQ(Naive.Races.size(), Indexed.Races.size()) << Label;
-  EXPECT_EQ(Naive.Races.size(), Vec.Races.size()) << Label;
+  EXPECT_EQ(Naive.Races.size(), Merged.Races.size()) << Label;
   size_t N = std::min(Naive.Races.size(),
-                      std::min(Indexed.Races.size(), Vec.Races.size()));
+                      std::min(Indexed.Races.size(), Merged.Races.size()));
   for (size_t I = 0; I != N; ++I) {
     EXPECT_TRUE(Naive.Races[I] == Indexed.Races[I])
         << Label << " race " << I << ": naive "
         << describeRace(Naive.Races[I]) << " vs indexed "
         << describeRace(Indexed.Races[I]);
-    EXPECT_TRUE(Naive.Races[I] == Vec.Races[I])
+    EXPECT_TRUE(Naive.Races[I] == Merged.Races[I])
         << Label << " race " << I << ": naive "
-        << describeRace(Naive.Races[I]) << " vs vectorized "
-        << describeRace(Vec.Races[I]);
+        << describeRace(Naive.Races[I]) << " vs interval "
+        << describeRace(Merged.Races[I]);
   }
   return Naive.Races;
 }
 
-//===----------------------------------------------------------------------===//
-// SIMD kernels: every runnable level against the portable reference.
-//===----------------------------------------------------------------------===//
-
-TEST(SimdKernelTest, AllLevelsMatchPortableReference) {
-  std::mt19937_64 Rng(0x5eed);
-  std::vector<simd::Level> Levels = {simd::Level::Portable,
-                                     simd::detectedLevel()};
-#if defined(__x86_64__)
-  // An AVX2 host can also run the SSE2 bodies; exercise them too.
-  if (simd::detectedLevel() == simd::Level::AVX2)
-    Levels.push_back(simd::Level::SSE2);
-#endif
-  // Widths straddle every vector-stride boundary (AVX2 does 8-word then
-  // 4-word strides, SSE2 2-word, portable 4-word unrolled).
-  for (size_t Words : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 33u}) {
-    std::vector<uint64_t> A(Words), B(Words);
-    for (int Trial = 0; Trial != 8; ++Trial) {
-      for (size_t I = 0; I != Words; ++I) {
-        // Mix dense, sparse, and zero words so the early-exit paths and
-        // the all-zero case both occur.
-        A[I] = Trial % 3 == 0 ? Rng() : Rng() & Rng() & Rng();
-        B[I] = Trial % 2 == 0 ? Rng() : Rng() & Rng() & Rng();
-        if (Trial == 5)
-          B[I] = ~A[I]; // disjoint: intersects must say false.
+/// simultaneousWindow against Def 6.1 (ParallelDynamicGraph::simultaneous)
+/// for every cross-process edge pair of \p Graph: over each process's
+/// full edge list and over each variable's writer list, answered fresh
+/// and as a forward walk that passes every answer back in.
+void expectWindowsMatchOracle(const ParallelDynamicGraph &Graph,
+                              unsigned NumShared, const std::string &Label) {
+  using Window = ParallelDynamicGraph::Window;
+  const uint32_t P = Graph.numProcs();
+  auto Check = [&](uint32_t Pid, const std::vector<uint32_t> &Ends,
+                   const std::string &List) {
+    const uint32_t *Begin = Ends.data(), *End = Begin + Ends.size();
+    for (uint32_t Q = 0; Q != P; ++Q) {
+      if (Q == Pid)
+        continue;
+      Window Walk{Begin, Begin};
+      for (uint32_t E = 1; E <= Graph.edges(Q).size(); ++E) {
+        const EdgeRef Edge{Q, E};
+        Window Fresh =
+            Graph.simultaneousWindow(Edge, Pid, {Begin, Begin}, End);
+        Walk = Graph.simultaneousWindow(Edge, Pid, Walk, End);
+        ASSERT_TRUE(Walk.Lo == Fresh.Lo && Walk.Hi == Fresh.Hi)
+            << Label << ", " << List << ": walk and fresh windows differ at p"
+            << Q << "e" << E << " over p" << Pid;
+        for (size_t I = 0; I != Ends.size(); ++I) {
+          bool InWindow = Begin + I >= Fresh.Lo && Begin + I < Fresh.Hi;
+          ASSERT_EQ(InWindow, Graph.simultaneous(Edge, {Pid, Ends[I]}))
+              << Label << ", " << List << ": p" << Q << "e" << E << " vs p"
+              << Pid << "e" << Ends[I];
+        }
       }
-      ScopedSimdLevel Force(simd::Level::Portable);
-      bool RefNonEmpty = simd::intersectsNonEmpty(A.data(), B.data(), Words);
-      uint64_t RefPop = simd::popcountWords(A.data(), Words);
-      std::vector<uint64_t> RefAnd(Words), RefOr(A);
-      simd::intersectInto(RefAnd.data(), A.data(), B.data(), Words);
-      simd::orInto(RefOr.data(), B.data(), Words);
-
-      for (simd::Level L : Levels) {
-        simd::forceLevel(L);
-        if (simd::activeLevel() != L)
-          continue; // clamped: the build lacks this level's bodies.
-        EXPECT_EQ(simd::intersectsNonEmpty(A.data(), B.data(), Words),
-                  RefNonEmpty)
-            << simd::levelName(L) << " words=" << Words;
-        EXPECT_EQ(simd::popcountWords(A.data(), Words), RefPop)
-            << simd::levelName(L) << " words=" << Words;
-        std::vector<uint64_t> And(Words), Or(A);
-        simd::intersectInto(And.data(), A.data(), B.data(), Words);
-        simd::orInto(Or.data(), B.data(), Words);
-        EXPECT_EQ(And, RefAnd) << simd::levelName(L) << " words=" << Words;
-        EXPECT_EQ(Or, RefOr) << simd::levelName(L) << " words=" << Words;
-      }
+    }
+  };
+  for (uint32_t Pid = 0; Pid != P; ++Pid) {
+    std::vector<uint32_t> All(Graph.edges(Pid).size());
+    std::iota(All.begin(), All.end(), 1u);
+    Check(Pid, All, "all edges");
+    for (uint32_t S = 0; S != NumShared; ++S) {
+      std::span<const uint32_t> Writers = Graph.writerEnds(S, Pid);
+      Check(Pid, {Writers.begin(), Writers.end()},
+            "writers of s" + std::to_string(S));
     }
   }
 }
 
-TEST(SimdKernelTest, ForceLevelClampsUnrunnableLevels) {
-  ScopedSimdLevel Restore(simd::detectedLevel());
-#if defined(__x86_64__)
-  simd::forceLevel(simd::Level::NEON); // wrong architecture entirely.
-#else
-  simd::forceLevel(simd::Level::AVX2);
-#endif
-  EXPECT_EQ(int(simd::activeLevel()), int(simd::Level::Portable));
-  simd::forceLevel(simd::Level::Portable);
-  EXPECT_EQ(int(simd::activeLevel()), int(simd::Level::Portable));
+/// \p Workers processes in lock-step over one semaphore and a channel for
+/// \p Rounds rounds: a lock-protected counter (race-free), an unprotected
+/// read of it every tenth round (read/write races with the lock
+/// sections), and one planted write/write race after the loop.
+std::string lockStepProgram(unsigned Workers, unsigned Rounds) {
+  const std::string W = std::to_string(Workers), R = std::to_string(Rounds);
+  return "shared int total;\nshared int peek;\nshared int racy;\n"
+         "sem lock = 1;\nsem done;\nchan ch[4];\n"
+         "func worker(int w) {\n"
+         "  int r = 0;\n"
+         "  for (r = 0; r < " + R + "; r = r + 1) {\n"
+         "    P(lock);\n"
+         "    total = total + w;\n"
+         "    V(lock);\n"
+         "    if (r % 10 == 0) peek = total;\n"
+         "    send(ch, w);\n"
+         "  }\n"
+         "  if (w == 3) racy = w;\n"
+         "  if (w == 11) racy = w;\n"
+         "  V(done);\n"
+         "}\n"
+         "func main() {\n"
+         "  int i = 0;\n"
+         "  int s = 0;\n"
+         "  for (i = 0; i < " + W + "; i = i + 1) spawn worker(i);\n"
+         "  for (i = 0; i < " + W + " * " + R + "; i = i + 1)\n"
+         "    s = s + recv(ch);\n"
+         "  for (i = 0; i < " + W + "; i = i + 1) P(done);\n"
+         "  print(s);\n"
+         "}\n";
 }
 
 //===----------------------------------------------------------------------===//
-// EdgeClosure: bit rows and interval bounds against the vector-clock
-// oracle.
+// The simultaneity window against the vector-clock oracle.
 //===----------------------------------------------------------------------===//
 
-TEST(EdgeClosureTest, MatchesVectorClockOracle) {
-  // Racy generated programs give graphs with real concurrency; sweep a
-  // few seeds so different interleavings are covered.
-  for (uint64_t Seed : {2u, 7u, 11u, 23u, 40u}) {
-    GenProgram Gen = generateProgram(Seed);
-    MachineOptions MOpts;
-    MOpts.Quantum = Gen.Quantum;
-    Ran R = runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
-                       /*ExpectCompleted=*/false);
-    if (!R.Prog)
-      continue;
+TEST(SimultaneousWindowTest, MatchesVectorClockOracle) {
+  for (const char *Name : Corpus)
+    for (uint64_t Seed : {1u, 5u, 9u}) {
+      Ran R = runProgram(readCorpusFile(Name), Seed, {}, {},
+                         /*ExpectCompleted=*/false);
+      ASSERT_TRUE(R.Prog) << Name;
+      ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
+      expectWindowsMatchOracle(Graph, R.Prog->Symbols->NumSharedVars,
+                               std::string(Name) + " seed " +
+                                   std::to_string(Seed));
+    }
+  // Generated programs span the generator's profiles (racy, sync-heavy,
+  // channels, deadlock-prone), so the graphs carry real concurrency.
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    Ran R = runGenerated(Seed);
+    ASSERT_TRUE(R.Prog) << "seed " << Seed;
     ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
-    std::vector<EdgeRef> Edges = Graph.allEdges();
-    // Rows materialized (default cap) and the rowless interval fallback
-    // must both reproduce Def 6.1 exactly.
-    EdgeClosure WithRows(Graph);
-    EdgeClosure Rowless(Graph, /*MaxRowBytes=*/0);
-    EXPECT_FALSE(Rowless.hasRows());
-    for (EdgeRef A : Edges)
-      for (EdgeRef B : Edges) {
-        bool Oracle = Graph.simultaneous(A, B);
-        uint32_t Ga = WithRows.globalId(A), Gb = WithRows.globalId(B);
-        EXPECT_EQ(WithRows.simultaneous(Ga, Gb), Oracle)
-            << "seed " << Seed << " rows: p" << A.Pid << "e" << A.EndNode
-            << " vs p" << B.Pid << "e" << B.EndNode;
-        EXPECT_EQ(Rowless.simultaneous(Ga, Gb), Oracle)
-            << "seed " << Seed << " bounds: p" << A.Pid << "e" << A.EndNode
-            << " vs p" << B.Pid << "e" << B.EndNode;
-        EXPECT_EQ(WithRows.edgeOf(Ga), A);
-      }
+    expectWindowsMatchOracle(Graph, R.Prog->Symbols->NumSharedVars,
+                             "gen seed " + std::to_string(Seed));
   }
 }
 
@@ -200,10 +200,6 @@ TEST(RaceSimdDifferentialTest, ExamplesCorpus) {
   // Every shipped example, including the deliberately racy one; crash and
   // deadlock programs don't complete, which is fine — races are detected
   // over whatever log the run produced.
-  const char *const Corpus[] = {
-      "bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
-      "deadlock.ppl",  "fig41.ppl",
-  };
   bool SawRace = false;
   for (const char *Name : Corpus) {
     std::string Source = readCorpusFile(Name);
@@ -220,7 +216,7 @@ TEST(RaceSimdDifferentialTest, ExamplesCorpus) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: generated-program fuzz sweep.
+// Differential: generated programs and one large trace.
 //===----------------------------------------------------------------------===//
 
 TEST(RaceSimdDifferentialTest, FuzzSweep) {
@@ -228,11 +224,7 @@ TEST(RaceSimdDifferentialTest, FuzzSweep) {
   // channels, ...). Each runs with its derived schedule seed and quantum.
   unsigned Raced = 0;
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    GenProgram Gen = generateProgram(Seed);
-    MachineOptions MOpts;
-    MOpts.Quantum = Gen.Quantum;
-    Ran R = runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
-                       /*ExpectCompleted=*/false);
+    Ran R = runGenerated(Seed);
     ASSERT_TRUE(R.Prog) << "seed " << Seed;
     std::string Label = "gen seed " + std::to_string(Seed);
     Raced += !expectAgreement(R.Log, *R.Prog->Symbols, Label).empty();
@@ -240,65 +232,61 @@ TEST(RaceSimdDifferentialTest, FuzzSweep) {
   EXPECT_GT(Raced, 0u) << "no generated instance raced; sweep is vacuous";
 }
 
-TEST(RaceSimdDifferentialTest, PortableFallbackAgrees) {
-  // Force the portable kernels and re-run the differential: the dispatch
-  // level must never change the race list.
-  ScopedSimdLevel Force(simd::Level::Portable);
-  ASSERT_EQ(int(simd::activeLevel()), int(simd::Level::Portable));
-  for (uint64_t Seed : {2u, 3u, 7u, 13u}) {
-    GenProgram Gen = generateProgram(Seed);
-    MachineOptions MOpts;
-    MOpts.Quantum = Gen.Quantum;
-    Ran R = runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
-                       /*ExpectCompleted=*/false);
-    ASSERT_TRUE(R.Prog) << "seed " << Seed;
-    expectAgreement(R.Log, *R.Prog->Symbols,
-                    "portable gen seed " + std::to_string(Seed));
+TEST(RaceSimdDifferentialTest, LargeLockStepTraceAgrees) {
+  // The size at which an E×E simultaneity structure would cost megabytes:
+  // 16 workers in lock-step, thousands of internal edges.
+  Ran R = runProgram(lockStepProgram(16, 110), 3);
+  ASSERT_TRUE(R.Prog);
+  ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
+  const size_t Edges = Graph.allEdges().size();
+  ASSERT_GE(Edges, 5000u);
+  std::vector<Race> Races =
+      expectAgreement(R.Log, *R.Prog->Symbols,
+                      "lock-step, " + std::to_string(Edges) + " edges");
+  bool SawWriteWrite = false, SawReadWrite = false;
+  for (const Race &Found : Races) {
+    SawWriteWrite |= Found.Kind == RaceKind::WriteWrite;
+    SawReadWrite |= Found.Kind == RaceKind::ReadWrite;
   }
+  EXPECT_TRUE(SawWriteWrite && SawReadWrite)
+      << "the planted races did not show; the differential is weak";
 }
 
-TEST(RaceSimdDifferentialTest, ParallelSweepIsDeterministic) {
-  // The sharded sweep must merge deterministically: byte-identical output
-  // at any worker count, asserted against the serial run and both legacy
-  // algorithms.
-  ThreadPool Pool(3);
+TEST(RaceSimdDifferentialTest, ConcurrentDetectIsDeterministic) {
+  // Interval keeps no state between calls: one detector shared by several
+  // threads hands each the same list and cost (the TSan leg runs this).
   for (uint64_t Seed : {2u, 5u, 8u, 12u}) {
-    GenProgram Gen = generateProgram(Seed);
-    MachineOptions MOpts;
-    MOpts.Quantum = Gen.Quantum;
-    Ran R = runProgram(Gen.render(), Gen.SchedSeed, MOpts, {},
-                       /*ExpectCompleted=*/false);
+    Ran R = runGenerated(Seed);
     ASSERT_TRUE(R.Prog) << "seed " << Seed;
-    std::string Label = "pooled gen seed " + std::to_string(Seed);
-    expectAgreement(R.Log, *R.Prog->Symbols, Label, &Pool);
-
     ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
     RaceDetector Detector(Graph, *R.Prog->Symbols);
-    RaceDetectionResult Serial = Detector.detect(RaceAlgorithm::Vectorized);
-    RaceDetectionResult Pooled =
-        Detector.detect(RaceAlgorithm::Vectorized, &Pool);
-    ASSERT_EQ(Serial.Races.size(), Pooled.Races.size()) << Label;
-    for (size_t I = 0; I != Serial.Races.size(); ++I)
-      EXPECT_TRUE(Serial.Races[I] == Pooled.Races[I])
-          << Label << " race " << I;
-    // The cost counter is schedule-independent too: both runs enumerate
-    // the same candidate combinations.
-    EXPECT_EQ(Serial.PairsExamined, Pooled.PairsExamined) << Label;
+    RaceDetectionResult Serial = Detector.detect(RaceAlgorithm::Interval);
+    std::vector<RaceDetectionResult> Concurrent(3);
+    std::vector<std::thread> Threads;
+    for (RaceDetectionResult &Out : Concurrent)
+      Threads.emplace_back(
+          [&] { Out = Detector.detect(RaceAlgorithm::Interval); });
+    for (std::thread &T : Threads)
+      T.join();
+    for (const RaceDetectionResult &Out : Concurrent) {
+      EXPECT_TRUE(Out.Races == Serial.Races) << "seed " << Seed;
+      EXPECT_EQ(Out.PairsExamined, Serial.PairsExamined) << "seed " << Seed;
+    }
   }
 }
 
 TEST(RaceSimdDifferentialTest, RepeatedDetectIsIdempotent) {
-  // The detector reuses member scratch between calls; repeated detection
-  // on one instance must not be contaminated by earlier passes.
+  // The legacy algorithms reuse member scratch between calls; repeated
+  // detection on one instance must not be contaminated by earlier passes.
   std::string Source = readCorpusFile("bank_race.ppl");
   Ran R = runProgram(Source, 1, {}, {}, /*ExpectCompleted=*/false);
   ASSERT_TRUE(R.Prog);
   ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
   RaceDetector Detector(Graph, *R.Prog->Symbols);
-  RaceDetectionResult First = Detector.detect(RaceAlgorithm::Vectorized);
+  RaceDetectionResult First = Detector.detect(RaceAlgorithm::Interval);
   for (RaceAlgorithm A : {RaceAlgorithm::NaiveAllPairs,
                           RaceAlgorithm::VarIndexed,
-                          RaceAlgorithm::Vectorized}) {
+                          RaceAlgorithm::Interval}) {
     RaceDetectionResult Again = Detector.detect(A);
     ASSERT_EQ(First.Races.size(), Again.Races.size())
         << raceAlgorithmName(A);
@@ -314,11 +302,19 @@ TEST(RaceSimdDifferentialTest, AlgorithmNamesRoundTrip) {
   EXPECT_EQ(int(A), int(RaceAlgorithm::NaiveAllPairs));
   EXPECT_TRUE(parseRaceAlgorithm("indexed", A));
   EXPECT_EQ(int(A), int(RaceAlgorithm::VarIndexed));
-  EXPECT_TRUE(parseRaceAlgorithm("vectorized", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::Vectorized));
+  EXPECT_TRUE(parseRaceAlgorithm("interval", A));
+  EXPECT_EQ(int(A), int(RaceAlgorithm::Interval));
+  // The retired name has no alias.
+  EXPECT_FALSE(parseRaceAlgorithm("vectorized", A));
   EXPECT_FALSE(parseRaceAlgorithm("avx512", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::Vectorized)) << "Out must be untouched";
-  EXPECT_STREQ(raceAlgorithmName(RaceAlgorithm::Vectorized), "vectorized");
+  EXPECT_EQ(int(A), int(RaceAlgorithm::Interval)) << "Out must be untouched";
+  for (RaceAlgorithm Each : {RaceAlgorithm::NaiveAllPairs,
+                             RaceAlgorithm::VarIndexed,
+                             RaceAlgorithm::Interval}) {
+    RaceAlgorithm Back = RaceAlgorithm::NaiveAllPairs;
+    EXPECT_TRUE(parseRaceAlgorithm(raceAlgorithmName(Each), Back));
+    EXPECT_EQ(int(Back), int(Each));
+  }
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 #include "log/RecordArena.h"
 #include "support/Diagnostics.h"
 #include "support/DotWriter.h"
-#include "support/FixedVarSet.h"
 #include "support/Rng.h"
 #include "support/SmallVec.h"
 #include "support/VarSet.h"
@@ -143,9 +142,9 @@ TEST(VarSetCross, RepresentationsAgreeOnRandomOps) {
 }
 
 //===----------------------------------------------------------------------===//
-// BitVarSet extensions for the vectorized race tier: the fused conflict
+// BitVarSet extensions for the race classifier: the fused conflict
 // pretest, the capacity-reusing intersection, and the trailing-zero-word
-// trim that makes numWords() a tight bound for the arena memcpy.
+// trim that keeps numWords() a tight bound.
 //===----------------------------------------------------------------------===//
 
 TEST(BitVarSetTest, IntersectsAnyIsFusedUnionTest) {
@@ -221,94 +220,6 @@ TEST(BitVarSetTest, AssignIntersectionMatchesCopyingForm) {
     EXPECT_TRUE(Assigned == Copied);
     EXPECT_EQ(Assigned.toVector(), Copied.toVector());
   }
-}
-
-//===----------------------------------------------------------------------===//
-// FixedVarSet / VarSetArena: the flat-arena representation behind the
-// vectorized tier's per-edge rows and closure rows.
-//===----------------------------------------------------------------------===//
-
-TEST(FixedVarSetTest, ArenaRowsAreIndependentAndZeroed) {
-  VarSetArena Arena(3, 130); // 3 rows × 3 words
-  EXPECT_EQ(Arena.numRows(), 3u);
-  EXPECT_EQ(Arena.wordsPerRow(), 3u);
-  EXPECT_EQ(Arena.bytes(), 3u * 3u * sizeof(uint64_t));
-  for (uint32_t I = 0; I != 3; ++I)
-    EXPECT_TRUE(Arena.row(I).empty());
-  Arena.row(1).insert(129);
-  EXPECT_TRUE(Arena.row(0).empty());
-  EXPECT_TRUE(Arena.row(2).empty());
-  EXPECT_TRUE(Arena.row(1).contains(129));
-  EXPECT_EQ(Arena.row(1).size(), 1u);
-}
-
-TEST(FixedVarSetTest, SetOperationsMatchBitVarSet) {
-  Rng R(11);
-  for (int Round = 0; Round != 20; ++Round) {
-    VarSetArena Arena(3, 256);
-    FixedVarSet A = Arena.row(0), B = Arena.row(1), Out = Arena.row(2);
-    BitVarSet RefA, RefB;
-    for (int I = 0; I != 60; ++I) {
-      unsigned IdA = unsigned(R.nextBelow(256));
-      unsigned IdB = unsigned(R.nextBelow(256));
-      EXPECT_EQ(A.insert(IdA), RefA.insert(IdA));
-      EXPECT_EQ(B.insert(IdB), RefB.insert(IdB));
-    }
-    EXPECT_EQ(A.intersects(B), RefA.intersects(RefB));
-    EXPECT_EQ(A.size(), RefA.size());
-    Out.assignIntersection(A, B);
-    BitVarSet RefOut = RefA;
-    RefOut.intersectWith(RefB);
-    EXPECT_EQ(Out.toVector(), RefOut.toVector());
-    Out.clear();
-    EXPECT_TRUE(Out.empty());
-    Out.unionWith(A);
-    Out.unionWith(B);
-    BitVarSet RefUnion = RefA;
-    RefUnion.unionWith(RefB);
-    EXPECT_EQ(Out.toVector(), RefUnion.toVector());
-  }
-}
-
-TEST(FixedVarSetTest, InsertRangeFillsWordSpans) {
-  VarSetArena Arena(1, 300);
-  FixedVarSet Set = Arena.row(0);
-  Set.insertRange(10, 5); // empty range: no-op
-  EXPECT_TRUE(Set.empty());
-  Set.insertRange(7, 7); // single element
-  EXPECT_EQ(Set.toVector(), (std::vector<unsigned>{7}));
-  Set.clear();
-  Set.insertRange(60, 200); // straddles word boundaries, fills middle words
-  EXPECT_EQ(Set.size(), 141u);
-  EXPECT_FALSE(Set.contains(59));
-  EXPECT_TRUE(Set.contains(60));
-  EXPECT_TRUE(Set.contains(64));
-  EXPECT_TRUE(Set.contains(128));
-  EXPECT_TRUE(Set.contains(200));
-  EXPECT_FALSE(Set.contains(201));
-  Set.clear();
-  Set.insertRange(65, 70); // within one non-first word
-  EXPECT_EQ(Set.toVector(), (std::vector<unsigned>{65, 66, 67, 68, 69, 70}));
-}
-
-TEST(FixedVarSetTest, ForEachFromStartsMidWord) {
-  VarSetArena Arena(1, 200);
-  FixedVarSet Set = Arena.row(0);
-  for (unsigned Id : {0u, 3u, 63u, 64u, 100u, 199u})
-    Set.insert(Id);
-  auto From = [&Set](unsigned Start) {
-    std::vector<unsigned> Out;
-    Set.forEachFrom(Start, [&Out](unsigned Id) { Out.push_back(Id); });
-    return Out;
-  };
-  EXPECT_EQ(From(0), (std::vector<unsigned>{0, 3, 63, 64, 100, 199}));
-  EXPECT_EQ(From(1), (std::vector<unsigned>{3, 63, 64, 100, 199}));
-  EXPECT_EQ(From(63), (std::vector<unsigned>{63, 64, 100, 199}));
-  EXPECT_EQ(From(64), (std::vector<unsigned>{64, 100, 199}));
-  EXPECT_EQ(From(101), (std::vector<unsigned>{199}));
-  EXPECT_EQ(From(199), (std::vector<unsigned>{199}));
-  EXPECT_TRUE(From(200).empty());
-  EXPECT_TRUE(From(100000).empty()); // past the universe: no read
 }
 
 //===----------------------------------------------------------------------===//
