@@ -19,43 +19,44 @@ using namespace ppd;
 namespace {
 
 constexpr uint32_t DbMagic = 0x42445050u; // "PPDB" on disk (little-endian).
-constexpr uint32_t DbVersion = 2; // v2 added the parallel dynamic graph.
+constexpr uint32_t DbVersion = 3; // v3: the word-at-a-time program hash.
 
-/// FNV-1a, the repo-wide cheap stable hash.
-struct Fnv {
+/// The program fingerprint, one 64-bit word per step: xor the word in,
+/// multiply by an odd constant, fold the high half down. Both halves of a
+/// step are bijections, so two streams that differ in one word always end
+/// in different states. Fields are packed into words explicitly, never
+/// read as a struct's bytes (its padding is indeterminate).
+struct WordHash {
   uint64_t H = 0xcbf29ce484222325ull;
-  void bytes(const void *Data, size_t Size) {
-    const uint8_t *P = static_cast<const uint8_t *>(Data);
-    for (size_t I = 0; I != Size; ++I) {
-      H ^= P[I];
-      H *= 0x100000001b3ull;
-    }
+  void u64(uint64_t V) {
+    H = (H ^ V) * 0x9e3779b97f4a7c15ull;
+    H ^= H >> 32;
   }
-  void u64(uint64_t V) { bytes(&V, 8); }
   void str(const std::string &S) {
     u64(S.size());
-    bytes(S.data(), S.size());
+    for (size_t I = 0; I < S.size(); I += 8) {
+      uint64_t W = 0;
+      for (size_t J = I; J != S.size() && J != I + 8; ++J)
+        W |= uint64_t(uint8_t(S[J])) << (8 * (J - I));
+      u64(W);
+    }
   }
   template <typename T> void vec(const std::vector<T> &V) {
     u64(V.size());
     for (const T &E : V)
       u64(uint64_t(E));
   }
-};
-
-uint64_t chunkHash(const Chunk &C) {
-  Fnv F;
-  F.u64(C.size());
-  for (uint32_t Pc = 0; Pc != C.size(); ++Pc) {
-    const Instr &I = C.at(Pc);
-    F.u64(uint64_t(I.Opcode));
-    F.u64(uint64_t(uint32_t(I.A)));
-    F.u64(uint64_t(uint32_t(I.B)));
-    F.u64(uint64_t(I.Imm));
-    F.u64(C.stmtAt(Pc));
+  /// Three words per instruction: opcode | statement, A | B, immediate.
+  void chunk(const Chunk &C) {
+    u64(C.size());
+    for (uint32_t Pc = 0; Pc != C.size(); ++Pc) {
+      const Instr &I = C.at(Pc);
+      u64(uint64_t(I.Opcode) | uint64_t(C.stmtAt(Pc)) << 32);
+      u64(uint64_t(uint32_t(I.A)) | uint64_t(uint32_t(I.B)) << 32);
+      u64(uint64_t(I.Imm));
+    }
   }
-  return F.H;
-}
+};
 
 /// InvalidId (~0u) → 0, everything else shifts up one: the common "no
 /// record / no parent" sentinel costs one varint byte.
@@ -99,7 +100,7 @@ const char *ppd::programDbStatusName(ProgramDbStatus Status) {
 }
 
 uint64_t ppd::programHash(const CompiledProgram &Prog) {
-  Fnv F;
+  WordHash F;
   F.u64(Prog.Funcs.size());
   for (const CompiledFunction &Fn : Prog.Funcs) {
     F.str(Fn.Name);
@@ -107,8 +108,8 @@ uint64_t ppd::programHash(const CompiledProgram &Prog) {
     F.u64(Fn.NumParams);
     F.u64(Fn.FrameSize);
     F.u64(Fn.Logged);
-    F.u64(chunkHash(Fn.Object));
-    F.u64(chunkHash(Fn.Emu));
+    F.chunk(Fn.Object);
+    F.chunk(Fn.Emu);
   }
   F.u64(Prog.EBlocks.size());
   for (const EBlockInfo &EB : Prog.EBlocks) {
@@ -140,14 +141,6 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
   W.u32(DbMagic);
   W.u32(DbVersion);
   W.u64(programHash(Prog));
-
-  // Per-function chunk hashes: redundant with the program hash, kept
-  // separately so a staleness report can name *which* function changed.
-  W.varint(Prog.Funcs.size());
-  for (const CompiledFunction &Fn : Prog.Funcs) {
-    W.u64(chunkHash(Fn.Object));
-    W.u64(chunkHash(Fn.Emu));
-  }
 
   // Def/use sites — the paper's program database proper.
   uint32_t NumVars = Prog.Symbols->numVars();
@@ -275,20 +268,6 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
   // compile — the hash gates the fast path, the comparison makes a
   // collision harmless. Structural failures (bad counts, truncation) are
   // Corrupt; clean mismatches are Stale.
-  uint64_t NumFuncs = R.varint();
-  if (!R.plausibleCount(NumFuncs))
-    return ProgramDbStatus::Corrupt;
-  if (NumFuncs != Prog.Funcs.size())
-    return ProgramDbStatus::Stale;
-  for (const CompiledFunction &Fn : Prog.Funcs) {
-    uint64_t ObjHash = R.u64();
-    uint64_t EmuHash = R.u64();
-    if (!R.ok())
-      return ProgramDbStatus::Corrupt;
-    if (ObjHash != chunkHash(Fn.Object) || EmuHash != chunkHash(Fn.Emu))
-      return ProgramDbStatus::Stale;
-  }
-
   uint64_t NumVars = R.varint();
   if (!R.plausibleCount(NumVars))
     return ProgramDbStatus::Corrupt;

@@ -10,13 +10,13 @@
 /// database" (§3.2.1) given durable form, so the debugging phase *opens*
 /// precomputed state instead of re-deriving it (DESIGN.md §12).
 ///
-/// Contents: the program hash and per-function chunk hashes that key the
-/// sidecar to one exact compile; the def/use site tables and
-/// static-graph unit edges (validated field-for-field against the fresh
-/// compile on read, so a hash collision can never smuggle stale analysis
-/// in); the e-block USED/DEFINED sets; the log's shape (file size and
-/// per-section extents, keying the sidecar to one exact log file); the
-/// full per-process LogIndex; and the parallel dynamic graph's node and
+/// Contents: the program hash that keys the sidecar to one exact
+/// compile; the def/use site tables and static-graph unit edges
+/// (validated field-for-field against the fresh compile on read, so a
+/// hash collision can never smuggle stale analysis in); the e-block
+/// USED/DEFINED sets; the log's shape (file size and per-section
+/// extents, keying the sidecar to one exact log file); the full
+/// per-process LogIndex; and the parallel dynamic graph's node and
 /// edge rows (§6 — constructing it is the one remaining operation that
 /// scans every process's records, so persisting it is what makes a warm
 /// open's cost independent of log size). On a warm open, the paged
@@ -54,7 +54,9 @@ std::string programDbPathFor(const std::string &LogPath);
 /// (opcodes, operands, statement attributions), e-block USED/DEFINED
 /// sets, synchronization units, semaphore/channel initializers, and the
 /// instrumentation option. Any recompile that changes debugging-visible
-/// state changes this hash.
+/// state changes this hash. It is computed a 64-bit word at a time over
+/// explicitly packed fields, so it is the same in every process that
+/// compiles the same source with the same options.
 uint64_t programHash(const CompiledProgram &Prog);
 
 enum class ProgramDbStatus {

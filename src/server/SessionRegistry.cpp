@@ -6,6 +6,7 @@
 
 #include "server/SessionRegistry.h"
 
+#include "log/ProgramDb.h"
 #include "vm/Jit.h"
 
 using namespace ppd;
@@ -24,12 +25,7 @@ uint32_t SessionRegistry::addProgram(std::unique_ptr<CompiledProgram> Prog,
   ProgramEntry Entry;
   Entry.Prog = std::move(Prog);
   Entry.TemplateLog = std::move(Log);
-  Entry.Cache = std::make_shared<ReplayCache<ReplayResult>>(
-      Options.CacheBytes, Options.CacheShards);
-  Entry.Flights = std::make_shared<ReplayFlightTable>();
-  Entry.Jit = JitProgram::create(*Entry.Prog);
-  Programs.push_back(std::move(Entry));
-  return uint32_t(Programs.size() - 1);
+  return pushProgram(std::move(Entry));
 }
 
 uint32_t SessionRegistry::addProgram(
@@ -50,6 +46,11 @@ uint32_t SessionRegistry::addProgram(
             : std::make_shared<const LogIndex>(*Paged.Store);
   Entry.PagedGraph = std::move(Graph);
   Entry.Paged = std::move(Paged);
+  return pushProgram(std::move(Entry));
+}
+
+uint32_t SessionRegistry::pushProgram(ProgramEntry Entry) {
+  Entry.Hash = programHash(*Entry.Prog);
   Entry.Cache = std::make_shared<ReplayCache<ReplayResult>>(
       Options.CacheBytes, Options.CacheShards);
   Entry.Flights = std::make_shared<ReplayFlightTable>();

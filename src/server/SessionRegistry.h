@@ -135,12 +135,19 @@ public:
   size_t numPrograms() const;
 
   /// The compiled program registered at \p Index, or null when out of
-  /// range. The pointee's address is stable for the registry's lifetime
-  /// (entries are never removed); the streaming ingest layer resolves a
-  /// StreamHello's target program through this.
-  const CompiledProgram *program(uint32_t Index) const {
+  /// range; when \p Hash is set and the index is valid, *Hash receives the
+  /// programHash computed once at registration. The pointee's address is
+  /// stable for the registry's lifetime (entries are never removed); the
+  /// streaming ingest layer resolves a StreamHello's target program
+  /// through this.
+  const CompiledProgram *program(uint32_t Index,
+                                 uint64_t *Hash = nullptr) const {
     std::lock_guard<std::mutex> Lock(Mutex);
-    return Index < Programs.size() ? Programs[Index].Prog.get() : nullptr;
+    if (Index >= Programs.size())
+      return nullptr;
+    if (Hash)
+      *Hash = Programs[Index].Hash;
+    return Programs[Index].Prog.get();
   }
 
   /// Opens a session against program \p ProgramIndex. Returns 0 when the
@@ -169,6 +176,7 @@ public:
 private:
   struct ProgramEntry {
     std::unique_ptr<CompiledProgram> Prog;
+    uint64_t Hash = 0; ///< programHash(*Prog), computed once.
     ExecutionLog TemplateLog;
     /// Falsy for whole-load programs; when set, TemplateLog is the facade.
     PagedLog Paged;
@@ -184,6 +192,10 @@ private:
     /// across every session (null when the backend is unavailable).
     std::shared_ptr<JitProgram> Jit;
   };
+
+  /// Hashes \p Entry's program, gives it a cache, flight table and JIT
+  /// state, and appends it; returns its index. Caller holds Mutex.
+  uint32_t pushProgram(ProgramEntry Entry);
 
   SessionRegistryOptions Options;
   /// Section buffer pool shared by paged programs that did not bring

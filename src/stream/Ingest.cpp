@@ -8,7 +8,6 @@
 
 #include "core/DebugSession.h"
 #include "log/LogFormatV2.h"
-#include "log/ProgramDb.h"
 
 #include <cstdio>
 #include <sstream>
@@ -157,10 +156,12 @@ Response IngestRegistry::dispatch(const Request &Req) {
 //===----------------------------------------------------------------------===//
 
 Response IngestRegistry::handleHello(const Request &Req) {
-  const CompiledProgram *Prog = Server.registry().program(Req.ProgramIndex);
+  uint64_t Hash = 0;
+  const CompiledProgram *Prog =
+      Server.registry().program(Req.ProgramIndex, &Hash);
   if (!Prog)
     return makeError(ErrCode::NoSuchProgram, "unknown program index");
-  if (programHash(*Prog) != Req.ProgramHash) {
+  if (Hash != Req.ProgramHash) {
     Server.metrics().countError();
     return makeError(ErrCode::StreamProtocol,
                      "program hash mismatch: tracer and server were built "

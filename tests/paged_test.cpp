@@ -11,9 +11,10 @@
 // contract of the pool directly (pinned frames never evicted, single
 // decode under concurrent faults), validates the skim-built index against
 // the decoded one, round-trips the `.ppdb` sidecar through staleness and
-// every-byte truncation, checks that a store opens only the current
-// format version, and that a log cut, rewritten or corrupted under a
-// store gives a typed error — never a signal.
+// every-byte truncation, checks that the program fingerprint is
+// deterministic and sees every operand bit, that a store opens only the
+// current format version, and that a log cut, rewritten or corrupted
+// under a store gives a typed error — never a signal.
 //
 //===----------------------------------------------------------------------===//
 
@@ -525,6 +526,139 @@ TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
   std::remove(Path.c_str());
   std::remove(DbPath.c_str());
   std::remove(TruncPath.c_str());
+}
+
+// A sidecar written by an older build (any version word but the current
+// one) is Stale, so the caller rebuilds it rather than trusting it.
+TEST(PagedTest, ProgramDbOlderVersionReadsStale) {
+  Ran R = runProgram(readCorpusFile("bounded_buffer.ppl"), 3);
+  ASSERT_TRUE(R.Prog != nullptr);
+  std::string Path = tempPath("ppdb_v2.log");
+  auto Store = saveAndOpen(R.Log, Path);
+  ASSERT_TRUE(Store != nullptr);
+  std::string DbPath = programDbPathFor(Path);
+  ASSERT_TRUE(writeProgramDb(DbPath, *R.Prog, *Store, LogIndex(*Store)));
+
+  std::vector<uint8_t> Bytes = readFileRaw(DbPath);
+  ASSERT_GE(Bytes.size(), size_t(8));
+  const uint8_t V2[4] = {2, 0, 0, 0}; // the u32 after the magic word
+  std::memcpy(Bytes.data() + 4, V2, 4);
+  writeFileRaw(DbPath, Bytes.data(), Bytes.size());
+  std::shared_ptr<const LogIndex> Index;
+  EXPECT_EQ(int(readProgramDb(DbPath, *R.Prog, *Store, Index)),
+            int(ProgramDbStatus::Stale));
+  EXPECT_TRUE(Index == nullptr);
+
+  std::remove(Path.c_str());
+  std::remove(DbPath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The program fingerprint
+//===----------------------------------------------------------------------===//
+
+// The fingerprint depends only on what the compile produced: two
+// independent compiles of one source agree, and a sidecar written with
+// one is adopted by the other. A fingerprint that read indeterminate
+// bytes (struct padding, addresses) would make every open cold.
+TEST(PagedTest, ProgramHashIsDeterministicAcrossCompiles) {
+  std::string Source = readCorpusFile("bounded_buffer.ppl");
+  Ran R = runProgram(Source, 3);
+  ASSERT_TRUE(R.Prog != nullptr);
+  auto Again = compileOk(Source);
+  ASSERT_TRUE(Again != nullptr);
+  EXPECT_EQ(programHash(*R.Prog), programHash(*Again));
+
+  std::string Path = tempPath("ppdb_recompile.log");
+  auto Store = saveAndOpen(R.Log, Path);
+  ASSERT_TRUE(Store != nullptr);
+  std::string DbPath = programDbPathFor(Path);
+  ASSERT_TRUE(writeProgramDb(DbPath, *R.Prog, *Store, LogIndex(*Store)));
+  std::shared_ptr<const LogIndex> Index;
+  EXPECT_EQ(int(readProgramDb(DbPath, *Again, *Store, Index)),
+            int(ProgramDbStatus::Ok));
+
+  std::remove(Path.c_str());
+  std::remove(DbPath.c_str());
+}
+
+// Every bit of the 32-bit A operand reaches the fingerprint, in both
+// artifacts (A is packed with B into one word, so a lost half would show).
+TEST(PagedTest, ProgramHashSeesEveryBitOfA) {
+  auto Prog = compileOk(readCorpusFile("fig41.ppl"));
+  ASSERT_TRUE(Prog != nullptr);
+  uint64_t Base = programHash(*Prog);
+  CompiledFunction &Main = Prog->Funcs[Prog->MainIndex];
+  for (Chunk *C : {&Main.Object, &Main.Emu}) {
+    ASSERT_GT(C->size(), 0u);
+    int32_t Old = C->at(0).A;
+    for (unsigned Bit = 0; Bit != 32; ++Bit) {
+      C->patchA(0, int32_t(uint32_t(Old) ^ (1u << Bit)));
+      EXPECT_NE(programHash(*Prog), Base)
+          << (C == &Main.Object ? "object" : "emu") << " bit " << Bit;
+    }
+    C->patchA(0, Old);
+  }
+  EXPECT_EQ(programHash(*Prog), Base);
+}
+
+// Immediates are 64 bits wide and every one of them counts. Sources that
+// differ only in one literal reach bits 0, 31 and 32; no literal has bit
+// 63 set, so that bit is flipped in a re-emitted copy of each artifact.
+TEST(PagedTest, ProgramHashSeesImmediateBits) {
+  auto hashOf = [](const std::string &Literal) {
+    auto Prog = compileOk("func main() { print(" + Literal + "); }");
+    return Prog ? programHash(*Prog) : 0;
+  };
+  uint64_t Zero = hashOf("0");
+  EXPECT_EQ(hashOf("0"), Zero);
+  for (const char *Literal : {"1", "2147483648", "4294967296"})
+    EXPECT_NE(hashOf(Literal), Zero) << Literal;
+
+  auto Prog = compileOk("func main() { print(0); }");
+  ASSERT_TRUE(Prog != nullptr);
+  ASSERT_EQ(programHash(*Prog), Zero);
+  CompiledFunction &Main = Prog->Funcs[Prog->MainIndex];
+  for (Chunk *C : {&Main.Object, &Main.Emu}) {
+    const Chunk Saved = *C;
+    uint32_t Pc = 0;
+    while (Pc != Saved.size() && Saved.at(Pc).Opcode != Op::PushConst)
+      ++Pc;
+    ASSERT_NE(Pc, Saved.size());
+    for (unsigned Bit : {0u, 31u, 32u, 63u}) {
+      Chunk Flipped;
+      for (uint32_t I = 0; I != Saved.size(); ++I) {
+        Instr In = Saved.at(I);
+        if (I == Pc)
+          In.Imm = int64_t(uint64_t(In.Imm) ^ (uint64_t(1) << Bit));
+        Flipped.emit(In, Saved.stmtAt(I));
+      }
+      *C = Flipped;
+      EXPECT_NE(programHash(*Prog), Zero)
+          << (C == &Main.Object ? "object" : "emu") << " bit " << Bit;
+    }
+    *C = Saved;
+  }
+  EXPECT_EQ(programHash(*Prog), Zero);
+}
+
+// The e-block USED/DEFINED sets and the instrumentation option are part
+// of the fingerprint.
+TEST(PagedTest, ProgramHashSeesUsedDefinedAndInstrument) {
+  auto Prog = compileOk(readCorpusFile("bounded_buffer.ppl"));
+  ASSERT_TRUE(Prog != nullptr);
+  uint64_t Base = programHash(*Prog);
+  ASSERT_FALSE(Prog->EBlocks.empty());
+  EBlockInfo &EB = Prog->EBlocks.back();
+  for (std::vector<VarId> *Set : {&EB.Used, &EB.Defined}) {
+    std::vector<VarId> Saved = *Set;
+    Set->push_back(VarId(Prog->Symbols->numVars()));
+    EXPECT_NE(programHash(*Prog), Base);
+    *Set = Saved;
+  }
+  EXPECT_EQ(programHash(*Prog), Base);
+  Prog->Options.Instrument = !Prog->Options.Instrument;
+  EXPECT_NE(programHash(*Prog), Base);
 }
 
 //===----------------------------------------------------------------------===//
