@@ -142,11 +142,12 @@ void serviceCounters(benchmark::State &State,
 /// full interval set through \p Threads workers.
 void flowback_cold(benchmark::State &State, unsigned Threads) {
   ReplayWorld W = makeReplayWorld(unsigned(State.range(0)));
+  PagedLog Log = PagedLog::fromLog(W.Log);
   ReplayServiceOptions Options;
   Options.Threads = Threads;
   uint64_t Events = 0;
   for (auto _ : State) {
-    ParallelReplayer Service(*W.Prog, W.Log, *W.Index, Options);
+    ParallelReplayer Service(*W.Prog, Log, *W.Index, Options);
     auto Results = Service.getMany(W.All);
     Events = 0;
     for (const auto &R : Results)
@@ -154,7 +155,7 @@ void flowback_cold(benchmark::State &State, unsigned Threads) {
     benchmark::DoNotOptimize(Events);
   }
   // Representative of the last iteration (one full miss sweep).
-  ParallelReplayer Probe(*W.Prog, W.Log, *W.Index, Options);
+  ParallelReplayer Probe(*W.Prog, Log, *W.Index, Options);
   auto Results = Probe.getMany(W.All);
   benchmark::DoNotOptimize(Results.data());
   serviceCounters(State, Probe, W.All.size());
@@ -173,7 +174,7 @@ void flowback_cold_parallel(benchmark::State &State) {
 /// the full query and must be answered entirely by lookups.
 void flowback_warm_cached(benchmark::State &State) {
   ReplayWorld W = makeReplayWorld(unsigned(State.range(0)));
-  ParallelReplayer Service(*W.Prog, W.Log, *W.Index, {});
+  ParallelReplayer Service(*W.Prog, PagedLog::fromLog(W.Log), *W.Index, {});
   auto Warmup = Service.getMany(W.All);
   benchmark::DoNotOptimize(Warmup.data());
   for (auto _ : State) {

@@ -8,9 +8,6 @@
 // with the program database and the log already on disk; what a user
 // feels is exactly this open-to-first-query latency.
 //
-//   * `coldopen_whole`       — the pre-paging path: decode every record
-//     of every process into memory, build the interval index from the
-//     decoded records, then answer one query.
 //   * `coldopen_pooled`      — PageStore::open (pread header walk),
 //     skim-build the index from encoded bytes, then answer the query by
 //     faulting in only the one section it touches.
@@ -19,11 +16,12 @@
 //     persisted index, fault in one section, answer.
 //
 // The first query (startAtLastEvent on the main process) replays one
-// interval of one process, so the pooled rows decode one section out of
-// Workers+1 — the whole-load row's decode cost is the overhead being
-// deleted. PoolResidentBytes/PoolPeakBytes counters show the residency
-// bound; process-wide peak RSS must be measured per-row in separate
-// processes (see EXPERIMENTS.md E11 methodology).
+// interval of one process. With the sidecar's graph adopted that is the
+// one section of Workers+1 decoded; without it, building the parallel
+// dynamic graph faults every section in. PoolResidentBytes/PoolPeakBytes
+// counters show the residency bound; process-wide peak RSS must be
+// measured per-row in separate processes (see EXPERIMENTS.md E11
+// methodology).
 //
 //===----------------------------------------------------------------------===//
 
@@ -141,19 +139,6 @@ struct ColdOpenWorld {
   }
 };
 
-void coldopen_whole(benchmark::State &State) {
-  ColdOpenWorld W(unsigned(State.range(0)), unsigned(State.range(1)));
-  for (auto _ : State) {
-    ExecutionLog Log;
-    if (!ExecutionLog::load(W.LogPath, Log))
-      State.SkipWithError("load failed");
-    PpdController Controller(*W.Prog, std::move(Log));
-    benchmark::DoNotOptimize(Controller.startAtLastEvent(0));
-  }
-  State.counters["FileBytes"] = double(W.FileBytes);
-  State.counters["PeakRSSBytes"] = peakRssBytes();
-}
-
 void coldopen_pooled(benchmark::State &State) {
   ColdOpenWorld W(unsigned(State.range(0)), unsigned(State.range(1)));
   BufferPoolStats Last;
@@ -206,8 +191,6 @@ void coldopen_pooled_ppdb(benchmark::State &State) {
 
 // Args: {Workers, UnitsPerWorker}. {8,64} is a mid-size log; {32,128} is
 // the largest log any bench generates, the E11 headline row.
-BENCHMARK(coldopen_whole)->Args({8, 64})->Args({32, 128})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(coldopen_pooled)->Args({8, 64})->Args({32, 128})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(coldopen_pooled_ppdb)->Args({8, 64})->Args({32, 128})

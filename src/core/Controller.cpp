@@ -14,27 +14,14 @@ using namespace ppd;
 
 namespace {
 
-/// Builds the log's interval index, fanning per-process construction over
-/// a transient pool when the controller is configured for parallelism.
-/// (The replay service's pool doesn't exist yet at this point — it is
-/// constructed after the index it consumes.)
-LogIndex buildIndex(const ExecutionLog &Log,
-                    const std::shared_ptr<const LogIndex> &Adopted,
-                    unsigned Threads) {
-  if (Adopted)
-    return *Adopted;
-  if (Threads == 0 || Log.Procs.size() < 2)
-    return LogIndex(Log);
-  ThreadPool Pool(Threads);
-  return LogIndex(Log, &Pool);
-}
-
-/// Paged-mode index: adopt the caller's (the `.ppdb` sidecar's) when one
-/// came along, else skim the store — record bodies stay on disk either
-/// way.
-LogIndex buildPagedIndex(const PageStore &Store,
-                         std::shared_ptr<const LogIndex> Index,
-                         unsigned Threads) {
+/// Adopts the caller's index (a `.ppdb` sidecar's, or a stream's) when
+/// one came along, else skims the store — record bodies stay unread
+/// either way. The skim fans out over a transient pool when the
+/// controller is configured for parallelism (the replay service's pool
+/// doesn't exist yet at this point — it is constructed after the index
+/// it consumes).
+LogIndex buildIndex(const PageStore &Store,
+                    std::shared_ptr<const LogIndex> Index, unsigned Threads) {
   if (Index)
     return *Index;
   if (Threads == 0 || Store.numProcs() < 2)
@@ -43,42 +30,33 @@ LogIndex buildPagedIndex(const PageStore &Store,
   return LogIndex(Store, &Pool);
 }
 
-ReplayServiceOptions withPaged(ReplayServiceOptions Options,
-                               const PagedLog &Paged) {
-  Options.Paged = Paged;
-  return Options;
-}
-
 } // namespace
 
-PpdController::PpdController(const CompiledProgram &Prog, ExecutionLog Log,
+PpdController::PpdController(const CompiledProgram &Prog,
+                             const ExecutionLog &Log,
                              PpdControllerOptions Options)
-    : Prog(Prog), Log(std::move(Log)),
-      Index(buildIndex(this->Log, Options.AdoptedIndex,
-                       Options.Service.Threads)),
-      Service(Prog, this->Log, Index, Options.Service),
-      Builder(Prog, Graph), ParGraph(std::move(Options.AdoptedGraph)) {}
+    : PpdController(Prog, PagedLog::fromLog(Log), nullptr,
+                    std::move(Options)) {}
 
-PpdController::PpdController(const CompiledProgram &Prog, PagedLog PagedIn,
+PpdController::PpdController(const CompiledProgram &Prog, PagedLog LogIn,
                              std::shared_ptr<const LogIndex> IndexIn,
                              PpdControllerOptions Options)
-    : Prog(Prog), Paged(std::move(PagedIn)), Log(Paged.Store->facadeLog()),
-      Index(buildPagedIndex(*Paged.Store, std::move(IndexIn),
-                            Options.Service.Threads)),
-      Service(Prog, this->Log, Index, withPaged(Options.Service, Paged)),
-      Builder(Prog, Graph), ParGraph(std::move(Options.AdoptedGraph)) {
-  assert(Paged && "paged controller needs both a store and a pool");
-  for (uint32_t Pid = 0; Pid != Paged.Store->numProcs(); ++Pid) {
-    const PageStore::SectionMeta &M = Paged.Store->section(Pid);
+    : Prog(Prog), Log(std::move(LogIn)),
+      Index(buildIndex(*Log.Store, std::move(IndexIn),
+                       Options.Service.Threads)),
+      Service(Prog, Log, Index, Options.Service), Builder(Prog, Graph),
+      ParGraph(std::move(Options.AdoptedGraph)) {
+  assert(Log && "a controller needs both a store and a pool");
+  for (uint32_t Pid = 0; Pid != Log.Store->numProcs(); ++Pid) {
+    const PageStore::SectionMeta &M = Log.Store->section(Pid);
     if (!Prog.isRootCall(M.RootFunc, M.Args.size()))
-      Paged.Store->markCorrupt("section " + std::to_string(Pid) +
-                               " has no root call of this program");
+      Log.Store->markCorrupt("section " + std::to_string(Pid) +
+                             " has no root call of this program");
   }
 }
 
 std::string PpdController::logFailure() const {
-  return Paged && Paged.Store->failed() ? Paged.Store->failure()
-                                        : std::string();
+  return Log.Store->failed() ? Log.Store->failure() : std::string();
 }
 
 void PpdController::syncServiceStats() {
@@ -336,9 +314,7 @@ DynNodeId PpdController::materializeWriter(EdgeRef Producer, VarId Var,
 }
 
 uint32_t PpdController::recordEnd(uint32_t Pid) const {
-  if (Paged)
-    return uint32_t(Paged.Store->section(Pid).NumRecords);
-  return uint32_t(Log.Procs[Pid].Records.size());
+  return uint32_t(Log.Store->section(Pid).NumRecords);
 }
 
 bool PpdController::stmtsInRange(const ParallelDynamicGraph &PG) const {
@@ -352,34 +328,28 @@ bool PpdController::stmtsInRange(const ParallelDynamicGraph &PG) const {
 const ParallelDynamicGraph &PpdController::parallelGraph() {
   if (ParGraph)
     return *ParGraph;
-  if (Paged) {
-    // Incremental build, pinning one section at a time: peak memory is
-    // the largest single section (plus whatever else the pool caches),
-    // never the whole log. The result is identical to the whole-log
-    // constructor's.
-    const uint32_t NumProcs = Paged.Store->numProcs();
-    auto PG = std::make_unique<ParallelDynamicGraph>(
-        Prog.Symbols->NumSharedVars, NumProcs);
-    bool Ok = true;
-    for (uint32_t Pid = 0; Ok && Pid != NumProcs; ++Pid) {
-      BufferPool::Pin Pin = Paged.Pool->pin(*Paged.Store, Pid);
-      if ((Ok = bool(Pin)))
-        PG->addProcess(Pid, Pin.log());
-    }
-    if (Ok && !(Ok = PG->finalize() && stmtsInRange(*PG)))
-      Paged.Store->markCorrupt("sync records are inconsistent");
-    if (!Ok) {
-      // logFailure() now replaces every answer; an empty graph keeps the
-      // session's internals well defined until the caller reports it.
-      PG = std::make_unique<ParallelDynamicGraph>(
-          Prog.Symbols->NumSharedVars, NumProcs);
-      (void)PG->finalize(); // nothing to check in an empty graph
-    }
-    ParGraph = std::move(PG);
-  } else {
-    ParGraph = std::make_unique<ParallelDynamicGraph>(
-        Log, Prog.Symbols->NumSharedVars);
+  // Incremental build, pinning one section at a time: peak memory is the
+  // largest single section (plus whatever else the pool caches), never
+  // the whole log.
+  const uint32_t NumProcs = Log.Store->numProcs();
+  auto PG = std::make_unique<ParallelDynamicGraph>(
+      Prog.Symbols->NumSharedVars, NumProcs);
+  bool Ok = true;
+  for (uint32_t Pid = 0; Ok && Pid != NumProcs; ++Pid) {
+    BufferPool::Pin Pin = Log.Pool->pin(*Log.Store, Pid);
+    if ((Ok = bool(Pin)))
+      PG->addProcess(Pid, Pin.log());
   }
+  if (Ok && !(Ok = PG->finalize() && stmtsInRange(*PG)))
+    Log.Store->markCorrupt("sync records are inconsistent");
+  if (!Ok) {
+    // logFailure() now replaces every answer; an empty graph keeps the
+    // session's internals well defined until the caller reports it.
+    PG = std::make_unique<ParallelDynamicGraph>(Prog.Symbols->NumSharedVars,
+                                                NumProcs);
+    (void)PG->finalize(); // nothing to check in an empty graph
+  }
+  ParGraph = std::move(PG);
   return *ParGraph;
 }
 
@@ -508,28 +478,23 @@ RestoredState PpdController::restoreGlobals(uint32_t Pid,
   // §5.7: "the accumulation of the information carried by all the postlogs
   // from postlog(1) up to postlog(i) is the same as the program state at
   // the time postlog(i) is made." (Globals; unit logs refresh shared
-  // values read from other processes.) In paged mode the walk pins the
-  // process's section for its duration; the facade log has no records.
-  // A failed pin or a record naming a variable the program does not have
-  // leaves the store failed; the caller reports logFailure().
-  BufferPool::Pin Pin;
-  const RecordSeq *Records = &Log.Procs[Pid].Records;
-  if (Paged) {
-    Pin = Paged.Pool->pin(*Paged.Store, Pid);
-    if (!Pin)
-      return State;
-    Records = &Pin.log().Records;
-  }
-  for (uint32_t Idx = 0; Idx <= EndRecord && Idx < Records->size(); ++Idx) {
-    const LogRecord &R = (*Records)[Idx];
+  // values read from other processes.) The walk pins the process's
+  // section for its duration. A failed pin or a record naming a variable
+  // the program does not have leaves the store failed; the caller reports
+  // logFailure().
+  BufferPool::Pin Pin = Log.Pool->pin(*Log.Store, Pid);
+  if (!Pin)
+    return State;
+  const RecordSeq &Records = Pin.log().Records;
+  for (uint32_t Idx = 0; Idx <= EndRecord && Idx < Records.size(); ++Idx) {
+    const LogRecord &R = Records[Idx];
     if (R.Kind != LogRecordKind::Postlog && R.Kind != LogRecordKind::UnitLog)
       continue;
     for (const VarValue &V : R.Vars) {
       if (!Prog.Symbols->fits(V.Var, V.Values.size())) {
-        if (Paged)
-          Paged.Store->markCorrupt("section " + std::to_string(Pid) +
-                                   ": a postlog's variables do not fit "
-                                   "the program");
+        Log.Store->markCorrupt("section " + std::to_string(Pid) +
+                               ": a postlog's variables do not fit the "
+                               "program");
         return State;
       }
       const VarInfo &Info = Prog.Symbols->var(V.Var);

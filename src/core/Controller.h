@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The PPD Controller of the debugging phase (Fig 3.3): it owns the
-/// execution log, directs the emulation package to regenerate traces for
-/// exactly the log intervals the user's queries need ("incremental
-/// tracing", §5.3), and incrementally assembles the dynamic program
-/// dependence graph:
+/// The PPD Controller of the debugging phase (Fig 3.3): it reads the
+/// execution log through a paged store, directs the emulation package to
+/// regenerate traces for exactly the log intervals the user's queries
+/// need ("incremental tracing", §5.3), and incrementally assembles the
+/// dynamic program dependence graph:
 ///
 ///   * a session starts at the failure — the last prelog without a
 ///     matching postlog in the failed process (§5.3) — whose replay
@@ -87,37 +87,32 @@ struct PpdControllerOptions {
   /// section in — so adoption is what makes a warm open's first query
   /// touch only the sections it actually replays.
   std::shared_ptr<const ParallelDynamicGraph> AdoptedGraph;
-  /// A pre-built interval index to adopt instead of deriving one from the
-  /// log. The streaming ingest session maintains its index incrementally
-  /// (LogIndex::appendRecords) and hands frontier snapshots a copy, so a
-  /// tail query's controller never re-scans the accumulated records.
-  std::shared_ptr<const LogIndex> AdoptedIndex;
 };
 
 class PpdController {
 public:
-  PpdController(const CompiledProgram &Prog, ExecutionLog Log,
+  /// A session over a log a run just recorded: \p Log becomes an
+  /// in-memory store with a private, unbounded pool (PagedLog::fromLog),
+  /// and everything below reads it exactly as it reads a file.
+  PpdController(const CompiledProgram &Prog, const ExecutionLog &Log,
                 PpdControllerOptions Options = {});
 
-  /// Paged session: record streams stay in \p Paged's store and fault in
-  /// through its buffer pool; the controller's log() is the store's
-  /// facade (headers + output, empty records). \p Index may carry a
-  /// pre-built index (the `.ppdb` sidecar's); null skims one from the
-  /// store without decoding record bodies.
-  PpdController(const CompiledProgram &Prog, PagedLog Paged,
+  /// Record streams stay in \p Log's store and fault in through its
+  /// buffer pool. \p Index may carry a pre-built index (the `.ppdb`
+  /// sidecar's, or a stream's incrementally maintained one); null skims
+  /// one from the store without decoding record bodies.
+  PpdController(const CompiledProgram &Prog, PagedLog Log,
                 std::shared_ptr<const LogIndex> Index = nullptr,
                 PpdControllerOptions Options = {});
 
   const CompiledProgram &program() const { return Prog; }
-  const ExecutionLog &log() const { return Log; }
-  /// Paged mode's store/pool pair; falsy for whole-load sessions.
-  const PagedLog &paged() const { return Paged; }
+  uint32_t numProcs() const { return Log.Store->numProcs(); }
   const LogIndex &logIndex() const { return Index; }
 
-  /// Why the paged log can no longer be trusted — it changed since open,
-  /// or a section is corrupt — or empty while it can (always, for a
-  /// whole-load session). Sticky: once set, every answer the controller
-  /// computed may be partial, and callers report this instead.
+  /// Why the log can no longer be trusted — it changed since open, or a
+  /// section is corrupt — or empty while it can. Sticky: once set, every
+  /// answer the controller computed may be partial, and callers report
+  /// this instead.
   std::string logFailure() const;
   DynamicGraph &graph() { return Graph; }
   const DynamicGraph &graph() const { return Graph; }
@@ -205,9 +200,8 @@ private:
     BuiltFragment Fragment;
   };
 
-  /// One past the last record of \p Pid — the open-interval end marker.
-  /// Comes from the section header in paged mode (the facade log has no
-  /// records) and from the loaded records otherwise.
+  /// One past the last record of \p Pid — the open-interval end marker,
+  /// from the section header.
   uint32_t recordEnd(uint32_t Pid) const;
   /// Every sync node's statement is one of the program's.
   bool stmtsInRange(const ParallelDynamicGraph &PG) const;
@@ -227,9 +221,7 @@ private:
   void syncServiceStats();
 
   const CompiledProgram &Prog;
-  /// Falsy in whole-load mode; in paged mode Log below is the facade.
-  PagedLog Paged;
-  ExecutionLog Log;
+  PagedLog Log;
   LogIndex Index;
   ParallelReplayer Service;
   DynamicGraph Graph;

@@ -59,7 +59,7 @@ std::string DebugSession::showNode(DynNodeId Id) {
 std::string DebugSession::cmdWhere(std::istream &Args) {
   uint32_t Pid = 0;
   Args >> Pid;
-  if (Pid >= Controller.log().Procs.size())
+  if (Pid >= Controller.numProcs())
     return "no such process\n";
   DynNodeId Node = Controller.startAtFailure(Pid);
   if (Node == InvalidId)
@@ -124,7 +124,7 @@ std::string DebugSession::cmdRaces() {
 std::string DebugSession::cmdRestore(std::istream &Args) {
   uint32_t Pid = 0, Interval = 0;
   Args >> Pid >> Interval;
-  if (Pid >= Controller.log().Procs.size() ||
+  if (Pid >= Controller.numProcs() ||
       Interval >= Controller.logIndex().intervals(Pid).size())
     return "no such interval\n";
   RestoredState State = Controller.restoreGlobals(Pid, Interval);
@@ -148,7 +148,7 @@ std::string DebugSession::cmdWhatIf(std::istream &Args) {
   for (const VarInfo &Info : Prog.Symbols->Vars)
     if (Info.Name == VarName)
       Var = Info.Id;
-  if (Var == InvalidId || Pid >= Controller.log().Procs.size() ||
+  if (Var == InvalidId || Pid >= Controller.numProcs() ||
       Interval >= Controller.logIndex().intervals(Pid).size())
     return "usage: whatif PID INTERVAL EVENT VAR VALUE\n";
   ReplayResult Res =

@@ -59,22 +59,20 @@ std::string ppd::renderReplayServiceStats(const ReplayServiceStats &Stats) {
          ", exec_ms " + std::to_string(Stats.JitExecNs / 1000000) +
          ", replays " + std::to_string(Stats.JitReplays) + ", bailouts " +
          std::to_string(Stats.JitBailouts) + "\n";
-  if (Stats.HasBuffer)
-    Out += "bufferpool: hits " + std::to_string(Stats.Buffer.Hits) +
-           ", misses " + std::to_string(Stats.Buffer.Misses) +
-           ", evictions " + std::to_string(Stats.Buffer.Evictions) +
-           ", resident " + std::to_string(Stats.Buffer.BytesResident) +
-           ", pinned " + std::to_string(Stats.Buffer.BytesPinned) +
-           ", peak " + std::to_string(Stats.Buffer.PeakBytes) +
-           ", budget " + std::to_string(Stats.Buffer.Budget) + "\n";
+  Out += "bufferpool: hits " + std::to_string(Stats.Buffer.Hits) +
+         ", misses " + std::to_string(Stats.Buffer.Misses) +
+         ", evictions " + std::to_string(Stats.Buffer.Evictions) +
+         ", resident " + std::to_string(Stats.Buffer.BytesResident) +
+         ", pinned " + std::to_string(Stats.Buffer.BytesPinned) +
+         ", peak " + std::to_string(Stats.Buffer.PeakBytes) +
+         ", budget " + std::to_string(Stats.Buffer.Budget) + "\n";
   return Out;
 }
 
 ParallelReplayer::ParallelReplayer(const CompiledProgram &Prog,
-                                   const ExecutionLog &Log,
-                                   const LogIndex &Index,
+                                   PagedLog Log, const LogIndex &Index,
                                    ReplayServiceOptions Options)
-    : Prog(Prog), Log(Log), Index(Index), Options(Options),
+    : Prog(Prog), Log(std::move(Log)), Index(Index), Options(Options),
       Engine(Prog, this->Options.SharedJit) {
   assert(bool(this->Options.SharedCache) ==
              bool(this->Options.SharedFlights) &&
@@ -137,31 +135,23 @@ ParallelReplayer::replayMiss(const ReplayKey &Key,
   ReplayOptions ROpts;
   ROpts.Overrides = Overrides;
   ROpts.Engine = Options.Engine;
-  std::shared_ptr<const ReplayResult> Result;
-  if (Options.Paged) {
-    // Paged mode: fault the section in and pin it for exactly the span of
-    // the interval re-execution; the pin releases before the result is
-    // published, so cached hits hold no pool memory.
-    // A failed pin or a record the program cannot have leaves the store
-    // failed; the controller's caller reports its failure().
-    const PageStore &Store = *Options.Paged.Store;
-    BufferPool::Pin Pin = Options.Paged.Pool->pin(Store, Key.Pid);
-    if (!Pin) {
-      ReplayResult Failed;
-      Failed.Error = Store.failure();
-      Result = std::make_shared<const ReplayResult>(std::move(Failed));
-    } else {
-      Result = std::make_shared<const ReplayResult>(
-          Engine.replay(Pin.log(), Key.Pid,
-                        Index.intervals(Key.Pid)[Key.Interval], ROpts));
-      if (Result->BadRecord)
-        Store.markCorrupt("section " + std::to_string(Key.Pid) + ": " +
-                          Result->Error);
-    }
+  // Fault the section in and pin it for exactly the span of the interval
+  // re-execution; the pin releases before the result is published, so
+  // cached hits hold no pool memory. A failed pin or a record the program
+  // cannot have leaves the store failed; the controller's caller reports
+  // its failure().
+  const PageStore &Store = *Log.Store;
+  ReplayResult Replay;
+  if (BufferPool::Pin Pin = Log.Pool->pin(Store, Key.Pid)) {
+    Replay = Engine.replay(Pin.log(), Key.Pid,
+                           Index.intervals(Key.Pid)[Key.Interval], ROpts);
+    if (Replay.BadRecord)
+      Store.markCorrupt("section " + std::to_string(Key.Pid) + ": " +
+                        Replay.Error);
   } else {
-    Result = std::make_shared<const ReplayResult>(Engine.replay(
-        Log, Key.Pid, Index.intervals(Key.Pid)[Key.Interval], ROpts));
+    Replay.Error = Store.failure();
   }
+  auto Result = std::make_shared<const ReplayResult>(std::move(Replay));
   EngineReplays.fetch_add(1, std::memory_order_relaxed);
   EngineInstructions.fetch_add(Result->Instructions,
                                std::memory_order_relaxed);
@@ -298,10 +288,7 @@ ReplayServiceStats ParallelReplayer::stats() const {
   Out.EngineInstructions =
       EngineInstructions.load(std::memory_order_relaxed);
   Out.PrefetchesIssued = PrefetchesIssued.load(std::memory_order_relaxed);
-  if (Options.Paged) {
-    Out.Buffer = Options.Paged.Pool->stats();
-    Out.HasBuffer = true;
-  }
+  Out.Buffer = Log.Pool->stats();
   if (const JitProgram *Jit = Engine.jit()) {
     JitStats JS = Jit->stats();
     Out.JitCompiles = JS.Compiles;

@@ -90,13 +90,6 @@ struct ReplayServiceOptions {
   /// must outlive the replayer.
   ThreadPool *SharedPool = nullptr;
 
-  /// Paged mode: when set, the ExecutionLog passed to the replayer is the
-  /// store's facade (headers only) and every cache miss pins the
-  /// replayed process's section in the buffer pool for the duration of
-  /// the interval re-execution, unpinning on completion. Unset: records
-  /// come from the whole-loaded log, as before.
-  PagedLog Paged;
-
   /// The replay tier every miss runs with.
   ReplayEngineKind Engine = ReplayEngineKind::Jit;
   /// JIT state shared with other replayers of the same program (the
@@ -108,9 +101,8 @@ struct ReplayServiceOptions {
 struct ReplayServiceStats {
   ReplayCacheStats Cache;
   ThreadPoolStats Pool;
-  /// Buffer-pool counters; meaningful only when HasBuffer (paged mode).
+  /// Counters of the buffer pool the log's sections fault in through.
   BufferPoolStats Buffer;
-  bool HasBuffer = false;
   /// Replays actually executed by the engine (cache misses).
   uint64_t EngineReplays = 0;
   /// Instructions executed across those replays.
@@ -127,7 +119,8 @@ struct ReplayServiceStats {
 
 /// Canonical text rendering of a stats snapshot — the single source of
 /// truth shared by the debugger `stats` command and the server metrics
-/// report ("cache: ..." and "pool: ..." lines).
+/// report ("cache: ...", "pool: ...", "jit: ..." and "bufferpool: ..."
+/// lines).
 std::string renderReplayServiceStats(const ReplayServiceStats &Stats);
 
 /// Cached, parallel front end to ReplayEngine.
@@ -137,7 +130,9 @@ public:
   /// (pid, interval index) request.
   using IntervalRef = std::pair<uint32_t, uint32_t>;
 
-  ParallelReplayer(const CompiledProgram &Prog, const ExecutionLog &Log,
+  /// Every cache miss pins the replayed process's section of \p Log in
+  /// its buffer pool for the duration of the interval re-execution.
+  ParallelReplayer(const CompiledProgram &Prog, PagedLog Log,
                    const LogIndex &Index, ReplayServiceOptions Options = {});
   ~ParallelReplayer();
 
@@ -179,7 +174,7 @@ private:
   void finishBackgroundTask();
 
   const CompiledProgram &Prog;
-  const ExecutionLog &Log;
+  PagedLog Log;
   const LogIndex &Index;
   ReplayServiceOptions Options;
   ReplayEngine Engine;

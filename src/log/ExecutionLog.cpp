@@ -22,7 +22,6 @@
 #include "support/ThreadPool.h"
 
 #include <atomic>
-#include <thread>
 
 using namespace ppd;
 
@@ -92,36 +91,6 @@ size_t ExecutionLog::byteSize() const {
     Size += P.byteSize();
   return Size;
 }
-
-//===----------------------------------------------------------------------===//
-// Binary serialization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs Fn(0), ..., Fn(N-1), fanning the calls out across \p Pool when one
-/// is available. The waiting thread steals queued tasks, so a pool shared
-/// with other work still makes progress. A null pool, an empty pool, or a
-/// trip count of one degrades to a plain serial loop.
-template <typename FnT>
-void parallelFor(ThreadPool *Pool, size_t N, const FnT &Fn) {
-  if (!Pool || Pool->numThreads() == 0 || N < 2) {
-    for (size_t I = 0; I != N; ++I)
-      Fn(I);
-    return;
-  }
-  std::atomic<size_t> Done{0};
-  for (size_t I = 0; I != N; ++I)
-    Pool->submit([&, I] {
-      Fn(I);
-      Done.fetch_add(1, std::memory_order_acq_rel);
-    });
-  while (Done.load(std::memory_order_acquire) != N)
-    if (!Pool->runOneTask())
-      std::this_thread::yield();
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // The v2 record/section codec (shared interface: LogFormatV2.h)
@@ -430,9 +399,10 @@ bool ppd::v2::readOutput(ByteReader &R, std::vector<OutputRecord> &Out) {
   return R.ok();
 }
 
-namespace {
-
-void saveV2(LogWriter &W, const ExecutionLog &Log, ThreadPool *Pool) {
+void ppd::v2::writeLog(LogWriter &W, const ExecutionLog &Log,
+                       ThreadPool *Pool) {
+  W.u32(v2::FileMagic);
+  W.u32(uint32_t(LogFormat::V2));
   W.varint(Log.Procs.size());
   // Each section is a pure function of its process's records, so with a
   // pool the serializations fan out; the stitched bytes are identical at
@@ -471,6 +441,8 @@ void saveV2(LogWriter &W, const ExecutionLog &Log, ThreadPool *Pool) {
   v2::writeOutput(W, Log.Output);
 }
 
+namespace {
+
 bool loadV2(ByteReader &R, ExecutionLog &Out, ThreadPool *Pool) {
   uint64_t NumProcs = R.varint();
   if (!R.plausibleCount(NumProcs))
@@ -508,12 +480,10 @@ bool loadV2(ByteReader &R, ExecutionLog &Out, ThreadPool *Pool) {
 
 } // namespace
 
-bool ExecutionLog::save(const std::string &Path, LogFormat Format,
+bool ExecutionLog::save(const std::string &Path, LogFormat,
                         ThreadPool *Pool) const {
   LogWriter W;
-  W.u32(v2::FileMagic);
-  W.u32(uint32_t(Format));
-  saveV2(W, *this, Pool);
+  v2::writeLog(W, *this, Pool);
   return W.writeFile(Path);
 }
 

@@ -13,7 +13,8 @@
 ///   * PageStore — the paged storage layer, which decodes one process
 ///     section at a time on buffer-pool fault-in and *skims* sections
 ///     (record kinds and interval structure only, no body
-///     materialization) for index-only opens.
+///     materialization) for index-only opens; an in-memory store
+///     encodes its image with the same writeLog that save uses.
 ///
 /// Everything here is an internal interface of src/log: the layout is
 /// documented in DESIGN.md §7 and changes only with a format-version
@@ -79,6 +80,14 @@ bool skimSection(ByteReader R, std::vector<LogInterval> &Intervals,
 /// Output-stream codec (the trailer after the process sections).
 void writeOutput(LogWriter &W, const std::vector<OutputRecord> &Out);
 bool readOutput(ByteReader &R, std::vector<OutputRecord> &Out);
+
+/// Encodes \p Log as a whole v2 file image: magic, version, process
+/// count, length-prefixed sections, output trailer. These are the bytes
+/// ExecutionLog::save writes and PageStore::fromLog serves from memory.
+/// With \p Pool, sections encode in parallel; the bytes are identical at
+/// any worker count.
+void writeLog(LogWriter &W, const ExecutionLog &Log,
+              ThreadPool *Pool = nullptr);
 
 } // namespace v2
 } // namespace ppd

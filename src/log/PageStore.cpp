@@ -6,14 +6,15 @@
 
 #include "log/PageStore.h"
 
+#include "log/BufferPool.h"
 #include "log/LogFormatV2.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <fcntl.h>
+#include <limits>
 #include <sys/stat.h>
-#include <thread>
 #include <unistd.h>
 
 using namespace ppd;
@@ -27,26 +28,6 @@ std::atomic<uint64_t> NextStoreId{1};
 /// read grows to the section's whole extent.
 constexpr size_t HeaderWindow = 256;
 
-/// Same shape as the loader's helper: fan Fn across the pool when one is
-/// available, degrade to a serial loop otherwise.
-template <typename FnT>
-void parallelFor(ThreadPool *Pool, size_t N, const FnT &Fn) {
-  if (!Pool || Pool->numThreads() == 0 || N < 2) {
-    for (size_t I = 0; I != N; ++I)
-      Fn(I);
-    return;
-  }
-  std::atomic<size_t> Done{0};
-  for (size_t I = 0; I != N; ++I)
-    Pool->submit([&, I] {
-      Fn(I);
-      Done.fetch_add(1, std::memory_order_acq_rel);
-    });
-  while (Done.load(std::memory_order_acquire) != N)
-    if (!Pool->runOneTask())
-      std::this_thread::yield();
-}
-
 int64_t mtimeNs(const struct stat &St) {
   return int64_t(St.st_mtim.tv_sec) * 1000000000 + St.st_mtim.tv_nsec;
 }
@@ -58,12 +39,16 @@ PageStore::~PageStore() {
     ::close(Fd);
 }
 
-std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
-                                                std::string *Error) {
+std::shared_ptr<PageStore> PageStore::make() {
   // shared_ptr<PageStore> with a private ctor: construct through a local
   // subclass that re-exposes it.
   struct Openable : PageStore {};
-  auto Store = std::make_shared<Openable>();
+  return std::make_shared<Openable>();
+}
+
+std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
+                                                std::string *Error) {
+  auto Store = make();
   Store->Path = Path;
   auto Fail = [&](std::string Why) -> std::shared_ptr<const PageStore> {
     if (Error)
@@ -79,37 +64,59 @@ std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
     return Fail("cannot stat '" + Path + "'");
   Store->FileBytes = size_t(St.st_size);
   Store->MtimeNs = mtimeNs(St);
-  const size_t FileBytes = Store->FileBytes;
+  if (std::string Why = Store->parse(); !Why.empty())
+    return Fail(std::move(Why));
+  return Store;
+}
 
+std::shared_ptr<const PageStore> PageStore::fromLog(const ExecutionLog &Log,
+                                                   std::string Source) {
+  auto Store = make();
+  Store->Path = std::move(Source);
+  v2::writeLog(Store->Image, Log);
+  Store->FileBytes = Store->Image.size();
+  if (std::string Why = Store->parse(); !Why.empty()) {
+    Store->Sections.clear();
+    Store->fail(Why);
+  }
+  return Store;
+}
+
+PagedLog PagedLog::fromLog(const ExecutionLog &Log) {
+  return {PageStore::fromLog(Log),
+          std::make_shared<BufferPool>(std::numeric_limits<size_t>::max())};
+}
+
+std::string PageStore::parse() {
+  StoreId = NextStoreId.fetch_add(1, std::memory_order_relaxed);
   // Walk the header structure with bounded reads: magic/version and the
   // process count, each section's length prefix and header, the output
-  // trailer. Record bodies are not read — open() cost is proportional to
+  // trailer. Record bodies are not read — open cost is proportional to
   // process count, not log size.
   std::vector<uint8_t> Buf;
-  if (!Store->readAt(0, std::min(FileBytes, HeaderWindow), Buf))
-    return Fail(Store->failure());
+  if (!readAt(0, std::min(FileBytes, HeaderWindow), Buf))
+    return failure();
   ByteReader R(Buf.data(), Buf.size());
   if (R.u32() != v2::FileMagic || !R.ok())
-    return Fail("'" + Path + "' is not a PPD log (bad magic)");
+    return "'" + Path + "' is not a PPD log (bad magic)";
   uint32_t Version = R.u32();
   if (Version != uint32_t(LogFormat::V2))
-    return Fail("'" + Path + "' has unknown format version " +
-                std::to_string(Version));
+    return "'" + Path + "' has unknown format version " +
+           std::to_string(Version);
   uint64_t NumProcs = R.varint();
   if (!R.ok() || NumProcs > FileBytes)
-    return Fail("'" + Path + "' is corrupt (bad process count)");
+    return "'" + Path + "' is corrupt (bad process count)";
 
   size_t Offset = Buf.size() - R.remaining();
   for (uint64_t I = 0; I != NumProcs; ++I) {
-    if (!Store->readAt(Offset, std::min(FileBytes - Offset, HeaderWindow),
-                       Buf))
-      return Fail(Store->failure());
+    if (!readAt(Offset, std::min(FileBytes - Offset, HeaderWindow), Buf))
+      return failure();
     ByteReader Window(Buf.data(), Buf.size());
     uint64_t Len = Window.varint();
     size_t Start = Offset + (Buf.size() - Window.remaining());
     if (!Window.ok() || Len > FileBytes - Start)
-      return Fail("'" + Path + "' is corrupt (bad section extent)");
-    SectionMeta &M = Store->Sections.emplace_back();
+      return "'" + Path + "' is corrupt (bad section extent)";
+    SectionMeta &M = Sections.emplace_back();
     M.Offset = Start;
     M.EncodedBytes = Len;
     bool Whole = Len <= Window.remaining();
@@ -118,11 +125,11 @@ std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
     if (!v2::readSectionHeader(Head, Header, Len)) {
       // Either corrupt, or a header longer than the window: then read
       // the whole extent and parse again.
-      if (!Whole && !Store->readAt(Start, size_t(Len), Buf))
-        return Fail(Store->failure());
+      if (!Whole && !readAt(Start, size_t(Len), Buf))
+        return failure();
       Head = ByteReader(Buf.data(), Buf.size());
       if (Whole || !v2::readSectionHeader(Head, Header, Len))
-        return Fail("'" + Path + "' is corrupt (bad section header)");
+        return "'" + Path + "' is corrupt (bad section header)";
     }
     M.Pid = Header.Pid;
     M.RootFunc = Header.RootFunc;
@@ -132,18 +139,26 @@ std::shared_ptr<const PageStore> PageStore::open(const std::string &Path,
     Offset = Start + size_t(Len);
   }
 
-  if (!Store->readAt(Offset, FileBytes - Offset, Buf))
-    return Fail(Store->failure());
+  if (!readAt(Offset, FileBytes - Offset, Buf))
+    return failure();
   R = ByteReader(Buf.data(), Buf.size());
-  if (!v2::readOutput(R, Store->Output) || !R.atEnd())
-    return Fail("'" + Path + "' is corrupt (bad output trailer)");
+  if (!v2::readOutput(R, Output) || !R.atEnd())
+    return "'" + Path + "' is corrupt (bad output trailer)";
 
-  Store->StoreId = NextStoreId.fetch_add(1, std::memory_order_relaxed);
-  return Store;
+  return {};
 }
 
 bool PageStore::readAt(size_t Offset, size_t Len,
                        std::vector<uint8_t> &Buf) const {
+  if (Fd < 0) {
+    // The image never changes, so only an extent past its end can fail.
+    if (Offset > Image.size() || Len > Image.size() - Offset) {
+      fail("cannot read '" + Path + "'");
+      return false;
+    }
+    Buf.assign(Image.data() + Offset, Image.data() + Offset + Len);
+    return true;
+  }
   Buf.resize(Len);
   size_t Got = 0;
   while (Got != Len) {
@@ -212,23 +227,6 @@ void PageStore::fail(const std::string &Why) const {
   if (Failure.empty())
     Failure = Why;
   Failed.store(true, std::memory_order_release);
-}
-
-ExecutionLog PageStore::facadeLog() const {
-  ExecutionLog Log;
-  Log.Procs.resize(Sections.size());
-  for (size_t Pid = 0; Pid != Sections.size(); ++Pid) {
-    const SectionMeta &M = Sections[Pid];
-    ProcessLog &P = Log.Procs[Pid];
-    P.Pid = M.Pid;
-    P.RootFunc = M.RootFunc;
-    P.Args = M.Args;
-    // Records stay empty — pooled consumers pin sections instead. The
-    // prelog count is real, so interval-count reservations still work.
-    P.PrelogCount = uint32_t(M.PrelogCount);
-  }
-  Log.Output = Output;
-  return Log;
 }
 
 LogIndex::LogIndex(const PageStore &Store, ThreadPool *Pool) {

@@ -19,7 +19,7 @@ using namespace ppd;
 namespace {
 
 constexpr uint32_t DbMagic = 0x42445050u; // "PPDB" on disk (little-endian).
-constexpr uint32_t DbVersion = 3; // v3: the word-at-a-time program hash.
+constexpr uint32_t DbVersion = 4; // v4: the hash covers global initializers.
 
 /// The program fingerprint, one 64-bit word per step: xor the word in,
 /// multiply by an odd constant, fold the high half down. Both halves of a
@@ -127,6 +127,11 @@ uint64_t ppd::programHash(const CompiledProgram &Prog) {
     F.u64(U.Func);
     F.vec(U.SharedReads);
   }
+  // Global initial values live in the symbol table, not the bytecode, and
+  // the machine starts every run from them.
+  for (const VarInfo &Info : Prog.Symbols->Vars)
+    if (Info.isGlobal())
+      F.u64(uint64_t(Info.Init));
   F.vec(Prog.SemInit);
   F.vec(Prog.ChanCapacity);
   F.u64(Prog.MainIndex);

@@ -23,8 +23,8 @@ DebugServer::DebugServer(DebugServerOptions Options)
 DebugServer::~DebugServer() { drain(); }
 
 uint32_t DebugServer::addProgram(std::unique_ptr<CompiledProgram> Prog,
-                                 ExecutionLog Log) {
-  return Registry->addProgram(std::move(Prog), std::move(Log));
+                                 const ExecutionLog &Log) {
+  return Registry->addProgram(std::move(Prog), Log);
 }
 
 uint32_t DebugServer::addProgram(

@@ -58,14 +58,14 @@ public:
   explicit DebugServer(DebugServerOptions Options = {});
   ~DebugServer();
 
-  /// Registers a program and its execution log; returns the index
-  /// OpenSession requests name.
+  /// Registers a program and the log a run just recorded (served as an
+  /// in-memory store); returns the index OpenSession requests name.
   uint32_t addProgram(std::unique_ptr<CompiledProgram> Prog,
-                      ExecutionLog Log);
+                      const ExecutionLog &Log);
 
-  /// Paged variant: sessions fault log sections in through the registry's
-  /// shared buffer pool instead of copying the whole log. \p Index and
-  /// \p Graph carry the `.ppdb` sidecar's persisted artifacts when warm.
+  /// Registers a program and a paged log: sessions fault log sections in
+  /// through the registry's shared buffer pool. \p Index and \p Graph
+  /// carry the `.ppdb` sidecar's persisted artifacts when warm.
   uint32_t
   addProgram(std::unique_ptr<CompiledProgram> Prog, PagedLog Paged,
              std::shared_ptr<const LogIndex> Index = nullptr,

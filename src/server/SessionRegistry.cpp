@@ -20,33 +20,32 @@ SessionRegistry::SessionRegistry(SessionRegistryOptions Options)
 SessionRegistry::~SessionRegistry() = default;
 
 uint32_t SessionRegistry::addProgram(std::unique_ptr<CompiledProgram> Prog,
-                                     ExecutionLog Log) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ProgramEntry Entry;
-  Entry.Prog = std::move(Prog);
-  Entry.TemplateLog = std::move(Log);
-  return pushProgram(std::move(Entry));
+                                     const ExecutionLog &Log) {
+  return addProgram(std::move(Prog),
+                    PagedLog{PageStore::fromLog(Log), nullptr});
 }
 
 uint32_t SessionRegistry::addProgram(
-    std::unique_ptr<CompiledProgram> Prog, PagedLog Paged,
+    std::unique_ptr<CompiledProgram> Prog, PagedLog Log,
     std::shared_ptr<const LogIndex> Index,
     std::shared_ptr<const ParallelDynamicGraph> Graph) {
+  if (!Log.Pool)
+    Log.Pool = sectionPool();
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (!Paged.Pool) {
-    if (!SectionPool)
-      SectionPool = std::make_shared<BufferPool>(Options.PoolBudget);
-    Paged.Pool = SectionPool;
-  }
   ProgramEntry Entry;
   Entry.Prog = std::move(Prog);
-  Entry.TemplateLog = Paged.Store->facadeLog();
-  Entry.PagedIndex =
-      Index ? std::move(Index)
-            : std::make_shared<const LogIndex>(*Paged.Store);
-  Entry.PagedGraph = std::move(Graph);
-  Entry.Paged = std::move(Paged);
+  Entry.Index = Index ? std::move(Index)
+                      : std::make_shared<const LogIndex>(*Log.Store);
+  Entry.Graph = std::move(Graph);
+  Entry.Log = std::move(Log);
   return pushProgram(std::move(Entry));
+}
+
+std::shared_ptr<BufferPool> SessionRegistry::sectionPool() {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  if (!SectionPool)
+    SectionPool = std::make_shared<BufferPool>(Options.PoolBudget);
+  return SectionPool;
 }
 
 uint32_t SessionRegistry::pushProgram(ProgramEntry Entry) {
@@ -82,18 +81,11 @@ uint64_t SessionRegistry::open(uint32_t ProgramIndex) {
   auto S = std::make_shared<Session>();
   S->Id = NextId++;
   S->ProgramIndex = ProgramIndex;
-  // Each session owns a copy of the template log: controllers mutate
-  // nothing in it, but owning the copy keeps session lifetime independent
-  // of registry growth (Programs may reallocate its vector). Paged
-  // programs copy only the facade — record bodies fault in through the
-  // shared pool and are never duplicated per session.
-  if (Entry.Paged) {
-    COpts.AdoptedGraph = Entry.PagedGraph;
-    S->Controller = std::make_unique<PpdController>(
-        *Entry.Prog, Entry.Paged, Entry.PagedIndex, COpts);
-  } else
-    S->Controller = std::make_unique<PpdController>(
-        *Entry.Prog, Entry.TemplateLog, COpts);
+  // Sessions share the program's store, index and pool: record bodies
+  // fault in through the pool and are never duplicated per session.
+  COpts.AdoptedGraph = Entry.Graph;
+  S->Controller = std::make_unique<PpdController>(*Entry.Prog, Entry.Log,
+                                                  Entry.Index, COpts);
   S->Debug = std::make_unique<DebugSession>(*Entry.Prog, *S->Controller);
   S->LastUsedTick = ++Tick;
   Sessions.emplace(S->Id, S);
@@ -197,10 +189,9 @@ ReplayServiceStats SessionRegistry::aggregateReplayStats() const {
     Out.Buffer.Entries += B.Entries;
     Out.Buffer.PeakBytes += B.PeakBytes;
     Out.Buffer.Budget += B.Budget;
-    Out.HasBuffer = true;
   };
   AddPool(SectionPool);
   for (const ProgramEntry &Entry : Programs)
-    AddPool(Entry.Paged.Pool);
+    AddPool(Entry.Log.Pool);
   return Out;
 }

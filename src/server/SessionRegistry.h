@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Owns the server's debugging sessions. Each registered program carries
-/// a compiled artifact, a template execution log, and one shared
-/// ReplayCache + single-flight table; every session opened against it
-/// copies the template log into its own Controller/DebugSession but
-/// replays through the shared cache, so concurrent sessions over the same
-/// execution deduplicate e-block regeneration across sessions — the
+/// a compiled artifact, a paged log (store + pool), its interval index,
+/// and one shared ReplayCache + single-flight table; every session opened
+/// against it gets its own Controller/DebugSession over the shared store
+/// and replays through the shared cache, so concurrent sessions over the
+/// same execution deduplicate e-block regeneration across sessions — the
 /// expensive half of a flowback query — while their dynamic graphs stay
 /// private.
 ///
@@ -58,7 +58,7 @@ struct SessionRegistryOptions {
   unsigned ReplayThreads = 0;
   /// Replay tier every session runs with.
   ReplayEngineKind Engine = ReplayEngineKind::Jit;
-  /// Byte budget of the buffer pool shared by every paged program whose
+  /// Byte budget of the buffer pool shared by every program whose
   /// PagedLog arrives without a pool of its own.
   size_t PoolBudget = size_t(256) << 20;
 };
@@ -115,22 +115,26 @@ public:
   explicit SessionRegistry(SessionRegistryOptions Options = {});
   ~SessionRegistry();
 
-  /// Registers a program + template log; returns its index. The log is
-  /// indexed once here; sessions only pay for the copy.
+  /// Registers a program with a log a run just recorded: the log becomes
+  /// an in-memory store (PageStore::fromLog) on the shared section pool.
   uint32_t addProgram(std::unique_ptr<CompiledProgram> Prog,
-                      ExecutionLog Log);
+                      const ExecutionLog &Log);
 
-  /// Paged variant: the template log is the store's facade (headers +
-  /// output, no record bodies); sessions fault sections in through the
-  /// pool. When \p Paged carries no pool, the registry's shared pool
-  /// (created on demand with Options.PoolBudget) is used. \p Index may be
-  /// a pre-built sidecar index; null skims one from the store here, once.
+  /// Registers a program + paged log; returns its index. Sessions fault
+  /// sections in through the pool. When \p Log carries no pool, the
+  /// registry's shared pool (sectionPool()) is used. \p Index may be a
+  /// pre-built sidecar index; null skims one from the store here, once.
   /// \p Graph, when set, is the sidecar's parallel dynamic graph, adopted
   /// by every session instead of each faulting all sections to build one.
   uint32_t
-  addProgram(std::unique_ptr<CompiledProgram> Prog, PagedLog Paged,
+  addProgram(std::unique_ptr<CompiledProgram> Prog, PagedLog Log,
              std::shared_ptr<const LogIndex> Index = nullptr,
              std::shared_ptr<const ParallelDynamicGraph> Graph = nullptr);
+
+  /// The section buffer pool shared by every program that did not bring
+  /// its own (and by streamed tail snapshots), created on first use with
+  /// Options.PoolBudget.
+  std::shared_ptr<BufferPool> sectionPool();
 
   size_t numPrograms() const;
 
@@ -177,15 +181,12 @@ private:
   struct ProgramEntry {
     std::unique_ptr<CompiledProgram> Prog;
     uint64_t Hash = 0; ///< programHash(*Prog), computed once.
-    ExecutionLog TemplateLog;
-    /// Falsy for whole-load programs; when set, TemplateLog is the facade.
-    PagedLog Paged;
-    /// Shared per-program index for paged programs (sessions reference it
-    /// instead of re-skimming per open).
-    std::shared_ptr<const LogIndex> PagedIndex;
-    /// Sidecar parallel dynamic graph for paged programs; null when the
-    /// program was registered without one (sessions build lazily).
-    std::shared_ptr<const ParallelDynamicGraph> PagedGraph;
+    PagedLog Log;
+    /// Shared by every session (none re-skims per open).
+    std::shared_ptr<const LogIndex> Index;
+    /// Sidecar parallel dynamic graph; null when the program was
+    /// registered without one (sessions build lazily).
+    std::shared_ptr<const ParallelDynamicGraph> Graph;
     std::shared_ptr<ReplayCache<ReplayResult>> Cache;
     std::shared_ptr<ReplayFlightTable> Flights;
     /// One JIT state per program: compiled code and hotness aggregate
@@ -198,8 +199,7 @@ private:
   uint32_t pushProgram(ProgramEntry Entry);
 
   SessionRegistryOptions Options;
-  /// Section buffer pool shared by paged programs that did not bring
-  /// their own; created on first paged addProgram.
+  /// Guarded by Mutex; see sectionPool().
   std::shared_ptr<BufferPool> SectionPool;
   /// Replay pool shared by every session's replay service; null when
   /// Options.ReplayThreads == 0. Only replay tasks run here — request

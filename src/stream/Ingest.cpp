@@ -7,6 +7,7 @@
 #include "stream/Ingest.h"
 
 #include "core/DebugSession.h"
+#include "log/BufferPool.h"
 #include "log/LogFormatV2.h"
 
 #include <cstdio>
@@ -77,9 +78,11 @@ struct IngestRegistry::IngestStream {
   bool Dead = false; ///< protocol violation or I/O failure; frames rejected.
 
   /// Tail-query snapshot, cached per frontier version: a controller and
-  /// session over *copies* of the frontier state, so later cuts never
-  /// mutate under a query and the replay cache stays valid per frontier.
+  /// session over an in-memory store of the frontier and copies of its
+  /// index and graph, so later cuts never mutate under a query and the
+  /// replay cache stays valid per frontier.
   uint64_t SnapVersion = ~0ull;
+  PagedLog SnapLog; ///< the frontier's in-memory store + the server pool.
   std::unique_ptr<PpdController> SnapCtrl;
   std::unique_ptr<DebugSession> SnapSession;
 };
@@ -463,18 +466,27 @@ Response IngestRegistry::handleTail(const Request &Req) {
     return makeResult("frontier is empty: no cuts applied yet");
 
   if (S->SnapVersion != S->FrontierVersion) {
-    // New frontier since the last query: snapshot it. Copies keep the
-    // controller's replay cache coherent — it indexes into a log that
-    // will never grow under it — and adoption skips re-deriving the
-    // index and graph the ingest path already maintains.
+    // New frontier since the last query: snapshot it into a store on the
+    // server's section pool. The store keeps the controller's replay
+    // cache coherent — it indexes into a log that will never grow under
+    // it — and adoption skips re-deriving the index and graph the ingest
+    // path already maintains.
+    if (S->SnapLog) // no query reads the old frontier's sections again
+      S->SnapLog.Pool->dropStore(*S->SnapLog.Store);
     PpdControllerOptions Opts;
-    Opts.AdoptedIndex = std::make_shared<LogIndex>(S->Index);
     Opts.AdoptedGraph = std::make_shared<ParallelDynamicGraph>(S->Graph);
-    S->SnapCtrl = std::make_unique<PpdController>(*S->Prog, S->Accum, Opts);
+    S->SnapLog = {
+        PageStore::fromLog(S->Accum, "stream " + std::to_string(S->Id)),
+        Server.registry().sectionPool()};
+    S->SnapCtrl = std::make_unique<PpdController>(
+        *S->Prog, S->SnapLog, std::make_shared<LogIndex>(S->Index), Opts);
     S->SnapSession = std::make_unique<DebugSession>(*S->Prog, *S->SnapCtrl);
     S->SnapVersion = S->FrontierVersion;
   }
-  return makeResult(S->SnapSession->execute(Req.Command));
+  std::string Text = S->SnapSession->execute(Req.Command);
+  if (std::string Failure = S->SnapCtrl->logFailure(); !Failure.empty())
+    return makeError(ErrCode::LogUnreadable, std::move(Failure));
+  return makeResult(std::move(Text));
 }
 
 Response IngestRegistry::handleFrontier(const Request &Req) {

@@ -26,9 +26,12 @@
 ///     within {already applied} ∪ {this cut}) — a hostile stream gets a
 ///     typed StreamProtocol error, never release-mode UB;
 ///   * tail debugging: TailQuery builds (and caches, per frontier
-///     version) a snapshot PpdController/DebugSession from copies of the
-///     accumulated log, index, and graph, so queries run at full batch
-///     speed without re-deriving anything.
+///     version) a snapshot PpdController/DebugSession over an in-memory
+///     PageStore of the accumulated log on the server's section pool,
+///     adopting copies of the index and graph, so queries run at full
+///     batch speed without re-deriving anything. A snapshot whose records
+///     do not fit the program answers with a typed LogUnreadable error,
+///     as a served session over a corrupt file does.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -203,6 +203,28 @@ private:
   static thread_local unsigned CurrentWorker;
 };
 
+/// Runs Fn(0), ..., Fn(N-1), fanning the calls out across \p Pool when one
+/// is available. The waiting thread steals queued tasks, so a pool shared
+/// with other work still makes progress. A null pool, an empty pool, or a
+/// trip count of one degrades to a plain serial loop.
+template <typename FnT>
+void parallelFor(ThreadPool *Pool, size_t N, const FnT &Fn) {
+  if (!Pool || Pool->numThreads() == 0 || N < 2) {
+    for (size_t I = 0; I != N; ++I)
+      Fn(I);
+    return;
+  }
+  std::atomic<size_t> Done{0};
+  for (size_t I = 0; I != N; ++I)
+    Pool->submit([&, I] {
+      Fn(I);
+      Done.fetch_add(1, std::memory_order_acq_rel);
+    });
+  while (Done.load(std::memory_order_acquire) != N)
+    if (!Pool->runOneTask())
+      std::this_thread::yield();
+}
+
 } // namespace ppd
 
 #endif // PPD_SUPPORT_THREADPOOL_H

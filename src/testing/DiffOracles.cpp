@@ -831,10 +831,12 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
       return Fail("spec/trace", D);
   }
 
+  // The run's log as an in-memory store, for replay/* and paged/*.
+  PagedLog Mem = PagedLog::fromLog(L);
   {
     ReplayServiceOptions SerialOpts;
     SerialOpts.Threads = 0;
-    ParallelReplayer Serial(*Prog, L, Index, SerialOpts);
+    ParallelReplayer Serial(*Prog, Mem, Index, SerialOpts);
     for (size_t I = 0; I != Refs.size(); ++I) {
       auto R = Serial.get(Refs[I].first, Refs[I].second);
       if (!R)
@@ -850,7 +852,7 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
 
     ReplayServiceOptions ParOpts;
     ParOpts.Threads = Config.ReplayThreads;
-    ParallelReplayer Parallel(*Prog, L, Index, ParOpts);
+    ParallelReplayer Parallel(*Prog, Mem, Index, ParOpts);
     std::vector<ParallelReplayer::ReplayPtr> Many = Parallel.getMany(Refs);
     if (Many.size() != Refs.size())
       return Fail("replay/parallel", "getMany result count differs");
@@ -864,13 +866,14 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
     }
   }
 
-  //===--- paged/*: pooled sessions vs whole-load ------------------------===//
-  // Save the log as v2, re-open it as a paged store, and demand (a) the
-  // skim-built index equals the decoded one and (b) a flowback session
-  // over the pooled controller answers exactly like one over the eagerly
-  // decoded log. The pool budget is randomized from the seed, from one
-  // byte (every fault evicts) up to comfortable: eviction churn must
-  // never change an answer.
+  //===--- paged/*: file and in-memory stores vs the run's records ------===//
+  // Save the log as v2, re-open it as a file store, and demand (a) the
+  // skim-built index equals the one derived from the run's records, (b)
+  // every section either store decodes equals the run's own, and (c) a
+  // flowback session over the file store answers exactly like one over
+  // the in-memory store. The file store's pool budget is randomized from
+  // the seed, from one byte (every fault evicts) up to comfortable:
+  // eviction churn must never change an answer.
   if (Config.CheckPaged) {
     std::string Path = Config.TempDir + "/ppd_fuzz_" +
                        std::to_string(uint64_t(::getpid())) + "_" +
@@ -912,10 +915,26 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
       return Fail("paged/index", PagedErr);
     }
 
+    for (const PageStore *S : {Store.get(), Mem.Store.get()}) {
+      ExecutionLog Decoded;
+      Decoded.Procs.resize(S->numProcs());
+      for (uint32_t P = 0; PagedErr.empty() && P != S->numProcs(); ++P)
+        if (!S->decodeSection(P, Decoded.Procs[P]))
+          PagedErr = S->failure();
+      Decoded.Output = S->output();
+      if (PagedErr.empty())
+        PagedErr = cmpLogs(L, Decoded);
+      if (!PagedErr.empty()) {
+        std::remove(Path.c_str());
+        return Fail("paged/decode",
+                    (S == Store.get() ? "file: " : "in-memory: ") + PagedErr);
+      }
+    }
+
     size_t Budget = size_t(1) << (SchedSeed % 17);
     auto Pool = std::make_shared<BufferPool>(Budget);
-    PpdController WholeCtl(*Prog, ExecutionLog(L));
-    DebugSession WholeSession(*Prog, WholeCtl);
+    PpdController MemCtl(*Prog, Mem);
+    DebugSession MemSession(*Prog, MemCtl);
     PpdController PagedCtl(*Prog, PagedLog{Store, Pool});
     DebugSession PagedSession(*Prog, PagedCtl);
     uint32_t FocusPid = Ref.Result.Outcome == RunResult::Status::Failed
@@ -925,14 +944,14 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
     const char *Script[] = {WhereCmd.c_str(), "back",   "back", "fwd",
                             "races",          "node 1", WhereCmd.c_str()};
     for (const char *Cmd : Script) {
-      std::string Whole = WholeSession.execute(Cmd);
+      std::string Mem = MemSession.execute(Cmd);
       std::string Paged = PagedSession.execute(Cmd);
-      if (Whole != Paged) {
+      if (Mem != Paged) {
         std::remove(Path.c_str());
         return Fail("paged/session",
                     std::string("command '") + Cmd + "' differs (budget " +
-                        std::to_string(Budget) + "):\n--- whole ---\n" +
-                        Whole + "\n--- paged ---\n" + Paged);
+                        std::to_string(Budget) + "):\n--- in-memory ---\n" +
+                        Mem + "\n--- file ---\n" + Paged);
       }
     }
     std::remove(Path.c_str());

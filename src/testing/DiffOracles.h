@@ -47,9 +47,13 @@
 ///   server/*    a scripted DebugSession vs the same script through
 ///               DebugServer::handleFrame on a re-run of the same
 ///               program (machine determinism makes the logs identical).
-///   paged/*     the whole-load session vs a pooled session over the same
+///   paged/*     against the run's own records: the skim-built index
+///               equals LogIndex over them, and every section a file
+///               store or an in-memory store decodes equals the run's
+///               ProcessLog record for record; then a session over the
 ///               v2 file under a seed-randomized (often starved) buffer
-///               pool budget, plus skim-index-vs-decoded-index equality.
+///               pool budget vs one over the in-memory store under an
+///               unbounded pool.
 ///   stream/*    a re-run streamed as consistent cuts (seed-randomized
 ///               section threshold, down to one record) into the ingest
 ///               registry: the final frontier must equal the batch log
@@ -80,8 +84,8 @@ struct DiffConfig {
   bool CheckServer = true;
   /// Run the flowback-edge oracle (builds the full dynamic graph).
   bool CheckFlowback = true;
-  /// Run the pooled-vs-whole oracle (saves the log and re-opens it
-  /// through a PageStore + BufferPool with a seed-randomized budget).
+  /// Run the paged oracle (saves the log and re-opens it through a
+  /// PageStore + BufferPool with a seed-randomized budget).
   bool CheckPaged = true;
   /// Run the streamed-vs-batch oracle (re-runs the program with a cut
   /// sealer hooked into scheduler rounds, ingests the cuts through an

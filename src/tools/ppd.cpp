@@ -67,7 +67,7 @@ struct CliOptions {
   uint32_t Quantum = 8;
   std::vector<std::vector<int64_t>> Inputs;
   std::string LogPath;
-  std::string Mode = "logging";
+  RunMode Mode = RunMode::Logging;
   RaceAlgorithm Algorithm = RaceAlgorithm::Interval;
   bool DumpDisassembly = false;
   bool DumpPdg = false;
@@ -78,7 +78,7 @@ struct CliOptions {
   std::vector<uint32_t> BreakLines;
   unsigned ReplayThreads = 0;
   bool Prefetch = false;
-  std::string ReplayEngine = "jit";
+  ReplayEngineKind Engine = ReplayEngineKind::Jit;
 
   // paged log tier (debug/serve)
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
@@ -170,9 +170,10 @@ options:
   --replay-engine E     (debug/serve) jit (default) | decoded; both
                         regenerate bit-identical traces; jit degrades
                         to decoded where unavailable
-  --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for paged
-                        logs (default 256m; the PPD_POOL_BUDGET env var
-                        overrides the default, the flag overrides both)
+  --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for
+                        decoded log sections (default 256m; the
+                        PPD_POOL_BUDGET env var overrides the default,
+                        the flag overrides both)
   --no-ppdb             (run/debug/serve) neither read nor write the
                         .ppdb program-database sidecar
   --dump-ir             (compile) disassemble both artifacts
@@ -208,7 +209,8 @@ options:
   --idle-timeout-ms N   (serve) disconnect clients with no traffic
                         for N ms (default 0 = never)
   --program FILE        (serve) serve another program too (repeatable);
-                        the Nth --log pairs with the Nth program
+                        the Nth --log pairs with the Nth program, and
+                        more --log flags than programs is an error
   --server-threads N    (serve) request worker threads (default 0 =
                         handle requests inline, one at a time)
   --queue-limit N       (serve) max queued+running requests before Busy
@@ -488,7 +490,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      Opts.Mode = V;
+      std::string Mode = V;
+      if (Mode == "plain") {
+        Opts.Mode = RunMode::Plain;
+      } else if (Mode == "logging") {
+        Opts.Mode = RunMode::Logging;
+      } else if (Mode == "fulltrace") {
+        Opts.Mode = RunMode::FullTrace;
+      } else {
+        std::fprintf(stderr, "error: unknown mode '%s' (expected plain, "
+                             "logging, or fulltrace)\n",
+                     V);
+        return false;
+      }
     } else if (Arg == "--race-strategy" || Arg == "--algorithm") {
       // --algorithm is the historical spelling, kept as a synonym.
       const char *V = Next();
@@ -526,7 +540,12 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       const char *V = Next();
       if (!V)
         return false;
-      Opts.ReplayEngine = V;
+      if (!parseReplayEngine(V, Opts.Engine)) {
+        std::fprintf(stderr, "error: unknown replay engine '%s' (expected "
+                             "jit or decoded)\n",
+                     V);
+        return false;
+      }
     } else if (Arg == "--runs") {
       if (!Number(Opts.FuzzRuns))
         return false;
@@ -608,29 +627,13 @@ int cmdCompile(const CliOptions &Opts) {
   return 0;
 }
 
-/// Resolves --replay-engine; prints the error and returns false on an
-/// unknown name (callers exit 64, matching --race-strategy).
-bool resolveReplayEngine(const CliOptions &Opts, ReplayEngineKind &Kind) {
-  if (parseReplayEngine(Opts.ReplayEngine, Kind))
-    return true;
-  std::fprintf(stderr, "error: unknown replay engine '%s' (expected jit "
-                       "or decoded)\n",
-               Opts.ReplayEngine.c_str());
-  return false;
-}
-
 MachineOptions machineOptions(const CliOptions &Opts,
                               const CompiledProgram &Prog) {
   MachineOptions MOpts;
   MOpts.Seed = Opts.Seed;
   MOpts.Quantum = Opts.Quantum;
   MOpts.ProcessInputs = Opts.Inputs;
-  if (Opts.Mode == "plain")
-    MOpts.Mode = RunMode::Plain;
-  else if (Opts.Mode == "fulltrace")
-    MOpts.Mode = RunMode::FullTrace;
-  else
-    MOpts.Mode = RunMode::Logging;
+  MOpts.Mode = Opts.Mode;
   for (uint32_t Line : Opts.BreakLines) {
     bool Found = false;
     for (StmtId Id = 0; Id != Prog.Ast->numStmts(); ++Id)
@@ -832,51 +835,46 @@ int cmdRaces(const CliOptions &Opts) {
 //===----------------------------------------------------------------------===//
 
 int cmdDebug(const CliOptions &Opts) {
-  ReplayEngineKind Engine;
-  if (!resolveReplayEngine(Opts, Engine))
-    return 64;
   auto Prog = compileFile(Opts);
   if (!Prog)
     return 1;
 
+  // A --log file opens as a file store (adopting or rebuilding the .ppdb
+  // sidecar); otherwise the program runs here and its log becomes an
+  // in-memory store. Either way queries fault sections in through the
+  // pool, and a log that is unreadable at open is an error.
+  std::shared_ptr<const PageStore> Store;
+  std::shared_ptr<const LogIndex> Index;
   PpdControllerOptions COpts;
-  COpts.Service.Threads = Opts.ReplayThreads;
-  COpts.Service.Prefetch = Opts.Prefetch;
-  COpts.Service.Engine = Engine;
-
-  // A --log file opens paged: open the store, adopt (or rebuild) the
-  // .ppdb sidecar, and let queries fault sections in through the pool.
-  std::unique_ptr<PpdController> Controller;
+  size_t Budget = effectivePoolBudget(Opts);
   if (!Opts.LogPath.empty()) {
     std::string Error;
-    std::shared_ptr<const LogIndex> Index;
-    std::shared_ptr<const ParallelDynamicGraph> Graph;
-    auto Store =
-        openPagedStore(Opts, *Prog, Opts.LogPath, Index, Graph, Error);
+    Store = openPagedStore(Opts, *Prog, Opts.LogPath, Index,
+                           COpts.AdoptedGraph, Error);
     if (!Store) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    size_t Budget = effectivePoolBudget(Opts);
-    auto Pool = std::make_shared<BufferPool>(Budget);
     std::printf("paged log: %u process(es), %zu bytes on disk, pool "
                 "budget %zu bytes\n",
                 Store->numProcs(), Store->fileBytes(), Budget);
-    COpts.AdoptedGraph = std::move(Graph);
-    Controller = std::make_unique<PpdController>(
-        *Prog, PagedLog{std::move(Store), std::move(Pool)}, std::move(Index),
-        COpts);
-    if (std::string Failure = Controller->logFailure(); !Failure.empty()) {
-      std::fprintf(stderr, "error: %s\n", Failure.c_str());
-      return 1;
-    }
   } else {
     Machine M(*Prog, machineOptions(Opts, *Prog));
     RunResult Result = M.run();
     reportRun(*Prog, M, Result);
-    Controller = std::make_unique<PpdController>(*Prog, M.takeLog(), COpts);
+    Store = PageStore::fromLog(M.takeLog());
   }
-  DebugSession Session(*Prog, *Controller);
+  COpts.Service.Threads = Opts.ReplayThreads;
+  COpts.Service.Prefetch = Opts.Prefetch;
+  COpts.Service.Engine = Opts.Engine;
+  PpdController Controller(
+      *Prog, PagedLog{std::move(Store), std::make_shared<BufferPool>(Budget)},
+      std::move(Index), COpts);
+  if (std::string Failure = Controller.logFailure(); !Failure.empty()) {
+    std::fprintf(stderr, "error: %s\n", Failure.c_str());
+    return 1;
+  }
+  DebugSession Session(*Prog, Controller);
   std::printf("PPD debugging phase. Type 'help' for commands.\n");
   std::string Line;
   while (std::printf("(ppd) "), std::fflush(stdout),
@@ -899,16 +897,18 @@ int cmdServe(const CliOptions &Opts) {
                  "HOST:PORT\n");
     return 64;
   }
-  ReplayEngineKind Engine;
-  if (!resolveReplayEngine(Opts, Engine))
+  if (Opts.LogPaths.size() > 1 + Opts.ExtraPrograms.size()) {
+    std::fprintf(stderr, "error: %zu --log flag(s) for %zu program(s)\n",
+                 Opts.LogPaths.size(), 1 + Opts.ExtraPrograms.size());
     return 64;
+  }
   DebugServerOptions SOpts;
   SOpts.Threads = Opts.ServerThreads;
   SOpts.QueueLimit = Opts.QueueLimit;
   SOpts.TimeoutMs = Opts.TimeoutMs;
   SOpts.Registry.MaxSessions = Opts.MaxSessions;
   SOpts.Registry.ReplayThreads = Opts.ReplayThreads;
-  SOpts.Registry.Engine = Engine;
+  SOpts.Registry.Engine = Opts.Engine;
   SOpts.Registry.PoolBudget = effectivePoolBudget(Opts);
   DebugServer Server(SOpts);
 
@@ -922,31 +922,31 @@ int cmdServe(const CliOptions &Opts) {
     auto Prog = compileFile(FileOpts);
     if (!Prog)
       return 1;
-    // --log files serve paged: every session of the program faults
-    // sections through the registry's shared pool. A program without a
-    // --log runs here and its log is served from memory.
-    bool Paged = I < Opts.LogPaths.size();
-    uint32_t Index = 0;
-    if (Paged) {
+    // A --log file is served from its file store; a program without one
+    // runs here and its log is served from an in-memory store. Either way
+    // every session faults sections through the registry's shared pool.
+    bool FromFile = I < Opts.LogPaths.size();
+    std::shared_ptr<const PageStore> Store;
+    std::shared_ptr<const LogIndex> PagedIndex;
+    std::shared_ptr<const ParallelDynamicGraph> PagedGraph;
+    if (FromFile) {
       std::string Error;
-      std::shared_ptr<const LogIndex> PagedIndex;
-      std::shared_ptr<const ParallelDynamicGraph> PagedGraph;
-      auto Store = openPagedStore(Opts, *Prog, Opts.LogPaths[I], PagedIndex,
-                                  PagedGraph, Error);
+      Store = openPagedStore(Opts, *Prog, Opts.LogPaths[I], PagedIndex,
+                             PagedGraph, Error);
       if (!Store) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 1;
       }
-      Index = Server.addProgram(std::move(Prog),
-                                PagedLog{std::move(Store), nullptr},
-                                std::move(PagedIndex), std::move(PagedGraph));
     } else {
       Machine M(*Prog, machineOptions(FileOpts, *Prog));
       M.run();
-      Index = Server.addProgram(std::move(Prog), M.takeLog());
+      Store = PageStore::fromLog(M.takeLog());
     }
+    uint32_t Index = Server.addProgram(
+        std::move(Prog), PagedLog{std::move(Store), nullptr},
+        std::move(PagedIndex), std::move(PagedGraph));
     std::printf("program %u: %s%s\n", Index, Files[I].c_str(),
-                Paged ? " (paged)" : "");
+                FromFile ? " (saved log)" : "");
   }
 
   // Streaming ingest is always armed: `ppd run --stream` opens a stream

@@ -223,8 +223,8 @@ struct ServiceFixture {
                           uint64_t Seed = 1) {
     R = runProgram(CacheWorkload, Seed);
     Index = std::make_unique<LogIndex>(R.Log);
-    Service = std::make_unique<ParallelReplayer>(*R.Prog, R.Log, *Index,
-                                                 Options);
+    Service = std::make_unique<ParallelReplayer>(
+        *R.Prog, PagedLog::fromLog(R.Log), *Index, Options);
   }
 };
 

@@ -2,14 +2,14 @@
 //
 // Part of PPD test suite.
 //
-// The paged log tier (PageStore + BufferPool + ProgramDb) must be
-// observationally identical to the whole-load path: a debugging session
-// over a pooled store answers every query with the same bytes a session
-// over an eagerly decoded log answers, whatever the pool budget. This
-// suite drives pooled-vs-whole differentials across the examples/ corpus
-// × seeds under an eviction-forcing budget, pins the eviction/pinning
-// contract of the pool directly (pinned frames never evicted, single
-// decode under concurrent faults), validates the skim-built index against
+// The paged log tier (PageStore + BufferPool + ProgramDb) must answer
+// the same whatever the backing and the pool budget: a debugging session
+// over a file store under a starved pool answers every query with the
+// same bytes as one over the run's log (an in-memory store under an
+// unbounded pool). This suite drives those differentials across the
+// examples/ corpus × seeds under an eviction-forcing budget, pins the
+// eviction/pinning contract of the pool directly (pinned frames never
+// evicted, single decode under concurrent faults), validates the skim-built index against
 // the decoded one, round-trips the `.ppdb` sidecar through staleness and
 // every-byte truncation, checks that the program fingerprint is
 // deterministic and sees every operand bit, that a store opens only the
@@ -198,7 +198,7 @@ TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
       PpdController Paged(*R.Prog, PagedLog{Store, Pool});
       DebugSession PagedSession(*R.Prog, Paged);
 
-      EXPECT_EQ(Whole.log().Procs.size(), Paged.log().Procs.size())
+      EXPECT_EQ(Whole.numProcs(), Paged.numProcs())
           << Label;
       for (const char *Cmd : Script)
         EXPECT_EQ(WholeSession.execute(Cmd), PagedSession.execute(Cmd))
@@ -209,8 +209,8 @@ TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
 }
 
 // The skim-built index (no record bodies decoded) must equal the index
-// derived from fully decoded records, and the store facade must carry the
-// same headers and output trailer as the real log.
+// derived from fully decoded records, and the store's section headers and
+// output trailer must carry the same headers and output as the real log.
 TEST(PagedTest, SkimIndexAndFacadeMatchDecodedLog) {
   for (const char *Name : Corpus) {
     std::string Source = readCorpusFile(Name);
@@ -224,23 +224,21 @@ TEST(PagedTest, SkimIndexAndFacadeMatchDecodedLog) {
     LogIndex Skimmed(*Store);
     expectIndexEqual(Decoded, Skimmed, Name);
 
-    ExecutionLog Facade = Store->facadeLog();
-    ASSERT_EQ(Facade.Procs.size(), R.Log.Procs.size()) << Name;
+    ASSERT_EQ(Store->numProcs(), R.Log.Procs.size()) << Name;
     for (uint32_t Pid = 0; Pid != R.Log.Procs.size(); ++Pid) {
-      EXPECT_EQ(Facade.Procs[Pid].Pid, R.Log.Procs[Pid].Pid);
-      EXPECT_EQ(Facade.Procs[Pid].RootFunc, R.Log.Procs[Pid].RootFunc);
-      EXPECT_EQ(Facade.Procs[Pid].Args, R.Log.Procs[Pid].Args);
-      EXPECT_EQ(Facade.Procs[Pid].PrelogCount,
-                R.Log.Procs[Pid].PrelogCount);
-      EXPECT_EQ(Facade.Procs[Pid].Records.size(), size_t(0)) << Name;
-      EXPECT_EQ(Store->section(Pid).NumRecords,
-                R.Log.Procs[Pid].Records.size());
+      const PageStore::SectionMeta &M = Store->section(Pid);
+      EXPECT_EQ(M.Pid, R.Log.Procs[Pid].Pid);
+      EXPECT_EQ(M.RootFunc, R.Log.Procs[Pid].RootFunc);
+      EXPECT_EQ(M.Args, R.Log.Procs[Pid].Args);
+      EXPECT_EQ(M.PrelogCount, R.Log.Procs[Pid].PrelogCount);
+      EXPECT_EQ(M.NumRecords, R.Log.Procs[Pid].Records.size());
     }
-    ASSERT_EQ(Facade.Output.size(), R.Log.Output.size()) << Name;
-    for (size_t I = 0; I != Facade.Output.size(); ++I) {
-      EXPECT_EQ(Facade.Output[I].Pid, R.Log.Output[I].Pid);
-      EXPECT_EQ(Facade.Output[I].Value, R.Log.Output[I].Value);
-      EXPECT_EQ(Facade.Output[I].Stmt, R.Log.Output[I].Stmt);
+    const std::vector<OutputRecord> &Output = Store->output();
+    ASSERT_EQ(Output.size(), R.Log.Output.size()) << Name;
+    for (size_t I = 0; I != Output.size(); ++I) {
+      EXPECT_EQ(Output[I].Pid, R.Log.Output[I].Pid);
+      EXPECT_EQ(Output[I].Value, R.Log.Output[I].Value);
+      EXPECT_EQ(Output[I].Stmt, R.Log.Output[I].Stmt);
     }
     std::remove(Path.c_str());
   }
@@ -357,8 +355,8 @@ TEST(PagedTest, ConcurrentPinsUnderPressureEndWithinBudget) {
 }
 
 // A pooled session under a starved pool and a concurrent replay service
-// still matches the whole-load session: eviction churn must never change
-// an answer. Run under TSan in CI.
+// still matches a session over the run's log: eviction churn must never
+// change an answer. Run under TSan in CI.
 TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
   Ran R = runProgram(FourProcSource, 9);
   ASSERT_TRUE(R.Prog != nullptr);
@@ -435,8 +433,8 @@ TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedGraph) {
   ParallelDynamicGraph FromLog(R.Log, R.Prog->Symbols->NumSharedVars);
   expectGraphEqual(FromLog, *Adopted, "graph round trip");
 
-  // A session adopting the graph answers queries identically to a
-  // whole-load session (the graph feeds races and cross-process reads).
+  // A session adopting the graph answers queries identically to one
+  // over the run's log (the graph feeds races and cross-process reads).
   PpdController Whole(*R.Prog, R.Log);
   DebugSession WholeSession(*R.Prog, Whole);
   auto Pool = std::make_shared<BufferPool>(size_t(1) << 20);
@@ -659,6 +657,42 @@ TEST(PagedTest, ProgramHashSeesUsedDefinedAndInstrument) {
   EXPECT_EQ(programHash(*Prog), Base);
   Prog->Options.Instrument = !Prog->Options.Instrument;
   EXPECT_NE(programHash(*Prog), Base);
+}
+
+// A global's initial value lives in the symbol table, not in the
+// bytecode; the fingerprint must still see it, or a sidecar (or a stream)
+// recorded from a source that differs in one initializer is adopted.
+TEST(PagedTest, ProgramHashSeesGlobalInitializers) {
+  auto Source = [](int Shared, int Private) {
+    return "shared int s = " + std::to_string(Shared) + ";\nint p = " +
+           std::to_string(Private) + ";\nfunc main() { print(s + p); }\n";
+  };
+  auto Twin = compileOk(Source(5, 1));
+  auto OtherShared = compileOk(Source(6, 1));
+  auto OtherPrivate = compileOk(Source(5, 2));
+  ASSERT_TRUE(Twin && OtherShared && OtherPrivate);
+
+  Ran R = runProgram(Source(5, 1));
+  ASSERT_TRUE(R.Prog != nullptr);
+  uint64_t Base = programHash(*R.Prog);
+  EXPECT_EQ(programHash(*Twin), Base);
+  EXPECT_NE(programHash(*OtherShared), Base);
+  EXPECT_NE(programHash(*OtherPrivate), Base);
+
+  std::string Path = tempPath("ppdb_init.log");
+  auto Store = saveAndOpen(R.Log, Path);
+  ASSERT_TRUE(Store != nullptr);
+  std::string DbPath = programDbPathFor(Path);
+  ASSERT_TRUE(writeProgramDb(DbPath, *R.Prog, *Store, LogIndex(*Store)));
+  std::shared_ptr<const LogIndex> Index;
+  EXPECT_EQ(int(readProgramDb(DbPath, *Twin, *Store, Index)),
+            int(ProgramDbStatus::Ok));
+  for (const CompiledProgram *Other : {OtherShared.get(), OtherPrivate.get()})
+    EXPECT_EQ(int(readProgramDb(DbPath, *Other, *Store, Index)),
+              int(ProgramDbStatus::Stale));
+
+  std::remove(Path.c_str());
+  std::remove(DbPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//

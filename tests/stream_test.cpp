@@ -452,6 +452,49 @@ TEST(StreamIngestTest, OutOfRangeSyncStmtRejectsTheCutUnapplied) {
         << "pid " << P;
 }
 
+// A prelog naming a variable the program does not have passes ingest
+// validation (it is only read when an interval replays), so the tail
+// snapshot is what finds it: the query must get a typed LogUnreadable
+// error naming the stream, not an answer built from a failed replay.
+TEST(StreamIngestTest, TailOverOutOfRangePrelogVarIsLogUnreadable) {
+  IngestFixture F(PipelineSource);
+  Response Hello = F.hello();
+  ASSERT_EQ(int(Hello.Type), int(RespType::Ack));
+
+  Ran R = runProgram(PipelineSource);
+  stream::SealerOptions SOpts;
+  SOpts.ProgramIndex = F.ProgramIndex;
+  SOpts.ProgramHash = F.Hash;
+  stream::StreamSealer Sealer(SOpts);
+  Sealer.setStreamId(Hello.StreamId);
+  std::vector<Request> Frames = Sealer.sealRound(R.Log, /*Force=*/true);
+  ASSERT_FALSE(Frames.empty());
+  VarId Bogus = VarId(F.Prog->Symbols->numVars() + 7);
+  for (Request &Frame : Frames) {
+    ProcessLog Section;
+    ASSERT_TRUE(stream::decodeSectionBlob(Frame.Blob, Section));
+    for (LogRecord &Rec : Section.Records)
+      if (Rec.Kind == LogRecordKind::Prelog) {
+        VarValue V;
+        V.Var = Bogus;
+        V.Values.push_back(0);
+        Rec.Vars.push_back(V);
+      }
+    Frame.Blob.clear();
+    stream::encodeSectionBlob(Section, 0, uint32_t(Section.Records.size()),
+                              Frame.Blob);
+  }
+  for (const Request &Frame : Frames)
+    ASSERT_EQ(int(F.Ingest.dispatch(Frame).Type), int(RespType::Ack));
+
+  Response Tail = F.tail(Hello.StreamId, "where 0");
+  ASSERT_EQ(int(Tail.Type), int(RespType::Error)) << Tail.Text;
+  EXPECT_EQ(int(Tail.Code), int(ErrCode::LogUnreadable));
+  EXPECT_NE(Tail.Text.find("stream " + std::to_string(Hello.StreamId)),
+            std::string::npos)
+      << Tail.Text;
+}
+
 TEST(StreamIngestTest, InterleavedCutsAreRejected) {
   IngestFixture F(PipelineSource);
   Response Hello = F.hello();
