@@ -167,7 +167,7 @@ struct SaveLoadStats {
 /// Times \p Reps save+load round trips of \p Log and keeps the fastest
 /// of each (minimum-of-reps filters scheduler and page-cache noise out of
 /// millisecond-scale operations). \p Pool, if given, parallelizes the
-/// per-process section encode and decode.
+/// per-process section encode; the load is serial.
 inline SaveLoadStats measureSaveLoad(const ExecutionLog &Log,
                                      ThreadPool *Pool = nullptr,
                                      unsigned Reps = 15) {
@@ -179,7 +179,7 @@ inline SaveLoadStats measureSaveLoad(const ExecutionLog &Log,
     bool Saved = Log.save(Path, LogFormat::V2, Pool);
     auto T1 = Clock::now();
     ExecutionLog Loaded;
-    bool LoadedOk = Saved && ExecutionLog::load(Path, Loaded, Pool);
+    bool LoadedOk = Saved && ExecutionLog::load(Path, Loaded);
     auto T2 = Clock::now();
     if (!LoadedOk) {
       std::fprintf(stderr, "benchmark save/load round trip failed\n");
@@ -226,9 +226,7 @@ mustCompile(const std::string &Source, const CompileOptions &Options = {}) {
 
 /// Many sibling intervals under main: each unit() call is its own logged
 /// interval of ~6*InnerIters mostly-compute instructions, so a query over
-/// all of them is a wide, embarrassingly parallel replay fan-out — and,
-/// per interval, the JIT tier's target shape (straight-line arithmetic
-/// between rare side-exits).
+/// all of them is a wide, embarrassingly parallel replay fan-out.
 inline std::string manyIntervalWorkload(unsigned Units,
                                         unsigned InnerIters = 60) {
   return R"(
@@ -249,13 +247,12 @@ func main() {
 )";
 }
 
-/// The JIT tier's best case, and E9's "compute-heavy e-block" row: the
-/// same many-interval shape as manyIntervalWorkload, but each loop
-/// iteration is two statements of long chained arithmetic (~45
-/// instructions per traced statement instead of ~3). Replay cost here is
-/// dispatch-bound rather than trace-event-bound, which is exactly the
-/// cost the JIT removes; the manyIntervalWorkload rows show the
-/// event-bound other end.
+/// E9's "compute-heavy e-block" row: the same many-interval shape as
+/// manyIntervalWorkload, but each loop iteration is two statements of
+/// long chained arithmetic (~45 instructions per traced statement instead
+/// of ~3). Replay cost here is dispatch-bound rather than
+/// trace-event-bound; the manyIntervalWorkload rows show the event-bound
+/// other end.
 inline std::string computeHeavyUnitWorkload(unsigned Units,
                                             unsigned InnerIters = 40) {
   return R"(
@@ -314,18 +311,12 @@ inline ReplayWorld makeReplayWorld(unsigned Units, unsigned InnerIters = 60) {
   return makeReplayWorldFor(manyIntervalWorkload(Units, InnerIters));
 }
 
-/// One full sweep: replays every closed interval of \p W on \p Kind and
-/// returns the instructions retired. Doubles as the warm-up pass (fills
-/// the JIT hotness counters and triggers compiles) and as the timed body,
-/// so warm rows measure exactly what the warm-up produced.
-inline uint64_t sweepIntervals(ReplayEngine &Engine, const ReplayWorld &W,
-                               ReplayEngineKind Kind) {
+/// One full sweep: replays every closed interval of \p W and returns the
+/// instructions retired.
+inline uint64_t sweepIntervals(ReplayEngine &Engine, const ReplayWorld &W) {
   uint64_t Instructions = 0;
-  ReplayOptions Options;
-  Options.Engine = Kind;
   for (const auto &[Pid, Idx] : W.All) {
-    ReplayResult R =
-        Engine.replay(W.Log, Pid, W.Index->intervals(Pid)[Idx], Options);
+    ReplayResult R = Engine.replay(W.Log, Pid, W.Index->intervals(Pid)[Idx]);
     if (!R.Ok) {
       std::fprintf(stderr, "benchmark replay failed: %s\n", R.Error.c_str());
       std::abort();

@@ -15,21 +15,16 @@
 //                process slot arena's best case;
 //  * array     — array sweep: indexed loads/stores with bounds checks.
 //
-// The replay_* rows measure the replay tiers (decoded / JIT):
-// replay_compute_* on compute-heavy e-blocks (dispatch-bound, the JIT's
-// target shape), replay_interval_* on the E8b manyIntervalWorkload
-// (trace-event-bound, shared with bench_flowback). Each iteration is one
-// warm full-interval sweep, with compile time and bailouts reported as
-// separate counters so the JIT's amortization story is visible
-// (replay_jit_cold pays the compiles inside the timed region;
-// replay_compute_jit runs the already-published code).
+// The replay_* rows measure the replay interpreter: replay_compute_* on
+// compute-heavy e-blocks (dispatch-bound), replay_interval_* on the E8b
+// manyIntervalWorkload (trace-event-bound, shared with bench_flowback).
+// Each iteration is one full-interval sweep.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchPrograms.h"
 
 #include "core/Replay.h"
-#include "vm/Jit.h"
 #include "vm/Machine.h"
 
 #include <benchmark/benchmark.h>
@@ -146,27 +141,17 @@ void array_fulltrace(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replay-tier throughput (E9 jit rows)
+// Replay throughput (E9)
 //===----------------------------------------------------------------------===//
 
-/// Warm replay throughput of one tier: every closed interval of the
-/// shared world replayed per iteration. The JIT engine is warmed by one
-/// untimed sweep (hotness threshold 1, so the warm-up compiles
-/// everything); compiles therefore land outside the timed region and are
-/// reported separately via JitCompileMs.
-void replayBench(benchmark::State &State, ReplayEngineKind Kind,
-                 const std::string &Source) {
+/// Replay throughput: every closed interval of the world replayed per
+/// iteration, after one untimed warm-up sweep.
+void replayBench(benchmark::State &State, const std::string &Source) {
   ReplayWorld W = makeReplayWorldFor(Source);
-  std::shared_ptr<JitProgram> JP;
-  if (Kind == ReplayEngineKind::Jit) {
-    JitOptions JOpts;
-    JOpts.HotThreshold = 1;
-    JP = JitProgram::create(*W.Prog, JOpts);
-  }
-  ReplayEngine Engine(*W.Prog, JP);
-  uint64_t Instructions = sweepIntervals(Engine, W, Kind); // warm-up
+  ReplayEngine Engine(*W.Prog);
+  uint64_t Instructions = sweepIntervals(Engine, W); // warm-up
   for (auto _ : State) {
-    uint64_t Sum = sweepIntervals(Engine, W, Kind);
+    uint64_t Sum = sweepIntervals(Engine, W);
     if (Sum != Instructions) {
       std::fprintf(stderr, "replay sweep not idempotent\n");
       std::abort();
@@ -177,58 +162,19 @@ void replayBench(benchmark::State &State, ReplayEngineKind Kind,
       1e-6 * double(Instructions) * double(State.iterations()),
       benchmark::Counter::kIsRate);
   State.counters["Intervals"] = double(W.All.size());
-  if (JP) {
-    JitStats S = JP->stats();
-    State.counters["JitCompiles"] = double(S.Compiles);
-    State.counters["JitCompileMs"] = 1e-6 * double(S.CompileNs);
-    State.counters["JitBailouts"] =
-        double(S.Bailouts) / double(S.JittedReplays ? S.JittedReplays : 1);
-  }
 }
 
 // The compute_* rows replay compute-heavy e-blocks (long chained
-// arithmetic per statement — dispatch-bound, the JIT's target shape); the
-// interval_* rows replay the E8b manyIntervalWorkload (short statements —
-// trace-event-bound, the JIT's worst case, shared with bench_flowback).
+// arithmetic per statement — dispatch-bound); the interval_* rows replay
+// the E8b manyIntervalWorkload (short statements — trace-event-bound,
+// shared with bench_flowback).
 void replay_compute_decoded(benchmark::State &State) {
-  replayBench(State, ReplayEngineKind::Decoded,
-              computeHeavyUnitWorkload(unsigned(State.range(0)),
-                                       unsigned(State.range(1))));
-}
-void replay_compute_jit(benchmark::State &State) {
-  replayBench(State, ReplayEngineKind::Jit,
-              computeHeavyUnitWorkload(unsigned(State.range(0)),
-                                       unsigned(State.range(1))));
+  replayBench(State, computeHeavyUnitWorkload(unsigned(State.range(0)),
+                                              unsigned(State.range(1))));
 }
 void replay_interval_decoded(benchmark::State &State) {
-  replayBench(State, ReplayEngineKind::Decoded,
-              manyIntervalWorkload(unsigned(State.range(0)),
-                                   unsigned(State.range(1))));
-}
-void replay_interval_jit(benchmark::State &State) {
-  replayBench(State, ReplayEngineKind::Jit,
-              manyIntervalWorkload(unsigned(State.range(0)),
-                                   unsigned(State.range(1))));
-}
-
-/// The cold half of the amortization story: every iteration builds a
-/// fresh JitProgram and pays every compile inside the timed region, then
-/// sweeps once. Compare against replay_compute_jit (compiles amortized)
-/// and replay_compute_decoded (no compiles at all).
-void replay_jit_cold(benchmark::State &State) {
-  ReplayWorld W = makeReplayWorldFor(computeHeavyUnitWorkload(
-      unsigned(State.range(0)), unsigned(State.range(1))));
-  uint64_t Compiles = 0;
-  for (auto _ : State) {
-    JitOptions JOpts;
-    JOpts.HotThreshold = 1;
-    std::shared_ptr<JitProgram> JP = JitProgram::create(*W.Prog, JOpts);
-    ReplayEngine Engine(*W.Prog, JP);
-    benchmark::DoNotOptimize(sweepIntervals(Engine, W, ReplayEngineKind::Jit));
-    Compiles = JP ? JP->stats().Compiles : 0;
-  }
-  State.counters["JitCompiles"] = double(Compiles);
-  State.counters["Intervals"] = double(W.All.size());
+  replayBench(State, manyIntervalWorkload(unsigned(State.range(0)),
+                                          unsigned(State.range(1))));
 }
 
 } // namespace
@@ -249,9 +195,6 @@ BENCHMARK(array_fulltrace)->Arg(100)->UseManualTime();
 // mostly-arithmetic instructions each; interval rows are the E8b shape
 // (60 short-statement iterations per unit), shared with bench_flowback.
 BENCHMARK(replay_compute_decoded)->Args({32, 40});
-BENCHMARK(replay_compute_jit)->Args({32, 40});
 BENCHMARK(replay_interval_decoded)->Args({32, 60});
-BENCHMARK(replay_interval_jit)->Args({32, 60});
-BENCHMARK(replay_jit_cold)->Args({32, 40});
 
 BENCHMARK_MAIN();

@@ -7,11 +7,10 @@
 /// \file
 /// The instruction stream both interpreters run: the VM's
 /// (vm/Machine.cpp) and the emulation-package replay engine's
-/// (core/Replay.cpp), which the JIT tier (vm/Jit.cpp) compiles from. A
-/// DecodedChunk is produced once per function during the preparatory
-/// phase: the decoder flattens a Chunk into an array of DecodedInstr with
-/// the statement id inlined (no side-table lookup per step) and rewrites
-/// common adjacent pairs into superinstructions:
+/// (core/Replay.cpp). A DecodedChunk is produced once per function during
+/// the preparatory phase: the decoder flattens a Chunk into an array of
+/// DecodedInstr with the statement id inlined (no side-table lookup per
+/// step) and rewrites common adjacent pairs into superinstructions:
 ///
 ///   * Cmp{Eq,Ne,Lt,Le,Gt,Ge} + JumpIf{False,True}  ->  JumpIfCmp
 ///   * PushConst + StoreLocal                        ->  StoreLocalImm
@@ -25,12 +24,11 @@
 ///     executes it from its own (still fully decoded) slot;
 ///   * a superinstruction remains splittable: a fused pair still costs
 ///     two steps, and when the scheduler's quantum, the global step
-///     budget, or the replay's instruction limit has only one step left,
+///     budget, or the replay's instruction budget has only one step left,
 ///     the interpreter executes just the first half (the compare / the
 ///     push) and leaves the pc on the second slot. Preemption points —
 ///     and therefore interleavings, sync sequence numbers, and the log
-///     bytes — are those of the unfused instruction stream, and the JIT
-///     can step exactly one base instruction through the interpreter.
+///     bytes — are those of the unfused instruction stream.
 ///
 /// Fusion requires both instructions to carry the same statement id (the
 /// breakpoint check fires on statement transitions, which must not be

@@ -2,15 +2,12 @@
 //
 // Part of PPD. See Replay.h.
 //
-// Two replay tiers live here: the interpreter (runDecoded), a
-// token-threaded loop over the emulation package's pre-decoded stream, and
-// the JIT runner (runJit), which drives natively compiled e-block code and
-// sends every side exit through the interpreter one instruction at a time.
-// Every record-cursor operation — the sync no-ops, prelog/postlog/unit-log
-// handling, trace event construction, nested-call skipping — is a helper
-// both tiers share, so the JIT is bit-identical to the interpreter by
-// construction and the interpreter answers to the §5.5 theorem oracle
-// (a FullTrace run, testing/DiffOracles.cpp).
+// The replay interpreter (runDecoded) is a token-threaded loop over the
+// emulation package's pre-decoded stream. The record-cursor operations —
+// the sync no-ops, prelog/postlog/unit-log handling, trace event
+// construction, nested-call skipping — are cold helpers it calls out to.
+// Its output answers to the §5.5 theorem oracle (a FullTrace run,
+// testing/DiffOracles.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +17,9 @@
 #include "support/Arith.h"
 #include "vm/Dispatch.h"
 #include "vm/InterpCore.h"
-#include "vm/Jit.h"
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 using namespace ppd;
 
@@ -47,9 +42,9 @@ class Replayer {
 public:
   Replayer(const CompiledProgram &Prog, const ProcessLog &Proc,
            uint32_t Pid, const LogInterval &Interval,
-           const ReplayOptions &Options, JitProgram *Jit)
+           const ReplayOptions &Options)
       : Prog(Prog), Records(Proc.Records), Pid(Pid), Interval(Interval),
-        Options(Options), Jit(Jit) {}
+        Options(Options) {}
 
   ReplayResult run();
 
@@ -237,22 +232,6 @@ private:
       E->Writes.push_back({Var, Value, Index});
   }
 
-  /// Drains the JIT access buffers into the open event (in recording
-  /// order, appending exactly what traceRead/traceWrite would have) and
-  /// resets the cursors. Must run before anything that reads or changes
-  /// the open event: every statement helper, every side exit.
-  void flushJitAccesses() {
-    JitContext &Ctx = *ActiveJitCtx;
-    if (TraceEvent *E = openEvent()) {
-      for (const TraceAccess *P = JitReadBuf.data(); P != Ctx.ReadTop; ++P)
-        E->Reads.push_back({VarId(P->Var), P->Value, P->Index});
-      for (const TraceAccess *P = JitWriteBuf.data(); P != Ctx.WriteTop; ++P)
-        E->Writes.push_back({VarId(P->Var), P->Value, P->Index});
-    }
-    Ctx.ReadTop = JitReadBuf.data();
-    Ctx.WriteTop = JitWriteBuf.data();
-  }
-
   void failHere(RuntimeErrorKind Kind, StmtId Stmt) {
     Result.FailureHit = true;
     Result.Failure = {Kind, Pid, Stmt};
@@ -275,10 +254,9 @@ private:
 
   void skipNestedCall(uint32_t Callee, StmtId Stmt);
 
-  // Cold operations, shared by the interpreter and the JIT's statement
-  // hooks. They operate on the member state (Stack, Pc, Cursor, Frames);
-  // the interpreter syncs its Ip with Pc around the two that transfer
-  // control (doCall, doRet).
+  // Cold operations. They operate on the member state (Stack, Pc, Cursor,
+  // Frames); the interpreter syncs its Ip with Pc around the two that
+  // transfer control (doCall, doRet).
   StepOutcome doSemP();
   StepOutcome doSemV();
   StepOutcome doSend();
@@ -294,14 +272,9 @@ private:
   StepOutcome doCall(uint32_t Callee, uint32_t Argc, StmtId Stmt);
   StepOutcome doRet();
 
-  /// Interprets from Pc until the replay stops or \p Limit instructions
-  /// have run. A fused pair counts as two instructions and splits at the
-  /// limit, so the JIT can step exactly one base instruction.
-  void runDecoded(uint64_t Limit = UINT64_MAX);
-  /// The JIT runner: native execution with interpreter side-exits.
-  /// Returns the number of Interp bailouts taken; \p NativeEntries counts
-  /// how many times native code was actually entered.
-  uint64_t runJit(uint64_t &NativeEntries);
+  /// Interprets from Pc until the replay stops. A fused pair counts as
+  /// two instructions and splits at the instruction budget.
+  void runDecoded();
 
   const CompiledProgram &Prog;
   const RecordSeq &Records;
@@ -325,13 +298,6 @@ private:
   /// Statement of the most recent Stmt event.
   StmtId LastStmt = InvalidId;
   uint32_t RootFunc = 0;
-  JitProgram *Jit = nullptr;
-  /// Native code records accesses here (three stores + bump per access);
-  /// stencils side-exit before overflowing, so 128 bounds one native
-  /// run's un-flushed accesses, not a statement's total.
-  std::array<TraceAccess, 128> JitReadBuf;
-  std::array<TraceAccess, 128> JitWriteBuf;
-  JitContext *ActiveJitCtx = nullptr;
 };
 
 void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
@@ -625,7 +591,7 @@ Replayer::StepOutcome Replayer::doRet() {
 // The interpreter
 //===----------------------------------------------------------------------===//
 
-void Replayer::runDecoded(uint64_t Limit) {
+void Replayer::runDecoded() {
   PPD_DISPATCH_TABLE();
 
   // Hot state lives in locals and is synced back to the members on every
@@ -647,19 +613,11 @@ void Replayer::runDecoded(uint64_t Limit) {
     return V;
   };
 
-  // One compare per instruction covers both the replay budget and the
-  // caller's limit: Stop is whichever comes first.
-  const uint64_t Start = Result.Instructions;
-  const uint64_t Stop =
-      Limit < Options.MaxInstructions - std::min(Start, Options.MaxInstructions)
-          ? Start + Limit
-          : Options.MaxInstructions;
+  const uint64_t Budget = Options.MaxInstructions;
   for (;;) {
     // Per-instruction prologue. Running out of budget charges the
-    // instruction that could not run; reaching the limit does not.
-    if (Result.Instructions >= Stop) {
-      if (Result.Instructions - Start == Limit)
-        goto Exit;
+    // instruction that could not run.
+    if (Result.Instructions >= Budget) {
       ++Result.Instructions;
       Result.Error = "replay instruction budget exceeded";
       finish(false);
@@ -864,12 +822,12 @@ void Replayer::runDecoded(uint64_t Limit) {
       }
       PPD_OP(JumpIfCmp) {
         // Fused Cmp + JumpIf. The compare is this instruction; the branch
-        // is the next one and only executes if neither the budget nor the
-        // limit stops first — otherwise the compare result is pushed and
-        // the pc stays on the branch's own (still fully decoded) slot.
+        // is the next one and only executes if the budget allows it —
+        // otherwise the compare result is pushed and the pc stays on the
+        // branch's own (still fully decoded) slot.
         int64_t B = Pop(), A = Pop();
         int64_t Cond = evalCmp(CmpKind(I.Sub >> 1), A, B);
-        if (Result.Instructions < Stop) {
+        if (Result.Instructions < Budget) {
           ++Result.Instructions;
           if (TraceEvent *E = openEvent()) {
             E->IsPredicate = true;
@@ -884,7 +842,7 @@ void Replayer::runDecoded(uint64_t Limit) {
       }
       PPD_OP(StoreLocalImm) {
         // Fused PushConst + StoreLocal, split the same way.
-        if (Result.Instructions < Stop) {
+        if (Result.Instructions < Budget) {
           ++Result.Instructions;
           ++Ip; // skip the second half's slot
           Slots[I.A] = I.Imm;
@@ -1002,103 +960,6 @@ Exit:
   Pc = Ip;
 }
 
-//===----------------------------------------------------------------------===//
-// The JIT tier
-//===----------------------------------------------------------------------===//
-
-// Drives natively compiled code (vm/Jit.cpp). The loop alternates between
-// native runs and single interpreter steps: native code executes the pure
-// stack/arithmetic/memory/branch instructions (with its budget prologue
-// matching runDecoded's loop header instruction for instruction) and
-// side-exits for everything that touches the log cursor or the frame
-// stack; those slots — and any pc whose stack depth the compiler could
-// not prove — execute through runDecoded with a limit of one instruction.
-// Instruction accounting, events, output, and final state are therefore
-// bit-identical to the interpreter's.
-uint64_t Replayer::runJit(uint64_t &NativeEntries) {
-  JitContext Ctx;
-  Ctx.Shared = Shared.data();
-  Ctx.Priv = Priv.data();
-  Ctx.MaxInstructions = Options.MaxInstructions;
-  Ctx.Host = this;
-  Ctx.ReadTop = JitReadBuf.data();
-  Ctx.ReadLimit = JitReadBuf.data() + JitReadBuf.size();
-  Ctx.WriteTop = JitWriteBuf.data();
-  Ctx.WriteLimit = JitWriteBuf.data() + JitWriteBuf.size();
-  ActiveJitCtx = &Ctx;
-  Ctx.TraceStmt = [](void *Host, uint32_t Ip) -> int {
-    Replayer *R = static_cast<Replayer *>(Host);
-    // The buffered accesses belong to the event this statement closes.
-    R->flushJitAccesses();
-    const DecodedInstr &I =
-        R->Prog.func(R->Frames.back().Func).EmuDecoded.at(Ip);
-    return R->doTraceStmt(StmtId(I.A)) == StepOutcome::Stop ? 1 : 0;
-  };
-  Ctx.TraceBranch = [](void *Host, int64_t Cond) {
-    Replayer *R = static_cast<Replayer *>(Host);
-    if (TraceEvent *E = R->openEvent()) {
-      E->IsPredicate = true;
-      E->BranchTaken = Cond != 0;
-    }
-  };
-  Ctx.Print = [](void *Host, int64_t Value, uint32_t Ip) {
-    Replayer *R = static_cast<Replayer *>(Host);
-    const DecodedInstr &I =
-        R->Prog.func(R->Frames.back().Func).EmuDecoded.at(Ip);
-    R->Result.Output.push_back({R->Pid, Value, I.Stmt});
-  };
-
-  uint64_t Bailouts = 0;
-  while (!Done) {
-    const RFrame &Top = Frames.back();
-    const JitCode *Code = Jit->getOrCompile(Top.Func);
-    if (Code && Pc < Code->DepthAt.size() && Code->DepthAt[Pc] >= 0 &&
-        Stack.size() == Top.StackBase + uint32_t(Code->DepthAt[Pc])) {
-      // Entry protocol: pre-reserve the proven maximum operand-stack
-      // depth so native pushes are straight stores, run, then trim the
-      // stack back to the logical depth the exit reported.
-      size_t Logical = Stack.size();
-      size_t Reserve = size_t(Top.StackBase) + Code->MaxStackDepth;
-      Stack.resize(std::max(Reserve, Logical));
-      Ctx.StackTop = Stack.data() + Logical;
-      Ctx.Slots = topSlots();
-      Ctx.Instructions = Result.Instructions;
-      ++NativeEntries;
-      JitExit Exit = Code->enter(Ctx, Pc);
-      Result.Instructions = Ctx.Instructions;
-      Stack.resize(size_t(Ctx.StackTop - Stack.data()));
-      // Accesses recorded since the last in-native flush belong to the
-      // still-open event; drain them before any interpreter step, failure
-      // report, or result read below.
-      flushJitAccesses();
-      Pc = Exit.Ip;
-      if (Exit.Kind == JitExitKind::Budget) {
-        Result.Error = "replay instruction budget exceeded";
-        Result.Ok = false;
-        break;
-      }
-      if (Exit.Kind == JitExitKind::Stop)
-        break; // the statement helper already finished the replay
-      if (Exit.Kind != JitExitKind::Interp) {
-        StmtId Stmt =
-            Prog.func(Frames.back().Func).EmuDecoded.at(Exit.Ip).Stmt;
-        failHere(Exit.Kind == JitExitKind::FailDiv0
-                     ? RuntimeErrorKind::DivideByZero
-                 : Exit.Kind == JitExitKind::FailMod0
-                     ? RuntimeErrorKind::ModuloByZero
-                     : RuntimeErrorKind::IndexOutOfBounds,
-                 Stmt);
-        break;
-      }
-      ++Bailouts;
-    }
-    // One interpreter step: a side-exit instruction, a function whose
-    // compile failed, or a pc without a proven depth.
-    runDecoded(1);
-  }
-  return Bailouts;
-}
-
 ReplayResult Replayer::run() {
   WhatIf = !Options.Overrides.empty();
   if (Interval.EBlock >= Prog.EBlocks.size() ||
@@ -1123,23 +984,7 @@ ReplayResult Replayer::run() {
   Pc = EBlock.EmuEntryPc;
   Cursor = Interval.PrelogRecord;
 
-  // Tier selection. The JIT tier needs a live JitProgram (compiled in,
-  // x86-64 host) and a warm e-block — cold intervals replay decoded and
-  // only cache-driven re-executions pay the compile, which then amortizes
-  // across the session.
-  if (Options.Engine == ReplayEngineKind::Jit && Jit &&
-      Jit->shouldTier(Interval.EBlock)) {
-    auto T0 = std::chrono::steady_clock::now();
-    uint64_t NativeEntries = 0;
-    uint64_t Bailouts = runJit(NativeEntries);
-    Jit->noteExec(
-        uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - T0)
-                     .count()),
-        Bailouts, NativeEntries != 0);
-  } else {
-    runDecoded();
-  }
+  runDecoded();
 
   Result.Shared = std::move(Shared);
   Result.PrivateGlobals = std::move(Priv);
@@ -1150,32 +995,6 @@ ReplayResult Replayer::run() {
 
 } // namespace
 
-bool ppd::parseReplayEngine(const std::string &Name,
-                            ReplayEngineKind &Kind) {
-  if (Name == "jit")
-    Kind = ReplayEngineKind::Jit;
-  else if (Name == "decoded")
-    Kind = ReplayEngineKind::Decoded;
-  else
-    return false;
-  return true;
-}
-
-const char *ppd::replayEngineName(ReplayEngineKind Kind) {
-  switch (Kind) {
-  case ReplayEngineKind::Jit:
-    return "jit";
-  case ReplayEngineKind::Decoded:
-    return "decoded";
-  }
-  return "?";
-}
-
-ReplayEngine::ReplayEngine(const CompiledProgram &Prog,
-                           std::shared_ptr<JitProgram> SharedJit)
-    : Prog(Prog),
-      Jit(SharedJit ? std::move(SharedJit) : JitProgram::create(Prog)) {}
-
 ReplayResult ReplayEngine::replay(const ExecutionLog &Log, uint32_t Pid,
                                   const LogInterval &Interval,
                                   const ReplayOptions &Options) const {
@@ -1185,6 +1004,6 @@ ReplayResult ReplayEngine::replay(const ExecutionLog &Log, uint32_t Pid,
 ReplayResult ReplayEngine::replay(const ProcessLog &Proc, uint32_t Pid,
                                   const LogInterval &Interval,
                                   const ReplayOptions &Options) const {
-  Replayer R(Prog, Proc, Pid, Interval, Options, Jit.get());
+  Replayer R(Prog, Proc, Pid, Interval, Options);
   return R.run();
 }

@@ -41,25 +41,13 @@
 #include "trace/TraceEvent.h"
 #include "vm/Machine.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace ppd {
 
-class JitProgram;
-
-/// The replay tier. Jit compiles hot e-blocks to native code with the
-/// interpreter underneath (warm-up replays, side-exits, unsupported hosts
-/// all run decoded); Decoded is the pre-decoded threaded interpreter. Both
-/// produce bit-identical results — tests/jit_test.cpp and the fuzz oracle
-/// matrix assert it — and the interpreter is held to the §5.5 theorem
-/// (spec/trace in testing/DiffOracles.h).
+/// Unused; kept only for perfbench until its JIT per-layer rows go.
 enum class ReplayEngineKind : uint8_t { Jit, Decoded };
-
-/// Maps "jit" / "decoded" to the kind; false on anything else.
-bool parseReplayEngine(const std::string &Name, ReplayEngineKind &Kind);
-const char *replayEngineName(ReplayEngineKind Kind);
 
 /// A §5.7 experiment: before the event numbered AtEvent is executed, set
 /// Var (element Index, or -1 for scalars) to Value.
@@ -73,9 +61,7 @@ struct ReplayOverride {
 struct ReplayOptions {
   std::vector<ReplayOverride> Overrides;
   uint64_t MaxInstructions = 50'000'000;
-  /// Which replay tier executes the interval. Jit degrades to Decoded
-  /// transparently when the backend is compiled out (PPD_JIT=OFF), the
-  /// host is not x86-64, or the function's e-blocks are not hot yet.
+  /// Ignored; set only by perfbench until its JIT per-layer rows go.
   ReplayEngineKind Engine = ReplayEngineKind::Jit;
 };
 
@@ -118,12 +104,7 @@ struct ReplayResult {
 
 class ReplayEngine {
 public:
-  /// \p SharedJit lets several engines of one program (server sessions,
-  /// the parallel replayer's workers) share compiled code and hotness;
-  /// by default each engine owns a JitProgram (null when the backend is
-  /// unavailable — the Jit tier then degrades to Decoded).
-  explicit ReplayEngine(const CompiledProgram &Prog,
-                        std::shared_ptr<JitProgram> SharedJit = nullptr);
+  explicit ReplayEngine(const CompiledProgram &Prog) : Prog(Prog) {}
 
   /// Replays the given interval of process \p Pid.
   ReplayResult replay(const ExecutionLog &Log, uint32_t Pid,
@@ -138,12 +119,8 @@ public:
                       const LogInterval &Interval,
                       const ReplayOptions &Options = {}) const;
 
-  /// The JIT state backing this engine; null when unavailable.
-  JitProgram *jit() const { return Jit.get(); }
-
 private:
   const CompiledProgram &Prog;
-  std::shared_ptr<JitProgram> Jit;
 };
 
 } // namespace ppd

@@ -6,8 +6,6 @@
 
 #include "core/ReplayService.h"
 
-#include "vm/Jit.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -54,11 +52,6 @@ std::string ppd::renderReplayServiceStats(const ReplayServiceStats &Stats) {
          ", executed " + std::to_string(Stats.Pool.Executed) + ", stolen " +
          std::to_string(Stats.Pool.Stolen) + ", inline " +
          std::to_string(Stats.Pool.InlineRuns) + "\n";
-  Out += "jit: compiles " + std::to_string(Stats.JitCompiles) +
-         ", compile_ms " + std::to_string(Stats.JitCompileNs / 1000000) +
-         ", exec_ms " + std::to_string(Stats.JitExecNs / 1000000) +
-         ", replays " + std::to_string(Stats.JitReplays) + ", bailouts " +
-         std::to_string(Stats.JitBailouts) + "\n";
   Out += "bufferpool: hits " + std::to_string(Stats.Buffer.Hits) +
          ", misses " + std::to_string(Stats.Buffer.Misses) +
          ", evictions " + std::to_string(Stats.Buffer.Evictions) +
@@ -73,7 +66,7 @@ ParallelReplayer::ParallelReplayer(const CompiledProgram &Prog,
                                    PagedLog Log, const LogIndex &Index,
                                    ReplayServiceOptions Options)
     : Prog(Prog), Log(std::move(Log)), Index(Index), Options(Options),
-      Engine(Prog, this->Options.SharedJit) {
+      Engine(Prog) {
   assert(bool(this->Options.SharedCache) ==
              bool(this->Options.SharedFlights) &&
          "a shared cache needs a shared single-flight table (and vice "
@@ -134,7 +127,6 @@ ParallelReplayer::replayMiss(const ReplayKey &Key,
          "interval index out of range");
   ReplayOptions ROpts;
   ROpts.Overrides = Overrides;
-  ROpts.Engine = Options.Engine;
   // Fault the section in and pin it for exactly the span of the interval
   // re-execution; the pin releases before the result is published, so
   // cached hits hold no pool memory. A failed pin or a record the program
@@ -289,13 +281,5 @@ ReplayServiceStats ParallelReplayer::stats() const {
       EngineInstructions.load(std::memory_order_relaxed);
   Out.PrefetchesIssued = PrefetchesIssued.load(std::memory_order_relaxed);
   Out.Buffer = Log.Pool->stats();
-  if (const JitProgram *Jit = Engine.jit()) {
-    JitStats JS = Jit->stats();
-    Out.JitCompiles = JS.Compiles;
-    Out.JitCompileNs = JS.CompileNs;
-    Out.JitExecNs = JS.ExecNs;
-    Out.JitBailouts = JS.Bailouts;
-    Out.JitReplays = JS.JittedReplays;
-  }
   return Out;
 }

@@ -81,21 +81,14 @@ struct ReplayServiceOptions {
   /// per-program cache). Valid only when every sharer replays identical
   /// log content, since cache keys are (pid, interval, fingerprint).
   /// Null: the replayer owns a private cache sized by CacheBytes.
-  std::shared_ptr<ReplayCache<ReplayResult>> SharedCache;
+  std::shared_ptr<ReplayCache<ReplayResult>> SharedCache = nullptr;
   /// A single-flight table shared with other replayers of the same log;
   /// must be non-null iff SharedCache is (they dedupe the same keyspace).
-  std::shared_ptr<ReplayFlightTable> SharedFlights;
+  std::shared_ptr<ReplayFlightTable> SharedFlights = nullptr;
   /// An externally owned pool to run on (the server's worker pool). Null:
   /// the replayer owns a private pool with `Threads` workers. The pool
   /// must outlive the replayer.
   ThreadPool *SharedPool = nullptr;
-
-  /// The replay tier every miss runs with.
-  ReplayEngineKind Engine = ReplayEngineKind::Jit;
-  /// JIT state shared with other replayers of the same program (the
-  /// server's per-program JitProgram), so compiled code and hotness
-  /// aggregate across sessions. Null: the engine owns a private one.
-  std::shared_ptr<JitProgram> SharedJit;
 };
 
 struct ReplayServiceStats {
@@ -109,18 +102,13 @@ struct ReplayServiceStats {
   uint64_t EngineInstructions = 0;
   /// Background prefetch tasks issued.
   uint64_t PrefetchesIssued = 0;
-  // JIT tier counters (all zero when the backend is unavailable).
-  uint64_t JitCompiles = 0;
-  uint64_t JitCompileNs = 0;
-  uint64_t JitExecNs = 0;
-  uint64_t JitBailouts = 0;
-  uint64_t JitReplays = 0;
+  /// Always 0; read only by perfbench until its JIT per-layer rows go.
+  uint64_t JitCompiles = 0, JitBailouts = 0, JitCompileNs = 0;
 };
 
 /// Canonical text rendering of a stats snapshot — the single source of
 /// truth shared by the debugger `stats` command and the server metrics
-/// report ("cache: ...", "pool: ...", "jit: ..." and "bufferpool: ..."
-/// lines).
+/// report ("cache: ...", "pool: ..." and "bufferpool: ..." lines).
 std::string renderReplayServiceStats(const ReplayServiceStats &Stats);
 
 /// Cached, parallel front end to ReplayEngine.

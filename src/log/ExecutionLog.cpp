@@ -21,7 +21,6 @@
 #include "log/LogIO.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
 
 using namespace ppd;
 
@@ -443,7 +442,7 @@ void ppd::v2::writeLog(LogWriter &W, const ExecutionLog &Log,
 
 namespace {
 
-bool loadV2(ByteReader &R, ExecutionLog &Out, ThreadPool *Pool) {
+bool loadV2(ByteReader &R, ExecutionLog &Out) {
   uint64_t NumProcs = R.varint();
   if (!R.plausibleCount(NumProcs))
     return false;
@@ -462,16 +461,10 @@ bool loadV2(ByteReader &R, ExecutionLog &Out, ThreadPool *Pool) {
   if (!R.ok())
     return false;
 
-  // Pass 2: decode the sections — independently, so in parallel when a
-  // pool is available. Each task writes only its own pre-sized slot;
-  // the assembled log is identical at any worker count.
-  std::atomic<bool> AllOk{true};
-  parallelFor(Pool, Sections.size(), [&](size_t I) {
+  // Pass 2: decode the sections.
+  for (size_t I = 0; I != Sections.size(); ++I)
     if (!v2::decodeSection(Sections[I], Out.Procs[I]))
-      AllOk.store(false, std::memory_order_relaxed);
-  });
-  if (!AllOk.load(std::memory_order_acquire))
-    return false;
+      return false;
 
   if (!v2::readOutput(R, Out.Output))
     return false;
@@ -487,10 +480,8 @@ bool ExecutionLog::save(const std::string &Path, LogFormat,
   return W.writeFile(Path);
 }
 
-bool ExecutionLog::load(const std::string &Path, ExecutionLog &Out,
-                        ThreadPool *Pool) {
-  // Slurp the file and decode in memory, so the per-process sections can
-  // fan out across a pool.
+bool ExecutionLog::load(const std::string &Path, ExecutionLog &Out) {
+  // Slurp the file and decode in memory.
   std::vector<uint8_t> Bytes;
   if (!readFileBytes(Path, Bytes))
     return false;
@@ -501,7 +492,7 @@ bool ExecutionLog::load(const std::string &Path, ExecutionLog &Out,
 
   // Decode into scratch; commit only a fully validated log.
   ExecutionLog Scratch;
-  if (!loadV2(R, Scratch, Pool))
+  if (!loadV2(R, Scratch))
     return false;
   Out = std::move(Scratch);
   return true;
@@ -513,8 +504,7 @@ bool ExecutionLog::load(const std::string &Path, ExecutionLog &Out,
 
 namespace {
 
-/// Builds one process's interval tree. Pure function of that process's
-/// record stream — the unit of parallelism.
+/// Builds one process's interval tree from its record stream.
 void buildProcIndex(const ProcessLog &P, std::vector<LogInterval> &Intervals,
                     std::vector<uint32_t> &Open) {
   Intervals.reserve(P.PrelogCount);
@@ -546,14 +536,12 @@ void buildProcIndex(const ProcessLog &P, std::vector<LogInterval> &Intervals,
 
 } // namespace
 
-LogIndex::LogIndex(const ExecutionLog &Log, ThreadPool *Pool) {
+LogIndex::LogIndex(const ExecutionLog &Log) {
   size_t NumProcs = Log.Procs.size();
   Intervals.resize(NumProcs);
   OpenIntervals.resize(NumProcs);
-
-  parallelFor(Pool, NumProcs, [&](size_t Pid) {
+  for (size_t Pid = 0; Pid != NumProcs; ++Pid)
     buildProcIndex(Log.Procs[Pid], Intervals[Pid], OpenIntervals[Pid]);
-  });
 }
 
 const LogInterval *LogIndex::intervalAtRecord(uint32_t Pid,

@@ -72,10 +72,8 @@ public:
 
   /// Reads a log back. On any I/O or format error (including truncation
   /// at every byte offset, or a version other than V2) returns false and
-  /// leaves \p Out untouched. With \p Pool, process sections are decoded
-  /// in parallel; the result is bit-identical to a serial load.
-  static bool load(const std::string &Path, ExecutionLog &Out,
-                   ThreadPool *Pool = nullptr);
+  /// leaves \p Out untouched.
+  static bool load(const std::string &Path, ExecutionLog &Out);
 };
 
 /// One dynamic log interval I_i (the execution of one e-block).
@@ -92,12 +90,9 @@ struct LogInterval {
 /// Per-process interval tree, derived from the record stream.
 class LogIndex {
 public:
-  /// Derives the interval structure of every process. Each process's tree
-  /// depends only on its own record stream, so with \p Pool the
-  /// per-process constructions fan out across the workers; the result is
-  /// bit-identical to the serial build. Interval vectors are pre-reserved
-  /// exactly from ProcessLog::PrelogCount.
-  explicit LogIndex(const ExecutionLog &Log, ThreadPool *Pool = nullptr);
+  /// Derives the interval structure of every process. Interval vectors
+  /// are pre-reserved exactly from ProcessLog::PrelogCount.
+  explicit LogIndex(const ExecutionLog &Log);
 
   /// Derives the interval structure straight from a paged store's encoded
   /// sections (v2::skimSection): record bodies are never materialized, so

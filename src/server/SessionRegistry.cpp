@@ -7,7 +7,6 @@
 #include "server/SessionRegistry.h"
 
 #include "log/ProgramDb.h"
-#include "vm/Jit.h"
 
 using namespace ppd;
 
@@ -53,7 +52,6 @@ uint32_t SessionRegistry::pushProgram(ProgramEntry Entry) {
   Entry.Cache = std::make_shared<ReplayCache<ReplayResult>>(
       Options.CacheBytes, Options.CacheShards);
   Entry.Flights = std::make_shared<ReplayFlightTable>();
-  Entry.Jit = JitProgram::create(*Entry.Prog);
   Programs.push_back(std::move(Entry));
   return uint32_t(Programs.size() - 1);
 }
@@ -75,8 +73,6 @@ uint64_t SessionRegistry::open(uint32_t ProgramIndex) {
   COpts.Service.SharedCache = Entry.Cache;
   COpts.Service.SharedFlights = Entry.Flights;
   COpts.Service.SharedPool = ReplayPool.get();
-  COpts.Service.Engine = Options.Engine;
-  COpts.Service.SharedJit = Entry.Jit;
 
   auto S = std::make_shared<Session>();
   S->Id = NextId++;
@@ -153,19 +149,6 @@ ReplayServiceStats SessionRegistry::aggregateReplayStats() const {
     Out.EngineReplays += S.EngineReplays;
     Out.EngineInstructions += S.EngineInstructions;
     Out.PrefetchesIssued += S.PrefetchesIssued;
-  }
-  // JIT counters live on the per-program shared JitProgram (sessions all
-  // point at the same one), so summing program entries — not sessions —
-  // avoids double counting and survives session eviction.
-  for (const ProgramEntry &Entry : Programs) {
-    if (!Entry.Jit)
-      continue;
-    JitStats JS = Entry.Jit->stats();
-    Out.JitCompiles += JS.Compiles;
-    Out.JitCompileNs += JS.CompileNs;
-    Out.JitExecNs += JS.ExecNs;
-    Out.JitBailouts += JS.Bailouts;
-    Out.JitReplays += JS.JittedReplays;
   }
   if (ReplayPool)
     Out.Pool = ReplayPool->stats();

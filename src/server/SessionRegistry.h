@@ -56,8 +56,6 @@ struct SessionRegistryOptions {
   /// Replay workers shared by all sessions (0 = replay inline on the
   /// request thread, deterministic per request).
   unsigned ReplayThreads = 0;
-  /// Replay tier every session runs with.
-  ReplayEngineKind Engine = ReplayEngineKind::Jit;
   /// Byte budget of the buffer pool shared by every program whose
   /// PagedLog arrives without a pool of its own.
   size_t PoolBudget = size_t(256) << 20;
@@ -189,13 +187,10 @@ private:
     std::shared_ptr<const ParallelDynamicGraph> Graph;
     std::shared_ptr<ReplayCache<ReplayResult>> Cache;
     std::shared_ptr<ReplayFlightTable> Flights;
-    /// One JIT state per program: compiled code and hotness aggregate
-    /// across every session (null when the backend is unavailable).
-    std::shared_ptr<JitProgram> Jit;
   };
 
-  /// Hashes \p Entry's program, gives it a cache, flight table and JIT
-  /// state, and appends it; returns its index. Caller holds Mutex.
+  /// Hashes \p Entry's program, gives it a cache and a flight table, and
+  /// appends it; returns its index. Caller holds Mutex.
   uint32_t pushProgram(ProgramEntry Entry);
 
   SessionRegistryOptions Options;

@@ -24,7 +24,6 @@
 #include "stream/Ingest.h"
 #include "stream/StreamClient.h"
 #include "support/Rng.h"
-#include "vm/Jit.h"
 #include "vm/Machine.h"
 
 #include <algorithm>
@@ -614,13 +613,11 @@ std::string checkReplayTheorem(const CompiledProgram &Prog,
   Observed Full = runOnce(Prog, Opts);
   LogIndex Index(Logged.Log);
   ReplayEngine Engine(Prog);
-  ReplayOptions Decoded;
-  Decoded.Engine = ReplayEngineKind::Decoded;
   std::vector<ReplayResult> Results;
   std::vector<std::vector<const ReplayResult *>> Replays(Index.numProcs());
   for (uint32_t P = 0; P != Index.numProcs(); ++P)
     for (const LogInterval &IV : Index.intervals(P))
-      Results.push_back(Engine.replay(Logged.Log, P, IV, Decoded));
+      Results.push_back(Engine.replay(Logged.Log, P, IV));
   const ReplayResult *Next = Results.data();
   for (uint32_t P = 0; P != Index.numProcs(); ++P)
     for (size_t I = 0; I != Index.intervals(P).size(); ++I)
@@ -785,25 +782,11 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
     Refs.resize(2000);
 
   ReplayEngine Engine(*Prog);
-  // The JIT leg tiers up immediately (threshold 1) so every interval takes
-  // the native path on its first replay; null on hosts without the
-  // backend, where the leg degrades to re-checking the decoded tier.
-  JitOptions HotNow;
-  HotNow.HotThreshold = 1;
-  std::shared_ptr<JitProgram> HotJit = JitProgram::create(*Prog, HotNow);
-  ReplayEngine JitEngine(*Prog, HotJit);
   std::vector<ReplayResult> Reference;
   Reference.reserve(Refs.size());
   for (const auto &[P, IVIdx] : Refs) {
     const LogInterval &IV = Index.intervals(P)[IVIdx];
-    ReplayOptions Dec, Jit;
-    Dec.Engine = ReplayEngineKind::Decoded;
-    Jit.Engine = ReplayEngineKind::Jit;
-    ReplayResult RD = Engine.replay(L, P, IV, Dec);
-    ReplayResult RJ = JitEngine.replay(L, P, IV, Jit);
-    if (auto D = cmpReplay(RD, RJ); !D.empty())
-      return Fail("replay/jit", "pid " + std::to_string(P) + " interval " +
-                                    std::to_string(IVIdx) + ": " + D);
+    ReplayResult RD = Engine.replay(L, P, IV);
     // §5.5: on a race-free instance every closed interval replays
     // faithfully and verifies its postlog exactly.
     if (Report.RaceFree && IV.PostlogRecord != InvalidId) {

@@ -9,7 +9,7 @@
 /// every pipeline the repository maintains and demand each one agree with
 /// the paper's semantics or with its twin. The strongest legs check a
 /// theorem of the paper against an independent run; the rest pit a fast
-/// tier against a simpler one (JIT vs interpreter replay, paged vs whole
+/// tier against a simpler one (memoized vs direct replay, paged vs whole
 /// loading, three race detectors, direct vs framed debugging).
 ///
 /// The oracle matrix (see DESIGN.md §9):
@@ -29,7 +29,7 @@
 ///   log/*       save → load → re-save: loaded records equal
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
-///   replay/*    JIT vs interpreter replay per interval, vs the
+///   replay/*    the interpreter's replay of each interval vs the
 ///               memoized ParallelReplayer (serial, parallel getMany,
 ///               and cache re-read); on race-free instances, closed
 ///               intervals must verify their postlogs exactly.

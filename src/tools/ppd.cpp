@@ -78,7 +78,6 @@ struct CliOptions {
   std::vector<uint32_t> BreakLines;
   unsigned ReplayThreads = 0;
   bool Prefetch = false;
-  ReplayEngineKind Engine = ReplayEngineKind::Jit;
 
   // paged log tier (debug/serve)
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
@@ -167,9 +166,6 @@ options:
                         (default 0 = serial)
   --prefetch            (debug) warm neighboring intervals in the
                         background after each query
-  --replay-engine E     (debug/serve) jit (default) | decoded; both
-                        regenerate bit-identical traces; jit degrades
-                        to decoded where unavailable
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for
                         decoded log sections (default 256m; the
                         PPD_POOL_BUDGET env var overrides the default,
@@ -536,16 +532,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
     } else if (Arg == "--prefetch") {
       Opts.Prefetch = true;
-    } else if (Arg == "--replay-engine") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseReplayEngine(V, Opts.Engine)) {
-        std::fprintf(stderr, "error: unknown replay engine '%s' (expected "
-                             "jit or decoded)\n",
-                     V);
-        return false;
-      }
     } else if (Arg == "--runs") {
       if (!Number(Opts.FuzzRuns))
         return false;
@@ -866,7 +852,6 @@ int cmdDebug(const CliOptions &Opts) {
   }
   COpts.Service.Threads = Opts.ReplayThreads;
   COpts.Service.Prefetch = Opts.Prefetch;
-  COpts.Service.Engine = Opts.Engine;
   PpdController Controller(
       *Prog, PagedLog{std::move(Store), std::make_shared<BufferPool>(Budget)},
       std::move(Index), COpts);
@@ -908,7 +893,6 @@ int cmdServe(const CliOptions &Opts) {
   SOpts.TimeoutMs = Opts.TimeoutMs;
   SOpts.Registry.MaxSessions = Opts.MaxSessions;
   SOpts.Registry.ReplayThreads = Opts.ReplayThreads;
-  SOpts.Registry.Engine = Opts.Engine;
   SOpts.Registry.PoolBudget = effectivePoolBudget(Opts);
   DebugServer Server(SOpts);
 

@@ -10,7 +10,6 @@
 
 #include "log/LogIO.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -389,70 +388,6 @@ func main() { spawn child(7); print(recv(c)); }
         << "prefix of " << Len << " bytes loaded";
     ASSERT_EQ(Sentinel.Procs.size(), 1u);
     EXPECT_EQ(Sentinel.Procs[0].RootFunc, 7777u);
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(LogTest, ParallelLoadAndIndexMatchSerial) {
-  auto R = runProgram(R"(
-shared int sv;
-sem m = 1;
-chan done;
-func bump(int x) { P(m); sv = sv + x; V(m); return sv; }
-func w(int id) {
-  int i = 0;
-  int acc = 0;
-  for (i = 0; i < 10; i = i + 1) acc = acc + bump(id);
-  send(done, acc);
-}
-func main() {
-  spawn w(1);
-  spawn w(2);
-  spawn w(3);
-  int a = recv(done);
-  int b = recv(done);
-  int c = recv(done);
-  print(a + b + c);
-}
-)");
-  ASSERT_EQ(R.Log.Procs.size(), 4u);
-  std::string Path = ::testing::TempDir() + "/ppd_log_parallel.bin";
-  ASSERT_TRUE(R.Log.save(Path, LogFormat::V2));
-
-  ExecutionLog Serial, Parallel;
-  ASSERT_TRUE(ExecutionLog::load(Path, Serial));
-  {
-    ThreadPool Pool(4);
-    ASSERT_TRUE(ExecutionLog::load(Path, Parallel, &Pool));
-  }
-  expectLogsEqual(Serial, Parallel);
-  expectLogsEqual(R.Log, Parallel);
-
-  // Serial and pooled LogIndex construction must agree interval-for-
-  // interval (bit-identical acceptance criterion).
-  LogIndex SerialIndex(Parallel);
-  ThreadPool IndexPool(4);
-  LogIndex ParallelIndex(Parallel, &IndexPool);
-  for (uint32_t Pid = 0; Pid != Parallel.Procs.size(); ++Pid) {
-    const auto &A = SerialIndex.intervals(Pid);
-    const auto &B = ParallelIndex.intervals(Pid);
-    ASSERT_EQ(A.size(), B.size());
-    EXPECT_EQ(A.size(), Parallel.Procs[Pid].PrelogCount);
-    for (size_t I = 0; I != A.size(); ++I) {
-      EXPECT_EQ(A[I].Index, B[I].Index);
-      EXPECT_EQ(A[I].EBlock, B[I].EBlock);
-      EXPECT_EQ(A[I].PrelogRecord, B[I].PrelogRecord);
-      EXPECT_EQ(A[I].PostlogRecord, B[I].PostlogRecord);
-      EXPECT_EQ(A[I].Parent, B[I].Parent);
-      EXPECT_EQ(A[I].Depth, B[I].Depth);
-      EXPECT_EQ(A[I].ExitsFunction, B[I].ExitsFunction);
-    }
-    const LogInterval *OpenA = SerialIndex.lastOpenInterval(Pid);
-    const LogInterval *OpenB = ParallelIndex.lastOpenInterval(Pid);
-    ASSERT_EQ(OpenA == nullptr, OpenB == nullptr);
-    if (OpenA) {
-      EXPECT_EQ(OpenA->Index, OpenB->Index);
-    }
   }
   std::remove(Path.c_str());
 }

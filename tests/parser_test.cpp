@@ -255,8 +255,9 @@ TEST(ParserTest, EveryTruncationOfAValidProgramFailsCleanly) {
     auto Prog = Parser::parse(Full.substr(0, Len), Diags);
     // Either outcome is acceptable (a prefix can be a complete program);
     // a null result must come with diagnostics, never silently.
-    if (!Prog)
+    if (!Prog) {
       EXPECT_TRUE(Diags.hasErrors()) << "prefix length " << Len;
+    }
   }
 }
 
