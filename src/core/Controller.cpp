@@ -462,10 +462,13 @@ RestoredState PpdController::restoreGlobals(uint32_t Pid,
   RestoredState State;
   State.Shared.assign(Prog.Symbols->SharedMemorySize, 0);
   State.PrivateGlobals.assign(Prog.Symbols->PrivateGlobalSize, 0);
-  for (const VarInfo &Info : Prog.Symbols->Vars) {
-    if (Info.Kind == VarKind::SharedGlobal && !Info.isArray())
+  for (VarId V : Prog.Symbols->Globals) {
+    const VarInfo &Info = Prog.Symbols->var(V);
+    if (Info.isArray())
+      continue;
+    if (Info.isShared())
       State.Shared[Info.Offset] = Info.Init;
-    if (Info.Kind == VarKind::PrivateGlobal && !Info.isArray())
+    else
       State.PrivateGlobals[Info.Offset] = Info.Init;
   }
 

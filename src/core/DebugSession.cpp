@@ -129,8 +129,9 @@ std::string DebugSession::cmdRestore(std::istream &Args) {
     return "no such interval\n";
   RestoredState State = Controller.restoreGlobals(Pid, Interval);
   std::string Out;
-  for (const VarInfo &Info : Prog.Symbols->Vars) {
-    if (!Info.isGlobal() || Info.isArray())
+  for (VarId V : Prog.Symbols->Globals) {
+    const VarInfo &Info = Prog.Symbols->var(V);
+    if (Info.isArray())
       continue;
     int64_t Value = Info.isShared() ? State.Shared[Info.Offset]
                                     : State.PrivateGlobals[Info.Offset];

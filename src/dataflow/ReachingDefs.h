@@ -9,9 +9,10 @@
 /// the def-use chains from which the static program dependence graph draws
 /// its data-dependence edges (§4.1). Definition points:
 ///
-///  * the ENTRY node defines every variable (parameters arrive defined;
-///    globals carry values from before the call; an uninitialized local
-///    read is thus reported as depending on ENTRY),
+///  * the ENTRY node defines every global and the function's own
+///    parameters and locals (parameters arrive defined; globals carry
+///    values from before the call; an uninitialized local read is thus
+///    reported as depending on ENTRY),
 ///  * a statement defines the variables it writes directly,
 ///  * a call statement additionally defines MOD(callee) — the
 ///    interprocedural component the paper gets from [2].
@@ -21,7 +22,10 @@
 /// writes), so earlier definitions keep reaching.
 ///
 /// Templated over the set representation for experiment E6; sets here range
-/// over dense definition ids, not variable ids.
+/// over dense definition ids, not variable ids. Nothing is sized to the
+/// program's variable count: definitions are indexed by the sorted list of
+/// variables this function can define (the globals and its own frame), so
+/// the analysis costs O(function + globals).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,7 @@
 #include "support/VarSet.h"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 namespace ppd {
@@ -64,37 +69,49 @@ public:
   /// possible sources of a read of Var at Use.
   std::vector<unsigned> reachingDefsOf(CfgNodeId Use, VarId Var) const {
     std::vector<unsigned> Out;
-    for (unsigned DefId : DefsOfVar[Var])
+    size_t Idx = defIndex(Var);
+    if (Idx == DefVars.size())
+      return Out;
+    for (unsigned DefId : DefsOfVar[Idx])
       if (In[Use].contains(DefId))
         Out.push_back(DefId);
     return Out;
   }
 
 private:
+  /// Position of \p Var in DefVars, or DefVars.size() when the function
+  /// cannot define it.
+  size_t defIndex(VarId Var) const {
+    auto It = std::lower_bound(DefVars.begin(), DefVars.end(), Var);
+    return It != DefVars.end() && *It == Var ? size_t(It - DefVars.begin())
+                                             : DefVars.size();
+  }
+
   void collectDefinitions(const Program &P, const ModRefResult<Set> &MR) {
-    DefsOfVar.resize(Symbols.numVars());
+    // A function can write only the globals and its own params and locals
+    // (MOD sets hold globals only). Sema declares globals first and a
+    // frame's variables in order, so that list is ascending by VarId.
+    const std::vector<VarId> &Own = Symbols.frame(G.func()).Vars;
+    DefVars = Symbols.Globals;
+    DefVars.insert(DefVars.end(), Own.begin(), Own.end());
+    DefsOfVar.resize(DefVars.size());
     Gen.resize(G.size());
     StrongKillVars.resize(G.size());
 
     auto AddDef = [&](CfgNodeId Node, VarId Var, bool Strong) {
       unsigned Id = unsigned(Defs.size());
+      size_t Idx = defIndex(Var);
+      assert(Idx != DefVars.size() && "write to a variable out of scope");
       Defs.push_back({Node, Var, Strong});
-      DefsOfVar[Var].push_back(Id);
+      DefsOfVar[Idx].push_back(Id);
       Gen[Node].insert(Id);
       if (Strong)
         StrongKillVars[Node].push_back(Var);
     };
 
-    // ENTRY defines everything.
-    for (VarId V = 0; V != Symbols.numVars(); ++V) {
-      const VarInfo &Info = Symbols.var(V);
-      bool Relevant = Info.isGlobal() ||
-                      (Info.Func == &G.func() &&
-                       (Info.Kind == VarKind::Param ||
-                        Info.Kind == VarKind::Local));
-      if (Relevant)
-        AddDef(Cfg::EntryId, V, /*Strong=*/true);
-    }
+    // ENTRY defines every one of them.
+    for (VarId V : DefVars)
+      AddDef(Cfg::EntryId, V, /*Strong=*/true);
 
     for (CfgNodeId Node = 0; Node != G.size(); ++Node) {
       const CfgNode &N = G.node(Node);
@@ -124,7 +141,7 @@ private:
     std::vector<Set> Kill(G.size());
     for (CfgNodeId Node = 0; Node != G.size(); ++Node) {
       for (VarId V : StrongKillVars[Node])
-        for (unsigned DefId : DefsOfVar[V])
+        for (unsigned DefId : DefsOfVar[defIndex(V)])
           if (Defs[DefId].Node != Node)
             Kill[Node].insert(DefId);
     }
@@ -154,7 +171,8 @@ private:
   const SymbolTable &Symbols;
   const Cfg &G;
   std::vector<Definition> Defs;
-  std::vector<std::vector<unsigned>> DefsOfVar; ///< by VarId.
+  std::vector<VarId> DefVars;                    ///< ascending.
+  std::vector<std::vector<unsigned>> DefsOfVar; ///< parallel to DefVars.
   std::vector<Set> Gen;                          ///< by node.
   std::vector<std::vector<VarId>> StrongKillVars;
   std::vector<Set> In;

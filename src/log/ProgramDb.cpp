@@ -129,9 +129,8 @@ uint64_t ppd::programHash(const CompiledProgram &Prog) {
   }
   // Global initial values live in the symbol table, not the bytecode, and
   // the machine starts every run from them.
-  for (const VarInfo &Info : Prog.Symbols->Vars)
-    if (Info.isGlobal())
-      F.u64(uint64_t(Info.Init));
+  for (VarId V : Prog.Symbols->Globals)
+    F.u64(uint64_t(Prog.Symbols->var(V).Init));
   F.vec(Prog.SemInit);
   F.vec(Prog.ChanCapacity);
   F.u64(Prog.MainIndex);

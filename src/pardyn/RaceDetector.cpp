@@ -42,10 +42,6 @@ bool ppd::parseRaceAlgorithm(const std::string &Name, RaceAlgorithm &Out) {
 RaceDetector::RaceDetector(const ParallelDynamicGraph &Graph,
                            const SymbolTable &Symbols)
     : Graph(Graph), Symbols(Symbols) {
-  SharedToVar.assign(Symbols.NumSharedVars, InvalidId);
-  for (const VarInfo &Info : Symbols.Vars)
-    if (Info.SharedIndex != InvalidId)
-      SharedToVar[Info.SharedIndex] = Info.Id;
   ScratchWW.reserveFor(Symbols.NumSharedVars);
   ScratchRW.reserveFor(Symbols.NumSharedVars);
   ScratchWR.reserveFor(Symbols.NumSharedVars);
@@ -58,7 +54,7 @@ Race RaceDetector::makeRace(EdgeRef A, EdgeRef B, uint32_t SharedIdx,
     std::swap(A, B);
   Race R;
   R.SharedIdx = SharedIdx;
-  R.Var = SharedToVar[SharedIdx];
+  R.Var = Symbols.SharedVars[SharedIdx];
   R.First = A;
   R.Second = B;
   R.Kind = Kind;
@@ -138,8 +134,8 @@ RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm) const {
   } else {
     // VarIndexed: bucket edges by the shared variables they access; only
     // pairs sharing a variable with a potential conflict are ordered.
-    std::vector<std::vector<EdgeRef>> ReadersOf(SharedToVar.size());
-    std::vector<std::vector<EdgeRef>> WritersOf(SharedToVar.size());
+    std::vector<std::vector<EdgeRef>> ReadersOf(Symbols.NumSharedVars);
+    std::vector<std::vector<EdgeRef>> WritersOf(Symbols.NumSharedVars);
     for (const EdgeRef &E : All) {
       const InternalEdge &Edge = Graph.edge(E);
       Edge.Reads.forEach([&](unsigned S) { ReadersOf[S].push_back(E); });
@@ -159,7 +155,7 @@ RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm) const {
       return KA < KB ? (KA << 32) | KB : (KB << 32) | KA;
     };
 
-    for (uint32_t S = 0; S != SharedToVar.size(); ++S) {
+    for (uint32_t S = 0; S != Symbols.NumSharedVars; ++S) {
       auto Examine = [&](EdgeRef A, EdgeRef B) {
         if (A.Pid == B.Pid)
           return;
@@ -191,7 +187,7 @@ RaceDetectionResult RaceDetector::detectInterval() const {
   RaceDetectionResult Result;
   auto Start = std::chrono::steady_clock::now();
   const uint32_t P = Graph.numProcs();
-  const uint32_t NumShared = uint32_t(SharedToVar.size());
+  const uint32_t NumShared = Symbols.NumSharedVars;
 
   // Reader-only index, a CSR keyed SharedIdx * P + pid like the graph's
   // writer index: the ascending end nodes of the edges that read a
@@ -254,7 +250,8 @@ RaceDetectionResult RaceDetector::detectInterval() const {
       continue;
 
     auto Emit = [&](EdgeRef First, EdgeRef Second, RaceKind Kind) {
-      Result.Races.push_back(Race{S, SharedToVar[S], First, Second, Kind});
+      Result.Races.push_back(
+          Race{S, Symbols.SharedVars[S], First, Second, Kind});
     };
     for (size_t QI = 0; QI != Active.size(); ++QI) {
       const uint32_t Q = Active[QI];

@@ -118,7 +118,6 @@ private:
 
   const ParallelDynamicGraph &Graph;
   const SymbolTable &Symbols;
-  std::vector<VarId> SharedToVar; ///< SharedIndex → VarId.
   /// Per-pair classification scratch, sized once to the shared-var
   /// universe so classifyPair never allocates (it used to copy three
   /// BitVarSets per pair). Mutable: detect() is logically const.

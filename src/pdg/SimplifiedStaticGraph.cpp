@@ -163,9 +163,8 @@ void SimplifiedStaticGraph::buildUnits(
     }
     std::sort(Unit.Members.begin(), Unit.Members.end());
 
-    // Shared variables possibly read inside the unit. Pre-sized to the
-    // variable universe so the insert loops never reallocate.
-    BitVarSet Shared(Symbols.numVars());
+    // Shared variables possibly read inside the unit.
+    BitVarSet Shared;
     for (CfgNodeId Member : Unit.Members) {
       const CfgNode &N = G.node(Member);
       if (N.Kind != CfgNodeKind::Stmt)

@@ -77,6 +77,9 @@ void Sema::declareGlobals() {
     }
     G.Var = declareVar(std::move(Info));
     GlobalScope[G.Name] = G.Var;
+    Symbols->Globals.push_back(G.Var);
+    if (G.Shared)
+      Symbols->SharedVars.push_back(G.Var);
   }
 }
 

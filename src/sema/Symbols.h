@@ -73,6 +73,8 @@ class SymbolTable {
 public:
   std::vector<VarInfo> Vars;        ///< indexed by VarId.
   std::vector<FrameInfo> Frames;    ///< indexed by FuncDecl::Index.
+  std::vector<VarId> Globals;       ///< every global, in declaration order.
+  std::vector<VarId> SharedVars;    ///< indexed by SharedIndex.
   uint32_t SharedMemorySize = 0;    ///< slots of shared memory.
   uint32_t PrivateGlobalSize = 0;   ///< slots per process for plain globals.
   uint32_t NumSharedVars = 0;       ///< dense SharedIndex universe.

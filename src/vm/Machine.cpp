@@ -59,8 +59,8 @@ Machine::Machine(const CompiledProgram &Prog, MachineOptions Options)
                   this->Options.Breakpoints.end());
   // Shared memory with initial values.
   Shared.assign(Prog.Symbols->SharedMemorySize, 0);
-  for (const VarInfo &Info : Prog.Symbols->Vars)
-    if (Info.Kind == VarKind::SharedGlobal && !Info.isArray())
+  for (VarId V : Prog.Symbols->SharedVars)
+    if (const VarInfo &Info = Prog.Symbols->var(V); !Info.isArray())
       Shared[Info.Offset] = Info.Init;
 
   for (int64_t Init : Prog.SemInit) {
@@ -90,8 +90,9 @@ uint32_t Machine::spawnProcess(uint32_t Func, std::vector<int64_t> Args,
   P.Pid = Pid;
 
   P.PrivateGlobals.assign(Prog.Symbols->PrivateGlobalSize, 0);
-  for (const VarInfo &Info : Prog.Symbols->Vars)
-    if (Info.Kind == VarKind::PrivateGlobal && !Info.isArray())
+  for (VarId V : Prog.Symbols->Globals)
+    if (const VarInfo &Info = Prog.Symbols->var(V);
+        Info.Kind == VarKind::PrivateGlobal && !Info.isArray())
       P.PrivateGlobals[Info.Offset] = Info.Init;
 
   // The edge sets only ever hold shared-variable indices: size them to the

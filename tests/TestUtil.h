@@ -15,7 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 namespace ppd::test {
@@ -93,6 +98,52 @@ inline Ran runProgram(const std::string &Source, uint64_t Seed = 1,
     Out.PrintedValues.push_back(O.Value);
   return Out;
 }
+
+/// A fresh directory under ::testing::TempDir(), removed with everything
+/// in it when the object goes out of scope. ctest runs every case as its
+/// own process, concurrently; a test that writes files names them inside
+/// one of these so no two cases ever share a path.
+class ScopedTempDir {
+public:
+  ScopedTempDir() {
+    std::string Pattern = ::testing::TempDir() + "/ppd-XXXXXX";
+    if (::mkdtemp(Pattern.data()))
+      Dir = Pattern;
+    EXPECT_FALSE(Dir.empty()) << "cannot create a directory like " << Pattern;
+  }
+  ~ScopedTempDir() {
+    std::error_code Ignored;
+    if (!Dir.empty())
+      std::filesystem::remove_all(Dir, Ignored);
+  }
+  ScopedTempDir(const ScopedTempDir &) = delete;
+  ScopedTempDir &operator=(const ScopedTempDir &) = delete;
+
+  const std::string &path() const { return Dir; }
+  /// The path of \p Name inside the directory.
+  std::string file(const std::string &Name) const { return Dir + "/" + Name; }
+
+private:
+  std::string Dir;
+};
+
+#ifdef PPD_EXAMPLES_DIR
+/// The shipped example programs: each covers a distinct engine aspect
+/// (races, semaphores+channels, a runtime failure, a deadlock, the paper's
+/// Fig 4.1).
+inline const char *const Corpus[] = {
+    "bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
+    "deadlock.ppl",  "fig41.ppl",
+};
+
+inline std::string readCorpusFile(const std::string &Name) {
+  std::ifstream In(std::string(PPD_EXAMPLES_DIR) + "/" + Name);
+  EXPECT_TRUE(In.good()) << "cannot open corpus file " << Name;
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+#endif
 
 } // namespace ppd::test
 

@@ -167,13 +167,13 @@ TEST(BreakpointTest, StopMarkersSurviveSerialization) {
   Machine M(*Prog, MOpts);
   ASSERT_EQ(int(M.run().Outcome), int(RunResult::Status::Breakpoint));
 
-  std::string Path = ::testing::TempDir() + "/ppd_break_log.bin";
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("log.bin");
   ASSERT_TRUE(M.log().save(Path));
   ExecutionLog Loaded;
   ASSERT_TRUE(ExecutionLog::load(Path, Loaded));
   EXPECT_EQ(int(Loaded.Procs[0].Records.back().Kind),
             int(LogRecordKind::Stop));
-  std::remove(Path.c_str());
 }
 
 } // namespace

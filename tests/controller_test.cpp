@@ -348,7 +348,8 @@ TEST(ControllerTest, DotOutputRendersFig41Styles) {
 TEST(ControllerTest, DebuggingFromSavedLogFile) {
   // Execution phase and debugging phase in separate "invocations": the
   // log round-trips through a file.
-  std::string Path = ::testing::TempDir() + "/ppd_session_log.bin";
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("log.bin");
   auto R = runProgram(Fig41Program);
   ASSERT_TRUE(R.Log.save(Path));
 
@@ -358,7 +359,6 @@ TEST(ControllerTest, DebuggingFromSavedLogFile) {
   DynNodeId Last = C.startAtLastEvent(0);
   ASSERT_NE(Last, InvalidId);
   EXPECT_NE(dataSource(C, Last, "a"), InvalidId);
-  std::remove(Path.c_str());
 }
 
 // A statement that calls a function writing a global and then reads that

@@ -23,30 +23,10 @@
 #include "pardyn/RaceDetector.h"
 #include "testing/DiffOracles.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 using namespace ppd;
 using namespace ppd::test;
 
 namespace {
-
-/// The examples/ corpus: every program ships with the repo and exercises a
-/// distinct engine aspect (races, semaphores+channels, a runtime failure, a
-/// deadlock, the paper's Fig 4.1).
-const char *const Corpus[] = {
-    "bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
-    "deadlock.ppl",  "fig41.ppl",
-};
-
-std::string readCorpusFile(const std::string &Name) {
-  std::ifstream In(std::string(PPD_EXAMPLES_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << "cannot open corpus file " << Name;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 StmtId stmtAtLine(const Program &P, unsigned Line) {
   for (StmtId Id = 0; Id != P.numStmts(); ++Id)
@@ -100,12 +80,12 @@ void expectRunsAgree(const Observed &A, const Observed &B,
   expectSameOutput(A.Output, B.Output, Label);
 }
 
-std::vector<uint8_t> v2Bytes(const ExecutionLog &Log, const char *Tag) {
-  std::string Path = ::testing::TempDir() + "/interp_" + Tag + ".bin";
+std::vector<uint8_t> v2Bytes(const ExecutionLog &Log) {
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("log.bin");
   EXPECT_TRUE(Log.save(Path, LogFormat::V2));
   std::vector<uint8_t> Bytes;
   EXPECT_TRUE(readFileBytes(Path, Bytes));
-  std::remove(Path.c_str());
   return Bytes;
 }
 
@@ -184,7 +164,7 @@ TEST(InterpTest, V2LogBytesBitIdenticalAcrossQuanta) {
     MOpts.Seed = 7;
     MOpts.Mode = RunMode::Logging;
     MOpts.Quantum = P.Quantum;
-    uint64_t Hash = fnv1a(v2Bytes(runOnce(*Prog, MOpts).Log, "quanta"));
+    uint64_t Hash = fnv1a(v2Bytes(runOnce(*Prog, MOpts).Log));
     EXPECT_EQ(Hash, P.Hash) << P.Name << " quantum " << P.Quantum
                             << ": v2 log drifted; actual 0x" << std::hex
                             << Hash;
@@ -204,7 +184,7 @@ TEST(InterpTest, GoldenV2LogFixture) {
   MOpts.Quantum = 3;
   Observed O = runOnce(*Prog, MOpts);
   EXPECT_EQ(int(O.Result.Outcome), int(RunResult::Status::Completed));
-  uint64_t Hash = fnv1a(v2Bytes(O.Log, "golden"));
+  uint64_t Hash = fnv1a(v2Bytes(O.Log));
   EXPECT_EQ(Hash, 0x398f02cd27ee92a9ull)
       << "golden v2 log drifted; actual 0x" << std::hex << Hash;
 }

@@ -268,7 +268,8 @@ func main() {
 )",
                       1, MOpts);
 
-  std::string Path = ::testing::TempDir() + "/ppd_log_roundtrip.bin";
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("log.bin");
   ASSERT_TRUE(R.Log.save(Path));
 
   ExecutionLog Loaded;
@@ -294,18 +295,17 @@ func main() {
   ASSERT_EQ(Loaded.Output.size(), R.Log.Output.size());
   for (size_t I = 0; I != Loaded.Output.size(); ++I)
     EXPECT_EQ(Loaded.Output[I].Value, R.Log.Output[I].Value);
-  std::remove(Path.c_str());
 }
 
 TEST(LogTest, LoadRejectsGarbage) {
-  std::string Path = ::testing::TempDir() + "/ppd_log_garbage.bin";
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("log.bin");
   FILE *F = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(F, nullptr);
   std::fputs("this is not a PPD log", F);
   std::fclose(F);
   ExecutionLog Loaded;
   EXPECT_FALSE(ExecutionLog::load(Path, Loaded));
-  std::remove(Path.c_str());
 }
 
 TEST(LogTest, ByteSizeGrowsWithRecords) {
@@ -347,7 +347,8 @@ func main() {
 TEST(LogTest, RoundTripPropertyBothFormats) {
   for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
     ExecutionLog Log = randomCanonicalLog(Seed, 1 + uint32_t(Seed % 4));
-    std::string Path = ::testing::TempDir() + "/ppd_log_prop.bin";
+    ScopedTempDir TmpDir;
+    std::string Path = TmpDir.file("log.bin");
     ASSERT_TRUE(Log.save(Path));
 
     ExecutionLog Loaded;
@@ -356,7 +357,6 @@ TEST(LogTest, RoundTripPropertyBothFormats) {
     // The on-disk encoding does not change the log's byteSize accounting
     // (E2's currency).
     EXPECT_EQ(Loaded.byteSize(), Log.byteSize());
-    std::remove(Path.c_str());
   }
 }
 
@@ -366,7 +366,8 @@ chan c;
 func child(int k) { send(c, k * 3); }
 func main() { spawn child(7); print(recv(c)); }
 )");
-  std::string Path = ::testing::TempDir() + "/ppd_log_trunc.bin";
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("log.bin");
   ASSERT_TRUE(R.Log.save(Path));
   std::vector<uint8_t> Bytes;
   ASSERT_TRUE(readFileBytes(Path, Bytes));
@@ -389,7 +390,6 @@ func main() { spawn child(7); print(recv(c)); }
     ASSERT_EQ(Sentinel.Procs.size(), 1u);
     EXPECT_EQ(Sentinel.Procs[0].RootFunc, 7777u);
   }
-  std::remove(Path.c_str());
 }
 
 } // namespace

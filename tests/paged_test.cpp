@@ -33,7 +33,6 @@
 #include <fcntl.h>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -43,19 +42,6 @@ using namespace ppd;
 using namespace ppd::test;
 
 namespace {
-
-const char *const Corpus[] = {
-    "bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
-    "deadlock.ppl",  "fig41.ppl",
-};
-
-std::string readCorpusFile(const std::string &Name) {
-  std::ifstream In(std::string(PPD_EXAMPLES_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << "cannot open corpus file " << Name;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// Four processes (main + three workers): enough distinct sections to
 /// exercise eviction and concurrent fault-in.
@@ -81,10 +67,6 @@ func main() {
   print(a + b + c);
 }
 )";
-
-std::string tempPath(const std::string &Name) {
-  return testing::TempDir() + "/ppd_paged_" + Name;
-}
 
 /// Saves \p Log as v2 and opens it as a paged store.
 std::shared_ptr<const PageStore> saveAndOpen(const ExecutionLog &Log,
@@ -173,6 +155,7 @@ void writeFileRaw(const std::string &Path, const uint8_t *Data,
 // front or faulted in section by section through an 8 KiB pool — a budget
 // small enough that multi-process logs evict sections mid-session.
 TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
+  ScopedTempDir TmpDir;
   const char *Script[] = {"where 0", "back",  "back",        "fwd",
                           "where 1", "back",  "races",       "restore 0 1",
                           "node 3",  "where 0"};
@@ -185,7 +168,7 @@ TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
       std::string Label =
           std::string(Name) + " seed " + std::to_string(Seed);
       std::string Path =
-          tempPath("corpus_" + std::to_string(FileIdx++) + ".log");
+          TmpDir.file("corpus_" + std::to_string(FileIdx++) + ".log");
       auto Store = saveAndOpen(R.Log, Path);
       ASSERT_TRUE(Store != nullptr);
 
@@ -203,7 +186,6 @@ TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
       for (const char *Cmd : Script)
         EXPECT_EQ(WholeSession.execute(Cmd), PagedSession.execute(Cmd))
             << Label << " cmd '" << Cmd << "'";
-      std::remove(Path.c_str());
     }
   }
 }
@@ -212,11 +194,12 @@ TEST(PagedTest, SessionMatchesWholeLoadAcrossCorpusAndSeeds) {
 // derived from fully decoded records, and the store's section headers and
 // output trailer must carry the same headers and output as the real log.
 TEST(PagedTest, SkimIndexAndFacadeMatchDecodedLog) {
+  ScopedTempDir TmpDir;
   for (const char *Name : Corpus) {
     std::string Source = readCorpusFile(Name);
     Ran R = runProgram(Source, 7, {}, {}, /*ExpectCompleted=*/false);
     ASSERT_TRUE(R.Prog != nullptr);
-    std::string Path = tempPath(std::string("skim_") + Name + ".log");
+    std::string Path = TmpDir.file(std::string("skim_") + Name + ".log");
     auto Store = saveAndOpen(R.Log, Path);
     ASSERT_TRUE(Store != nullptr);
 
@@ -240,7 +223,6 @@ TEST(PagedTest, SkimIndexAndFacadeMatchDecodedLog) {
       EXPECT_EQ(Output[I].Value, R.Log.Output[I].Value);
       EXPECT_EQ(Output[I].Stmt, R.Log.Output[I].Stmt);
     }
-    std::remove(Path.c_str());
   }
 }
 
@@ -251,10 +233,11 @@ TEST(PagedTest, SkimIndexAndFacadeMatchDecodedLog) {
 // A one-byte budget forces eviction on every unpinned insert, but pinned
 // frames must survive any pressure and keep serving correct bytes.
 TEST(PagedTest, EvictionUnderPressureNeverDropsPinnedFrames) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(FourProcSource, 3);
   ASSERT_TRUE(R.Prog != nullptr);
   ASSERT_EQ(R.Log.Procs.size(), size_t(4));
-  std::string Path = tempPath("evict.log");
+  std::string Path = TmpDir.file("evict.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
 
@@ -286,16 +269,16 @@ TEST(PagedTest, EvictionUnderPressureNeverDropsPinnedFrames) {
   BufferPoolStats Final = Pool.stats();
   EXPECT_EQ(Final.BytesPinned, uint64_t(0));
   EXPECT_LE(Final.BytesResident, Final.Budget);
-  std::remove(Path.c_str());
 }
 
 // With room for everything, concurrent faults on the same sections must
 // decode each section exactly once (single-flight) and every pin must
 // observe fully decoded records. Run under TSan in CI.
 TEST(PagedTest, ConcurrentPinsDecodeEachSectionOnce) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(FourProcSource, 5);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("concurrent.log");
+  std::string Path = TmpDir.file("concurrent.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
 
@@ -319,7 +302,6 @@ TEST(PagedTest, ConcurrentPinsDecodeEachSectionOnce) {
   EXPECT_EQ(S.Insertions, uint64_t(Store->numProcs()));
   EXPECT_EQ(S.Evictions, uint64_t(0));
   EXPECT_EQ(S.Hits + S.Misses, uint64_t(8 * 64));
-  std::remove(Path.c_str());
 }
 
 // Concurrent pins on a one-byte, two-shard pool: every unpin races other
@@ -327,9 +309,10 @@ TEST(PagedTest, ConcurrentPinsDecodeEachSectionOnce) {
 // pool is within budget again (an unpin and an insertion never both skip
 // the eviction pass). Run under TSan in CI.
 TEST(PagedTest, ConcurrentPinsUnderPressureEndWithinBudget) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(FourProcSource, 5);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("concurrent_pressure.log");
+  std::string Path = TmpDir.file("concurrent_pressure.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
 
@@ -351,16 +334,16 @@ TEST(PagedTest, ConcurrentPinsUnderPressureEndWithinBudget) {
   EXPECT_EQ(S.BytesPinned, uint64_t(0));
   EXPECT_LE(S.BytesResident, S.Budget);
   EXPECT_GT(S.Evictions, uint64_t(0));
-  std::remove(Path.c_str());
 }
 
 // A pooled session under a starved pool and a concurrent replay service
 // still matches a session over the run's log: eviction churn must never
 // change an answer. Run under TSan in CI.
 TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(FourProcSource, 9);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("starved.log");
+  std::string Path = TmpDir.file("starved.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
 
@@ -380,7 +363,6 @@ TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
   for (const char *Cmd : Script)
     EXPECT_EQ(WholeSession.execute(Cmd), PagedSession.execute(Cmd))
         << "cmd '" << Cmd << "'";
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -388,9 +370,10 @@ TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
 //===----------------------------------------------------------------------===//
 
 TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedIndex) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(readCorpusFile("bounded_buffer.ppl"), 3);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("ppdb_rt.log");
+  std::string Path = TmpDir.file("ppdb_rt.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -403,9 +386,6 @@ TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedIndex) {
             int(ProgramDbStatus::Ok));
   ASSERT_TRUE(Adopted != nullptr);
   expectIndexEqual(Skimmed, *Adopted, "round trip");
-
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
 }
 
 // The sidecar's persisted parallel dynamic graph, adopted on a warm
@@ -414,9 +394,10 @@ TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedIndex) {
 // Multi-process source so partner edges and cross-process clocks are
 // actually exercised.
 TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedGraph) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(FourProcSource, 7);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("ppdb_graph.log");
+  std::string Path = TmpDir.file("ppdb_graph.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -446,16 +427,14 @@ TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedGraph) {
   for (const char *Cmd : Script)
     EXPECT_EQ(WholeSession.execute(Cmd), PagedSession.execute(Cmd))
         << "cmd '" << Cmd << "'";
-
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
 }
 
 TEST(PagedTest, ProgramDbDetectsStaleProgramAndStaleLog) {
+  ScopedTempDir TmpDir;
   std::string Source = readCorpusFile("bounded_buffer.ppl");
   Ran R = runProgram(Source, 3);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("ppdb_stale.log");
+  std::string Path = TmpDir.file("ppdb_stale.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -483,24 +462,21 @@ TEST(PagedTest, ProgramDbDetectsStaleProgramAndStaleLog) {
   // schedule, and therefore its log bytes, seed-independent.)
   ExecutionLog OtherLog = R.Log;
   OtherLog.Output.push_back({0, 42, InvalidId});
-  std::string OtherPath = tempPath("ppdb_stale_other.log");
+  std::string OtherPath = TmpDir.file("ppdb_stale_other.log");
   auto OtherStore = saveAndOpen(OtherLog, OtherPath);
   ASSERT_TRUE(OtherStore != nullptr);
   EXPECT_EQ(int(readProgramDb(DbPath, *R.Prog, *OtherStore, Index)),
             int(ProgramDbStatus::Stale));
   EXPECT_TRUE(Index == nullptr);
-
-  std::remove(Path.c_str());
-  std::remove(OtherPath.c_str());
-  std::remove(DbPath.c_str());
 }
 
 // Truncation at every byte offset: the sidecar codec must answer
 // Corrupt/Stale — never Ok, never crash, never hand back an index.
 TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(readCorpusFile("bounded_buffer.ppl"), 3);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("ppdb_trunc.log");
+  std::string Path = TmpDir.file("ppdb_trunc.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -509,7 +485,7 @@ TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
 
   std::vector<uint8_t> Bytes = readFileRaw(DbPath);
   ASSERT_GT(Bytes.size(), size_t(0));
-  std::string TruncPath = tempPath("ppdb_trunc.log.ppdb.cut");
+  std::string TruncPath = TmpDir.file("ppdb_trunc.log.ppdb.cut");
   for (size_t Len = 0; Len != Bytes.size(); ++Len) {
     writeFileRaw(TruncPath, Bytes.data(), Len);
     std::shared_ptr<const LogIndex> Index;
@@ -520,18 +496,15 @@ TEST(PagedTest, ProgramDbTruncationAtEveryByteIsRejected) {
     EXPECT_TRUE(Index == nullptr) << "length " << Len;
     EXPECT_TRUE(Graph == nullptr) << "length " << Len;
   }
-
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
-  std::remove(TruncPath.c_str());
 }
 
 // A sidecar written by an older build (any version word but the current
 // one) is Stale, so the caller rebuilds it rather than trusting it.
 TEST(PagedTest, ProgramDbOlderVersionReadsStale) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(readCorpusFile("bounded_buffer.ppl"), 3);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("ppdb_v2.log");
+  std::string Path = TmpDir.file("ppdb_v2.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -546,9 +519,6 @@ TEST(PagedTest, ProgramDbOlderVersionReadsStale) {
   EXPECT_EQ(int(readProgramDb(DbPath, *R.Prog, *Store, Index)),
             int(ProgramDbStatus::Stale));
   EXPECT_TRUE(Index == nullptr);
-
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -560,6 +530,7 @@ TEST(PagedTest, ProgramDbOlderVersionReadsStale) {
 // one is adopted by the other. A fingerprint that read indeterminate
 // bytes (struct padding, addresses) would make every open cold.
 TEST(PagedTest, ProgramHashIsDeterministicAcrossCompiles) {
+  ScopedTempDir TmpDir;
   std::string Source = readCorpusFile("bounded_buffer.ppl");
   Ran R = runProgram(Source, 3);
   ASSERT_TRUE(R.Prog != nullptr);
@@ -567,7 +538,7 @@ TEST(PagedTest, ProgramHashIsDeterministicAcrossCompiles) {
   ASSERT_TRUE(Again != nullptr);
   EXPECT_EQ(programHash(*R.Prog), programHash(*Again));
 
-  std::string Path = tempPath("ppdb_recompile.log");
+  std::string Path = TmpDir.file("ppdb_recompile.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -575,9 +546,28 @@ TEST(PagedTest, ProgramHashIsDeterministicAcrossCompiles) {
   std::shared_ptr<const LogIndex> Index;
   EXPECT_EQ(int(readProgramDb(DbPath, *Again, *Store, Index)),
             int(ProgramDbStatus::Ok));
+}
 
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
+// The fingerprint of each shipped example is pinned: `.ppdb` sidecars
+// written by earlier builds of the same format version stay Warm only if
+// these never move.
+TEST(PagedTest, ProgramHashIsPinnedForCorpus) {
+  const struct {
+    const char *Name;
+    uint64_t Hash;
+  } Pins[] = {
+      {"bank_race.ppl", 0x7f5c9533e01fc3d3ull},
+      {"bounded_buffer.ppl", 0xa9804db7e089ebfeull},
+      {"crash.ppl", 0xbfea9d89791a29a1ull},
+      {"deadlock.ppl", 0x50e16ceefb89f1afull},
+      {"fig41.ppl", 0xda7bb11279497368ull},
+  };
+  for (const auto &Pin : Pins) {
+    auto Prog = compileOk(readCorpusFile(Pin.Name));
+    ASSERT_TRUE(Prog != nullptr) << Pin.Name;
+    uint64_t Hash = programHash(*Prog);
+    EXPECT_EQ(Hash, Pin.Hash) << Pin.Name << ": 0x" << std::hex << Hash;
+  }
 }
 
 // Every bit of the 32-bit A operand reaches the fingerprint, in both
@@ -663,6 +653,7 @@ TEST(PagedTest, ProgramHashSeesUsedDefinedAndInstrument) {
 // bytecode; the fingerprint must still see it, or a sidecar (or a stream)
 // recorded from a source that differs in one initializer is adopted.
 TEST(PagedTest, ProgramHashSeesGlobalInitializers) {
+  ScopedTempDir TmpDir;
   auto Source = [](int Shared, int Private) {
     return "shared int s = " + std::to_string(Shared) + ";\nint p = " +
            std::to_string(Private) + ";\nfunc main() { print(s + p); }\n";
@@ -679,7 +670,7 @@ TEST(PagedTest, ProgramHashSeesGlobalInitializers) {
   EXPECT_NE(programHash(*OtherShared), Base);
   EXPECT_NE(programHash(*OtherPrivate), Base);
 
-  std::string Path = tempPath("ppdb_init.log");
+  std::string Path = TmpDir.file("ppdb_init.log");
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -690,9 +681,6 @@ TEST(PagedTest, ProgramHashSeesGlobalInitializers) {
   for (const CompiledProgram *Other : {OtherShared.get(), OtherPrivate.get()})
     EXPECT_EQ(int(readProgramDb(DbPath, *Other, *Store, Index)),
               int(ProgramDbStatus::Stale));
-
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -707,17 +695,18 @@ TEST(PagedTest, ProgramHashSeesGlobalInitializers) {
 // in a section not yet faulted, fails the store with a reason that says
 // the file changed — never a signal, never the new bytes.
 TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(readCorpusFile("bank_race.ppl"), 1);
   ASSERT_TRUE(R.Prog != nullptr);
   ASSERT_GE(R.Log.Procs.size(), size_t(2));
 
-  std::string Path = tempPath("store_v2.log");
+  std::string Path = TmpDir.file("store_v2.log");
   ASSERT_TRUE(R.Log.save(Path));
   std::vector<uint8_t> Bytes = readFileRaw(Path);
   ASSERT_GE(Bytes.size(), size_t(8));
 
   // Magic, then the u32 version word: patch it, keep every other byte.
-  std::string VersionPath = tempPath("store_version.log");
+  std::string VersionPath = TmpDir.file("store_version.log");
   for (uint32_t Version : {1u, 3u}) {
     std::vector<uint8_t> Patched = Bytes;
     std::memcpy(Patched.data() + 4, &Version, 4);
@@ -731,7 +720,7 @@ TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
     EXPECT_FALSE(ExecutionLog::load(VersionPath, Loaded)) << Version;
   }
 
-  std::string CutPath = tempPath("store_cut.log");
+  std::string CutPath = TmpDir.file("store_cut.log");
   auto ExpectChanged = [](const PageStore &Store, const std::string &Label) {
     EXPECT_TRUE(Store.failed()) << Label;
     EXPECT_NE(Store.failure().find("changed since it was opened"),
@@ -777,10 +766,6 @@ TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
   EXPECT_FALSE(Pool.pin(*Store, 1));
   ExpectChanged(*Store, "one byte rewritten");
   EXPECT_FALSE(Pool.pin(*Store, 0)) << "a failed store stays failed";
-
-  std::remove(Path.c_str());
-  std::remove(VersionPath.c_str());
-  std::remove(CutPath.c_str());
 }
 
 // Every byte of a small multi-process log flipped (xor 0x01 and 0xff),
@@ -790,9 +775,10 @@ TEST(PagedTest, StoreRejectsV1AndEveryTruncation) {
 // to read or its records prove inconsistent — answers "error: <reason>"
 // from then on.
 TEST(PagedTest, EveryByteCorruptionAnswersOrGivesTypedError) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(readCorpusFile("bank_race.ppl"), 1);
   ASSERT_TRUE(R.Prog != nullptr);
-  std::string Path = tempPath("flip_intact.log");
+  std::string Path = TmpDir.file("flip_intact.log");
   auto Intact = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Intact != nullptr);
   std::string DbPath = programDbPathFor(Path);
@@ -800,7 +786,7 @@ TEST(PagedTest, EveryByteCorruptionAnswersOrGivesTypedError) {
   std::vector<uint8_t> Bytes = readFileRaw(Path);
 
   const char *Script[] = {"where 0", "races", "restore 0 1"};
-  std::string FlipPath = tempPath("flip.log");
+  std::string FlipPath = TmpDir.file("flip.log");
   unsigned Opened = 0, Failed = 0;
   for (bool WithDb : {false, true})
     for (size_t Offset = 0; Offset != Bytes.size(); ++Offset)
@@ -849,16 +835,13 @@ TEST(PagedTest, EveryByteCorruptionAnswersOrGivesTypedError) {
   EXPECT_GT(Opened, 0u);
   EXPECT_GT(Failed, 0u);
   EXPECT_LT(Failed, Opened);
-
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
-  std::remove(FlipPath.c_str());
 }
 
 // Values that decode cleanly but that no run of this program could have
 // logged. Each must fail the store as corrupt on the command that first
 // reads it — never index a program table or the seq table out of range.
 TEST(PagedTest, OutOfRangeDecodedValuesGiveTypedError) {
+  ScopedTempDir TmpDir;
   Ran R = runProgram(readCorpusFile("bank_race.ppl"), 1);
   ASSERT_TRUE(R.Prog != nullptr);
   const uint32_t NumVars = R.Prog->Symbols->numVars();
@@ -933,7 +916,7 @@ TEST(PagedTest, OutOfRangeDecodedValuesGiveTypedError) {
       {"root function past the program", "where 0",
        [&](ExecutionLog &L) { L.Procs.back().RootFunc = 999; }},
   };
-  std::string Path = tempPath("out_of_range.log");
+  std::string Path = TmpDir.file("out_of_range.log");
   for (const Case &C : Cases) {
     ExecutionLog Log = R.Log;
     C.Mangle(Log);
@@ -948,7 +931,6 @@ TEST(PagedTest, OutOfRangeDecodedValuesGiveTypedError) {
     EXPECT_NE(Paged.logFailure().find("is corrupt"), std::string::npos)
         << C.Name << ": " << Paged.logFailure();
   }
-  std::remove(Path.c_str());
 }
 
 } // namespace

@@ -17,9 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace ppd;
 using namespace ppd::test;
@@ -338,14 +335,6 @@ ParallelDynamicGraph streamedGraph(const ExecutionLog &Log,
   }
 }
 
-std::string readExample(const std::string &Name) {
-  std::ifstream In(std::string(PPD_EXAMPLES_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << "cannot open example " << Name;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
-
 /// Batch, streamed, and `.ppdb`-adopted builds of one run's graph must
 /// all answer every indexed query like the scans.
 void expectIndexesMatchScans(const Ran &R, const std::string &Label) {
@@ -358,12 +347,8 @@ void expectIndexesMatchScans(const Ran &R, const std::string &Label) {
                   Label + " (streamed, stride " + std::to_string(Stride) +
                       ")");
 
-  // ctest runs each test in its own process, concurrently: one file per
-  // test.
-  std::string Path =
-      ::testing::TempDir() + "/ppd_pardyn_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-      ".log";
+  ScopedTempDir TmpDir;
+  std::string Path = TmpDir.file("graph.log");
   ASSERT_TRUE(R.Log.save(Path)) << Label;
   std::string Error;
   auto Store = PageStore::open(Path, &Error);
@@ -377,15 +362,12 @@ void expectIndexesMatchScans(const Ran &R, const std::string &Label) {
             int(ProgramDbStatus::Ok))
       << Label;
   EXPECT_EQ(indexMismatch(*Adopted, NumShared), "") << Label << " (.ppdb)";
-  std::remove(Path.c_str());
-  std::remove(DbPath.c_str());
 }
 
 TEST(GraphIndexTest, ExamplesCorpusMatchesScans) {
-  for (const char *Name : {"bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
-                           "deadlock.ppl", "fig41.ppl"})
+  for (const char *Name : Corpus)
     for (uint64_t Seed : {1u, 4u}) {
-      Ran R = runProgram(readExample(Name), Seed, {}, {},
+      Ran R = runProgram(readCorpusFile(Name), Seed, {}, {},
                          /*ExpectCompleted=*/false);
       expectIndexesMatchScans(R, std::string(Name) + " seed " +
                                      std::to_string(Seed));

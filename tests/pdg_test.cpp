@@ -331,4 +331,33 @@ TEST(SimplifiedGraphTest, DotHasFig53Legend) {
   EXPECT_NE(Dot.find("EXIT"), std::string::npos);
 }
 
+// The DOT text of every static PDG of each shipped example — what
+// `ppd compile --dump-pdg` prints — is pinned by its FNV-1a hash, so a change
+// to how the analyses are computed cannot move a single edge.
+TEST(StaticPdgTest, CorpusDotIsPinned) {
+  const struct {
+    const char *Name;
+    uint64_t Hash;
+  } Pins[] = {
+      {"bank_race.ppl", 0xa16f9f9c26d3e5e5ull},
+      {"bounded_buffer.ppl", 0x580d2c13c83bea51ull},
+      {"crash.ppl", 0x6b9ac4010fcd2ef3ull},
+      {"deadlock.ppl", 0x0e93f4fd47beb680ull},
+      {"fig41.ppl", 0xec364f0ef8620ccdull},
+  };
+  for (const auto &Pin : Pins) {
+    auto Prog = compileOk(readCorpusFile(Pin.Name));
+    ASSERT_TRUE(Prog != nullptr) << Pin.Name;
+    std::string Dump;
+    for (const auto &F : Prog->Ast->Funcs)
+      Dump += "\n" + Prog->Pdgs[F->Index]->dot(*Prog->Ast);
+    uint64_t Hash = 1469598103934665603ull;
+    for (unsigned char Ch : Dump) {
+      Hash ^= Ch;
+      Hash *= 1099511628211ull;
+    }
+    EXPECT_EQ(Hash, Pin.Hash) << Pin.Name << ": 0x" << std::hex << Hash;
+  }
+}
+
 } // namespace

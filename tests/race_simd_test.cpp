@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -32,19 +31,6 @@ using ppd::testing::GenProgram;
 using ppd::testing::generateProgram;
 
 namespace {
-
-const char *const Corpus[] = {
-    "bank_race.ppl", "bounded_buffer.ppl", "crash.ppl",
-    "deadlock.ppl",  "fig41.ppl",
-};
-
-std::string readCorpusFile(const std::string &Name) {
-  std::ifstream In(std::string(PPD_EXAMPLES_DIR) + "/" + Name);
-  EXPECT_TRUE(In.good()) << "cannot open corpus file " << Name;
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
 
 /// Runs a generated program with its derived schedule seed and quantum.
 Ran runGenerated(uint64_t Seed) {

@@ -10,6 +10,7 @@
 #include "sema/Accesses.h"
 #include "sema/CallGraph.h"
 #include "sema/ProgramDatabase.h"
+#include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,37 @@ TEST(SemaTest, ResolvesKindsAndSharedIndices) {
   EXPECT_EQ(Sym.var(varNamed(Sym, "s1")).SharedIndex, 0u);
   EXPECT_EQ(Sym.var(varNamed(Sym, "s2")).SharedIndex, 1u);
   EXPECT_EQ(Sym.var(varNamed(Sym, "p")).SharedIndex, InvalidId);
+}
+
+/// Symbols.Globals lists the isGlobal() variables in id order, and
+/// Symbols.SharedVars maps each SharedIndex back to its variable.
+void expectGlobalListsMatchScan(const std::string &Source,
+                                const std::string &Label) {
+  auto C = check(Source);
+  ASSERT_TRUE(C.Symbols) << Label;
+  const SymbolTable &Sym = *C.Symbols;
+  std::vector<VarId> Globals;
+  for (const VarInfo &Info : Sym.Vars)
+    if (Info.isGlobal())
+      Globals.push_back(Info.Id);
+  EXPECT_EQ(Sym.Globals, Globals) << Label;
+  ASSERT_EQ(Sym.SharedVars.size(), Sym.NumSharedVars) << Label;
+  for (uint32_t I = 0; I != Sym.NumSharedVars; ++I) {
+    EXPECT_TRUE(Sym.var(Sym.SharedVars[I]).isShared()) << Label;
+    EXPECT_EQ(Sym.var(Sym.SharedVars[I]).SharedIndex, I) << Label;
+  }
+}
+
+TEST(SemaTest, GlobalAndSharedListsMatchSymbolScan) {
+  expectGlobalListsMatchScan("int p; shared int s1; int q[2];\n"
+                             "shared int s2[3]; shared int s3;\n"
+                             "func main() { int l; }\n",
+                             "mixed");
+  for (const char *Name : Corpus)
+    expectGlobalListsMatchScan(readCorpusFile(Name), Name);
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed)
+    expectGlobalListsMatchScan(ppd::testing::generateProgram(Seed).render(),
+                               "seed " + std::to_string(Seed));
 }
 
 TEST(SemaTest, StorageLayout) {

@@ -35,7 +35,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <thread>
 
@@ -229,7 +228,8 @@ TEST(StreamDiffTest, SixteenSeedsEveryPrefixMatchesBatch) {
     // the canonical v2 serializations.
     ExecutionLog Frontier;
     ASSERT_TRUE(F.Ingest.frontierLog(Run.Sid, Frontier));
-    std::string Dir = ::testing::TempDir();
+    ScopedTempDir TmpDir;
+    const std::string &Dir = TmpDir.path();
     std::string PathA = Dir + "/stream_diff_" + std::to_string(Seed) + ".a";
     std::string PathB = Dir + "/stream_diff_" + std::to_string(Seed) + ".b";
     ASSERT_TRUE(Frontier.save(PathA, LogFormat::V2));
@@ -237,8 +237,6 @@ TEST(StreamDiffTest, SixteenSeedsEveryPrefixMatchesBatch) {
     EXPECT_EQ(fileBytes(PathA), fileBytes(PathB))
         << "seed " << Seed << ": streamed frontier is not bit-identical "
         << "to the batch v2 log";
-    std::remove(PathA.c_str());
-    std::remove(PathB.c_str());
 
     // And the ended frontier still answers tail queries like a batch
     // session over the batch log (output and races included).
@@ -536,7 +534,8 @@ TEST(StreamIngestTest, TailOnEmptyFrontierIsAnAnswerNotAnError) {
 //===----------------------------------------------------------------------===//
 
 TEST(StreamSpillTest, DroppedConnectionLeavesSpillOpenableToLastCut) {
-  std::string Dir = ::testing::TempDir();
+  ScopedTempDir TmpDir;
+  const std::string &Dir = TmpDir.path();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   IngestFixture F(PipelineSource, Options);
@@ -596,8 +595,6 @@ TEST(StreamSpillTest, DroppedConnectionLeavesSpillOpenableToLastCut) {
   ASSERT_TRUE(Recovered.save(PathA, LogFormat::V2));
   ASSERT_TRUE(Frontier.save(PathB, LogFormat::V2));
   EXPECT_EQ(fileBytes(PathA), fileBytes(PathB));
-  std::remove(PathA.c_str());
-  std::remove(PathB.c_str());
 
   // Crash mid-chunk: append a chunk header promising more bytes than
   // exist. The complete-cut prefix still loads, now flagged Truncated.
@@ -615,7 +612,8 @@ TEST(StreamSpillTest, DroppedConnectionLeavesSpillOpenableToLastCut) {
 }
 
 TEST(StreamSpillTest, EndedStreamFinalizesCanonicalV2Log) {
-  std::string Dir = ::testing::TempDir();
+  ScopedTempDir TmpDir;
+  const std::string &Dir = TmpDir.path();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   IngestFixture F(PipelineSource, Options);
@@ -628,7 +626,6 @@ TEST(StreamSpillTest, EndedStreamFinalizesCanonicalV2Log) {
   std::string BatchPath = Dir + "/batch.ppdlog";
   ASSERT_TRUE(Run.BatchLog.save(BatchPath, LogFormat::V2));
   EXPECT_EQ(fileBytes(FinalPath), fileBytes(BatchPath));
-  std::remove(BatchPath.c_str());
 
   // And it opens through the ordinary batch loader.
   ExecutionLog Loaded;
@@ -643,7 +640,8 @@ TEST(StreamSpillTest, EndedStreamFinalizesCanonicalV2Log) {
 // fdatasync per acked cut on top. strace-free by injection.
 TEST(StreamSpillTest, SyncHookCountsFinalizeAlwaysPerCutWhenEnabled) {
   for (bool SpillSync : {false, true}) {
-    std::string Dir = ::testing::TempDir();
+    ScopedTempDir TmpDir;
+    const std::string &Dir = TmpDir.path();
     uint64_t SyncCalls = 0;
     stream::IngestOptions Options;
     Options.SpillDir = Dir;
@@ -664,7 +662,8 @@ TEST(StreamSpillTest, SyncHookCountsFinalizeAlwaysPerCutWhenEnabled) {
 }
 
 TEST(StreamSpillTest, FailedFinalizeSyncKillsStreamAndRemovesTmp) {
-  std::string Dir = ::testing::TempDir();
+  ScopedTempDir TmpDir;
+  const std::string &Dir = TmpDir.path();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   Options.Sync = [](int) { return -1; }; // the platter said no
@@ -740,7 +739,8 @@ TEST(StreamBudgetTest, ExhaustedBudgetGivesTypedBusy) {
 TEST(StreamBudgetTest, SpillHeaderBytesCountAndBlockNewHellos) {
   // With a spill dir, each accepted hello writes a 16-byte header; a
   // 16-byte budget admits exactly one stream, then hellos go Busy.
-  std::string Dir = ::testing::TempDir();
+  ScopedTempDir TmpDir;
+  const std::string &Dir = TmpDir.path();
   stream::IngestOptions Options;
   Options.SpillDir = Dir;
   Options.SpillBudget = 16;
