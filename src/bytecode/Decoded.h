@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The instruction stream both interpreters run: the VM's
-/// (vm/Machine.cpp) and the emulation-package replay engine's
+/// The instruction stream the interpreter (vm/Interp.h) runs, under the
+/// VM's policy (vm/Machine.cpp) and the emulation-package replay's
 /// (core/Replay.cpp). A DecodedChunk is produced once per function during
 /// the preparatory phase: the decoder flattens a Chunk into an array of
 /// DecodedInstr with the statement id inlined (no side-table lookup per

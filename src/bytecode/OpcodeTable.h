@@ -7,11 +7,10 @@
 /// \file
 /// The single source of truth for the instruction set. Everything that
 /// enumerates opcodes — the `Op` enum (Instr.h), the decoded `DOp` enum
-/// (Decoded.h), `opName`, and the dispatch tables of both interpreters
-/// (vm/Machine.cpp and core/Replay.cpp, via vm/Dispatch.h) — expands one of
-/// these X-macros, so an opcode added here automatically reaches every
-/// consumer and the execution-phase and debugging-phase engines cannot
-/// drift structurally.
+/// (Decoded.h), `opName`, and the dispatch table of the one handler set
+/// (vm/Interp.h), which the execution phase and replay both run — expands
+/// one of these X-macros, so an opcode added here reaches every consumer
+/// and a missing handler is a compile error.
 ///
 /// PPD_BASE_OPCODES lists the encodable instruction set in enum order.
 /// PPD_FUSED_OPCODES lists the decode-time superinstructions that exist

@@ -145,12 +145,24 @@ std::string DebugSession::cmdWhatIf(std::istream &Args) {
   std::string VarName;
   int64_t Value = 0;
   Args >> Pid >> Interval >> Event >> VarName >> Value;
+  // VAR is resolved as the interval's root function sees it: its params
+  // and locals first, then the globals.
+  auto Named = [&](const std::vector<VarId> &Vars) {
+    for (VarId V : Vars)
+      if (Prog.Symbols->var(V).Name == VarName)
+        return V;
+    return VarId(InvalidId);
+  };
   VarId Var = InvalidId;
-  for (const VarInfo &Info : Prog.Symbols->Vars)
-    if (Info.Name == VarName)
-      Var = Info.Id;
-  if (Var == InvalidId || Pid >= Controller.numProcs() ||
-      Interval >= Controller.logIndex().intervals(Pid).size())
+  if (Pid < Controller.numProcs() &&
+      Interval < Controller.logIndex().intervals(Pid).size()) {
+    uint32_t EBlock = Controller.logIndex().intervals(Pid)[Interval].EBlock;
+    if (EBlock < Prog.EBlocks.size())
+      Var = Named(Prog.Symbols->Frames[Prog.eblock(EBlock).Func].Vars);
+    if (Var == InvalidId)
+      Var = Named(Prog.Symbols->Globals);
+  }
+  if (Var == InvalidId)
     return "usage: whatif PID INTERVAL EVENT VAR VALUE\n";
   ReplayResult Res =
       Controller.whatIf(Pid, Interval, {{Event, Var, -1, Value}});

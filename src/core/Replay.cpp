@@ -2,10 +2,10 @@
 //
 // Part of PPD. See Replay.h.
 //
-// The replay interpreter (runDecoded) is a token-threaded loop over the
-// emulation package's pre-decoded stream. The record-cursor operations —
-// the sync no-ops, prelog/postlog/unit-log handling, trace event
-// construction, nested-call skipping — are cold helpers it calls out to.
+// Replay runs the one handler set (vm/Interp.h) over the emulation
+// package under the replay policy below: shared values come from prelogs
+// and unit logs, synchronization results from the log, logged callees
+// are skipped through their postlogs, and Stop markers end the replay.
 // Its output answers to the §5.5 theorem oracle (a FullTrace run,
 // testing/DiffOracles.cpp).
 //
@@ -14,9 +14,7 @@
 #include "core/Replay.h"
 
 #include "sema/ProgramDatabase.h"
-#include "support/Arith.h"
-#include "vm/Dispatch.h"
-#include "vm/InterpCore.h"
+#include "vm/Interp.h"
 
 #include <algorithm>
 #include <cassert>
@@ -24,18 +22,6 @@
 using namespace ppd;
 
 namespace {
-
-struct RFrame {
-  uint32_t Func = 0;
-  uint32_t ReturnPc = 0;
-  uint32_t StackBase = 0;
-  /// The frame's local slots live in Replayer::SlotArena at
-  /// [SlotBase, SlotBase + SlotCount) — call/return only moves the arena's
-  /// end, so re-executed inherited calls never allocate in steady state.
-  uint32_t SlotBase = 0;
-  uint32_t SlotCount = 0;
-  uint32_t OpenEvent = InvalidId;
-};
 
 /// The single-process replay interpreter.
 class Replayer {
@@ -49,12 +35,7 @@ public:
   ReplayResult run();
 
 private:
-  enum class StepOutcome { Continue, Stop };
-
-  const Chunk &chunk() const { return Prog.func(Frames.back().Func).Emu; }
-
-  /// Local slots of the innermost frame.
-  int64_t *topSlots() { return SlotArena.data() + Frames.back().SlotBase; }
+  struct Policy;
 
   void finish(bool OkFlag) {
     Result.Ok = OkFlag;
@@ -156,6 +137,29 @@ private:
     return nullptr;
   }
 
+  /// Consumes the sync record a P, V, send or spawn left; a missing one is
+  /// a divergence. False when the replay stops here.
+  bool expectSync(SyncKind Kind, const char *Missing) {
+    if (!consumeSync(Kind) && !Done && !WhatIf)
+      diverge(Missing);
+    return !Done;
+  }
+
+  /// Pushes the value a receive or input record supplies. A what-if run
+  /// that left the logged path gets 0.
+  bool pushLogged(const LogRecord *R, const char *Missing) {
+    if (R) {
+      Stack.push_back(R->Value);
+      return true;
+    }
+    if (Done)
+      return false;
+    diverge(Missing);
+    if (WhatIf)
+      Stack.push_back(0);
+    return !Done;
+  }
+
   /// A record read back from disk may name a variable the program does
   /// not have, or carry more values than it has slots. Then the log is
   /// corrupt and the replay fails — what-if replays too — instead of
@@ -219,25 +223,6 @@ private:
     }
   }
 
-  TraceEvent *openEvent() {
-    uint32_t Idx = Frames.back().OpenEvent;
-    return Idx == InvalidId ? nullptr : &Result.Events.Events[Idx];
-  }
-  void traceRead(VarId Var, int64_t Value, int64_t Index) {
-    if (TraceEvent *E = openEvent())
-      E->Reads.push_back({Var, Value, Index});
-  }
-  void traceWrite(VarId Var, int64_t Value, int64_t Index) {
-    if (TraceEvent *E = openEvent())
-      E->Writes.push_back({Var, Value, Index});
-  }
-
-  void failHere(RuntimeErrorKind Kind, StmtId Stmt) {
-    Result.FailureHit = true;
-    Result.Failure = {Kind, Pid, Stmt};
-    finish(true); // reproducing the failure is a *successful* replay
-  }
-
   void applyOverrides() {
     for (const ReplayOverride &O : Options.Overrides) {
       if (O.AtEvent != Result.Events.Events.size())
@@ -253,28 +238,10 @@ private:
   }
 
   void skipNestedCall(uint32_t Callee, StmtId Stmt);
-
-  // Cold operations. They operate on the member state (Stack, Pc, Cursor,
-  // Frames); the interpreter syncs its Ip with Pc around the two that
-  // transfer control (doCall, doRet).
-  StepOutcome doSemP();
-  StepOutcome doSemV();
-  StepOutcome doSend();
-  StepOutcome doRecv();
-  StepOutcome doSpawn(uint32_t Argc);
-  StepOutcome doInput();
-  StepOutcome doPrelog(uint32_t EBlockId);
-  StepOutcome doPostlog(uint32_t EBlockId, uint32_t Flags);
-  StepOutcome doUnitLog(uint32_t UnitId);
-  StepOutcome doTraceStmt(StmtId Stmt);
-  StepOutcome doTraceCallBegin(uint32_t Callee, StmtId Stmt);
-  void doTraceCallEnd(uint32_t Callee);
-  StepOutcome doCall(uint32_t Callee, uint32_t Argc, StmtId Stmt);
-  StepOutcome doRet();
-
-  /// Interprets from Pc until the replay stops. A fused pair counts as
-  /// two instructions and splits at the instruction budget.
-  void runDecoded();
+  // The log-record operations; false when the replay stops here.
+  bool prelog(uint32_t EBlockId);
+  bool postlog(uint32_t EBlockId, uint32_t Flags);
+  bool unitLog(uint32_t UnitId);
 
   const CompiledProgram &Prog;
   const RecordSeq &Records;
@@ -286,14 +253,13 @@ private:
   bool Done = false;
   bool WhatIf = false;
 
-  std::vector<RFrame> Frames;
+  std::vector<Frame> Frames;
   std::vector<int64_t> Stack;
   /// Backing store for every frame's local slots (grows at Call, shrinks
   /// at Ret; capacity is retained across both).
   std::vector<int64_t> SlotArena;
   std::vector<int64_t> Shared;
   std::vector<int64_t> Priv;
-  uint32_t Pc = 0;
   uint32_t Cursor = 0;
   /// Statement of the most recent Stmt event.
   StmtId LastStmt = InvalidId;
@@ -372,100 +338,40 @@ void Replayer::skipNestedCall(uint32_t Callee, StmtId Stmt) {
   Result.Events.append(std::move(E));
 }
 
-//===----------------------------------------------------------------------===//
-// Cold operations
-//===----------------------------------------------------------------------===//
-
-Replayer::StepOutcome Replayer::doSemP() {
-  if (!consumeSync(SyncKind::SemAcquire) && !Done && !WhatIf)
-    diverge("missing P record");
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doSemV() {
-  if (!consumeSync(SyncKind::SemSignal) && !Done && !WhatIf)
-    diverge("missing V record");
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doSend() {
-  assert(!Stack.empty() && "send value missing");
-  Stack.pop_back(); // the sent value leaves this process
-  if (!consumeSync(SyncKind::ChanSend) && !Done && !WhatIf)
-    diverge("missing send record");
-  if (!Done)
-    consumeSync(SyncKind::ChanSendUnblock); // present iff the send blocked
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doRecv() {
-  if (const LogRecord *R = consumeSync(SyncKind::ChanRecv)) {
-    Stack.push_back(R->Value);
-    return StepOutcome::Continue;
-  }
-  if (Done)
-    return StepOutcome::Stop;
-  diverge("missing receive record");
-  if (WhatIf)
-    Stack.push_back(0);
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doSpawn(uint32_t Argc) {
-  Stack.resize(Stack.size() - Argc);
-  if (!consumeSync(SyncKind::SpawnChild) && !Done && !WhatIf)
-    diverge("missing spawn record");
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doInput() {
-  if (const LogRecord *R = consume(LogRecordKind::Input)) {
-    Stack.push_back(R->Value);
-    return StepOutcome::Continue;
-  }
-  if (Done)
-    return StepOutcome::Stop;
-  diverge("missing input record");
-  if (WhatIf)
-    Stack.push_back(0);
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doPrelog(uint32_t EBlockId) {
-  // Only the interval's own prelog is ever executed (nested logged calls
-  // are skipped; unlogged callees have none).
-  if (EBlockId != Interval.EBlock) {
+bool Replayer::prelog(uint32_t EBlockId) {
+  // Only the interval's own prelog is ever executed (nested logged
+  // calls are skipped; unlogged callees have none).
+  if (EBlockId != Interval.EBlock)
     diverge("unexpected prelog");
-    return Done ? StepOutcome::Stop : StepOutcome::Continue;
-  }
-  if (const LogRecord *R = consume(LogRecordKind::Prelog))
-    restoreVars(*R);
+  else if (const LogRecord *Rec = consume(LogRecordKind::Prelog))
+    restoreVars(*Rec);
   else if (!Done && !WhatIf)
     diverge("missing prelog record");
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
+  return !Done;
 }
 
-Replayer::StepOutcome Replayer::doPostlog(uint32_t EBlockId, uint32_t Flags) {
+bool Replayer::postlog(uint32_t EBlockId, uint32_t Flags) {
   // Reaching a postlog in the root frame ends the interval.
   if (EBlockId != Interval.EBlock) {
     diverge("unexpected postlog");
-    return Done ? StepOutcome::Stop : StepOutcome::Continue;
+    return !Done;
   }
   if ((Flags & PostlogExitsFunction) && !Stack.empty()) {
     Result.HasReturn = true;
     Result.ReturnValue = Stack.back();
   }
   // Verify the replayed values against the logged postlog. Shared
-  // variables are excluded: even on a race-free instance another process
-  // may write a shared variable between our last synchronized access and
-  // the postlog capture, so the logged value can legitimately postdate
-  // ours. Reads remain faithful regardless — they are re-seeded from
-  // unit logs at every synchronization-unit entry (§5.5).
+  // variables are excluded: even on a race-free instance another
+  // process may write a shared variable between our last synchronized
+  // access and the postlog capture, so the logged value can
+  // legitimately postdate ours. Reads remain faithful regardless — they
+  // are re-seeded from unit logs at every synchronization-unit entry
+  // (§5.5).
   if (!WhatIf) {
-    if (const LogRecord *R = consume(LogRecordKind::Postlog)) {
-      if (!varsFit(*R))
-        return StepOutcome::Stop;
-      for (const VarValue &V : R->Vars) {
+    if (const LogRecord *Rec = consume(LogRecordKind::Postlog)) {
+      if (!varsFit(*Rec))
+        return false;
+      for (const VarValue &V : Rec->Vars) {
         const VarInfo &Info = Prog.Symbols->var(V.Var);
         if (Info.isShared())
           continue;
@@ -480,485 +386,135 @@ Replayer::StepOutcome Replayer::doPostlog(uint32_t EBlockId, uint32_t Flags) {
     }
   }
   finish(true);
-  return StepOutcome::Stop;
+  return false;
 }
 
-Replayer::StepOutcome Replayer::doUnitLog(uint32_t UnitId) {
-  if (const LogRecord *R = consume(LogRecordKind::UnitLog)) {
-    if (R->Id != UnitId) {
+bool Replayer::unitLog(uint32_t UnitId) {
+  if (const LogRecord *Rec = consume(LogRecordKind::UnitLog)) {
+    if (Rec->Id != UnitId) {
       --Cursor; // put it back; report divergence
       diverge("unit record id mismatch");
     } else {
-      restoreVars(*R);
+      restoreVars(*Rec);
     }
   } else if (!Done && !WhatIf) {
     diverge("missing unit record");
   }
-  return Done ? StepOutcome::Stop : StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doTraceStmt(StmtId Stmt) {
-  if (reachedStop(Stmt))
-    return StepOutcome::Stop;
-  applyOverrides();
-  LastStmt = Stmt;
-  TraceEvent &E = Result.Events.emplace();
-  E.Pid = Pid;
-  E.Stmt = Stmt;
-  E.LogCursor = Cursor;
-  Frames.back().OpenEvent = E.Index;
-  return StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doTraceCallBegin(uint32_t Callee,
-                                                 StmtId Stmt) {
-  // Logged callees become CallSkipped events at the Call instruction.
-  if (Prog.func(Callee).Logged)
-    return StepOutcome::Continue;
-  // An inlined call is record-free: it must not begin past the point
-  // where the machine froze the process.
-  if (reachedStop(InvalidId))
-    return StepOutcome::Stop;
-  TraceEvent E;
-  E.Kind = TraceEventKind::CallBegin;
-  E.Pid = Pid;
-  E.Stmt = Stmt;
-  E.Callee = Callee;
-  uint32_t Argc = Prog.func(Callee).NumParams;
-  E.Args.assign(Stack.end() - Argc, Stack.end());
-  E.LogCursor = Cursor;
-  Result.Events.append(std::move(E));
-  return StepOutcome::Continue;
-}
-
-void Replayer::doTraceCallEnd(uint32_t Callee) {
-  if (Prog.func(Callee).Logged)
-    return;
-  TraceEvent E;
-  E.Kind = TraceEventKind::CallEnd;
-  E.Pid = Pid;
-  E.Callee = Callee;
-  E.Value = Stack.back();
-  E.LogCursor = Cursor;
-  Result.Events.append(std::move(E));
-}
-
-Replayer::StepOutcome Replayer::doCall(uint32_t Callee, uint32_t Argc,
-                                       StmtId Stmt) {
-  if (Prog.func(Callee).Logged) {
-    skipNestedCall(Callee, Stmt);
-    return Done ? StepOutcome::Stop : StepOutcome::Continue;
-  }
-  // Inherited leaf: re-execute inline through the emulation package.
-  assert(Stack.size() >= Argc && "call arguments missing");
-  RFrame Fr;
-  Fr.Func = Callee;
-  Fr.ReturnPc = Pc;
-  Fr.StackBase = uint32_t(Stack.size() - Argc);
-  Fr.SlotBase = uint32_t(SlotArena.size());
-  Fr.SlotCount = Prog.func(Callee).FrameSize;
-  SlotArena.resize(Fr.SlotBase + Fr.SlotCount, 0);
-  std::copy(Stack.end() - Argc, Stack.end(),
-            SlotArena.begin() + Fr.SlotBase);
-  Stack.resize(Stack.size() - Argc);
-  Frames.push_back(Fr);
-  Pc = 0;
-  return StepOutcome::Continue;
-}
-
-Replayer::StepOutcome Replayer::doRet() {
-  assert(!Stack.empty() && "return value missing");
-  int64_t ReturnValue = Stack.back();
-  Stack.pop_back();
-  if (Frames.size() == 1) {
-    // Root return without a postlog stop: only possible for unlogged
-    // root replay, which the controller never requests.
-    Result.HasReturn = true;
-    Result.ReturnValue = ReturnValue;
-    finish(true);
-    return StepOutcome::Stop;
-  }
-  RFrame Top = Frames.back();
-  Frames.pop_back();
-  SlotArena.resize(Top.SlotBase);
-  Stack.resize(Top.StackBase);
-  Stack.push_back(ReturnValue);
-  Pc = Top.ReturnPc;
-  return StepOutcome::Continue;
+  return !Done;
 }
 
 //===----------------------------------------------------------------------===//
-// The interpreter
+// The replay policy
 //===----------------------------------------------------------------------===//
 
-void Replayer::runDecoded() {
-  PPD_DISPATCH_TABLE();
+/// Replays one interval of one process from its log.
+struct Replayer::Policy {
+  Replayer &R;
 
-  // Hot state lives in locals and is synced back to the members on every
-  // exit path. Slots caches the arena pointer of the innermost frame; it
-  // is reloaded after Call and Ret (the arena may reallocate, and the
-  // frame changes).
-  auto BaseOf = [&](uint32_t Func) {
-    return Prog.func(Func).EmuDecoded.data();
-  };
-  const DecodedInstr *Base = BaseOf(Frames.back().Func);
-  uint32_t Ip = Pc;
-  int64_t *Slots = topSlots();
+  static constexpr bool Tracing = true;
+  /// MaxInstructions counts trace instructions like any other.
+  static constexpr bool FreeTrace = false;
 
-  auto Push = [&](int64_t V) { Stack.push_back(V); };
-  auto Pop = [&]() {
-    assert(!Stack.empty() && "operand stack underflow in replay");
-    int64_t V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
+  const CompiledProgram &prog() const { return R.Prog; }
+  std::vector<Frame> &frames() const { return R.Frames; }
+  std::vector<int64_t> &slotArena() const { return R.SlotArena; }
+  std::vector<int64_t> &stack() const { return R.Stack; }
+  int64_t *shared() const { return R.Shared.data(); }
+  int64_t *priv() const { return R.Priv.data(); }
+  TraceBuffer &trace() const { return R.Result.Events; }
+  uint32_t pid() const { return R.Pid; }
+  uint32_t logCursor() const { return R.Cursor; }
+  StmtId currentStmt() const { return InvalidId; }
 
-  const uint64_t Budget = Options.MaxInstructions;
-  for (;;) {
-    // Per-instruction prologue. Running out of budget charges the
-    // instruction that could not run.
-    if (Result.Instructions >= Budget) {
-      ++Result.Instructions;
-      Result.Error = "replay instruction budget exceeded";
-      finish(false);
-      goto Exit;
-    }
-    ++Result.Instructions;
-    const DecodedInstr &I = Base[Ip];
-    ++Ip;
+  /// Running out of budget charges the instruction that could not run.
+  uint64_t outOfBudget() {
+    R.Result.Error = "replay instruction budget exceeded";
+    R.finish(false);
+    return 1;
+  }
+  bool stopsAt(StmtId) { return false; }
+  void exit(uint32_t, StmtId) {}
 
-    PPD_DISPATCH(I.Opcode) {
-      PPD_OP(PushConst) {
-        Push(I.Imm);
-        continue;
-      }
-      PPD_OP(Pop) {
-        Pop();
-        continue;
-      }
-      PPD_OP(ToBool) {
-        Stack.back() = Stack.back() != 0;
-        continue;
-      }
-
-      PPD_OP(LoadLocal) {
-        int64_t V = Slots[I.A];
-        Push(V);
-        traceRead(VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(StoreLocal) {
-        int64_t V = Pop();
-        Slots[I.A] = V;
-        traceWrite(VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(LoadLocalElem) {
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          failHere(RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        int64_t V = Slots[I.A + Idx];
-        Push(V);
-        traceRead(VarId(I.B), V, Idx);
-        continue;
-      }
-      PPD_OP(StoreLocalElem) {
-        int64_t V = Pop();
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          failHere(RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        Slots[I.A + Idx] = V;
-        traceWrite(VarId(I.B), V, Idx);
-        continue;
-      }
-      PPD_OP(ZeroLocal) {
-        std::fill_n(Slots + I.A, I.Imm, 0);
-        traceWrite(VarId(I.B), 0, -1);
-        continue;
-      }
-
-      PPD_OP(LoadShared) {
-        int64_t V = Shared[uint32_t(I.A)];
-        Push(V);
-        traceRead(VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(LoadSharedElem) {
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          failHere(RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        int64_t V = Shared[uint32_t(I.A) + uint32_t(Idx)];
-        Push(V);
-        traceRead(VarId(I.B), V, Idx);
-        continue;
-      }
-      PPD_OP(LoadPriv) {
-        int64_t V = Priv[uint32_t(I.A)];
-        Push(V);
-        traceRead(VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(LoadPrivElem) {
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          failHere(RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        int64_t V = Priv[uint32_t(I.A) + uint32_t(Idx)];
-        Push(V);
-        traceRead(VarId(I.B), V, Idx);
-        continue;
-      }
-
-      PPD_OP(StoreShared) {
-        int64_t V = Pop();
-        Shared[uint32_t(I.A)] = V;
-        traceWrite(VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(StoreSharedElem) {
-        int64_t V = Pop();
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          failHere(RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        Shared[uint32_t(I.A) + uint32_t(Idx)] = V;
-        traceWrite(VarId(I.B), V, Idx);
-        continue;
-      }
-      PPD_OP(StorePriv) {
-        int64_t V = Pop();
-        Priv[uint32_t(I.A)] = V;
-        traceWrite(VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(StorePrivElem) {
-        int64_t V = Pop();
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          failHere(RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        Priv[uint32_t(I.A) + uint32_t(Idx)] = V;
-        traceWrite(VarId(I.B), V, Idx);
-        continue;
-      }
-
-      PPD_OP(Add) {
-        int64_t B = Pop();
-        Stack.back() = wrapAdd(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Sub) {
-        int64_t B = Pop();
-        Stack.back() = wrapSub(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Mul) {
-        int64_t B = Pop();
-        Stack.back() = wrapMul(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Div) {
-        int64_t B = Pop();
-        if (B == 0) {
-          failHere(RuntimeErrorKind::DivideByZero, I.Stmt);
-          goto Exit;
-        }
-        Stack.back() = wrapDiv(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Mod) {
-        int64_t B = Pop();
-        if (B == 0) {
-          failHere(RuntimeErrorKind::ModuloByZero, I.Stmt);
-          goto Exit;
-        }
-        Stack.back() = wrapMod(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Neg) {
-        Stack.back() = wrapNeg(Stack.back());
-        continue;
-      }
-      PPD_OP(Not) {
-        Stack.back() = Stack.back() == 0;
-        continue;
-      }
-
-      PPD_OP(CmpEq)
-      PPD_OP(CmpNe)
-      PPD_OP(CmpLt)
-      PPD_OP(CmpLe)
-      PPD_OP(CmpGt)
-      PPD_OP(CmpGe) {
-        int64_t B = Pop();
-        Stack.back() = evalCmp(CmpKind(I.Sub), Stack.back(), B);
-        continue;
-      }
-
-      PPD_OP(Jump) {
-        Ip = uint32_t(I.A);
-        continue;
-      }
-      PPD_OP(JumpIfFalse)
-      PPD_OP(JumpIfTrue) {
-        int64_t Cond = Pop();
-        if (TraceEvent *E = openEvent()) {
-          E->IsPredicate = true;
-          E->BranchTaken = Cond != 0;
-        }
-        bool Taken = I.Opcode == DOp::JumpIfFalse ? Cond == 0 : Cond != 0;
-        if (Taken)
-          Ip = uint32_t(I.A);
-        continue;
-      }
-      PPD_OP(JumpIfCmp) {
-        // Fused Cmp + JumpIf. The compare is this instruction; the branch
-        // is the next one and only executes if the budget allows it —
-        // otherwise the compare result is pushed and the pc stays on the
-        // branch's own (still fully decoded) slot.
-        int64_t B = Pop(), A = Pop();
-        int64_t Cond = evalCmp(CmpKind(I.Sub >> 1), A, B);
-        if (Result.Instructions < Budget) {
-          ++Result.Instructions;
-          if (TraceEvent *E = openEvent()) {
-            E->IsPredicate = true;
-            E->BranchTaken = Cond != 0;
-          }
-          bool Taken = (I.Sub & 1) ? Cond != 0 : Cond == 0;
-          Ip = Taken ? uint32_t(I.A) : Ip + 1;
-        } else {
-          Push(Cond);
-        }
-        continue;
-      }
-      PPD_OP(StoreLocalImm) {
-        // Fused PushConst + StoreLocal, split the same way.
-        if (Result.Instructions < Budget) {
-          ++Result.Instructions;
-          ++Ip; // skip the second half's slot
-          Slots[I.A] = I.Imm;
-          traceWrite(VarId(I.B), I.Imm, -1);
-        } else {
-          Push(I.Imm);
-        }
-        continue;
-      }
-
-      PPD_OP(Call) {
-        Pc = Ip;
-        if (doCall(uint32_t(I.A), uint32_t(I.B), I.Stmt) ==
-            StepOutcome::Stop)
-          goto Exit;
-        Ip = Pc;
-        Base = BaseOf(Frames.back().Func);
-        Slots = topSlots();
-        continue;
-      }
-      PPD_OP(Ret) {
-        if (doRet() == StepOutcome::Stop)
-          goto Exit;
-        Ip = Pc;
-        Base = BaseOf(Frames.back().Func);
-        Slots = topSlots();
-        continue;
-      }
-      PPD_OP(CallBuiltin) {
-        if (!applyBuiltin(Builtin(I.A), Stack)) {
-          failHere(RuntimeErrorKind::NegativeSqrt, I.Stmt);
-          goto Exit;
-        }
-        continue;
-      }
-
-      PPD_OP(SemP) {
-        if (doSemP() == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(SemV) {
-        if (doSemV() == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(SendCh) {
-        if (doSend() == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(RecvCh) {
-        if (doRecv() == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(SpawnProc) {
-        if (doSpawn(uint32_t(I.B)) == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-
-      PPD_OP(PrintVal) {
-        int64_t Value = Pop();
-        Result.Output.push_back({Pid, Value, I.Stmt});
-        continue;
-      }
-      PPD_OP(InputVal) {
-        if (doInput() == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-
-      PPD_OP(Prelog) {
-        if (doPrelog(uint32_t(I.A)) == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(Postlog) {
-        if (doPostlog(uint32_t(I.A), uint32_t(I.B)) == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(UnitLog) {
-        if (doUnitLog(uint32_t(I.A)) == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-
-      PPD_OP(TraceStmt) {
-        if (doTraceStmt(StmtId(I.A)) == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(TraceCallBegin) {
-        if (doTraceCallBegin(uint32_t(I.A), StmtId(I.B)) == StepOutcome::Stop)
-          goto Exit;
-        continue;
-      }
-      PPD_OP(TraceCallEnd) {
-        doTraceCallEnd(uint32_t(I.A));
-        continue;
-      }
-
-      PPD_OP(Halt) {
-        finish(true);
-        goto Exit;
-      }
-    }
-    PPD_END_DISPATCH();
-    assert(false && "unknown opcode in replay");
+  void sharedRead(VarId) {}
+  void sharedWrite(VarId) {}
+  void fail(RuntimeErrorKind Kind, StmtId Stmt) {
+    R.Result.FailureHit = true;
+    R.Result.Failure = {Kind, R.Pid, Stmt};
+    R.finish(true); // reproducing the failure is a *successful* replay
   }
 
-Exit:
-  Pc = Ip;
-}
+  Next call(const DecodedInstr &I) {
+    // An unlogged (inherited) callee is re-executed inline.
+    uint32_t Callee = uint32_t(I.A);
+    if (!R.Prog.func(Callee).Logged)
+      return Next::Run;
+    R.skipNestedCall(Callee, I.Stmt);
+    return R.Done ? Next::Stop : Next::Skip;
+  }
+  void returnFromRoot(const DecodedInstr &, int64_t Value) {
+    // Root return without a postlog stop: only possible for unlogged root
+    // replay, which the controller never requests.
+    R.Result.HasReturn = true;
+    R.Result.ReturnValue = Value;
+    R.finish(true);
+  }
+
+  // Synchronization is a no-op: its records are consumed to keep the
+  // cursor aligned, and a receive takes its value from the log.
+  bool semP(const DecodedInstr &) {
+    return R.expectSync(SyncKind::SemAcquire, "missing P record");
+  }
+  bool semV(const DecodedInstr &) {
+    return R.expectSync(SyncKind::SemSignal, "missing V record");
+  }
+  bool send(const DecodedInstr &, int64_t) {
+    if (R.expectSync(SyncKind::ChanSend, "missing send record"))
+      R.consumeSync(SyncKind::ChanSendUnblock); // present iff it blocked
+    return !R.Done;
+  }
+  bool recv(const DecodedInstr &) {
+    return R.pushLogged(R.consumeSync(SyncKind::ChanRecv),
+                        "missing receive record");
+  }
+  bool spawn(const DecodedInstr &I) {
+    R.Stack.resize(R.Stack.size() - uint32_t(I.B));
+    return R.expectSync(SyncKind::SpawnChild, "missing spawn record");
+  }
+  void print(int64_t Value, StmtId Stmt) {
+    R.Result.Output.push_back({R.Pid, Value, Stmt});
+  }
+  bool input(const DecodedInstr &) {
+    return R.pushLogged(R.consume(LogRecordKind::Input),
+                        "missing input record");
+  }
+
+  // The log operations stay out of line: the interpreter then never
+  // needs this policy's address, and R stays in a register.
+  bool prelog(const DecodedInstr &I) { return R.prelog(uint32_t(I.A)); }
+  bool postlog(const DecodedInstr &I) {
+    return R.postlog(uint32_t(I.A), uint32_t(I.B));
+  }
+  bool unitLog(const DecodedInstr &I) { return R.unitLog(uint32_t(I.A)); }
+
+  bool beginStmt(StmtId Stmt) {
+    if (R.reachedStop(Stmt))
+      return false;
+    R.applyOverrides();
+    R.LastStmt = Stmt;
+    return true;
+  }
+  Next traceCall(uint32_t Callee, bool Begin) {
+    // Logged callees become CallSkipped events at the Call instruction.
+    if (R.Prog.func(Callee).Logged)
+      return Next::Skip;
+    // An inlined call is record-free: it must not begin past the point
+    // where the machine froze the process.
+    if (Begin && R.reachedStop(InvalidId))
+      return Next::Stop;
+    return Next::Run;
+  }
+  void halt() { R.finish(true); }
+};
 
 ReplayResult Replayer::run() {
   WhatIf = !Options.Overrides.empty();
@@ -974,17 +530,15 @@ ReplayResult Replayer::run() {
   Shared.assign(Prog.Symbols->SharedMemorySize, 0);
   Priv.assign(Prog.Symbols->PrivateGlobalSize, 0);
 
-  RFrame Root;
+  Frame Root;
   Root.Func = RootFunc;
-  Root.SlotBase = 0;
   Root.SlotCount = Prog.func(RootFunc).FrameSize;
   SlotArena.assign(Root.SlotCount, 0);
   Frames.push_back(Root);
-
-  Pc = EBlock.EmuEntryPc;
   Cursor = Interval.PrelogRecord;
 
-  runDecoded();
+  Result.Instructions =
+      interpret(Policy{*this}, EBlock.EmuEntryPc, Options.MaxInstructions);
 
   Result.Shared = std::move(Shared);
   Result.PrivateGlobals = std::move(Priv);

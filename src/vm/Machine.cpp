@@ -2,8 +2,8 @@
 //
 // Part of PPD. See Machine.h.
 //
-// The interpreter (runSlice) is a mode-specialized, token-threaded engine
-// over the pre-decoded instruction stream. It charges one step per base
+// A slice runs the one handler set (vm/Interp.h) under the live policy
+// below, specialized per run mode. It charges one step per base
 // instruction: a fused pair is two steps and splits at the slice budget,
 // and the emulation package's trace instructions are free. Plain, Logging
 // and FullTrace runs of one seed therefore preempt at the same points and
@@ -14,9 +14,7 @@
 
 #include "vm/Machine.h"
 
-#include "support/Arith.h"
-#include "vm/Dispatch.h"
-#include "vm/InterpCore.h"
+#include "vm/Interp.h"
 
 #include <algorithm>
 #include <cassert>
@@ -215,28 +213,6 @@ void Machine::emitSync(Process &P, SyncKind Kind, uint32_t Object,
 }
 
 //===----------------------------------------------------------------------===//
-// Tracing helpers (FullTrace mode)
-//===----------------------------------------------------------------------===//
-
-TraceEvent *Machine::openEventOf(Process &P) {
-  uint32_t Idx = P.Frames.back().OpenEvent;
-  if (Idx == InvalidId)
-    return nullptr;
-  return &Traces[P.Pid].Events[Idx];
-}
-
-void Machine::traceRead(Process &P, VarId Var, int64_t Value, int64_t Index) {
-  if (TraceEvent *E = openEventOf(P))
-    E->Reads.push_back({Var, Value, Index});
-}
-
-void Machine::traceWrite(Process &P, VarId Var, int64_t Value,
-                         int64_t Index) {
-  if (TraceEvent *E = openEventOf(P))
-    E->Writes.push_back({Var, Value, Index});
-}
-
-//===----------------------------------------------------------------------===//
 // Cold operations
 //===----------------------------------------------------------------------===//
 
@@ -385,16 +361,12 @@ bool Machine::doInput(Process &P, StmtId Stmt) {
 }
 
 void Machine::doPrelog(Process &P, uint32_t EBlock) {
-  if (Options.Mode != RunMode::Logging)
-    return;
   LogRecord &R = appendRecord(P, LogRecordKind::Prelog);
   R.Id = EBlock;
   captureVars(P, Prog.eblock(EBlock).Used, R);
 }
 
 void Machine::doPostlog(Process &P, uint32_t EBlock, uint32_t Flags) {
-  if (Options.Mode != RunMode::Logging)
-    return;
   LogRecord &R = appendRecord(P, LogRecordKind::Postlog);
   R.Id = EBlock;
   R.Flags = Flags;
@@ -406,476 +378,134 @@ void Machine::doPostlog(Process &P, uint32_t EBlock, uint32_t Flags) {
 }
 
 void Machine::doUnitLog(Process &P, uint32_t Unit) {
-  if (Options.Mode != RunMode::Logging)
-    return;
   LogRecord &R = appendRecord(P, LogRecordKind::UnitLog);
   R.Id = Unit;
   captureVars(P, Prog.unit(Unit).SharedReads, R);
 }
 
 //===----------------------------------------------------------------------===//
-// The interpreter
+// The live policy
 //===----------------------------------------------------------------------===//
+
+/// Runs the object code (the emulation package under FullTrace) on the
+/// simulated machine: synchronization and I/O act on the machine, and
+/// Logging runs write the log.
+template <RunMode Mode> struct Machine::Slice {
+  Machine &M;
+  Process &P;
+
+  static constexpr bool Tracing = Mode == RunMode::FullTrace;
+  /// Trace instructions refund their step: a FullTrace run then preempts
+  /// exactly where Plain and Logging runs of the same seed do.
+  static constexpr bool FreeTrace = true;
+  static constexpr bool DoLog = Mode != RunMode::Plain;
+  static constexpr bool Logging = Mode == RunMode::Logging;
+
+  const CompiledProgram &prog() const { return M.Prog; }
+  std::vector<Frame> &frames() const { return P.Frames; }
+  std::vector<int64_t> &slotArena() const { return P.SlotArena; }
+  std::vector<int64_t> &stack() const { return P.Stack; }
+  int64_t *shared() const { return M.Shared.data(); }
+  int64_t *priv() const { return P.PrivateGlobals.data(); }
+  TraceBuffer &trace() const { return M.Traces[P.Pid]; }
+  uint32_t pid() const { return P.Pid; }
+  uint32_t logCursor() const { return 0; }
+  StmtId currentStmt() const { return P.CurrentStmt; }
+
+  uint64_t outOfBudget() { return 0; }
+  bool stopsAt(StmtId Stmt) {
+    return Stmt != InvalidId && !M.BreakSet.empty() && breakAt(M, P, Stmt);
+  }
+  /// The set lookup stays out of line: it would otherwise hold registers
+  /// the loop needs on every step.
+  [[gnu::noinline]] static bool breakAt(Machine &M, Process &P,
+                                        StmtId Stmt) {
+    if (!M.BreakSet.count(Stmt))
+      return false;
+    M.BreakHit = true;
+    M.BreakPid = P.Pid;
+    M.BreakStmt = Stmt;
+    return true;
+  }
+  void exit(uint32_t Ip, StmtId Stmt) {
+    P.Pc = Ip;
+    P.CurrentStmt = Stmt;
+  }
+
+  void sharedRead(VarId Var) {
+    if constexpr (DoLog)
+      P.EdgeReads.insert(M.Prog.Symbols->var(Var).SharedIndex);
+  }
+  void sharedWrite(VarId Var) {
+    if constexpr (DoLog)
+      P.EdgeWrites.insert(M.Prog.Symbols->var(Var).SharedIndex);
+  }
+  void fail(RuntimeErrorKind Kind, StmtId Stmt) { M.fail(P, Kind, Stmt); }
+
+  Next call(const DecodedInstr &I) {
+    if (P.Frames.size() < 4096)
+      return Next::Run;
+    M.fail(P, RuntimeErrorKind::StackOverflow, I.Stmt);
+    return Next::Stop;
+  }
+  void returnFromRoot(const DecodedInstr &I, int64_t) {
+    Frame Top = P.Frames.back();
+    P.Frames.pop_back();
+    P.SlotArena.resize(Top.SlotBase);
+    P.Stack.resize(Top.StackBase);
+    if constexpr (DoLog) {
+      uint64_t Seq;
+      M.emitSync(P, SyncKind::ProcEnd, 0, I.Stmt, Seq);
+    }
+    P.Status = ProcStatus::Done;
+  }
+
+  bool semP(const DecodedInstr &I) {
+    return M.doSemP(P, uint32_t(I.A), I.Stmt);
+  }
+  bool semV(const DecodedInstr &I) {
+    M.doSemV(P, uint32_t(I.A), I.Stmt);
+    return true;
+  }
+  bool send(const DecodedInstr &I, int64_t Value) {
+    return M.doSend(P, uint32_t(I.A), Value, I.Stmt);
+  }
+  bool recv(const DecodedInstr &I) {
+    return M.doRecv(P, uint32_t(I.A), I.Stmt);
+  }
+  bool spawn(const DecodedInstr &I) {
+    M.doSpawn(P, uint32_t(I.A), uint32_t(I.B), I.Stmt);
+    return true;
+  }
+  void print(int64_t Value, StmtId Stmt) {
+    M.Log.Output.push_back({P.Pid, Value, Stmt});
+  }
+  bool input(const DecodedInstr &I) { return M.doInput(P, I.Stmt); }
+
+  bool prelog(const DecodedInstr &I) {
+    if constexpr (Logging)
+      M.doPrelog(P, uint32_t(I.A));
+    return true;
+  }
+  bool postlog(const DecodedInstr &I) {
+    if constexpr (Logging)
+      M.doPostlog(P, uint32_t(I.A), uint32_t(I.B));
+    return true;
+  }
+  bool unitLog(const DecodedInstr &I) {
+    if constexpr (Logging)
+      M.doUnitLog(P, uint32_t(I.A));
+    return true;
+  }
+
+  bool beginStmt(StmtId) { return true; }
+  Next traceCall(uint32_t, bool) { return Next::Run; }
+  void halt() { P.Status = ProcStatus::Done; }
+};
 
 template <RunMode Mode>
 uint32_t Machine::runSlice(Process &P, uint32_t Budget) {
-  PPD_DISPATCH_TABLE();
-  constexpr bool DoLog = Mode != RunMode::Plain;
-  constexpr bool DoTrace = Mode == RunMode::FullTrace;
-
-  // Hot state lives in locals for the duration of the slice and is synced
-  // back to the Process on every exit path. Slots caches the arena pointer
-  // of the innermost frame; it is reloaded after Call and Ret (the arena
-  // may reallocate, and the frame changes).
-  auto BaseOf = [&](uint32_t Func) {
-    const CompiledFunction &CF = Prog.func(Func);
-    return (DoTrace ? CF.EmuDecoded : CF.ObjectDecoded).data();
-  };
-  const DecodedInstr *Base = BaseOf(P.Frames.back().Func);
-  uint32_t Ip = P.Pc;
-  int64_t *Slots = P.topSlots();
-  std::vector<int64_t> &Stack = P.Stack;
-  StmtId CurStmt = P.CurrentStmt;
-  uint32_t Used = 0;
-
-  auto Push = [&](int64_t V) { Stack.push_back(V); };
-  auto Pop = [&]() {
-    assert(!Stack.empty() && "operand stack underflow");
-    int64_t V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
-
-  for (;;) {
-    // Per-step prologue. Budget already folds in both the quantum and the
-    // global step limit; a step is consumed even when it blocks, fails, or
-    // stops at a breakpoint.
-    if (Used == Budget)
-      break;
-    ++Used;
-    const DecodedInstr &I = Base[Ip];
-    if (I.Stmt != CurStmt) {
-      CurStmt = I.Stmt;
-      if (I.Stmt != InvalidId && !BreakSet.empty() && BreakSet.count(I.Stmt)) {
-        BreakHit = true;
-        BreakPid = P.Pid;
-        BreakStmt = I.Stmt;
-        goto Exit; // pc not advanced: the statement has not begun.
-      }
-    }
-    ++Ip;
-
-    PPD_DISPATCH(I.Opcode) {
-      PPD_OP(PushConst) {
-        Push(I.Imm);
-        continue;
-      }
-      PPD_OP(Pop) {
-        Pop();
-        continue;
-      }
-      PPD_OP(ToBool) {
-        Stack.back() = Stack.back() != 0;
-        continue;
-      }
-
-      PPD_OP(LoadLocal) {
-        int64_t V = Slots[I.A];
-        Push(V);
-        if constexpr (DoTrace)
-          traceRead(P, VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(StoreLocal) {
-        int64_t V = Pop();
-        Slots[I.A] = V;
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(LoadLocalElem) {
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          fail(P, RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        int64_t V = Slots[I.A + Idx];
-        Push(V);
-        if constexpr (DoTrace)
-          traceRead(P, VarId(I.B), V, Idx);
-        continue;
-      }
-      PPD_OP(StoreLocalElem) {
-        int64_t V = Pop();
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          fail(P, RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        Slots[I.A + Idx] = V;
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), V, Idx);
-        continue;
-      }
-      PPD_OP(ZeroLocal) {
-        std::fill_n(Slots + I.A, I.Imm, 0);
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), 0, -1);
-        continue;
-      }
-
-      PPD_OP(LoadShared) {
-        int64_t V = Shared[uint32_t(I.A)];
-        Push(V);
-        if constexpr (DoTrace)
-          traceRead(P, VarId(I.B), V, -1);
-        if constexpr (DoLog)
-          P.EdgeReads.insert(Prog.Symbols->var(VarId(I.B)).SharedIndex);
-        continue;
-      }
-      PPD_OP(LoadSharedElem) {
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          fail(P, RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        int64_t V = Shared[uint32_t(I.A) + uint32_t(Idx)];
-        Push(V);
-        if constexpr (DoTrace)
-          traceRead(P, VarId(I.B), V, Idx);
-        if constexpr (DoLog)
-          P.EdgeReads.insert(Prog.Symbols->var(VarId(I.B)).SharedIndex);
-        continue;
-      }
-      PPD_OP(LoadPriv) {
-        int64_t V = P.PrivateGlobals[uint32_t(I.A)];
-        Push(V);
-        if constexpr (DoTrace)
-          traceRead(P, VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(LoadPrivElem) {
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          fail(P, RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        int64_t V = P.PrivateGlobals[uint32_t(I.A) + uint32_t(Idx)];
-        Push(V);
-        if constexpr (DoTrace)
-          traceRead(P, VarId(I.B), V, Idx);
-        continue;
-      }
-
-      PPD_OP(StoreShared) {
-        int64_t V = Pop();
-        Shared[uint32_t(I.A)] = V;
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), V, -1);
-        if constexpr (DoLog)
-          P.EdgeWrites.insert(Prog.Symbols->var(VarId(I.B)).SharedIndex);
-        continue;
-      }
-      PPD_OP(StoreSharedElem) {
-        int64_t V = Pop();
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          fail(P, RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        Shared[uint32_t(I.A) + uint32_t(Idx)] = V;
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), V, Idx);
-        if constexpr (DoLog)
-          P.EdgeWrites.insert(Prog.Symbols->var(VarId(I.B)).SharedIndex);
-        continue;
-      }
-      PPD_OP(StorePriv) {
-        int64_t V = Pop();
-        P.PrivateGlobals[uint32_t(I.A)] = V;
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), V, -1);
-        continue;
-      }
-      PPD_OP(StorePrivElem) {
-        int64_t V = Pop();
-        int64_t Idx = Pop();
-        if (Idx < 0 || Idx >= I.Imm) {
-          fail(P, RuntimeErrorKind::IndexOutOfBounds, I.Stmt);
-          goto Exit;
-        }
-        P.PrivateGlobals[uint32_t(I.A) + uint32_t(Idx)] = V;
-        if constexpr (DoTrace)
-          traceWrite(P, VarId(I.B), V, Idx);
-        continue;
-      }
-
-      PPD_OP(Add) {
-        int64_t B = Pop();
-        Stack.back() = wrapAdd(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Sub) {
-        int64_t B = Pop();
-        Stack.back() = wrapSub(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Mul) {
-        int64_t B = Pop();
-        Stack.back() = wrapMul(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Div) {
-        int64_t B = Pop();
-        if (B == 0) {
-          fail(P, RuntimeErrorKind::DivideByZero, I.Stmt);
-          goto Exit;
-        }
-        Stack.back() = wrapDiv(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Mod) {
-        int64_t B = Pop();
-        if (B == 0) {
-          fail(P, RuntimeErrorKind::ModuloByZero, I.Stmt);
-          goto Exit;
-        }
-        Stack.back() = wrapMod(Stack.back(), B);
-        continue;
-      }
-      PPD_OP(Neg) {
-        Stack.back() = wrapNeg(Stack.back());
-        continue;
-      }
-      PPD_OP(Not) {
-        Stack.back() = Stack.back() == 0;
-        continue;
-      }
-
-      PPD_OP(CmpEq)
-      PPD_OP(CmpNe)
-      PPD_OP(CmpLt)
-      PPD_OP(CmpLe)
-      PPD_OP(CmpGt)
-      PPD_OP(CmpGe) {
-        int64_t B = Pop();
-        Stack.back() = evalCmp(CmpKind(I.Sub), Stack.back(), B);
-        continue;
-      }
-
-      PPD_OP(Jump) {
-        Ip = uint32_t(I.A);
-        continue;
-      }
-      PPD_OP(JumpIfFalse)
-      PPD_OP(JumpIfTrue) {
-        int64_t Cond = Pop();
-        if constexpr (DoTrace) {
-          if (TraceEvent *E = openEventOf(P)) {
-            E->IsPredicate = true;
-            E->BranchTaken = Cond != 0;
-          }
-        }
-        bool Taken = I.Opcode == DOp::JumpIfFalse ? Cond == 0 : Cond != 0;
-        if (Taken)
-          Ip = uint32_t(I.A);
-        continue;
-      }
-      PPD_OP(JumpIfCmp) {
-        // Fused Cmp + JumpIf. The compare is this step; the branch is the
-        // next one and only executes if the budget still has room —
-        // otherwise the compare result is pushed and the pc stays on the
-        // branch's own (still fully decoded) slot, so preemption points do
-        // not depend on fusion.
-        int64_t B = Pop(), A = Pop();
-        int64_t Cond = evalCmp(CmpKind(I.Sub >> 1), A, B);
-        if (Used != Budget) {
-          ++Used;
-          if constexpr (DoTrace) {
-            if (TraceEvent *E = openEventOf(P)) {
-              E->IsPredicate = true;
-              E->BranchTaken = Cond != 0;
-            }
-          }
-          bool Taken = (I.Sub & 1) ? Cond != 0 : Cond == 0;
-          Ip = Taken ? uint32_t(I.A) : Ip + 1;
-        } else {
-          Push(Cond);
-        }
-        continue;
-      }
-      PPD_OP(StoreLocalImm) {
-        // Fused PushConst + StoreLocal, split the same way.
-        if (Used != Budget) {
-          ++Used;
-          ++Ip; // skip the second half's slot
-          Slots[I.A] = I.Imm;
-          if constexpr (DoTrace)
-            traceWrite(P, VarId(I.B), I.Imm, -1);
-        } else {
-          Push(I.Imm);
-        }
-        continue;
-      }
-
-      PPD_OP(Call) {
-        if (P.Frames.size() >= 4096) {
-          fail(P, RuntimeErrorKind::StackOverflow, I.Stmt);
-          goto Exit;
-        }
-        uint32_t Argc = uint32_t(I.B);
-        const CompiledFunction &Callee = Prog.func(uint32_t(I.A));
-        assert(Argc == Callee.NumParams && "arity checked by sema");
-        assert(Stack.size() >= Argc && "operand stack underflow");
-        Frame Fr;
-        Fr.Func = uint32_t(I.A);
-        Fr.ReturnPc = Ip;
-        Fr.StackBase = uint32_t(Stack.size() - Argc);
-        Fr.SlotBase = uint32_t(P.SlotArena.size());
-        Fr.SlotCount = Callee.FrameSize;
-        P.SlotArena.resize(Fr.SlotBase + Callee.FrameSize, 0);
-        std::copy(Stack.end() - Argc, Stack.end(),
-                  P.SlotArena.begin() + Fr.SlotBase);
-        Stack.resize(Stack.size() - Argc);
-        P.Frames.push_back(Fr);
-        Base = BaseOf(Fr.Func);
-        Ip = 0;
-        Slots = P.SlotArena.data() + Fr.SlotBase;
-        continue;
-      }
-      PPD_OP(Ret) {
-        int64_t Result = Pop();
-        Frame Top = P.Frames.back();
-        P.Frames.pop_back();
-        P.SlotArena.resize(Top.SlotBase);
-        Stack.resize(Top.StackBase);
-        if (P.Frames.empty()) {
-          if constexpr (DoLog) {
-            uint64_t Seq;
-            emitSync(P, SyncKind::ProcEnd, 0, I.Stmt, Seq);
-          }
-          P.Status = ProcStatus::Done;
-          goto Exit;
-        }
-        Push(Result);
-        Ip = Top.ReturnPc;
-        Base = BaseOf(P.Frames.back().Func);
-        Slots = P.topSlots();
-        continue;
-      }
-      PPD_OP(CallBuiltin) {
-        if (!applyBuiltin(Builtin(I.A), Stack)) {
-          fail(P, RuntimeErrorKind::NegativeSqrt, I.Stmt);
-          goto Exit;
-        }
-        continue;
-      }
-
-      PPD_OP(SemP) {
-        if (!doSemP(P, uint32_t(I.A), I.Stmt))
-          goto Exit;
-        continue;
-      }
-      PPD_OP(SemV) {
-        doSemV(P, uint32_t(I.A), I.Stmt);
-        continue;
-      }
-      PPD_OP(SendCh) {
-        if (!doSend(P, uint32_t(I.A), Pop(), I.Stmt))
-          goto Exit;
-        continue;
-      }
-      PPD_OP(RecvCh) {
-        if (!doRecv(P, uint32_t(I.A), I.Stmt))
-          goto Exit;
-        continue;
-      }
-      PPD_OP(SpawnProc) {
-        doSpawn(P, uint32_t(I.A), uint32_t(I.B), I.Stmt);
-        continue;
-      }
-
-      PPD_OP(PrintVal) {
-        int64_t Value = Pop();
-        Log.Output.push_back({P.Pid, Value, I.Stmt});
-        continue;
-      }
-      PPD_OP(InputVal) {
-        if (!doInput(P, I.Stmt))
-          goto Exit;
-        continue;
-      }
-
-      PPD_OP(Prelog) {
-        if constexpr (Mode == RunMode::Logging)
-          doPrelog(P, uint32_t(I.A));
-        continue;
-      }
-      PPD_OP(Postlog) {
-        if constexpr (Mode == RunMode::Logging)
-          doPostlog(P, uint32_t(I.A), uint32_t(I.B));
-        continue;
-      }
-      PPD_OP(UnitLog) {
-        if constexpr (Mode == RunMode::Logging)
-          doUnitLog(P, uint32_t(I.A));
-        continue;
-      }
-
-      // The trace instructions exist only in the emulation package, which
-      // only FullTrace runs. They refund their step: a FullTrace run then
-      // preempts exactly where Plain and Logging runs of the same seed do.
-      PPD_OP(TraceStmt) {
-        if constexpr (DoTrace) {
-          --Used;
-          TraceEvent &E = Traces[P.Pid].emplace();
-          E.Pid = P.Pid;
-          E.Stmt = StmtId(I.A);
-          P.Frames.back().OpenEvent = E.Index;
-        }
-        continue;
-      }
-      PPD_OP(TraceCallBegin) {
-        if constexpr (DoTrace) {
-          --Used;
-          TraceEvent E;
-          E.Kind = TraceEventKind::CallBegin;
-          E.Pid = P.Pid;
-          E.Stmt = StmtId(I.B);
-          E.Callee = uint32_t(I.A);
-          uint32_t Argc = Prog.func(uint32_t(I.A)).NumParams;
-          assert(Stack.size() >= Argc && "call arguments missing");
-          E.Args.assign(Stack.end() - Argc, Stack.end());
-          Traces[P.Pid].append(std::move(E));
-        }
-        continue;
-      }
-      PPD_OP(TraceCallEnd) {
-        if constexpr (DoTrace) {
-          --Used;
-          TraceEvent E;
-          E.Kind = TraceEventKind::CallEnd;
-          E.Pid = P.Pid;
-          E.Callee = uint32_t(I.A);
-          E.Value = Stack.back();
-          Traces[P.Pid].append(std::move(E));
-        }
-        continue;
-      }
-
-      PPD_OP(Halt) {
-        P.Status = ProcStatus::Done;
-        goto Exit;
-      }
-    }
-    PPD_END_DISPATCH();
-    assert(false && "unknown opcode");
-  }
-
-Exit:
-  P.Pc = Ip;
-  P.CurrentStmt = CurStmt;
-  return Used;
+  return uint32_t(interpret(Slice<Mode>{*this, P}, P.Pc, Budget));
 }
 
 //===----------------------------------------------------------------------===//

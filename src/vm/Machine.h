@@ -87,12 +87,13 @@ struct Frame {
   uint32_t Func = 0;
   uint32_t ReturnPc = 0;
   uint32_t StackBase = 0;
-  /// The frame's local slots live in Process::SlotArena at
-  /// [SlotBase, SlotBase + SlotCount) — call/return only moves the arena's
-  /// end, so steady-state calls never allocate.
+  /// The frame's local slots live in the slot arena of its process (or of
+  /// the replayer) at [SlotBase, SlotBase + SlotCount) — call/return only
+  /// moves the arena's end, so steady-state calls never allocate.
   uint32_t SlotBase = 0;
   uint32_t SlotCount = 0;
-  /// Open trace event of this frame (FullTrace mode), or InvalidId.
+  /// Open trace event of this frame (FullTrace mode and replay), or
+  /// InvalidId.
   uint32_t OpenEvent = InvalidId;
 };
 
@@ -220,15 +221,18 @@ private:
 
   uint32_t spawnProcess(uint32_t Func, std::vector<int64_t> Args,
                         uint64_t ParentSpawnSeq);
-  /// Runs up to \p Budget steps of \p P with the mode-specialized threaded
-  /// interpreter over the decoded stream; returns the steps consumed. A
-  /// step is one base instruction (a fused pair is two); the emulation
-  /// package's trace instructions cost none.
+  /// The live policy of the one handler set (vm/Interp.h).
+  template <RunMode Mode> struct Slice;
+  /// Runs up to \p Budget steps of \p P through the handler set under
+  /// the live policy for \p Mode; returns the steps consumed. A step is
+  /// one base instruction (a fused pair is two); the emulation package's
+  /// trace instructions cost none.
   template <RunMode Mode> uint32_t runSlice(Process &P, uint32_t Budget);
   void fail(Process &P, RuntimeErrorKind Kind, StmtId Stmt);
 
   // Cold operations, kept out of the hot loop. The bool-returning ones
   // yield false when the process stops running here (blocked or failed).
+  // The three log operations run in Logging mode only.
   bool doSemP(Process &P, uint32_t Sem, StmtId Stmt);
   void doSemV(Process &P, uint32_t Sem, StmtId Stmt);
   bool doSend(Process &P, uint32_t Chan, int64_t Value, StmtId Stmt);
@@ -250,12 +254,6 @@ private:
   void emitSync(Process &P, SyncKind Kind, uint32_t Object, StmtId Stmt,
                 uint64_t &SeqOut, uint64_t Partner = NoPartner,
                 int64_t Value = 0);
-
-  // Tracing helpers (FullTrace mode; the replay engine has its own copy of
-  // this logic for single-process replay).
-  TraceEvent *openEventOf(Process &P);
-  void traceRead(Process &P, VarId Var, int64_t Value, int64_t Index);
-  void traceWrite(Process &P, VarId Var, int64_t Value, int64_t Index);
 
   const CompiledProgram &Prog;
   MachineOptions Options;

@@ -2,8 +2,8 @@
 //
 // Part of PPD test suite.
 //
-// The VM's threaded interpreter (vm/Machine.cpp runSlice) and the replay
-// interpreter (core/Replay.cpp runDecoded), across the examples/ corpus,
+// The one handler set (vm/Interp.h) under its live policy (Machine) and
+// its replay policy (core/Replay.cpp), across the examples/ corpus,
 // many seeds, every run mode, and awkward quanta (quantum 1 splits every
 // fused superinstruction at a budget boundary):
 //

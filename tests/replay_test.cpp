@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
 
 using namespace ppd;
 using namespace ppd::test;
@@ -200,25 +202,105 @@ func main() { print(leaf(7)); }
 }
 
 TEST(ReplayTest, FailureReproducedAtSameStatement) {
+  // One program per handler that can fail inside a replayed interval: the
+  // replay must stop at the live run's failing statement with its kind.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"Div", "func main() { int d = 4; int z = d - 4; print(d / z); }"},
+      {"Mod", "func main() { int d = 4; int z = d - 4; print(d % z); }"},
+      {"LoadLocalElem",
+       "func main() { int a[3]; int k = 2 + 3; print(a[k]); }"},
+      {"StoreLocalElem",
+       "func main() { int a[3]; int k = 2 + 3; a[k] = 1; print(k); }"},
+      {"LoadSharedElem", "shared int sa[3];\n"
+                         "func main() { int k = 0 - 1; print(sa[k]); }"},
+      {"StoreSharedElem", "shared int sa[3];\n"
+                          "func main() { int k = 1 + 2; sa[k] = 7; }"},
+      {"LoadPrivElem",
+       "int pa[3];\nfunc main() { int k = 2 + 2; print(pa[k]); }"},
+      {"StorePrivElem",
+       "int pa[3];\nfunc main() { int k = 0 - 2; pa[k] = 7; }"},
+      {"Sqrt", "func main() { int k = 0 - 4; print(sqrt(k)); }"},
+  };
+  for (const auto &[Name, Source] : Cases) {
+    SCOPED_TRACE(Name);
+    auto R = runProgram(Source, 1, {}, {}, /*ExpectCompleted=*/false);
+    ASSERT_EQ(int(R.Result.Outcome), int(RunResult::Status::Failed));
+    LogIndex Index(R.Log);
+    const LogInterval *Open = Index.lastOpenInterval(0);
+    ASSERT_NE(Open, nullptr) << "failure leaves the interval open";
+
+    ReplayEngine Engine(*R.Prog);
+    ReplayResult Res = Engine.replay(R.Log, 0, *Open);
+    ASSERT_TRUE(Res.Ok) << Res.Error;
+    EXPECT_TRUE(Res.FailureHit);
+    EXPECT_EQ(int(Res.Failure.Kind), int(R.Result.Error.Kind));
+    EXPECT_EQ(Res.Failure.Stmt, R.Result.Error.Stmt);
+  }
+}
+
+TEST(ReplayTest, BudgetCutsAtEveryInstruction) {
+  // `i = 0` decodes to StoreLocalImm and `i < 5` to JumpIfCmp: a budget
+  // that ends inside either pair must split it, charge the instruction
+  // that could not run, and leave a prefix of the full replay's trace.
   auto R = runProgram(R"(
 func main() {
-  int d = 4;
-  int z = d - 4;
-  print(d / z);
+  int i;
+  int s = 0;
+  for (i = 0; i < 5; i = i + 1) {
+    if (i % 2 == 0) s = s + i;
+    else s = s - 1;
+  }
+  print(s);
 }
-)",
-                      1, {}, {}, /*ExpectCompleted=*/false);
-  ASSERT_EQ(int(R.Result.Outcome), int(RunResult::Status::Failed));
-  LogIndex Index(R.Log);
-  const LogInterval *Open = Index.lastOpenInterval(0);
-  ASSERT_NE(Open, nullptr) << "failure leaves the interval open";
+)");
+  bool HasCmp = false, HasImm = false;
+  const DecodedChunk &Code = R.Prog->func(R.Prog->MainIndex).EmuDecoded;
+  for (uint32_t Pc = 0; Pc != Code.size(); ++Pc) {
+    HasCmp |= Code.at(Pc).Opcode == DOp::JumpIfCmp;
+    HasImm |= Code.at(Pc).Opcode == DOp::StoreLocalImm;
+  }
+  ASSERT_TRUE(HasCmp && HasImm);
 
+  LogIndex Index(R.Log);
   ReplayEngine Engine(*R.Prog);
-  ReplayResult Res = Engine.replay(R.Log, 0, *Open);
-  ASSERT_TRUE(Res.Ok) << Res.Error;
-  EXPECT_TRUE(Res.FailureHit);
-  EXPECT_EQ(int(Res.Failure.Kind), int(R.Result.Error.Kind));
-  EXPECT_EQ(Res.Failure.Stmt, R.Result.Error.Stmt);
+  const LogInterval &Interval = Index.intervals(0)[0];
+  ReplayResult Full = Engine.replay(R.Log, 0, Interval);
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  const std::vector<TraceEvent> &All = Full.Events.Events;
+
+  auto IsPrefix = [](const auto &Part, const auto &Whole) {
+    return Part.size() <= Whole.size() &&
+           std::equal(Part.begin(), Part.end(), Whole.begin());
+  };
+  for (uint64_t N = 1; N <= Full.Instructions; ++N) {
+    SCOPED_TRACE(N);
+    ReplayOptions Options;
+    Options.MaxInstructions = N;
+    ReplayResult Res = Engine.replay(R.Log, 0, Interval, Options);
+    if (N == Full.Instructions) {
+      EXPECT_TRUE(Res.Ok) << Res.Error;
+      EXPECT_EQ(Res.Instructions, Full.Instructions);
+      EXPECT_TRUE(Res.Events.Events == All);
+      EXPECT_EQ(Res.Output.size(), Full.Output.size());
+      EXPECT_EQ(Res.RootSlots, Full.RootSlots);
+      continue;
+    }
+    EXPECT_FALSE(Res.Ok);
+    EXPECT_EQ(Res.Error, "replay instruction budget exceeded");
+    EXPECT_EQ(Res.Instructions, N + 1);
+    const std::vector<TraceEvent> &Cut = Res.Events.Events;
+    ASSERT_LE(Cut.size(), All.size());
+    if (Cut.empty())
+      continue;
+    // Every event but the last is complete; the last one may have been
+    // cut inside its statement, so its accesses are a prefix.
+    EXPECT_TRUE(std::equal(Cut.begin(), Cut.end() - 1, All.begin()));
+    const TraceEvent &Last = Cut.back(), &Same = All[Cut.size() - 1];
+    EXPECT_EQ(int(Last.Kind), int(Same.Kind));
+    EXPECT_EQ(Last.Stmt, Same.Stmt);
+    EXPECT_TRUE(IsPrefix(Last.Reads, Same.Reads));
+    EXPECT_TRUE(IsPrefix(Last.Writes, Same.Writes));
+  }
 }
 
 TEST(ReplayTest, SharedValuesRestoredFromUnitLogs) {

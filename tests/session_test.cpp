@@ -154,6 +154,18 @@ TEST(SessionTest, WhatIfCommand) {
   EXPECT_NE(Out.find("222"), std::string::npos);
   EXPECT_NE(S.run("whatif 0 0 1 nosuchvar 0").find("usage:"),
             std::string::npos);
+
+  // VAR names what the interval's root function sees: f's local g must
+  // not capture the override of the global g that main reads.
+  SessionFixture Shadow("int g = 1;\n"
+                        "func f() { int g = 7; return g; }\n"
+                        "func main() { int a = g + 1; print(a); print(f()); }");
+  EXPECT_NE(Shadow.run("whatif 0 0 0 g 100").find("printed: 101 7"),
+            std::string::npos);
+  // A local of another function is not visible from the root.
+  SessionFixture Other("func f() { int h = 7; return h; }\n"
+                       "func main() { print(f()); }");
+  EXPECT_NE(Other.run("whatif 0 0 0 h 1").find("usage:"), std::string::npos);
 }
 
 TEST(SessionTest, ListShowsSource) {
