@@ -10,6 +10,7 @@
 
 #include "core/Controller.h"
 #include "core/DeadlockAnalyzer.h"
+#include "core/DebugSession.h"
 
 #include <gtest/gtest.h>
 
@@ -481,6 +482,150 @@ TEST(ControllerTest, GoldenLockStepWalkGraph) {
   uint64_t Hash = fnv1a(Dot);
   EXPECT_EQ(Hash, 0x402c320c00fd04b5ull)
       << "golden graph drifted; actual 0x" << std::hex << Hash;
+}
+
+/// A fixed debugging script over one run: a flowback walk from each
+/// process's failure or last event, the expansion of the first
+/// unexpanded call, a step on from there, the whole graph as DOT, races
+/// and restoration. The responses name every visited node's label, value
+/// and dependences in order, so the transcript pins node ids, in-edge
+/// order and label text together.
+std::string scriptedTranscript(Ran &R, unsigned Backs) {
+  PpdController C(*R.Prog, std::move(R.Log));
+  DebugSession S(*R.Prog, C);
+  std::string Out;
+  for (uint32_t Pid = 0; Pid != C.numProcs(); ++Pid) {
+    Out += S.execute("where " + std::to_string(Pid));
+    for (unsigned I = 0; I != Backs; ++I)
+      Out += S.execute("back");
+  }
+  for (DynNodeId Id = 0; Id != C.graph().numNodes(); ++Id)
+    if (C.graph().node(Id).Kind == DynNodeKind::SubGraph &&
+        !C.graph().node(Id).Expanded) {
+      Out += S.execute("expand " + std::to_string(Id));
+      Out += S.execute("node " + std::to_string(Id));
+      break;
+    }
+  Out += S.execute("back");
+  Out += S.execute("fwd");
+  Out += S.execute("graphdot");
+  Out += S.execute("races");
+  Out += S.execute("restore 0 0");
+  return Out;
+}
+
+// Golden fixture: the scripted session over every shipped example under
+// three schedules. Re-pin only for a deliberate change to what a session
+// shows.
+TEST(ControllerTest, GoldenCorpusSessionTranscripts) {
+  struct Pin {
+    const char *Name;
+    uint64_t Seed;
+    uint64_t Hash;
+  };
+  const Pin Pins[] = {
+      {"bank_race.ppl", 1, 0xed955c56dc49e6e1ull},
+      {"bank_race.ppl", 2, 0x997a51fef57a009dull},
+      {"bank_race.ppl", 3, 0x68f7ead600db9aedull},
+      {"bounded_buffer.ppl", 1, 0xd9181a4b7581db25ull},
+      {"bounded_buffer.ppl", 2, 0x7b1190ad718b6809ull},
+      {"bounded_buffer.ppl", 3, 0x127766a8962c75bbull},
+      {"crash.ppl", 1, 0x04920e802a342f01ull},
+      {"crash.ppl", 2, 0x04920e802a342f01ull},
+      {"crash.ppl", 3, 0x04920e802a342f01ull},
+      {"deadlock.ppl", 1, 0xaf390cc49dc1f363ull},
+      {"deadlock.ppl", 2, 0xaf390cc49dc1f363ull},
+      {"deadlock.ppl", 3, 0xaf390cc49dc1f363ull},
+      {"fig41.ppl", 1, 0xac7b4bd3d94e2353ull},
+      {"fig41.ppl", 2, 0xac7b4bd3d94e2353ull},
+      {"fig41.ppl", 3, 0xac7b4bd3d94e2353ull},
+  };
+  for (const Pin &P : Pins) {
+    Ran R = runProgram(readCorpusFile(P.Name), P.Seed, {}, {},
+                       /*ExpectCompleted=*/false);
+    ASSERT_TRUE(R.Prog) << P.Name;
+    uint64_t Hash = fnv1a(scriptedTranscript(R, 6));
+    EXPECT_EQ(Hash, P.Hash) << P.Name << " seed " << P.Seed
+                            << " drifted; actual 0x" << std::hex << Hash;
+  }
+}
+
+/// The shape of the episode benchmark's replay walk at test size: two
+/// processes, each summing 48 calls of a unit() whose statements are long
+/// arithmetic chains. Every unit() call is its own log interval, so each
+/// root fragment holds 48 unexpanded calls.
+std::string unitWalkProgram() {
+  auto Mix = [](const char *Mul[4]) {
+    std::string E = "s";
+    for (int I = 0; I != 4; ++I)
+      E = "(" + E + " * " + Mul[I] + " + " + std::to_string(I + 3) +
+          ") % 999983";
+    return E;
+  };
+  const char *First[4] = {"11", "13", "17", "19"};
+  const char *Second[4] = {"23", "29", "31", "37"};
+  return "sem done;\n"
+         "func unit(int k) {\n"
+         "  int i = 0;\n"
+         "  int s = k + 5;\n"
+         "  for (i = 0; i < 3; i = i + 1) {\n"
+         "    s = " + Mix(First) + ";\n"
+         "    s = " + Mix(Second) + ";\n"
+         "  }\n"
+         "  return s;\n"
+         "}\n"
+         "func worker(int base) {\n"
+         "  int j = 0;\n"
+         "  int acc = 0;\n"
+         "  for (j = 0; j < 48; j = j + 1)\n"
+         "    acc = (acc + unit(base + j)) % 999983;\n"
+         "  print(acc);\n"
+         "  V(done);\n"
+         "}\n"
+         "func main() {\n"
+         "  spawn worker(100000);\n"
+         "  int j = 0;\n"
+         "  int acc = 0;\n"
+         "  for (j = 0; j < 48; j = j + 1)\n"
+         "    acc = (acc + unit(j)) % 999983;\n"
+         "  P(done);\n"
+         "  print(acc);\n"
+         "}\n";
+}
+
+// Golden fixture: a session over the unit-walk shape. The walk passes
+// dozens of unexpanded calls, expands one well after the fragment was
+// built (its label keeps the creation-time "[not expanded]" text), and
+// walks inside it.
+TEST(ControllerTest, GoldenUnitWalkSession) {
+  Ran R = runProgram(unitWalkProgram(), 3);
+  ASSERT_TRUE(R.Prog);
+  PpdController C(*R.Prog, std::move(R.Log));
+  DebugSession S(*R.Prog, C);
+  std::string Out = S.execute("where 0");
+  for (int I = 0; I != 12; ++I)
+    Out += S.execute("back");
+  Out += S.execute("where 1");
+  for (int I = 0; I != 12; ++I)
+    Out += S.execute("back");
+
+  std::vector<DynNodeId> Skipped;
+  for (DynNodeId Id = 0; Id != C.graph().numNodes(); ++Id)
+    if (C.graph().node(Id).Kind == DynNodeKind::SubGraph &&
+        !C.graph().node(Id).Expanded)
+      Skipped.push_back(Id);
+  ASSERT_GE(Skipped.size(), 40u);
+  DynNodeId Late = Skipped[Skipped.size() / 3];
+  Out += S.execute("expand " + std::to_string(Late));
+  Out += S.execute("node " + std::to_string(Late));
+  Out += S.execute("node " + std::to_string(C.graph().numNodes() - 1));
+  for (int I = 0; I != 6; ++I)
+    Out += S.execute("back");
+  Out += S.execute("graphdot");
+  EXPECT_NE(Out.find("unit(...)  [not expanded]"), std::string::npos);
+  uint64_t Hash = fnv1a(Out);
+  EXPECT_EQ(Hash, 0x050d1499fc8ba6c9ull) << "unit walk session drifted; actual 0x"
+                          << std::hex << Hash;
 }
 
 // Property: flowing back from the final print of a sequential compute
