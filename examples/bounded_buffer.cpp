@@ -94,9 +94,9 @@ int main() {
     const DynNode &N = Controller.graph().node(Node);
     std::string ValueText =
         N.HasValue ? "   = " + std::to_string(N.Value) : std::string();
-    std::printf("  [%u] (p%u) %s%s\n", Step,
-                N.Pid == InvalidId ? 9u : N.Pid, N.Label.c_str(),
-                ValueText.c_str());
+    std::printf("  [%u] (p%u) %.*s%s\n", Step,
+                N.Pid == InvalidId ? 9u : N.Pid, int(N.Label.size()),
+                N.Label.data(), ValueText.c_str());
     DynNodeId Next = InvalidId;
     for (const DynEdge &E : Controller.dependencesOf(Node)) {
       if (E.Kind != DynEdgeKind::Data && E.Kind != DynEdgeKind::CrossData)

@@ -46,7 +46,7 @@ void flowbackWalk(PpdController &Controller, DynNodeId Start,
   DynNodeId Node = Start;
   for (unsigned Step = 0; Step != MaxSteps && Node != InvalidId; ++Step) {
     const DynNode &N = Controller.graph().node(Node);
-    std::printf("  [%u] %s", Step, N.Label.c_str());
+    std::printf("  [%u] %.*s", Step, int(N.Label.size()), N.Label.data());
     if (N.HasValue)
       std::printf("   (value %lld)", (long long)N.Value);
     std::printf("\n");
@@ -61,7 +61,8 @@ void flowbackWalk(PpdController &Controller, DynNodeId Start,
                              : E.Kind == DynEdgeKind::Data ? "data" : nullptr;
       if (!Kind)
         continue;
-      std::printf("        <- %s dep on %s\n", Kind, From.Label.c_str());
+      std::printf("        <- %s dep on %.*s\n", Kind, int(From.Label.size()),
+                  From.Label.data());
       if (Next == InvalidId &&
           (E.Kind == DynEdgeKind::Data || E.Kind == DynEdgeKind::CrossData) &&
           From.Kind != DynNodeKind::Entry)
@@ -107,9 +108,9 @@ int main() {
   for (uint32_t Id = 0; Id != Controller.graph().numNodes(); ++Id) {
     const DynNode &N = Controller.graph().node(Id);
     if (N.Kind == DynNodeKind::SubGraph && !N.Expanded) {
-      std::printf("\nexpanding sub-graph node '%s' (replays the nested log "
-                  "interval)\n",
-                  N.Label.c_str());
+      std::printf("\nexpanding sub-graph node '%.*s' (replays the nested "
+                  "log interval)\n",
+                  int(N.Label.size()), N.Label.data());
       Controller.expandCall(Id);
     }
   }

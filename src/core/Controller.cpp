@@ -88,8 +88,9 @@ PpdController::addFragment(uint32_t Pid, uint32_t IntervalIdx,
   const LogInterval &Interval = Index.intervals(Pid)[IntervalIdx];
   const EBlockInfo &EBlock = Prog.eblock(Interval.EBlock);
   Graph.node(Entry.Fragment.EntryNode).Label =
-      "ENTRY " + Prog.func(EBlock.Func).Name + " [p" + std::to_string(Pid) +
-      " i" + std::to_string(IntervalIdx) + "]";
+      Graph.intern("ENTRY " + Prog.func(EBlock.Func).Name + " [p" +
+                   std::to_string(Pid) + " i" + std::to_string(IntervalIdx) +
+                   "]");
   Graph.markInterval(Pid, IntervalIdx);
 
   auto [Pos, Inserted] =
@@ -159,7 +160,7 @@ DynNodeId PpdController::startAtLastEvent(uint32_t Pid) {
   return Fragment ? Fragment->LastNode : InvalidId;
 }
 
-std::vector<DynEdge> PpdController::dependencesOf(DynNodeId Node) {
+DynamicGraph::EdgeRange PpdController::dependencesOf(DynNodeId Node) {
   // Resolve any cross-process reads still pending on this node. Copy the
   // node's coordinates up front: resolveCrossRead adds nodes, which can
   // reallocate the graph's node storage and invalidate references into it.
@@ -215,7 +216,7 @@ PpdController::resolveCrossRead(uint32_t ReaderPid,
     // Before the first sync node or no edges: treat as initial state.
     DynNode N;
     N.Kind = DynNodeKind::Initial;
-    N.Label = "initial " + Prog.Symbols->var(Read.Var).Name;
+    N.Label = Builder.initialLabel(Read.Var);
     DynNodeId Init = Graph.addNode(std::move(N));
     Graph.addEdge({DynEdgeKind::CrossData, Init, Read.Node, Read.Var, -1});
     Result.Outcome = CrossReadResolution::Kind::Initial;
@@ -230,8 +231,8 @@ PpdController::resolveCrossRead(uint32_t ReaderPid,
   if (RaceWitness.valid()) {
     DynNode N;
     N.Kind = DynNodeKind::Unresolved;
-    N.Label = "RACE on " + Prog.Symbols->var(Read.Var).Name + " (p" +
-              std::to_string(RaceWitness.Pid) + ")";
+    N.Label = Graph.intern("RACE on " + Prog.Symbols->var(Read.Var).Name +
+                           " (p" + std::to_string(RaceWitness.Pid) + ")");
     DynNodeId RaceNode = Graph.addNode(std::move(N));
     Graph.addEdge(
         {DynEdgeKind::CrossData, RaceNode, Read.Node, Read.Var, -1});
@@ -265,7 +266,7 @@ PpdController::resolveCrossRead(uint32_t ReaderPid,
 
   DynNode N;
   N.Kind = DynNodeKind::Initial;
-  N.Label = "initial " + Prog.Symbols->var(Read.Var).Name;
+  N.Label = Builder.initialLabel(Read.Var);
   DynNodeId Init = Graph.addNode(std::move(N));
   Graph.addEdge({DynEdgeKind::CrossData, Init, Read.Node, Read.Var, -1});
   Result.Outcome = CrossReadResolution::Kind::Initial;
@@ -369,22 +370,24 @@ DynNodeId PpdController::expandCall(DynNodeId SubGraphNode) {
   auto It = Cache.find({Pid, Interval});
   if (It == Cache.end())
     return InvalidId;
-  for (const SkippedCall &Skip : It->second.Fragment.Skipped) {
-    if (Skip.Node != SubGraphNode)
-      continue;
-    const LogInterval *Nested =
-        Index.intervalAtRecord(Pid, Skip.CalleeRecordsAt);
-    if (!Nested)
-      return InvalidId;
-    const BuiltFragment *Fragment = ensureInterval(Pid, Nested->Index);
-    if (!Fragment)
-      return InvalidId;
-    Graph.node(SubGraphNode).Expanded = true;
-    Graph.addEdge({DynEdgeKind::Flow, SubGraphNode, Fragment->EntryNode,
-                   InvalidId, -1});
-    return Fragment->EntryNode;
-  }
-  return InvalidId;
+  // Skipped calls are listed in creation order, so by ascending node id.
+  const std::vector<SkippedCall> &Skipped = It->second.Fragment.Skipped;
+  auto Skip = std::lower_bound(
+      Skipped.begin(), Skipped.end(), SubGraphNode,
+      [](const SkippedCall &S, DynNodeId Id) { return S.Node < Id; });
+  if (Skip == Skipped.end() || Skip->Node != SubGraphNode)
+    return InvalidId;
+  const LogInterval *Nested =
+      Index.intervalAtRecord(Pid, Skip->CalleeRecordsAt);
+  if (!Nested)
+    return InvalidId;
+  const BuiltFragment *Fragment = ensureInterval(Pid, Nested->Index);
+  if (!Fragment)
+    return InvalidId;
+  Graph.node(SubGraphNode).Expanded = true;
+  Graph.addEdge({DynEdgeKind::Flow, SubGraphNode, Fragment->EntryNode,
+                 InvalidId, -1});
+  return Fragment->EntryNode;
 }
 
 DynNodeId PpdController::eventNodeNear(uint32_t Pid, uint32_t RecordIdx,

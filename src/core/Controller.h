@@ -148,15 +148,16 @@ public:
   /// interval (user-initiated halt).
   DynNodeId startAtLastEvent(uint32_t Pid);
 
-  /// Backward flowback step: the dependence edges into \p Node,
-  /// after resolving this node's pending cross-process reads.
-  std::vector<DynEdge> dependencesOf(DynNodeId Node);
+  /// Backward flowback step: the dependence edges into \p Node, in the
+  /// order they were added, after resolving this node's pending
+  /// cross-process reads.
+  DynamicGraph::EdgeRange dependencesOf(DynNodeId Node);
 
   /// Forward flow (the paper's §1: "the programmer can see, either forward
   /// or backward, how information flowed"): dependence edges out of
   /// \p Node within the traced region. Consumers not yet traced are not
   /// discovered — forward influence is bounded by what has been replayed.
-  std::vector<DynEdge> influencesOf(DynNodeId Node) const {
+  DynamicGraph::EdgeRange influencesOf(DynNodeId Node) const {
     return Graph.outEdges(Node);
   }
 

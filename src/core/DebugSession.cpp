@@ -21,7 +21,8 @@ static std::string lineOf(const CompiledProgram &Prog, StmtId Stmt) {
 
 std::string DebugSession::showNode(DynNodeId Id) {
   const DynNode &N = Controller.graph().node(Id);
-  std::string Out = "node " + std::to_string(Id) + ": " + N.Label;
+  std::string Out = "node " + std::to_string(Id) + ": ";
+  Out += N.Label;
   if (N.HasValue)
     Out += "  = " + std::to_string(N.Value);
   if (N.Pid != InvalidId)
@@ -48,7 +49,8 @@ std::string DebugSession::showNode(DynNodeId Id) {
     }
     const DynNode &From = Controller.graph().node(E.From);
     Out += "  <- " + std::string(Kind) + " node " +
-           std::to_string(E.From) + "  " + From.Label;
+           std::to_string(E.From) + "  ";
+    Out += From.Label;
     if (E.Var != InvalidId)
       Out += "  [" + Prog.Symbols->var(E.Var).Name + "]";
     Out += "\n";
@@ -144,7 +146,10 @@ std::string DebugSession::cmdWhatIf(std::istream &Args) {
   uint32_t Pid = 0, Interval = 0, Event = 0;
   std::string VarName;
   int64_t Value = 0;
-  Args >> Pid >> Interval >> Event >> VarName >> Value;
+  const char *Usage = "usage: whatif PID INTERVAL EVENT VAR VALUE\n";
+  if (!(Args >> Pid >> Interval >> Event >> VarName >> Value) ||
+      !(Args >> std::ws).eof())
+    return Usage;
   // VAR is resolved as the interval's root function sees it: its params
   // and locals first, then the globals.
   auto Named = [&](const std::vector<VarId> &Vars) {
@@ -163,9 +168,16 @@ std::string DebugSession::cmdWhatIf(std::istream &Args) {
       Var = Named(Prog.Symbols->Globals);
   }
   if (Var == InvalidId)
-    return "usage: whatif PID INTERVAL EVENT VAR VALUE\n";
+    return Usage;
   ReplayResult Res =
       Controller.whatIf(Pid, Interval, {{Event, Var, -1, Value}});
+  // An override fires as a statement begins at event EVENT; the replay up
+  // to there is the logged one. So a trace no longer than EVENT is the
+  // unmodified interval, and EVENT lies past its end.
+  if (Event >= Res.Events.Events.size())
+    return "no such event: interval " + std::to_string(Interval) +
+           " of process " + std::to_string(Pid) + " has " +
+           std::to_string(Res.Events.Events.size()) + " events\n";
   std::string Out = "what-if run";
   if (Res.Diverged)
     Out += " (control flow diverged from the logged path)";

@@ -1268,7 +1268,7 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
         if (E.Kind != TraceEventKind::Stmt)
           continue;
         DynNodeId Reader = Frag.EventNodes[EI];
-        std::vector<DynEdge> In = Graph.inEdges(Reader);
+        DynamicGraph::EdgeRange In = Graph.inEdges(Reader);
         for (const TraceAccess &R : E.Reads) {
           bool Satisfied = false, Soft = false;
           unsigned Candidates = 0;

@@ -63,7 +63,7 @@ TEST(DynamicGraphTest, NodeAndEdgeStorage) {
   G.addEdge({DynEdgeKind::Data, IdA, IdB, 3, -1});
   EXPECT_EQ(G.numNodes(), 2u);
   ASSERT_EQ(G.inEdges(IdB).size(), 1u);
-  EXPECT_EQ(G.inEdges(IdB)[0].From, IdA);
+  EXPECT_EQ(G.inEdges(IdB).front().From, IdA);
   ASSERT_EQ(G.outEdges(IdA).size(), 1u);
   EXPECT_TRUE(G.inEdges(IdA).empty());
   EXPECT_EQ(G.nodeOfEvent(0, 0, 0), IdB);

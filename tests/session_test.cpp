@@ -162,6 +162,17 @@ TEST(SessionTest, WhatIfCommand) {
                         "func main() { int a = g + 1; print(a); print(f()); }");
   EXPECT_NE(Shadow.run("whatif 0 0 0 g 100").find("printed: 101 7"),
             std::string::npos);
+  // EVENT past the interval's last event: the override would never fire,
+  // so there is no what-if result to print (the parent printed the
+  // unmodified run, "printed: 2 7").
+  EXPECT_EQ(Shadow.run("whatif 0 0 999 g 100"),
+            "no such event: interval 0 of process 0 has 4 events\n");
+  // A VALUE that is not a number is a usage error, not 0 (the parent ran
+  // it as 0 and printed "printed: 1 7").
+  EXPECT_NE(Shadow.run("whatif 0 0 0 g abc").find("usage:"),
+            std::string::npos);
+  EXPECT_NE(Shadow.run("whatif 0 0 0 g 100x").find("usage:"),
+            std::string::npos);
   // A local of another function is not visible from the root.
   SessionFixture Other("func f() { int h = 7; return h; }\n"
                        "func main() { print(f()); }");
