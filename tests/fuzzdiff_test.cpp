@@ -252,6 +252,51 @@ func main() {
   }
 }
 
+/// A sweep runs every seed past a divergence, lists each one in seed
+/// order, and reports (and minimizes) only the first in full.
+TEST(FuzzLoopTest, RecordsEveryDivergenceAndRunsEverySeed) {
+  const std::string Second = generateProgram(2).render();
+  const std::string Fifth = generateProgram(5).render();
+  std::vector<std::string> Logged;
+  FuzzOptions Options;
+  Options.FirstSeed = 1;
+  Options.Runs = 6;
+  Options.Log = [&](const std::string &Line) { Logged.push_back(Line); };
+  unsigned Calls = 0;
+  Options.Differential = [&](const std::string &Source, uint64_t, uint32_t) {
+    ++Calls;
+    DiffReport R;
+    R.Divergent = Source == Second || Source == Fifth;
+    R.Oracle = Source == Second ? "stub/first" : "stub/second";
+    return R;
+  };
+
+  FuzzResult Result = runFuzz(Options);
+  EXPECT_EQ(Result.Stats.Runs, 6u);
+  EXPECT_EQ(Result.Stats.Completed, 6u);
+  ASSERT_EQ(Result.Divergences.size(), 2u);
+  EXPECT_EQ(Result.Divergences[0].Seed, 2u);
+  EXPECT_EQ(Result.Divergences[0].Oracle, "stub/first");
+  EXPECT_EQ(Result.Divergences[1].Seed, 5u);
+  EXPECT_EQ(Result.Divergences[1].Oracle, "stub/second");
+  EXPECT_TRUE(Result.Failed);
+  EXPECT_EQ(Result.FailingSeed, 2u);
+  EXPECT_EQ(Result.Report.Oracle, "stub/first");
+  EXPECT_EQ(Result.OriginalSource, Second);
+  // Only the first divergence went through the minimizer.
+  EXPECT_GT(Result.MinimizerCalls, 0u);
+  EXPECT_EQ(Calls, 6u + Result.MinimizerCalls);
+  ASSERT_FALSE(Logged.empty());
+  EXPECT_EQ(Logged.back(), "6 runs, 2 divergent");
+
+  const std::string Summary = summarizeFuzz(Result);
+  EXPECT_NE(Summary.find("2 divergences:\n  seed 2 ["), std::string::npos)
+      << Summary;
+  EXPECT_NE(Summary.find("  seed 5 ["), std::string::npos) << Summary;
+  EXPECT_NE(Summary.find("DIVERGENCE at seed 2 ["), std::string::npos)
+      << Summary;
+}
+
 /// The PR-gate differential smoke: a bounded sweep that must be
 /// divergence-free. Split into shards so ctest runs them in parallel.
 class FuzzDiffSmoke : public ::testing::TestWithParam<uint64_t> {};
