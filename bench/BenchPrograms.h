@@ -22,7 +22,7 @@
 #define PPD_BENCH_BENCHPROGRAMS_H
 
 #include "compiler/Compiler.h"
-#include "core/ReplayService.h"
+#include "core/Replay.h"
 #include "log/ExecutionLog.h"
 #include "log/LogIO.h"
 #include "vm/Machine.h"
@@ -166,17 +166,15 @@ struct SaveLoadStats {
 
 /// Times \p Reps save+load round trips of \p Log and keeps the fastest
 /// of each (minimum-of-reps filters scheduler and page-cache noise out of
-/// millisecond-scale operations). \p Pool, if given, parallelizes the
-/// per-process section encode; the load is serial.
+/// millisecond-scale operations).
 inline SaveLoadStats measureSaveLoad(const ExecutionLog &Log,
-                                     ThreadPool *Pool = nullptr,
                                      unsigned Reps = 15) {
   std::string Path = "/tmp/ppd_bench_saveload.bin";
   using Clock = std::chrono::steady_clock;
   double SaveSeconds = 1e30, LoadSeconds = 1e30;
   for (unsigned I = 0; I != Reps; ++I) {
     auto T0 = Clock::now();
-    bool Saved = Log.save(Path, LogFormat::V2, Pool);
+    bool Saved = Log.save(Path, LogFormat::V2);
     auto T1 = Clock::now();
     ExecutionLog Loaded;
     bool LoadedOk = Saved && ExecutionLog::load(Path, Loaded);
@@ -226,7 +224,7 @@ mustCompile(const std::string &Source, const CompileOptions &Options = {}) {
 
 /// Many sibling intervals under main: each unit() call is its own logged
 /// interval of ~6*InnerIters mostly-compute instructions, so a query over
-/// all of them is a wide, embarrassingly parallel replay fan-out.
+/// all of them replays many independent intervals.
 inline std::string manyIntervalWorkload(unsigned Units,
                                         unsigned InnerIters = 60) {
   return R"(
@@ -288,7 +286,7 @@ struct ReplayWorld {
   std::unique_ptr<CompiledProgram> Prog;
   ExecutionLog Log;
   std::unique_ptr<LogIndex> Index;
-  std::vector<ParallelReplayer::IntervalRef> All;
+  std::vector<std::pair<uint32_t, uint32_t>> All;
 };
 
 inline ReplayWorld makeReplayWorldFor(const std::string &Source) {

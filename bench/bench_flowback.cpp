@@ -20,11 +20,8 @@
 // The replay-service rows measure the trace-regeneration engine itself on
 // a many-interval query (the transitive set of a deep flowback):
 //
-//   * `flowback_cold_serial`   — every interval replayed once, no cache,
-//     no workers: the pre-service cost of a wide query.
-//   * `flowback_cold_parallel` — the same misses fanned across N worker
-//     threads (arg 1); log intervals are independent (§5.5), so this
-//     scales with cores.
+//   * `flowback_cold_serial`   — every interval replayed once into an
+//     empty cache: the cost of a wide query.
 //   * `flowback_warm_cached`   — the same query against a warm cache:
 //     every answer is a lookup. The cold/warm ratio is the price of a
 //     repeat query, the paper's interactive-session common case.
@@ -123,14 +120,14 @@ void incremental_execution(benchmark::State &State) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replay-service variants: cold / cold-parallel / warm
+// Replay-service variants: cold / warm
 //===----------------------------------------------------------------------===//
 // The workload and interval set come from BenchPrograms.h
 // (manyIntervalWorkload / makeReplayWorld), shared with bench_interp's E9
 // replay rows so both experiments sweep identical interval sets.
 
-void serviceCounters(benchmark::State &State,
-                     const ParallelReplayer &Service, size_t Intervals) {
+void serviceCounters(benchmark::State &State, const ReplayService &Service,
+                     size_t Intervals) {
   ReplayServiceStats S = Service.stats();
   State.counters["Intervals"] = double(Intervals);
   State.counters["EngineReplays"] = double(S.EngineReplays);
@@ -138,49 +135,40 @@ void serviceCounters(benchmark::State &State,
   State.counters["CacheBytes"] = double(S.Cache.Bytes);
 }
 
+/// Sums the events of one get() per interval of \p W.
+uint64_t getAll(ReplayService &Service, const ReplayWorld &W) {
+  uint64_t Events = 0;
+  for (const auto &[Pid, Idx] : W.All)
+    Events += Service.get(Pid, Idx)->Events.Events.size();
+  return Events;
+}
+
 /// Cold: every iteration starts with an empty cache and regenerates the
-/// full interval set through \p Threads workers.
-void flowback_cold(benchmark::State &State, unsigned Threads) {
+/// full interval set.
+void flowback_cold_serial(benchmark::State &State) {
   ReplayWorld W = makeReplayWorld(unsigned(State.range(0)));
   PagedLog Log = PagedLog::fromLog(W.Log);
-  ReplayServiceOptions Options;
-  Options.Threads = Threads;
   uint64_t Events = 0;
   for (auto _ : State) {
-    ParallelReplayer Service(*W.Prog, Log, *W.Index, Options);
-    auto Results = Service.getMany(W.All);
-    Events = 0;
-    for (const auto &R : Results)
-      Events += R->Events.Events.size();
+    ReplayService Service(*W.Prog, Log, *W.Index);
+    Events = getAll(Service, W);
     benchmark::DoNotOptimize(Events);
   }
   // Representative of the last iteration (one full miss sweep).
-  ParallelReplayer Probe(*W.Prog, Log, *W.Index, Options);
-  auto Results = Probe.getMany(W.All);
-  benchmark::DoNotOptimize(Results.data());
+  ReplayService Probe(*W.Prog, Log, *W.Index);
+  benchmark::DoNotOptimize(getAll(Probe, W));
   serviceCounters(State, Probe, W.All.size());
   State.counters["TotalEvents"] = double(Events);
-}
-
-void flowback_cold_serial(benchmark::State &State) {
-  flowback_cold(State, 0);
-}
-
-void flowback_cold_parallel(benchmark::State &State) {
-  flowback_cold(State, unsigned(State.range(1)));
 }
 
 /// Warm: the cache already holds every interval; each iteration re-asks
 /// the full query and must be answered entirely by lookups.
 void flowback_warm_cached(benchmark::State &State) {
   ReplayWorld W = makeReplayWorld(unsigned(State.range(0)));
-  ParallelReplayer Service(*W.Prog, PagedLog::fromLog(W.Log), *W.Index, {});
-  auto Warmup = Service.getMany(W.All);
-  benchmark::DoNotOptimize(Warmup.data());
-  for (auto _ : State) {
-    auto Results = Service.getMany(W.All);
-    benchmark::DoNotOptimize(Results.data());
-  }
+  ReplayService Service(*W.Prog, PagedLog::fromLog(W.Log), *W.Index);
+  benchmark::DoNotOptimize(getAll(Service, W));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(getAll(Service, W));
   serviceCounters(State, Service, W.All.size());
 }
 
@@ -191,11 +179,6 @@ BENCHMARK(incremental_execution)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(fulltrace_session)->Arg(1000)->Arg(10000)->Arg(100000);
 
 BENCHMARK(flowback_cold_serial)->Arg(32)->Arg(128);
-BENCHMARK(flowback_cold_parallel)
-    ->Args({32, 2})
-    ->Args({32, 4})
-    ->Args({128, 2})
-    ->Args({128, 4});
 BENCHMARK(flowback_warm_cached)->Arg(32)->Arg(128);
 
 BENCHMARK_MAIN();

@@ -19,7 +19,6 @@
 
 #include "BenchPrograms.h"
 
-#include "support/ThreadPool.h"
 #include "vm/Machine.h"
 
 #include <benchmark/benchmark.h>
@@ -70,15 +69,8 @@ void runMode(benchmark::State &State, const std::string &Source,
   if (Mode != RunMode::Logging)
     return;
   // E2's save/load methodology columns: on-disk volume and throughput of
-  // the log, with per-process sections decoded in parallel when the
-  // workload actually has multiple processes.
-  // Size the pool to the machine: workers beyond the physical cores (or on
-  // a single-core host, any workers at all) only add scheduling overhead
-  // to millisecond-scale operations.
-  unsigned Cores = ThreadPool::defaultConcurrency();
-  ThreadPool Pool(Cores > 1 ? std::min(4u, Cores) : 0);
-  SaveLoadStats V2 =
-      measureSaveLoad(FinalLog, FinalLog.Procs.size() > 1 ? &Pool : nullptr);
+  // the log.
+  SaveLoadStats V2 = measureSaveLoad(FinalLog);
   State.counters["FileBytesV2"] = double(V2.FileBytes);
   State.counters["SaveMsV2"] = V2.SaveMs;
   State.counters["LoadMsV2"] = V2.LoadMs;

@@ -6,31 +6,9 @@
 
 #include "core/Controller.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 
 using namespace ppd;
-
-namespace {
-
-/// Adopts the caller's index (a `.ppdb` sidecar's, or a stream's) when
-/// one came along, else skims the store — record bodies stay unread
-/// either way. The skim fans out over a transient pool when the
-/// controller is configured for parallelism (the replay service's pool
-/// doesn't exist yet at this point — it is constructed after the index
-/// it consumes).
-LogIndex buildIndex(const PageStore &Store,
-                    std::shared_ptr<const LogIndex> Index, unsigned Threads) {
-  if (Index)
-    return *Index;
-  if (Threads == 0 || Store.numProcs() < 2)
-    return LogIndex(Store);
-  ThreadPool Pool(Threads);
-  return LogIndex(Store, &Pool);
-}
-
-} // namespace
 
 PpdController::PpdController(const CompiledProgram &Prog,
                              const ExecutionLog &Log,
@@ -42,8 +20,7 @@ PpdController::PpdController(const CompiledProgram &Prog, PagedLog LogIn,
                              std::shared_ptr<const LogIndex> IndexIn,
                              PpdControllerOptions Options)
     : Prog(Prog), Log(std::move(LogIn)),
-      Index(buildIndex(*Log.Store, std::move(IndexIn),
-                       Options.Service.Threads)),
+      Index(IndexIn ? *IndexIn : LogIndex(*Log.Store)),
       Service(Prog, Log, Index, Options.Service), Builder(Prog, Graph),
       ParGraph(std::move(Options.AdoptedGraph)) {
   assert(Log && "a controller needs both a store and a pool");
@@ -71,9 +48,15 @@ const ReplayResult *PpdController::replayOf(uint32_t Pid,
   return It == Cache.end() ? nullptr : It->second.Replay.get();
 }
 
-const BuiltFragment *
-PpdController::addFragment(uint32_t Pid, uint32_t IntervalIdx,
-                           ParallelReplayer::ReplayPtr Replay) {
+const BuiltFragment *PpdController::ensureInterval(uint32_t Pid,
+                                                   uint32_t IntervalIdx) {
+  auto It = Cache.find({Pid, IntervalIdx});
+  if (It != Cache.end())
+    return &It->second.Fragment;
+
+  assert(IntervalIdx < Index.intervals(Pid).size() &&
+         "interval index out of range");
+  ReplayService::ReplayPtr Replay = Service.get(Pid, IntervalIdx);
   syncServiceStats();
   if (!Replay->Ok)
     return nullptr;
@@ -98,40 +81,6 @@ PpdController::addFragment(uint32_t Pid, uint32_t IntervalIdx,
   assert(Inserted && "interval cached twice");
   spliceSyncEdges(Pid, IntervalIdx);
   return &Pos->second.Fragment;
-}
-
-const BuiltFragment *PpdController::ensureInterval(uint32_t Pid,
-                                                   uint32_t IntervalIdx) {
-  auto It = Cache.find({Pid, IntervalIdx});
-  if (It != Cache.end())
-    return &It->second.Fragment;
-
-  assert(IntervalIdx < Index.intervals(Pid).size() &&
-         "interval index out of range");
-  const BuiltFragment *Fragment =
-      addFragment(Pid, IntervalIdx, Service.get(Pid, IntervalIdx));
-  // Warm the intervals a backward walk from here reaches next.
-  Service.prefetchNeighbors(Pid, IntervalIdx);
-  return Fragment;
-}
-
-unsigned PpdController::ensureIntervals(
-    const std::vector<ParallelReplayer::IntervalRef> &Requests) {
-  // Regenerate the missing traces in parallel...
-  std::vector<ParallelReplayer::IntervalRef> Missing;
-  for (const auto &[Pid, IntervalIdx] : Requests)
-    if (!Cache.count({Pid, IntervalIdx}))
-      Missing.push_back({Pid, IntervalIdx});
-  std::vector<ParallelReplayer::ReplayPtr> Replays =
-      Service.getMany(Missing);
-  // ...then splice serially, in request order.
-  unsigned Added = 0;
-  for (size_t I = 0; I != Missing.size(); ++I)
-    if (!Cache.count(Missing[I]) &&
-        addFragment(Missing[I].first, Missing[I].second,
-                    std::move(Replays[I])))
-      ++Added;
-  return Added;
 }
 
 DynNodeId PpdController::startAtFailure(uint32_t Pid) {

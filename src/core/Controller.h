@@ -76,10 +76,10 @@ struct ControllerStats {
 };
 
 struct PpdControllerOptions {
-  /// Replay service configuration: worker threads, trace-cache budget,
-  /// background prefetch. Defaults are serial and prefetch-free, which
-  /// keeps the controller fully deterministic and its Replays counter
-  /// equal to exactly the intervals queries demanded.
+  /// Replay service configuration: the trace-cache budget, or a cache and
+  /// single-flight table shared with other sessions. The controller's
+  /// Replays counter equals exactly the intervals queries demanded that
+  /// the cache did not already hold.
   ReplayServiceOptions Service;
   /// A pre-built parallel dynamic graph (the `.ppdb` sidecar's) to adopt
   /// instead of constructing one on first use. Constructing it scans
@@ -123,18 +123,9 @@ public:
   /// replay divergence.
   const BuiltFragment *ensureInterval(uint32_t Pid, uint32_t IntervalIdx);
 
-  /// Traces every requested interval: trace regeneration for the misses
-  /// fans out across the replay service's thread pool, then the fragments
-  /// are spliced serially in request order (graph construction stays
-  /// deterministic regardless of worker count). Returns the number of
-  /// fragments newly added.
-  unsigned
-  ensureIntervals(const std::vector<ParallelReplayer::IntervalRef> &Requests);
-
-  /// The cached, parallel replay layer (cache counters, transitive
-  /// interval sets, prefetch).
-  ParallelReplayer &replayService() { return Service; }
-  const ParallelReplayer &replayService() const { return Service; }
+  /// The cached replay layer (cache and engine counters).
+  ReplayService &replayService() { return Service; }
+  const ReplayService &replayService() const { return Service; }
 
   /// The replay result backing a traced interval (null if not traced).
   const ReplayResult *replayOf(uint32_t Pid, uint32_t IntervalIdx) const;
@@ -197,7 +188,7 @@ public:
 private:
   struct CacheEntry {
     /// Shared with the replay cache; stays valid if evicted there.
-    ParallelReplayer::ReplayPtr Replay;
+    ReplayService::ReplayPtr Replay;
     BuiltFragment Fragment;
   };
 
@@ -216,15 +207,12 @@ private:
   void spliceSyncEdges(uint32_t Pid, uint32_t IntervalIdx);
   DynNodeId eventNodeNear(uint32_t Pid, uint32_t RecordIdx, StmtId Stmt);
 
-  /// Splices a freshly replayed interval's fragment into the graph.
-  const BuiltFragment *addFragment(uint32_t Pid, uint32_t IntervalIdx,
-                                   ParallelReplayer::ReplayPtr Replay);
   void syncServiceStats();
 
   const CompiledProgram &Prog;
   PagedLog Log;
   LogIndex Index;
-  ParallelReplayer Service;
+  ReplayService Service;
   DynamicGraph Graph;
   GraphBuilder Builder;
   std::map<std::pair<uint32_t, uint32_t>, CacheEntry> Cache;

@@ -173,11 +173,20 @@ std::string DebugSession::cmdWhatIf(std::istream &Args) {
       Controller.whatIf(Pid, Interval, {{Event, Var, -1, Value}});
   // An override fires as a statement begins at event EVENT; the replay up
   // to there is the logged one. So a trace no longer than EVENT is the
-  // unmodified interval, and EVENT lies past its end.
-  if (Event >= Res.Events.Events.size())
+  // unmodified interval, and EVENT lies past its end; and where EVENT is a
+  // call event no statement begins there, so the override never fired.
+  const std::vector<TraceEvent> &Events = Res.Events.Events;
+  if (Event >= Events.size())
     return "no such event: interval " + std::to_string(Interval) +
            " of process " + std::to_string(Pid) + " has " +
-           std::to_string(Res.Events.Events.size()) + " events\n";
+           std::to_string(Events.size()) + " events\n";
+  if (TraceEventKind Kind = Events[Event].Kind; Kind != TraceEventKind::Stmt)
+    return "event " + std::to_string(Event) + " of interval " +
+           std::to_string(Interval) + " is a " +
+           (Kind == TraceEventKind::CallBegin ? "CallBegin"
+            : Kind == TraceEventKind::CallEnd ? "CallEnd"
+                                              : "CallSkipped") +
+           " event; an override applies where a statement begins\n";
   std::string Out = "what-if run";
   if (Res.Diverged)
     Out += " (control flow diverged from the logged path)";

@@ -6,7 +6,6 @@
 
 #include "core/ReplayService.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace ppd;
@@ -27,7 +26,7 @@ size_t replayBytes(const ReplayResult &R) {
 } // namespace
 
 uint64_t
-ParallelReplayer::fingerprint(const std::vector<ReplayOverride> &Overrides) {
+ReplayService::fingerprint(const std::vector<ReplayOverride> &Overrides) {
   uint64_t H = 0;
   for (const ReplayOverride &O : Overrides) {
     uint64_t Fields[4] = {O.AtEvent, O.Var, uint64_t(O.Index),
@@ -46,12 +45,7 @@ std::string ppd::renderReplayServiceStats(const ReplayServiceStats &Stats) {
          std::to_string(Stats.Cache.Misses) + ", entries " +
          std::to_string(Stats.Cache.Entries) + ", bytes " +
          std::to_string(Stats.Cache.Bytes) + ", evictions " +
-         std::to_string(Stats.Cache.Evictions) + ", prefetches " +
-         std::to_string(Stats.PrefetchesIssued) + "\n";
-  Out += "pool: submitted " + std::to_string(Stats.Pool.Submitted) +
-         ", executed " + std::to_string(Stats.Pool.Executed) + ", stolen " +
-         std::to_string(Stats.Pool.Stolen) + ", inline " +
-         std::to_string(Stats.Pool.InlineRuns) + "\n";
+         std::to_string(Stats.Cache.Evictions) + "\n";
   Out += "bufferpool: hits " + std::to_string(Stats.Buffer.Hits) +
          ", misses " + std::to_string(Stats.Buffer.Misses) +
          ", evictions " + std::to_string(Stats.Buffer.Evictions) +
@@ -62,47 +56,25 @@ std::string ppd::renderReplayServiceStats(const ReplayServiceStats &Stats) {
   return Out;
 }
 
-ParallelReplayer::ParallelReplayer(const CompiledProgram &Prog,
-                                   PagedLog Log, const LogIndex &Index,
-                                   ReplayServiceOptions Options)
-    : Prog(Prog), Log(std::move(Log)), Index(Index), Options(Options),
-      Engine(Prog) {
-  assert(bool(this->Options.SharedCache) ==
-             bool(this->Options.SharedFlights) &&
+ReplayService::ReplayService(const CompiledProgram &Prog, PagedLog Log,
+                             const LogIndex &Index,
+                             ReplayServiceOptions Options)
+    : Log(std::move(Log)), Index(Index), Engine(Prog),
+      Cache(std::move(Options.SharedCache)),
+      Flights(std::move(Options.SharedFlights)) {
+  assert(bool(Cache) == bool(Flights) &&
          "a shared cache needs a shared single-flight table (and vice "
          "versa) — they dedupe the same keyspace");
-  if (this->Options.SharedCache) {
-    Cache = this->Options.SharedCache;
-    Flights = this->Options.SharedFlights;
-  } else {
-    Cache = std::make_shared<ReplayCache<ReplayResult>>(
-        this->Options.CacheBytes, this->Options.CacheShards);
+  if (!Cache) {
+    Cache = std::make_shared<ReplayCache<ReplayResult>>(Options.CacheBytes,
+                                                        Options.CacheShards);
     Flights = std::make_shared<ReplayFlightTable>();
   }
-  if (this->Options.SharedPool) {
-    Pool = this->Options.SharedPool;
-  } else {
-    OwnedPool = std::make_unique<ThreadPool>(this->Options.Threads);
-    Pool = OwnedPool.get();
-  }
 }
 
-ParallelReplayer::~ParallelReplayer() { drain(); }
-
-void ParallelReplayer::drain() {
-  std::unique_lock<std::mutex> Lock(BackgroundMutex);
-  BackgroundCv.wait(Lock, [this] { return BackgroundPending == 0; });
-}
-
-void ParallelReplayer::finishBackgroundTask() {
-  std::lock_guard<std::mutex> Lock(BackgroundMutex);
-  if (--BackgroundPending == 0)
-    BackgroundCv.notify_all();
-}
-
-ParallelReplayer::ReplayPtr
-ParallelReplayer::replayMiss(const ReplayKey &Key,
-                             const std::vector<ReplayOverride> &Overrides) {
+ReplayService::ReplayPtr
+ReplayService::replayMiss(const ReplayKey &Key,
+                          const std::vector<ReplayOverride> &Overrides) {
   // Single-flight: the first requester replays; concurrent requesters for
   // the same key share its future instead of redoing the work.
   std::promise<ReplayPtr> Promise;
@@ -157,129 +129,21 @@ ParallelReplayer::replayMiss(const ReplayKey &Key,
   return Result;
 }
 
-ParallelReplayer::ReplayPtr
-ParallelReplayer::get(uint32_t Pid, uint32_t IntervalIdx,
-                      const std::vector<ReplayOverride> &Overrides) {
+ReplayService::ReplayPtr
+ReplayService::get(uint32_t Pid, uint32_t IntervalIdx,
+                   const std::vector<ReplayOverride> &Overrides) {
   ReplayKey Key{Pid, IntervalIdx, fingerprint(Overrides)};
   if (ReplayPtr Cached = Cache->lookup(Key))
     return Cached;
   return replayMiss(Key, Overrides);
 }
 
-std::vector<ParallelReplayer::ReplayPtr>
-ParallelReplayer::getMany(const std::vector<IntervalRef> &Requests) {
-  std::vector<ReplayPtr> Results(Requests.size());
-  if (Requests.empty())
-    return Results;
-
-  // Serial pool (or a single request): no coordination needed.
-  if (Pool->numThreads() == 0 || Requests.size() == 1) {
-    for (size_t I = 0; I != Requests.size(); ++I)
-      Results[I] = get(Requests[I].first, Requests[I].second);
-    return Results;
-  }
-
-  struct FanOut {
-    std::mutex Mutex;
-    std::condition_variable Cv;
-    size_t Remaining;
-  };
-  auto State = std::make_shared<FanOut>();
-  State->Remaining = Requests.size();
-
-  for (size_t I = 0; I != Requests.size(); ++I) {
-    Pool->submit([this, &Results, &Requests, State, I] {
-      Results[I] = get(Requests[I].first, Requests[I].second);
-      std::lock_guard<std::mutex> Lock(State->Mutex);
-      if (--State->Remaining == 0)
-        State->Cv.notify_all();
-    });
-  }
-
-  // Help drain the queue rather than idling; the single-flight table
-  // guarantees we never duplicate a replay already in progress.
-  while (Pool->runOneTask())
-    ;
-  std::unique_lock<std::mutex> Lock(State->Mutex);
-  State->Cv.wait(Lock, [&] { return State->Remaining == 0; });
-  return Results;
-}
-
-std::vector<ParallelReplayer::IntervalRef>
-ParallelReplayer::transitiveIntervals(uint32_t Pid,
-                                      uint32_t IntervalIdx) const {
-  const std::vector<LogInterval> &Intervals = Index.intervals(Pid);
-  std::vector<IntervalRef> Out;
-  if (IntervalIdx >= Intervals.size())
-    return Out;
-  std::vector<bool> Seen(Intervals.size(), false);
-  auto Add = [&](uint32_t Idx) {
-    if (Idx < Intervals.size() && !Seen[Idx]) {
-      Seen[Idx] = true;
-      Out.push_back({Pid, Idx});
-    }
-  };
-
-  // The interval itself, then the ancestor chain with each level's
-  // preceding siblings (their postlogs produced the prelog's values).
-  for (uint32_t Walk = IntervalIdx; Walk != InvalidId;
-       Walk = Intervals[Walk].Parent) {
-    Add(Walk);
-    for (const LogInterval &Other : Intervals)
-      if (Other.Parent == Intervals[Walk].Parent &&
-          Other.PrelogRecord < Intervals[Walk].PrelogRecord)
-        Add(Other.Index);
-  }
-  // Direct children: the sub-graph nodes an expand query opens.
-  for (const LogInterval &Other : Intervals)
-    if (Other.Parent == IntervalIdx)
-      Add(Other.Index);
-  return Out;
-}
-
-void ParallelReplayer::prefetchNeighbors(uint32_t Pid,
-                                         uint32_t IntervalIdx) {
-  if (!Options.Prefetch || Pool->numThreads() == 0)
-    return;
-  const std::vector<LogInterval> &Intervals = Index.intervals(Pid);
-  if (IntervalIdx >= Intervals.size())
-    return;
-  const LogInterval &Interval = Intervals[IntervalIdx];
-
-  std::vector<uint32_t> Targets;
-  if (Interval.Parent != InvalidId)
-    Targets.push_back(Interval.Parent);
-  // Preceding sibling: same parent, greatest prelog before ours.
-  const LogInterval *Sibling = nullptr;
-  for (const LogInterval &Other : Intervals)
-    if (Other.Parent == Interval.Parent &&
-        Other.PrelogRecord < Interval.PrelogRecord &&
-        (!Sibling || Other.PrelogRecord > Sibling->PrelogRecord))
-      Sibling = &Other;
-  if (Sibling)
-    Targets.push_back(Sibling->Index);
-
-  for (uint32_t Target : Targets) {
-    {
-      std::lock_guard<std::mutex> Lock(BackgroundMutex);
-      ++BackgroundPending;
-    }
-    PrefetchesIssued.fetch_add(1, std::memory_order_relaxed);
-    Pool->submit([this, Pid, Target] {
-      get(Pid, Target);
-      finishBackgroundTask();
-    });
-  }
-}
-
-ReplayServiceStats ParallelReplayer::stats() const {
+ReplayServiceStats ReplayService::stats() const {
   ReplayServiceStats Out;
   Out.Cache = Cache->stats();
-  Out.Pool = Pool->stats();
   Out.EngineReplays = EngineReplays.load(std::memory_order_relaxed);
   Out.EngineInstructions =
       EngineInstructions.load(std::memory_order_relaxed);
-  Out.PrefetchesIssued = PrefetchesIssued.load(std::memory_order_relaxed);
   Out.Buffer = Log.Pool->stats();
   return Out;
 }

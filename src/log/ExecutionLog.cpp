@@ -4,8 +4,8 @@
 //
 // The on-disk format ("PPDL" magic, version 2): LEB128 varints, zigzag
 // for signed values, per-process Seq delta coding, PartnerSeq coded as a
-// distance from Seq, and one length-prefixed section per process so the
-// loader can decode sections in parallel. Each record serializes exactly
+// distance from Seq, and one length-prefixed section per process so a
+// reader can skip to, and decode, any one section alone. Each record serializes exactly
 // the fields its kind carries (the same field sets byteSize() accounts).
 //
 // Loads decode into a scratch log and commit to the caller's output only
@@ -19,7 +19,6 @@
 #include "bytecode/Instr.h"
 #include "log/LogFormatV2.h"
 #include "log/LogIO.h"
-#include "support/ThreadPool.h"
 
 
 using namespace ppd;
@@ -398,16 +397,13 @@ bool ppd::v2::readOutput(ByteReader &R, std::vector<OutputRecord> &Out) {
   return R.ok();
 }
 
-void ppd::v2::writeLog(LogWriter &W, const ExecutionLog &Log,
-                       ThreadPool *Pool) {
+void ppd::v2::writeLog(LogWriter &W, const ExecutionLog &Log) {
   W.u32(v2::FileMagic);
   W.u32(uint32_t(LogFormat::V2));
   W.varint(Log.Procs.size());
-  // Each section is a pure function of its process's records, so with a
-  // pool the serializations fan out; the stitched bytes are identical at
-  // any worker count.
+  // Each section is encoded on its own so its byte length can precede it.
   std::vector<LogWriter> Sections(Log.Procs.size());
-  parallelFor(Pool, Sections.size(), [&](size_t I) {
+  for (size_t I = 0; I != Sections.size(); ++I) {
     const ProcessLog &P = Log.Procs[I];
     LogWriter &S = Sections[I];
     // Typical records encode to ~10 bytes; reserving up front turns ~a
@@ -430,10 +426,10 @@ void ppd::v2::writeLog(LogWriter &W, const ExecutionLog &Log,
     uint64_t PrevSeq = 0;
     for (const LogRecord &R : P.Records)
       v2::writeRecord(S, R, PrevSeq);
-  });
+  }
   for (const LogWriter &S : Sections) {
     // The byte length lets the loader skip to the next section without
-    // decoding this one — the handle parallel decode hangs off.
+    // decoding this one — the handle a paged store faults sections in by.
     W.varint(S.size());
     W.bytes(S);
   }
@@ -473,10 +469,9 @@ bool loadV2(ByteReader &R, ExecutionLog &Out) {
 
 } // namespace
 
-bool ExecutionLog::save(const std::string &Path, LogFormat,
-                        ThreadPool *Pool) const {
+bool ExecutionLog::save(const std::string &Path, LogFormat) const {
   LogWriter W;
-  v2::writeLog(W, *this, Pool);
+  v2::writeLog(W, *this);
   return W.writeFile(Path);
 }
 

@@ -30,11 +30,10 @@
 namespace ppd {
 
 class PageStore;
-class ThreadPool;
 
 /// The on-disk format version written after the "PPDL" magic: the compact
 /// encoding (varints, delta-coded sequence numbers, length-prefixed
-/// per-process sections that decode in parallel). See DESIGN.md §7 for the
+/// per-process sections that decode independently). See DESIGN.md §7 for the
 /// layout. Any other version is rejected on open.
 enum class LogFormat : uint32_t { V2 = 2 };
 
@@ -62,13 +61,10 @@ public:
   /// Total approximate log volume in bytes (experiment E2).
   size_t byteSize() const;
 
-  /// Serializes to a binary file. With \p Pool, process sections are
-  /// serialized in parallel; the bytes written are identical to a serial
-  /// save. The bytes go to `Path + ".tmp"`, which is then renamed over
+  /// Serializes to a binary file. The bytes go to `Path + ".tmp"`, which is then renamed over
   /// \p Path, so a reader that has the old file open (a paged store's
   /// mapping) keeps its inode. Returns false on I/O errors.
-  bool save(const std::string &Path, LogFormat Format = LogFormat::V2,
-            ThreadPool *Pool = nullptr) const;
+  bool save(const std::string &Path, LogFormat Format = LogFormat::V2) const;
 
   /// Reads a log back. On any I/O or format error (including truncation
   /// at every byte offset, or a version other than V2) returns false and
@@ -99,7 +95,7 @@ public:
   /// index-only opens cost interval vectors, not decoded logs. Implemented
   /// in PageStore.cpp. Aborts on sections the store already validated, so
   /// it cannot fail for a successfully opened store.
-  explicit LogIndex(const PageStore &Store, ThreadPool *Pool = nullptr);
+  explicit LogIndex(const PageStore &Store);
 
   /// Adopts pre-built interval tables (the `.ppdb` sidecar's persisted
   /// index).

@@ -84,10 +84,7 @@ bool readOutput(ByteReader &R, std::vector<OutputRecord> &Out);
 /// Encodes \p Log as a whole v2 file image: magic, version, process
 /// count, length-prefixed sections, output trailer. These are the bytes
 /// ExecutionLog::save writes and PageStore::fromLog serves from memory.
-/// With \p Pool, sections encode in parallel; the bytes are identical at
-/// any worker count.
-void writeLog(LogWriter &W, const ExecutionLog &Log,
-              ThreadPool *Pool = nullptr);
+void writeLog(LogWriter &W, const ExecutionLog &Log);
 
 } // namespace v2
 } // namespace ppd

@@ -8,7 +8,6 @@
 
 #include "log/BufferPool.h"
 #include "log/LogFormatV2.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -229,17 +228,17 @@ void PageStore::fail(const std::string &Why) const {
   Failed.store(true, std::memory_order_release);
 }
 
-LogIndex::LogIndex(const PageStore &Store, ThreadPool *Pool) {
+LogIndex::LogIndex(const PageStore &Store) {
   size_t NumProcs = Store.numProcs();
   Intervals.resize(NumProcs);
   OpenIntervals.resize(NumProcs);
-  parallelFor(Pool, NumProcs, [&](size_t Pid) {
+  for (uint32_t Pid = 0; Pid != NumProcs; ++Pid) {
     // A failed skim marks the store failed, and every consumer of this
     // index checks the store before answering; the failed process's
     // tables are left empty rather than half-built.
-    if (!Store.skimIndex(uint32_t(Pid), Intervals[Pid], OpenIntervals[Pid])) {
+    if (!Store.skimIndex(Pid, Intervals[Pid], OpenIntervals[Pid])) {
       Intervals[Pid].clear();
       OpenIntervals[Pid].clear();
     }
-  });
+  }
 }

@@ -28,7 +28,7 @@
 /// The v2 format was built for exactly this slicing: magic/version, a
 /// process count, then length-prefixed self-contained sections, then the
 /// output trailer. Every section decodes (or skims) from its own byte
-/// range with no shared state, so fault-in is trivially parallel and a
+/// range with no shared state, so one section faults in alone and a
 /// skim-built LogIndex never materializes record bodies.
 ///
 /// A failed read, skim or decode marks the store failed, and the flag is

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Admission control in front of the worker pool. A server that buffers
-/// every request it cannot run yet trades one failure mode (a visible
-/// Busy) for a worse one (unbounded memory and multi-second tail
-/// latency), so the scheduler enforces:
+/// Admission control and the worker threads that run admitted requests:
+/// one FIFO queue drained by N workers. A server that buffers every
+/// request it cannot run yet trades one failure mode (a visible Busy) for
+/// a worse one (unbounded memory and multi-second tail latency), so the
+/// scheduler enforces:
 ///
 ///   * a bounded queue — submissions beyond QueueLimit outstanding
 ///     requests are rejected immediately (the caller sends an explicit
@@ -30,14 +31,14 @@
 #ifndef PPD_SERVER_REQUESTSCHEDULER_H
 #define PPD_SERVER_REQUESTSCHEDULER_H
 
-#include "support/ThreadPool.h"
-
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 namespace ppd {
 
@@ -63,12 +64,27 @@ public:
   using Task = std::function<void(bool TimedOut)>;
 
   explicit RequestScheduler(RequestSchedulerOptions Options)
-      : Options(Options), Pool(Options.Threads) {}
+      : Options(Options) {
+    for (unsigned I = 0; I != Options.Threads; ++I)
+      Workers.emplace_back([this] { workerLoop(); });
+  }
 
-  ~RequestScheduler() { drain(); }
+  RequestScheduler(const RequestScheduler &) = delete;
+  RequestScheduler &operator=(const RequestScheduler &) = delete;
+
+  ~RequestScheduler() {
+    drain();
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Stopping = true;
+    }
+    Wake.notify_all();
+    for (std::thread &W : Workers)
+      W.join();
+  }
 
   Admission submit(Task Fn) {
-    auto Enqueued = std::chrono::steady_clock::now();
+    Queued Entry{std::chrono::steady_clock::now(), std::move(Fn)};
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (Draining)
@@ -78,19 +94,13 @@ public:
       ++InFlight;
       if (InFlight > HighWater)
         HighWater = InFlight;
-    }
-    Pool.submit([this, Enqueued, Fn = std::move(Fn)] {
-      bool TimedOut = false;
-      if (Options.TimeoutMs != 0) {
-        auto Waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - Enqueued);
-        TimedOut = uint64_t(Waited.count()) > Options.TimeoutMs;
+      if (!Workers.empty()) {
+        Queue.push_back(std::move(Entry));
+        Wake.notify_one();
+        return Admission::Accepted;
       }
-      Fn(TimedOut);
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (--InFlight == 0)
-        Idle.notify_all();
-    });
+    }
+    run(Entry);
     return Admission::Accepted;
   }
 
@@ -119,16 +129,48 @@ public:
     return Draining;
   }
 
-  unsigned numThreads() const { return Pool.numThreads(); }
-
 private:
+  struct Queued {
+    std::chrono::steady_clock::time_point Enqueued;
+    Task Fn;
+  };
+
+  void run(Queued &Entry) {
+    bool TimedOut = false;
+    if (Options.TimeoutMs != 0) {
+      auto Waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - Entry.Enqueued);
+      TimedOut = uint64_t(Waited.count()) > Options.TimeoutMs;
+    }
+    Entry.Fn(TimedOut);
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (--InFlight == 0)
+      Idle.notify_all();
+  }
+
+  void workerLoop() {
+    for (;;) {
+      std::unique_lock<std::mutex> Lock(Mutex);
+      Wake.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+      if (Queue.empty())
+        return;
+      Queued Entry = std::move(Queue.front());
+      Queue.pop_front();
+      Lock.unlock();
+      run(Entry);
+    }
+  }
+
   RequestSchedulerOptions Options;
-  ThreadPool Pool;
   mutable std::mutex Mutex;
+  std::condition_variable Wake;
   std::condition_variable Idle;
+  std::deque<Queued> Queue;
   unsigned InFlight = 0;
   unsigned HighWater = 0;
   bool Draining = false;
+  bool Stopping = false;
+  std::vector<std::thread> Workers;
 };
 
 } // namespace ppd

@@ -11,10 +11,7 @@
 using namespace ppd;
 
 SessionRegistry::SessionRegistry(SessionRegistryOptions Options)
-    : Options(Options) {
-  if (this->Options.ReplayThreads > 0)
-    ReplayPool = std::make_unique<ThreadPool>(this->Options.ReplayThreads);
-}
+    : Options(Options) {}
 
 SessionRegistry::~SessionRegistry() = default;
 
@@ -72,7 +69,6 @@ uint64_t SessionRegistry::open(uint32_t ProgramIndex) {
   PpdControllerOptions COpts;
   COpts.Service.SharedCache = Entry.Cache;
   COpts.Service.SharedFlights = Entry.Flights;
-  COpts.Service.SharedPool = ReplayPool.get();
 
   auto S = std::make_shared<Session>();
   S->Id = NextId++;
@@ -148,10 +144,7 @@ ReplayServiceStats SessionRegistry::aggregateReplayStats() const {
         KV.second->Controller->replayService().stats();
     Out.EngineReplays += S.EngineReplays;
     Out.EngineInstructions += S.EngineInstructions;
-    Out.PrefetchesIssued += S.PrefetchesIssued;
   }
-  if (ReplayPool)
-    Out.Pool = ReplayPool->stats();
   // Buffer-pool stats: programs may share one pool (the registry's) or
   // bring their own, so sum each distinct pool exactly once.
   std::vector<const BufferPool *> Seen;

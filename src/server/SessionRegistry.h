@@ -17,7 +17,7 @@
 /// Concurrency model: the registry map is guarded by one mutex taken only
 /// for open/lookup/close/evict; each session has its own mutex serializing
 /// its (stateful) command stream. Independent sessions therefore run in
-/// parallel on the scheduler's pool, while two clients sharing a session
+/// parallel on the scheduler's workers, while two clients sharing a session
 /// id see a consistent interleaving of whole commands. Handles pin a
 /// session: close marks it and eviction skips pinned sessions, so a
 /// request already executing can never have the session destroyed under
@@ -53,9 +53,6 @@ struct SessionRegistryOptions {
   /// Per-program shared replay-cache budget.
   size_t CacheBytes = size_t(64) << 20;
   unsigned CacheShards = 8;
-  /// Replay workers shared by all sessions (0 = replay inline on the
-  /// request thread, deterministic per request).
-  unsigned ReplayThreads = 0;
   /// Byte budget of the buffer pool shared by every program whose
   /// PagedLog arrives without a pool of its own.
   size_t PoolBudget = size_t(256) << 20;
@@ -196,11 +193,6 @@ private:
   SessionRegistryOptions Options;
   /// Guarded by Mutex; see sectionPool().
   std::shared_ptr<BufferPool> SectionPool;
-  /// Replay pool shared by every session's replay service; null when
-  /// Options.ReplayThreads == 0. Only replay tasks run here — request
-  /// tasks live on the scheduler's pool — so a help-draining request
-  /// thread can never pick up work that takes session mutexes.
-  std::unique_ptr<ThreadPool> ReplayPool;
 
   mutable std::mutex Mutex;
   std::vector<ProgramEntry> Programs;

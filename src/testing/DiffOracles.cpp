@@ -769,9 +769,9 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   Report.RaceFree = Naive.Races.empty();
   Report.Races = unsigned(Naive.Races.size());
 
-  //===--- replay/*: serial engines, memoized, parallel, cached ----------===//
+  //===--- replay/*: the engine, the memoized service, its cache ---------===//
   LogIndex Index(L);
-  std::vector<ParallelReplayer::IntervalRef> Refs;
+  std::vector<std::pair<uint32_t, uint32_t>> Refs;
   for (uint32_t P = 0; P != L.Procs.size(); ++P)
     for (const LogInterval &IV : Index.intervals(P))
       Refs.push_back({P, IV.Index});
@@ -817,35 +817,18 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
   // The run's log as an in-memory store, for replay/* and paged/*.
   PagedLog Mem = PagedLog::fromLog(L);
   {
-    ReplayServiceOptions SerialOpts;
-    SerialOpts.Threads = 0;
-    ParallelReplayer Serial(*Prog, Mem, Index, SerialOpts);
+    ReplayService Service(*Prog, Mem, Index);
     for (size_t I = 0; I != Refs.size(); ++I) {
-      auto R = Serial.get(Refs[I].first, Refs[I].second);
+      auto R = Service.get(Refs[I].first, Refs[I].second);
       if (!R)
-        return Fail("replay/service", "serial get returned null");
+        return Fail("replay/service", "get returned null");
       if (auto D = cmpReplay(*R, Reference[I]); !D.empty())
         return Fail("replay/service",
                     "pid " + std::to_string(Refs[I].first) + " interval " +
                         std::to_string(Refs[I].second) + ": " + D);
-      auto Again = Serial.get(Refs[I].first, Refs[I].second);
+      auto Again = Service.get(Refs[I].first, Refs[I].second);
       if (!Again || !(cmpReplay(*Again, Reference[I]).empty()))
         return Fail("replay/cache", "cached re-read differs from original");
-    }
-
-    ReplayServiceOptions ParOpts;
-    ParOpts.Threads = Config.ReplayThreads;
-    ParallelReplayer Parallel(*Prog, Mem, Index, ParOpts);
-    std::vector<ParallelReplayer::ReplayPtr> Many = Parallel.getMany(Refs);
-    if (Many.size() != Refs.size())
-      return Fail("replay/parallel", "getMany result count differs");
-    for (size_t I = 0; I != Many.size(); ++I) {
-      if (!Many[I])
-        return Fail("replay/parallel", "getMany returned null");
-      if (auto D = cmpReplay(*Many[I], Reference[I]); !D.empty())
-        return Fail("replay/parallel",
-                    "pid " + std::to_string(Refs[I].first) + " interval " +
-                        std::to_string(Refs[I].second) + ": " + D);
     }
   }
 
@@ -1236,7 +1219,7 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
     M.run();
     PpdController Controller(*Prog, M.takeLog());
 
-    std::vector<std::pair<ParallelReplayer::IntervalRef, BuiltFragment>>
+    std::vector<std::pair<std::pair<uint32_t, uint32_t>, BuiltFragment>>
         Fragments;
     for (const auto &RefIv : Refs) {
       const BuiltFragment *F =

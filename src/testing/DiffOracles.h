@@ -30,9 +30,9 @@
 ///               the originals field-by-field, re-saved bytes equal the
 ///               first save byte-for-byte, interval index identical.
 ///   replay/*    the interpreter's replay of each interval vs the
-///               memoized ParallelReplayer (serial, parallel getMany,
-///               and cache re-read); on race-free instances, closed
-///               intervals must verify their postlogs exactly.
+///               memoized ReplayService (first get and cached re-read);
+///               on race-free instances, closed intervals must verify
+///               their postlogs exactly.
 ///   race/*      NaiveAllPairs vs VarIndexed vs an independent
 ///               BFS-reachability recheck built here from the raw log.
 ///   flowback/*  every read in every traced interval must have a data
@@ -78,8 +78,6 @@ struct DiffConfig {
   /// Step budget per machine run; generated programs terminate well under
   /// this, so hitting it shows in the harness stats.
   uint64_t MaxSteps = 2'000'000;
-  /// Worker threads for the parallel-replay comparison.
-  unsigned ReplayThreads = 2;
   /// Run the session-vs-server oracle (re-runs the program twice).
   bool CheckServer = true;
   /// Run the flowback-edge oracle (builds the full dynamic graph).

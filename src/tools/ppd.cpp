@@ -35,7 +35,6 @@
 #include "server/Wire.h"
 #include "stream/Ingest.h"
 #include "stream/StreamClient.h"
-#include "support/ThreadPool.h"
 #include "testing/Fuzzer.h"
 #include "vm/Machine.h"
 
@@ -76,8 +75,6 @@ struct CliOptions {
   bool LeafInheritance = false;
   bool LoopBlocks = false;
   std::vector<uint32_t> BreakLines;
-  unsigned ReplayThreads = 0;
-  bool Prefetch = false;
 
   // paged log tier (debug/serve)
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
@@ -163,10 +160,6 @@ options:
                         a synonym)
   --leaf-inheritance    partitioner: unlog small call-graph leaves
   --loop-blocks         partitioner: loops become their own e-blocks
-  --replay-threads N    (debug) worker threads for parallel replay
-                        (default 0 = serial)
-  --prefetch            (debug) warm neighboring intervals in the
-                        background after each query
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for
                         decoded log sections (default 256m; the
                         PPD_POOL_BUDGET env var overrides the default,
@@ -237,7 +230,7 @@ options:
 )");
 }
 
-/// Upper bound for the worker-thread flags: far past any useful pool, far
+/// Upper bound for --server-threads: far past any useful worker count, far
 /// short of what would exhaust the process creating it.
 constexpr uint64_t MaxThreads = 1024;
 
@@ -528,11 +521,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.LeafInheritance = true;
     } else if (Arg == "--loop-blocks") {
       Opts.LoopBlocks = true;
-    } else if (Arg == "--replay-threads") {
-      if (!Number(Opts.ReplayThreads, MaxThreads))
-        return false;
-    } else if (Arg == "--prefetch") {
-      Opts.Prefetch = true;
     } else if (Arg == "--runs") {
       if (!Number(Opts.FuzzRuns))
         return false;
@@ -761,10 +749,7 @@ int cmdRun(const CliOptions &Opts) {
                    Stream->error().c_str());
   }
   if (!Opts.LogPath.empty()) {
-    std::unique_ptr<ThreadPool> SavePool;
-    if (Opts.ReplayThreads > 0)
-      SavePool = std::make_unique<ThreadPool>(Opts.ReplayThreads);
-    if (!M.log().save(Opts.LogPath, LogFormat::V2, SavePool.get())) {
+    if (!M.log().save(Opts.LogPath, LogFormat::V2)) {
       std::fprintf(stderr, "error: cannot write log to %s\n",
                    Opts.LogPath.c_str());
       return 1;
@@ -776,7 +761,7 @@ int cmdRun(const CliOptions &Opts) {
       std::string Error;
       auto Store = PageStore::open(Opts.LogPath, &Error);
       if (Store) {
-        LogIndex Index(*Store, SavePool.get());
+        LogIndex Index(*Store);
         std::string DbPath = programDbPathFor(Opts.LogPath);
         if (writeProgramDb(DbPath, *Prog, *Store, Index))
           std::printf("-- program database written to %s\n", DbPath.c_str());
@@ -851,8 +836,6 @@ int cmdDebug(const CliOptions &Opts) {
     reportRun(*Prog, M, Result);
     Store = PageStore::fromLog(M.takeLog());
   }
-  COpts.Service.Threads = Opts.ReplayThreads;
-  COpts.Service.Prefetch = Opts.Prefetch;
   PpdController Controller(
       *Prog, PagedLog{std::move(Store), std::make_shared<BufferPool>(Budget)},
       std::move(Index), COpts);
@@ -893,7 +876,6 @@ int cmdServe(const CliOptions &Opts) {
   SOpts.QueueLimit = Opts.QueueLimit;
   SOpts.TimeoutMs = Opts.TimeoutMs;
   SOpts.Registry.MaxSessions = Opts.MaxSessions;
-  SOpts.Registry.ReplayThreads = Opts.ReplayThreads;
   SOpts.Registry.PoolBudget = effectivePoolBudget(Opts);
   DebugServer Server(SOpts);
 
@@ -1057,9 +1039,14 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
 
   if (Cmd == "open") {
     Req.Type = MsgType::OpenSession;
-    uint64_t Index = 0;
-    Args >> Index;
-    Req.ProgramIndex = uint32_t(Index);
+    // A bare `open` opens program 0.
+    std::string Index;
+    if ((Args >> Index) &&
+        !parseUnsigned(Index.c_str(), UINT32_MAX, Req.ProgramIndex)) {
+      std::fprintf(stderr, "client: bad program index '%s'\n",
+                   Index.c_str());
+      return true;
+    }
     Send = true;
   } else if (Cmd == "query") {
     Req.Type = MsgType::Query;
@@ -1074,6 +1061,10 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     Req.SessionId = ParseSession(true);
     std::string Dir;
     Args >> Dir;
+    if (Req.SessionId != 0 && Dir != "back" && Dir != "fwd") {
+      std::fprintf(stderr, "client: bad step direction '%s'\n", Dir.c_str());
+      return true;
+    }
     Req.Direction = Dir == "fwd" ? 1 : 0;
     Send = Req.SessionId != 0;
   } else if (Cmd == "races") {

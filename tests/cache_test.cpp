@@ -1,23 +1,19 @@
-//===- tests/cache_test.cpp - Replay cache / thread pool / service --------===//
+//===- tests/cache_test.cpp - Replay cache / replay service ---------------===//
 //
 // Part of PPD test suite: the sharded LRU trace cache (hit/miss/eviction
-// accounting, byte budgets), the work-stealing thread pool, and the
-// parallel replay service's memoization, single-flight dedup, transitive
-// interval sets, and prefetch plumbing.
+// accounting, byte budgets) and the replay service's memoization and
+// single-flight dedup, within one service and across services that share
+// a cache (the server's sessions of one program).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "core/ReplayService.h"
-#include "support/ThreadPool.h"
 #include "trace/ReplayCache.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <set>
 #include <thread>
 
 using namespace ppd;
@@ -115,79 +111,7 @@ TEST(ReplayCacheTest, ClearEmptiesEveryShard) {
 }
 
 //===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPoolTest, ZeroThreadsRunsInline) {
-  ThreadPool Pool(0);
-  EXPECT_EQ(Pool.numThreads(), 0u);
-  bool Ran = false;
-  Pool.submit([&] { Ran = true; });
-  EXPECT_TRUE(Ran) << "serial pool executes on the calling thread";
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> Count{0};
-  {
-    ThreadPool Pool(4);
-    for (int I = 0; I != 200; ++I)
-      Pool.submit([&] { Count.fetch_add(1, std::memory_order_relaxed); });
-    // Destructor drains the queues before joining.
-  }
-  EXPECT_EQ(Count.load(), 200);
-}
-
-TEST(ThreadPoolTest, WorkDistributesAcrossThreads) {
-  std::mutex Mutex;
-  std::set<std::thread::id> Ids;
-  std::atomic<int> Remaining{64};
-  {
-    ThreadPool Pool(4);
-    for (int I = 0; I != 64; ++I)
-      Pool.submit([&] {
-        {
-          std::lock_guard<std::mutex> Lock(Mutex);
-          Ids.insert(std::this_thread::get_id());
-        }
-        // A little pause so tasks overlap and stealing can happen.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        Remaining.fetch_sub(1);
-      });
-  }
-  EXPECT_EQ(Remaining.load(), 0);
-  EXPECT_GE(Ids.size(), 1u);
-  EXPECT_FALSE(Ids.count(std::this_thread::get_id()))
-      << "with workers, the submitting thread is not drafted";
-}
-
-TEST(ThreadPoolTest, RunOneTaskHelpsDrainTheQueue) {
-  ThreadPool Pool(1);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 16; ++I)
-    Pool.submit([&] { Count.fetch_add(1); });
-  // The caller can steal work instead of idling.
-  while (Pool.runOneTask())
-    ;
-  // Whatever the worker grabbed finishes by destruction time.
-  while (Count.load() != 16)
-    std::this_thread::yield();
-  EXPECT_EQ(Count.load(), 16);
-}
-
-TEST(ThreadPoolTest, TasksCanSubmitTasks) {
-  std::atomic<int> Count{0};
-  {
-    ThreadPool Pool(2);
-    for (int I = 0; I != 8; ++I)
-      Pool.submit([&Pool, &Count] {
-        Pool.submit([&Count] { Count.fetch_add(1); });
-      });
-  }
-  EXPECT_EQ(Count.load(), 8) << "nested submissions drain before shutdown";
-}
-
-//===----------------------------------------------------------------------===//
-// ParallelReplayer
+// ReplayService
 //===----------------------------------------------------------------------===//
 
 const char *CacheWorkload = R"(
@@ -217,13 +141,13 @@ func main() {
 struct ServiceFixture {
   Ran R;
   std::unique_ptr<LogIndex> Index;
-  std::unique_ptr<ParallelReplayer> Service;
+  std::unique_ptr<ReplayService> Service;
 
   explicit ServiceFixture(ReplayServiceOptions Options = {},
                           uint64_t Seed = 1) {
     R = runProgram(CacheWorkload, Seed);
     Index = std::make_unique<LogIndex>(R.Log);
-    Service = std::make_unique<ParallelReplayer>(
+    Service = std::make_unique<ReplayService>(
         *R.Prog, PagedLog::fromLog(R.Log), *Index, Options);
   }
 };
@@ -254,104 +178,18 @@ TEST(ReplayServiceTest, OverridesGetTheirOwnCacheSlot) {
 }
 
 TEST(ReplayServiceTest, FingerprintIsOrderSensitiveAndZeroReserved) {
-  EXPECT_EQ(ParallelReplayer::fingerprint({}), 0u);
+  EXPECT_EQ(ReplayService::fingerprint({}), 0u);
   std::vector<ReplayOverride> A = {{1, 2, -1, 10}, {3, 4, -1, 20}};
   std::vector<ReplayOverride> B = {{3, 4, -1, 20}, {1, 2, -1, 10}};
-  EXPECT_NE(ParallelReplayer::fingerprint(A), 0u);
-  EXPECT_NE(ParallelReplayer::fingerprint(A),
-            ParallelReplayer::fingerprint(B));
-}
-
-TEST(ReplayServiceTest, GetManyMatchesSerialGets) {
-  for (unsigned Threads : {0u, 4u}) {
-    ServiceFixture F({.Threads = Threads});
-    std::vector<ParallelReplayer::IntervalRef> All;
-    for (uint32_t Pid = 0; Pid != F.R.Log.Procs.size(); ++Pid)
-      for (const LogInterval &Interval : F.Index->intervals(Pid))
-        if (Interval.PostlogRecord != InvalidId)
-          All.push_back({Pid, Interval.Index});
-    ASSERT_GT(All.size(), 4u);
-
-    auto Results = F.Service->getMany(All);
-    ASSERT_EQ(Results.size(), All.size());
-    for (size_t I = 0; I != All.size(); ++I) {
-      ASSERT_NE(Results[I], nullptr) << "request " << I;
-      EXPECT_TRUE(Results[I]->Ok) << Results[I]->Error;
-      // Identical to an individual (now cached) request.
-      EXPECT_EQ(Results[I].get(),
-                F.Service->get(All[I].first, All[I].second).get());
-    }
-    EXPECT_EQ(F.Service->stats().EngineReplays, All.size())
-        << "each interval replayed exactly once at " << Threads
-        << " threads";
-  }
-}
-
-TEST(ReplayServiceTest, TransitiveIntervalsCoverAncestrySiblingsChildren) {
-  ServiceFixture F;
-  // Process 1 (a worker) has a root interval with nested add() calls.
-  const std::vector<LogInterval> &Intervals = F.Index->intervals(1);
-  ASSERT_GT(Intervals.size(), 2u);
-  // Pick a nested interval that has a preceding sibling.
-  const LogInterval *Nested = nullptr;
-  for (const LogInterval &Interval : Intervals)
-    if (Interval.Depth == 1 && Interval.Index > 1)
-      Nested = &Interval;
-  ASSERT_NE(Nested, nullptr);
-
-  auto Set = F.Service->transitiveIntervals(1, Nested->Index);
-  std::set<uint32_t> Got;
-  for (const auto &[Pid, Idx] : Set) {
-    EXPECT_EQ(Pid, 1u);
-    Got.insert(Idx);
-  }
-  EXPECT_TRUE(Got.count(Nested->Index)) << "the interval itself";
-  ASSERT_NE(Nested->Parent, InvalidId);
-  EXPECT_TRUE(Got.count(Nested->Parent)) << "its parent";
-  // Every preceding sibling (same parent, earlier prelog).
-  for (const LogInterval &Other : Intervals)
-    if (Other.Parent == Nested->Parent &&
-        Other.PrelogRecord < Nested->PrelogRecord) {
-      EXPECT_TRUE(Got.count(Other.Index))
-          << "preceding sibling " << Other.Index;
-    }
-}
-
-TEST(ReplayServiceTest, PrefetchWarmsParentAndPrecedingSibling) {
-  ServiceFixture F({.Threads = 2, .Prefetch = true});
-  const std::vector<LogInterval> &Intervals = F.Index->intervals(1);
-  const LogInterval *Nested = nullptr;
-  for (const LogInterval &Interval : Intervals)
-    if (Interval.Depth == 1 && Interval.Index > 1)
-      Nested = &Interval;
-  ASSERT_NE(Nested, nullptr);
-
-  F.Service->prefetchNeighbors(1, Nested->Index);
-  F.Service->drain();
-  ReplayServiceStats S = F.Service->stats();
-  EXPECT_EQ(S.PrefetchesIssued, 2u) << "parent + preceding sibling";
-  EXPECT_EQ(S.EngineReplays, 2u);
-  // The prefetched parent now answers from the cache.
-  F.Service->get(1, Nested->Parent);
-  EXPECT_EQ(F.Service->stats().EngineReplays, 2u);
-  EXPECT_GE(F.Service->stats().Cache.Hits, 1u);
-}
-
-TEST(ReplayServiceTest, PrefetchIsInertWithoutWorkersOrOptIn) {
-  ServiceFixture Serial({.Threads = 0, .Prefetch = true});
-  Serial.Service->prefetchNeighbors(1, 1);
-  EXPECT_EQ(Serial.Service->stats().PrefetchesIssued, 0u);
-
-  ServiceFixture NotAsked({.Threads = 2, .Prefetch = false});
-  NotAsked.Service->prefetchNeighbors(1, 1);
-  EXPECT_EQ(NotAsked.Service->stats().PrefetchesIssued, 0u);
+  EXPECT_NE(ReplayService::fingerprint(A), 0u);
+  EXPECT_NE(ReplayService::fingerprint(A), ReplayService::fingerprint(B));
 }
 
 TEST(ReplayServiceTest, ConcurrentGetsOfOneIntervalReplayOnce) {
-  ServiceFixture F({.Threads = 4});
+  ServiceFixture F;
   constexpr int NumCallers = 8;
   std::vector<std::thread> Callers;
-  std::vector<ParallelReplayer::ReplayPtr> Got(NumCallers);
+  std::vector<ReplayService::ReplayPtr> Got(NumCallers);
   for (int I = 0; I != NumCallers; ++I)
     Callers.emplace_back(
         [&F, &Got, I] { Got[I] = F.Service->get(0, 0); });
@@ -363,6 +201,35 @@ TEST(ReplayServiceTest, ConcurrentGetsOfOneIntervalReplayOnce) {
   }
   EXPECT_EQ(F.Service->stats().EngineReplays, 1u)
       << "single-flight dedup: one engine run for eight callers";
+}
+
+TEST(ReplayServiceTest, SessionsSharingACacheReplayAColdIntervalOnce) {
+  // Two services over one log, one cache and one flight table: the
+  // server's two sessions of one program. Eight threads alternate
+  // between them on one cold interval.
+  Ran R = runProgram(CacheWorkload, 1);
+  LogIndex Index(R.Log);
+  PagedLog Log = PagedLog::fromLog(R.Log);
+  ReplayServiceOptions Shared;
+  Shared.SharedCache = std::make_shared<ReplayCache<ReplayResult>>(0, 8);
+  Shared.SharedFlights = std::make_shared<ReplayFlightTable>();
+  ReplayService A(*R.Prog, Log, Index, Shared);
+  ReplayService B(*R.Prog, Log, Index, Shared);
+
+  constexpr int NumCallers = 8;
+  std::vector<std::thread> Callers;
+  std::vector<ReplayService::ReplayPtr> Got(NumCallers);
+  for (int I = 0; I != NumCallers; ++I)
+    Callers.emplace_back([&, I] { Got[I] = (I % 2 ? B : A).get(1, 0); });
+  for (std::thread &T : Callers)
+    T.join();
+  for (const auto &Ptr : Got) {
+    ASSERT_NE(Ptr, nullptr);
+    EXPECT_TRUE(Ptr->Ok) << Ptr->Error;
+    EXPECT_EQ(Ptr.get(), Got[0].get());
+  }
+  EXPECT_EQ(A.stats().EngineReplays + B.stats().EngineReplays, 1u)
+      << "one engine run across both sessions";
 }
 
 TEST(ReplayServiceTest, TinyCacheBudgetEvictsButStaysCorrect) {

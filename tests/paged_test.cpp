@@ -336,9 +336,9 @@ TEST(PagedTest, ConcurrentPinsUnderPressureEndWithinBudget) {
   EXPECT_GT(S.Evictions, uint64_t(0));
 }
 
-// A pooled session under a starved pool and a concurrent replay service
-// still matches a session over the run's log: eviction churn must never
-// change an answer. Run under TSan in CI.
+// A pooled session under a starved pool (every fault evicts) still
+// matches a session over the run's log: eviction churn must never change
+// an answer. Run under TSan in CI.
 TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
   ScopedTempDir TmpDir;
   Ran R = runProgram(FourProcSource, 9);
@@ -347,15 +347,13 @@ TEST(PagedTest, StarvedPoolWithReplayWorkersMatchesWhole) {
   auto Store = saveAndOpen(R.Log, Path);
   ASSERT_TRUE(Store != nullptr);
 
-  PpdControllerOptions COpts;
-  COpts.Service.Threads = 4;
   ExecutionLog Loaded;
   ASSERT_TRUE(ExecutionLog::load(Path, Loaded));
-  PpdController Whole(*R.Prog, std::move(Loaded), COpts);
+  PpdController Whole(*R.Prog, std::move(Loaded));
   DebugSession WholeSession(*R.Prog, Whole);
 
   auto Pool = std::make_shared<BufferPool>(/*BudgetBytes=*/1);
-  PpdController Paged(*R.Prog, PagedLog{Store, Pool}, nullptr, COpts);
+  PpdController Paged(*R.Prog, PagedLog{Store, Pool});
   DebugSession PagedSession(*R.Prog, Paged);
 
   const char *Script[] = {"where 0", "back", "where 1", "back", "where 2",

@@ -8,7 +8,8 @@
 // answered before a shutdown on the same connection takes effect, and a
 // zero exit status after the graceful drain. A paged server must also
 // survive its log being re-saved underneath it, and answer a typed error
-// — not die — when the log is cut in place.
+// — not die — when the log is cut in place. One case drives the real
+// `ppd client` with a script on stdin.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <fcntl.h>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 #include <thread>
@@ -246,6 +248,41 @@ Response queryProgram(ClientConnection &Conn, uint32_t Program,
   if (!Conn.roundTrip(Req, Resp))
     return Response();
   return Resp;
+}
+
+/// Runs `ppd client --socket SocketPath` with \p Script on stdin and
+/// returns its exit status (-1 if it did not exit normally), with its
+/// stdout and stderr in \p Out and \p Err.
+int runClient(const std::string &SocketPath, const std::string &Script,
+              std::string &Out, std::string &Err) {
+  std::string Base = tempBase();
+  std::string In = Base + ".in", OutPath = Base + ".out",
+              ErrPath = Base + ".err";
+  if (!writeFile(In, Script.c_str()))
+    return -1;
+  pid_t Pid = ::fork();
+  if (Pid < 0)
+    return -1;
+  if (Pid == 0) {
+    int Fds[3] = {::open(In.c_str(), O_RDONLY),
+                  ::open(OutPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600),
+                  ::open(ErrPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600)};
+    for (int Fd = 0; Fd != 3; ++Fd)
+      if (Fds[Fd] < 0 || ::dup2(Fds[Fd], Fd) < 0)
+        _exit(127);
+    execTool({"client", "--socket", SocketPath});
+  }
+  int Status = 0;
+  pid_t Got = ::waitpid(Pid, &Status, 0);
+  auto Slurp = [](const std::string &Path) {
+    std::ifstream F(Path);
+    return std::string(std::istreambuf_iterator<char>(F), {});
+  };
+  Out = Slurp(OutPath);
+  Err = Slurp(ErrPath);
+  for (const std::string &Path : {In, OutPath, ErrPath})
+    ::unlink(Path.c_str());
+  return Got == Pid && WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
 bool requestShutdown(ClientConnection &Conn) {
@@ -535,6 +572,31 @@ TEST(ServerE2eTest, LogTruncatedUnderServerAnswersLogUnreadable) {
   for (const std::string &Path :
        {BigPath, SmallPath, LogPath, LogPath + ".ppdb"})
     ::unlink(Path.c_str());
+}
+
+TEST(ServerE2eTest, ClientRejectsBadProgramIndexAndStepDirection) {
+  // The `ppd client` script parser: a program index that is not plain
+  // digits in uint32 range, or a step direction other than back/fwd, is
+  // reported and sends nothing. (Unchecked, "abc" read as 0, 2^32 wrapped
+  // to 0, and "sideways" stepped back.) A bare `open` opens program 0.
+  ServerProcess Server;
+  ASSERT_TRUE(Server.start());
+  {
+    ClientConnection Probe;
+    ASSERT_TRUE(Server.connectWithRetry(Probe));
+  }
+  std::string Out, Err;
+  EXPECT_EQ(runClient(Server.SocketPath,
+                      "open abc\nopen 4294967296\nopen -1\nopen\n"
+                      "step 1 sideways\nshutdown\n",
+                      Out, Err),
+            0);
+  EXPECT_EQ(Out, "session 1\nshutdown requested\n");
+  EXPECT_EQ(Err, "client: bad program index 'abc'\n"
+                 "client: bad program index '4294967296'\n"
+                 "client: bad program index '-1'\n"
+                 "client: bad step direction 'sideways'\n");
+  EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <set>
 #include <thread>
 
 using namespace ppd;
@@ -505,7 +506,7 @@ TEST(DebugServerTest, StatsMessagesRenderSessionAndServerViews) {
   Response SessionStats = F.call(Stats);
   EXPECT_EQ(int(SessionStats.Type), int(RespType::StatsText));
   EXPECT_NE(SessionStats.Text.find("cache: hits"), std::string::npos);
-  EXPECT_NE(SessionStats.Text.find("pool: submitted"), std::string::npos);
+  EXPECT_NE(SessionStats.Text.find("bufferpool: hits"), std::string::npos);
 
   Stats.SessionId = 0;
   Response ServerStats = F.call(Stats);
@@ -650,6 +651,63 @@ TEST(RequestSchedulerTest, ExpiredRequestsAreHandedBackTimedOut) {
   EXPECT_TRUE(Flag.get_future().get())
       << "a request that waited 50ms against a 1ms budget is expired";
   Scheduler.drain();
+}
+
+TEST(RequestSchedulerTest, ZeroThreadsRunsInline) {
+  RequestScheduler Scheduler(RequestSchedulerOptions{});
+  std::thread::id Ran;
+  auto Verdict =
+      Scheduler.submit([&](bool) { Ran = std::this_thread::get_id(); });
+  EXPECT_EQ(int(Verdict), int(RequestScheduler::Admission::Accepted));
+  EXPECT_EQ(Ran, std::this_thread::get_id())
+      << "with no workers the task runs inside submit()";
+  EXPECT_EQ(Scheduler.inFlight(), 0u);
+}
+
+TEST(RequestSchedulerTest, RunsEverySubmittedTask) {
+  RequestSchedulerOptions Options;
+  Options.QueueLimit = 0;
+  std::atomic<int> Count{0};
+  {
+    Options.Threads = 4;
+    RequestScheduler Scheduler(Options);
+    for (int I = 0; I != 200; ++I)
+      Scheduler.submit([&](bool) { Count.fetch_add(1); });
+    // Destruction drains the queue before joining the workers.
+  }
+  EXPECT_EQ(Count.load(), 200);
+
+  // One worker takes the queue in submission order.
+  std::vector<int> Order;
+  {
+    Options.Threads = 1;
+    RequestScheduler Scheduler(Options);
+    for (int I = 0; I != 16; ++I)
+      Scheduler.submit([&Order, I](bool) { Order.push_back(I); });
+  }
+  ASSERT_EQ(Order.size(), 16u);
+  for (int I = 0; I != 16; ++I)
+    EXPECT_EQ(Order[I], I);
+}
+
+TEST(RequestSchedulerTest, WorkersRunOffTheSubmittingThread) {
+  RequestSchedulerOptions Options;
+  Options.Threads = 4;
+  Options.QueueLimit = 0;
+  std::mutex Mutex;
+  std::set<std::thread::id> Ids;
+  {
+    RequestScheduler Scheduler(Options);
+    for (int I = 0; I != 64; ++I)
+      Scheduler.submit([&](bool) {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        Ids.insert(std::this_thread::get_id());
+      });
+  }
+  EXPECT_GE(Ids.size(), 1u);
+  EXPECT_LE(Ids.size(), 4u);
+  EXPECT_FALSE(Ids.count(std::this_thread::get_id()))
+      << "with workers, the submitting thread runs no task";
 }
 
 TEST(DebugServerTest, BusyBackpressureUnderQueueSaturation) {

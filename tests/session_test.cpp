@@ -167,6 +167,12 @@ TEST(SessionTest, WhatIfCommand) {
   // unmodified run, "printed: 2 7").
   EXPECT_EQ(Shadow.run("whatif 0 0 999 g 100"),
             "no such event: interval 0 of process 0 has 4 events\n");
+  // Event 3 is the skipped call to f: no statement begins there, so the
+  // override never fires (the parent printed the unmodified "printed: 2
+  // 7" as the what-if result).
+  EXPECT_EQ(Shadow.run("whatif 0 0 3 g 100"),
+            "event 3 of interval 0 is a CallSkipped event; an override "
+            "applies where a statement begins\n");
   // A VALUE that is not a number is a usage error, not 0 (the parent ran
   // it as 0 and printed "printed: 1 7").
   EXPECT_NE(Shadow.run("whatif 0 0 0 g abc").find("usage:"),
