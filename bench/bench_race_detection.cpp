@@ -11,12 +11,10 @@
 //    more expensive. We are currently investigating algorithms to reduce
 //    the cost of detecting these conflicts."
 //
-// `naive_*` is the all-pairs algorithm; `indexed_*` buckets edges by the
-// shared variables they touch first; `interval_*` is the clock-window
-// merge over per-variable writer/reader lists. All must report identical
-// races (asserted by tests); the PairsExamined counter shows the pruning
-// (for interval: windows opened), Pairs/s the throughput gap, and
-// ClosureBuildMs the interval merge's up-front cost (its reader index).
+// `interval_*` is the detector, a clock-window merge over per-variable
+// writer/reader lists: the PairsExamined counter is the windows it opens,
+// Pairs/s their throughput, and ClosureBuildMs its up-front cost (the
+// reader index).
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +62,8 @@ std::string raceWorkload(unsigned Workers, unsigned Rounds, unsigned Vars,
 }
 
 /// Sparse sharing: each worker has a private shared variable and touches a
-/// common one only rarely — the realistic shape where variable indexing
-/// prunes most pairs (cf. §7's search for cheaper conflict detection).
+/// common one only rarely — the realistic shape where per-variable lists
+/// prune most pairs (cf. §7's search for cheaper conflict detection).
 std::string sparseWorkload(unsigned Workers, unsigned Rounds) {
   std::string Source = "shared int common;\n";
   for (unsigned W = 0; W != Workers; ++W)
@@ -119,8 +117,7 @@ Prepared prepare(unsigned Workers, unsigned Rounds, bool Protected) {
   return Out;
 }
 
-void detectOn(benchmark::State &State, const Prepared &P,
-              RaceAlgorithm Algorithm) {
+void detectOn(benchmark::State &State, const Prepared &P) {
   RaceDetector Detector(*P.Graph, *P.Prog->Symbols);
 
   uint64_t Pairs = 0;
@@ -130,7 +127,7 @@ void detectOn(benchmark::State &State, const Prepared &P,
   for (uint32_t Pid = 0; Pid != P.Graph->numProcs(); ++Pid)
     Edges += P.Graph->edges(Pid).size();
   for (auto _ : State) {
-    auto Result = Detector.detect(Algorithm);
+    auto Result = Detector.detect();
     benchmark::DoNotOptimize(Result.Races.size());
     Pairs = Result.PairsExamined;
     Races = Result.Races.size();
@@ -139,59 +136,26 @@ void detectOn(benchmark::State &State, const Prepared &P,
   State.counters["Edges"] = double(Edges);
   State.counters["PairsExamined"] = double(Pairs);
   State.counters["Races"] = double(Races);
-  // The E5 throughput column: candidate combinations tested per second.
-  // Comparable across algorithms only on identical workloads — the
-  // algorithms count different candidate universes (see RaceDetector.h).
+  // The E5 throughput column: simultaneity windows opened per second.
   State.counters["Pairs/s"] = benchmark::Counter(
       double(Pairs), benchmark::Counter::kIsIterationInvariantRate);
-  if (Algorithm == RaceAlgorithm::Interval)
-    State.counters["ClosureBuildMs"] = double(ClosureNs) / 1e6;
+  State.counters["ClosureBuildMs"] = double(ClosureNs) / 1e6;
 }
 
-void naive_racy(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   false);
-  detectOn(State, P, RaceAlgorithm::NaiveAllPairs);
-}
-void indexed_racy(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   false);
-  detectOn(State, P, RaceAlgorithm::VarIndexed);
-}
-void naive_racefree(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   true);
-  detectOn(State, P, RaceAlgorithm::NaiveAllPairs);
-}
-void indexed_racefree(benchmark::State &State) {
-  auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
-                   true);
-  detectOn(State, P, RaceAlgorithm::VarIndexed);
-}
-void naive_sparse(benchmark::State &State) {
-  auto P = prepareSource(
-      sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::NaiveAllPairs);
-}
-void indexed_sparse(benchmark::State &State) {
-  auto P = prepareSource(
-      sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::VarIndexed);
-}
 void interval_racy(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    false);
-  detectOn(State, P, RaceAlgorithm::Interval);
+  detectOn(State, P);
 }
 void interval_racefree(benchmark::State &State) {
   auto P = prepare(unsigned(State.range(0)), unsigned(State.range(1)),
                    true);
-  detectOn(State, P, RaceAlgorithm::Interval);
+  detectOn(State, P);
 }
 void interval_sparse(benchmark::State &State) {
   auto P = prepareSource(
       sparseWorkload(unsigned(State.range(0)), unsigned(State.range(1))));
-  detectOn(State, P, RaceAlgorithm::Interval);
+  detectOn(State, P);
 }
 
 } // namespace
@@ -199,14 +163,8 @@ void interval_sparse(benchmark::State &State) {
 // Args: {workers, rounds per worker}.
 #define RACE_ARGS ->Args({2, 8})->Args({4, 8})->Args({4, 32})->Args({8, 32})
 
-BENCHMARK(naive_racy) RACE_ARGS;
-BENCHMARK(indexed_racy) RACE_ARGS;
 BENCHMARK(interval_racy) RACE_ARGS;
-BENCHMARK(naive_racefree) RACE_ARGS;
-BENCHMARK(indexed_racefree) RACE_ARGS;
 BENCHMARK(interval_racefree) RACE_ARGS;
-BENCHMARK(naive_sparse) RACE_ARGS;
-BENCHMARK(indexed_sparse) RACE_ARGS;
 BENCHMARK(interval_sparse) RACE_ARGS;
 
 BENCHMARK_MAIN();

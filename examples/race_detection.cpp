@@ -75,19 +75,17 @@ void analyze(const char *Name, const char *Source, uint64_t Seed) {
   int64_t Balance = M.output().empty() ? -1 : M.output().back().Value;
 
   PpdController Controller(*Prog, M.takeLog());
-  auto Naive = Controller.detectRaces(RaceAlgorithm::NaiveAllPairs);
-  auto Indexed = Controller.detectRaces(RaceAlgorithm::VarIndexed);
+  auto Races = Controller.detectRaces();
 
   std::printf("%-14s seed %-4llu balance %-4lld  races %-3zu  "
-              "pairs: naive %llu vs indexed %llu\n",
+              "pairs examined %llu\n",
               Name, (unsigned long long)Seed, (long long)Balance,
-              Naive.Races.size(), (unsigned long long)Naive.PairsExamined,
-              (unsigned long long)Indexed.PairsExamined);
+              Races.Races.size(), (unsigned long long)Races.PairsExamined);
 
-  if (!Naive.Races.empty()) {
+  if (!Races.Races.empty()) {
     RaceDetector Detector(Controller.parallelGraph(), *Prog->Symbols);
     std::printf("    first race: %s\n",
-                Detector.describe(Naive.Races.front(), *Prog->Ast).c_str());
+                Detector.describe(Races.Races.front(), *Prog->Ast).c_str());
   }
 }
 

@@ -303,9 +303,9 @@ const ParallelDynamicGraph &PpdController::parallelGraph() {
   return *ParGraph;
 }
 
-RaceDetectionResult PpdController::detectRaces(RaceAlgorithm Algorithm) {
+RaceDetectionResult PpdController::detectRaces() {
   RaceDetector Detector(parallelGraph(), *Prog.Symbols);
-  return Detector.detect(Algorithm);
+  return Detector.detect();
 }
 
 DynNodeId PpdController::expandCall(DynNodeId SubGraphNode) {

@@ -167,13 +167,9 @@ public:
   /// empty and logFailure() says why.
   const ParallelDynamicGraph &parallelGraph();
 
-  /// Race detection over the parallel dynamic graph (Defs 6.1–6.4). The
-  /// default is the interval merge — the debugger `races` command and the
-  /// server's race query ride on it; the legacy algorithms stay available
-  /// as differential oracles and for the CLI --race-strategy flag. All
-  /// three produce identical race lists.
-  RaceDetectionResult detectRaces(
-      RaceAlgorithm Algorithm = RaceAlgorithm::Interval);
+  /// Race detection over the parallel dynamic graph (Defs 6.1–6.4); the
+  /// debugger `races` command and the server's race query ride on it.
+  RaceDetectionResult detectRaces();
 
   /// §5.7 what-if: replays an interval with value overrides. Memoized
   /// like faithful replays — the override list's fingerprint is part of

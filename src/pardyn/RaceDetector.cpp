@@ -8,182 +8,17 @@
 
 #include "lang/AstPrinter.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
-#include <unordered_set>
+#include <utility>
 
 using namespace ppd;
 
-const char *ppd::raceAlgorithmName(RaceAlgorithm Algorithm) {
-  switch (Algorithm) {
-  case RaceAlgorithm::NaiveAllPairs:
-    return "naive";
-  case RaceAlgorithm::VarIndexed:
-    return "indexed";
-  case RaceAlgorithm::Interval:
-    return "interval";
-  }
-  return "unknown";
-}
-
-bool ppd::parseRaceAlgorithm(const std::string &Name, RaceAlgorithm &Out) {
-  if (Name == "naive")
-    Out = RaceAlgorithm::NaiveAllPairs;
-  else if (Name == "indexed")
-    Out = RaceAlgorithm::VarIndexed;
-  else if (Name == "interval")
-    Out = RaceAlgorithm::Interval;
-  else
-    return false;
-  return true;
-}
-
 RaceDetector::RaceDetector(const ParallelDynamicGraph &Graph,
                            const SymbolTable &Symbols)
-    : Graph(Graph), Symbols(Symbols) {
-  ScratchWW.reserveFor(Symbols.NumSharedVars);
-  ScratchRW.reserveFor(Symbols.NumSharedVars);
-  ScratchWR.reserveFor(Symbols.NumSharedVars);
-}
+    : Graph(Graph), Symbols(Symbols) {}
 
-Race RaceDetector::makeRace(EdgeRef A, EdgeRef B, uint32_t SharedIdx,
-                            RaceKind Kind) const {
-  // Canonical order so both algorithms produce identical race lists.
-  if (B.Pid < A.Pid || (B.Pid == A.Pid && B.EndNode < A.EndNode))
-    std::swap(A, B);
-  Race R;
-  R.SharedIdx = SharedIdx;
-  R.Var = Symbols.SharedVars[SharedIdx];
-  R.First = A;
-  R.Second = B;
-  R.Kind = Kind;
-  return R;
-}
-
-void RaceDetector::classifyPair(EdgeRef A, EdgeRef B,
-                                std::vector<Race> &Out) const {
-  const InternalEdge &EA = Graph.edge(A);
-  const InternalEdge &EB = Graph.edge(B);
-
-  // Fused pretest: most simultaneous pairs don't conflict at all; one
-  // early-exit pass over (W_A ∪ R_A) ∩ ... words rejects them before the
-  // three classifying intersections below.
-  if (!EA.Writes.intersectsAny(EB.Writes, EB.Reads) &&
-      !EB.Writes.intersects(EA.Reads))
-    return;
-
-  // Def 6.3: write/write and read/write conflicts per shared variable.
-  // The scratch members are sized to the shared universe once, so these
-  // assignments reuse capacity instead of allocating three sets per pair.
-  BitVarSet &WW = ScratchWW;
-  WW.assignIntersection(EA.Writes, EB.Writes);
-  WW.forEach([&](unsigned S) {
-    Out.push_back(makeRace(A, B, S, RaceKind::WriteWrite));
-  });
-
-  BitVarSet &RW = ScratchRW;
-  RW.assignIntersection(EA.Reads, EB.Writes);
-  RW.forEach([&](unsigned S) {
-    if (!WW.contains(S))
-      Out.push_back(makeRace(A, B, S, RaceKind::ReadWrite));
-  });
-
-  BitVarSet &WR = ScratchWR;
-  WR.assignIntersection(EA.Writes, EB.Reads);
-  WR.forEach([&](unsigned S) {
-    if (!WW.contains(S) && !RW.contains(S))
-      Out.push_back(makeRace(A, B, S, RaceKind::ReadWrite));
-  });
-}
-
-void RaceDetector::canonicalize(RaceDetectionResult &Result) {
-  // Canonical result order, independent of discovery order — this is what
-  // makes the three algorithms' race lists byte-comparable.
-  std::sort(Result.Races.begin(), Result.Races.end(),
-            [](const Race &A, const Race &B) {
-              auto KeyOf = [](const Race &R) {
-                return std::make_tuple(R.SharedIdx, R.First.Pid,
-                                       R.First.EndNode, R.Second.Pid,
-                                       R.Second.EndNode, uint8_t(R.Kind));
-              };
-              return KeyOf(A) < KeyOf(B);
-            });
-  Result.Races.erase(std::unique(Result.Races.begin(), Result.Races.end()),
-                     Result.Races.end());
-}
-
-RaceDetectionResult RaceDetector::detect(RaceAlgorithm Algorithm) const {
-  if (Algorithm == RaceAlgorithm::Interval)
-    return detectInterval();
-
-  RaceDetectionResult Result;
-  std::vector<EdgeRef> All = Graph.allEdges();
-
-  if (Algorithm == RaceAlgorithm::NaiveAllPairs) {
-    for (size_t I = 0; I != All.size(); ++I) {
-      for (size_t J = I + 1; J != All.size(); ++J) {
-        if (All[I].Pid == All[J].Pid)
-          continue;
-        ++Result.PairsExamined;
-        if (!Graph.simultaneous(All[I], All[J]))
-          continue;
-        classifyPair(All[I], All[J], Result.Races);
-      }
-    }
-  } else {
-    // VarIndexed: bucket edges by the shared variables they access; only
-    // pairs sharing a variable with a potential conflict are ordered.
-    std::vector<std::vector<EdgeRef>> ReadersOf(Symbols.NumSharedVars);
-    std::vector<std::vector<EdgeRef>> WritersOf(Symbols.NumSharedVars);
-    for (const EdgeRef &E : All) {
-      const InternalEdge &Edge = Graph.edge(E);
-      Edge.Reads.forEach([&](unsigned S) { ReadersOf[S].push_back(E); });
-      Edge.Writes.forEach([&](unsigned S) { WritersOf[S].push_back(E); });
-    }
-
-    // A pair may conflict on several variables; examine it once. Edges
-    // pack into 32 bits (pid in the high byte), pairs into 64 — a hashed
-    // set keeps the dedup off the critical path.
-    std::unordered_set<uint64_t> Seen;
-    Seen.reserve(All.size() * 4);
-    auto Pack = [](EdgeRef E) {
-      return (uint64_t(E.Pid) << 24) | E.EndNode;
-    };
-    auto Key = [&](EdgeRef A, EdgeRef B) {
-      uint64_t KA = Pack(A), KB = Pack(B);
-      return KA < KB ? (KA << 32) | KB : (KB << 32) | KA;
-    };
-
-    for (uint32_t S = 0; S != Symbols.NumSharedVars; ++S) {
-      auto Examine = [&](EdgeRef A, EdgeRef B) {
-        if (A.Pid == B.Pid)
-          return;
-        if (!Seen.insert(Key(A, B)).second)
-          return;
-        ++Result.PairsExamined;
-        if (!Graph.simultaneous(A, B))
-          return;
-        classifyPair(A, B, Result.Races);
-      };
-      for (size_t I = 0; I != WritersOf[S].size(); ++I)
-        for (size_t J = I + 1; J != WritersOf[S].size(); ++J)
-          Examine(WritersOf[S][I], WritersOf[S][J]);
-      for (const EdgeRef &W : WritersOf[S])
-        for (const EdgeRef &R : ReadersOf[S])
-          Examine(W, R);
-    }
-  }
-
-  canonicalize(Result);
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Interval: a clock-window merge over per-variable writer/reader lists.
-//===----------------------------------------------------------------------===//
-
-RaceDetectionResult RaceDetector::detectInterval() const {
+RaceDetectionResult RaceDetector::detect() const {
   RaceDetectionResult Result;
   auto Start = std::chrono::steady_clock::now();
   const uint32_t P = Graph.numProcs();
@@ -192,8 +27,9 @@ RaceDetectionResult RaceDetector::detectInterval() const {
   // Reader-only index, a CSR keyed SharedIdx * P + pid like the graph's
   // writer index: the ascending end nodes of the edges that read a
   // variable without writing it. An edge doing both classifies as
-  // write/write there, so keeping it off this list gives every conflict
-  // exactly one kind — the one classifyPair picks.
+  // write/write there (Def 6.3: a write/write conflict subsumes a
+  // read/write one), so keeping it off this list gives every conflict
+  // exactly one kind.
   auto ForEachReadOnly = [&](const InternalEdge &E, auto &&Fn) {
     E.Reads.forEach([&](unsigned S) {
       if (S < NumShared && !E.Writes.contains(S))

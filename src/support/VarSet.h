@@ -111,19 +111,6 @@ public:
     trim();
   }
 
-  /// this = A ∩ B without allocating when capacity suffices — the form
-  /// race detection's per-pair classification uses with member scratch
-  /// sets instead of three fresh copies per pair.
-  void assignIntersection(const BitVarSet &A, const BitVarSet &B) {
-    size_t Common = std::min(A.Words.size(), B.Words.size());
-    if (Words.size() < Common)
-      Words.resize(Common, 0);
-    for (size_t I = 0; I != Common; ++I)
-      Words[I] = A.Words[I] & B.Words[I];
-    std::fill(Words.begin() + Common, Words.end(), 0);
-    trim();
-  }
-
   /// Removes every element of \p Other from this set.
   void subtract(const BitVarSet &Other) {
     size_t Common = std::min(Words.size(), Other.Words.size());
@@ -139,26 +126,6 @@ public:
     size_t Common = std::min(Words.size(), Other.Words.size());
     for (size_t I = 0; I != Common; ++I)
       if (Words[I] & Other.Words[I])
-        return true;
-    return false;
-  }
-
-  /// True if this set shares an element with \p B1 ∪ \p B2, fused into a
-  /// single early-exit word loop — the Def 6.3 "any conflict at all"
-  /// pretest (does WRITE ∩ (READ' ∪ WRITE') ≠ ∅) without materializing
-  /// the union.
-  bool intersectsAny(const BitVarSet &B1, const BitVarSet &B2) const {
-    size_t N1 = std::min(Words.size(), B1.Words.size());
-    size_t N2 = std::min(Words.size(), B2.Words.size());
-    size_t Common = std::min(N1, N2);
-    for (size_t I = 0; I != Common; ++I)
-      if (Words[I] & (B1.Words[I] | B2.Words[I]))
-        return true;
-    for (size_t I = Common; I < N1; ++I)
-      if (Words[I] & B1.Words[I])
-        return true;
-    for (size_t I = Common; I < N2; ++I)
-      if (Words[I] & B2.Words[I])
         return true;
     return false;
   }

@@ -27,6 +27,8 @@
 #include "vm/Machine.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -286,62 +288,223 @@ std::string cmpReplay(const ReplayResult &A, const ReplayResult &B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Independent race recheck: happens-before as explicit BFS-free transitive
-// closure over (intra-process, partner) edges read straight from the raw
-// log — sharing no code with ParallelDynamicGraph's vector clocks.
+// spec/race: Defs 6.1–6.4 evaluated from scratch over what a FullTrace run
+// actually did — its trace's accesses to shared variables, placed in
+// internal edges by its own sync records. It shares no code with the
+// machine's logged READ/WRITE sets or with ParallelDynamicGraph, so a
+// dropped access or a misordered edge shows as a race list that differs.
 //===----------------------------------------------------------------------===//
 
-using RaceTuple =
-    std::tuple<uint32_t, uint32_t, uint32_t, uint32_t, uint32_t, uint8_t>;
-
-RaceTuple tupleOf(const Race &R) {
-  return {R.SharedIdx, R.First.Pid, R.First.EndNode, R.Second.Pid,
-          R.Second.EndNode, uint8_t(R.Kind)};
+/// Receive expressions \p E evaluates itself (a call's callee issues its
+/// own sync records, as its own statements).
+unsigned countRecvs(const Expr *E) {
+  if (!E)
+    return 0;
+  switch (E->getKind()) {
+  case ExprKind::Recv:
+    return 1;
+  case ExprKind::ArrayIndex:
+    return countRecvs(cast<ArrayIndexExpr>(E)->Index.get());
+  case ExprKind::Unary:
+    return countRecvs(cast<UnaryExpr>(E)->Operand.get());
+  case ExprKind::Binary:
+    return countRecvs(cast<BinaryExpr>(E)->Lhs.get()) +
+           countRecvs(cast<BinaryExpr>(E)->Rhs.get());
+  case ExprKind::Call: {
+    unsigned N = 0;
+    for (const ExprPtr &Arg : cast<CallExpr>(E)->Args)
+      N += countRecvs(Arg.get());
+    return N;
+  }
+  case ExprKind::IntLit:
+  case ExprKind::VarRef:
+  case ExprKind::Input:
+    return 0;
+  }
+  return 0;
 }
 
-/// Returns false (with \p Err set) only on an internal inconsistency in
-/// the log (dangling partner); otherwise fills \p Out with the race set.
-bool recheckRaces(const ExecutionLog &Log, unsigned NumShared,
-                  std::vector<RaceTuple> &Out, std::string &Err) {
-  struct RNode {
-    uint64_t Seq = 0;
-    uint64_t Partner = NoPartner;
-    std::vector<uint32_t> Reads, Writes; ///< of the edge ending here.
+constexpr size_t NumSyncKinds = size_t(SyncKind::Stopped) + 1;
+using SyncBudget = std::array<unsigned, NumSyncKinds>;
+
+/// The sync records one execution of \p S can issue itself, by kind.
+/// \p Root: the statement runs in its process's root function, where a
+/// return ends the process.
+SyncBudget syncBudget(const Stmt &S, bool Root) {
+  SyncBudget B{};
+  auto Own = [&](SyncKind K) { ++B[size_t(K)]; };
+  unsigned &Recvs = B[size_t(SyncKind::ChanRecv)];
+  switch (S.getKind()) {
+  case StmtKind::Block:
+    break;
+  case StmtKind::VarDecl:
+    Recvs = countRecvs(cast<VarDeclStmt>(&S)->Init.get());
+    break;
+  case StmtKind::Assign:
+    Recvs = countRecvs(cast<AssignStmt>(&S)->Index.get()) +
+            countRecvs(cast<AssignStmt>(&S)->Value.get());
+    break;
+  case StmtKind::If:
+    Recvs = countRecvs(cast<IfStmt>(&S)->Cond.get());
+    break;
+  case StmtKind::While:
+    Recvs = countRecvs(cast<WhileStmt>(&S)->Cond.get());
+    break;
+  case StmtKind::For: // its event is the condition's.
+    Recvs = countRecvs(cast<ForStmt>(&S)->Cond.get());
+    break;
+  case StmtKind::Return:
+    Recvs = countRecvs(cast<ReturnStmt>(&S)->Value.get());
+    if (Root)
+      Own(SyncKind::ProcEnd);
+    break;
+  case StmtKind::Expr:
+    Recvs = countRecvs(cast<ExprStmt>(&S)->Call.get());
+    break;
+  case StmtKind::P:
+    Own(SyncKind::SemAcquire);
+    break;
+  case StmtKind::V:
+    Own(SyncKind::SemSignal);
+    break;
+  case StmtKind::Send: // a blocking send resumes with a second record.
+    Recvs = countRecvs(cast<SendStmt>(&S)->Value.get());
+    Own(SyncKind::ChanSend);
+    Own(SyncKind::ChanSendUnblock);
+    break;
+  case StmtKind::Spawn:
+    for (const ExprPtr &Arg : cast<SpawnStmt>(&S)->Args)
+      Recvs += countRecvs(Arg.get());
+    Own(SyncKind::SpawnChild);
+    break;
+  case StmtKind::Print:
+    Recvs = countRecvs(cast<PrintStmt>(&S)->Value.get());
+    break;
+  }
+  return B;
+}
+
+/// One internal edge's shared READ/WRITE sets, as SharedIdx lists.
+struct EdgeAccesses {
+  std::vector<uint32_t> Reads, Writes;
+};
+
+/// Places every shared access of one process's \p Trace in an internal
+/// edge. Edge k ends at sync record k (record 0 is ProcStart); edge
+/// Sync.size() is a final edge no record ends, which a machine that
+/// flushes its trailing accesses never leaves non-empty. Returns "" or
+/// why the records and the trace do not fit together.
+///
+/// Def 6.1 orders a process's events by its sync nodes, and a statement
+/// is one trace event, so a statement that syncs straddles a node: it
+/// reads before its sync records and writes after them (`g = recv(c)`
+/// writes g in the edge the receive starts; `send(c, g)` reads g in the
+/// edge the send ends). A statement that calls a function likewise reads
+/// before the callee's records and writes after them. The statement's own
+/// records are matched by statement id as it calls a function and as it
+/// ends, at most as many of each kind as syncBudget allows.
+std::string placeAccesses(const CompiledProgram &Prog,
+                          const std::vector<const LogRecord *> &Sync,
+                          const TraceBuffer &Trace,
+                          std::vector<EdgeAccesses> &Edges) {
+  const SymbolTable &Symbols = *Prog.Symbols;
+  Edges.assign(Sync.size() + 1, {});
+  size_t K = 1; // the next record to issue: accesses now land in edge K.
+  struct OpenStmt {
+    const TraceEvent *Event = nullptr;
+    size_t StartEdge = 0;
+    SyncBudget Budget{};
   };
-  std::vector<std::vector<RNode>> Sync(Log.Procs.size());
-  size_t Total = 0;
-  uint64_t MaxSeq = 0;
-  for (size_t P = 0; P != Log.Procs.size(); ++P) {
-    for (const LogRecord &R : Log.Procs[P].Records) {
-      if (R.Kind != LogRecordKind::SyncEvent)
-        continue;
-      RNode N;
-      N.Seq = R.Seq;
-      N.Partner = R.PartnerSeq;
-      N.Reads.assign(R.ReadSet.begin(), R.ReadSet.end());
-      N.Writes.assign(R.WriteSet.begin(), R.WriteSet.end());
-      MaxSeq = std::max(MaxSeq, R.Seq);
-      Sync[P].push_back(std::move(N));
-      ++Total;
+  std::vector<OpenStmt> Frames(1); // the open statement per call depth.
+  auto Issue = [&](OpenStmt &O) {
+    while (K < Sync.size() && Sync[K]->Stmt == O.Event->Stmt &&
+           O.Budget[size_t(Sync[K]->Sync)] != 0)
+      --O.Budget[size_t(Sync[K++]->Sync)];
+  };
+  auto Place = [&](const auto &Accesses, size_t Edge,
+                   std::vector<uint32_t> EdgeAccesses::*Set) {
+    for (const TraceAccess &A : Accesses)
+      if (const VarInfo &Info = Symbols.var(A.Var);
+          Info.Kind == VarKind::SharedGlobal)
+        (Edges[Edge].*Set).push_back(Info.SharedIndex);
+  };
+  auto Close = [&](OpenStmt &O) {
+    if (!O.Event)
+      return;
+    Issue(O);
+    Place(O.Event->Reads, O.StartEdge, &EdgeAccesses::Reads);
+    Place(O.Event->Writes, K, &EdgeAccesses::Writes);
+    O.Event = nullptr;
+  };
+  for (const TraceEvent &E : Trace.Events) {
+    switch (E.Kind) {
+    case TraceEventKind::Stmt:
+      Close(Frames.back());
+      Frames.back() = {&E, K,
+                       syncBudget(*Prog.Ast->stmt(E.Stmt), Frames.size() == 1)};
+      break;
+    case TraceEventKind::CallBegin:
+      if (Frames.back().Event)
+        Issue(Frames.back()); // receives among the arguments.
+      Frames.emplace_back();
+      break;
+    case TraceEventKind::CallEnd:
+      if (Frames.size() == 1)
+        return "event " + std::to_string(E.Index) + " ends an unopened call";
+      Close(Frames.back());
+      Frames.pop_back();
+      break;
+    case TraceEventKind::CallSkipped:
+      return "event " + std::to_string(E.Index) + " is a skipped call";
     }
   }
-  // Word-packed transitive closure, filled in global Seq order (every
-  // edge — intra-process successor and partner→node — raises Seq, so Seq
-  // order is topological). Generated programs stay far below this bound;
-  // it guards the quadratic bitset against pathological inputs.
-  if (Total > 8000) {
-    Err = "recheck skipped: " + std::to_string(Total) + " sync nodes";
-    return false;
+  while (!Frames.empty()) {
+    Close(Frames.back());
+    Frames.pop_back();
   }
+  // What is left ends the process: the implicit return of its root
+  // function, or the flush of a frozen process's trailing accesses.
+  for (; K < Sync.size(); ++K)
+    if (!(Sync[K]->Sync == SyncKind::ProcEnd && Sync[K]->Stmt == InvalidId) &&
+        Sync[K]->Sync != SyncKind::Stopped)
+      return "sync record " + std::to_string(K) + " (" +
+             syncKindName(Sync[K]->Sync) + ", s" +
+             std::to_string(Sync[K]->Stmt) + ") matches no traced statement";
+  for (EdgeAccesses &Edge : Edges)
+    for (std::vector<uint32_t> *Set : {&Edge.Reads, &Edge.Writes}) {
+      std::sort(Set->begin(), Set->end());
+      Set->erase(std::unique(Set->begin(), Set->end()), Set->end());
+    }
+  return {};
+}
+
+/// Defs 6.1–6.4 over the FullTrace run \p Full: fills \p Out with its races
+/// in the detector's canonical order and returns "", or returns why the
+/// run cannot be evaluated. The closure is quadratic in the sync nodes.
+std::string specRaces(const CompiledProgram &Prog, const Observed &Full,
+                      std::vector<Race> &Out) {
+  const ExecutionLog &Log = Full.Log;
+  std::vector<std::vector<const LogRecord *>> Sync(Log.Procs.size());
+  size_t Total = 0;
+  uint64_t MaxSeq = 0;
+  for (size_t P = 0; P != Log.Procs.size(); ++P)
+    for (const LogRecord &R : Log.Procs[P].Records)
+      if (R.Kind == LogRecordKind::SyncEvent) {
+        Sync[P].push_back(&R);
+        MaxSeq = std::max(MaxSeq, R.Seq);
+        ++Total;
+      }
+
+  // Happens-before over the sync nodes: a word-packed transitive closure
+  // of per-process order and partner → node, filled in global Seq order
+  // (every such edge raises Seq, so Seq order is topological).
   std::vector<std::pair<uint32_t, uint32_t>> BySeq(size_t(MaxSeq) + 1,
                                                    {InvalidId, InvalidId});
   std::vector<std::vector<uint32_t>> IdOf(Sync.size());
   uint32_t Next = 0;
   for (uint32_t P = 0; P != Sync.size(); ++P)
     for (uint32_t K = 0; K != Sync[P].size(); ++K) {
-      if (Sync[P][K].Seq >= BySeq.size())
-        BySeq.resize(Sync[P][K].Seq + 1, {InvalidId, InvalidId});
-      BySeq[Sync[P][K].Seq] = {P, K};
+      BySeq[Sync[P][K]->Seq] = {P, K};
       IdOf[P].push_back(Next++);
     }
   const size_t Words = (Total + 63) / 64;
@@ -359,58 +522,95 @@ bool recheckRaces(const ExecutionLog &Log, unsigned NumShared,
     uint64_t *Row = RowOf(IdOf[P][K]);
     if (K > 0)
       Merge(Row, IdOf[P][K - 1]);
-    uint64_t Partner = Sync[P][K].Partner;
+    uint64_t Partner = Sync[P][K]->PartnerSeq;
     if (Partner != NoPartner) {
-      if (Partner >= BySeq.size() || BySeq[Partner].first == InvalidId) {
-        Err = "dangling partner seq " + std::to_string(Partner);
-        return false;
-      }
+      if (Partner >= BySeq.size() || BySeq[Partner].first == InvalidId)
+        return "dangling partner seq " + std::to_string(Partner);
       auto [PP, PK] = BySeq[Partner];
       Merge(Row, IdOf[PP][PK]);
     }
   }
-  auto Before = [&](uint32_t A, uint32_t B) { // A happens-before B
-    return (RowOf(B)[A / 64] >> (A % 64)) & 1;
+  auto Reaches = [&](uint32_t A, uint32_t B) { // A == B or A → B
+    return A == B || ((RowOf(B)[A / 64] >> (A % 64)) & 1);
   };
 
+  std::vector<std::vector<EdgeAccesses>> Edges(Sync.size());
+  for (uint32_t P = 0; P != Sync.size(); ++P)
+    if (auto D = placeAccesses(Prog, Sync[P], Full.Traces[P], Edges[P]);
+        !D.empty())
+      return "pid " + std::to_string(P) + ": " + D;
+
   // Def 6.1 over edges: e → e' iff end(e) → start(e'); simultaneous iff
-  // neither. Edge k of process P spans nodes k-1 → k; its sets live on
-  // node k's record. Classification mirrors Def 6.3: write/write wins,
-  // read/write reported once per (pair, variable).
-  auto Contains = [](const std::vector<uint32_t> &V, uint32_t S) {
-    return std::find(V.begin(), V.end(), S) != V.end();
+  // neither. Edge k spans nodes k-1 → k; the final edge has no end node,
+  // so it precedes nothing. Def 6.3: a shared variable both edges write
+  // is a write/write race; else one that one reads and the other writes
+  // is a read/write race.
+  auto Before = [&](uint32_t PA, uint32_t KA, uint32_t PB, uint32_t KB) {
+    return KA < Sync[PA].size() && Reaches(IdOf[PA][KA], IdOf[PB][KB - 1]);
   };
-  for (uint32_t PA = 0; PA != Sync.size(); ++PA) {
-    for (uint32_t PB = PA + 1; PB != Sync.size(); ++PB) {
-      for (uint32_t KA = 1; KA < Sync[PA].size(); ++KA) {
-        for (uint32_t KB = 1; KB < Sync[PB].size(); ++KB) {
-          const RNode &A = Sync[PA][KA], &B = Sync[PB][KB];
-          if (A.Reads.empty() && A.Writes.empty())
+  auto Has = [](const std::vector<uint32_t> &Set, uint32_t S) {
+    return std::binary_search(Set.begin(), Set.end(), S);
+  };
+  for (uint32_t PA = 0; PA != Sync.size(); ++PA)
+    for (uint32_t KA = 1; KA != Edges[PA].size(); ++KA) {
+      const EdgeAccesses &A = Edges[PA][KA];
+      std::vector<uint32_t> Touched;
+      std::set_union(A.Reads.begin(), A.Reads.end(), A.Writes.begin(),
+                     A.Writes.end(), std::back_inserter(Touched));
+      for (uint32_t PB = PA + 1; PB < Sync.size() && !Touched.empty(); ++PB)
+        for (uint32_t KB = 1; KB != Edges[PB].size(); ++KB) {
+          const EdgeAccesses &B = Edges[PB][KB];
+          if ((B.Reads.empty() && B.Writes.empty()) ||
+              Before(PA, KA, PB, KB) || Before(PB, KB, PA, KA))
             continue;
-          if (B.Reads.empty() && B.Writes.empty())
-            continue;
-          bool AThenB = Before(IdOf[PA][KA], IdOf[PB][KB - 1]) ||
-                        IdOf[PA][KA] == IdOf[PB][KB - 1];
-          bool BThenA = Before(IdOf[PB][KB], IdOf[PA][KA - 1]) ||
-                        IdOf[PB][KB] == IdOf[PA][KA - 1];
-          if (AThenB || BThenA)
-            continue; // ordered, not simultaneous.
-          for (uint32_t S = 0; S != NumShared; ++S) {
-            bool WW = Contains(A.Writes, S) && Contains(B.Writes, S);
-            bool RW = !WW && ((Contains(A.Reads, S) && Contains(B.Writes, S)) ||
-                              (Contains(A.Writes, S) && Contains(B.Reads, S)));
-            if (WW)
-              Out.push_back({S, PA, KA, PB, KB, uint8_t(RaceKind::WriteWrite)});
-            else if (RW)
-              Out.push_back({S, PA, KA, PB, KB, uint8_t(RaceKind::ReadWrite)});
+          for (uint32_t S : Touched) {
+            RaceKind Kind;
+            if (Has(A.Writes, S) && Has(B.Writes, S))
+              Kind = RaceKind::WriteWrite;
+            else if ((Has(A.Reads, S) && Has(B.Writes, S)) ||
+                     (Has(A.Writes, S) && Has(B.Reads, S)))
+              Kind = RaceKind::ReadWrite;
+            else
+              continue;
+            Out.push_back({S, Prog.Symbols->SharedVars[S], {PA, KA},
+                           {PB, KB}, Kind});
           }
         }
-      }
     }
+  auto Key = [](const Race &R) {
+    return std::make_tuple(R.SharedIdx, R.First.Pid, R.First.EndNode,
+                           R.Second.Pid, R.Second.EndNode);
+  };
+  std::sort(Out.begin(), Out.end(),
+            [&](const Race &A, const Race &B) { return Key(A) < Key(B); });
+  return {};
+}
+
+/// The spec/race verdict: "" when \p Detected equals the races Defs
+/// 6.1–6.4 give over \p Full element for element, else the first
+/// difference or why the spec could not be evaluated.
+std::string cmpRaceSpec(const CompiledProgram &Prog, const Observed &Full,
+                        const std::vector<Race> &Detected) {
+  std::vector<Race> Spec;
+  if (auto D = specRaces(Prog, Full, Spec); !D.empty())
+    return D;
+  auto Describe = [](const Race &R) {
+    return "s" + std::to_string(R.SharedIdx) + " p" +
+           std::to_string(R.First.Pid) + "e" + std::to_string(R.First.EndNode) +
+           "/p" + std::to_string(R.Second.Pid) + "e" +
+           std::to_string(R.Second.EndNode) +
+           (R.Kind == RaceKind::WriteWrite ? " WW" : " RW");
+  };
+  for (size_t I = 0; I != std::max(Spec.size(), Detected.size()); ++I) {
+    if (I < Spec.size() && I < Detected.size() && Spec[I] == Detected[I])
+      continue;
+    return "race " + std::to_string(I) + ": detector " +
+           (I < Detected.size() ? Describe(Detected[I]) : "none") +
+           ", spec " + (I < Spec.size() ? Describe(Spec[I]) : "none") +
+           " (detector " + std::to_string(Detected.size()) + " races, spec " +
+           std::to_string(Spec.size()) + ")";
   }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return true;
+  return {};
 }
 
 //===----------------------------------------------------------------------===//
@@ -625,6 +825,17 @@ std::string checkReplayTheorem(const CompiledProgram &Prog,
   return cmpSplicedTraces(Prog, Index, Replays, Full);
 }
 
+std::string checkRaceSpec(const CompiledProgram &Prog, MachineOptions Opts,
+                          std::vector<Race> &Races) {
+  Opts.Mode = RunMode::Logging;
+  Observed Logged = runOnce(Prog, Opts);
+  Opts.Mode = RunMode::FullTrace;
+  Observed Full = runOnce(Prog, Opts);
+  ParallelDynamicGraph Graph(Logged.Log, Prog.Symbols->NumSharedVars);
+  Races = RaceDetector(Graph, *Prog.Symbols).detect().Races;
+  return cmpRaceSpec(Prog, Full, Races);
+}
+
 DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
                            uint32_t Quantum, const DiffConfig &Config) {
   DiffReport Report;
@@ -721,53 +932,23 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
       return Fail("log/" + ErrOracle, Err);
   }
 
-  //===--- race/*: two algorithms and an independent recheck -------------===//
-  const unsigned NumShared = Prog->Symbols->NumSharedVars;
-  ParallelDynamicGraph PDG(L, NumShared);
-  RaceDetector Detector(PDG, *Prog->Symbols);
-  RaceDetectionResult Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
-  RaceDetectionResult Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-  RaceDetectionResult Merged = Detector.detect(RaceAlgorithm::Interval);
-  if (Naive.Races.size() != Indexed.Races.size())
-    return Fail("race/algorithms",
-                "NaiveAllPairs found " + std::to_string(Naive.Races.size()) +
-                    ", VarIndexed " + std::to_string(Indexed.Races.size()));
-  if (Naive.Races.size() != Merged.Races.size())
-    return Fail("race/algorithms",
-                "NaiveAllPairs found " + std::to_string(Naive.Races.size()) +
-                    ", Interval " + std::to_string(Merged.Races.size()));
-  for (size_t I = 0; I != Naive.Races.size(); ++I) {
-    if (!(Naive.Races[I] == Indexed.Races[I]))
-      return Fail("race/algorithms",
-                  "race " + std::to_string(I) + " differs between algorithms");
-    if (!(Naive.Races[I] == Merged.Races[I]))
-      return Fail("race/algorithms", "race " + std::to_string(I) +
-                                         " differs from the interval merge");
-  }
-  {
-    std::vector<RaceTuple> Rechecked, Detected;
-    std::string Err;
-    if (recheckRaces(L, NumShared, Rechecked, Err)) {
-      for (const Race &R : Naive.Races)
-        Detected.push_back(tupleOf(R));
-      if (Detected != Rechecked) {
-        auto Describe = [](const std::vector<RaceTuple> &V) {
-          std::string S = std::to_string(V.size()) + " races";
-          for (size_t I = 0; I != std::min<size_t>(V.size(), 4); ++I)
-            S += " (s" + std::to_string(std::get<0>(V[I])) + " p" +
-                 std::to_string(std::get<1>(V[I])) + "e" +
-                 std::to_string(std::get<2>(V[I])) + "/p" +
-                 std::to_string(std::get<3>(V[I])) + "e" +
-                 std::to_string(std::get<4>(V[I])) + ")";
-          return S;
-        };
-        return Fail("race/recheck", "detector: " + Describe(Detected) +
-                                        "; recheck: " + Describe(Rechecked));
-      }
-    }
-  }
-  Report.RaceFree = Naive.Races.empty();
-  Report.Races = unsigned(Naive.Races.size());
+  //===--- spec/race: the detector against Defs 6.1–6.4 ------------------===//
+  // The detector reads the Logging run's graph; the spec reads what the
+  // FullTrace run did. Both runs interleave identically (mode/*), so their
+  // sync records, and with them the edges, coincide.
+  ParallelDynamicGraph PDG(L, Prog->Symbols->NumSharedVars);
+  RaceDetectionResult Detected = RaceDetector(PDG, *Prog->Symbols).detect();
+  // The spec's closure is quadratic in the sync nodes: generated programs
+  // stay far below this bound, which guards against pathological inputs.
+  size_t SyncNodes = 0;
+  for (const ProcessLog &P : Full.Log.Procs)
+    for (const LogRecord &R : P.Records)
+      SyncNodes += R.Kind == LogRecordKind::SyncEvent;
+  if (SyncNodes <= 8000)
+    if (auto D = cmpRaceSpec(*Prog, Full, Detected.Races); !D.empty())
+      return Fail("spec/race", D);
+  Report.RaceFree = Detected.raceFree();
+  Report.Races = unsigned(Detected.Races.size());
 
   //===--- replay/*: the engine, the memoized service, its cache ---------===//
   LogIndex Index(L);

@@ -10,7 +10,7 @@
 /// the paper's semantics or with its twin. The strongest legs check a
 /// theorem of the paper against an independent run; the rest pit a fast
 /// tier against a simpler one (memoized vs direct replay, paged vs whole
-/// loading, three race detectors, direct vs framed debugging).
+/// loading, direct vs framed debugging).
 ///
 /// The oracle matrix (see DESIGN.md §9):
 ///
@@ -33,8 +33,14 @@
 ///               memoized ReplayService (first get and cached re-read);
 ///               on race-free instances, closed intervals must verify
 ///               their postlogs exactly.
-///   race/*      NaiveAllPairs vs VarIndexed vs an independent
-///               BFS-reachability recheck built here from the raw log.
+///   spec/race   Defs 6.1–6.4 on every instance, racy ones included:
+///               RaceDetector::detect() over the Logging run's graph
+///               must equal, element for element, the races evaluated
+///               from scratch over the FullTrace run — its trace's shared
+///               accesses placed in edges by its own sync records (a
+///               syncing statement reads before its records and writes
+///               after them), ordered by a transitive closure of
+///               per-process order and partner Seqs.
 ///   flowback/*  every read in every traced interval must have a data
 ///               in-edge, and edges from singular writers must carry the
 ///               value actually read (semantic truth, not a re-run of the
@@ -67,10 +73,12 @@
 #ifndef PPD_TESTING_DIFFORACLES_H
 #define PPD_TESTING_DIFFORACLES_H
 
+#include "pardyn/RaceDetector.h"
 #include "vm/Machine.h"
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ppd::testing {
 
@@ -125,6 +133,15 @@ DiffReport runDifferential(const std::string &Source, uint64_t SchedSeed,
 /// instances only; checking race freedom is the caller's job.
 std::string checkReplayTheorem(const CompiledProgram &Prog,
                                MachineOptions Opts);
+
+/// The spec/race leg on its own: runs \p Prog under Logging and FullTrace
+/// with \p Opts (its Mode is ignored), sets \p Races to
+/// RaceDetector::detect() over the Logging run's graph, and demands it
+/// equal Defs 6.1–6.4 evaluated over the FullTrace run. Returns "" or the
+/// first difference. Unlike the leg, it evaluates runs of any size; the
+/// spec's closure is quadratic in the sync nodes.
+std::string checkRaceSpec(const CompiledProgram &Prog, MachineOptions Opts,
+                          std::vector<Race> &Races);
 
 } // namespace ppd::testing
 

@@ -67,7 +67,6 @@ struct CliOptions {
   std::vector<std::vector<int64_t>> Inputs;
   std::string LogPath;
   RunMode Mode = RunMode::Logging;
-  RaceAlgorithm Algorithm = RaceAlgorithm::Interval;
   bool DumpDisassembly = false;
   bool DumpPdg = false;
   bool DumpSimplified = false;
@@ -155,9 +154,6 @@ options:
                         re-running; process sections are paged in on
                         demand
   --mode M              (run) plain | logging | fulltrace
-  --race-strategy A     (races) interval (default) | indexed | naive;
-                        all three report identical races (--algorithm is
-                        a synonym)
   --leaf-inheritance    partitioner: unlog small call-graph leaves
   --loop-blocks         partitioner: loops become their own e-blocks
   --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for
@@ -493,17 +489,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                      V);
         return false;
       }
-    } else if (Arg == "--race-strategy" || Arg == "--algorithm") {
-      // --algorithm is the historical spelling, kept as a synonym.
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseRaceAlgorithm(V, Opts.Algorithm)) {
-        std::fprintf(stderr, "error: unknown race strategy '%s' (expected "
-                             "interval, indexed, or naive)\n",
-                     V);
-        return false;
-      }
     } else if (Arg == "--dump-ir") {
       Opts.DumpDisassembly = true;
     } else if (Arg == "--dump-pdg") {
@@ -786,7 +771,7 @@ int cmdRaces(const CliOptions &Opts) {
   reportRun(*Prog, M, Result);
 
   PpdController Controller(*Prog, M.takeLog());
-  auto Races = Controller.detectRaces(Opts.Algorithm);
+  auto Races = Controller.detectRaces();
   if (Races.raceFree()) {
     std::printf("-- execution instance is race-free (Def 6.4); %llu edge "
                 "pair(s) examined\n",
@@ -1030,11 +1015,15 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
   if (Cmd == "quit" || Cmd == "q")
     return false;
 
-  auto ParseSession = [&](bool Required) {
-    uint64_t Id = 0;
-    if (!(Args >> Id) && Required)
-      return uint64_t(0);
-    return Id;
+  // Session and stream ids take the whole token, digits only: `close 1z`
+  // is an error, not session 1. A missing id leaves 0 (the commands that
+  // need one say so below); a malformed one is reported and sends nothing.
+  auto ParseId = [&](const char *What, uint64_t &Id) {
+    std::string Token;
+    if (!(Args >> Token) || parseUnsigned(Token.c_str(), UINT64_MAX, Id))
+      return true;
+    std::fprintf(stderr, "client: bad %s id '%s'\n", What, Token.c_str());
+    return false;
   };
 
   if (Cmd == "open") {
@@ -1050,7 +1039,8 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     Send = true;
   } else if (Cmd == "query") {
     Req.Type = MsgType::Query;
-    Req.SessionId = ParseSession(true);
+    if (!ParseId("session", Req.SessionId))
+      return true;
     std::string Rest;
     std::getline(Args, Rest);
     size_t Start = Rest.find_first_not_of(' ');
@@ -1058,7 +1048,8 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     Send = Req.SessionId != 0;
   } else if (Cmd == "step") {
     Req.Type = MsgType::Step;
-    Req.SessionId = ParseSession(true);
+    if (!ParseId("session", Req.SessionId))
+      return true;
     std::string Dir;
     Args >> Dir;
     if (Req.SessionId != 0 && Dir != "back" && Dir != "fwd") {
@@ -1069,21 +1060,25 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     Send = Req.SessionId != 0;
   } else if (Cmd == "races") {
     Req.Type = MsgType::Races;
-    Req.SessionId = ParseSession(true);
+    if (!ParseId("session", Req.SessionId))
+      return true;
     Send = Req.SessionId != 0;
   } else if (Cmd == "stats") {
     Req.Type = MsgType::Stats;
-    Req.SessionId = ParseSession(false);
+    if (!ParseId("session", Req.SessionId))
+      return true;
     Send = true;
   } else if (Cmd == "close") {
     Req.Type = MsgType::CloseSession;
-    Req.SessionId = ParseSession(true);
+    if (!ParseId("session", Req.SessionId))
+      return true;
     Send = Req.SessionId != 0;
   } else if (Cmd == "tail") {
     // tail STREAM CMD... — run a debug command against the stream's
     // current frontier (the prefix of the run ingested so far).
     Req.Type = MsgType::TailQuery;
-    Req.StreamId = ParseSession(true);
+    if (!ParseId("stream", Req.StreamId))
+      return true;
     std::string Rest;
     std::getline(Args, Rest);
     size_t Start = Rest.find_first_not_of(' ');
@@ -1092,7 +1087,8 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
   } else if (Cmd == "frontier") {
     // frontier [STREAM] — ingest progress of one stream, or all of them.
     Req.Type = MsgType::Frontier;
-    Req.StreamId = ParseSession(false);
+    if (!ParseId("stream", Req.StreamId))
+      return true;
     Send = true;
   } else if (Cmd == "shutdown") {
     Req.Type = MsgType::Shutdown;

@@ -205,7 +205,7 @@ TEST(InterpTest, ReplayTracesSpliceToFullTrace) {
         ExecutionLog Log = runOnce(*Prog, MOpts).Log;
         ParallelDynamicGraph Graph(Log, Prog->Symbols->NumSharedVars);
         RaceDetector Detector(Graph, *Prog->Symbols);
-        if (!Detector.detect(RaceAlgorithm::NaiveAllPairs).Races.empty())
+        if (!Detector.detect().Races.empty())
           continue;
         EXPECT_EQ(ppd::testing::checkReplayTheorem(*Prog, MOpts), "")
             << Name << " seed " << Seed << " quantum " << Quantum;

@@ -460,7 +460,7 @@ TEST(RaceTest, UnsynchronizedWritesDetected) {
   auto R = runProgram(RacyProgram);
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+  auto Result = Detector.detect();
   EXPECT_FALSE(Result.raceFree());
   bool SawWriteWrite = false;
   for (const Race &Race : Result.Races) {
@@ -477,7 +477,7 @@ TEST(RaceTest, MutexedProgramRaceFree) {
     auto R = runProgram(SynchronizedProgram, Seed);
     auto G = graphOf(R);
     RaceDetector Detector(G, *R.Prog->Symbols);
-    EXPECT_TRUE(Detector.detect(RaceAlgorithm::NaiveAllPairs).raceFree())
+    EXPECT_TRUE(Detector.detect().raceFree())
         << "seed " << Seed;
   }
 }
@@ -497,7 +497,7 @@ func main() {
 )");
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::VarIndexed);
+  auto Result = Detector.detect();
   ASSERT_FALSE(Result.raceFree());
   EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::ReadWrite));
 }
@@ -535,7 +535,7 @@ func main() {
 
     auto G = graphOf(R);
     RaceDetector Detector(G, *R.Prog->Symbols);
-    auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+    auto Result = Detector.detect();
     ASSERT_EQ(Result.Races.size(), 1u) << "seed " << Seed;
     EXPECT_EQ(int(Result.Races[0].Kind), int(RaceKind::ReadWrite));
     EXPECT_EQ(R.Prog->Symbols->var(Result.Races[0].Var).Name, "ga");
@@ -581,23 +581,7 @@ func main() {
   EXPECT_EQ(R.PrintedValues, (std::vector<int64_t>{42}));
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  EXPECT_TRUE(Detector.detect(RaceAlgorithm::NaiveAllPairs).raceFree());
-}
-
-TEST(RaceTest, AlgorithmsAgreeAndIndexExaminesFewerPairs) {
-  for (const char *Source : {RacyProgram, SynchronizedProgram}) {
-    for (uint64_t Seed : {1, 13}) {
-      auto R = runProgram(Source, Seed);
-      auto G = graphOf(R);
-      RaceDetector Detector(G, *R.Prog->Symbols);
-      auto Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
-      auto Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-      EXPECT_EQ(Naive.Races.size(), Indexed.Races.size());
-      for (size_t I = 0; I != Naive.Races.size(); ++I)
-        EXPECT_TRUE(Naive.Races[I] == Indexed.Races[I]);
-      EXPECT_LE(Indexed.PairsExamined, Naive.PairsExamined);
-    }
-  }
+  EXPECT_TRUE(Detector.detect().raceFree());
 }
 
 // Property: across seeds, the racy program always shows the race (it's a
@@ -609,12 +593,12 @@ TEST_P(RaceSweepTest, GroundTruthStableAcrossSchedules) {
   auto Racy = runProgram(RacyProgram, GetParam());
   auto RacyGraph = graphOf(Racy);
   RaceDetector RacyDetector(RacyGraph, *Racy.Prog->Symbols);
-  EXPECT_FALSE(RacyDetector.detect(RaceAlgorithm::VarIndexed).raceFree());
+  EXPECT_FALSE(RacyDetector.detect().raceFree());
 
   auto Safe = runProgram(SynchronizedProgram, GetParam());
   auto SafeGraph = graphOf(Safe);
   RaceDetector SafeDetector(SafeGraph, *Safe.Prog->Symbols);
-  EXPECT_TRUE(SafeDetector.detect(RaceAlgorithm::VarIndexed).raceFree());
+  EXPECT_TRUE(SafeDetector.detect().raceFree());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RaceSweepTest,
@@ -654,7 +638,7 @@ func main() {
 )");
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::VarIndexed);
+  auto Result = Detector.detect();
   ASSERT_FALSE(Result.raceFree());
   std::string Summary = Detector.summarize(Result, *R.Prog->Ast);
   // Many races, few summary lines, each with an occurrence count.
@@ -671,7 +655,7 @@ TEST(RaceTest, SummaryOfCleanInstance) {
   auto R = runProgram("func main() { print(1); }");
   auto G = graphOf(R);
   RaceDetector Detector(G, *R.Prog->Symbols);
-  auto Result = Detector.detect(RaceAlgorithm::NaiveAllPairs);
+  auto Result = Detector.detect();
   EXPECT_NE(Detector.summarize(Result, *R.Prog->Ast).find("race-free"),
             std::string::npos);
 }

@@ -1,13 +1,15 @@
-//===- tests/race_simd_test.cpp - Race detector differentials -------------===//
+//===- tests/race_test.cpp - Race detector against Defs 6.1–6.4 -----------===//
 //
 // Part of PPD test suite.
 //
-// The interval race detector (a clock-window merge over per-variable
-// writer/reader lists) must produce element-for-element the race lists of
-// NaiveAllPairs and VarIndexed on every input: the examples/ corpus, a
-// fuzz sweep of generated programs, and a 16-worker lock-step trace with
-// thousands of internal edges. The window it is built on must agree with
-// the vector-clock simultaneity oracle on every cross-process edge pair.
+// The race detector (a clock-window merge over per-variable writer/reader
+// lists) must produce element for element the races Defs 6.1–6.4 give
+// when evaluated from scratch over a fully traced run of the same
+// schedule (the fuzzer's spec/race leg) on every input: the examples/
+// corpus, a fuzz sweep of generated programs, and a 16-worker lock-step
+// trace with thousands of internal edges. The window it is built on must
+// agree with the vector-clock simultaneity oracle on every cross-process
+// edge pair.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 
 #include "pardyn/ParallelDynamicGraph.h"
 #include "pardyn/RaceDetector.h"
+#include "testing/DiffOracles.h"
 #include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
@@ -41,39 +44,19 @@ Ran runGenerated(uint64_t Seed) {
                     /*ExpectCompleted=*/false);
 }
 
-std::string describeRace(const Race &R) {
-  std::ostringstream Out;
-  Out << "s" << R.SharedIdx << " p" << R.First.Pid << "e" << R.First.EndNode
-      << "/p" << R.Second.Pid << "e" << R.Second.EndNode << " "
-      << (R.Kind == RaceKind::WriteWrite ? "WW" : "RW");
-  return Out.str();
+/// detect() over the Logging run of \p Prog under \p MOpts must equal the
+/// spec's races over the FullTrace run; returns the detector's list.
+std::vector<Race> expectSpec(const CompiledProgram &Prog,
+                             const MachineOptions &MOpts,
+                             const std::string &Label) {
+  std::vector<Race> Races;
+  EXPECT_EQ(ppd::testing::checkRaceSpec(Prog, MOpts, Races), "") << Label;
+  return Races;
 }
 
-/// All three algorithms over one execution instance must agree
-/// element-for-element; returns the (canonical) race list.
-std::vector<Race> expectAgreement(const ExecutionLog &Log,
-                                  const SymbolTable &Symbols,
-                                  const std::string &Label) {
-  ParallelDynamicGraph Graph(Log, Symbols.NumSharedVars);
-  RaceDetector Detector(Graph, Symbols);
-  RaceDetectionResult Naive = Detector.detect(RaceAlgorithm::NaiveAllPairs);
-  RaceDetectionResult Indexed = Detector.detect(RaceAlgorithm::VarIndexed);
-  RaceDetectionResult Merged = Detector.detect(RaceAlgorithm::Interval);
-  EXPECT_EQ(Naive.Races.size(), Indexed.Races.size()) << Label;
-  EXPECT_EQ(Naive.Races.size(), Merged.Races.size()) << Label;
-  size_t N = std::min(Naive.Races.size(),
-                      std::min(Indexed.Races.size(), Merged.Races.size()));
-  for (size_t I = 0; I != N; ++I) {
-    EXPECT_TRUE(Naive.Races[I] == Indexed.Races[I])
-        << Label << " race " << I << ": naive "
-        << describeRace(Naive.Races[I]) << " vs indexed "
-        << describeRace(Indexed.Races[I]);
-    EXPECT_TRUE(Naive.Races[I] == Merged.Races[I])
-        << Label << " race " << I << ": naive "
-        << describeRace(Naive.Races[I]) << " vs interval "
-        << describeRace(Merged.Races[I]);
-  }
-  return Naive.Races;
+MachineOptions withSeed(uint64_t Seed, MachineOptions MOpts = {}) {
+  MOpts.Seed = Seed;
+  return MOpts;
 }
 
 /// simultaneousWindow against Def 6.1 (ParallelDynamicGraph::simultaneous)
@@ -185,16 +168,16 @@ TEST(SimultaneousWindowTest, MatchesVectorClockOracle) {
 TEST(RaceSimdDifferentialTest, ExamplesCorpus) {
   // Every shipped example, including the deliberately racy one; crash and
   // deadlock programs don't complete, which is fine — races are detected
-  // over whatever log the run produced.
+  // over whatever the run did before it stopped.
   bool SawRace = false;
   for (const char *Name : Corpus) {
-    std::string Source = readCorpusFile(Name);
-    for (uint64_t Seed : {1u, 5u, 9u}) {
-      Ran R = runProgram(Source, Seed, {}, {}, /*ExpectCompleted=*/false);
-      ASSERT_TRUE(R.Prog) << Name;
-      std::string Label = std::string(Name) + " seed " + std::to_string(Seed);
-      SawRace |= !expectAgreement(R.Log, *R.Prog->Symbols, Label).empty();
-    }
+    auto Prog = compileOk(readCorpusFile(Name));
+    ASSERT_TRUE(Prog) << Name;
+    for (uint64_t Seed : {1u, 5u, 9u})
+      SawRace |= !expectSpec(*Prog, withSeed(Seed),
+                             std::string(Name) + " seed " +
+                                 std::to_string(Seed))
+                      .empty();
   }
   // The corpus includes bank_race.ppl: at least one instance must race,
   // otherwise this differential is vacuous.
@@ -210,10 +193,14 @@ TEST(RaceSimdDifferentialTest, FuzzSweep) {
   // channels, ...). Each runs with its derived schedule seed and quantum.
   unsigned Raced = 0;
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    Ran R = runGenerated(Seed);
-    ASSERT_TRUE(R.Prog) << "seed " << Seed;
-    std::string Label = "gen seed " + std::to_string(Seed);
-    Raced += !expectAgreement(R.Log, *R.Prog->Symbols, Label).empty();
+    GenProgram Gen = generateProgram(Seed);
+    auto Prog = compileOk(Gen.render());
+    ASSERT_TRUE(Prog) << "seed " << Seed;
+    MachineOptions MOpts;
+    MOpts.Quantum = Gen.Quantum;
+    Raced += !expectSpec(*Prog, withSeed(Gen.SchedSeed, MOpts),
+                         "gen seed " + std::to_string(Seed))
+                  .empty();
   }
   EXPECT_GT(Raced, 0u) << "no generated instance raced; sweep is vacuous";
 }
@@ -227,8 +214,8 @@ TEST(RaceSimdDifferentialTest, LargeLockStepTraceAgrees) {
   const size_t Edges = Graph.allEdges().size();
   ASSERT_GE(Edges, 5000u);
   std::vector<Race> Races =
-      expectAgreement(R.Log, *R.Prog->Symbols,
-                      "lock-step, " + std::to_string(Edges) + " edges");
+      expectSpec(*R.Prog, withSeed(3),
+                 "lock-step, " + std::to_string(Edges) + " edges");
   bool SawWriteWrite = false, SawReadWrite = false;
   for (const Race &Found : Races) {
     SawWriteWrite |= Found.Kind == RaceKind::WriteWrite;
@@ -246,12 +233,12 @@ TEST(RaceSimdDifferentialTest, ConcurrentDetectIsDeterministic) {
     ASSERT_TRUE(R.Prog) << "seed " << Seed;
     ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
     RaceDetector Detector(Graph, *R.Prog->Symbols);
-    RaceDetectionResult Serial = Detector.detect(RaceAlgorithm::Interval);
+    RaceDetectionResult Serial = Detector.detect();
     std::vector<RaceDetectionResult> Concurrent(3);
     std::vector<std::thread> Threads;
     for (RaceDetectionResult &Out : Concurrent)
       Threads.emplace_back(
-          [&] { Out = Detector.detect(RaceAlgorithm::Interval); });
+          [&] { Out = Detector.detect(); });
     for (std::thread &T : Threads)
       T.join();
     for (const RaceDetectionResult &Out : Concurrent) {
@@ -262,44 +249,19 @@ TEST(RaceSimdDifferentialTest, ConcurrentDetectIsDeterministic) {
 }
 
 TEST(RaceSimdDifferentialTest, RepeatedDetectIsIdempotent) {
-  // The legacy algorithms reuse member scratch between calls; repeated
-  // detection on one instance must not be contaminated by earlier passes.
+  // Detection keeps no state between calls: repeated passes over one
+  // instance hand back the same list.
   std::string Source = readCorpusFile("bank_race.ppl");
   Ran R = runProgram(Source, 1, {}, {}, /*ExpectCompleted=*/false);
   ASSERT_TRUE(R.Prog);
   ParallelDynamicGraph Graph(R.Log, R.Prog->Symbols->NumSharedVars);
   RaceDetector Detector(Graph, *R.Prog->Symbols);
-  RaceDetectionResult First = Detector.detect(RaceAlgorithm::Interval);
-  for (RaceAlgorithm A : {RaceAlgorithm::NaiveAllPairs,
-                          RaceAlgorithm::VarIndexed,
-                          RaceAlgorithm::Interval}) {
-    RaceDetectionResult Again = Detector.detect(A);
-    ASSERT_EQ(First.Races.size(), Again.Races.size())
-        << raceAlgorithmName(A);
-    for (size_t I = 0; I != First.Races.size(); ++I)
-      EXPECT_TRUE(First.Races[I] == Again.Races[I])
-          << raceAlgorithmName(A) << " race " << I;
-  }
-}
-
-TEST(RaceSimdDifferentialTest, AlgorithmNamesRoundTrip) {
-  RaceAlgorithm A = RaceAlgorithm::NaiveAllPairs;
-  EXPECT_TRUE(parseRaceAlgorithm("naive", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::NaiveAllPairs));
-  EXPECT_TRUE(parseRaceAlgorithm("indexed", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::VarIndexed));
-  EXPECT_TRUE(parseRaceAlgorithm("interval", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::Interval));
-  // The retired name has no alias.
-  EXPECT_FALSE(parseRaceAlgorithm("vectorized", A));
-  EXPECT_FALSE(parseRaceAlgorithm("avx512", A));
-  EXPECT_EQ(int(A), int(RaceAlgorithm::Interval)) << "Out must be untouched";
-  for (RaceAlgorithm Each : {RaceAlgorithm::NaiveAllPairs,
-                             RaceAlgorithm::VarIndexed,
-                             RaceAlgorithm::Interval}) {
-    RaceAlgorithm Back = RaceAlgorithm::NaiveAllPairs;
-    EXPECT_TRUE(parseRaceAlgorithm(raceAlgorithmName(Each), Back));
-    EXPECT_EQ(int(Back), int(Each));
+  RaceDetectionResult First = Detector.detect();
+  ASSERT_FALSE(First.raceFree());
+  for (int Pass = 0; Pass != 3; ++Pass) {
+    RaceDetectionResult Again = Detector.detect();
+    EXPECT_TRUE(Again.Races == First.Races) << "pass " << Pass;
+    EXPECT_EQ(Again.PairsExamined, First.PairsExamined) << "pass " << Pass;
   }
 }
 

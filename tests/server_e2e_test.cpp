@@ -576,9 +576,12 @@ TEST(ServerE2eTest, LogTruncatedUnderServerAnswersLogUnreadable) {
 
 TEST(ServerE2eTest, ClientRejectsBadProgramIndexAndStepDirection) {
   // The `ppd client` script parser: a program index that is not plain
-  // digits in uint32 range, or a step direction other than back/fwd, is
-  // reported and sends nothing. (Unchecked, "abc" read as 0, 2^32 wrapped
-  // to 0, and "sideways" stepped back.) A bare `open` opens program 0.
+  // digits in uint32 range, a session or stream id that is not plain
+  // digits, or a step direction other than back/fwd, is reported and
+  // sends nothing. (Unchecked, "abc" read as 0, 2^32 wrapped to 0,
+  // "sideways" stepped back, and an id's digit prefix was taken: `close
+  // 1z` closed session 1.) A bare `open` opens program 0; the final
+  // `close 1` finds session 1 still open.
   ServerProcess Server;
   ASSERT_TRUE(Server.start());
   {
@@ -588,14 +591,23 @@ TEST(ServerE2eTest, ClientRejectsBadProgramIndexAndStepDirection) {
   std::string Out, Err;
   EXPECT_EQ(runClient(Server.SocketPath,
                       "open abc\nopen 4294967296\nopen -1\nopen\n"
-                      "step 1 sideways\nshutdown\n",
+                      "step 1 sideways\nclose 1z\nquery 1x where 0\n"
+                      "step 1q back\nraces +1\nstats 1-\n"
+                      "tail 1y where 0\nfrontier -2\nclose 1\nshutdown\n",
                       Out, Err),
             0);
-  EXPECT_EQ(Out, "session 1\nshutdown requested\n");
+  EXPECT_EQ(Out, "session 1\nclosed\nshutdown requested\n");
   EXPECT_EQ(Err, "client: bad program index 'abc'\n"
                  "client: bad program index '4294967296'\n"
                  "client: bad program index '-1'\n"
-                 "client: bad step direction 'sideways'\n");
+                 "client: bad step direction 'sideways'\n"
+                 "client: bad session id '1z'\n"
+                 "client: bad session id '1x'\n"
+                 "client: bad session id '1q'\n"
+                 "client: bad session id '+1'\n"
+                 "client: bad session id '1-'\n"
+                 "client: bad stream id '1y'\n"
+                 "client: bad stream id '-2'\n");
   EXPECT_EQ(Server.waitExit(), 0) << "clean shutdown exits 0";
 }
 

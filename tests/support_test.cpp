@@ -142,43 +142,9 @@ TEST(VarSetCross, RepresentationsAgreeOnRandomOps) {
 }
 
 //===----------------------------------------------------------------------===//
-// BitVarSet extensions for the race classifier: the fused conflict
-// pretest, the capacity-reusing intersection, and the trailing-zero-word
-// trim that keeps numWords() a tight bound.
+// BitVarSet's trailing-zero-word trim, which keeps numWords() a tight
+// bound.
 //===----------------------------------------------------------------------===//
-
-TEST(BitVarSetTest, IntersectsAnyIsFusedUnionTest) {
-  BitVarSet W, R1, W1;
-  W.insert(5);
-  W.insert(200);
-  EXPECT_FALSE(W.intersectsAny(R1, W1)); // both empty
-  R1.insert(6);
-  W1.insert(7);
-  EXPECT_FALSE(W.intersectsAny(R1, W1));
-  R1.insert(200); // hit in the second operand only
-  EXPECT_TRUE(W.intersectsAny(R1, W1));
-  R1.remove(200);
-  W1.insert(5); // hit in the third operand only
-  EXPECT_TRUE(W.intersectsAny(R1, W1));
-}
-
-TEST(BitVarSetTest, IntersectsAnyHandlesDifferingWordCounts) {
-  // The three sets deliberately span different word counts so every tail
-  // loop of the fused test runs: this longer than B1, B1 longer than B2,
-  // and the element sits in the non-common region.
-  BitVarSet W, R1, W1;
-  W.insert(500);
-  R1.insert(3);
-  EXPECT_FALSE(W.intersectsAny(R1, W1));
-  R1.insert(500);
-  EXPECT_TRUE(W.intersectsAny(R1, W1));
-  R1.remove(500);
-  W1.insert(500);
-  EXPECT_TRUE(W.intersectsAny(R1, W1));
-  BitVarSet Short;
-  Short.insert(500);
-  EXPECT_TRUE(Short.intersectsAny(W, R1));
-}
 
 TEST(BitVarSetTest, ShrinkingOpsTrimTrailingZeroWords) {
   BitVarSet A, B;
@@ -196,30 +162,6 @@ TEST(BitVarSetTest, ShrinkingOpsTrimTrailingZeroWords) {
   C.subtract(D);
   EXPECT_EQ(C.numWords(), 1u) << "subtract must drop the zero tail";
   EXPECT_EQ(C.toVector(), (std::vector<unsigned>{1}));
-
-  BitVarSet E;
-  E.insert(900);
-  E.assignIntersection(A, C); // {2} ∩ {1} = ∅
-  EXPECT_TRUE(E.empty());
-  EXPECT_EQ(E.numWords(), 0u) << "assignIntersection must trim to empty";
-}
-
-TEST(BitVarSetTest, AssignIntersectionMatchesCopyingForm) {
-  Rng R(7);
-  for (int Round = 0; Round != 30; ++Round) {
-    BitVarSet A, B;
-    for (int I = 0; I != 40; ++I) {
-      A.insert(unsigned(R.nextBelow(400)));
-      B.insert(unsigned(R.nextBelow(400)));
-    }
-    BitVarSet Copied = A;
-    Copied.intersectWith(B);
-    BitVarSet Assigned;
-    Assigned.insert(999); // pre-existing garbage must be overwritten
-    Assigned.assignIntersection(A, B);
-    EXPECT_TRUE(Assigned == Copied);
-    EXPECT_EQ(Assigned.toVector(), Copied.toVector());
-  }
 }
 
 //===----------------------------------------------------------------------===//
