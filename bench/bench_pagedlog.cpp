@@ -16,9 +16,9 @@
 //     persisted index, fault in one section, answer.
 //
 // The first query (startAtLastEvent on the main process) replays one
-// interval of one process. With the sidecar's graph adopted that is the
-// one section of Workers+1 decoded; without it, building the parallel
-// dynamic graph faults every section in. PoolResidentBytes/PoolPeakBytes
+// interval of one process, so one section of Workers+1 is decoded either
+// way: without the sidecar, the parallel dynamic graph is built from a
+// skim of every section outside the pool. PoolResidentBytes/PoolPeakBytes
 // counters show the residency bound; process-wide peak RSS must be
 // measured per-row in separate processes (see EXPERIMENTS.md E11
 // methodology).
@@ -104,6 +104,7 @@ struct ColdOpenWorld {
   std::string LogPath;
   std::string DbPath;
   size_t FileBytes = 0;
+  uint32_t Sections = 0;
 
   ColdOpenWorld(unsigned Workers, unsigned UnitsPerWorker) {
     Prog = mustCompile(pagedWorkload(Workers, UnitsPerWorker));
@@ -125,6 +126,7 @@ struct ColdOpenWorld {
       std::abort();
     }
     FileBytes = Store->fileBytes();
+    Sections = Store->numProcs();
     LogIndex Index(*Store);
     DbPath = programDbPathFor(LogPath);
     if (!writeProgramDb(DbPath, *Prog, *Store, Index)) {
@@ -153,6 +155,7 @@ void coldopen_pooled(benchmark::State &State) {
     Last = Pool->stats();
   }
   State.counters["FileBytes"] = double(W.FileBytes);
+  State.counters["Sections"] = double(W.Sections);
   State.counters["PoolResidentBytes"] = double(Last.BytesResident);
   State.counters["PoolPeakBytes"] = double(Last.PeakBytes);
   State.counters["SectionsFaulted"] = double(Last.Insertions);
@@ -181,6 +184,7 @@ void coldopen_pooled_ppdb(benchmark::State &State) {
     Last = Pool->stats();
   }
   State.counters["FileBytes"] = double(W.FileBytes);
+  State.counters["Sections"] = double(W.Sections);
   State.counters["PoolResidentBytes"] = double(Last.BytesResident);
   State.counters["PoolPeakBytes"] = double(Last.PeakBytes);
   State.counters["SectionsFaulted"] = double(Last.Insertions);

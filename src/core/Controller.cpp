@@ -267,37 +267,22 @@ uint32_t PpdController::recordEnd(uint32_t Pid) const {
   return uint32_t(Log.Store->section(Pid).NumRecords);
 }
 
-bool PpdController::stmtsInRange(const ParallelDynamicGraph &PG) const {
-  for (uint32_t Pid = 0; Pid != PG.numProcs(); ++Pid)
-    for (const SyncNode &N : PG.nodes(Pid))
-      if (N.Stmt != InvalidId && !Prog.isStmt(N.Stmt))
-        return false;
-  return true;
-}
-
 const ParallelDynamicGraph &PpdController::parallelGraph() {
   if (ParGraph)
     return *ParGraph;
-  // Incremental build, pinning one section at a time: peak memory is the
-  // largest single section (plus whatever else the pool caches), never
-  // the whole log.
-  const uint32_t NumProcs = Log.Store->numProcs();
-  auto PG = std::make_unique<ParallelDynamicGraph>(
-      Prog.Symbols->NumSharedVars, NumProcs);
-  bool Ok = true;
-  for (uint32_t Pid = 0; Ok && Pid != NumProcs; ++Pid) {
-    BufferPool::Pin Pin = Log.Pool->pin(*Log.Store, Pid);
-    if ((Ok = bool(Pin)))
-      PG->addProcess(Pid, Pin.log());
-  }
-  if (Ok && !(Ok = PG->finalize() && stmtsInRange(*PG)))
-    Log.Store->markCorrupt("sync records are inconsistent");
-  if (!Ok) {
+  // Built from the sync rows of one skim per section: no section is
+  // decoded or faulted into the pool, and peak memory is one section's
+  // bytes plus the graph.
+  std::shared_ptr<const ParallelDynamicGraph> PG =
+      ParallelDynamicGraph::fromStore(*Log.Store, Prog.Symbols->NumSharedVars,
+                                      Prog.Ast->numStmts());
+  if (!PG) {
     // logFailure() now replaces every answer; an empty graph keeps the
     // session's internals well defined until the caller reports it.
-    PG = std::make_unique<ParallelDynamicGraph>(Prog.Symbols->NumSharedVars,
-                                                NumProcs);
-    (void)PG->finalize(); // nothing to check in an empty graph
+    auto Empty = std::make_shared<ParallelDynamicGraph>(
+        Prog.Symbols->NumSharedVars, Log.Store->numProcs());
+    (void)Empty->finalize(); // nothing to check in an empty graph
+    PG = std::move(Empty);
   }
   ParGraph = std::move(PG);
   return *ParGraph;

@@ -82,10 +82,10 @@ struct PpdControllerOptions {
   /// the cache did not already hold.
   ReplayServiceOptions Service;
   /// A pre-built parallel dynamic graph (the `.ppdb` sidecar's) to adopt
-  /// instead of constructing one on first use. Constructing it scans
-  /// every process's sync records — in paged mode that faults every
-  /// section in — so adoption is what makes a warm open's first query
-  /// touch only the sections it actually replays.
+  /// instead of constructing one on first use. Constructing it skims
+  /// every section's sync records (reading each section's bytes once,
+  /// outside the pool), so adoption is what makes a warm open read only
+  /// the sections it actually replays.
   std::shared_ptr<const ParallelDynamicGraph> AdoptedGraph;
 };
 
@@ -191,8 +191,6 @@ private:
   /// One past the last record of \p Pid — the open-interval end marker,
   /// from the section header.
   uint32_t recordEnd(uint32_t Pid) const;
-  /// Every sync node's statement is one of the program's.
-  bool stmtsInRange(const ParallelDynamicGraph &PG) const;
 
   CrossReadResolution resolveCrossRead(uint32_t ReaderPid,
                                        const UnresolvedRead &Read);

@@ -275,7 +275,7 @@ bool ppd::v2::decodeSection(ByteReader R, ProcessLog &P) {
 }
 
 bool ppd::v2::skimSection(ByteReader R, std::vector<LogInterval> &Intervals,
-                          std::vector<uint32_t> &Open) {
+                          std::vector<uint32_t> &Open, SyncRows *Sync) {
   SectionHeader Header;
   if (!readSectionHeader(R, Header, R.remaining()))
     return false;
@@ -300,6 +300,7 @@ bool ppd::v2::skimSection(ByteReader R, std::vector<LogInterval> &Intervals,
   };
 
   uint64_t Prelogs = 0;
+  uint64_t PrevSeq = 0;
   for (uint64_t Idx = 0; Idx != Header.NumRecords; ++Idx) {
     switch (LogRecordKind(R.u8())) {
     case LogRecordKind::Prelog: {
@@ -344,22 +345,33 @@ bool ppd::v2::skimSection(ByteReader R, std::vector<LogInterval> &Intervals,
       R.svarint();
       break;
     case LogRecordKind::SyncEvent: {
-      R.u8();      // sync kind
-      R.varint();  // object id
-      R.varint();  // stmt
+      SyncNode N;
+      N.Kind = SyncKind(R.u8());
+      N.Object = uint32_t(R.varint());
+      N.Stmt = stmtDecode(R.varint());
       R.svarint(); // value
-      R.svarint(); // seq delta
-      R.varint();  // partner distance
-      uint64_t NumRead = R.varint();
-      if (!R.plausibleCount(NumRead))
-        return false;
-      for (uint64_t I = 0; I != NumRead; ++I)
-        R.varint();
-      uint64_t NumWrite = R.varint();
-      if (!R.plausibleCount(NumWrite))
-        return false;
-      for (uint64_t I = 0; I != NumWrite; ++I)
-        R.varint();
+      N.Seq = PrevSeq + uint64_t(R.svarint());
+      PrevSeq = N.Seq;
+      uint64_t Partner = R.varint();
+      N.PartnerSeq = Partner == 0
+                         ? NoPartner
+                         : N.Seq - uint64_t(zigzagDecode(Partner >> 1));
+      N.RecordIdx = uint32_t(Idx);
+      // The READ ids, then the WRITE ids.
+      for (int Set = 0; Set != 2; ++Set) {
+        uint64_t Num = R.varint();
+        if (!R.plausibleCount(Num))
+          return false;
+        for (uint64_t I = 0; I != Num; ++I) {
+          uint32_t S = uint32_t(R.varint());
+          if (Sync)
+            Sync->Ids.push_back(S);
+        }
+        if (Sync)
+          Sync->endIds();
+      }
+      if (Sync)
+        Sync->Nodes.push_back(N);
       break;
     }
     case LogRecordKind::Stop:

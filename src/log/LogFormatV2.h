@@ -12,9 +12,9 @@
 ///     home of these functions);
 ///   * PageStore — the paged storage layer, which decodes one process
 ///     section at a time on buffer-pool fault-in and *skims* sections
-///     (record kinds and interval structure only, no body
-///     materialization) for index-only opens; an in-memory store
-///     encodes its image with the same writeLog that save uses.
+///     (interval structure and sync rows only, no body materialization)
+///     for index and graph builds; an in-memory store encodes its image
+///     with the same writeLog that save uses.
 ///
 /// Everything here is an internal interface of src/log: the layout is
 /// documented in DESIGN.md §7 and changes only with a format-version
@@ -69,13 +69,15 @@ bool decodeSection(ByteReader R, ProcessLog &P);
 
 /// Skims one v2 process section: walks the record stream reading only the
 /// fields interval construction needs (kind, e-block id, postlog flags)
-/// and builds the LogInterval tree directly. Record bodies — captured
-/// variable values, read/write sets — are skipped over, never
-/// materialized. Validates as strictly as decodeSection (full-section
-/// walk, prelog-count cross-check), but allocates only the interval
-/// vectors.
+/// and builds the LogInterval tree directly. Captured variable values are
+/// skipped over, never materialized. With a \p Sync sink, the same walk
+/// also appends each SyncEvent record's fields and READ/WRITE ids as one
+/// row — the parallel dynamic graph's input, collected without decoding
+/// a record; without one, those are skipped too. Validates as strictly
+/// as decodeSection (full-section walk, prelog-count cross-check), but
+/// allocates only the interval vectors and the rows.
 bool skimSection(ByteReader R, std::vector<LogInterval> &Intervals,
-                 std::vector<uint32_t> &Open);
+                 std::vector<uint32_t> &Open, SyncRows *Sync = nullptr);
 
 /// Output-stream codec (the trailer after the process sections).
 void writeOutput(LogWriter &W, const std::vector<OutputRecord> &Out);

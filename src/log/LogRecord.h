@@ -35,6 +35,7 @@
 #include "support/SmallVec.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,38 @@ struct LogRecord {
   /// Approximate on-disk size in bytes; the currency of experiment E2
   /// (incremental-log volume vs full-trace volume).
   size_t byteSize() const;
+};
+
+/// A SyncEvent record as the parallel dynamic graph keeps it (§6.1): one
+/// synchronization node, without the record's value or READ/WRITE ids.
+struct SyncNode {
+  SyncKind Kind = SyncKind::ProcStart;
+  uint32_t Object = 0;       ///< semaphore/channel/function id.
+  uint64_t Seq = 0;          ///< global sequence number.
+  uint64_t PartnerSeq = NoPartner;
+  StmtId Stmt = InvalidId;
+  uint32_t RecordIdx = 0;    ///< index of the record in the process log.
+};
+
+/// One process's SyncEvent records as flat rows, in record order: what a
+/// section skim collects (v2::skimSection) and a `.ppdb` sidecar stores.
+/// The READ/WRITE ids of all rows share one array.
+struct SyncRows {
+  std::vector<SyncNode> Nodes;
+  std::vector<uint32_t> Ids;
+  /// Row i's READ ids are Ids[IdsAt[2i], IdsAt[2i+1]) and its WRITE ids
+  /// Ids[IdsAt[2i+1], IdsAt[2i+2]).
+  std::vector<uint32_t> IdsAt{0};
+
+  std::span<const uint32_t> reads(size_t I) const {
+    return {Ids.data() + IdsAt[2 * I], Ids.data() + IdsAt[2 * I + 1]};
+  }
+  std::span<const uint32_t> writes(size_t I) const {
+    return {Ids.data() + IdsAt[2 * I + 1], Ids.data() + IdsAt[2 * I + 2]};
+  }
+  /// Closes the id run begun since the last call: a row's READ ids, then
+  /// its WRITE ids.
+  void endIds() { IdsAt.push_back(uint32_t(Ids.size())); }
 };
 
 /// The record stream of one process: arena-chunked, so appends during the

@@ -202,11 +202,12 @@ bool PageStore::decodeSection(uint32_t Pid, ProcessLog &P) const {
 }
 
 bool PageStore::skimIndex(uint32_t Pid, std::vector<LogInterval> &Intervals,
-                          std::vector<uint32_t> &Open) const {
+                          std::vector<uint32_t> &Open, SyncRows *Sync) const {
   std::vector<uint8_t> Buf;
   if (!readSection(Pid, Buf))
     return false;
-  if (v2::skimSection(ByteReader(Buf.data(), Buf.size()), Intervals, Open))
+  if (v2::skimSection(ByteReader(Buf.data(), Buf.size()), Intervals, Open,
+                      Sync))
     return true;
   markCorrupt("section " + std::to_string(Pid) + " does not decode");
   return false;

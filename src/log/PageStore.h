@@ -110,10 +110,11 @@ public:
   bool decodeSection(uint32_t Pid, ProcessLog &P) const;
 
   /// Builds process \p Pid's interval tree straight from the encoded
-  /// bytes (v2::skimSection): record bodies are never materialized. Fails
-  /// like decodeSection.
+  /// bytes (v2::skimSection): record bodies are never materialized. With
+  /// \p Sync, the same pass collects the section's sync rows. Fails like
+  /// decodeSection.
   bool skimIndex(uint32_t Pid, std::vector<LogInterval> &Intervals,
-                 std::vector<uint32_t> &Open) const;
+                 std::vector<uint32_t> &Open, SyncRows *Sync = nullptr) const;
 
   /// True once any read, skim or decode failed, or a consumer reported
   /// the decoded records corrupt (markCorrupt()). Sticky: a failed store

@@ -79,6 +79,18 @@ bool readIdVec(ByteReader &R, std::vector<uint32_t> &V) {
   return R.ok();
 }
 
+/// The persisted index's row check, applied by the writer and the reader
+/// alike: interval \p I's records lie inside the section's \p NumRecords,
+/// its parent comes earlier in the table, and its e-block is one of the
+/// program's.
+bool intervalValid(const LogInterval &Iv, uint64_t I, uint64_t NumRecords,
+                   const CompiledProgram &Prog) {
+  return Iv.PrelogRecord < NumRecords &&
+         (Iv.PostlogRecord == InvalidId || Iv.PostlogRecord < NumRecords) &&
+         (Iv.Parent == InvalidId || Iv.Parent < I) &&
+         Iv.EBlock < Prog.EBlocks.size();
+}
+
 } // namespace
 
 std::string ppd::programDbPathFor(const std::string &LogPath) {
@@ -189,6 +201,11 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
     const std::vector<LogInterval> &Ivs = Index.intervals(Pid);
     W.varint(Ivs.size());
     for (const LogInterval &Iv : Ivs) {
+      if (!intervalValid(Iv, Iv.Index, Store.section(Pid).NumRecords, Prog)) {
+        Store.markCorrupt("section " + std::to_string(Pid) +
+                          ": an interval does not fit the program");
+        return false;
+      }
       W.varint(Iv.EBlock);
       W.varint(Iv.PrelogRecord);
       W.varint(idCode(Iv.PostlogRecord));
@@ -202,24 +219,21 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
   // The persisted parallel dynamic graph (§6): per-process sync-node
   // rows and internal-edge READ/WRITE sets. Clocks and the seq lookup
   // are recomputed on adoption, so only what construction read from the
-  // records is stored. Building it here (when the caller has none)
-  // decodes sections one at a time — preparatory-phase cost, paid so a
-  // warm open never scans record streams at all.
+  // records is stored. Building it here (when the caller has none) takes
+  // the rows from a skim of each section — no record is decoded — so a
+  // warm open never scans record streams at all. Either way the rows
+  // pass the check the reader applies, so what is written reads back.
+  const uint32_t NumStmts = Prog.Ast->numStmts();
   std::unique_ptr<ParallelDynamicGraph> Built;
   if (!Graph) {
-    Built = std::make_unique<ParallelDynamicGraph>(
-        Prog.Symbols->NumSharedVars, Store.numProcs());
-    for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
-      ProcessLog PL;
-      if (!Store.decodeSection(Pid, PL))
-        return false;
-      Built->addProcess(Pid, PL);
-    }
-    if (!Built->finalize()) {
-      Store.markCorrupt("sync records are inconsistent");
+    Built = ParallelDynamicGraph::fromStore(
+        Store, Prog.Symbols->NumSharedVars, NumStmts);
+    if (!Built)
       return false;
-    }
     Graph = Built.get();
+  } else if (!Graph->rowsValid(NumStmts, Store)) {
+    Store.markCorrupt("sync records are inconsistent");
+    return false;
   }
   // A failed store's index may be missing sections (LogIndex leaves a
   // failed skim's tables empty); never persist it.
@@ -236,10 +250,11 @@ bool ppd::writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
       W.varint(idCode(N.Stmt));
       W.varint(N.RecordIdx);
     }
-    for (const InternalEdge &E : Graph->edges(Pid)) {
-      writeIdVec(W, E.Reads.toVector());
-      writeIdVec(W, E.Writes.toVector());
-    }
+    for (const InternalEdge &E : Graph->edges(Pid))
+      for (VarSetView Set : {E.Reads, E.Writes}) {
+        W.varint(Set.size());
+        Set.forEach([&](unsigned S) { W.varint(S); });
+      }
   }
 
   // Atomic publish: a reader never sees a half-written sidecar.
@@ -369,12 +384,7 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       Iv.Parent = idDecode(R.varint());
       Iv.Depth = uint32_t(R.varint());
       Iv.ExitsFunction = R.u8() != 0;
-      if (!R.ok())
-        return ProgramDbStatus::Corrupt;
-      if (Iv.PrelogRecord >= NumRecords ||
-          (Iv.PostlogRecord != InvalidId && Iv.PostlogRecord >= NumRecords) ||
-          (Iv.Parent != InvalidId && Iv.Parent >= I) ||
-          Iv.EBlock >= Prog.EBlocks.size())
+      if (!R.ok() || !intervalValid(Iv, I, NumRecords, Prog))
         return ProgramDbStatus::Corrupt;
     }
     if (!readIdVec(R, Open[Pid]))
@@ -383,70 +393,49 @@ ppd::readProgramDb(const std::string &Path, const CompiledProgram &Prog,
       if (Idx >= Intervals[Pid].size())
         return ProgramDbStatus::Corrupt;
   }
-  // The persisted parallel dynamic graph. Row bounds are enforced here,
-  // in the decode loop — kind range, statement ids inside the program,
-  // record index inside the section and ascending, shared ids inside the
-  // program's shared segment; finalize() checks the sequence numbers
-  // (distinct, dense, partners earlier) in the passes it makes anyway.
+  // The persisted parallel dynamic graph, read into sync rows and adopted.
+  // The rows pass the same check the writer applied (rowsValid: kind
+  // range, statements inside the program, record indices inside the
+  // section and ascending, shared ids inside the shared segment);
+  // finalize() checks the sequence numbers (distinct, dense, partners
+  // earlier) in the passes it makes anyway.
   uint32_t NumShared = Prog.Symbols->NumSharedVars;
-  std::vector<std::vector<SyncNode>> GNodes(Store.numProcs());
-  std::vector<std::vector<InternalEdge>> GEdges(Store.numProcs());
+  auto PG = std::make_shared<ParallelDynamicGraph>(NumShared,
+                                                   Store.numProcs());
   for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
-    uint64_t NumRecords = Store.section(Pid).NumRecords;
     uint64_t NumNodes = R.varint();
-    if (!R.plausibleCount(NumNodes) || NumNodes > NumRecords)
+    if (!R.plausibleCount(NumNodes) ||
+        NumNodes > Store.section(Pid).NumRecords)
       return ProgramDbStatus::Corrupt;
-    GNodes[Pid].resize(NumNodes);
-    for (uint64_t I = 0; I != NumNodes; ++I) {
-      SyncNode &N = GNodes[Pid][I];
-      uint8_t Kind = R.u8();
-      N.Kind = SyncKind(Kind);
+    SyncRows Rows;
+    Rows.Nodes.resize(NumNodes);
+    for (SyncNode &N : Rows.Nodes) {
+      N.Kind = SyncKind(R.u8());
       N.Object = uint32_t(R.varint());
       N.Seq = R.varint();
       uint64_t Partner = R.varint();
       N.PartnerSeq = Partner == 0 ? NoPartner : Partner - 1;
       N.Stmt = idDecode(R.varint());
       N.RecordIdx = uint32_t(R.varint());
-      if (!R.ok())
-        return ProgramDbStatus::Corrupt;
-      // Node records ascend, which the graph's binary searches rely on.
-      if (Kind > uint8_t(SyncKind::Stopped) || N.RecordIdx >= NumRecords ||
-          (N.Stmt != InvalidId && !Prog.isStmt(N.Stmt)) ||
-          (I != 0 && N.RecordIdx <= GNodes[Pid][I - 1].RecordIdx))
-        return ProgramDbStatus::Corrupt;
     }
-    if (NumNodes != 0)
-      GEdges[Pid].resize(NumNodes - 1);
-    for (uint64_t I = 0; I + 1 < NumNodes; ++I) {
-      InternalEdge &E = GEdges[Pid][I];
-      E.Pid = Pid;
-      E.EndNode = uint32_t(I + 1);
-      E.Reads.reserveFor(NumShared);
-      E.Writes.reserveFor(NumShared);
-      if (!readIdVec(R, Ids))
-        return ProgramDbStatus::Corrupt;
-      for (uint32_t S : Ids) {
-        if (S >= NumShared)
+    // The first node starts no edge: its READ/WRITE runs are empty.
+    Rows.IdsAt.assign(NumNodes ? 3 : 1, 0);
+    for (uint64_t I = 1; I < NumNodes; ++I)
+      for (int Set = 0; Set != 2; ++Set) {
+        uint64_t Num = R.varint();
+        if (!R.plausibleCount(Num))
           return ProgramDbStatus::Corrupt;
-        E.Reads.insert(S);
+        for (uint64_t K = 0; K != Num; ++K)
+          Rows.Ids.push_back(uint32_t(R.varint()));
+        Rows.endIds();
       }
-      if (!readIdVec(R, Ids))
-        return ProgramDbStatus::Corrupt;
-      for (uint32_t S : Ids) {
-        if (S >= NumShared)
-          return ProgramDbStatus::Corrupt;
-        E.Writes.insert(S);
-      }
-    }
+    if (!R.ok())
+      return ProgramDbStatus::Corrupt;
+    PG->adoptProcess(Pid, std::move(Rows));
   }
   if (!R.ok() || !R.atEnd())
     return ProgramDbStatus::Corrupt;
-
-  auto PG = std::make_shared<ParallelDynamicGraph>(NumShared,
-                                                   Store.numProcs());
-  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid)
-    PG->adoptProcess(Pid, std::move(GNodes[Pid]), std::move(GEdges[Pid]));
-  if (!PG->finalize())
+  if (!PG->rowsValid(Prog.Ast->numStmts(), Store) || !PG->finalize())
     return ProgramDbStatus::Corrupt;
   if (GraphOut)
     *GraphOut = std::move(PG);

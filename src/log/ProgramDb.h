@@ -18,11 +18,14 @@
 /// extents, keying the sidecar to one exact log file); the full
 /// per-process LogIndex; and the parallel dynamic graph's node and
 /// edge rows (§6 — constructing it is the one remaining operation that
-/// scans every process's records, so persisting it is what makes a warm
-/// open's cost independent of log size). On a warm open, the paged
-/// debug path skips the whole-log decode, the index build/skim, *and*
-/// the graph construction — open cost becomes "read sidecar, validate,
-/// go", and the first query faults in only the sections it replays.
+/// reads every process's section, so persisting it is what makes a warm
+/// open's cost independent of log size). The writer takes those rows
+/// from the same skim that builds the index, never decoding a record,
+/// and checks them as the reader will, so a sidecar it writes is one the
+/// reader accepts. On a warm open, the paged debug path skips the index
+/// skim *and* the graph construction — open cost becomes "read sidecar,
+/// validate, go", and the first query faults in only the sections it
+/// replays.
 ///
 /// The codec reuses the bounds-checked LogIO primitives, so a truncated
 /// or bit-flipped sidecar is detected at every byte offset and reported
@@ -70,9 +73,12 @@ const char *programDbStatusName(ProgramDbStatus Status);
 
 /// Writes the sidecar for (\p Prog, \p Store, \p Index) to \p Path
 /// atomically (temp file + rename). \p Graph is the parallel dynamic
-/// graph to persist; pass null to have it built here by decoding the
-/// store's sections one at a time (preparatory-phase cost — peak memory
-/// is one section). False on I/O failure or a corrupt section.
+/// graph to persist; pass null to have it built here from the sync rows
+/// of one skim per section (ParallelDynamicGraph::fromStore — no record
+/// is decoded; peak memory is one section's bytes plus the graph). The
+/// index and graph rows pass the reader's row checks first. False on
+/// I/O failure, a corrupt section, or rows the reader would reject; the
+/// last two also mark the store failed.
 bool writeProgramDb(const std::string &Path, const CompiledProgram &Prog,
                     const PageStore &Store, const LogIndex &Index,
                     const ParallelDynamicGraph *Graph = nullptr);

@@ -8,6 +8,7 @@
 
 #include "lang/Ast.h"
 #include "lang/AstPrinter.h"
+#include "log/PageStore.h"
 #include "support/DotWriter.h"
 
 #include <algorithm>
@@ -17,16 +18,15 @@ using namespace ppd;
 
 ParallelDynamicGraph::ParallelDynamicGraph(unsigned NumSharedVars,
                                            uint32_t NumProcs)
-    : NumShared(NumSharedVars) {
-  Nodes.resize(NumProcs);
-  Edges.resize(NumProcs);
-}
+    : Nodes(NumProcs), Clocks(NumProcs), Clocked(NumProcs, 0),
+      EdgeWords(NumProcs), SetWords((NumSharedVars + 63) / 64),
+      NumShared(NumSharedVars) {}
 
 ParallelDynamicGraph::ParallelDynamicGraph(const ExecutionLog &Log,
                                            unsigned NumSharedVars)
     : ParallelDynamicGraph(NumSharedVars, uint32_t(Log.Procs.size())) {
   for (uint32_t Pid = 0; Pid != Log.Procs.size(); ++Pid)
-    addProcess(Pid, Log.Procs[Pid]);
+    appendProcess(Pid, Log.Procs[Pid], 0);
   // A log recorded by a run is well formed by construction; logs from
   // files that may be corrupt take the paged path, whose callers check
   // finalize().
@@ -35,10 +35,63 @@ ParallelDynamicGraph::ParallelDynamicGraph(const ExecutionLog &Log,
   (void)Ok;
 }
 
-void ParallelDynamicGraph::addProcess(uint32_t Pid, const ProcessLog &PL) {
-  assert(Pid < Nodes.size() && "pid out of range");
-  assert(Nodes[Pid].empty() && "process added twice");
-  appendProcess(Pid, PL, 0);
+std::unique_ptr<ParallelDynamicGraph>
+ParallelDynamicGraph::fromStore(const PageStore &Store,
+                                unsigned NumSharedVars, uint32_t NumStmts) {
+  auto PG = std::make_unique<ParallelDynamicGraph>(NumSharedVars,
+                                                   Store.numProcs());
+  std::vector<LogInterval> Intervals;
+  std::vector<uint32_t> Open;
+  for (uint32_t Pid = 0; Pid != Store.numProcs(); ++Pid) {
+    SyncRows Rows;
+    Intervals.clear();
+    Open.clear();
+    if (!Store.skimIndex(Pid, Intervals, Open, &Rows))
+      return nullptr;
+    PG->adoptProcess(Pid, std::move(Rows));
+  }
+  if (!PG->rowsValid(NumStmts, Store) || !PG->finalize()) {
+    Store.markCorrupt("sync records are inconsistent");
+    return nullptr;
+  }
+  return PG;
+}
+
+bool ParallelDynamicGraph::rowsValid(uint32_t NumStmts,
+                                     const PageStore &Store) const {
+  if (Malformed || Store.numProcs() != Nodes.size())
+    return false;
+  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid) {
+    const uint64_t NumRecords = Store.section(Pid).NumRecords;
+    uint64_t Next = 0; // the least record index the next node may have
+    for (const SyncNode &N : Nodes[Pid]) {
+      // Node records ascend, which the graph's binary searches rely on.
+      if (uint8_t(N.Kind) > uint8_t(SyncKind::Stopped) ||
+          (N.Stmt != InvalidId && N.Stmt >= NumStmts) ||
+          N.RecordIdx < Next || N.RecordIdx >= NumRecords)
+        return false;
+      Next = uint64_t(N.RecordIdx) + 1;
+    }
+  }
+  return true;
+}
+
+uint64_t *ParallelDynamicGraph::appendEdge(uint32_t Pid) {
+  std::vector<uint64_t> &Words = EdgeWords[Pid];
+  Words.resize(Words.size() + 2 * size_t(SetWords), 0);
+  return Words.data() + Words.size() - 2 * size_t(SetWords);
+}
+
+void ParallelDynamicGraph::insertIds(uint64_t *Words,
+                                     std::span<const uint32_t> Ids) {
+  // Shared ids past the program's shared segment cannot come from a real
+  // run; they mark the graph malformed (finalize() reports it) instead of
+  // sizing sets and indexes by hostile values.
+  for (uint32_t S : Ids)
+    if (S < NumShared)
+      Words[S / 64] |= uint64_t(1) << (S % 64);
+    else
+      Malformed = true;
 }
 
 void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
@@ -46,87 +99,74 @@ void ParallelDynamicGraph::appendProcess(uint32_t Pid, const ProcessLog &PL,
   assert(Pid <= Nodes.size() && "pid out of range");
   if (Pid == Nodes.size()) {
     Nodes.emplace_back();
-    Edges.emplace_back();
+    Clocks.emplace_back();
+    Clocked.push_back(0);
+    EdgeWords.emplace_back();
   }
-  // Collect the process's sync nodes and internal edges. Shared ids past
-  // the program's shared segment cannot come from a real run; they mark
-  // the graph malformed (finalize() reports it) instead of sizing sets
-  // and indexes by hostile values.
+  // Collect the process's sync nodes and internal edges.
   for (uint32_t Idx = FromRecord; Idx < PL.Records.size(); ++Idx) {
     const LogRecord &R = PL.Records[Idx];
     if (R.Kind != LogRecordKind::SyncEvent)
       continue;
-    SyncNode N;
-    N.Kind = R.Sync;
-    N.Object = R.Id;
-    N.Seq = R.Seq;
-    N.PartnerSeq = R.PartnerSeq;
-    N.Stmt = R.Stmt;
-    N.RecordIdx = Idx;
-
     if (!Nodes[Pid].empty()) {
-      InternalEdge E;
-      E.Pid = Pid;
-      E.EndNode = uint32_t(Nodes[Pid].size());
-      // Pre-size to the shared segment so the insert loops never
-      // reallocate.
-      E.Reads.reserveFor(NumShared);
-      E.Writes.reserveFor(NumShared);
-      for (uint32_t S : R.ReadSet)
-        if (S < NumShared)
-          E.Reads.insert(S);
-        else
-          Malformed = true;
-      for (uint32_t S : R.WriteSet)
-        if (S < NumShared)
-          E.Writes.insert(S);
-        else
-          Malformed = true;
-      Edges[Pid].push_back(std::move(E));
+      uint64_t *Words = appendEdge(Pid);
+      insertIds(Words, {R.ReadSet.begin(), R.ReadSet.end()});
+      insertIds(Words + SetWords, {R.WriteSet.begin(), R.WriteSet.end()});
     }
-    Nodes[Pid].push_back(std::move(N));
+    Nodes[Pid].push_back(
+        {R.Sync, R.Id, R.Seq, R.PartnerSeq, R.Stmt, Idx});
   }
 }
 
-void ParallelDynamicGraph::adoptProcess(uint32_t Pid,
-                                        std::vector<SyncNode> ProcNodes,
-                                        std::vector<InternalEdge> ProcEdges) {
+void ParallelDynamicGraph::adoptProcess(uint32_t Pid, SyncRows Rows) {
   assert(Pid < Nodes.size() && "pid out of range");
   assert(Nodes[Pid].empty() && "process added twice");
-  assert((ProcNodes.empty() ? ProcEdges.empty()
-                            : ProcEdges.size() == ProcNodes.size() - 1) &&
-         "edge i must end at node i+1");
-  Nodes[Pid] = std::move(ProcNodes);
-  Edges[Pid] = std::move(ProcEdges);
+  assert(Rows.IdsAt.size() == 2 * Rows.Nodes.size() + 1 &&
+         "every row closes its READ and WRITE ids");
+  Nodes[Pid] = std::move(Rows.Nodes);
+  EdgeWords[Pid].assign(size_t(numEdges(Pid)) * 2 * SetWords, 0);
+  for (uint32_t I = 1; I < Nodes[Pid].size(); ++I) {
+    uint64_t *Words =
+        EdgeWords[Pid].data() + size_t(I - 1) * 2 * SetWords;
+    insertIds(Words, Rows.reads(I));
+    insertIds(Words + SetWords, Rows.writes(I));
+  }
 }
 
 bool ParallelDynamicGraph::finalize() {
-  // A batch build is one tail round over a graph with nothing finalized:
-  // every node's clock is still empty.
+  // A batch build is one tail round over a graph with nothing finalized.
   BySeq.clear();
   FinalizeWatermark = 0;
+  std::fill(Clocked.begin(), Clocked.end(), 0);
   return finalizeTail();
 }
 
 bool ParallelDynamicGraph::finalizeTail() {
   if (Malformed)
     return false;
-  // Zero-extend already-finalized clocks when streaming grew the process
-  // count: component p stays 0 for old nodes because none of a
-  // later-arriving process's nodes can happen-before a node sealed in an
-  // earlier cut. Count the appended nodes (empty clock) on the way.
+  const uint32_t P = uint32_t(Nodes.size());
+  // Re-stride the clock matrices when streaming grew the process count,
+  // zero-extending finalized clocks: component p stays 0 for old nodes
+  // because none of a later-arriving process's nodes can happen-before a
+  // node sealed in an earlier cut.
+  if (ClockStride != P) {
+    for (uint32_t Pid = 0; Pid != P; ++Pid) {
+      std::vector<uint32_t> Wide(size_t(Clocked[Pid]) * P, 0);
+      for (uint32_t I = 0; I != Clocked[Pid]; ++I)
+        std::copy_n(Clocks[Pid].data() + size_t(I) * ClockStride,
+                    ClockStride, Wide.data() + size_t(I) * P);
+      Clocks[Pid] = std::move(Wide);
+    }
+    ClockStride = P;
+  }
+  // Count the appended nodes (no clock yet).
   uint64_t NumNew = 0;
   uint64_t MaxSeq = 0;
-  for (std::vector<SyncNode> &ProcNodes : Nodes)
-    for (SyncNode &N : ProcNodes) {
-      if (!N.Clock.empty()) {
-        if (N.Clock.size() < Nodes.size())
-          N.Clock.resize(Nodes.size(), 0);
-        continue;
-      }
-      ++NumNew;
-      MaxSeq = std::max(MaxSeq, N.Seq);
-    }
+  for (uint32_t Pid = 0; Pid != P; ++Pid) {
+    NumNew += Nodes[Pid].size() - Clocked[Pid];
+    for (size_t I = Clocked[Pid]; I != Nodes[Pid].size(); ++I)
+      MaxSeq = std::max(MaxSeq, Nodes[Pid][I].Seq);
+  }
   if (NumNew == 0) {
     buildIndexes();
     return true;
@@ -139,40 +179,43 @@ bool ParallelDynamicGraph::finalizeTail() {
   if (MaxSeq < FinalizeWatermark || MaxSeq - FinalizeWatermark >= NumNew)
     return false;
   BySeq.resize(size_t(MaxSeq) + 1);
-  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
-    for (uint32_t Idx = 0; Idx != Nodes[Pid].size(); ++Idx) {
+  for (uint32_t Pid = 0; Pid != P; ++Pid) {
+    for (uint32_t Idx = Clocked[Pid]; Idx != Nodes[Pid].size(); ++Idx) {
       const SyncNode &N = Nodes[Pid][Idx];
-      if (!N.Clock.empty())
-        continue;
       if (N.Seq < FinalizeWatermark || BySeq[N.Seq].valid())
         return false;
       BySeq[N.Seq] = {Pid, Idx};
     }
+    Clocks[Pid].resize(Nodes[Pid].size() * size_t(P), 0);
+  }
 
   // Vector clocks, processed in global seq order — a topological order of
   // the graph, since every synchronization edge goes from a lower to a
   // higher sequence number (checked here: a partner must precede its
   // dependent). Every predecessor (previous node of the process, partner)
-  // is either below the watermark — finalized in an earlier round,
-  // zero-extended above — or earlier in this walk.
+  // is either below the watermark — finalized in an earlier round — or
+  // earlier in this walk.
   for (uint64_t S = FinalizeWatermark; S < BySeq.size(); ++S) {
     const SyncNodeRef Ref = BySeq[S];
-    SyncNode &N = Nodes[Ref.Pid][Ref.Index];
+    const SyncNode &N = Nodes[Ref.Pid][Ref.Index];
     if (N.PartnerSeq != NoPartner && N.PartnerSeq >= N.Seq)
       return false;
-    if (Ref.Index > 0 && Nodes[Ref.Pid][Ref.Index - 1].Clock.empty())
+    if (Ref.Index != Clocked[Ref.Pid])
       return false; // program order disagrees with the global order
-    N.Clock.assign(Nodes.size(), 0);
-    if (Ref.Index > 0) {
-      const SyncNode &Prev = Nodes[Ref.Pid][Ref.Index - 1];
-      std::copy(Prev.Clock.begin(), Prev.Clock.end(), N.Clock.begin());
-    }
+    uint32_t *Clock = Clocks[Ref.Pid].data() + size_t(Ref.Index) * P;
+    if (Ref.Index > 0)
+      std::copy_n(Clock - P, P, Clock);
+    else
+      std::fill_n(Clock, P, 0);
     if (N.PartnerSeq != NoPartner) {
-      const SyncNode &Partner = node(BySeq[N.PartnerSeq]);
-      for (size_t I = 0; I != Partner.Clock.size(); ++I)
-        N.Clock[I] = std::max(N.Clock[I], Partner.Clock[I]);
+      const SyncNodeRef Partner = BySeq[N.PartnerSeq];
+      const uint32_t *From =
+          Clocks[Partner.Pid].data() + size_t(Partner.Index) * P;
+      for (uint32_t I = 0; I != P; ++I)
+        Clock[I] = std::max(Clock[I], From[I]);
     }
-    N.Clock[Ref.Pid] = Ref.Index + 1;
+    Clock[Ref.Pid] = Ref.Index + 1;
+    ++Clocked[Ref.Pid];
   }
   FinalizeWatermark = BySeq.size();
   buildIndexes();
@@ -207,7 +250,7 @@ void ParallelDynamicGraph::buildIndexes() {
   const size_t P = Nodes.size();
   WritersAt.assign(size_t(NumShared) * P + 1, 0);
   for (uint32_t Pid = 0; Pid != P; ++Pid)
-    for (const InternalEdge &E : Edges[Pid])
+    for (const InternalEdge &E : edges(Pid))
       E.Writes.forEach([&](unsigned S) {
         if ((size_t(S) + 1) * P + 1 > WritersAt.size())
           WritersAt.resize((size_t(S) + 1) * P + 1, 0);
@@ -218,15 +261,15 @@ void ParallelDynamicGraph::buildIndexes() {
   WriterEnds.resize(WritersAt.back());
   std::vector<uint32_t> Fill(WritersAt.begin(), WritersAt.end() - 1);
   for (uint32_t Pid = 0; Pid != P; ++Pid)
-    for (const InternalEdge &E : Edges[Pid])
+    for (const InternalEdge &E : edges(Pid))
       E.Writes.forEach(
           [&](unsigned S) { WriterEnds[Fill[S * P + Pid]++] = E.EndNode; });
 }
 
 std::vector<EdgeRef> ParallelDynamicGraph::allEdges() const {
   std::vector<EdgeRef> Out;
-  for (uint32_t Pid = 0; Pid != Edges.size(); ++Pid)
-    for (uint32_t I = 0; I != Edges[Pid].size(); ++I)
+  for (uint32_t Pid = 0; Pid != Nodes.size(); ++Pid)
+    for (uint32_t I = 0; I != numEdges(Pid); ++I)
       Out.push_back({Pid, I + 1});
   return Out;
 }
@@ -243,7 +286,7 @@ bool ParallelDynamicGraph::happensBefore(SyncNodeRef A, SyncNodeRef B) const {
     return false;
   // A → B iff B's clock covers A in A's own process: the clock component
   // VC[p] counts how many of p's nodes happen-before-or-equal the owner.
-  return node(B).Clock[A.Pid] >= A.Index + 1;
+  return clockAt(B.Pid, B.Index, A.Pid) >= A.Index + 1;
 }
 
 bool ParallelDynamicGraph::edgeHappensBefore(EdgeRef A, EdgeRef B) const {
@@ -323,14 +366,13 @@ ParallelDynamicGraph::simultaneousWindow(EdgeRef Edge, uint32_t Pid,
                                          Window From,
                                          const uint32_t *End) const {
   // (Pid, k) → Edge iff start(Edge)'s clock covers node k.
-  const uint32_t Covered = Nodes[Edge.Pid][Edge.EndNode - 1].Clock[Pid];
+  const uint32_t Covered = clockAt(Edge.Pid, Edge.EndNode - 1, Pid);
   const uint32_t *Lo =
       gallop(From.Lo, End, [&](uint32_t K) { return K < Covered; });
   // Edge → (Pid, k) iff start(k)'s clock covers Edge's end node. Nothing
   // before Lo is ordered after Edge, so the search may start at Lo.
-  const std::vector<SyncNode> &ProcNodes = Nodes[Pid];
   const uint32_t *Hi = gallop(std::max(Lo, From.Hi), End, [&](uint32_t K) {
-    return ProcNodes[K - 1].Clock[Edge.Pid] <= Edge.EndNode;
+    return clockAt(Pid, K - 1, Edge.Pid) <= Edge.EndNode;
   });
   return {Lo, Hi};
 }
@@ -397,7 +439,7 @@ std::string ParallelDynamicGraph::dot(const Program &P) const {
         Label += "\n" + AstPrinter::summarize(*P.stmt(N.Stmt));
       W.node(NodeId(Pid, Idx), Label, {"shape=circle"});
       if (Idx > 0) {
-        const InternalEdge &E = Edges[Pid][Idx - 1];
+        const InternalEdge E = edge({Pid, Idx});
         std::string Attr = "style=bold";
         std::string EdgeLabel;
         if (!E.Reads.empty())

@@ -19,6 +19,11 @@
 /// shared READ/WRITE sets recorded at execution time (Def 6.2), the inputs
 /// to race detection (Defs 6.3/6.4).
 ///
+/// Storage is flat, per process: the node rows, one clock matrix (a row
+/// per node) and one word arena holding every edge's two sets, so
+/// building, adopting and finalizing do no per-node or per-edge heap
+/// work. Clocks and sets are read through clock() and the edge views.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PPD_PARDYN_PARALLELDYNAMICGRAPH_H
@@ -27,13 +32,15 @@
 #include "log/ExecutionLog.h"
 #include "support/VarSet.h"
 
+#include <memory>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace ppd {
 
-class SymbolTable;
+class PageStore;
 class Program;
 
 /// Identifies a synchronization node: process + position in that process's
@@ -48,25 +55,15 @@ struct SyncNodeRef {
   }
 };
 
-struct SyncNode {
-  SyncKind Kind = SyncKind::ProcStart;
-  uint32_t Object = 0;       ///< semaphore/channel/function id.
-  uint64_t Seq = 0;          ///< global sequence number.
-  uint64_t PartnerSeq = NoPartner;
-  StmtId Stmt = InvalidId;
-  uint32_t RecordIdx = 0;    ///< index of the record in the process log.
-  /// Vector clock: VC[p] = number of p's sync nodes that happen-before or
-  /// equal this node.
-  std::vector<uint32_t> Clock;
-};
-
-/// The internal edge ending at node Index of process Pid (Index >= 1; the
-/// edge's start node is Index-1).
+/// The internal edge ending at node EndNode of process Pid (EndNode >= 1;
+/// the edge's start node is EndNode-1), as the graph hands it out: its
+/// READ/WRITE sets are views of the graph's word arena, valid while the
+/// graph is not extended.
 struct InternalEdge {
   uint32_t Pid = 0;
   uint32_t EndNode = 0;
-  BitVarSet Reads;  ///< SharedIndex bits (Def 6.2 READ_SET).
-  BitVarSet Writes; ///< SharedIndex bits (WRITE_SET).
+  VarSetView Reads;  ///< SharedIndex bits (Def 6.2 READ_SET).
+  VarSetView Writes; ///< SharedIndex bits (WRITE_SET).
 };
 
 /// Identifies an internal edge: (pid, end-node index).
@@ -84,11 +81,10 @@ class ParallelDynamicGraph {
 public:
   ParallelDynamicGraph(const ExecutionLog &Log, unsigned NumSharedVars);
 
-  /// Incremental construction, for callers that materialize one process's
-  /// records at a time (the paged controller pins sections through a
-  /// buffer pool and never holds the whole log): construct with the
-  /// process count, addProcess() each section in any order, finalize()
-  /// once. The finished graph is identical to the whole-log constructor's.
+  /// Incremental construction, for callers that hold one process's rows
+  /// at a time: construct with the process count, adoptProcess() each
+  /// process in any order, finalize() once. The finished graph is
+  /// identical to the whole-log constructor's.
   ///
   /// finalize() is also where records read back from disk are checked
   /// before any clock is computed over them, in the passes it makes
@@ -98,17 +94,32 @@ public:
   /// shared segment. False means the records are inconsistent and the
   /// graph is unusable.
   ParallelDynamicGraph(unsigned NumSharedVars, uint32_t NumProcs);
-  void addProcess(uint32_t Pid, const ProcessLog &PL);
   [[nodiscard]] bool finalize();
 
-  /// Deserialization path (the `.ppdb` sidecar persists the graph so a
-  /// warm open never scans record streams): install one process's
-  /// pre-extracted node and edge rows verbatim, then finalize() once.
-  /// Rows carry only what addProcess reads from sync records — Clock and
-  /// the seq lookup are recomputed by finalize(). Edge i must end at
-  /// node i+1, the invariant addProcess establishes.
-  void adoptProcess(uint32_t Pid, std::vector<SyncNode> ProcNodes,
-                    std::vector<InternalEdge> ProcEdges);
+  /// Row construction: installs one process's sync rows — skimmed from
+  /// its section or read from a `.ppdb` sidecar — moving the node rows
+  /// in and packing the READ/WRITE ids of every row after the first into
+  /// the word arena (the first node starts no edge, so its ids are
+  /// ignored, as appendProcess ignores them). Clocks and the seq lookup
+  /// are computed by finalize().
+  void adoptProcess(uint32_t Pid, SyncRows Rows);
+
+  /// The graph of \p Store's log, built from the sync rows each section's
+  /// skim collects: no record is decoded and no section goes through a
+  /// buffer pool. The rows pass rowsValid() against a program of
+  /// \p NumStmts statements, then finalize(). Null — with the store
+  /// marked failed — when a section does not skim or a check fails.
+  static std::unique_ptr<ParallelDynamicGraph>
+  fromStore(const PageStore &Store, unsigned NumSharedVars,
+            uint32_t NumStmts);
+
+  /// The row check for rows that did not come from this run (a file, a
+  /// sidecar, a store image): every node kind is a SyncKind, every
+  /// statement one of the program's \p NumStmts (or none), record
+  /// indices ascend inside \p Store's section record counts, and no
+  /// READ/WRITE id lies past the shared segment. finalize() checks the
+  /// sequence numbers.
+  bool rowsValid(uint32_t NumStmts, const PageStore &Store) const;
 
   /// Streamed-ingest construction: extends process \p Pid with the sync
   /// records in \p PL starting at record \p FromRecord, then
@@ -131,11 +142,24 @@ public:
   const SyncNode &node(SyncNodeRef Ref) const {
     return Nodes[Ref.Pid][Ref.Index];
   }
-  const std::vector<InternalEdge> &edges(uint32_t Pid) const {
-    return Edges[Pid];
+  /// Vector clock of a finalized node: VC[p] is the number of p's sync
+  /// nodes that happen-before or equal it. One row of the process's
+  /// clock matrix, numProcs() entries.
+  std::span<const uint32_t> clock(SyncNodeRef Ref) const {
+    return {Clocks[Ref.Pid].data() + size_t(Ref.Index) * ClockStride,
+            Nodes.size()};
   }
-  const InternalEdge &edge(EdgeRef Ref) const {
-    return Edges[Ref.Pid][Ref.EndNode - 1];
+  /// Process \p Pid's internal edges in end-node order, as values.
+  auto edges(uint32_t Pid) const {
+    return std::views::iota(1u, numEdges(Pid) + 1) |
+           std::views::transform(
+               [this, Pid](uint32_t End) { return edge({Pid, End}); });
+  }
+  InternalEdge edge(EdgeRef Ref) const {
+    const uint64_t *Words = EdgeWords[Ref.Pid].data() +
+                            size_t(Ref.EndNode - 1) * 2 * SetWords;
+    return {Ref.Pid, Ref.EndNode, VarSetView(Words, SetWords),
+            VarSetView(Words + SetWords, SetWords)};
   }
   /// All internal edges of all processes.
   std::vector<EdgeRef> allEdges() const;
@@ -228,13 +252,36 @@ public:
   std::string dot(const Program &P) const;
 
 private:
-  /// Rebuilds the derived query indexes below from Nodes/Edges/BySeq; run
+  /// Rebuilds the derived query indexes below from the rows and BySeq; run
   /// at the end of finalize() and finalizeTail(). Never persisted.
   void buildIndexes();
+  /// Appends process \p Pid's next edge, its sets zero.
+  uint64_t *appendEdge(uint32_t Pid);
+  /// Sets \p Ids in the set at \p Words; an id past the shared segment
+  /// marks the graph malformed instead.
+  void insertIds(uint64_t *Words, std::span<const uint32_t> Ids);
+  uint32_t numEdges(uint32_t Pid) const {
+    return Nodes[Pid].empty() ? 0 : uint32_t(Nodes[Pid].size() - 1);
+  }
+  /// Clock entry \p Of of node \p Index of process \p Pid.
+  uint32_t clockAt(uint32_t Pid, uint32_t Index, uint32_t Of) const {
+    return Clocks[Pid][size_t(Index) * ClockStride + Of];
+  }
 
-  std::vector<std::vector<SyncNode>> Nodes;     ///< per pid.
-  std::vector<std::vector<InternalEdge>> Edges; ///< per pid; edge i ends
-                                                ///< at node i+1.
+  std::vector<std::vector<SyncNode>> Nodes; ///< per pid.
+  /// Per pid, the clock matrix: node i's clock is the row at i *
+  /// ClockStride. finalizeTail() re-strides every matrix when the process
+  /// count has grown since the last round.
+  std::vector<std::vector<uint32_t>> Clocks;
+  uint32_t ClockStride = 0;
+  /// Per pid, how many nodes have a clock: a prefix, since finalizing
+  /// checks that program order agrees with the seq order.
+  std::vector<uint32_t> Clocked;
+  /// Per pid, the edges' READ/WRITE sets as one word arena: edge i (ending
+  /// at node i+1) holds its READ set at words [2i * SetWords, (2i + 1) *
+  /// SetWords) and its WRITE set in the SetWords after.
+  std::vector<std::vector<uint64_t>> EdgeWords;
+  uint32_t SetWords;
   /// Seq → node lookup.
   std::vector<SyncNodeRef> BySeq;
   unsigned NumShared;

@@ -113,6 +113,16 @@ bool IngestRegistry::frontierLog(uint64_t StreamId, ExecutionLog &Out) const {
   return true;
 }
 
+bool IngestRegistry::frontierGraph(uint64_t StreamId,
+                                   ParallelDynamicGraph &Out) const {
+  auto S = find(StreamId);
+  if (!S)
+    return false;
+  std::lock_guard<std::mutex> Lock(S->M);
+  Out = S->Graph;
+  return true;
+}
+
 uint64_t IngestRegistry::frontierVersion(uint64_t StreamId) const {
   auto S = find(StreamId);
   if (!S)

@@ -94,6 +94,9 @@ public:
   /// Copies stream \p StreamId's accumulated frontier log. False on an
   /// unknown stream.
   bool frontierLog(uint64_t StreamId, ExecutionLog &Out) const;
+  /// Copies stream \p StreamId's parallel dynamic graph, as extended cut
+  /// by cut. False on an unknown stream.
+  bool frontierGraph(uint64_t StreamId, ParallelDynamicGraph &Out) const;
   /// Applied-cut count of the stream (frontier version).
   uint64_t frontierVersion(uint64_t StreamId) const;
   std::string spillPathOf(uint64_t StreamId) const;

@@ -47,6 +47,61 @@ concept VariableSet = requires(S Set, const S CSet, unsigned Id) {
   { CSet.toVector() } -> std::same_as<std::vector<unsigned>>;
 };
 
+/// A read-only bit-mask set over words someone else owns, 64 ids per
+/// word: BitVarSet's query half. The parallel dynamic graph keeps every
+/// edge's READ/WRITE sets as ranges of one word arena and hands them out
+/// as views.
+class VarSetView {
+public:
+  VarSetView() = default;
+  VarSetView(const uint64_t *Words, size_t NumWords)
+      : Words(Words), NumWords(NumWords) {}
+
+  bool contains(unsigned Id) const {
+    if (Id / 64 >= NumWords)
+      return false;
+    return (Words[Id / 64] >> (Id % 64)) & 1;
+  }
+
+  unsigned size() const {
+    unsigned N = 0;
+    for (size_t I = 0; I != NumWords; ++I)
+      N += std::popcount(Words[I]);
+    return N;
+  }
+
+  bool empty() const {
+    for (size_t I = 0; I != NumWords; ++I)
+      if (Words[I])
+        return false;
+    return true;
+  }
+
+  /// Calls \p Callback for each element in increasing order.
+  template <typename Fn> void forEach(Fn &&Callback) const {
+    for (size_t I = 0; I != NumWords; ++I) {
+      uint64_t Word = Words[I];
+      while (Word) {
+        unsigned Bit = std::countr_zero(Word);
+        Callback(unsigned(I) * 64 + Bit);
+        Word &= Word - 1;
+      }
+    }
+  }
+
+  /// Elements in increasing order.
+  std::vector<unsigned> toVector() const {
+    std::vector<unsigned> Out;
+    Out.reserve(size());
+    forEach([&Out](unsigned Id) { Out.push_back(Id); });
+    return Out;
+  }
+
+private:
+  const uint64_t *Words = nullptr;
+  size_t NumWords = 0;
+};
+
 /// Bit-mask representation: one bit per variable id. Grows on demand; all
 /// binary operations accept operands of different widths.
 class BitVarSet {
@@ -130,19 +185,8 @@ public:
     return false;
   }
 
-  unsigned size() const {
-    unsigned N = 0;
-    for (uint64_t Word : Words)
-      N += std::popcount(Word);
-    return N;
-  }
-
-  bool empty() const {
-    for (uint64_t Word : Words)
-      if (Word)
-        return false;
-    return true;
-  }
+  unsigned size() const { return view().size(); }
+  bool empty() const { return view().empty(); }
 
   /// Zero-fills in place, keeping capacity: hot callers (the per-edge
   /// READ/WRITE sets cleared at every sync node) reuse the same words
@@ -154,23 +198,14 @@ public:
   /// consumers (race detection, sync-record capture) walk the set without
   /// materializing a vector.
   template <typename Fn> void forEach(Fn &&Callback) const {
-    for (size_t I = 0, E = Words.size(); I != E; ++I) {
-      uint64_t Word = Words[I];
-      while (Word) {
-        unsigned Bit = std::countr_zero(Word);
-        Callback(unsigned(I) * 64 + Bit);
-        Word &= Word - 1;
-      }
-    }
+    view().forEach(Callback);
   }
 
   /// Elements in increasing order.
-  std::vector<unsigned> toVector() const {
-    std::vector<unsigned> Out;
-    Out.reserve(size());
-    forEach([&Out](unsigned Id) { Out.push_back(Id); });
-    return Out;
-  }
+  std::vector<unsigned> toVector() const { return view().toVector(); }
+
+  /// The set's words as a read-only view.
+  VarSetView view() const { return {Words.data(), Words.size()}; }
 
   /// Words of storage (64 ids per word). trim() guarantees no trailing
   /// zero words after shrinking ops, so this is a sound upper bound for

@@ -9,6 +9,7 @@
 
 #include "compiler/Compiler.h"
 #include "lang/Parser.h"
+#include "pardyn/ParallelDynamicGraph.h"
 #include "sema/Sema.h"
 #include "support/Diagnostics.h"
 #include "vm/Machine.h"
@@ -22,6 +23,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace ppd::test {
 
@@ -97,6 +99,43 @@ inline Ran runProgram(const std::string &Source, uint64_t Seed = 1,
   for (const OutputRecord &O : Out.Log.Output)
     Out.PrintedValues.push_back(O.Value);
   return Out;
+}
+
+/// Field-for-field equality of two parallel dynamic graphs, including
+/// the finalize()-derived vector clocks: a graph built by skim, adopted
+/// from a sidecar or extended cut by cut must be indistinguishable from
+/// one built over the run's log.
+inline void expectGraphEqual(const ParallelDynamicGraph &A,
+                             const ParallelDynamicGraph &B,
+                             const std::string &Label) {
+  ASSERT_EQ(A.numProcs(), B.numProcs()) << Label;
+  auto Vec = [](auto Range) {
+    return std::vector<uint32_t>(Range.begin(), Range.end());
+  };
+  for (uint32_t Pid = 0; Pid != A.numProcs(); ++Pid) {
+    const std::vector<SyncNode> &NA = A.nodes(Pid);
+    const std::vector<SyncNode> &NB = B.nodes(Pid);
+    ASSERT_EQ(NA.size(), NB.size()) << Label << " pid " << Pid;
+    for (uint32_t I = 0; I != NA.size(); ++I) {
+      EXPECT_EQ(int(NA[I].Kind), int(NB[I].Kind)) << Label;
+      EXPECT_EQ(NA[I].Object, NB[I].Object) << Label;
+      EXPECT_EQ(NA[I].Seq, NB[I].Seq) << Label;
+      EXPECT_EQ(NA[I].PartnerSeq, NB[I].PartnerSeq) << Label;
+      EXPECT_EQ(NA[I].Stmt, NB[I].Stmt) << Label;
+      EXPECT_EQ(NA[I].RecordIdx, NB[I].RecordIdx) << Label;
+      EXPECT_EQ(Vec(A.clock({Pid, I})), Vec(B.clock({Pid, I})))
+          << Label << " clock pid " << Pid << " node " << I;
+    }
+    ASSERT_EQ(A.edges(Pid).size(), B.edges(Pid).size())
+        << Label << " pid " << Pid;
+    for (size_t I = 0; I != A.edges(Pid).size(); ++I) {
+      InternalEdge EA = A.edges(Pid)[I], EB = B.edges(Pid)[I];
+      EXPECT_EQ(EA.Pid, EB.Pid) << Label;
+      EXPECT_EQ(EA.EndNode, EB.EndNode) << Label;
+      EXPECT_EQ(EA.Reads.toVector(), EB.Reads.toVector()) << Label;
+      EXPECT_EQ(EA.Writes.toVector(), EB.Writes.toVector()) << Label;
+    }
+  }
 }
 
 /// A fresh directory under ::testing::TempDir(), removed with everything

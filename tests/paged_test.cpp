@@ -26,6 +26,7 @@
 #include "log/PageStore.h"
 #include "log/ProgramDb.h"
 #include "pardyn/ParallelDynamicGraph.h"
+#include "testing/ProgramGen.h"
 
 #include <chrono>
 #include <cstdio>
@@ -99,39 +100,6 @@ void expectIndexEqual(const LogIndex &A, const LogIndex &B,
   }
 }
 
-/// Field-for-field equality of two parallel dynamic graphs, including
-/// the finalize()-derived vector clocks — an adopted sidecar graph must
-/// be indistinguishable from one built by scanning the records.
-void expectGraphEqual(const ParallelDynamicGraph &A,
-                      const ParallelDynamicGraph &B,
-                      const std::string &Label) {
-  ASSERT_EQ(A.numProcs(), B.numProcs()) << Label;
-  for (uint32_t Pid = 0; Pid != A.numProcs(); ++Pid) {
-    const std::vector<SyncNode> &NA = A.nodes(Pid);
-    const std::vector<SyncNode> &NB = B.nodes(Pid);
-    ASSERT_EQ(NA.size(), NB.size()) << Label << " pid " << Pid;
-    for (size_t I = 0; I != NA.size(); ++I) {
-      EXPECT_EQ(int(NA[I].Kind), int(NB[I].Kind)) << Label;
-      EXPECT_EQ(NA[I].Object, NB[I].Object) << Label;
-      EXPECT_EQ(NA[I].Seq, NB[I].Seq) << Label;
-      EXPECT_EQ(NA[I].PartnerSeq, NB[I].PartnerSeq) << Label;
-      EXPECT_EQ(NA[I].Stmt, NB[I].Stmt) << Label;
-      EXPECT_EQ(NA[I].RecordIdx, NB[I].RecordIdx) << Label;
-      EXPECT_EQ(NA[I].Clock, NB[I].Clock) << Label << " clock pid " << Pid
-                                          << " node " << I;
-    }
-    const std::vector<InternalEdge> &EA = A.edges(Pid);
-    const std::vector<InternalEdge> &EB = B.edges(Pid);
-    ASSERT_EQ(EA.size(), EB.size()) << Label << " pid " << Pid;
-    for (size_t I = 0; I != EA.size(); ++I) {
-      EXPECT_EQ(EA[I].Pid, EB[I].Pid) << Label;
-      EXPECT_EQ(EA[I].EndNode, EB[I].EndNode) << Label;
-      EXPECT_EQ(EA[I].Reads.toVector(), EB[I].Reads.toVector()) << Label;
-      EXPECT_EQ(EA[I].Writes.toVector(), EB[I].Writes.toVector()) << Label;
-    }
-  }
-}
-
 std::vector<uint8_t> readFileRaw(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   EXPECT_TRUE(In.good()) << Path;
@@ -144,6 +112,15 @@ void writeFileRaw(const std::string &Path, const uint8_t *Data,
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   Out.write(reinterpret_cast<const char *>(Data), std::streamsize(Size));
   ASSERT_TRUE(Out.good()) << Path;
+}
+
+/// 64-bit FNV-1a over \p Bytes: a stable fingerprint for pinning file
+/// contents.
+uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint8_t B : Bytes)
+    H = (H ^ B) * 0x100000001b3ull;
+  return H;
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,6 +402,107 @@ TEST(PagedTest, ProgramDbRoundTripAdoptsPersistedGraph) {
   for (const char *Cmd : Script)
     EXPECT_EQ(WholeSession.execute(Cmd), PagedSession.execute(Cmd))
         << "cmd '" << Cmd << "'";
+}
+
+// A sidecar written with no graph (rows from the section skim) is
+// byte-identical to one written from the graph built over the run's log,
+// and the skim-built, log-built and adopted graphs are equal field for
+// field, clocks and edge sets included — over the corpus and 200
+// generated programs.
+TEST(PagedTest, ProgramDbBytesDoNotDependOnTheGraphSource) {
+  ScopedTempDir TmpDir;
+  const std::string Path = TmpDir.file("source.log");
+  const std::string Skimmed = TmpDir.file("skimmed.ppdb");
+  const std::string Given = TmpDir.file("given.ppdb");
+  auto Check = [&](const Ran &R, const std::string &Label) {
+    ASSERT_TRUE(R.Prog != nullptr) << Label;
+    auto Store = saveAndOpen(R.Log, Path);
+    ASSERT_TRUE(Store != nullptr) << Label;
+    LogIndex Index(*Store);
+    const unsigned NumShared = R.Prog->Symbols->NumSharedVars;
+    ParallelDynamicGraph FromLog(R.Log, NumShared);
+    ASSERT_TRUE(writeProgramDb(Skimmed, *R.Prog, *Store, Index)) << Label;
+    ASSERT_TRUE(writeProgramDb(Given, *R.Prog, *Store, Index, &FromLog))
+        << Label;
+    EXPECT_EQ(readFileRaw(Skimmed), readFileRaw(Given)) << Label;
+
+    auto FromSkim = ParallelDynamicGraph::fromStore(
+        *Store, NumShared, R.Prog->Ast->numStmts());
+    ASSERT_TRUE(FromSkim != nullptr) << Label << ": " << Store->failure();
+    expectGraphEqual(FromLog, *FromSkim, Label + " (skim)");
+    std::shared_ptr<const LogIndex> AdoptedIndex;
+    std::shared_ptr<const ParallelDynamicGraph> Adopted;
+    ASSERT_EQ(int(readProgramDb(Skimmed, *R.Prog, *Store, AdoptedIndex,
+                                &Adopted)),
+              int(ProgramDbStatus::Ok))
+        << Label;
+    expectGraphEqual(FromLog, *Adopted, Label + " (adopted)");
+  };
+  for (const char *Name : Corpus)
+    for (uint64_t Seed : {1u, 5u, 9u})
+      Check(runProgram(readCorpusFile(Name), Seed, {}, {},
+                       /*ExpectCompleted=*/false),
+            std::string(Name) + " seed " + std::to_string(Seed));
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    ppd::testing::GenProgram G = ppd::testing::generateProgram(Seed);
+    MachineOptions MOpts;
+    MOpts.Quantum = G.Quantum;
+    MOpts.MaxSteps = 200'000;
+    MOpts.ProcessInputs.assign(8, std::vector<int64_t>(16, int64_t(Seed)));
+    Check(runProgram(G.render(), G.SchedSeed, MOpts, {},
+                     /*ExpectCompleted=*/false),
+          "generated seed " + std::to_string(Seed));
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+// The sidecar bytes of two shipped examples are pinned (DbVersion 4): how
+// the writer collects the graph rows must not move a byte.
+TEST(PagedTest, ProgramDbBytesArePinnedForCorpus) {
+  const struct {
+    const char *Name;
+    uint64_t Hash;
+  } Pins[] = {
+      {"bank_race.ppl", 0xdafd9ca88ead052aull},
+      {"bounded_buffer.ppl", 0x85d5b983eac9e747ull},
+  };
+  ScopedTempDir TmpDir;
+  for (const auto &Pin : Pins) {
+    Ran R = runProgram(readCorpusFile(Pin.Name), 1, {}, {},
+                       /*ExpectCompleted=*/false);
+    ASSERT_TRUE(R.Prog != nullptr) << Pin.Name;
+    std::string Path = TmpDir.file(std::string(Pin.Name) + ".log");
+    auto Store = saveAndOpen(R.Log, Path);
+    ASSERT_TRUE(Store != nullptr) << Pin.Name;
+    std::string DbPath = programDbPathFor(Path);
+    ASSERT_TRUE(writeProgramDb(DbPath, *R.Prog, *Store, LogIndex(*Store)));
+    uint64_t Hash = fnv1a(readFileRaw(DbPath));
+    EXPECT_EQ(Hash, Pin.Hash) << Pin.Name << ": 0x" << std::hex << Hash;
+  }
+}
+
+// With no sidecar, the graph comes from one skim per section: `races`
+// answers like a session over the run's log, and no section is faulted
+// into the pool to get there.
+TEST(PagedTest, ColdOpenRacesWithoutSidecarFaultNoSection) {
+  ScopedTempDir TmpDir;
+  for (const char *Name : Corpus) {
+    Ran R = runProgram(readCorpusFile(Name), 1, {}, {},
+                       /*ExpectCompleted=*/false);
+    ASSERT_TRUE(R.Prog != nullptr) << Name;
+    auto Store = saveAndOpen(R.Log, TmpDir.file(std::string(Name) + ".log"));
+    ASSERT_TRUE(Store != nullptr) << Name;
+    auto Pool = std::make_shared<BufferPool>(size_t(1) << 20);
+    PpdController Paged(*R.Prog, PagedLog{Store, Pool});
+    DebugSession PagedSession(*R.Prog, Paged);
+    PpdController Whole(*R.Prog, R.Log);
+    DebugSession WholeSession(*R.Prog, Whole);
+    EXPECT_EQ(PagedSession.execute("races"), WholeSession.execute("races"))
+        << Name;
+    EXPECT_EQ(Paged.logFailure(), "") << Name;
+    EXPECT_EQ(Pool->stats().Insertions, 0u) << Name;
+  }
 }
 
 TEST(PagedTest, ProgramDbDetectsStaleProgramAndStaleLog) {
@@ -920,6 +998,27 @@ TEST(PagedTest, OutOfRangeDecodedValuesGiveTypedError) {
     C.Mangle(Log);
     auto Store = saveAndOpen(Log, Path);
     ASSERT_TRUE(Store != nullptr) << C.Name;
+
+    // The sidecar writer applies the reader's checks: it either fails
+    // with its store failed, or writes a sidecar the reader accepts.
+    {
+      std::string Error;
+      auto Written = PageStore::open(Path, &Error);
+      ASSERT_TRUE(Written != nullptr) << C.Name << ": " << Error;
+      std::string DbPath = programDbPathFor(Path);
+      std::remove(DbPath.c_str());
+      if (writeProgramDb(DbPath, *R.Prog, *Written, LogIndex(*Written))) {
+        std::shared_ptr<const LogIndex> Index;
+        std::shared_ptr<const ParallelDynamicGraph> Graph;
+        EXPECT_EQ(int(readProgramDb(DbPath, *R.Prog, *Written, Index,
+                                    &Graph)),
+                  int(ProgramDbStatus::Ok))
+            << C.Name << ": the writer accepted what the reader rejects";
+      } else {
+        EXPECT_TRUE(Written->failed()) << C.Name;
+      }
+    }
+
     auto Pool = std::make_shared<BufferPool>(size_t(1) << 20);
     PpdController Paged(*R.Prog, PagedLog{Store, Pool});
     DebugSession Session(*R.Prog, Paged);

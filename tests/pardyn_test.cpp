@@ -342,10 +342,12 @@ void expectIndexesMatchScans(const Ran &R, const std::string &Label) {
   const unsigned NumShared = R.Prog->Symbols->NumSharedVars;
   ParallelDynamicGraph Batch(R.Log, NumShared);
   EXPECT_EQ(indexMismatch(Batch, NumShared), "") << Label << " (batch)";
-  for (uint64_t Stride : {1u, 5u})
-    streamedGraph(R.Log, NumShared, Stride,
-                  Label + " (streamed, stride " + std::to_string(Stride) +
-                      ")");
+  for (uint64_t Stride : {1u, 5u}) {
+    std::string Streamed =
+        Label + " (streamed, stride " + std::to_string(Stride) + ")";
+    expectGraphEqual(Batch, streamedGraph(R.Log, NumShared, Stride, Streamed),
+                     Streamed);
+  }
 
   ScopedTempDir TmpDir;
   std::string Path = TmpDir.file("graph.log");
@@ -362,6 +364,7 @@ void expectIndexesMatchScans(const Ran &R, const std::string &Label) {
             int(ProgramDbStatus::Ok))
       << Label;
   EXPECT_EQ(indexMismatch(*Adopted, NumShared), "") << Label << " (.ppdb)";
+  expectGraphEqual(Batch, *Adopted, Label + " (.ppdb)");
 }
 
 TEST(GraphIndexTest, ExamplesCorpusMatchesScans) {

@@ -165,7 +165,7 @@ TEST(SimultaneousWindowTest, MatchesVectorClockOracle) {
 // Differential: corpus programs.
 //===----------------------------------------------------------------------===//
 
-TEST(RaceSimdDifferentialTest, ExamplesCorpus) {
+TEST(RaceDifferentialTest, ExamplesCorpus) {
   // Every shipped example, including the deliberately racy one; crash and
   // deadlock programs don't complete, which is fine — races are detected
   // over whatever the run did before it stopped.
@@ -188,7 +188,7 @@ TEST(RaceSimdDifferentialTest, ExamplesCorpus) {
 // Differential: generated programs and one large trace.
 //===----------------------------------------------------------------------===//
 
-TEST(RaceSimdDifferentialTest, FuzzSweep) {
+TEST(RaceDifferentialTest, FuzzSweep) {
   // 16 seeds spanning the generator's profiles (racy, sync-heavy,
   // channels, ...). Each runs with its derived schedule seed and quantum.
   unsigned Raced = 0;
@@ -205,7 +205,7 @@ TEST(RaceSimdDifferentialTest, FuzzSweep) {
   EXPECT_GT(Raced, 0u) << "no generated instance raced; sweep is vacuous";
 }
 
-TEST(RaceSimdDifferentialTest, LargeLockStepTraceAgrees) {
+TEST(RaceDifferentialTest, LargeLockStepTraceAgrees) {
   // The size at which an E×E simultaneity structure would cost megabytes:
   // 16 workers in lock-step, thousands of internal edges.
   Ran R = runProgram(lockStepProgram(16, 110), 3);
@@ -225,7 +225,7 @@ TEST(RaceSimdDifferentialTest, LargeLockStepTraceAgrees) {
       << "the planted races did not show; the differential is weak";
 }
 
-TEST(RaceSimdDifferentialTest, ConcurrentDetectIsDeterministic) {
+TEST(RaceDifferentialTest, ConcurrentDetectIsDeterministic) {
   // Interval keeps no state between calls: one detector shared by several
   // threads hands each the same list and cost (the TSan leg runs this).
   for (uint64_t Seed : {2u, 5u, 8u, 12u}) {
@@ -248,7 +248,7 @@ TEST(RaceSimdDifferentialTest, ConcurrentDetectIsDeterministic) {
   }
 }
 
-TEST(RaceSimdDifferentialTest, RepeatedDetectIsIdempotent) {
+TEST(RaceDifferentialTest, RepeatedDetectIsIdempotent) {
   // Detection keeps no state between calls: repeated passes over one
   // instance hand back the same list.
   std::string Source = readCorpusFile("bank_race.ppl");

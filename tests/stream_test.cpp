@@ -205,6 +205,12 @@ TEST(StreamDiffTest, SixteenSeedsEveryPrefixMatchesBatch) {
       if (Prefix.Procs.empty())
         return;
       ++Checked;
+      // The graph extended cut by cut equals a batch build of the prefix.
+      ParallelDynamicGraph Streamed(0, 0);
+      ASSERT_TRUE(F.Ingest.frontierGraph(Sid, Streamed));
+      expectGraphEqual(
+          ParallelDynamicGraph(Prefix, F.Prog->Symbols->NumSharedVars),
+          Streamed, "seed " + std::to_string(Seed) + " cut graph");
       PpdController Batch(*F.Prog, ExecutionLog(Prefix));
       DebugSession BatchSess(*F.Prog, Batch);
       for (const char *Cmd : {"where 0", "races"}) {
