@@ -13,7 +13,11 @@
 //                (compare+branch, push-const+store) best case;
 //  * calls     — call-heavy recursion (fib): frame push/pop, the per-
 //                process slot arena's best case;
-//  * array     — array sweep: indexed loads/stores with bounds checks.
+//  * array     — array sweep: indexed loads/stores with bounds checks;
+//  * sched     — main plus N compute workers at the default quantum (8):
+//                one scheduler round per 8 steps, so it measures the
+//                round (runnable set, PRNG draw, process switch) as much
+//                as dispatch.
 //
 // The replay_* rows measure the replay interpreter: replay_compute_* on
 // compute-heavy e-blocks (dispatch-bound), replay_interval_* on the E8b
@@ -67,17 +71,45 @@ func main() {
 )";
 }
 
-/// Runs \p Source in \p Mode and reports Minstr/sec. A large quantum
-/// keeps the scheduler out of the measurement (the workloads are
-/// single-process, so the interleaving is unaffected).
+/// Main spawns \p Workers compute workers (the computeWorkload loop, \p
+/// Iters iterations each) and waits for them on a semaphore.
+std::string schedWorkload(unsigned Workers, unsigned Iters) {
+  return R"(
+sem done;
+func worker(int w) {
+  int i = 0;
+  int acc = w + 1;
+  while (i < )" +
+         std::to_string(Iters) + R"() {
+    acc = (acc * 31 + i) % 1000003;
+    if (acc % 2 == 0) acc = acc + 7;
+    i = i + 1;
+  }
+  print(acc);
+  V(done);
+}
+func main() {
+  int i = 0;
+  for (i = 0; i < )" +
+         std::to_string(Workers) + R"(; i = i + 1) spawn worker(i);
+  for (i = 0; i < )" +
+         std::to_string(Workers) + R"(; i = i + 1) P(done);
+}
+)";
+}
+
+/// Runs \p Source in \p Mode and reports Minstr/sec (one instruction is
+/// one step). The default large quantum keeps the scheduler out of the
+/// measurement (those workloads are single-process, so the interleaving
+/// is unaffected).
 void interpBench(benchmark::State &State, const std::string &Source,
-                 RunMode Mode) {
+                 RunMode Mode, uint32_t Quantum = 1024) {
   auto Prog = mustCompile(Source);
 
   MachineOptions MOpts;
   MOpts.Mode = Mode;
   MOpts.Seed = 11;
-  MOpts.Quantum = 1024;
+  MOpts.Quantum = Quantum;
 
   using Clock = std::chrono::steady_clock;
   double Seconds = 0;
@@ -140,6 +172,11 @@ void array_fulltrace(benchmark::State &State) {
               RunMode::FullTrace);
 }
 
+void sched_logging(benchmark::State &State) {
+  interpBench(State, schedWorkload(unsigned(State.range(0)), 2000),
+              RunMode::Logging, MachineOptions().Quantum);
+}
+
 //===----------------------------------------------------------------------===//
 // Replay throughput (E9)
 //===----------------------------------------------------------------------===//
@@ -190,6 +227,10 @@ BENCHMARK(calls_fulltrace)->Arg(12)->UseManualTime();
 BENCHMARK(array_plain)->Arg(100)->Arg(1000)->UseManualTime();
 BENCHMARK(array_logging)->Arg(100)->Arg(1000)->UseManualTime();
 BENCHMARK(array_fulltrace)->Arg(100)->UseManualTime();
+
+// Workers: main plus 16 at the default quantum, the sync_races shape
+// without its synchronization.
+BENCHMARK(sched_logging)->Arg(16)->UseManualTime();
 
 // (units, inner loop iterations): compute rows are 32 e-blocks of ~2.2k
 // mostly-arithmetic instructions each; interval rows are the E8b shape

@@ -39,6 +39,25 @@ static CmpKind cmpKindOf(DOp Opcode) {
   }
 }
 
+/// The constant-operand form of arithmetic \p Opcode, or PushConst when it
+/// has none.
+static DOp immFormOf(DOp Opcode) {
+  switch (Opcode) {
+  case DOp::Add:
+    return DOp::AddImm;
+  case DOp::Sub:
+    return DOp::SubImm;
+  case DOp::Mul:
+    return DOp::MulImm;
+  case DOp::Div:
+    return DOp::DivImm;
+  case DOp::Mod:
+    return DOp::ModImm;
+  default:
+    return DOp::PushConst;
+  }
+}
+
 DecodedChunk DecodedChunk::decode(const Chunk &C) {
   DecodedChunk D;
   D.Instrs.resize(C.size());
@@ -57,7 +76,9 @@ DecodedChunk DecodedChunk::decode(const Chunk &C) {
   // Superinstruction rewriting. The second slot of a fused pair keeps its
   // plain decoding, so jumps into it and split (half-step) execution both
   // work; pairs can never overlap because no second-half opcode
-  // (JumpIf*, StoreLocal) is also a first-half opcode (Cmp*, PushConst).
+  // (JumpIf*, StoreLocal, Add..Mod) is also a first-half opcode (Cmp*,
+  // PushConst). Cmp* stays out of the arithmetic rule for that reason: it
+  // is already the first half of JumpIfCmp.
   for (uint32_t Pc = 0; Pc + 1 < D.size(); ++Pc) {
     DecodedInstr &First = D.Instrs[Pc];
     const DecodedInstr &Second = D.Instrs[Pc + 1];
@@ -71,13 +92,14 @@ DecodedChunk DecodedChunk::decode(const Chunk &C) {
                           (Second.Opcode == DOp::JumpIfTrue ? 1 : 0));
       First.Opcode = DOp::JumpIfCmp;
       First.A = Second.A;
-      ++D.FusedPairs;
     } else if (First.Opcode == DOp::PushConst &&
                Second.Opcode == DOp::StoreLocal) {
       First.Opcode = DOp::StoreLocalImm;
       First.A = Second.A;
       First.B = Second.B;
-      ++D.FusedPairs;
+    } else if (First.Opcode == DOp::PushConst) {
+      if (DOp Fused = immFormOf(Second.Opcode); Fused != DOp::PushConst)
+        First.Opcode = Fused;
     }
   }
   return D;

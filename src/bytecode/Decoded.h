@@ -14,6 +14,7 @@
 ///
 ///   * Cmp{Eq,Ne,Lt,Le,Gt,Ge} + JumpIf{False,True}  ->  JumpIfCmp
 ///   * PushConst + StoreLocal                        ->  StoreLocalImm
+///   * PushConst + {Add,Sub,Mul,Div,Mod}             ->  {Add,...,Mod}Imm
 ///
 /// The layout is deliberately 1:1 with the source chunk — slot i decodes
 /// pc i — which buys three invariants at once:
@@ -33,6 +34,8 @@
 /// Fusion requires both instructions to carry the same statement id (the
 /// breakpoint check fires on statement transitions, which must not be
 /// skipped) and never involves instructions with side effects on the log.
+/// DivImm and ModImm with a zero constant fail on their second step, at
+/// the statement the unfused Div or Mod would have failed at.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,11 +82,6 @@ struct DecodedInstr {
 
 static_assert(sizeof(DecodedInstr) == 24, "keep the hot stream compact");
 
-/// True for superinstructions (decode-time only; never in a Chunk).
-inline bool isFused(DOp Opcode) {
-  return Opcode == DOp::JumpIfCmp || Opcode == DOp::StoreLocalImm;
-}
-
 class DecodedChunk {
 public:
   DecodedChunk() = default;
@@ -100,12 +98,8 @@ public:
     return Instrs[Pc];
   }
 
-  /// Number of pairs rewritten into superinstructions.
-  uint32_t fusedPairs() const { return FusedPairs; }
-
 private:
   std::vector<DecodedInstr> Instrs;
-  uint32_t FusedPairs = 0;
 };
 
 } // namespace ppd

@@ -54,7 +54,9 @@
   /* Cmp* + JumpIf{False,True}: A = target, Sub = (CmpKind<<1)|sense. */     \
   X(JumpIfCmp)                                                               \
   /* PushConst + StoreLocal: A = slot, B = VarId, Imm = constant. */         \
-  X(StoreLocalImm)
+  X(StoreLocalImm)                                                           \
+  /* PushConst + {Add,Sub,Mul,Div,Mod}: Imm = the right operand. */          \
+  X(AddImm) X(SubImm) X(MulImm) X(DivImm) X(ModImm)
 
 #define PPD_DECODED_OPCODES(X) PPD_BASE_OPCODES(X) PPD_FUSED_OPCODES(X)
 // clang-format on

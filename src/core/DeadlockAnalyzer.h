@@ -30,7 +30,7 @@ namespace ppd {
 struct DeadlockReport {
   struct Wait {
     uint32_t Pid = 0;
-    ProcStatus Status = ProcStatus::BlockedSem;
+    ProcStatus Status{ProcStatus::BlockedSem};
     uint32_t Object = 0; ///< semaphore/channel id.
     /// Processes currently holding the semaphore (BlockedSem only).
     std::vector<uint32_t> Holders;

@@ -144,7 +144,8 @@ commands:
 options:
   --seed N              scheduler seed (default 1); one seed = one
                         execution instance
-  --quantum N           preemption quantum in instructions (default 8)
+  --quantum N           preemption quantum in instructions, at least 1
+                        (default 8)
   --input v,v,...       input stream for the next process (repeatable:
                         first use feeds pid 0, second pid 1, ...)
   --break LINE          halt the machine when any process reaches a
@@ -318,25 +319,31 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       return Argv[++I];
     };
-    // A numeric flag's value: digits only, at most Max and what Out holds.
-    auto Number = [&](auto &Out, uint64_t Max = UINT64_MAX) {
+    // A numeric flag's value: digits only, in Min..Max and what Out holds.
+    auto Number = [&](auto &Out, uint64_t Max = UINT64_MAX,
+                      uint64_t Min = 0) {
       const char *V = Next();
       if (!V)
         return false;
       using T = std::remove_reference_t<decltype(Out)>;
       Max = std::min<uint64_t>(Max, std::numeric_limits<T>::max());
-      if (parseUnsigned(V, Max, Out))
+      T Parsed{};
+      if (parseUnsigned(V, Max, Parsed) && Parsed >= Min) {
+        Out = Parsed;
         return true;
+      }
       std::fprintf(stderr,
-                   "error: bad %s '%s' (expected an integer in 0..%llu)\n",
-                   Arg.c_str(), V, static_cast<unsigned long long>(Max));
+                   "error: bad %s '%s' (expected an integer in %llu..%llu)\n",
+                   Arg.c_str(), V, static_cast<unsigned long long>(Min),
+                   static_cast<unsigned long long>(Max));
       return false;
     };
     if (Arg == "--seed") {
       if (!Number(Opts.Seed))
         return false;
     } else if (Arg == "--quantum") {
-      if (!Number(Opts.Quantum))
+      // A zero quantum runs empty slices forever.
+      if (!Number(Opts.Quantum, UINT64_MAX, 1))
         return false;
     } else if (Arg == "--input") {
       const char *V = Next();

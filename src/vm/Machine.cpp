@@ -53,6 +53,8 @@ std::string RuntimeError::str() const {
 
 Machine::Machine(const CompiledProgram &Prog, MachineOptions Options)
     : Prog(Prog), Options(std::move(Options)), SchedRng(this->Options.Seed) {
+  // A zero quantum would run empty slices forever: Steps never grows.
+  assert(this->Options.Quantum >= 1 && "quantum must be at least 1");
   BreakSet.insert(this->Options.Breakpoints.begin(),
                   this->Options.Breakpoints.end());
   // Shared memory with initial values.
@@ -86,6 +88,8 @@ uint32_t Machine::spawnProcess(uint32_t Func, std::vector<int64_t> Args,
   Procs.emplace_back();
   Process &P = Procs.back();
   P.Pid = Pid;
+  // A new process starts Runnable with the largest pid yet.
+  Runnable.push_back(Pid);
 
   P.PrivateGlobals.assign(Prog.Symbols->PrivateGlobalSize, 0);
   for (VarId V : Prog.Symbols->Globals)
@@ -144,8 +148,41 @@ std::vector<int64_t> Machine::popArgs(Process &P, uint32_t Argc) {
   return Args;
 }
 
+static bool isBlocked(ProcStatus Status) {
+  return Status == ProcStatus::BlockedSem ||
+         Status == ProcStatus::BlockedSend ||
+         Status == ProcStatus::BlockedRecv;
+}
+
+void Machine::setStatus(Process &P, ProcStatus Status) {
+  bool WasRunnable = P.Status == ProcStatus::Runnable;
+  if (WasRunnable != (Status == ProcStatus::Runnable)) {
+    auto It = std::lower_bound(Runnable.begin(), Runnable.end(), P.Pid);
+    if (WasRunnable)
+      Runnable.erase(It);
+    else
+      Runnable.insert(It, P.Pid);
+  }
+  NumBlocked += isBlocked(Status);
+  NumBlocked -= isBlocked(P.Status);
+  if (Status == ProcStatus::Failed)
+    FailedPid = P.Pid;
+  P.Status = Status;
+}
+
+bool Machine::schedulerStateMatchesScan() const {
+  std::vector<uint32_t> Scan;
+  uint32_t Blocked = 0;
+  for (const Process &P : Procs) {
+    if (P.Status == ProcStatus::Runnable)
+      Scan.push_back(P.Pid);
+    Blocked += isBlocked(P.Status);
+  }
+  return Scan == Runnable && Blocked == NumBlocked;
+}
+
 void Machine::fail(Process &P, RuntimeErrorKind Kind, StmtId Stmt) {
-  P.Status = ProcStatus::Failed;
+  setStatus(P, ProcStatus::Failed);
   P.Error = {Kind, P.Pid, Stmt};
 }
 
@@ -230,7 +267,7 @@ bool Machine::doSemP(Process &P, uint32_t Sem, StmtId Stmt) {
   }
   S.PendingVEdge = false;
   S.Waiters.push_back(P.Pid);
-  P.Status = ProcStatus::BlockedSem;
+  setStatus(P, ProcStatus::BlockedSem);
   P.WaitObject = Sem;
   return false;
 }
@@ -249,7 +286,7 @@ void Machine::doSemV(Process &P, uint32_t Sem, StmtId Stmt) {
     // advanced) pc.
     StmtId WStmt = chunkOf(W).stmtAt(W.Pc - 1);
     emitSync(W, SyncKind::SemAcquire, Sem, WStmt, WSeq, VSeq);
-    W.Status = ProcStatus::Runnable;
+    setStatus(W, ProcStatus::Runnable);
     W.WaitObject = InvalidId;
     S.PendingVEdge = false;
     return;
@@ -274,7 +311,7 @@ bool Machine::doSend(Process &P, uint32_t Chan, int64_t Value, StmtId Stmt) {
     StmtId RStmt = chunkOf(R).stmtAt(R.Pc - 1);
     emitSync(R, SyncKind::ChanRecv, Chan, RStmt, RecvSeq, SendSeq, Value);
     R.Stack.push_back(Value);
-    R.Status = ProcStatus::Runnable;
+    setStatus(R, ProcStatus::Runnable);
     R.WaitObject = InvalidId;
     return true;
   }
@@ -288,7 +325,7 @@ bool Machine::doSend(Process &P, uint32_t Chan, int64_t Value, StmtId Stmt) {
   P.PendingSendSeq = SendSeq;
   P.PendingSendStmt = Stmt;
   C.BlockedSenders.push_back(P.Pid);
-  P.Status = ProcStatus::BlockedSend;
+  setStatus(P, ProcStatus::BlockedSend);
   P.WaitObject = Chan;
   return false;
 }
@@ -306,7 +343,7 @@ bool Machine::doRecv(Process &P, uint32_t Chan, StmtId Stmt) {
     uint64_t USeq;
     emitSync(Sender, SyncKind::ChanSendUnblock, Chan, Sender.PendingSendStmt,
              USeq, RecvSeq);
-    Sender.Status = ProcStatus::Runnable;
+    setStatus(Sender, ProcStatus::Runnable);
     Sender.WaitObject = InvalidId;
   };
 
@@ -330,7 +367,7 @@ bool Machine::doRecv(Process &P, uint32_t Chan, StmtId Stmt) {
     UnblockSender(RecvSeq, /*IntoQueue=*/false);
     return true;
   }
-  P.Status = ProcStatus::BlockedRecv;
+  setStatus(P, ProcStatus::BlockedRecv);
   P.WaitObject = Chan;
   C.BlockedReceivers.push_back(P.Pid);
   return false;
@@ -457,7 +494,7 @@ template <RunMode Mode> struct Machine::Slice {
       uint64_t Seq;
       M.emitSync(P, SyncKind::ProcEnd, 0, I.Stmt, Seq);
     }
-    P.Status = ProcStatus::Done;
+    M.setStatus(P, ProcStatus::Done);
   }
 
   bool semP(const DecodedInstr &I) {
@@ -500,7 +537,7 @@ template <RunMode Mode> struct Machine::Slice {
 
   bool beginStmt(StmtId) { return true; }
   Next traceCall(uint32_t, bool) { return Next::Run; }
-  void halt() { P.Status = ProcStatus::Done; }
+  void halt() { M.setStatus(P, ProcStatus::Done); }
 };
 
 template <RunMode Mode>
@@ -561,23 +598,15 @@ RunResult Machine::run() {
     }
     // A failure freezes the machine: the program "halts due to an error"
     // and the debugging phase takes over (§3.2.2).
-    for (const Process &P : Procs)
-      if (P.Status == ProcStatus::Failed) {
-        Result.Error = P.Error;
-        return Freeze(RunResult::Status::Failed);
-      }
-
-    Runnable.clear();
-    bool AnyBlocked = false;
-    for (const Process &P : Procs) {
-      if (P.Status == ProcStatus::Runnable)
-        Runnable.push_back(P.Pid);
-      else if (P.Status != ProcStatus::Done)
-        AnyBlocked = true;
+    if (FailedPid != InvalidId) {
+      Result.Error = Procs[FailedPid].Error;
+      return Freeze(RunResult::Status::Failed);
     }
 
+    // Runnable is current (setStatus), so a round costs no scan of Procs.
+    assert(schedulerStateMatchesScan() && "runnable set out of date");
     if (Runnable.empty()) {
-      if (!AnyBlocked) {
+      if (NumBlocked == 0) {
         Result.Outcome = RunResult::Status::Completed;
         Result.Steps = Steps;
         return Result;

@@ -99,7 +99,7 @@ struct Frame {
 
 struct Process {
   uint32_t Pid = 0;
-  ProcStatus Status = ProcStatus::Runnable;
+  ProcStatus Status{ProcStatus::Runnable};
   uint32_t Pc = 0;
   std::vector<Frame> Frames;
   std::vector<int64_t> Stack;
@@ -228,6 +228,12 @@ private:
   /// one base instruction (a fused pair is two); the emulation package's
   /// trace instructions cost none.
   template <RunMode Mode> uint32_t runSlice(Process &P, uint32_t Budget);
+  /// The one writer of Process::Status: keeps Runnable, NumBlocked and
+  /// FailedPid current.
+  void setStatus(Process &P, ProcStatus Status);
+  /// Whether Runnable and NumBlocked equal a scan of Procs (asserted once
+  /// per round in builds with assertions).
+  bool schedulerStateMatchesScan() const;
   void fail(Process &P, RuntimeErrorKind Kind, StmtId Stmt);
 
   // Cold operations, kept out of the hot loop. The bool-returning ones
@@ -268,8 +274,15 @@ private:
   std::vector<Channel> Chans;
   /// deque: processes are spawned mid-step and references must stay valid.
   std::deque<Process> Procs;
-  /// Scheduler scratch, reused across rounds to avoid per-round allocation.
+  /// Pids of the Runnable processes, ascending: what a scan of Procs
+  /// would yield, kept current where a status changes (setStatus) or a
+  /// process is spawned, so a scheduler round does not scan.
   std::vector<uint32_t> Runnable;
+  /// Processes blocked on a semaphore or a channel.
+  uint32_t NumBlocked = 0;
+  /// The failed process, or InvalidId. There is at most one: only the
+  /// running process can fail, and the next round freezes the machine.
+  uint32_t FailedPid = InvalidId;
   std::vector<TraceBuffer> Traces;
   ExecutionLog Log;
   uint64_t NextSyncSeq = 0;

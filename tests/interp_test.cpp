@@ -10,7 +10,10 @@
 //   * the three run modes preempt at the same points, so they agree on
 //     outcome, steps, shared memory and output — racy programs included;
 //   * pinned v2 log hashes per quantum catch any drift in scheduling,
-//     instrumentation or the log encoder;
+//     instrumentation or the log encoder (the corpus, generated programs
+//     and a 16-worker lock-step program);
+//   * constant-operand arithmetic decodes to fused pairs, and a constant
+//     zero divisor fails at the unfused pair's step and statement;
 //   * every process's FullTrace trace equals its intervals' replays
 //     spliced in log order (§5.5, the spec/trace fuzz leg).
 //
@@ -18,10 +21,12 @@
 
 #include "TestUtil.h"
 
+#include "core/Replay.h"
 #include "log/LogIO.h"
 #include "pardyn/ParallelDynamicGraph.h"
 #include "pardyn/RaceDetector.h"
 #include "testing/DiffOracles.h"
+#include "testing/ProgramGen.h"
 
 using namespace ppd;
 using namespace ppd::test;
@@ -168,6 +173,220 @@ TEST(InterpTest, V2LogBytesBitIdenticalAcrossQuanta) {
     EXPECT_EQ(Hash, P.Hash) << P.Name << " quantum " << P.Quantum
                             << ": v2 log drifted; actual 0x" << std::hex
                             << Hash;
+  }
+}
+
+/// Sixteen workers in lock-step over one semaphore and a bounded channel:
+/// every round blocks and wakes processes on both, so the runnable set
+/// changes many times per quantum.
+std::string lockStepProgram() {
+  return R"(
+shared int total;
+shared int tally;
+sem lock = 1;
+sem done;
+chan ch[4];
+func step(int x, int r) {
+  int y = (x * 31 + r + 7) % 1009;
+  P(lock);
+  total = total + y % 97;
+  tally = tally + 1;
+  V(lock);
+  send(ch, y % 13);
+  return y;
+}
+func worker(int w) {
+  int r = 0;
+  int x = w * 101 + 3;
+  for (r = 0; r < 12; r = r + 1) x = step(x, r);
+  V(done);
+}
+func main() {
+  int i = 0;
+  int sum = 0;
+  for (i = 0; i < 16; i = i + 1) spawn worker(i);
+  for (i = 0; i < 192; i = i + 1) sum = sum + recv(ch);
+  for (i = 0; i < 16; i = i + 1) P(done);
+  print(sum);
+  print(total);
+  print(tally);
+}
+)";
+}
+
+// The same discipline as V2LogBytesBitIdenticalAcrossQuanta, for shapes
+// the corpus does not have: generated compute programs (long constant
+// arithmetic), generated semaphore-heavy programs and a 16-worker
+// lock-step program. The hashes were recorded before constant-operand
+// arithmetic was fused and before the scheduler kept its runnable set
+// across rounds, so they hold both to the schedule and the log of the
+// unfused stream and the per-round rebuild.
+TEST(InterpTest, GeneratedAndLockStepV2LogsPinned) {
+  struct Case {
+    const char *Label;
+    std::string Source;
+  };
+  std::vector<Case> Cases;
+  for (uint64_t Seed : {1u, 2u}) {
+    ppd::testing::GenOptions Opts;
+    Opts.Profile = ppd::testing::GenProfile::Compute;
+    Cases.push_back({"compute", ppd::testing::generateProgram(Seed, Opts)
+                                    .render()});
+    Opts.Profile = ppd::testing::GenProfile::SyncHeavy;
+    Cases.push_back({"sync-heavy", ppd::testing::generateProgram(Seed, Opts)
+                                       .render()});
+  }
+  Cases.push_back({"lock-step", lockStepProgram()});
+  const uint32_t Quanta[] = {1, 2, 3, 8};
+  const uint64_t Pins[5][4] = {
+      {0x369c7448fd5ec71full, 0x369c7448fd5ec71full, 0x369c7448fd5ec71full,
+       0x369c7448fd5ec71full},
+      {0x0ebd4a54ad4f58ebull, 0xab7134970187bc3dull, 0x5756b6492bb800cdull,
+       0xcf31e8866387e1b5ull},
+      {0xce787befa62ad138ull, 0xce787befa62ad138ull, 0xce787befa62ad138ull,
+       0xce787befa62ad138ull},
+      {0x2ff98fe8c1211b0full, 0x72741cc5fe469b82ull, 0x469a0ace1b26beb2ull,
+       0xaba9c90325480d12ull},
+      {0x94c8d14da5f088d2ull, 0xfcddb00ddeb1e521ull, 0x12bd658ee0e319dbull,
+       0xe3deab6ba3eb3befull},
+  };
+  for (size_t C = 0; C != Cases.size(); ++C) {
+    auto Prog = compileOk(Cases[C].Source);
+    ASSERT_TRUE(Prog);
+    for (size_t Q = 0; Q != 4; ++Q) {
+      MachineOptions MOpts;
+      MOpts.Seed = 7;
+      MOpts.Mode = RunMode::Logging;
+      MOpts.Quantum = Quanta[Q];
+      Observed O = runOnce(*Prog, MOpts);
+      if (C == 4) {
+        EXPECT_EQ(int(O.Result.Outcome), int(RunResult::Status::Completed));
+        ASSERT_EQ(O.Output.size(), 3u);
+        EXPECT_EQ(O.Output[2].Value, 192);
+      }
+      uint64_t Hash = fnv1a(v2Bytes(O.Log));
+      EXPECT_EQ(Hash, Pins[C][Q])
+          << "case " << C << " (" << Cases[C].Label << ") quantum "
+          << Quanta[Q] << ": v2 log drifted; actual 0x" << std::hex << Hash;
+    }
+  }
+}
+
+// The decoder fuses PushConst with the arithmetic operator after it, keeps
+// the operator's slot decoded as itself (a jump may land there, and a
+// split pair resumes there), and leaves PushConst + Cmp* alone: the
+// compare is already the first half of JumpIfCmp.
+TEST(InterpTest, ConstantArithmeticFusesInDecoder) {
+  auto Prog = compileOk("func main() {\n"
+                        "  int s = 5;\n"
+                        "  s = (s * 11 + 3) % 1000003;\n"
+                        "  s = (s - 4) / 2;\n"
+                        "  if (s < 7) s = 0;\n"
+                        "  print(s);\n"
+                        "}\n");
+  ASSERT_TRUE(Prog);
+  for (bool Emu : {false, true}) {
+    SCOPED_TRACE(Emu ? "emulation package" : "object code");
+    const CompiledFunction &Main = Prog->func(Prog->MainIndex);
+    const Chunk &Code = Emu ? Main.Emu : Main.Object;
+    const DecodedChunk &D = Emu ? Main.EmuDecoded : Main.ObjectDecoded;
+    std::vector<std::pair<DOp, int64_t>> Fused;
+    bool CmpKept = false;
+    for (uint32_t Pc = 0; Pc + 1 < D.size(); ++Pc) {
+      const DecodedInstr &I = D.at(Pc);
+      switch (I.Opcode) {
+      case DOp::AddImm:
+      case DOp::SubImm:
+      case DOp::MulImm:
+      case DOp::DivImm:
+      case DOp::ModImm:
+        Fused.push_back({I.Opcode, I.Imm});
+        EXPECT_EQ(Code.at(Pc).Opcode, Op::PushConst);
+        EXPECT_EQ(uint8_t(D.at(Pc + 1).Opcode),
+                  uint8_t(Code.at(Pc + 1).Opcode))
+            << "second half keeps its plain decoding";
+        break;
+      case DOp::PushConst:
+        CmpKept |= D.at(Pc + 1).Opcode == DOp::JumpIfCmp &&
+                   Code.at(Pc + 1).Opcode == Op::CmpLt &&
+                   Code.at(Pc + 2).Opcode == Op::JumpIfFalse;
+        break;
+      default:
+        break;
+      }
+    }
+    const std::vector<std::pair<DOp, int64_t>> Expected = {
+        {DOp::MulImm, 11}, {DOp::AddImm, 3}, {DOp::ModImm, 1000003},
+        {DOp::SubImm, 4},  {DOp::DivImm, 2}};
+    EXPECT_EQ(Fused, Expected);
+    EXPECT_TRUE(CmpKept) << "PushConst; CmpLt; JumpIfFalse is PushConst + "
+                            "JumpIfCmp";
+  }
+  EXPECT_EQ(runProgram("func main() { int s = 5;\n"
+                       "  s = (s * 11 + 3) % 1000003;\n"
+                       "  s = (s - 4) / 2; print(s); }")
+                .PrintedValues,
+            std::vector<int64_t>{27});
+}
+
+// A constant zero divisor fails where the unfused PushConst + Div/Mod
+// pair failed: same kind, process, statement and step count, at quantum
+// 1 (the fused pair splits at every slice boundary), 2, 3 and 8. The
+// steps and statements were recorded before the pair was fused. Replay of
+// the failing interval re-hits the failure at the same statement.
+TEST(InterpTest, ConstantZeroDivisorFailsAsUnfused) {
+  struct Case {
+    const char *Op;
+    RuntimeErrorKind Kind;
+    uint64_t Steps[4]; ///< at each of Quanta.
+  };
+  const Case Cases[] = {
+      {"/", RuntimeErrorKind::DivideByZero, {181, 169, 201, 199}},
+      {"%", RuntimeErrorKind::ModuloByZero, {181, 169, 201, 199}},
+  };
+  const uint32_t Quanta[] = {1, 2, 3, 8};
+  for (const Case &C : Cases) {
+    std::string Source = "shared int g;\n"
+                         "func worker(int x) {\n"
+                         "  int i = 0;\n"
+                         "  for (i = 0; i < 5; i = i + 1) g = g + x * 3;\n"
+                         "  print(x " +
+                         std::string(C.Op) +
+                         " 0);\n" // line 5
+                         "}\n"
+                         "func main() {\n"
+                         "  int i = 0;\n"
+                         "  spawn worker(7);\n"
+                         "  for (i = 0; i < 20; i = i + 1) g = g + i;\n"
+                         "  print(g);\n"
+                         "}\n";
+    auto Prog = compileOk(Source);
+    ASSERT_TRUE(Prog);
+    StmtId Failing = stmtAtLine(*Prog->Ast, 5);
+    for (size_t Q = 0; Q != 4; ++Q) {
+      SCOPED_TRACE(std::string(C.Op) + " quantum " +
+                   std::to_string(Quanta[Q]));
+      MachineOptions MOpts;
+      MOpts.Seed = 1;
+      MOpts.Quantum = Quanta[Q];
+      Observed O = runOnce(*Prog, MOpts);
+      ASSERT_EQ(int(O.Result.Outcome), int(RunResult::Status::Failed));
+      EXPECT_EQ(int(O.Result.Error.Kind), int(C.Kind));
+      EXPECT_EQ(O.Result.Error.Pid, 1u);
+      EXPECT_EQ(O.Result.Error.Stmt, Failing);
+      EXPECT_EQ(O.Result.Steps, C.Steps[Q]);
+
+      LogIndex Index(O.Log);
+      const LogInterval *Open = Index.lastOpenInterval(1);
+      ASSERT_NE(Open, nullptr) << "failure leaves the interval open";
+      ReplayEngine Engine(*Prog);
+      ReplayResult Res = Engine.replay(O.Log, 1, *Open);
+      ASSERT_TRUE(Res.Ok) << Res.Error;
+      EXPECT_TRUE(Res.FailureHit);
+      EXPECT_EQ(int(Res.Failure.Kind), int(C.Kind));
+      EXPECT_EQ(Res.Failure.Pid, 1u);
+      EXPECT_EQ(Res.Failure.Stmt, Failing);
+    }
   }
 }
 
