@@ -7,37 +7,30 @@
 #include "cfg/Dominators.h"
 
 #include <cassert>
+#include <ranges>
 
 using namespace ppd;
 
 namespace {
 
-/// Direction-abstracted view of the CFG edges.
+/// Direction-abstracted view of the CFG edges, read in place.
 struct GraphView {
   const Cfg &G;
   bool Post;
 
   /// Edges pointing toward the root ("predecessors" in analysis space).
-  std::vector<CfgNodeId> preds(CfgNodeId Node) const {
-    std::vector<CfgNodeId> Out;
-    if (!Post) {
-      Out = G.node(Node).Preds;
-    } else {
-      for (const CfgSucc &S : G.node(Node).Succs)
-        Out.push_back(S.Node);
-    }
-    return Out;
+  size_t numPreds(CfgNodeId Node) const {
+    return Post ? G.node(Node).Succs.size() : G.node(Node).Preds.size();
+  }
+  CfgNodeId pred(CfgNodeId Node, size_t I) const {
+    return Post ? G.node(Node).Succs[I].Node : G.node(Node).Preds[I];
   }
 
-  std::vector<CfgNodeId> succs(CfgNodeId Node) const {
-    std::vector<CfgNodeId> Out;
-    if (!Post) {
-      for (const CfgSucc &S : G.node(Node).Succs)
-        Out.push_back(S.Node);
-    } else {
-      Out = G.node(Node).Preds;
-    }
-    return Out;
+  size_t numSuccs(CfgNodeId Node) const {
+    return Post ? G.node(Node).Preds.size() : G.node(Node).Succs.size();
+  }
+  CfgNodeId succ(CfgNodeId Node, size_t I) const {
+    return Post ? G.node(Node).Preds[I] : G.node(Node).Succs[I].Node;
   }
 };
 
@@ -51,20 +44,17 @@ DomTree::DomTree(const Cfg &G, bool Post) {
 
   GraphView View{G, Post};
 
-  // Reverse post-order from the root in analysis direction.
+  // Post-order from the root in analysis direction.
   std::vector<bool> Visited(N, false);
   std::vector<CfgNodeId> PostOrder;
   std::vector<std::pair<CfgNodeId, size_t>> Stack;
-  std::vector<std::vector<CfgNodeId>> Succs(N);
-  for (CfgNodeId Id = 0; Id != N; ++Id)
-    Succs[Id] = View.succs(Id);
 
   Stack.push_back({Root, 0});
   Visited[Root] = true;
   while (!Stack.empty()) {
     auto &[Node, Next] = Stack.back();
-    if (Next < Succs[Node].size()) {
-      CfgNodeId S = Succs[Node][Next++];
+    if (Next < View.numSuccs(Node)) {
+      CfgNodeId S = View.succ(Node, Next++);
       if (!Visited[S]) {
         Visited[S] = true;
         Stack.push_back({S, 0});
@@ -75,10 +65,11 @@ DomTree::DomTree(const Cfg &G, bool Post) {
     Stack.pop_back();
   }
 
-  std::vector<CfgNodeId> Rpo(PostOrder.rbegin(), PostOrder.rend());
+  // Reverse post-order: PostOrder read backwards.
+  const auto Rpo = std::views::reverse(PostOrder);
   std::vector<uint32_t> RpoIndex(N, InvalidId);
-  for (unsigned I = 0; I != Rpo.size(); ++I)
-    RpoIndex[Rpo[I]] = I;
+  for (unsigned I = 0; I != PostOrder.size(); ++I)
+    RpoIndex[PostOrder[I]] = unsigned(PostOrder.size()) - 1 - I;
 
   // Cooper–Harvey–Kennedy: iterate to fixpoint intersecting predecessor
   // dominators in RPO-index space.
@@ -100,7 +91,8 @@ DomTree::DomTree(const Cfg &G, bool Post) {
       if (Node == Root)
         continue;
       CfgNodeId NewIdom = InvalidId;
-      for (CfgNodeId Pred : View.preds(Node)) {
+      for (size_t I = 0, E = View.numPreds(Node); I != E; ++I) {
+        CfgNodeId Pred = View.pred(Node, I);
         if (!Visited[Pred] || Idom[Pred] == InvalidId)
           continue;
         NewIdom = NewIdom == InvalidId ? Pred : Intersect(Pred, NewIdom);

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Everything the Compiler/Linker produces during the preparatory phase
-/// (paper Fig 3.1): the object code, the emulation package, the static
-/// program dependence graphs, the simplified static graphs with their
-/// synchronization units, and the program database — plus the e-block
-/// metadata (USED/DEFINED sets, entry pcs) that prelogs/postlogs and replay
-/// are driven by.
+/// (paper Fig 3.1): the object code, the emulation package, the control
+/// dependences of the static program dependence graphs, the simplified
+/// static graphs with their synchronization units, and the program
+/// database — plus the e-block metadata (USED/DEFINED sets, entry pcs) that
+/// prelogs/postlogs and replay are driven by.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +22,8 @@
 #include "cfg/Cfg.h"
 #include "compiler/EBlockPartition.h"
 #include "dataflow/ModRef.h"
+#include "pdg/ControlDependence.h"
 #include "pdg/SimplifiedStaticGraph.h"
-#include "pdg/StaticPdg.h"
 #include "sema/CallGraph.h"
 #include "sema/ProgramDatabase.h"
 #include "sema/Symbols.h"
@@ -98,9 +98,12 @@ public:
   std::vector<EBlockInfo> EBlocks;     ///< by e-block id.
   std::vector<UnitInfo> Units;         ///< by program-wide unit id.
 
-  /// Per-function static analyses (preparatory phase, Fig 3.1).
+  /// Per-function static analyses (preparatory phase, Fig 3.1). Of the
+  /// static PDG (§4.1) only the control dependences are kept: they are all
+  /// the dynamic graph's builder reads. The data edges are built on demand
+  /// by constructing a StaticPdg over Ast, Symbols, Cfgs[F] and ModRef.
   std::vector<std::unique_ptr<Cfg>> Cfgs;
-  std::vector<std::unique_ptr<StaticPdg>> Pdgs;
+  std::vector<ControlDependence> Control;
   std::vector<std::unique_ptr<SimplifiedStaticGraph>> Simplified;
 
   /// Semaphore initial counts and channel capacities, by id.

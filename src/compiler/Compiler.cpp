@@ -68,7 +68,7 @@ Compiler::compile(std::unique_ptr<Program> Ast, const CompileOptions &Options,
   // Per-function static analyses and e-block metadata.
   Out->Funcs.resize(P.Funcs.size());
   Out->Cfgs.resize(P.Funcs.size());
-  Out->Pdgs.resize(P.Funcs.size());
+  Out->Control.reserve(P.Funcs.size());
   Out->Simplified.resize(P.Funcs.size());
 
   std::vector<std::vector<uint32_t>> RegionEBlockIds(P.Funcs.size());
@@ -79,7 +79,8 @@ Compiler::compile(std::unique_ptr<Program> Ast, const CompileOptions &Options,
     uint32_t FI = F->Index;
     Out->Cfgs[FI] = std::make_unique<Cfg>(P, *F);
     const Cfg &G = *Out->Cfgs[FI];
-    Out->Pdgs[FI] = std::make_unique<StaticPdg>(P, Symbols, G, Out->ModRef);
+    assert(Out->Control.size() == FI && "functions in index order");
+    Out->Control.emplace_back(G, DomTree(G, /*Post=*/true));
     Out->Simplified[FI] = std::make_unique<SimplifiedStaticGraph>(
         P, Symbols, G, Out->ModRef, IsLogged);
 

@@ -251,8 +251,7 @@ BuiltFragment GraphBuilder::addInterval(uint32_t Pid, uint32_t IntervalIdx,
     CfgNodeId Node_ = G.nodeOf(Stmt);
     if (Node_ == InvalidId)
       return;
-    for (const ControlDep &Dep :
-         Prog.Pdgs[Func->Index]->controlParents(Node_)) {
+    for (const ControlDep &Dep : Prog.Control[Func->Index].parents(Node_)) {
       if (Dep.Branch == Cfg::EntryId) {
         Graph.addEdge({DynEdgeKind::Control, Scopes.back().Entry, Node,
                        InvalidId, int8_t(-1)});

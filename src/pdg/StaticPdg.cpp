@@ -16,8 +16,7 @@ using namespace ppd;
 
 StaticPdg::StaticPdg(const Program &P, const SymbolTable &Symbols,
                      const Cfg &G, const ModRefResult<BitVarSet> &MR)
-    : P(P), Symbols(Symbols), G(G), PostDom(G, /*Post=*/true),
-      CD(G, PostDom) {
+    : P(P), Symbols(Symbols), G(G), CD(G, DomTree(G, /*Post=*/true)) {
   ReachingDefs<BitVarSet> RD(P, Symbols, G, MR);
 
   DataIn.resize(G.size());

@@ -11,9 +11,10 @@
 /// variation of the PDG of Kuck [13] / Ferrante et al. [17] / Horwitz et
 /// al. [18], over the same node space as the Cfg (statements + ENTRY/EXIT).
 ///
-/// The PPD controller consults this graph during the debugging phase to
-/// decide which log interval can contain the producer of a value (§5.3),
-/// and race detection uses its per-function summaries.
+/// The compiled program keeps only the control-dependence half of this
+/// graph (CompiledProgram::Control), which is all the dynamic graph's
+/// builder reads. The full graph, with its ReachingDefs-based data edges,
+/// is built on demand: for `ppd compile --dump-pdg` and in tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +68,6 @@ private:
   const Program &P;
   const SymbolTable &Symbols;
   const Cfg &G;
-  DomTree PostDom;
   ControlDependence CD;
   std::vector<std::vector<DataDep>> DataIn; ///< by node id.
 };

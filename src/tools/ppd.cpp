@@ -29,6 +29,7 @@
 #include "log/BufferPool.h"
 #include "log/PageStore.h"
 #include "log/ProgramDb.h"
+#include "pdg/StaticPdg.h"
 #include "server/Bots.h"
 #include "server/DebugServer.h"
 #include "server/Transport.h"
@@ -584,7 +585,10 @@ int cmdCompile(const CliOptions &Opts) {
     }
   if (Opts.DumpPdg)
     for (const auto &F : Prog->Ast->Funcs)
-      std::printf("\n%s", Prog->Pdgs[F->Index]->dot(*Prog->Ast).c_str());
+      std::printf("\n%s", StaticPdg(*Prog->Ast, *Prog->Symbols,
+                                     *Prog->Cfgs[F->Index], Prog->ModRef)
+                               .dot(*Prog->Ast)
+                               .c_str());
   if (Opts.DumpSimplified)
     for (const auto &F : Prog->Ast->Funcs)
       std::printf("\n%s",

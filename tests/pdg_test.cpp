@@ -10,6 +10,7 @@
 #include "pdg/SimplifiedStaticGraph.h"
 #include "pdg/StaticPdg.h"
 #include "sema/CallGraph.h"
+#include "testing/ProgramGen.h"
 
 #include <gtest/gtest.h>
 
@@ -350,7 +351,9 @@ TEST(StaticPdgTest, CorpusDotIsPinned) {
     ASSERT_TRUE(Prog != nullptr) << Pin.Name;
     std::string Dump;
     for (const auto &F : Prog->Ast->Funcs)
-      Dump += "\n" + Prog->Pdgs[F->Index]->dot(*Prog->Ast);
+      Dump += "\n" + StaticPdg(*Prog->Ast, *Prog->Symbols,
+                                *Prog->Cfgs[F->Index], Prog->ModRef)
+                          .dot(*Prog->Ast);
     uint64_t Hash = 1469598103934665603ull;
     for (unsigned char Ch : Dump) {
       Hash ^= Ch;
@@ -358,6 +361,42 @@ TEST(StaticPdgTest, CorpusDotIsPinned) {
     }
     EXPECT_EQ(Hash, Pin.Hash) << Pin.Name << ": 0x" << std::hex << Hash;
   }
+}
+
+/// Every function of \p Source: the control parents the compiler keeps must
+/// equal the full StaticPdg's, element for element, at every CFG node.
+void expectCompiledControlMatches(const std::string &Source,
+                                  const std::string &Label) {
+  auto Prog = compileOk(Source);
+  ASSERT_TRUE(Prog != nullptr) << Label;
+  ASSERT_EQ(Prog->Control.size(), Prog->Ast->Funcs.size()) << Label;
+  for (const auto &F : Prog->Ast->Funcs) {
+    const Cfg &G = *Prog->Cfgs[F->Index];
+    StaticPdg Pdg(*Prog->Ast, *Prog->Symbols, G, Prog->ModRef);
+    for (CfgNodeId Node = 0; Node != G.size(); ++Node) {
+      const std::vector<ControlDep> &Got =
+          Prog->Control[F->Index].parents(Node);
+      const std::vector<ControlDep> &Want = Pdg.controlParents(Node);
+      std::string Where = Label + " func " + F->Name + " node " +
+                          std::to_string(Node);
+      ASSERT_EQ(Got.size(), Want.size()) << Where;
+      for (size_t I = 0; I != Want.size(); ++I) {
+        EXPECT_EQ(Got[I].Branch, Want[I].Branch) << Where << " parent " << I;
+        EXPECT_EQ(Got[I].Label, Want[I].Label) << Where << " parent " << I;
+      }
+    }
+  }
+}
+
+// The compiled program keeps only the control dependences of each static
+// PDG; they must be exactly the ones the full graph computes.
+TEST(StaticPdgTest, CompiledControlMatchesStaticPdg) {
+  for (const char *Name : Corpus)
+    expectCompiledControlMatches(readCorpusFile(Name), Name);
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed)
+    expectCompiledControlMatches(
+        ppd::testing::generateProgram(Seed).render(),
+        "seed " + std::to_string(Seed));
 }
 
 } // namespace
