@@ -1,10 +1,10 @@
-//===- server/Bots.cpp ----------------------------------------------------===//
+//===- bench/BotFleet.cpp -------------------------------------------------===//
 //
-// Part of PPD. See Bots.h.
+// Part of PPD. See BotFleet.h.
 //
 //===----------------------------------------------------------------------===//
 
-#include "server/Bots.h"
+#include "BotFleet.h"
 
 #include "server/EventDispatcher.h"
 #include "server/Protocol.h"
@@ -13,7 +13,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -21,12 +20,17 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace ppd;
+using namespace ppd::bench;
 
 namespace {
+
+/// Connects started per 10 ms tick.
+constexpr unsigned ConnectBatch = 512;
+/// Whole-fleet deadline; leftover bots make the run an error.
+constexpr uint64_t DeadlineMs = 120000;
 
 uint64_t nowMicros() {
   return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -40,7 +44,7 @@ struct Bot {
     Connecting, ///< non-blocking connect in flight.
     Opening,    ///< OpenSession sent, awaiting SessionOpened.
     Querying,   ///< a query in flight.
-    Holding,    ///< script done, keeping the session live (HoldOpen).
+    Holding,    ///< script done, keeping the session live.
     Closing,    ///< CloseSession sent, awaiting Closed.
     Done,
     Failed,
@@ -62,23 +66,21 @@ struct Bot {
 
 class BotFleet {
 public:
-  BotFleet(const BotFleetOptions &Options, uint64_t SharedSessionId)
-      : Opts(Options), SharedSessionId(SharedSessionId) {}
+  explicit BotFleet(const BotFleetOptions &Options) : Opts(Options) {}
   BotFleetResult run();
 
 private:
   void tick();
   void startBot(size_t I);
+  void retryConnect(size_t I);
   void onBotEvent(size_t I, uint32_t Events);
   void onConnected(size_t I);
   void readBot(size_t I);
   void handleResponse(size_t I, const Response &Resp);
   void sendRequest(size_t I, Request Req);
+  void resend(size_t I);
   void flushBot(size_t I);
-  void sendNextQuery(size_t I);
-  void paceNextQuery(size_t I);
   void finishQueries(size_t I);
-  void beginClose(size_t I);
   void completeBot(size_t I);
   void failBot(size_t I, const char *Why);
   void releaseHolders();
@@ -86,12 +88,13 @@ private:
   void dropSocket(Bot &B);
 
   BotFleetOptions Opts;
-  uint64_t SharedSessionId = 0;
+  sockaddr_in Addr{}; ///< Opts.Address, resolved once.
   EventDispatcher Loop;
   std::vector<Bot> Bots;
   LatencyHistogram Latency;
   BotFleetResult Result;
   size_t Started = 0;
+  uint64_t Completed = 0; ///< bots through the full script.
   uint64_t CurConnected = 0;
   uint64_t FinishedQueries = 0;
   bool Releasing = false;
@@ -107,53 +110,23 @@ void BotFleet::dropSocket(Bot &B) {
 
 void BotFleet::startBot(size_t I) {
   Bot &B = Bots[I];
-  bool Tcp = isTcpEndpoint(Opts.Address);
-  int Fd = ::socket(Tcp ? AF_INET : AF_UNIX,
-                    SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (Fd < 0) {
     failBot(I, "socket");
     return;
   }
-  int Rc;
-  if (Tcp) {
-    std::string Host;
-    uint16_t Port = 0;
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    if (!splitHostPort(Opts.Address.substr(4), Host, Port) ||
-        ::inet_pton(AF_INET,
-                    (Host.empty() || Host == "localhost") ? "127.0.0.1"
-                                                          : Host.c_str(),
-                    &Addr.sin_addr) != 1) {
-      ::close(Fd);
-      failBot(I, "address");
-      return;
-    }
-    Addr.sin_port = htons(Port);
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
-  } else {
-    sockaddr_un Addr{};
-    Addr.sun_family = AF_UNIX;
-    if (Opts.Address.size() >= sizeof(Addr.sun_path)) {
-      ::close(Fd);
-      failBot(I, "path");
-      return;
-    }
-    std::memcpy(Addr.sun_path, Opts.Address.c_str(),
-                Opts.Address.size() + 1);
-    Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
-  }
+  int One = 1;
+  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  int Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
   if (Rc < 0 && errno != EINPROGRESS) {
-    // A full unix backlog surfaces as EAGAIN with no completion to wait
-    // for; back off a tick and retry rather than failing the bot.
+    // A full backlog can refuse outright; back off a tick and retry
+    // rather than failing the bot.
+    int Err = errno;
     ::close(Fd);
-    if ((errno == EAGAIN || errno == ECONNREFUSED) && B.Retries++ < 50) {
-      Loop.addTimer(10, [this, I] { startBot(I); });
-      return;
-    }
-    failBot(I, "connect");
+    if (Err == EAGAIN || Err == ECONNREFUSED)
+      retryConnect(I);
+    else
+      failBot(I, "connect");
     return;
   }
   B.Fd = Fd;
@@ -164,47 +137,30 @@ void BotFleet::startBot(size_t I) {
     onConnected(I);
 }
 
+void BotFleet::retryConnect(size_t I) {
+  if (Bots[I].Retries++ < 50)
+    Loop.addTimer(10, [this, I] { startBot(I); });
+  else
+    failBot(I, "connect");
+}
+
 void BotFleet::onConnected(size_t I) {
-  Bot &B = Bots[I];
-  ++Result.Connected;
   ++CurConnected;
   if (CurConnected > Result.PeakConcurrent)
     Result.PeakConcurrent = CurConnected;
-  if (Opts.SharedSession) {
-    B.SessionId = SharedSessionId;
-    B.St = Bot::State::Querying;
-    sendNextQuery(I);
-    return;
-  }
-  Request Req;
-  Req.Type = MsgType::OpenSession;
-  Req.ProgramIndex = Opts.ProgramIndex;
-  B.St = Bot::State::Opening;
-  sendRequest(I, std::move(Req));
+  Bots[I].St = Bot::State::Opening;
+  resend(I);
 }
 
 void BotFleet::onBotEvent(size_t I, uint32_t Events) {
   Bot &B = Bots[I];
   if (B.St == Bot::State::Connecting) {
-    if (Events & (EPOLLERR | EPOLLHUP)) {
-      dropSocket(B);
-      if (B.Retries++ < 50) {
-        Loop.addTimer(10, [this, I] { startBot(I); });
-        return;
-      }
-      failBot(I, "connect");
-      return;
-    }
     int Err = 0;
     socklen_t Len = sizeof(Err);
     ::getsockopt(B.Fd, SOL_SOCKET, SO_ERROR, &Err, &Len);
-    if (Err != 0) {
+    if ((Events & (EPOLLERR | EPOLLHUP)) || Err != 0) {
       dropSocket(B);
-      if (B.Retries++ < 50) {
-        Loop.addTimer(10, [this, I] { startBot(I); });
-        return;
-      }
-      failBot(I, "connect");
+      retryConnect(I);
       return;
     }
     Loop.modify(B.Fd, EPOLLIN);
@@ -230,6 +186,28 @@ void BotFleet::sendRequest(size_t I, Request Req) {
   B.WriteBuf.insert(B.WriteBuf.end(), W.data(), W.data() + W.size());
   B.SendTimeUs = nowMicros();
   flushBot(I);
+}
+
+/// Sends the request the bot's state is waiting on: the open, the next
+/// query or the close. A Busy answer re-issues it through here.
+void BotFleet::resend(size_t I) {
+  Request Req;
+  Req.SessionId = Bots[I].SessionId;
+  switch (Bots[I].St) {
+  case Bot::State::Opening:
+    Req.Type = MsgType::OpenSession;
+    break;
+  case Bot::State::Querying:
+    Req.Type = MsgType::Query;
+    Req.Command = "where 0";
+    break;
+  case Bot::State::Closing:
+    Req.Type = MsgType::CloseSession;
+    break;
+  default:
+    return;
+  }
+  sendRequest(I, std::move(Req));
 }
 
 void BotFleet::flushBot(size_t I) {
@@ -313,30 +291,8 @@ void BotFleet::handleResponse(size_t I, const Response &Resp) {
     ++Result.BusyRetries;
     Bot::State St = B.St;
     Loop.addTimer(5 + (I & 15), [this, I, St] {
-      Bot &B = Bots[I];
-      if (B.Fd < 0 || B.St != St)
-        return;
-      switch (St) {
-      case Bot::State::Opening: {
-        Request Req;
-        Req.Type = MsgType::OpenSession;
-        Req.ProgramIndex = Opts.ProgramIndex;
-        sendRequest(I, std::move(Req));
-        return;
-      }
-      case Bot::State::Querying:
-        sendNextQuery(I);
-        return;
-      case Bot::State::Closing: {
-        Request Req;
-        Req.Type = MsgType::CloseSession;
-        Req.SessionId = B.SessionId;
-        sendRequest(I, std::move(Req));
-        return;
-      }
-      default:
-        return;
-      }
+      if (Bots[I].Fd >= 0 && Bots[I].St == St)
+        resend(I);
     });
     return;
   }
@@ -348,7 +304,7 @@ void BotFleet::handleResponse(size_t I, const Response &Resp) {
     }
     B.SessionId = Resp.SessionId;
     B.St = Bot::State::Querying;
-    paceNextQuery(I);
+    resend(I);
     return;
   case Bot::State::Querying:
     if (Resp.Type != RespType::Result) {
@@ -357,11 +313,10 @@ void BotFleet::handleResponse(size_t I, const Response &Resp) {
     }
     Latency.record(nowMicros() - B.SendTimeUs);
     ++Result.QueriesAnswered;
-    if (++B.QueriesDone >= Opts.QueriesPerBot) {
+    if (++B.QueriesDone >= Opts.QueriesPerBot)
       finishQueries(I);
-      return;
-    }
-    paceNextQuery(I);
+    else
+      resend(I);
     return;
   case Bot::State::Closing:
     if (Resp.Type != RespType::Closed) {
@@ -376,48 +331,8 @@ void BotFleet::handleResponse(size_t I, const Response &Resp) {
   }
 }
 
-/// With ThinkMs the fleet is a pacer, not a firehose: the next query is
-/// delayed by a deterministic per-(bot, query) jitter uniform in
-/// [1, 2*ThinkMs] — mean ThinkMs, and no two bots phase-lock — so the
-/// offered load is NumBots/ThinkMs queries per ms and the measured
-/// round-trip is service + dispatch, not open-throttle queue depth.
-void BotFleet::paceNextQuery(size_t I) {
-  if (Opts.ThinkMs == 0) {
-    sendNextQuery(I);
-    return;
-  }
-  Bot &B = Bots[I];
-  uint64_t Jitter =
-      (I * 2654435761u + uint64_t(B.QueriesDone) * 40503u) %
-          (2 * uint64_t(Opts.ThinkMs)) +
-      1;
-  Loop.addTimer(Jitter, [this, I] {
-    Bot &B = Bots[I];
-    if (B.Fd < 0 || B.St != Bot::State::Querying)
-      return;
-    sendNextQuery(I);
-  });
-}
-
-void BotFleet::sendNextQuery(size_t I) {
-  Request Req;
-  Req.Type = MsgType::Query;
-  Req.SessionId = Bots[I].SessionId;
-  Req.Command = Opts.Command;
-  sendRequest(I, std::move(Req));
-}
-
 void BotFleet::finishQueries(size_t I) {
   ++FinishedQueries;
-  if (Opts.Progress && FinishedQueries % 1024 == 0)
-    Opts.Progress(std::to_string(FinishedQueries) + "/" +
-                  std::to_string(Opts.NumBots) + " bots finished, " +
-                  std::to_string(CurConnected) + " concurrent");
-  if (!Opts.HoldOpen) {
-    beginClose(I);
-    checkDone();
-    return;
-  }
   Bots[I].St = Bot::State::Holding;
   // Everyone still alive is done querying: the concurrency plateau has
   // been held, release the fleet.
@@ -430,30 +345,18 @@ void BotFleet::releaseHolders() {
     return;
   Releasing = true;
   for (size_t I = 0; I != Bots.size(); ++I)
-    if (Bots[I].St == Bot::State::Holding)
-      beginClose(I);
+    if (Bots[I].St == Bot::State::Holding) {
+      Bots[I].St = Bot::State::Closing;
+      resend(I);
+    }
   checkDone();
-}
-
-void BotFleet::beginClose(size_t I) {
-  Bot &B = Bots[I];
-  if (Opts.SharedSession) {
-    // The fleet runner owns the shared session; bots just hang up.
-    completeBot(I);
-    return;
-  }
-  Request Req;
-  Req.Type = MsgType::CloseSession;
-  Req.SessionId = B.SessionId;
-  B.St = Bot::State::Closing;
-  sendRequest(I, std::move(Req));
 }
 
 void BotFleet::completeBot(size_t I) {
   Bot &B = Bots[I];
   dropSocket(B);
   B.St = Bot::State::Done;
-  ++Result.Completed;
+  ++Completed;
   --CurConnected;
   checkDone();
 }
@@ -472,20 +375,19 @@ void BotFleet::failBot(size_t I, const char *Why) {
     Result.Error = Why;
   // A bot that dies mid-script can be the last thing the holders were
   // waiting for.
-  if (Opts.HoldOpen && !CountedFinished &&
-      FinishedQueries + Result.Failed == Opts.NumBots)
+  if (!CountedFinished && FinishedQueries + Result.Failed == Opts.NumBots)
     releaseHolders();
   checkDone();
 }
 
 void BotFleet::checkDone() {
-  if (Result.Completed + Result.Failed >= Opts.NumBots)
+  if (Completed + Result.Failed >= Opts.NumBots)
     Loop.stop();
 }
 
 void BotFleet::tick() {
   size_t Batch = 0;
-  while (Started != Bots.size() && Batch++ != Opts.ConnectBatch)
+  while (Started != Bots.size() && Batch++ != ConnectBatch)
     startBot(Started++);
   if (Started != Bots.size())
     Loop.addTimer(10, [this] { tick(); });
@@ -500,56 +402,37 @@ BotFleetResult BotFleet::run() {
     Result.Error = "empty fleet";
     return Result;
   }
+  std::string Host;
+  uint16_t Port = 0;
+  Addr.sin_family = AF_INET;
+  if (!isTcpEndpoint(Opts.Address) ||
+      !splitHostPort(Opts.Address.substr(4), Host, Port) ||
+      ::inet_pton(AF_INET,
+                  (Host.empty() || Host == "localhost") ? "127.0.0.1"
+                                                        : Host.c_str(),
+                  &Addr.sin_addr) != 1) {
+    Result.Error = "address";
+    return Result;
+  }
+  Addr.sin_port = htons(Port);
   raiseFdLimit();
   Bots.resize(Opts.NumBots);
-  uint64_t StartUs = nowMicros();
-  Loop.addTimer(Opts.DeadlineMs, [this] {
-    Result.TimedOut = true;
+  Loop.addTimer(DeadlineMs, [this] {
+    if (Result.Error.empty())
+      Result.Error = "deadline";
     Loop.stop();
   });
   tick();
   Loop.run();
   for (Bot &B : Bots)
     dropSocket(B);
-  Result.WallMs = (nowMicros() - StartUs) / 1000;
   Result.P50us = Latency.percentileMicros(50);
   Result.P99us = Latency.percentileMicros(99);
-  Result.MeanUs = Latency.meanMicros();
   return Result;
 }
 
 } // namespace
 
-BotFleetResult ppd::runBotFleet(const BotFleetOptions &Options) {
-  const BotFleetOptions &Opts = Options;
-  uint64_t SharedId = 0;
-  ClientConnection Shared;
-  if (Opts.SharedSession) {
-    if (!Shared.connect(Opts.Address)) {
-      BotFleetResult R;
-      R.Error = "shared-session connect";
-      return R;
-    }
-    Request Req;
-    Req.Type = MsgType::OpenSession;
-    Req.ProgramIndex = Opts.ProgramIndex;
-    Response Resp;
-    if (!Shared.roundTrip(Req, Resp) ||
-        Resp.Type != RespType::SessionOpened) {
-      BotFleetResult R;
-      R.Error = "shared-session open";
-      return R;
-    }
-    SharedId = Resp.SessionId;
-  }
-  BotFleet Fleet(Opts, SharedId);
-  BotFleetResult Result = Fleet.run();
-  if (Opts.SharedSession && Shared.connected()) {
-    Request Req;
-    Req.Type = MsgType::CloseSession;
-    Req.SessionId = SharedId;
-    Response Resp;
-    Shared.roundTrip(Req, Resp);
-  }
-  return Result;
+BotFleetResult ppd::bench::runBotFleet(const BotFleetOptions &Options) {
+  return BotFleet(Options).run();
 }

@@ -6,11 +6,12 @@
 // in-process E10 cannot see (E10 deliberately excludes kernel buffers
 // and sockets):
 //
-//   * `transport_warm_p99/N`   — N concurrent TCP bot connections, each
-//     holding a warmed session and issuing queries; P50us/P99us are the
-//     client-observed round-trip percentiles from the fleet's histogram.
-//     The tentpole acceptance bar reads from this curve: warm p99 at
-//     high N vs the single-connection baseline.
+//   * `transport_warm_p99/N`   — N concurrent TCP bot connections
+//     (BotFleet.h), each holding a warmed session and issuing queries;
+//     P50us/P99us are the client-observed round-trip percentiles from
+//     the fleet's histogram. The 10000 row is the 10k-session run: it
+//     needs about 20k fds (both ends of every connection live in this
+//     process) and reports an error below that `ulimit -n`.
 //   * `transport_fd_churn/N`   — N connect/round-trip/disconnect cycles
 //     against the epoll server; FdDelta is the process fd-count change
 //     across the run (flat = no leak).
@@ -21,8 +22,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchPrograms.h"
+#include "BotFleet.h"
 
-#include "server/Bots.h"
 #include "server/DebugServer.h"
 #include "server/Transport.h"
 #include "server/Wire.h"
@@ -37,7 +38,7 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
+#include <sys/resource.h>
 
 using namespace ppd;
 using namespace ppd::bench;
@@ -65,10 +66,9 @@ std::string transportWorkload() { return mixedWorkload(6, 40); }
 struct BenchEpollServer {
   std::unique_ptr<DebugServer> Server;
   uint16_t Port = 0;
-  std::string UnixPath;
   std::thread Loop;
 
-  void start(bool WithUnix = false) {
+  void start() {
     DebugServerOptions SOpts;
     SOpts.Registry.MaxSessions = 1u << 20;
     SOpts.QueueLimit = 4096;
@@ -84,12 +84,6 @@ struct BenchEpollServer {
     TOpts.TcpListenFd = listenTcp("127.0.0.1:0", &Port);
     if (TOpts.TcpListenFd < 0)
       std::abort();
-    if (WithUnix) {
-      UnixPath = "/tmp/ppd-bench-transport-" + std::to_string(::getpid()) +
-                 ".sock";
-      TOpts.UnixListenFd = listenUnix(UnixPath);
-      TOpts.UnixPath = UnixPath;
-    }
     DebugServer *S = Server.get();
     Loop = std::thread([S, TOpts] { runEpollServer(*S, TOpts); });
     // Wait until the loop thread is serving: the dispatcher's own fds
@@ -121,8 +115,6 @@ struct BenchEpollServer {
       Conn.roundTrip(Shut, Ack);
     }
     Loop.join();
-    if (!UnixPath.empty())
-      ::unlink(UnixPath.c_str());
   }
 };
 
@@ -131,9 +123,19 @@ struct BenchEpollServer {
 /// percentiles are measured AT the plateau of N concurrent connections.
 void transport_warm_p99(benchmark::State &State) {
   unsigned NumBots = unsigned(State.range(0));
+  // Each bot holds a client fd and the server holds its peer, both here.
+  raiseFdLimit();
+  rlimit Fds{};
+  ::getrlimit(RLIMIT_NOFILE, &Fds);
+  if (Fds.rlim_cur < 2 * rlim_t(NumBots) + 64) {
+    State.SkipWithError(("needs " + std::to_string(2 * NumBots + 64) +
+                         " fds, RLIMIT_NOFILE is " +
+                         std::to_string(Fds.rlim_cur))
+                            .c_str());
+    return;
+  }
   BenchEpollServer Server;
   Server.start();
-  raiseFdLimit();
 
   BotFleetResult Last;
   for (auto _ : State) {
@@ -141,8 +143,6 @@ void transport_warm_p99(benchmark::State &State) {
     Opts.Address = Server.endpoint();
     Opts.NumBots = NumBots;
     Opts.QueriesPerBot = 8;
-    Opts.Command = "where 0";
-    Opts.HoldOpen = true;
     Last = runBotFleet(Opts);
     if (Last.Failed != 0 || !Last.Error.empty()) {
       State.SkipWithError(("fleet failure: " + Last.Error).c_str());
@@ -201,7 +201,7 @@ void transport_fd_churn(benchmark::State &State) {
 
 } // namespace
 
-BENCHMARK(transport_warm_p99)->Arg(1)->Arg(64)->Arg(512)->Arg(2048)
+BENCHMARK(transport_warm_p99)->Arg(1)->Arg(64)->Arg(512)->Arg(2048)->Arg(10000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(transport_fd_churn)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -13,8 +13,7 @@
 ///
 /// Addresses: helpers that take an *endpoint* accept either a unix
 /// socket path or `tcp:HOST:PORT`, so every client-side caller (ppd
-/// client, stream ingest, bots) reaches TCP servers with no code of its
-/// own.
+/// client, stream ingest) reaches TCP servers with no code of its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +57,7 @@ bool isTcpEndpoint(const std::string &Address);
 int connectEndpoint(const std::string &Address);
 
 /// Raises RLIMIT_NOFILE's soft limit to the hard limit (best effort).
-/// The serve and bots paths call this: 10k connections need 10k fds.
+/// `ppd serve` calls this: 10k connections need 10k fds.
 void raiseFdLimit();
 
 /// Writes one frame: u32 length prefix + \p Size payload bytes. Retries

@@ -3,21 +3,16 @@
 // Part of PPD, a reproduction of Miller & Choi, "A Mechanism for Efficient
 // Debugging of Parallel Programs" (PLDI 1988).
 //
-// Drives all three phases of the paper from the command line:
+// Drives all three phases of the paper from the command line: `compile`
+// is the preparatory phase, `run` and `races` the execution phase, and
+// `debug` (interactive, commands from stdin) and `serve` (a daemon for
+// concurrent sessions) the debugging phase; `client` scripts a running
+// server and `fuzz` checks the pipeline differentially.
 //
-//   ppd compile <file.ppl> [options]   preparatory phase: static artifacts
-//   ppd run     <file.ppl> [options]   execution phase: run + write the log
-//   ppd races   <file.ppl> [options]   run, then §6.4 race detection
-//   ppd debug   <file.ppl> [options]   debugging phase: interactive
-//                                      flowback session (reads commands
-//                                      from stdin; pipe-friendly)
-//   ppd serve   <file.ppl> [options]   debugging phase as a daemon: serve
-//                                      concurrent sessions over a unix
-//                                      socket
-//   ppd client  --socket PATH          scriptable client for ppd serve
-//                                      (commands from stdin)
-//   ppd bots    --tcp HOST:PORT        scripted client-fleet load
-//                                      generator against a running server
+// Two tables drive the command line: Commands (name, file argument,
+// handler, help) and Flags (name, value, the commands that read it, typed
+// parser, help). Parsing, per-command acceptance and usage() all come
+// from them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +25,6 @@
 #include "log/PageStore.h"
 #include "log/ProgramDb.h"
 #include "pdg/StaticPdg.h"
-#include "server/Bots.h"
 #include "server/DebugServer.h"
 #include "server/Transport.h"
 #include "server/Wire.h"
@@ -45,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <type_traits>
@@ -61,176 +56,56 @@ using namespace ppd;
 namespace {
 
 struct CliOptions {
-  std::string Command;
   std::string File;
+
+  // compile and run (every command that compiles or runs the file)
   uint64_t Seed = 1;
   uint32_t Quantum = 8;
   std::vector<std::vector<int64_t>> Inputs;
-  std::string LogPath;
-  RunMode Mode = RunMode::Logging;
+  std::vector<uint32_t> BreakLines;
+  bool LeafInheritance = false;
+  bool LoopBlocks = false;
+
+  // compile
   bool DumpDisassembly = false;
   bool DumpPdg = false;
   bool DumpSimplified = false;
   bool DumpDatabase = false;
-  bool LeafInheritance = false;
-  bool LoopBlocks = false;
-  std::vector<uint32_t> BreakLines;
 
-  // paged log tier (debug/serve)
+  // run
+  RunMode Mode = RunMode::Logging;
+  std::string SaveLog;
+  std::string StreamAddr;       ///< --stream: server endpoint.
+  uint32_t StreamProgram = 0;
+  uint32_t SectionRecords = 64;
+  bool NoPpdb = false;          ///< also debug/serve
+
+  // debug / serve: the paged log tier
+  std::vector<std::string> LogPaths;
   size_t PoolBudget = 0; ///< 0 = PPD_POOL_BUDGET env, else 256 MiB.
-  bool NoPpdb = false;
 
-  // serve / client / bots
+  // serve / client
   std::string SocketPath;
-  std::string TcpAddr;              ///< --tcp HOST:PORT
-  uint64_t IdleTimeoutMs = 0;       ///< --idle-timeout-ms (serve)
-  std::vector<std::string> ExtraPrograms; ///< --program (serve)
-  std::vector<std::string> LogPaths;      ///< --log occurrences (serve)
+  std::string TcpAddr;
+
+  // serve
+  std::vector<std::string> ExtraPrograms;
   unsigned ServerThreads = 0;
   unsigned QueueLimit = 128;
   uint64_t TimeoutMs = 0;
   unsigned MaxSessions = 64;
+  uint64_t IdleTimeoutMs = 0;
   bool MetricsDump = false;
-
-  // bots
-  unsigned NumBots = 100;           ///< --bots
-  unsigned BotQueries = 10;         ///< --queries
-  std::string BotCommand = "where 0"; ///< --bot-command
-  uint32_t BotProgram = 0;          ///< --bot-program
-  bool BotShared = false;           ///< --shared-session
-  bool BotNoHold = false;           ///< --no-hold
-  unsigned BotThinkMs = 0;          ///< --think-ms
-
-  // streaming ingest (run --stream / serve)
-  std::string StreamAddr;       ///< --stream (run): server socket path.
-  uint32_t StreamProgram = 0;   ///< --stream-program (run)
-  uint32_t SectionRecords = 64; ///< --section-records (run)
-  std::string SpillDir;         ///< --spill-dir (serve)
-  size_t SpillBudget = 0;       ///< --spill-budget (serve); 0 = unbounded
-  unsigned CreditWindow = 8;    ///< --credit-window (serve)
-  bool SpillSync = false;       ///< --spill-sync (serve)
+  std::string SpillDir;
+  size_t SpillBudget = 0; ///< 0 = unbounded
+  unsigned CreditWindow = 8;
+  bool SpillSync = false;
 
   // fuzz
   uint64_t FuzzRuns = 100;
   bool Minimize = false;
   std::string ReproOut;
 };
-
-void usage() {
-  std::fprintf(stderr, R"(usage: ppd <command> <file.ppl> [options]
-
-commands:
-  compile   preparatory phase: report the static artifacts
-  run       execution phase: run the object code, generate the log
-  races     run, then detect races on the execution instance
-  debug     debugging phase: interactive flowback session
-  serve     debugging phase as a daemon: concurrent sessions over a unix
-            socket and/or TCP (ppd serve file.ppl --socket PATH
-            [--tcp HOST:PORT]); the epoll dispatcher serves both
-            listeners from one thread
-  client    scriptable client for a running server (ppd client --socket
-            PATH | --tcp HOST:PORT; commands from stdin: open/query/step/
-            races/stats/close/tail/frontier/shutdown/quit; `tail ID CMD`
-            debugs a live stream's frontier, `frontier [ID]` shows ingest
-            progress)
-  bots      client-fleet load generator (ppd bots --tcp HOST:PORT --bots N
-            --queries Q; takes no file argument): N concurrent scripted
-            sessions — connect, open, Q serial queries, hold until the
-            fleet finishes, close — with client-side p50/p99 per query
-  fuzz      differential fuzzing: random PPL programs checked against
-            the paper's replay theorem and every redundant pipeline pair
-            (ppd fuzz --runs N --seed S; takes no file argument); every
-            seed runs, each divergence is listed, and any exits 1
-
-options:
-  --seed N              scheduler seed (default 1); one seed = one
-                        execution instance
-  --quantum N           preemption quantum in instructions, at least 1
-                        (default 8)
-  --input v,v,...       input stream for the next process (repeatable:
-                        first use feeds pid 0, second pid 1, ...)
-  --break LINE          halt the machine when any process reaches a
-                        statement on this source line (repeatable)
-  --save-log PATH       (run) write the execution log to PATH
-  --log PATH            (debug/serve) open the saved log instead of
-                        re-running; process sections are paged in on
-                        demand
-  --mode M              (run) plain | logging | fulltrace
-  --leaf-inheritance    partitioner: unlog small call-graph leaves
-  --loop-blocks         partitioner: loops become their own e-blocks
-  --pool-budget N[kmg]  (debug/serve) buffer-pool byte budget for
-                        decoded log sections (default 256m; the
-                        PPD_POOL_BUDGET env var overrides the default,
-                        the flag overrides both)
-  --no-ppdb             (run/debug/serve) neither read nor write the
-                        .ppdb program-database sidecar
-  --dump-ir             (compile) disassemble both artifacts
-  --dump-pdg            (compile) static PDGs as DOT
-  --dump-simplified     (compile) simplified static graphs + sync units
-  --dump-db             (compile) the program database
-  --stream ADDR         (run) live attach: ship completed log sections to
-                        the ppd server at this endpoint — a unix socket
-                        path or tcp:HOST:PORT — while the program
-                        runs (requires --mode logging, the default); the
-                        server's `tail`/`frontier` client commands then
-                        debug the still-running program
-  --stream-program N    (run --stream) program index on the server the
-                        stream belongs to (default 0)
-  --section-records N   (run --stream) unsealed-record threshold that
-                        seals a consistent cut (default 64)
-  --spill-dir PATH      (serve) append each ingested cut to a spill file
-                        here and finalize a canonical v2 log when the
-                        stream ends (default: ingest in memory only)
-  --spill-budget N[kmg] (serve) total spill bytes across all ingest
-                        sessions; past it new cuts are rejected Busy
-                        (default unbounded)
-  --credit-window N     (serve) SectionData frames a tracer may have in
-                        flight before it must stall (default 8)
-  --spill-sync          (serve) fdatasync the spill file after every
-                        acked cut: an ack then survives power loss, not
-                        just a server crash (finalized logs are always
-                        fsynced through their rename)
-  --socket PATH         (serve/client/bots) unix socket path
-  --tcp HOST:PORT       (serve) also listen on TCP (port 0 = ephemeral;
-                        the bound port is printed); (client/bots/run
-                        --stream) connect over TCP instead of --socket
-  --idle-timeout-ms N   (serve) disconnect clients with no traffic
-                        for N ms (default 0 = never)
-  --program FILE        (serve) serve another program too (repeatable);
-                        the Nth --log pairs with the Nth program, and
-                        more --log flags than programs is an error
-  --server-threads N    (serve) request worker threads (default 0 =
-                        handle requests inline, one at a time)
-  --queue-limit N       (serve) max queued+running requests before Busy
-                        (default 128)
-  --timeout-ms N        (serve) drop requests older than N ms at dequeue
-                        (default 0 = never)
-  --max-sessions N      (serve) concurrent session cap (default 64)
-  --metrics-dump        (serve) print the metrics report on shutdown
-  --bots N              (bots) fleet size (default 100)
-  --queries N           (bots) serial queries per bot (default 10)
-  --bot-command CMD     (bots) the debugger command each query sends
-                        (default "where 0")
-  --bot-program N       (bots) program index bots open (default 0)
-  --shared-session      (bots) every bot queries one shared session
-                        instead of opening its own
-  --no-hold             (bots) disconnect each bot as it finishes instead
-                        of holding until the whole fleet is done
-  --think-ms N          (bots) mean pause between a query's answer and the
-                        next query (default 0 = back-to-back saturation;
-                        nonzero paces the fleet so latency measures the
-                        server, not the client's own queue depth)
-  --runs N              (fuzz) number of generated programs (default 100)
-  --minimize            (fuzz) delta-debug the first divergence down to a
-                        minimal repro before reporting it
-  --repro-out PATH      (fuzz) write the (minimized) repro source to PATH
-                        when a divergence is found
-)");
-}
-
-/// Upper bound for --server-threads: far past any useful worker count, far
-/// short of what would exhaust the process creating it.
-constexpr uint64_t MaxThreads = 1024;
 
 /// Parses a decimal value in [0, Max] into \p Out. strtoull on its own
 /// reads "abc" as 0, wraps "-1" to 2^64-1 and saturates on overflow, so
@@ -283,259 +158,251 @@ bool parseByteSize(const char *V, size_t &Out) {
   return true;
 }
 
-/// Buffer-pool budget resolution: --pool-budget flag, then the
-/// PPD_POOL_BUDGET environment variable (how CI squeezes every test under
-/// a 1 MiB pool), then 256 MiB.
-size_t effectivePoolBudget(const CliOptions &Opts) {
-  if (Opts.PoolBudget != 0)
-    return Opts.PoolBudget;
-  if (const char *Env = std::getenv("PPD_POOL_BUDGET")) {
-    size_t Bytes = 0;
-    if (parseByteSize(Env, Bytes) && Bytes != 0)
-      return Bytes;
-  }
-  return size_t(256) << 20;
+//===----------------------------------------------------------------------===//
+// The flag table
+//===----------------------------------------------------------------------===//
+
+/// One bit per command; a flag's set is the commands whose handler reads
+/// its field.
+enum : unsigned {
+  Compile = 1u << 0,
+  Run = 1u << 1,
+  Races = 1u << 2,
+  Debug = 1u << 3,
+  Serve = 1u << 4,
+  Client = 1u << 5,
+  Fuzz = 1u << 6,
+  /// The commands that run the program (machineOptions).
+  Runs = Run | Races | Debug | Serve,
+  /// The commands that compile it (compileFile).
+  Compiles = Compile | Runs,
+};
+
+struct Flag {
+  const char *Name;
+  const char *Meta; ///< the value's placeholder; null for a switch.
+  unsigned Commands;
+  /// Stores \p Value (null for a switch) into its field, or prints why
+  /// it cannot and returns false. \p Name is the flag's, for the message.
+  bool (*Parse)(const char *Name, const char *Value, CliOptions &Opts);
+  const char *Help;
+};
+
+/// A vector field makes its flag repeatable: each use appends.
+template <typename T> struct ElemOf { using type = T; };
+template <typename T> struct ElemOf<std::vector<T>> { using type = T; };
+template <typename T, typename V> void store(T &Field, V &&Value) {
+  Field = std::forward<V>(Value);
+}
+template <typename T, typename V> void store(std::vector<T> &Field, V &&Value) {
+  Field.push_back(std::forward<V>(Value));
+}
+template <auto Field>
+using FieldElem = typename ElemOf<std::remove_reference_t<
+    decltype(std::declval<CliOptions &>().*Field)>>::type;
+
+/// Reports a bad value \p V of flag or variable \p What.
+bool bad(const char *What, const char *V, const std::string &Expected) {
+  std::fprintf(stderr, "error: bad %s '%s' (expected %s)\n", What, V,
+               Expected.c_str());
+  return false;
 }
 
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
-  if (Argc < 2)
-    return false;
-  Opts.Command = Argv[1];
-  // `client` and `bots` talk to a running server and `fuzz` generates
-  // its own programs; none of them takes a program file.
-  int First = 2;
-  if (Opts.Command != "client" && Opts.Command != "fuzz" &&
-      Opts.Command != "bots") {
-    if (Argc < 3)
-      return false;
-    Opts.File = Argv[2];
-    First = 3;
-  }
-  for (int I = First; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    // A numeric flag's value: digits only, in Min..Max and what Out holds.
-    auto Number = [&](auto &Out, uint64_t Max = UINT64_MAX,
-                      uint64_t Min = 0) {
-      const char *V = Next();
-      if (!V)
-        return false;
-      using T = std::remove_reference_t<decltype(Out)>;
-      Max = std::min<uint64_t>(Max, std::numeric_limits<T>::max());
-      T Parsed{};
-      if (parseUnsigned(V, Max, Parsed) && Parsed >= Min) {
-        Out = Parsed;
-        return true;
-      }
-      std::fprintf(stderr,
-                   "error: bad %s '%s' (expected an integer in %llu..%llu)\n",
-                   Arg.c_str(), V, static_cast<unsigned long long>(Min),
-                   static_cast<unsigned long long>(Max));
-      return false;
-    };
-    if (Arg == "--seed") {
-      if (!Number(Opts.Seed))
-        return false;
-    } else if (Arg == "--quantum") {
-      // A zero quantum runs empty slices forever.
-      if (!Number(Opts.Quantum, UINT64_MAX, 1))
-        return false;
-    } else if (Arg == "--input") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      std::vector<int64_t> Stream;
-      std::stringstream Ss(V);
-      std::string Item;
-      while (std::getline(Ss, Item, ',')) {
-        if (!parseSigned(Item.c_str(), Stream.emplace_back())) {
-          std::fprintf(stderr,
-                       "error: bad --input item '%s' (expected a 64-bit "
-                       "signed integer)\n",
-                       Item.c_str());
-          return false;
-        }
-      }
-      Opts.Inputs.push_back(std::move(Stream));
-    } else if (Arg == "--save-log" || Arg == "--log") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.LogPath = V;
-      if (Arg == "--log")
-        Opts.LogPaths.push_back(V);
-    } else if (Arg == "--socket") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.SocketPath = V;
-    } else if (Arg == "--tcp") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.TcpAddr = V;
-      std::string Host;
-      uint16_t Port = 0;
-      if (!splitHostPort(Opts.TcpAddr, Host, Port)) {
-        std::fprintf(stderr, "error: bad --tcp '%s' (want HOST:PORT)\n", V);
-        return false;
-      }
-    } else if (Arg == "--idle-timeout-ms") {
-      if (!Number(Opts.IdleTimeoutMs))
-        return false;
-    } else if (Arg == "--spill-sync") {
-      Opts.SpillSync = true;
-    } else if (Arg == "--bots") {
-      if (!Number(Opts.NumBots))
-        return false;
-    } else if (Arg == "--queries") {
-      if (!Number(Opts.BotQueries))
-        return false;
-    } else if (Arg == "--bot-command") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.BotCommand = V;
-    } else if (Arg == "--bot-program") {
-      if (!Number(Opts.BotProgram))
-        return false;
-    } else if (Arg == "--shared-session") {
-      Opts.BotShared = true;
-    } else if (Arg == "--no-hold") {
-      Opts.BotNoHold = true;
-    } else if (Arg == "--think-ms") {
-      if (!Number(Opts.BotThinkMs))
-        return false;
-    } else if (Arg == "--program") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.ExtraPrograms.push_back(V);
-    } else if (Arg == "--server-threads") {
-      if (!Number(Opts.ServerThreads, MaxThreads))
-        return false;
-    } else if (Arg == "--queue-limit") {
-      if (!Number(Opts.QueueLimit))
-        return false;
-    } else if (Arg == "--timeout-ms") {
-      if (!Number(Opts.TimeoutMs))
-        return false;
-    } else if (Arg == "--max-sessions") {
-      if (!Number(Opts.MaxSessions))
-        return false;
-    } else if (Arg == "--metrics-dump") {
-      Opts.MetricsDump = true;
-    } else if (Arg == "--stream") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.StreamAddr = V;
-    } else if (Arg == "--stream-program") {
-      if (!Number(Opts.StreamProgram))
-        return false;
-    } else if (Arg == "--section-records") {
-      if (!Number(Opts.SectionRecords))
-        return false;
-      if (Opts.SectionRecords == 0) {
-        std::fprintf(stderr, "error: --section-records must be positive\n");
-        return false;
-      }
-    } else if (Arg == "--spill-dir") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.SpillDir = V;
-    } else if (Arg == "--spill-budget") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseByteSize(V, Opts.SpillBudget) || Opts.SpillBudget == 0) {
-        std::fprintf(stderr, "error: bad --spill-budget '%s' (expected "
-                             "N, Nk, Nm, or Ng)\n",
-                     V);
-        return false;
-      }
-    } else if (Arg == "--credit-window") {
-      if (!Number(Opts.CreditWindow))
-        return false;
-      if (Opts.CreditWindow == 0) {
-        std::fprintf(stderr, "error: --credit-window must be positive\n");
-        return false;
-      }
-    } else if (Arg == "--pool-budget") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (!parseByteSize(V, Opts.PoolBudget) || Opts.PoolBudget == 0) {
-        std::fprintf(stderr, "error: bad --pool-budget '%s' (expected "
-                             "N, Nk, Nm, or Ng)\n",
-                     V);
-        return false;
-      }
-    } else if (Arg == "--no-ppdb") {
-      Opts.NoPpdb = true;
-    } else if (Arg == "--mode") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      std::string Mode = V;
-      if (Mode == "plain") {
-        Opts.Mode = RunMode::Plain;
-      } else if (Mode == "logging") {
-        Opts.Mode = RunMode::Logging;
-      } else if (Mode == "fulltrace") {
-        Opts.Mode = RunMode::FullTrace;
-      } else {
-        std::fprintf(stderr, "error: unknown mode '%s' (expected plain, "
-                             "logging, or fulltrace)\n",
-                     V);
-        return false;
-      }
-    } else if (Arg == "--dump-ir") {
-      Opts.DumpDisassembly = true;
-    } else if (Arg == "--dump-pdg") {
-      Opts.DumpPdg = true;
-    } else if (Arg == "--dump-simplified") {
-      Opts.DumpSimplified = true;
-    } else if (Arg == "--dump-db") {
-      Opts.DumpDatabase = true;
-    } else if (Arg == "--break") {
-      uint32_t Line = 0;
-      if (!Number(Line))
-        return false;
-      Opts.BreakLines.push_back(Line);
-    } else if (Arg == "--leaf-inheritance") {
-      Opts.LeafInheritance = true;
-    } else if (Arg == "--loop-blocks") {
-      Opts.LoopBlocks = true;
-    } else if (Arg == "--runs") {
-      if (!Number(Opts.FuzzRuns))
-        return false;
-    } else if (Arg == "--minimize") {
-      Opts.Minimize = true;
-    } else if (Arg == "--repro-out") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.ReproOut = V;
-    } else {
-      std::fprintf(stderr, "error: unknown option %s\n", Arg.c_str());
-      return false;
-    }
-  }
+const char *const ByteSizeForm = "N, Nk, Nm, or Ng, not zero";
+
+/// Digits only, in Min..Max and in the range of the field's type.
+template <auto Field, uint64_t Min = 0, uint64_t Max = UINT64_MAX>
+bool unsignedArg(const char *Name, const char *V, CliOptions &Opts) {
+  using T = FieldElem<Field>;
+  uint64_t Hi = std::min<uint64_t>(Max, std::numeric_limits<T>::max());
+  T N{};
+  if (!parseUnsigned(V, Hi, N) || N < Min)
+    return bad(Name, V,
+               "an integer in " + std::to_string(Min) + ".." +
+                   std::to_string(Hi));
+  store(Opts.*Field, N);
   return true;
 }
 
-std::unique_ptr<CompiledProgram> compileFile(const CliOptions &Opts) {
-  std::ifstream In(Opts.File);
+/// A comma-separated list of signed 64-bit integers.
+template <auto Field>
+bool signedListArg(const char *Name, const char *V, CliOptions &Opts) {
+  std::vector<int64_t> List;
+  std::stringstream Ss(V);
+  std::string Item;
+  while (std::getline(Ss, Item, ','))
+    if (!parseSigned(Item.c_str(), List.emplace_back()))
+      return bad(Name, Item.c_str(), "a 64-bit signed integer");
+  store(Opts.*Field, std::move(List));
+  return true;
+}
+
+/// A positive byte count: N, Nk, Nm or Ng.
+template <auto Field>
+bool byteSizeArg(const char *Name, const char *V, CliOptions &Opts) {
+  size_t N = 0;
+  if (!parseByteSize(V, N) || N == 0)
+    return bad(Name, V, ByteSizeForm);
+  store(Opts.*Field, N);
+  return true;
+}
+
+template <auto Field>
+bool textArg(const char *, const char *V, CliOptions &Opts) {
+  store(Opts.*Field, std::string(V));
+  return true;
+}
+
+template <auto Field>
+bool hostPortArg(const char *Name, const char *V, CliOptions &Opts) {
+  std::string Host;
+  uint16_t Port = 0;
+  if (!splitHostPort(V, Host, Port))
+    return bad(Name, V, "HOST:PORT");
+  store(Opts.*Field, std::string(V));
+  return true;
+}
+
+template <auto Field>
+bool switchArg(const char *, const char *, CliOptions &Opts) {
+  Opts.*Field = true;
+  return true;
+}
+
+bool modeArg(const char *Name, const char *V, CliOptions &Opts) {
+  static const std::pair<const char *, RunMode> Modes[] = {
+      {"plain", RunMode::Plain},
+      {"logging", RunMode::Logging},
+      {"fulltrace", RunMode::FullTrace}};
+  for (const auto &[Name, Mode] : Modes)
+    if (std::strcmp(V, Name) == 0) {
+      Opts.Mode = Mode;
+      return true;
+    }
+  return bad(Name, V, "plain, logging, or fulltrace");
+}
+
+using O = CliOptions;
+const Flag Flags[] = {
+    {"--seed", "N", Runs | Fuzz, unsignedArg<&O::Seed>,
+     "scheduler seed (default 1); one seed = one execution instance. fuzz: "
+     "the first generated program's seed"},
+    // A zero quantum runs empty slices forever.
+    {"--quantum", "N", Runs, unsignedArg<&O::Quantum, 1>,
+     "preemption quantum in instructions (default 8)"},
+    {"--input", "v,v,...", Runs, signedListArg<&O::Inputs>,
+     "input stream for the next process (repeatable: first use feeds pid "
+     "0, second pid 1, ...)"},
+    {"--break", "LINE", Runs, unsignedArg<&O::BreakLines>,
+     "halt the machine when any process reaches a statement on this "
+     "source line (repeatable)"},
+    {"--leaf-inheritance", nullptr, Compiles, switchArg<&O::LeafInheritance>,
+     "partitioner: unlog small call-graph leaves"},
+    {"--loop-blocks", nullptr, Compiles, switchArg<&O::LoopBlocks>,
+     "partitioner: loops become their own e-blocks"},
+    {"--dump-ir", nullptr, Compile, switchArg<&O::DumpDisassembly>,
+     "disassemble both artifacts"},
+    {"--dump-pdg", nullptr, Compile, switchArg<&O::DumpPdg>,
+     "static PDGs as DOT"},
+    {"--dump-simplified", nullptr, Compile, switchArg<&O::DumpSimplified>,
+     "simplified static graphs + sync units"},
+    {"--dump-db", nullptr, Compile, switchArg<&O::DumpDatabase>,
+     "the program database"},
+    {"--mode", "M", Run, modeArg,
+     "plain | logging | fulltrace (default logging)"},
+    {"--save-log", "PATH", Run, textArg<&O::SaveLog>,
+     "write the execution log to PATH, and its .ppdb sidecar next to it"},
+    {"--stream", "ADDR", Run, textArg<&O::StreamAddr>,
+     "live attach: ship completed log sections to the ppd server at this "
+     "endpoint (a unix socket path or tcp:HOST:PORT) while the program "
+     "runs (requires --mode logging, the default); the server's "
+     "`tail`/`frontier` client commands then debug the still-running "
+     "program"},
+    {"--stream-program", "N", Run, unsignedArg<&O::StreamProgram>,
+     "program index on the server the --stream belongs to (default 0)"},
+    {"--section-records", "N", Run, unsignedArg<&O::SectionRecords, 1>,
+     "unsealed-record threshold at which --stream seals a consistent cut "
+     "(default 64)"},
+    {"--log", "PATH", Debug | Serve, textArg<&O::LogPaths>,
+     "open the saved log instead of re-running; process sections are "
+     "paged in on demand. serve: repeatable, the Nth --log pairs with "
+     "the Nth program, and more --log flags than programs is an error"},
+    {"--no-ppdb", nullptr, Run | Debug | Serve, switchArg<&O::NoPpdb>,
+     "neither read nor write the .ppdb program-database sidecar"},
+    {"--pool-budget", "N[kmg]", Debug | Serve, byteSizeArg<&O::PoolBudget>,
+     "buffer-pool byte budget for decoded log sections (default 256m; the "
+     "PPD_POOL_BUDGET env var overrides the default, the flag overrides "
+     "both)"},
+    {"--socket", "PATH", Serve | Client, textArg<&O::SocketPath>,
+     "unix socket path"},
+    {"--tcp", "HOST:PORT", Serve | Client, hostPortArg<&O::TcpAddr>,
+     "serve: also listen on TCP (port 0 = ephemeral; the bound port is "
+     "printed). client: connect over TCP instead of --socket"},
+    {"--program", "FILE", Serve, textArg<&O::ExtraPrograms>,
+     "serve another program too (repeatable)"},
+    // At most 1024 workers: far past any useful count, far short of what
+    // would exhaust the process creating them.
+    {"--server-threads", "N", Serve, unsignedArg<&O::ServerThreads, 0, 1024>,
+     "request worker threads (default 0 = handle requests inline, one at "
+     "a time)"},
+    {"--queue-limit", "N", Serve, unsignedArg<&O::QueueLimit>,
+     "max queued+running requests before Busy (default 128)"},
+    {"--timeout-ms", "N", Serve, unsignedArg<&O::TimeoutMs>,
+     "drop requests older than N ms at dequeue (default 0 = never)"},
+    {"--max-sessions", "N", Serve, unsignedArg<&O::MaxSessions>,
+     "concurrent session cap (default 64)"},
+    {"--idle-timeout-ms", "N", Serve, unsignedArg<&O::IdleTimeoutMs>,
+     "disconnect clients with no traffic for N ms (default 0 = never)"},
+    {"--metrics-dump", nullptr, Serve, switchArg<&O::MetricsDump>,
+     "print the metrics report on shutdown"},
+    {"--spill-dir", "PATH", Serve, textArg<&O::SpillDir>,
+     "append each ingested cut to a spill file here and finalize a "
+     "canonical v2 log when the stream ends (default: ingest in memory "
+     "only)"},
+    {"--spill-budget", "N[kmg]", Serve, byteSizeArg<&O::SpillBudget>,
+     "total spill bytes across all ingest sessions; past it new cuts are "
+     "rejected Busy (default unbounded)"},
+    {"--credit-window", "N", Serve, unsignedArg<&O::CreditWindow, 1>,
+     "SectionData frames a tracer may have in flight before it must stall "
+     "(default 8)"},
+    {"--spill-sync", nullptr, Serve, switchArg<&O::SpillSync>,
+     "fdatasync the spill file after every acked cut: an ack then "
+     "survives power loss, not just a server crash (finalized logs are "
+     "always fsynced through their rename)"},
+    {"--runs", "N", Fuzz, unsignedArg<&O::FuzzRuns>,
+     "number of generated programs (default 100)"},
+    {"--minimize", nullptr, Fuzz, switchArg<&O::Minimize>,
+     "delta-debug the first divergence down to a minimal repro before "
+     "reporting it"},
+    {"--repro-out", "PATH", Fuzz, textArg<&O::ReproOut>,
+     "write the (minimized) repro source to PATH when a divergence is "
+     "found"},
+};
+
+/// Buffer-pool budget resolution: --pool-budget, then the PPD_POOL_BUDGET
+/// environment variable (how CI squeezes every test under a 1 MiB pool),
+/// then 256 MiB. A variable that is set but is not a positive size is an
+/// argument error, so a typo cannot quietly test the default pool.
+bool poolBudget(const CliOptions &Opts, size_t &Bytes) {
+  Bytes = Opts.PoolBudget;
+  if (Bytes != 0)
+    return true;
+  Bytes = size_t(256) << 20;
+  const char *Env = std::getenv("PPD_POOL_BUDGET");
+  if (!Env || (parseByteSize(Env, Bytes) && Bytes != 0))
+    return true;
+  return bad("PPD_POOL_BUDGET", Env, ByteSizeForm);
+}
+
+//===----------------------------------------------------------------------===//
+// The preparatory and execution phases
+//===----------------------------------------------------------------------===//
+
+std::unique_ptr<CompiledProgram> compileFile(const CliOptions &Opts,
+                                             const std::string &File) {
+  std::ifstream In(File);
   if (!In) {
-    std::fprintf(stderr, "error: cannot open %s\n", Opts.File.c_str());
+    std::fprintf(stderr, "error: cannot open %s\n", File.c_str());
     return nullptr;
   }
   std::stringstream Buffer;
@@ -556,7 +423,7 @@ std::unique_ptr<CompiledProgram> compileFile(const CliOptions &Opts) {
 }
 
 int cmdCompile(const CliOptions &Opts) {
-  auto Prog = compileFile(Opts);
+  auto Prog = compileFile(Opts, Opts.File);
   if (!Prog)
     return 1;
   std::printf("%s: %zu function(s), %zu e-block(s), %zu sync unit(s), "
@@ -604,7 +471,6 @@ MachineOptions machineOptions(const CliOptions &Opts,
   MOpts.Seed = Opts.Seed;
   MOpts.Quantum = Opts.Quantum;
   MOpts.ProcessInputs = Opts.Inputs;
-  MOpts.Mode = Opts.Mode;
   for (uint32_t Line : Opts.BreakLines) {
     bool Found = false;
     for (StmtId Id = 0; Id != Prog.Ast->numStmts(); ++Id)
@@ -665,16 +531,18 @@ void reportRun(const CompiledProgram &Prog, const Machine &M,
 /// (re)writes the sidecar (leaving \p Graph null — the controller
 /// rebuilds it lazily if a query needs it). Returns null on open
 /// failure — including a section the index skim cannot read — with the
-/// reason in \p Error.
+/// reason printed.
 std::shared_ptr<const PageStore>
 openPagedStore(const CliOptions &Opts, const CompiledProgram &Prog,
                const std::string &LogPath,
                std::shared_ptr<const LogIndex> &Index,
-               std::shared_ptr<const ParallelDynamicGraph> &Graph,
-               std::string &Error) {
+               std::shared_ptr<const ParallelDynamicGraph> &Graph) {
+  std::string Error;
   auto Store = PageStore::open(LogPath, &Error);
-  if (!Store)
+  if (!Store) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return nullptr;
+  }
   if (Opts.NoPpdb)
     return Store;
   std::string DbPath = programDbPathFor(LogPath);
@@ -685,7 +553,7 @@ openPagedStore(const CliOptions &Opts, const CompiledProgram &Prog,
   }
   Index = std::make_shared<const LogIndex>(*Store);
   if (Store->failed()) {
-    Error = Store->failure();
+    std::fprintf(stderr, "error: %s\n", Store->failure().c_str());
     return nullptr;
   }
   if (writeProgramDb(DbPath, Prog, *Store, *Index))
@@ -697,10 +565,11 @@ openPagedStore(const CliOptions &Opts, const CompiledProgram &Prog,
 }
 
 int cmdRun(const CliOptions &Opts) {
-  auto Prog = compileFile(Opts);
+  auto Prog = compileFile(Opts, Opts.File);
   if (!Prog)
     return 1;
   MachineOptions MOpts = machineOptions(Opts, *Prog);
+  MOpts.Mode = Opts.Mode;
   if (!Opts.StreamAddr.empty() && MOpts.Mode != RunMode::Logging) {
     std::fprintf(stderr,
                  "error: --stream needs --mode logging (sections are "
@@ -744,21 +613,21 @@ int cmdRun(const CliOptions &Opts) {
       std::fprintf(stderr, "warning: stream did not complete: %s\n",
                    Stream->error().c_str());
   }
-  if (!Opts.LogPath.empty()) {
-    if (!M.log().save(Opts.LogPath, LogFormat::V2)) {
+  if (!Opts.SaveLog.empty()) {
+    if (!M.log().save(Opts.SaveLog, LogFormat::V2)) {
       std::fprintf(stderr, "error: cannot write log to %s\n",
-                   Opts.LogPath.c_str());
+                   Opts.SaveLog.c_str());
       return 1;
     }
-    std::printf("-- log written to %s\n", Opts.LogPath.c_str());
+    std::printf("-- log written to %s\n", Opts.SaveLog.c_str());
     // Drop the `.ppdb` sidecar next to the log so the first debug open
     // is already warm (skims here, where the run just paid far more).
     if (!Opts.NoPpdb) {
       std::string Error;
-      auto Store = PageStore::open(Opts.LogPath, &Error);
+      auto Store = PageStore::open(Opts.SaveLog, &Error);
       if (Store) {
         LogIndex Index(*Store);
-        std::string DbPath = programDbPathFor(Opts.LogPath);
+        std::string DbPath = programDbPathFor(Opts.SaveLog);
         if (writeProgramDb(DbPath, *Prog, *Store, Index))
           std::printf("-- program database written to %s\n", DbPath.c_str());
         else
@@ -766,7 +635,7 @@ int cmdRun(const CliOptions &Opts) {
       } else {
         std::fprintf(stderr, "warning: cannot reopen %s for the program "
                              "database: %s\n",
-                     Opts.LogPath.c_str(), Error.c_str());
+                     Opts.SaveLog.c_str(), Error.c_str());
       }
     }
   }
@@ -774,7 +643,7 @@ int cmdRun(const CliOptions &Opts) {
 }
 
 int cmdRaces(const CliOptions &Opts) {
-  auto Prog = compileFile(Opts);
+  auto Prog = compileFile(Opts, Opts.File);
   if (!Prog)
     return 1;
   Machine M(*Prog, machineOptions(Opts, *Prog));
@@ -803,7 +672,15 @@ int cmdRaces(const CliOptions &Opts) {
 //===----------------------------------------------------------------------===//
 
 int cmdDebug(const CliOptions &Opts) {
-  auto Prog = compileFile(Opts);
+  if (Opts.LogPaths.size() > 1) {
+    std::fprintf(stderr, "error: %zu --log flags; debug opens one log\n",
+                 Opts.LogPaths.size());
+    return 64;
+  }
+  size_t Budget = 0;
+  if (!poolBudget(Opts, Budget))
+    return 64;
+  auto Prog = compileFile(Opts, Opts.File);
   if (!Prog)
     return 1;
 
@@ -814,15 +691,11 @@ int cmdDebug(const CliOptions &Opts) {
   std::shared_ptr<const PageStore> Store;
   std::shared_ptr<const LogIndex> Index;
   PpdControllerOptions COpts;
-  size_t Budget = effectivePoolBudget(Opts);
-  if (!Opts.LogPath.empty()) {
-    std::string Error;
-    Store = openPagedStore(Opts, *Prog, Opts.LogPath, Index,
-                           COpts.AdoptedGraph, Error);
-    if (!Store) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
+  if (!Opts.LogPaths.empty()) {
+    Store = openPagedStore(Opts, *Prog, Opts.LogPaths[0], Index,
+                           COpts.AdoptedGraph);
+    if (!Store)
       return 1;
-    }
     std::printf("paged log: %u process(es), %zu bytes on disk, pool "
                 "budget %zu bytes\n",
                 Store->numProcs(), Store->fileBytes(), Budget);
@@ -868,11 +741,12 @@ int cmdServe(const CliOptions &Opts) {
     return 64;
   }
   DebugServerOptions SOpts;
+  if (!poolBudget(Opts, SOpts.Registry.PoolBudget))
+    return 64;
   SOpts.Threads = Opts.ServerThreads;
   SOpts.QueueLimit = Opts.QueueLimit;
   SOpts.TimeoutMs = Opts.TimeoutMs;
   SOpts.Registry.MaxSessions = Opts.MaxSessions;
-  SOpts.Registry.PoolBudget = effectivePoolBudget(Opts);
   DebugServer Server(SOpts);
 
   std::vector<std::string> Files;
@@ -880,9 +754,7 @@ int cmdServe(const CliOptions &Opts) {
   Files.insert(Files.end(), Opts.ExtraPrograms.begin(),
                Opts.ExtraPrograms.end());
   for (size_t I = 0; I != Files.size(); ++I) {
-    CliOptions FileOpts = Opts;
-    FileOpts.File = Files[I];
-    auto Prog = compileFile(FileOpts);
+    auto Prog = compileFile(Opts, Files[I]);
     if (!Prog)
       return 1;
     // A --log file is served from its file store; a program without one
@@ -893,15 +765,12 @@ int cmdServe(const CliOptions &Opts) {
     std::shared_ptr<const LogIndex> PagedIndex;
     std::shared_ptr<const ParallelDynamicGraph> PagedGraph;
     if (FromFile) {
-      std::string Error;
       Store = openPagedStore(Opts, *Prog, Opts.LogPaths[I], PagedIndex,
-                             PagedGraph, Error);
-      if (!Store) {
-        std::fprintf(stderr, "error: %s\n", Error.c_str());
+                             PagedGraph);
+      if (!Store)
         return 1;
-      }
     } else {
-      Machine M(*Prog, machineOptions(FileOpts, *Prog));
+      Machine M(*Prog, machineOptions(Opts, *Prog));
       M.run();
       Store = PageStore::fromLog(M.takeLog());
     }
@@ -967,54 +836,6 @@ int cmdServe(const CliOptions &Opts) {
   return Rc;
 }
 
-/// Endpoint resolution shared by client and bots: --tcp wins, --socket
-/// otherwise. Empty string when neither was given.
-std::string clientAddress(const CliOptions &Opts) {
-  if (!Opts.TcpAddr.empty())
-    return "tcp:" + Opts.TcpAddr;
-  return Opts.SocketPath;
-}
-
-int cmdBots(const CliOptions &Opts) {
-  std::string Address = clientAddress(Opts);
-  if (Address.empty()) {
-    std::fprintf(stderr,
-                 "error: bots needs --socket PATH or --tcp HOST:PORT\n");
-    return 64;
-  }
-  BotFleetOptions BOpts;
-  BOpts.Address = Address;
-  BOpts.NumBots = Opts.NumBots;
-  BOpts.QueriesPerBot = Opts.BotQueries;
-  BOpts.Command = Opts.BotCommand;
-  BOpts.ProgramIndex = Opts.BotProgram;
-  BOpts.SharedSession = Opts.BotShared;
-  BOpts.HoldOpen = !Opts.BotNoHold;
-  BOpts.ThinkMs = Opts.BotThinkMs;
-  BOpts.Progress = [](const std::string &Line) {
-    std::fprintf(stderr, "%s\n", Line.c_str());
-  };
-  BotFleetResult R = runBotFleet(BOpts);
-  std::printf("bots: %u requested, %llu connected, %llu completed, %llu "
-              "failed%s\n",
-              Opts.NumBots, (unsigned long long)R.Connected,
-              (unsigned long long)R.Completed,
-              (unsigned long long)R.Failed,
-              R.TimedOut ? " (deadline hit)" : "");
-  std::printf("peak concurrent connections: %llu\n",
-              (unsigned long long)R.PeakConcurrent);
-  std::printf("queries: %llu answered in %llu ms, latency mean %lluus, "
-              "p50 <%lluus, p99 <%lluus\n",
-              (unsigned long long)R.QueriesAnswered,
-              (unsigned long long)R.WallMs, (unsigned long long)R.MeanUs,
-              (unsigned long long)R.P50us, (unsigned long long)R.P99us);
-  if (R.BusyRetries != 0)
-    std::printf("busy retries: %llu\n", (unsigned long long)R.BusyRetries);
-  if (!R.Error.empty())
-    std::fprintf(stderr, "first failure: %s\n", R.Error.c_str());
-  return R.ok() ? 0 : 1;
-}
-
 /// One client command line → one request, or no request (errors, quit).
 /// Returns false to end the script loop.
 bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
@@ -1036,6 +857,13 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     std::fprintf(stderr, "client: bad %s id '%s'\n", What, Token.c_str());
     return false;
   };
+  // The debugger command that ends a `query` or `tail` line.
+  auto RestOfLine = [&] {
+    std::string Rest;
+    std::getline(Args, Rest);
+    size_t Start = Rest.find_first_not_of(' ');
+    return Start == std::string::npos ? "" : Rest.substr(Start);
+  };
 
   if (Cmd == "open") {
     Req.Type = MsgType::OpenSession;
@@ -1052,10 +880,7 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     Req.Type = MsgType::Query;
     if (!ParseId("session", Req.SessionId))
       return true;
-    std::string Rest;
-    std::getline(Args, Rest);
-    size_t Start = Rest.find_first_not_of(' ');
-    Req.Command = Start == std::string::npos ? "" : Rest.substr(Start);
+    Req.Command = RestOfLine();
     Send = Req.SessionId != 0;
   } else if (Cmd == "step") {
     Req.Type = MsgType::Step;
@@ -1090,10 +915,7 @@ bool clientCommand(const std::string &Line, Request &Req, bool &Send) {
     Req.Type = MsgType::TailQuery;
     if (!ParseId("stream", Req.StreamId))
       return true;
-    std::string Rest;
-    std::getline(Args, Rest);
-    size_t Start = Rest.find_first_not_of(' ');
-    Req.Command = Start == std::string::npos ? "" : Rest.substr(Start);
+    Req.Command = RestOfLine();
     Send = Req.StreamId != 0;
   } else if (Cmd == "frontier") {
     // frontier [STREAM] — ingest progress of one stream, or all of them.
@@ -1142,7 +964,9 @@ void printResponse(const Response &Resp) {
 }
 
 int cmdClient(const CliOptions &Opts) {
-  std::string Address = clientAddress(Opts);
+  // --tcp wins, --socket otherwise.
+  std::string Address =
+      Opts.TcpAddr.empty() ? Opts.SocketPath : "tcp:" + Opts.TcpAddr;
   if (Address.empty()) {
     std::fprintf(stderr,
                  "error: client needs --socket PATH or --tcp HOST:PORT\n");
@@ -1198,34 +1022,150 @@ int cmdFuzz(const CliOptions &Opts) {
   return Result.Failed ? 1 : 0;
 }
 
+//===----------------------------------------------------------------------===//
+// The command table, usage and argument parsing
+//===----------------------------------------------------------------------===//
+
+struct Command {
+  const char *Name;
+  unsigned Bit;
+  bool TakesFile;
+  int (*Run)(const CliOptions &);
+  const char *Help;
+};
+
+const Command Commands[] = {
+    {"compile", Compile, true, cmdCompile,
+     "preparatory phase: report the static artifacts"},
+    {"run", Run, true, cmdRun,
+     "execution phase: run the object code, generate the log"},
+    {"races", Races, true, cmdRaces,
+     "run, then detect races on the execution instance"},
+    {"debug", Debug, true, cmdDebug,
+     "debugging phase: interactive flowback session"},
+    {"serve", Serve, true, cmdServe,
+     "debugging phase as a daemon: concurrent sessions over a unix socket "
+     "(--socket) and/or TCP (--tcp); the epoll dispatcher serves both "
+     "listeners from one thread"},
+    {"client", Client, false, cmdClient,
+     "scriptable client for a running server (--socket or --tcp; commands "
+     "from stdin: open, query, step, races, stats, close, tail, frontier, "
+     "shutdown, quit; `tail ID CMD` debugs a live stream's frontier, "
+     "`frontier [ID]` shows ingest progress)"},
+    {"fuzz", Fuzz, false, cmdFuzz,
+     "differential fuzzing: random PPL programs checked against the "
+     "paper's replay theorem and every redundant pipeline pair; every "
+     "seed runs, each divergence is listed, and any exits 1"},
+};
+
+/// Prints \p Line (the entry's head), then \p Text word-wrapped in a
+/// column from \p Col; a head too wide for its column gets a line of its
+/// own.
+void printEntry(std::string Line, const std::string &Text, size_t Col) {
+  constexpr size_t Width = 78;
+  if (Line.size() >= Col) {
+    std::fprintf(stderr, "%s\n", Line.c_str());
+    Line.clear();
+  }
+  std::stringstream Words(Text);
+  std::string Word;
+  while (Words >> Word) {
+    if (Line.size() > Col && Line.size() + 1 + Word.size() > Width) {
+      std::fprintf(stderr, "%s\n", Line.c_str());
+      Line.clear();
+    }
+    Line.resize(std::max(Line.size(), Col), ' ');
+    Line += (Line.size() > Col ? " " : "") + Word;
+  }
+  std::fprintf(stderr, "%s\n", Line.c_str());
+}
+
+/// "run/races/debug": the commands in \p Bits, in table order.
+std::string commandNames(unsigned Bits) {
+  std::string Names;
+  for (const Command &C : Commands)
+    if (Bits & C.Bit)
+      Names += (Names.empty() ? "" : "/") + std::string(C.Name);
+  return Names;
+}
+
+void usage() {
+  std::fprintf(stderr, "usage: ppd <command> <file.ppl> [options]\n\n"
+                       "commands:\n");
+  for (const Command &C : Commands)
+    printEntry(std::string("  ") + C.Name,
+               std::string(C.Help) +
+                   (C.TakesFile ? "" : " (takes no file argument)"),
+               12);
+  std::fprintf(stderr, "\noptions (the commands that read each in "
+                       "parentheses):\n");
+  for (const Flag &F : Flags)
+    printEntry(std::string("  ") + F.Name + (F.Meta ? " " : "") +
+                   (F.Meta ? F.Meta : ""),
+               "(" + commandNames(F.Commands) + ") " + F.Help, 24);
+}
+
+/// Reads the program file (for commands that take one) and the flags
+/// after it. Every flag must be one the command reads; false, with the
+/// reason on stderr, on anything else.
+bool parseArgs(const Command &Cmd, int Argc, char **Argv, CliOptions &Opts) {
+  int I = 2;
+  if (Cmd.TakesFile) {
+    if (Argc <= I) {
+      std::fprintf(stderr, "error: %s needs a program file\n", Cmd.Name);
+      return false;
+    }
+    Opts.File = Argv[I++];
+  }
+  for (; I < Argc; ++I) {
+    const char *Arg = Argv[I];
+    const Flag *F = std::find_if(
+        std::begin(Flags), std::end(Flags),
+        [Arg](const Flag &F) { return std::strcmp(F.Name, Arg) == 0; });
+    if (F == std::end(Flags)) {
+      std::fprintf(stderr, "error: unknown option %s\n", Arg);
+      return false;
+    }
+    if (!(F->Commands & Cmd.Bit)) {
+      std::fprintf(stderr, "error: %s does not apply to %s (only to %s)\n",
+                   Arg, Cmd.Name, commandNames(F->Commands).c_str());
+      return false;
+    }
+    const char *Value = nullptr;
+    if (F->Meta) {
+      if (I + 1 == Argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", Arg);
+        return false;
+      }
+      Value = Argv[++I];
+    }
+    if (!F->Parse(F->Name, Value, Opts))
+      return false;
+  }
+  return true;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
-  CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts)) {
+  if (Argc < 2) {
     usage();
     return 64;
   }
-  if (Opts.Command == "compile")
-    return cmdCompile(Opts);
-  if (Opts.Command == "run")
-    return cmdRun(Opts);
-  if (Opts.Command == "races")
-    return cmdRaces(Opts);
-  if (Opts.Command == "debug")
-    return cmdDebug(Opts);
-  if (Opts.Command == "serve")
-    return cmdServe(Opts);
-  if (Opts.Command == "client")
-    return cmdClient(Opts);
-  if (Opts.Command == "bots")
-    return cmdBots(Opts);
-  if (Opts.Command == "fuzz")
-    return cmdFuzz(Opts);
+  const Command *Cmd = std::find_if(
+      std::begin(Commands), std::end(Commands),
+      [&](const Command &C) { return std::strcmp(C.Name, Argv[1]) == 0; });
   // One error path for every unrecognized command: name it, show usage,
   // and exit with a code distinct from argument-parse failures (64).
-  std::fprintf(stderr, "error: unknown command '%s'\n",
-               Opts.Command.c_str());
-  usage();
-  return 65;
+  if (Cmd == std::end(Commands)) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", Argv[1]);
+    usage();
+    return 65;
+  }
+  CliOptions Opts;
+  if (!parseArgs(*Cmd, Argc, Argv, Opts)) {
+    usage();
+    return 64;
+  }
+  return Cmd->Run(Opts);
 }

@@ -8,7 +8,7 @@
 # between two compiles of the same source would make every open silently
 # cold, which no in-process test can see.
 file(REMOVE "${LOG}" "${LOG}.ppdb")
-execute_process(COMMAND "${PPD}" run "${PROGRAM}" --log "${LOG}"
+execute_process(COMMAND "${PPD}" run "${PROGRAM}" --save-log "${LOG}"
   RESULT_VARIABLE Code
   OUTPUT_VARIABLE Out
   ERROR_VARIABLE Err)
